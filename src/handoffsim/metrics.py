@@ -15,7 +15,9 @@ than the tolerance, and the rest are timely.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .controller import HandoffRecord  # re-exported record type
@@ -162,36 +164,52 @@ class _TerminalStats:
             if p["to"] == "execution" and p["from"] != "execution":
                 self.counts["executions"] += 1
 
+    @cached_property
+    def attach_segs(self) -> list[tuple[int, int, Optional[str]]]:
+        return _segments(self.attach_points, self.horizon)
+
+    @cached_property
+    def anl_times(self) -> list[int]:
+        return sorted(self.anl_by_t)
+
     def dwell_times(self) -> tuple[int, int]:
-        """(time attached to the list head, total time attached), in ms."""
-        attach_segs = _segments(self.attach_points, self.horizon)
+        """(time attached to the list head, total time attached), in ms.
+
+        Breakpoints arrive in trace order, so both segment lists are sorted
+        and disjoint and one merge pass visits every overlapping pair.
+        """
+        attach_segs = self.attach_segs
         head_segs = _segments(self.anl_points, self.horizon)
-        attached = 0
+        attached = sum(a1 - a0 for a0, a1, net in attach_segs if net is not None)
         on_head = 0
-        hi = 0
-        for a0, a1, net in attach_segs:
-            if net is None:
-                continue
-            attached += a1 - a0
-            for h0, h1, head in head_segs:
-                lo = max(a0, h0)
-                hi_ = min(a1, h1)
-                if hi_ > lo and head == net:
-                    on_head += hi_ - lo
+        i = j = 0
+        while i < len(attach_segs) and j < len(head_segs):
+            a0, a1, net = attach_segs[i]
+            h0, h1, head = head_segs[j]
+            if net is not None and head == net:
+                lo = a0 if a0 > h0 else h0
+                hi = a1 if a1 < h1 else h1
+                if hi > lo:
+                    on_head += hi - lo
+            if a1 <= h1:
+                i += 1
+            else:
+                j += 1
         return on_head, attached
 
     def uf_series(self) -> list[tuple[int, int, float]]:
         """Serving-network utility per tick segment while attached."""
-        attach_segs = _segments(self.attach_points, self.horizon)
+        attach_segs = self.attach_segs
+        starts = [a0 for a0, _, _ in attach_segs]
 
         def attached_at(t: int) -> Optional[str]:
-            for a0, a1, value in attach_segs:
-                if a0 <= t < a1:
-                    return value
+            i = bisect_right(starts, t) - 1
+            if i >= 0 and t < attach_segs[i][1]:
+                return attach_segs[i][2]
             return None
 
         out = []
-        for t in sorted(self.anl_by_t):
+        for t in self.anl_times:
             if t >= self.horizon:
                 continue
             net = attached_at(t)
@@ -230,8 +248,9 @@ class _TerminalStats:
         """Continuous ms the from-network utility sat below th_inf just
         before the trigger instant."""
         span = 0
-        ticks = [t for t in sorted(self.anl_by_t) if t <= t_trigger]
-        for t in reversed(ticks):
+        times = self.anl_times
+        for k in range(bisect_right(times, t_trigger) - 1, -1, -1):
+            t = times[k]
             value = self.anl_by_t[t].get(from_net)
             if value is None or value >= self.th_inf:
                 break

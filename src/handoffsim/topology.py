@@ -88,12 +88,6 @@ class Topology:
     stations: tuple[BaseStation, ...]
     path_loss_overrides: Mapping[str, Mapping] = field(default_factory=dict)
 
-    def station(self, station_id: str) -> BaseStation:
-        for bs in self.stations:
-            if bs.id == station_id:
-                return bs
-        raise UnknownTopologyElementError("station", station_id)
-
     def validate(self) -> list[str]:
         """Return structural problems; an empty list means well formed."""
         problems = []

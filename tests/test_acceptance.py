@@ -16,8 +16,6 @@ import statistics
 import mpmath
 import pytest
 
-import test_fsm_conformance as conformance
-
 from handoffsim.cli import main as cli_main
 from handoffsim.context import ContextSource, CriterionDef, Polarity
 from handoffsim.desirability import WeightProfile, desirability
@@ -39,8 +37,8 @@ def _pass(name, **measured):
 
 
 @pytest.fixture(scope="module")
-def exploration():
-    memo, transitions, edges, records = conformance._explore()
+def exploration(fsm_exploration):
+    memo, transitions, edges, records = fsm_exploration
     return {"memo": memo, "transitions": transitions,
             "edges": edges, "records": records}
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from handoffsim.controller import (
@@ -176,11 +178,17 @@ class TestShouldEnterPreparation:
         gap=st.floats(min_value=0.01, max_value=5.0),
         closing=st.floats(min_value=1e-4, max_value=1.0),
     )
+    @example(gap=0.010000000000000002, closing=1e-4)
     def test_prediction_matches_analytic_crossing_time(self, gap, closing):
         cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=100)
         curr = [(0, 4.0), (100, 4.0)]
         tgt = [(0, 4.0 - gap - 100 * closing), (100, 4.0 - gap)]
-        expected = gap / closing <= cfg.prep_latency
+        # The verdict follows the samples as stored, in exact arithmetic:
+        # rounding the draws into floats can move the crossing across the
+        # inclusive prep_latency boundary relative to gap / closing.
+        (c0, c1), (g0, g1) = ([Fraction(v) for _, v in s] for s in (curr, tgt))
+        real_closing = ((g1 - g0) - (c1 - c0)) / 100
+        expected = real_closing > 0 and (c1 - g1) / real_closing <= cfg.prep_latency
         assert should_enter_preparation(curr, tgt, cfg, 100) == expected
 
 

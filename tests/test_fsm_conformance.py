@@ -388,8 +388,8 @@ def _explore():
 
 
 @pytest.fixture(scope="module")
-def exploration():
-    return _explore()
+def exploration(fsm_exploration):
+    return fsm_exploration
 
 
 def test_machines_agree_on_every_sequence(exploration):

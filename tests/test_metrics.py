@@ -5,10 +5,14 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from handoffsim.engine import run
 from handoffsim.metrics import (
     CSV_COLUMNS,
+    _segments,
+    _TerminalStats,
     classify_timeliness,
     compute_metrics,
     handoff_success,
@@ -286,6 +290,113 @@ class TestTimeliness:
         snap = compute_metrics(tr)
         assert snap.counts["tardy"] == 1
         assert snap.thor == pytest.approx(1.0)
+
+
+# --- reference fold -----------------------------------------------------------
+# Direct, quadratic forms of the per-terminal lookups; the fold's merge and
+# bisection must agree with them on every breakpoint list.
+
+def ref_dwell_times(st_):
+    attach_segs = _segments(st_.attach_points, st_.horizon)
+    head_segs = _segments(st_.anl_points, st_.horizon)
+    attached = 0
+    on_head = 0
+    for a0, a1, net in attach_segs:
+        if net is None:
+            continue
+        attached += a1 - a0
+        for h0, h1, head in head_segs:
+            lo = max(a0, h0)
+            hi = min(a1, h1)
+            if hi > lo and head == net:
+                on_head += hi - lo
+    return on_head, attached
+
+
+def ref_uf_series(st_):
+    attach_segs = _segments(st_.attach_points, st_.horizon)
+
+    def attached_at(t):
+        for a0, a1, value in attach_segs:
+            if a0 <= t < a1:
+                return value
+        return None
+
+    out = []
+    for t in sorted(st_.anl_by_t):
+        if t >= st_.horizon:
+            continue
+        net = attached_at(t)
+        if net is None:
+            continue
+        value = st_.anl_by_t[t].get(net)
+        if value is None:
+            continue
+        out.append((t, min(t + st_.tick, st_.horizon), value))
+    return out
+
+
+def ref_below_span_before(st_, t_trigger, from_net):
+    span = 0
+    ticks = [t for t in sorted(st_.anl_by_t) if t <= t_trigger]
+    for t in reversed(ticks):
+        value = st_.anl_by_t[t].get(from_net)
+        if value is None or value >= st_.th_inf:
+            break
+        span = t_trigger - t
+    return span
+
+
+# Attachments come from n1, n2 or None; list heads also include n3 and n4,
+# which are never attached. Times on a coarse grid repeat often and reach
+# past the horizon.
+_ATTACHED = st.sampled_from(["n1", "n2", None])
+_LISTED = st.sampled_from(["n1", "n2", "n3", "n4"])
+_TIME = st.integers(min_value=0, max_value=24).map(lambda k: 50 * k)
+_EVENT = st.one_of(
+    st.tuples(st.just(TRANSITION), _ATTACHED),
+    st.tuples(
+        st.just(ANL),
+        st.lists(
+            st.tuples(_LISTED, st.sampled_from([0.5, 1.5, 2.0, 2.5, 4.0])),
+            max_size=3,
+            unique_by=lambda e: e[0],
+        ),
+    ),
+)
+
+
+def _fed_stats(events, horizon):
+    stats = _TerminalStats("mt1", horizon, 100, 2.0)
+    tr = _base_trace(duration=horizon)
+    for t, (kind, value) in sorted(events, key=lambda e: e[0]):
+        if kind == TRANSITION:
+            tr.append(t, "mt1", TRANSITION, {
+                "event": "anl_updated", "from": "initiation", "to": "initiation",
+                "attached": value, "actions": [],
+            })
+        else:
+            _anl(tr, t, value)
+    for rec in tr.records:
+        if rec.terminal == "mt1":
+            stats.feed(rec)
+    return stats
+
+
+class TestFoldMatchesReference:
+    @given(
+        events=st.lists(st.tuples(_TIME, _EVENT), max_size=30),
+        horizon=st.integers(min_value=0, max_value=1100),
+    )
+    def test_lookups_match_reference(self, events, horizon):
+        stats = _fed_stats(events, horizon)
+        assert stats.dwell_times() == ref_dwell_times(stats)
+        assert stats.uf_series() == ref_uf_series(stats)
+        for t_trigger in range(0, 1300, 25):
+            for net in ("n1", "n2", "n3", "n4"):
+                assert stats.below_span_before(t_trigger, net) == (
+                    ref_below_span_before(stats, t_trigger, net)
+                )
 
 
 class TestRatesAndMeans:
