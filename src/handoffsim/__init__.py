@@ -4,195 +4,11 @@ The package models terminals moving through overlapping wireless
 coverage, scores candidate networks from weighted context criteria,
 drives a five-phase handoff controller over the ranked list, and
 reports per-run quality metrics from the emitted trace.
+
+The command line (``handoffsim.cli``) is the front end.  Library callers
+import from the modules that define each name: ``scenario``, ``engine``,
+``metrics``, ``trace``, ``controller``, ``desirability``, ``context``,
+``taxonomy``, ``topology``, ``synthesis`` and ``errors``.
 """
 
-from .context import (
-    ContextSource,
-    CriteriaVector,
-    CriterionDef,
-    FeatureResult,
-    FeatureSpec,
-    GoalDirection,
-    GoalSpec,
-    Polarity,
-    ValidationResult,
-    default_catalog,
-    default_feature_specs,
-    feature_report,
-    goal_holds,
-    goal_satisfied,
-    validate_vector,
-)
-from .controller import (
-    ControllerConfig,
-    ControllerState,
-    EvalOutcome,
-    HandoffRecord,
-    MeasurementSet,
-    Phase,
-    PolicyTable,
-    Reason,
-    Strategy,
-    TriggerPlan,
-    consistently_better,
-    evaluate,
-    handoff_reason,
-    initial_state,
-    select_method,
-    should_enter_preparation,
-    step,
-    sufficiently_better,
-)
-from .desirability import (
-    AvailableNetworkList,
-    DesirabilityScore,
-    WeightProfile,
-    best,
-    desirability,
-    rank,
-    relative_desirability,
-)
-from .engine import run
-from .errors import (
-    DuplicateNetworkError,
-    EmptyDimensionError,
-    HandoffSimError,
-    IllegalEventError,
-    InsufficientSamplesError,
-    MalformedTraceError,
-    MissingCriterionError,
-    NonFiniteValueError,
-    PolicyGapError,
-    ScenarioError,
-    UnknownCriterionError,
-    UnknownMetricError,
-    UnknownTopologyElementError,
-    WeightProfileError,
-)
-from .metrics import (
-    MetricSnapshot,
-    classify_timeliness,
-    compute_metrics,
-    handoff_success,
-    snapshots_to_csv,
-    snapshots_to_json,
-)
-from .scenario import Scenario, TerminalSpec, from_dict, load_scenario
-from .synthesis import ContextSynthesisSpec, NetworkSignals, SynthesisState, sample_context
-from .taxonomy import (
-    Attachment,
-    HandoffType,
-    InfraLevel,
-    Layer,
-    Verticality,
-    classify,
-    delta,
-    enumerate_types,
-    scenario_space_size,
-)
-from .topology import (
-    BaseStation,
-    IPNet,
-    PathLossParams,
-    Provider,
-    Topology,
-    coverage,
-    rss_at,
-    tier_path_loss,
-)
-from .trace import Trace, TraceRecord, parse_ndjson, read_trace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ContextSource",
-    "CriteriaVector",
-    "CriterionDef",
-    "FeatureResult",
-    "FeatureSpec",
-    "GoalDirection",
-    "GoalSpec",
-    "Polarity",
-    "ValidationResult",
-    "default_catalog",
-    "default_feature_specs",
-    "feature_report",
-    "goal_holds",
-    "goal_satisfied",
-    "validate_vector",
-    "ControllerConfig",
-    "ControllerState",
-    "EvalOutcome",
-    "HandoffRecord",
-    "MeasurementSet",
-    "Phase",
-    "PolicyTable",
-    "Reason",
-    "Strategy",
-    "TriggerPlan",
-    "consistently_better",
-    "evaluate",
-    "handoff_reason",
-    "initial_state",
-    "select_method",
-    "should_enter_preparation",
-    "step",
-    "sufficiently_better",
-    "AvailableNetworkList",
-    "DesirabilityScore",
-    "WeightProfile",
-    "best",
-    "desirability",
-    "rank",
-    "relative_desirability",
-    "run",
-    "DuplicateNetworkError",
-    "EmptyDimensionError",
-    "HandoffSimError",
-    "IllegalEventError",
-    "InsufficientSamplesError",
-    "MalformedTraceError",
-    "MissingCriterionError",
-    "NonFiniteValueError",
-    "PolicyGapError",
-    "ScenarioError",
-    "UnknownCriterionError",
-    "UnknownMetricError",
-    "UnknownTopologyElementError",
-    "WeightProfileError",
-    "MetricSnapshot",
-    "classify_timeliness",
-    "compute_metrics",
-    "handoff_success",
-    "snapshots_to_csv",
-    "snapshots_to_json",
-    "Scenario",
-    "TerminalSpec",
-    "from_dict",
-    "load_scenario",
-    "ContextSynthesisSpec",
-    "NetworkSignals",
-    "SynthesisState",
-    "sample_context",
-    "Attachment",
-    "HandoffType",
-    "InfraLevel",
-    "Layer",
-    "Verticality",
-    "classify",
-    "delta",
-    "enumerate_types",
-    "scenario_space_size",
-    "BaseStation",
-    "IPNet",
-    "PathLossParams",
-    "Provider",
-    "Topology",
-    "coverage",
-    "rss_at",
-    "tier_path_loss",
-    "Trace",
-    "TraceRecord",
-    "parse_ndjson",
-    "read_trace",
-]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -107,7 +108,13 @@ def default_catalog() -> list[CriterionDef]:
     return list(_DEFAULT_CATALOG)
 
 
-def catalog_index(catalog: Sequence[CriterionDef]) -> dict[str, CriterionDef]:
+def catalog_index(
+    catalog: Sequence[CriterionDef] | Mapping[str, CriterionDef],
+) -> Mapping[str, CriterionDef]:
+    """Criteria by id.  A mapping is taken to be an index already and is
+    returned unchanged, so a caller scoring many vectors builds it once."""
+    if isinstance(catalog, abc.Mapping):
+        return catalog
     index: dict[str, CriterionDef] = {}
     for cdef in catalog:
         if cdef.id in index:

@@ -195,8 +195,9 @@ def should_enter_preparation(
     if closing <= 0.0:
         return False
     gap = d_curr - d_tgt
-    t_cross = now + gap / closing
-    return t_cross <= now + cfg.prep_latency
+    # Durations, not instants: adding `now` to both sides would round them
+    # differently at different absolute times.
+    return gap / closing <= cfg.prep_latency
 
 
 def _slope(p0: tuple[int, float], p1: tuple[int, float]) -> float:

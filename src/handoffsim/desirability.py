@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .context import CriteriaVector, CriterionDef, Polarity, catalog_index
@@ -35,6 +36,11 @@ class WeightProfile:
 
     weights: Mapping[str, float]
     k: float = 1.0
+
+    @cached_property
+    def terms(self) -> tuple[tuple[str, float], ...]:
+        """(criterion id, K + W) per weighted criterion, in id order."""
+        return tuple((cid, self.k + self.weights[cid]) for cid in sorted(self.weights))
 
     def validate(self, catalog: Sequence[CriterionDef]) -> None:
         """Raise WeightProfileError on any constraint violation."""
@@ -71,17 +77,18 @@ def _clamped_log10(value: float, floor: float) -> float:
 def desirability(
     v: CriteriaVector,
     profile: WeightProfile,
-    catalog: Sequence[CriterionDef],
+    catalog: Sequence[CriterionDef] | Mapping[str, CriterionDef],
     network_id: str = "",
 ) -> DesirabilityScore:
     """Score one network's criteria vector.
 
     Every weighted criterion must be present in the vector and finite.
-    Criteria present in the vector but unweighted are ignored.
+    Criteria present in the vector but unweighted are ignored.  ``catalog``
+    may be a prebuilt ``catalog_index``.
     """
     index = catalog_index(catalog)
     total = 0.0
-    for cid in sorted(profile.weights):
+    for cid, coefficient in profile.terms:
         if cid not in index:
             raise UnknownCriterionError(cid)
         if cid not in v.values:
@@ -90,7 +97,7 @@ def desirability(
         if not math.isfinite(raw):
             raise NonFiniteValueError(cid, raw)
         cdef = index[cid]
-        term = (profile.k + profile.weights[cid]) * _clamped_log10(raw, cdef.floor)
+        term = coefficient * _clamped_log10(raw, cdef.floor)
         if cdef.polarity is Polarity.BENEFICIAL:
             total += term
         else:

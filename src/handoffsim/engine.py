@@ -12,6 +12,13 @@ whether the serving station still covers it (emitting a link-loss event
 first if not), synthesizes every covered network's criteria (overwriting
 RSS from the radio model), scores and ranks them, and hands the ranked
 list to the controller.
+
+Facts fixed for the run are computed once: the catalog index, each
+(terminal, station) attachment, and the topology's coverage index.  A
+station's synthesized sample depends only on (station, t), so it is taken
+once per tick and shared by every terminal; the queue pops in time order
+and synthesis advances only when time does, so a sample is dropped when
+the tick moves on.
 """
 
 from __future__ import annotations
@@ -21,12 +28,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import controller as ctl
-from .context import CriteriaVector
+from .context import CriteriaVector, catalog_index
 from .desirability import DesirabilityScore, desirability, rank
 from .scenario import Scenario, TerminalSpec
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import Attachment
-from .topology import coverage
+from .topology import BaseStation, coverage
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 Position = tuple[float, float]
@@ -106,6 +113,9 @@ class _Run:
         self.heap: list = []
         self.seq = 0
         self.synth_t: Optional[int] = None
+        self.samples: dict[str, CriteriaVector] = {}  # station -> sample at synth_t
+        self.index = catalog_index(scenario.catalog)
+        self.attachments: dict[tuple[str, str], Attachment] = {}
 
     def push(self, at: int, terminal: str, rank_: int, kind: str) -> None:
         if at >= self.sc.duration_ms:
@@ -135,11 +145,26 @@ class _Run:
             elif isinstance(action, ctl.RecordHandoff):
                 self.trace.append(now, terminal, HANDOFF, _record_payload(action.record))
 
+    def attachment(self, terminal: str, bs: BaseStation) -> Attachment:
+        key = (terminal, bs.id)
+        att = self.attachments.get(key)
+        if att is None:
+            att = self.attachments[key] = Attachment(
+                terminal_id=terminal,
+                provider_id=bs.provider_id,
+                net_id=bs.net_id,
+                cell_id=bs.id,
+                channel_id=bs.channels[0],
+                technology=bs.technology,
+            )
+        return att
+
     def context_tick(self, terminal: str, now: int) -> None:
         sc = self.sc
         if self.synth_t != now:
             self.synth.advance_to(now, sc.tick_ms)
             self.synth_t = now
+            self.samples.clear()
         term = self.terms[terminal]
         pos = advance_position(term.path, now)
         covered = coverage(pos, sc.topology)
@@ -152,25 +177,21 @@ class _Run:
         scores: list[DesirabilityScore] = []
         infos: dict[str, Attachment] = {}
         for bs, rss in covered:
-            vector = sample_context(bs.id, now, sc.synthesis, self.synth)
+            vector = self.samples.get(bs.id)
+            if vector is None:
+                vector = sample_context(bs.id, now, sc.synthesis, self.synth)
+                self.samples[bs.id] = vector
             values = dict(vector.values)
             values["RSS"] = rss
             scores.append(
                 desirability(
                     CriteriaVector(values=values, timestamp=now),
                     sc.weights,
-                    sc.catalog,
+                    self.index,
                     network_id=bs.id,
                 )
             )
-            infos[bs.id] = Attachment(
-                terminal_id=terminal,
-                provider_id=bs.provider_id,
-                net_id=bs.net_id,
-                cell_id=bs.id,
-                channel_id=bs.channels[0],
-                technology=bs.technology,
-            )
+            infos[bs.id] = self.attachment(terminal, bs)
         anl = rank(scores, as_of=now)
         self.trace.append(
             now,

@@ -11,13 +11,19 @@ Received signal strength follows a log-distance path loss law:
 
 with per-tier defaults for the transmit power and the exponent n, and a
 reference distance d0 of one meter.
+
+Coverage queries go through a per-topology index, built on the first
+query: the stations sorted by id with their radius and path-loss
+parameters, plus a uniform grid over their coverage disks' bounding boxes
+that narrows each query to the stations near the position.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional
 
 from .errors import UnknownTopologyElementError
 from .taxonomy import Attachment
@@ -88,6 +94,11 @@ class Topology:
     stations: tuple[BaseStation, ...]
     path_loss_overrides: Mapping[str, Mapping] = field(default_factory=dict)
 
+    @cached_property
+    def coverage_index(self) -> "CoverageIndex":
+        """Built on first use, so parsing a scenario never pays for it."""
+        return CoverageIndex(self)
+
     def validate(self) -> list[str]:
         """Return structural problems; an empty list means well formed."""
         problems = []
@@ -137,15 +148,91 @@ class Topology:
             raise UnknownTopologyElementError("provider", att.provider_id)
 
 
+def _rss(d: float, params: PathLossParams) -> float:
+    effective = max(d, params.d0)
+    return params.tx_power_dbm - 10.0 * params.exponent * math.log10(effective / params.d0)
+
+
 def rss_at(pos: Position, station: BaseStation, params: Optional[PathLossParams] = None) -> float:
     """Received signal strength in dBm at a position, log-distance model."""
     if params is None:
         params = tier_path_loss(station.tier)
     dx = pos[0] - station.position[0]
     dy = pos[1] - station.position[1]
-    d = math.hypot(dx, dy)
-    effective = max(d, params.d0)
-    return params.tx_power_dbm - 10.0 * params.exponent * math.log10(effective / params.d0)
+    return _rss(math.hypot(dx, dy), params)
+
+
+class CoverageIndex:
+    """Per-run coverage facts of one topology.
+
+    ``entries`` holds (station, x, y, radius, path-loss parameters) in
+    station id order, leaving out stations whose radius can reach nothing
+    (negative or NaN).  The grid splits the stations' padded bounding boxes
+    into about one square cell per station, and each cell lists, in id
+    order, every station whose box padded by one cell overlaps it.  The pad
+    absorbs rounding in the cell arithmetic, so the grid only prefilters:
+    the covered/not-covered verdict is the exact distance test.  When some
+    box is not finite (an infinite radius, a non-finite position) there is
+    no grid and every query tests every entry.
+    """
+
+    def __init__(self, topo: Topology):
+        self.entries = []
+        for bs in sorted(topo.stations, key=lambda s: s.id):
+            radius = bs.coverage_radius
+            if radius >= 0:
+                params = tier_path_loss(bs.tier, topo.path_loss_overrides)
+                self.entries.append((bs, bs.position[0], bs.position[1], radius, params))
+        self.cells: Optional[list[list]] = None
+        boxes = [(x - r, y - r, x + r, y + r) for _, x, y, r, _ in self.entries]
+        if not boxes or not all(math.isfinite(v) for box in boxes for v in box):
+            return
+        x0 = min(b[0] for b in boxes)
+        y0 = min(b[1] for b in boxes)
+        width = max(b[2] for b in boxes) - x0
+        height = max(b[3] for b in boxes) - y0
+        n = len(boxes)
+        # About n cells over the extent; the second bound keeps a long thin
+        # extent from being cut into a row of far more than n cells.
+        cell = max(math.sqrt(width * height / n), (width + height) / n) or 1.0
+        x0, y0 = x0 - cell, y0 - cell
+        spans = (width + 2 * cell, height + 2 * cell)
+        if not all(math.isfinite(v) for v in (x0, y0, *spans)):
+            return  # the padded extent overflows
+        self.cell, self.x0, self.y0 = cell, x0, y0
+        self.x1, self.y1 = x0 + spans[0], y0 + spans[1]
+        self.cols = math.floor(spans[0] / cell) + 1
+        self.rows = math.floor(spans[1] / cell) + 1
+        self.cells = [[] for _ in range(self.cols * self.rows)]
+        for entry, (bx0, by0, bx1, by1) in zip(self.entries, boxes):
+            c0, r0 = self._cell_of(bx0 - cell, by0 - cell)
+            c1, r1 = self._cell_of(bx1 + cell, by1 + cell)
+            for row in range(r0, r1 + 1):
+                for col in range(c0, c1 + 1):
+                    self.cells[row * self.cols + col].append(entry)
+
+    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
+        """Cell of a point at or past the grid's low corner; rounding at the
+        high edge is clamped into the last row and column."""
+        col = min(math.floor((x - self.x0) / self.cell), self.cols - 1)
+        row = min(math.floor((y - self.y0) / self.cell), self.rows - 1)
+        return col, row
+
+    def covering(self, pos: Position) -> list[tuple[BaseStation, float]]:
+        x, y = pos
+        if self.cells is None:
+            candidates = self.entries
+        elif self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1:
+            col, row = self._cell_of(x, y)
+            candidates = self.cells[row * self.cols + col]
+        else:
+            return []  # farther than a cell beyond every box; NaN lands here too
+        out = []
+        for bs, sx, sy, radius, params in candidates:
+            d = math.hypot(x - sx, y - sy)
+            if d <= radius:
+                out.append((bs, _rss(d, params)))
+        return out
 
 
 def coverage(pos: Position, topo: Topology) -> list[tuple[BaseStation, float]]:
@@ -153,11 +240,4 @@ def coverage(pos: Position, topo: Topology) -> list[tuple[BaseStation, float]]:
 
     Ordered by station id so downstream iteration is deterministic.
     """
-    out = []
-    for bs in sorted(topo.stations, key=lambda s: s.id):
-        dx = pos[0] - bs.position[0]
-        dy = pos[1] - bs.position[1]
-        if math.hypot(dx, dy) <= bs.coverage_radius:
-            params = tier_path_loss(bs.tier, topo.path_loss_overrides)
-            out.append((bs, rss_at(pos, bs, params)))
-    return out
+    return topo.coverage_index.covering(pos)

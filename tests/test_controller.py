@@ -191,6 +191,35 @@ class TestShouldEnterPreparation:
         expected = real_closing > 0 and (c1 - g1) / real_closing <= cfg.prep_latency
         assert should_enter_preparation(curr, tgt, cfg, 100) == expected
 
+    @given(
+        t0=st.integers(min_value=0, max_value=10_000),
+        dt=st.integers(min_value=1, max_value=1_000),
+        lag=st.integers(min_value=0, max_value=1_000),
+        curr=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        closing=st.floats(min_value=1e-6, max_value=1.0),
+        nudge=st.floats(min_value=-1e-7, max_value=1e-7),
+        latency=st.integers(min_value=1, max_value=1_000),
+    )
+    @example(t0=0, dt=100, lag=0, curr=(4.0, 4.0), closing=0.001, nudge=1e-9, latency=100)
+    def test_verdict_ignores_absolute_time(self, t0, dt, lag, curr, closing, nudge, latency):
+        # The target closes in about `latency + nudge` ms, within float
+        # steps of the window's end, where rounding an absolute crossing
+        # time flipped the verdict once `now` was hours or a day in.
+        cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=latency)
+        c0, c1 = curr
+        g1 = c1 - closing * (latency + nudge)
+        g0 = g1 - dt * ((c1 - c0) / dt + closing)
+
+        def verdict(shift):
+            t_a, t_b = t0 + shift, t0 + dt + shift
+            return should_enter_preparation(
+                [(t_a, c0), (t_b, c1)], [(t_a, g0), (t_b, g1)], cfg, t_b + lag
+            )
+
+        base = verdict(0)
+        for shift in (3_600_000, 86_400_000):
+            assert verdict(shift) == base, shift
+
 
 def _att(net, terminal="mt1"):
     return Attachment(

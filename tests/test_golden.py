@@ -1,0 +1,172 @@
+"""Pinned output bytes: trace and CLI metrics digests for fixed inputs.
+
+The determinism tests elsewhere compare two runs made by the same code, so
+an engine change that alters the bytes of every run alike would still pass
+them.  These digests were recorded from the engine before per-run
+constants were hoisted out of the tick loop; any refactor must reproduce
+them exactly.  A deliberate output change updates them in the same commit
+and says so in CHANGES.md.
+"""
+
+import copy
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from handoffsim.cli import main
+from handoffsim.engine import run
+from handoffsim.scenario import from_dict
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+DURATION_MS = 6000
+TIERS = {"macro": 8, "micro": 24, "pico": 36, "femto": 48}
+EDGE_STATION = ("edge000", (700.0, 700.0), 50.0)
+# 3-4-5 triangle: math.hypot gives exactly the edge station's radius.
+EDGE_TERMINAL_POS = (730.0, 740.0)
+# Every station sits in [0, 2000]^2 and no radius exceeds 1000 m.
+FAR_AWAY = (6000.0, 6000.0)
+
+
+def _dense_overlay(mode: str) -> dict:
+    """More than a hundred stations over all four tiers, two providers and
+    four nets, with a per-tier path-loss override, terminals crossing the
+    area, one that walks out of every station's reach, and one parked
+    exactly on a station's radius."""
+    rng = random.Random(f"golden:{mode}")
+    nets = [[] for _ in range(4)]
+    networks = {}
+    ids = []
+    for tier, count in TIERS.items():
+        for i in range(count):
+            sid = f"{tier}{i:03d}"
+            pos = [round(rng.uniform(0.0, 2000.0), 3), round(rng.uniform(0.0, 2000.0), 3)]
+            ids.append(sid)
+            tech = "lte" if tier in ("macro", "micro") else "wifi"
+            nets[i % 4].append({"id": sid, "position": pos, "technology": tech, "tier": tier,
+                                "channels": [f"{sid}c"]})
+    sid, pos, radius = EDGE_STATION
+    ids.append(sid)
+    nets[0].append({"id": sid, "position": list(pos), "technology": "wifi", "tier": "femto",
+                    "radius": radius, "channels": [f"{sid}c"]})
+    for i, sid in enumerate(sorted(ids)):
+        q = round(rng.uniform(5e3, 5e4), 1)
+        load = round(rng.uniform(10.0, 90.0), 2)
+        if mode == "stochastic":
+            networks[sid] = {"base": {"Q": q, "L": load}, "start": {"Q": round(q * 0.8, 1)}}
+        elif i % 3 == 0:
+            networks[sid] = {
+                "base": {"L": load},
+                "waypoints": {"Q": [[t, round(rng.uniform(5e3, 5e4), 1)]
+                                    for t in range(0, DURATION_MS + 1, 1500)]},
+            }
+        else:
+            ramp = round(rng.uniform(-4, 4), 3)
+            networks[sid] = {"base": {"Q": q, "L": load}, "ramps": {"Q": ramp}}
+    terminals = []
+    for i in range(4):
+        start = [round(rng.uniform(200.0, 1800.0), 3), round(rng.uniform(200.0, 1800.0), 3)]
+        end = [round(rng.uniform(0.0, 2000.0), 3), round(rng.uniform(0.0, 2000.0), 3)]
+        terminals.append({"id": f"mt{i}", "path": [[0, start], [DURATION_MS, end]]})
+    away = [[0, [1000.0, 1000.0]], [DURATION_MS // 2, list(FAR_AWAY)]]
+    terminals.append({"id": "mt_away", "path": away})
+    terminals.append({"id": "mt_edge", "path": [[0, list(EDGE_TERMINAL_POS)]]})
+    synthesis = {"mode": mode, "networks": networks}
+    if mode == "stochastic":
+        synthesis.update({"ar1_rho": 0.85, "noise_sigma": 2500.0})
+    return {
+        "seed": 5,
+        "duration_ms": DURATION_MS,
+        "tick_ms": 100,
+        "topology": {
+            "providers": [
+                {"id": f"prov{p}", "nets": [{"id": f"net{p}{n}", "stations": nets[2 * p + n]}
+                                            for n in range(2)]}
+                for p in range(2)
+            ]
+        },
+        "path_loss": {"micro": {"tx_power_dbm": -43.5, "exponent": 2.9}},
+        "terminals": terminals,
+        "criteria": [
+            {"id": "Q", "source": "network", "polarity": "beneficial", "unit": "score"},
+            {"id": "L", "source": "network", "polarity": "detrimental", "unit": "%"},
+        ],
+        "weights": {"k": 0.5, "weights": {"Q": 1.0, "L": 1.0}},
+        "controller": {
+            "hysteresis_delta": 0.05, "th_sup": 3.0, "th_inf": 1.0, "dwell_sp": 200,
+            "prep_latency": 100, "exec_latency": 100, "eval_latency": 100,
+            "strategy": "proactive" if mode == "stochastic" else "reactive",
+        },
+        "synthesis": synthesis,
+    }
+
+
+def _inputs() -> dict:
+    docs = {name: json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+            for name in ("crossing", "noisy")}
+    docs["dense_geometric"] = _dense_overlay("geometric")
+    docs["dense_stochastic"] = _dense_overlay("stochastic")
+    return docs
+
+
+# (trace sha256, CLI metrics CSV sha256)
+GOLDEN = {
+    "crossing": (
+        "5b5a4a6c3789b79070a5a166275cb96f24bd053eafed5aa55e8485832ac4cd3d",
+        "e8379894894b0359361282c4f8d68b9b4433433328c41e74e4418b3b6830e92b",
+    ),
+    "dense_geometric": (
+        "fc85221631697fc9448f6a8a1373159e6f6d58aa21f0f0cba9640dfdb9ea480c",
+        "c05f09dd22c6a85f4f4141b006b67c836e4ac79452650aa3536951b9f243f774",
+    ),
+    "dense_stochastic": (
+        "144fc75f4efc356864dba405ce6b16bc2536ab8934c798e66024d3222a1721c1",
+        "0645c0e89ebcb2d1220865486e9eb3f0a4d4813ebaba22c1c93c28b4400df3fe",
+    ),
+    "noisy": (
+        "f7fe0cd854543238ad7430e2683a7eb464e34fd7ceefc16e0f3114e3e7b14f27",
+        "b2ff15db116c8136122d43a932e107419463abe084df284f392beee49687f4eb",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    return _inputs()
+
+
+def test_dense_overlay_has_the_promised_shape(inputs):
+    doc = inputs["dense_geometric"]
+    stations = [s for prov in doc["topology"]["providers"] for net in prov["nets"]
+                for s in net["stations"]]
+    assert len(stations) > 100
+    assert {s["tier"] for s in stations} == {"macro", "micro", "pico", "femto"}
+    sc = from_dict(doc)
+    assert sc.topology.path_loss_overrides
+    trace = run(sc)
+    anl = {r.terminal: r for r in trace.records if r.kind == "anl"}
+    assert anl["mt_away"].payload["entries"] == []
+    edge = [r for r in trace.records if r.kind == "anl" and r.terminal == "mt_edge"]
+    assert all(EDGE_STATION[0] in [net for net, _ in r.payload["entries"]] for r in edge)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_bytes_are_pinned(inputs, name):
+    trace = run(from_dict(copy.deepcopy(inputs[name])))
+    assert _sha(trace.to_ndjson()) == GOLDEN[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_metrics_bytes_are_pinned(inputs, name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(inputs[name]))
+    assert main(["run", str(path), "--out", str(tmp_path), "--no-trace"]) == 0
+    capsys.readouterr()
+    assert _sha((tmp_path / f"{name}.metrics.csv").read_text()) == GOLDEN[name][1]

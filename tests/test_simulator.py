@@ -146,6 +146,122 @@ class TestCoverage:
         assert rss_boosted == pytest.approx(rss_plain + 10.0, abs=1e-12)
 
 
+def _coverage_by_full_scan(pos, topo):
+    """Reference for the indexed coverage: every station tested in id order."""
+    out = []
+    for bs in sorted(topo.stations, key=lambda s: s.id):
+        dx = pos[0] - bs.position[0]
+        dy = pos[1] - bs.position[1]
+        if math.hypot(dx, dy) <= bs.coverage_radius:
+            out.append((bs, rss_at(pos, bs, tier_path_loss(bs.tier, topo.path_loss_overrides))))
+    return out
+
+
+def _assert_matches_full_scan(pos, topo):
+    got = coverage(pos, topo)
+    want = _coverage_by_full_scan(pos, topo)
+    assert [bs.id for bs, _ in got] == [bs.id for bs, _ in want], pos
+    assert [rss for _, rss in got] == [rss for _, rss in want], pos  # bit-equal, no approx
+
+
+_coord = st.floats(min_value=-3000.0, max_value=3000.0, allow_nan=False)
+_point = st.tuples(_coord, _coord)
+_path_loss = st.fixed_dictionaries({}, optional={
+    "tx_power_dbm": st.floats(min_value=-80.0, max_value=-20.0),
+    "exponent": st.floats(min_value=1.5, max_value=4.0),
+})
+
+
+def _beyond_box_edges(bs):
+    """Points one float step outside the station's bounding box along each
+    axis; rounding leaves some of them covered."""
+    (x, y), r = bs.position, bs.coverage_radius
+    return [
+        (math.nextafter(x - r, -math.inf), y),
+        (math.nextafter(x + r, math.inf), y),
+        (x, math.nextafter(y - r, -math.inf)),
+        (x, math.nextafter(y + r, math.inf)),
+    ]
+
+
+@st.composite
+def _coverage_cases(draw):
+    """A topology and query points: free points, points far outside every
+    station, points exactly on a station's radius, and points just past a
+    station's bounding box.  Stations may share a position."""
+    queries = draw(st.lists(_point, min_size=1, max_size=6))
+    spots = draw(st.lists(_point, min_size=1, max_size=3))
+    stations = []
+    for i in range(draw(st.integers(min_value=1, max_value=14))):
+        pos = draw(st.one_of(st.sampled_from(spots), _point))
+        tier = draw(st.sampled_from(sorted(TIER_DEFAULTS)))
+        radius = draw(st.one_of(
+            st.none(),
+            st.floats(min_value=0.0, max_value=1500.0),
+            # exactly on the radius of one query point
+            st.sampled_from(queries).map(lambda q, p=pos: math.hypot(q[0] - p[0], q[1] - p[1])),
+        ))
+        stations.append(_bs(f"s{i:02d}", net=f"net{i % 3}", pos=pos, tier=tier, radius=radius))
+    overrides = draw(st.dictionaries(st.sampled_from(sorted(TIER_DEFAULTS)), _path_loss))
+    base = _topo(stations)
+    topo = Topology(providers=base.providers, nets=base.nets, stations=base.stations,
+                    path_loss_overrides=overrides)
+    queries += [(-1e4, 0.0), (0.0, 1e4), (5e3, -5e3)]
+    for bs in stations:
+        queries += _beyond_box_edges(bs)
+    return topo, queries
+
+
+class TestCoverageIndex:
+    @given(_coverage_cases())
+    def test_matches_the_full_scan(self, case):
+        topo, queries = case
+        for pos in queries:
+            _assert_matches_full_scan(pos, topo)
+
+    def test_single_station_on_its_radius_and_just_past_its_box(self):
+        topo = _topo([_bs("only", pos=(0.1, -0.7), tier="femto", radius=0.3)])
+        points = [(0.4, -0.7), (0.1, -0.4), (0.1, -0.4 - 1e-9)]
+        for pos in points + _beyond_box_edges(topo.stations[0]):
+            _assert_matches_full_scan(pos, topo)
+
+    def test_coincident_stations_keep_id_order(self):
+        topo = _topo([_bs(sid, net=f"n{sid}", pos=(7.0, 7.0), tier="pico") for sid in "cab"])
+        assert [bs.id for bs, _ in coverage((50.0, 50.0), topo)] == ["a", "b", "c"]
+        _assert_matches_full_scan((50.0, 50.0), topo)
+
+    def test_outside_the_extent_is_covered_by_nothing(self):
+        topo = _topo([_bs("a", pos=(0.0, 0.0), tier="micro"), _bs("b", net="n2", pos=(100.0, 0.0))])
+        for pos in [(1e6, 0.0), (0.0, -1e6), (-2000.0, -2000.0)]:
+            assert coverage(pos, topo) == []
+
+    def test_non_finite_inputs_agree_with_the_full_scan(self):
+        topo = _topo([
+            _bs("inf_radius", radius=math.inf),
+            _bs("nan_pos", net="n2", pos=(math.nan, 0.0)),
+            _bs("neg_radius", net="n3", radius=-1.0),
+            _bs("huge", net="n4", pos=(1e308, -1e308), radius=1e308),
+        ])
+        for pos in [(0.0, 0.0), (math.inf, 0.0), (math.nan, 1.0), (1e308, -1e308)]:
+            _assert_matches_full_scan(pos, topo)
+        assert coverage((math.nan, 1.0), _topo([_bs("a")])) == []
+
+    def test_grid_stays_near_one_cell_per_station(self):
+        # A long thin row of small stations must not become a huge grid.
+        stations = [_bs(f"s{i:03d}", net=f"n{i}", pos=(i * 1e4, 0.0), tier="femto")
+                    for i in range(50)]
+        topo = _topo(stations)
+        assert len(topo.coverage_index.cells) <= 4 * len(stations) + 9
+        for pos in [(0.0, 0.0), (1e4 + 29.0, 0.0), (5e4, 1.0)]:
+            _assert_matches_full_scan(pos, topo)
+
+    def test_parsing_does_not_build_the_index(self):
+        sc = load_scenario(SCENARIO_DIR / "crossing.json")
+        assert "coverage_index" not in vars(sc.topology)
+        coverage((0.0, 0.0), sc.topology)
+        assert "coverage_index" in vars(sc.topology)
+
+
 class TestTopologyValidate:
     def test_clean_topology_has_no_problems(self):
         assert _topo([_bs()]).validate() == []
