@@ -378,30 +378,24 @@ def initial_state(terminal: str) -> ControllerState:
     return ControllerState(terminal=terminal)
 
 
-def _samples_for(state: ControllerState, net: str) -> tuple[tuple[int, float], ...]:
+def _latest(state: ControllerState, net: str) -> Optional[float]:
     for nid, series in state.samples:
         if nid == net:
-            return series
-    return ()
+            return series[-1][1]
+    return None
 
 
-def _latest(state: ControllerState, net: str) -> Optional[float]:
-    series = _samples_for(state, net)
-    return series[-1][1] if series else None
-
-
-def _update_samples(state: ControllerState, anl: AvailableNetworkList, now: int):
-    keep = set(anl.network_ids)
-    if state.current is not None:
-        keep.add(state.current)
+def _merge_samples(state: ControllerState, anl: AvailableNetworkList, now: int) -> dict:
+    """Network -> its last one or two (t, score) samples once ``anl`` is
+    seen: every listed network, plus the serving one while it is unlisted."""
+    old = dict(state.samples)
     merged = {}
-    for nid, series in state.samples:
-        if nid in keep:
-            merged[nid] = series
+    if state.current in old:
+        merged[state.current] = old[state.current]
     for nid, score in anl.entries:
-        series = merged.get(nid, ())
-        merged[nid] = (series + ((now, score.value),))[-2:]
-    return tuple(sorted(merged.items()))
+        prev = old.get(nid)
+        merged[nid] = (prev[-1], (now, score.value)) if prev else ((now, score.value),)
+    return merged
 
 
 def _candidate(anl: AvailableNetworkList, current: str) -> Optional[str]:
@@ -412,9 +406,9 @@ def _candidate(anl: AvailableNetworkList, current: str) -> Optional[str]:
     return None
 
 
-def _entry_holds(state: ControllerState, candidate: str, cfg: ControllerConfig, now: int) -> bool:
-    curr_series = _samples_for(state, state.current)
-    tgt_series = _samples_for(state, candidate)
+def _entry_holds(samples: dict, current: str, candidate: str, cfg: ControllerConfig, now: int) -> bool:
+    curr_series = samples.get(current)
+    tgt_series = samples.get(candidate)
     if not curr_series or not tgt_series:
         return False
     try:
@@ -444,80 +438,75 @@ def step(
 
 
 def _on_anl(state, event, cfg, now):
+    # Every field of the next state is settled first, then built once.
     anl = event.anl
-    st = replace(state, samples=_update_samples(state, anl, now), last_anl=anl)
+    samples = _merge_samples(state, anl, now)
+    phase, current, prep = state.phase, state.current, state.prep
+    plan, flight, switch_deadline = state.plan, state.flight, state.switch_deadline
+    actions = ()
 
-    if st.phase is Phase.DISCONNECTION:
+    if phase is Phase.DISCONNECTION:
         head = best(anl)
-        if head is None:
-            return st, ()
-        st = replace(st, phase=Phase.INITIATION, current=head)
-        return st, (Connect(head),)
+        if head is not None:
+            phase, current = Phase.INITIATION, head
+            actions = (Connect(head),)
+    elif phase in (Phase.EXECUTION, Phase.EVALUATION):
+        pass  # Committed; keep absorbing context for the eventual evaluation.
+    elif anl.score_of(current) is None:
+        # The serving network is no longer listed.
+        phase, current, prep = Phase.DISCONNECTION, None, None
+    else:
+        cand = _candidate(anl, current)
+        if cand is None or not _entry_holds(samples, current, cand, cfg, now):
+            if phase is Phase.PREPARATION:
+                # The serving network is the best choice again: roll back.
+                phase, prep = Phase.INITIATION, None
+        else:
+            if phase is Phase.INITIATION:
+                prep = PrepData(target=cand, entered_at=now)
+            elif cand != prep.target:
+                # Retargeting restarts the dwell clock.
+                prep = PrepData(target=cand, entered_at=prep.entered_at)
+            phase = Phase.PREPARATION
+            d_curr = samples[current][-1][1]
+            d_tgt = samples[cand][-1][1]
+            suffb = sufficiently_better(d_tgt, d_curr, cfg.hysteresis_delta)
+            dwell, conb = consistently_better(prep.dwell, now, cfg.dwell_sp, suffb)
+            reason = handoff_reason(d_curr, cfg, suffb and conb, uf_target=d_tgt)
+            if reason is None:
+                prep = PrepData(prep.target, prep.entered_at, dwell, reason)
+            else:
+                # All gates passed: commit the plan and start switching.
+                ho_type = classify(event.infos[current], event.infos[cand])
+                plan = TriggerPlan(
+                    why=reason,
+                    where=cand,
+                    how=select_method(ho_type, cfg.app_type, cfg.mobility, cfg.policy),
+                    who=f"hce:{state.terminal}",
+                    when=now,
+                )
+                flight = InFlight(
+                    t_prep=prep.entered_at,
+                    from_net=current,
+                    uf_old=d_curr,
+                    ho_type=ho_type.code,
+                )
+                switch_deadline = now + cfg.exec_latency
+                phase, current, prep = Phase.EXECUTION, None, None
+                actions = (StartSwitch(plan), ScheduleTimer("switch", switch_deadline))
 
-    if st.phase in (Phase.EXECUTION, Phase.EVALUATION):
-        # Committed; keep absorbing context for the eventual evaluation.
-        return st, ()
-
-    # Initiation or Preparation: the serving network must still be listed.
-    if anl.score_of(st.current) is None:
-        return replace(st, phase=Phase.DISCONNECTION, current=None, prep=None), ()
-
-    cand = _candidate(anl, st.current)
-
-    if st.phase is Phase.INITIATION:
-        if cand is None or not _entry_holds(st, cand, cfg, now):
-            return st, ()
-        prep = PrepData(target=cand, entered_at=now)
-        st = replace(st, phase=Phase.PREPARATION, prep=prep)
-        return _prep_update(st, event, cfg, now)
-
-    # Preparation.
-    if cand is None or not _entry_holds(st, cand, cfg, now):
-        # The serving network is the best choice again: roll back.
-        return replace(st, phase=Phase.INITIATION, prep=None), ()
-    if cand != st.prep.target:
-        # Retargeting restarts the dwell clock.
-        st = replace(st, prep=PrepData(target=cand, entered_at=st.prep.entered_at))
-    return _prep_update(st, event, cfg, now)
-
-
-def _prep_update(st, event, cfg, now):
-    prep = st.prep
-    d_curr = _latest(st, st.current)
-    d_tgt = _latest(st, prep.target)
-    suffb = sufficiently_better(d_tgt, d_curr, cfg.hysteresis_delta)
-    dwell, conb = consistently_better(prep.dwell, now, cfg.dwell_sp, suffb)
-    reason = handoff_reason(d_curr, cfg, suffb and conb, uf_target=d_tgt)
-    st = replace(st, prep=replace(prep, dwell=dwell, last_reason=reason))
-    if reason is None:
-        return st, ()
-
-    # All gates passed: commit the plan and start switching.
-    ho_type = classify(event.infos[st.current], event.infos[prep.target])
-    method = select_method(ho_type, cfg.app_type, cfg.mobility, cfg.policy)
-    plan = TriggerPlan(
-        why=reason,
-        where=prep.target,
-        how=method,
-        who=f"hce:{st.terminal}",
-        when=now,
-    )
-    flight = InFlight(
-        t_prep=prep.entered_at,
-        from_net=st.current,
-        uf_old=d_curr,
-        ho_type=ho_type.code,
-    )
-    st = replace(
-        st,
-        phase=Phase.EXECUTION,
-        current=None,
-        prep=None,
+    return ControllerState(
+        terminal=state.terminal,
+        phase=phase,
+        current=current,
+        prep=prep,
         plan=plan,
         flight=flight,
-        switch_deadline=now + cfg.exec_latency,
-    )
-    return st, (StartSwitch(plan), ScheduleTimer("switch", now + cfg.exec_latency))
+        switch_deadline=switch_deadline,
+        eval_deadline=state.eval_deadline,
+        samples=tuple(sorted(samples.items())),
+        last_anl=anl,
+    ), actions
 
 
 def _on_link_lost(state, cfg, now):

@@ -18,13 +18,16 @@ Facts fixed for the run are computed once: the catalog index, each
 station's synthesized sample depends only on (station, t), so it is taken
 once per tick and shared by every terminal; the queue pops in time order
 and synthesis advances only when time does, so a sample is dropped when
-the tick moves on.
+the tick moves on.  When RSS carries no weight a station's score does not
+depend on the terminal either, so it too is computed once per (station,
+tick) and shared; when RSS is weighted each terminal scores a copy of the
+sample with its own RSS.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import controller as ctl
@@ -110,10 +113,18 @@ class _Run:
         self.synth = SynthesisState(scenario.synthesis)
         self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
         self.terms = {term.id: term for term in scenario.terminals}
+        # Policy lookup keys on the terminal's application type.
+        self.configs = {
+            term.id: replace(scenario.controller, app_type=term.app_type)
+            for term in scenario.terminals
+        }
         self.heap: list = []
         self.seq = 0
         self.synth_t: Optional[int] = None
-        self.samples: dict[str, CriteriaVector] = {}  # station -> sample at synth_t
+        # station -> (sample, score) at synth_t; the score is None when it
+        # depends on the terminal's RSS.
+        self.scored: dict[str, tuple[CriteriaVector, Optional[DesirabilityScore]]] = {}
+        self.shared_scores = "RSS" not in scenario.weights.weights
         self.index = catalog_index(scenario.catalog)
         self.attachments: dict[tuple[str, str], Attachment] = {}
 
@@ -125,7 +136,7 @@ class _Run:
 
     def deliver(self, terminal: str, event: ctl.Event, now: int, event_name: str) -> None:
         state = self.states[terminal]
-        new_state, actions = ctl.step(state, event, self.sc.controller, now)
+        new_state, actions = ctl.step(state, event, self.configs[terminal], now)
         self.states[terminal] = new_state
         self.trace.append(
             now,
@@ -164,7 +175,7 @@ class _Run:
         if self.synth_t != now:
             self.synth.advance_to(now, sc.tick_ms)
             self.synth_t = now
-            self.samples.clear()
+            self.scored.clear()
         term = self.terms[terminal]
         pos = advance_position(term.path, now)
         covered = coverage(pos, sc.topology)
@@ -177,20 +188,24 @@ class _Run:
         scores: list[DesirabilityScore] = []
         infos: dict[str, Attachment] = {}
         for bs, rss in covered:
-            vector = self.samples.get(bs.id)
-            if vector is None:
+            memo = self.scored.get(bs.id)
+            if memo is None:
                 vector = sample_context(bs.id, now, sc.synthesis, self.synth)
-                self.samples[bs.id] = vector
-            values = dict(vector.values)
-            values["RSS"] = rss
-            scores.append(
-                desirability(
+                score = None
+                if self.shared_scores:
+                    score = desirability(vector, sc.weights, self.index, network_id=bs.id)
+                memo = self.scored[bs.id] = (vector, score)
+            vector, score = memo
+            if score is None:
+                values = dict(vector.values)
+                values["RSS"] = rss
+                score = desirability(
                     CriteriaVector(values=values, timestamp=now),
                     sc.weights,
                     self.index,
                     network_id=bs.id,
                 )
-            )
+            scores.append(score)
             infos[bs.id] = self.attachment(terminal, bs)
         anl = rank(scores, as_of=now)
         self.trace.append(

@@ -11,6 +11,7 @@ the offending field path (or input line for parse errors).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -235,14 +236,22 @@ def _parse_controller(doc, problems) -> ControllerConfig:
         success_regions=regions,
         policy=policy,
     )
-    if cfg.hysteresis_delta < 0:
+    # NaN fails every comparison, so the range checks below would pass it
+    # or blame the wrong field.
+    nonfinite = {
+        name for name in ("hysteresis_delta", "th_sup", "th_inf")
+        if not math.isfinite(getattr(cfg, name))
+    }
+    for name in sorted(nonfinite):
+        problems.append(f"controller.{name}: must be finite")
+    if "hysteresis_delta" not in nonfinite and cfg.hysteresis_delta < 0:
         problems.append("controller.hysteresis_delta: must be >= 0")
     if cfg.dwell_sp < 0:
         problems.append("controller.dwell_sp: must be >= 0")
     for name in ("prep_latency", "exec_latency", "eval_latency"):
         if getattr(cfg, name) < 0:
             problems.append(f"controller.{name}: must be >= 0")
-    if not cfg.th_inf < cfg.th_sup:
+    if not nonfinite & {"th_inf", "th_sup"} and not cfg.th_inf < cfg.th_sup:
         problems.append("controller.th_inf: must be strictly below controller.th_sup")
     return cfg
 

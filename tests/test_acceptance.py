@@ -38,7 +38,7 @@ def _pass(name, **measured):
 
 @pytest.fixture(scope="module")
 def exploration(fsm_exploration):
-    memo, transitions, edges, records = fsm_exploration
+    memo, transitions, edges, records, _ = fsm_exploration
     return {"memo": memo, "transitions": transitions,
             "edges": edges, "records": records}
 
@@ -472,3 +472,21 @@ def test_c12_narrative_transitions_classify_as_stated():
     cases.append((ht.code, ht.layer.value))
 
     _pass("narrative classification", cases=len(cases))
+
+
+# --- 13: the terminal's application type selects the handoff method ----------
+
+def test_c13_terminal_app_type_selects_policy_method():
+    doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+    doc["policy"] = {"entries": [
+        {"layer": layer.value, "app_type": "video", "method": "VIDEO_HO"}
+        for layer in Layer
+    ]}
+    # A second terminal beside the first, running another application.
+    doc["terminals"].append({"id": "mt2", "path": [[0, [0.0, 0.0]]], "app_type": "voice"})
+    handoffs = _handoffs(run(from_dict(doc)))
+    by_terminal = {t: [h["method"] for h in handoffs if h["terminal"] == t]
+                   for t in ("mt1", "mt2")}
+    assert by_terminal["mt1"] and set(by_terminal["mt1"]) == {"VIDEO_HO"}
+    assert by_terminal["mt2"] and "VIDEO_HO" not in by_terminal["mt2"]
+    _pass("app type policy", handoffs=len(handoffs))

@@ -5,7 +5,8 @@ here from scratch (plain dicts, no shared code with the production
 machine beyond the event vocabulary).  Exhaustive exploration then
 drives both machines through every event sequence up to depth six over
 a fixed alphabet and requires identical phases, attachments, actions,
-and illegal-event verdicts at every edge.
+and illegal-event verdicts at every edge.  The walk runs once per trigger
+strategy: reactive, and proactive with its linear crossing prediction.
 
 States are memoized relative to the current time (all rule arithmetic
 uses time differences only), so converging histories are explored once
@@ -13,6 +14,9 @@ and the search stays small.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +31,7 @@ TH_SUP = 8.0
 SP = 100
 EXEC_LAT = 100
 EVAL_LAT = 100
+PREP_LAT = 100
 STEP_MS = 100
 MAX_DEPTH = 6
 
@@ -35,7 +40,7 @@ CFG = ctl.ControllerConfig(
     th_sup=TH_SUP,
     th_inf=TH_INF,
     dwell_sp=SP,
-    prep_latency=100,
+    prep_latency=PREP_LAT,
     exec_latency=EXEC_LAT,
     eval_latency=EVAL_LAT,
     strategy=ctl.Strategy.REACTIVE,
@@ -44,7 +49,11 @@ CFG = ctl.ControllerConfig(
 # Ranked score lists covering the interesting regimes: empty coverage,
 # stable serving network, crossings inside and outside the hysteresis
 # margin, dead-band stays, imperative and opportunist triggers, and a
-# third network that forces retargeting.
+# third network that forces retargeting.  Under the proactive strategy,
+# E_stable followed by E_fallback closes the gap fast enough to predict a
+# crossing within PREP_LAT, while E_stable followed by E_slow_close does not,
+# and E_newcomer lists a network just below the serving one with a single
+# sample, too few to predict from.
 ANL_LETTERS = {
     "E_empty": [],
     "E_stable": [("n1", 5.0), ("n2", 3.0)],
@@ -55,6 +64,8 @@ ANL_LETTERS = {
     "E_deadband": [("n2", 6.5), ("n1", 5.0)],
     "E_retarget": [("n3", 9.6), ("n2", 9.0), ("n1", 1.5)],
     "E_opportunist": [("n2", 9.9), ("n1", 8.5)],
+    "E_slow_close": [("n1", 5.0), ("n2", 3.5)],
+    "E_newcomer": [("n1", 5.0), ("n4", 4.9), ("n2", 3.0)],
 }
 
 LETTERS = (
@@ -67,8 +78,9 @@ class RefIllegal(Exception):
     pass
 
 
-def ref_initial():
+def ref_initial(strategy="reactive"):
     return {
+        "strategy": strategy,
         "phase": "disconnection",
         "current": None,
         "target": None,
@@ -78,7 +90,7 @@ def ref_initial():
         "flight": None,
         "switch_deadline": None,
         "eval_deadline": None,
-        "latest": {},
+        "series": {},  # net -> its last one or two (t, score) samples
         "last_ranked": None,
     }
 
@@ -89,8 +101,8 @@ def _ref_uf_new(s):
         for net, value in s["last_ranked"]:
             if net == current:
                 return value
-    if current in s["latest"]:
-        return s["latest"][current]
+    if current in s["series"]:
+        return s["series"][current][-1][1]
     return s["flight"]["uf_old"]
 
 
@@ -153,15 +165,47 @@ def _ref_prep_update(s, scores, now):
     ]
 
 
+def _ref_predicts_crossing(cur, tgt):
+    """Proactive rule: the straight lines through each series' last two
+    samples converge and the target's reaches the serving one's within
+    PREP_LAT of the latest sample.  Exact arithmetic on the stored floats."""
+
+    def line(series):
+        (t0, v0), (t1, v1) = series
+        slope = (Fraction(v1) - Fraction(v0)) / (t1 - t0)
+        return Fraction(v1), slope
+
+    cur_now, cur_slope = line(cur)
+    tgt_now, tgt_slope = line(tgt)
+    if tgt_slope <= cur_slope:
+        return False
+    return tgt_now + tgt_slope * PREP_LAT >= cur_now + cur_slope * PREP_LAT
+
+
+def _ref_entry(s, cand):
+    if cand is None:
+        return False
+    cur = s["series"][s["current"]]
+    tgt = s["series"][cand]
+    if tgt[-1][1] > cur[-1][1]:
+        return True
+    # A series with a single sample cannot be extrapolated: only the plain
+    # crossing test above applies.
+    if s["strategy"] == "reactive" or len(cur) < 2 or len(tgt) < 2:
+        return False
+    return _ref_predicts_crossing(cur, tgt)
+
+
 def _ref_anl(s, ranked, now):
     ids = [n for n, _ in ranked]
     scores = dict(ranked)
     keep = set(ids)
     if s["current"] is not None:
         keep.add(s["current"])
-    latest = {n: v for n, v in s["latest"].items() if n in keep}
-    latest.update(scores)
-    s["latest"] = latest
+    series = {n: ser for n, ser in s["series"].items() if n in keep}
+    for n, v in ranked:
+        series[n] = (*series.get(n, ())[-1:], (now, v))
+    s["series"] = series
     s["last_ranked"] = [tuple(p) for p in ranked]
 
     phase = s["phase"]
@@ -182,7 +226,7 @@ def _ref_anl(s, ranked, now):
         return s, []
 
     cand = next((n for n in ids if n != s["current"]), None)
-    entry = cand is not None and scores[cand] > scores[s["current"]]
+    entry = _ref_entry(s, cand)
 
     if phase == "initiation":
         if not entry:
@@ -205,7 +249,7 @@ def _ref_anl(s, ranked, now):
 
 def ref_step(state, letter, now):
     s = dict(state)
-    s["latest"] = dict(state["latest"])
+    s["series"] = dict(state["series"])
     kind, payload = letter
 
     if kind == "anl":
@@ -334,16 +378,24 @@ def _ref_key(s, now: int):
     return (
         s["phase"], s["current"], s["target"], r(s["prep_entered"]),
         r(s["dwell_since"]), plan, flight, r(s["switch_deadline"]),
-        r(s["eval_deadline"]), tuple(sorted(s["latest"].items())), ranked,
+        r(s["eval_deadline"]),
+        tuple((n, tuple((r(t), v) for t, v in ser)) for n, ser in sorted(s["series"].items())),
+        ranked,
     )
 
 
-def _explore():
+def _explore(strategy=ctl.Strategy.REACTIVE):
+    """Walk both machines in lockstep.  Returns the memo, the set of
+    (phase, letter kind, phase) transitions, the edge and handoff-record
+    counts, and how many edges opened Preparation on a prediction alone:
+    the candidate's latest score was not above the serving network's."""
+    cfg = replace(CFG, strategy=strategy)
     memo: dict = {}
     transitions = set()
     edge_count = 0
     record_count = 0
-    stack = [(ctl.initial_state("mt1"), ref_initial(), 0, 0)]
+    predicted = 0
+    stack = [(ctl.initial_state("mt1"), ref_initial(strategy.value), 0, 0)]
     while stack:
         impl, ref, now, depth = stack.pop()
         key = (_impl_key(impl, now), _ref_key(ref, now))
@@ -359,7 +411,7 @@ def _explore():
             impl2 = impl_actions = None
             ref2 = ref_actions = None
             try:
-                impl2, impl_actions = ctl.step(impl, _impl_event(letter, now), CFG, now)
+                impl2, impl_actions = ctl.step(impl, _impl_event(letter, now), cfg, now)
             except IllegalEventError:
                 impl_raised = True
             try:
@@ -382,9 +434,12 @@ def _explore():
             assert impl2.current == ref2["current"], (name, now, impl2.current)
             record_count += sum(1 for a in got if a[0] == "record")
             transitions.add((impl.phase.value, letter[0], impl2.phase.value))
+            if impl.phase is ctl.Phase.INITIATION and impl2.phase is ctl.Phase.PREPARATION:
+                scores = dict(ANL_LETTERS[letter[1]])
+                predicted += scores[impl2.prep.target] <= scores[impl2.current]
             stack.append((impl2, ref2, now + STEP_MS, depth + 1))
         assert edge_count < 2_000_000, "state space failed to converge"
-    return memo, transitions, edge_count, record_count
+    return memo, transitions, edge_count, record_count, predicted
 
 
 @pytest.fixture(scope="module")
@@ -392,8 +447,13 @@ def exploration(fsm_exploration):
     return fsm_exploration
 
 
+@pytest.fixture(scope="module")
+def proactive_exploration():
+    return _explore(ctl.Strategy.PROACTIVE)
+
+
 def test_machines_agree_on_every_sequence(exploration):
-    memo, _, edges, _ = exploration
+    memo, _, edges, _, _ = exploration
     # The assertion work happens inside the exploration; here we require
     # that it actually covered a nontrivial graph.
     assert len(memo) > 50
@@ -401,24 +461,24 @@ def test_machines_agree_on_every_sequence(exploration):
 
 
 def test_every_phase_reached(exploration):
-    _, transitions, _, _ = exploration
+    _, transitions, _, _, _ = exploration
     phases = {p for p, _, _ in transitions} | {p for _, _, p in transitions}
     assert phases == {"disconnection", "initiation", "preparation", "execution", "evaluation"}
 
 
 def test_full_cycles_completed(exploration):
-    _, transitions, _, records = exploration
+    _, transitions, _, records, _ = exploration
     assert ("evaluation", "timer_now", "initiation") in transitions
     assert records > 0
 
 
 def test_rollback_observed(exploration):
-    _, transitions, _, _ = exploration
+    _, transitions, _, _, _ = exploration
     assert ("preparation", "anl", "initiation") in transitions
 
 
 def test_execution_only_exits_via_switch_completion(exploration):
-    _, transitions, _, _ = exploration
+    _, transitions, _, _, _ = exploration
     exits = {
         (letter, to)
         for frm, letter, to in transitions
@@ -428,7 +488,25 @@ def test_execution_only_exits_via_switch_completion(exploration):
 
 
 def test_no_backward_transition_from_execution(exploration):
-    _, transitions, _, _ = exploration
+    _, transitions, _, _, _ = exploration
     for frm, _, to in transitions:
         if frm == "execution":
             assert to in ("execution", "evaluation")
+
+
+def test_reactive_never_enters_on_a_prediction(exploration):
+    assert exploration[4] == 0
+
+
+def test_proactive_machines_agree_on_every_sequence(proactive_exploration):
+    memo, transitions, edges, records, _ = proactive_exploration
+    assert len(memo) > 50
+    assert edges > 1_000
+    assert records > 0
+    phases = {p for p, _, _ in transitions} | {p for _, _, p in transitions}
+    assert phases == {"disconnection", "initiation", "preparation", "execution", "evaluation"}
+    assert ("preparation", "anl", "initiation") in transitions
+
+
+def test_proactive_walk_enters_preparation_on_predictions(proactive_exploration):
+    assert proactive_exploration[4] > 0

@@ -2,9 +2,9 @@
 
 The determinism tests elsewhere compare two runs made by the same code, so
 an engine change that alters the bytes of every run alike would still pass
-them.  These digests were recorded from the engine before per-run
-constants were hoisted out of the tick loop; any refactor must reproduce
-them exactly.  A deliberate output change updates them in the same commit
+them.  Each digest was recorded from the engine before the refactor it
+was added to guard (the RSS-weighted one before scores were shared across
+terminals); any refactor must reproduce them exactly.  A deliberate output change updates them in the same commit
 and says so in CHANGES.md.
 """
 
@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import random
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -104,11 +105,23 @@ def _dense_overlay(mode: str) -> dict:
     }
 
 
+def _rss_weighted() -> dict:
+    """The geometric overlay scored on RSS as well, so each terminal scores a
+    station by its own distance to it.  With the default tiers every RSS is
+    at most -40 dBm and clamps to the 1e-6 floor; the macro override lifts
+    RSS above the floor within about 530 m of a macro station."""
+    doc = _dense_overlay("geometric")
+    doc["weights"] = {"k": 0.5, "weights": {"RSS": 0.5, "Q": 0.5}}
+    doc["path_loss"]["macro"] = {"tx_power_dbm": 60.0, "exponent": 2.2}
+    return doc
+
+
 def _inputs() -> dict:
     docs = {name: json.loads((SCENARIO_DIR / f"{name}.json").read_text())
             for name in ("crossing", "noisy")}
     docs["dense_geometric"] = _dense_overlay("geometric")
     docs["dense_stochastic"] = _dense_overlay("stochastic")
+    docs["dense_rss"] = _rss_weighted()
     return docs
 
 
@@ -125,6 +138,10 @@ GOLDEN = {
     "dense_stochastic": (
         "144fc75f4efc356864dba405ce6b16bc2536ab8934c798e66024d3222a1721c1",
         "0645c0e89ebcb2d1220865486e9eb3f0a4d4813ebaba22c1c93c28b4400df3fe",
+    ),
+    "dense_rss": (
+        "3983655fd1ea7e61de17779bf727db611300538568f88932f24890594f8a6f13",
+        "abb48e984b68bf52de5ba601e73823316855e089269f694ea708cbee0ec521a1",
     ),
     "noisy": (
         "f7fe0cd854543238ad7430e2683a7eb464e34fd7ceefc16e0f3114e3e7b14f27",
@@ -155,6 +172,17 @@ def test_dense_overlay_has_the_promised_shape(inputs):
     assert anl["mt_away"].payload["entries"] == []
     edge = [r for r in trace.records if r.kind == "anl" and r.terminal == "mt_edge"]
     assert all(EDGE_STATION[0] in [net for net, _ in r.payload["entries"]] for r in edge)
+
+
+def test_rss_weighted_overlay_tells_terminals_apart(inputs):
+    trace = run(from_dict(copy.deepcopy(inputs["dense_rss"])))
+    scores = defaultdict(set)
+    for r in trace.records:
+        if r.kind == "anl":
+            for net, value in r.payload["entries"]:
+                scores[(r.t, net)].add(value)
+    # Some station is scored differently by two terminals at the same tick.
+    assert any(len(values) > 1 for values in scores.values())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

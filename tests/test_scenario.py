@@ -229,6 +229,13 @@ class TestControllerValidation:
         _assert_problem(self._ctl(th_inf=4.0, th_sup=4.0),
                         "strictly below controller.th_sup")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["hysteresis_delta", "th_sup", "th_inf"])
+    def test_nonfinite_float_is_rejected(self, field, value):
+        assert _problems(self._ctl(**{field: value})) == [
+            f"controller.{field}: must be finite"
+        ]
+
     def test_policy_unknown_layer(self):
         doc = _doc(policy={"entries": [{"layer": "L9", "method": "MIP"}]})
         _assert_problem(doc, "unknown layer 'L9'")
