@@ -213,11 +213,10 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
     return axes
 
 
-def _sweep_point(doc_json: str, overrides: dict) -> dict:
-    """Run one grid point; returns metric cells or an error message.
-
-    Module-level so ProcessPoolExecutor can pickle it.
-    """
+def _sweep_point(
+    doc_json: str, overrides: dict, shared: Optional[engine.SharedContext] = None
+) -> dict:
+    """Run one grid point; returns metric cells or an error message."""
     try:
         doc = json.loads(doc_json)
         controller = dict(doc.get("controller", {}))
@@ -225,7 +224,7 @@ def _sweep_point(doc_json: str, overrides: dict) -> dict:
             controller[_GRID_AXES[axis][0]] = value
         doc["controller"] = controller
         scenario = from_dict(doc)
-        trace = engine.run(scenario)
+        trace = engine.run(scenario, shared)
         snap = compute_metrics(trace, scenario.duration_ms)
     except ScenarioError as exc:
         return {"error": "; ".join(exc.problems)}
@@ -241,6 +240,31 @@ def _sweep_point(doc_json: str, overrides: dict) -> dict:
         "impr": snap.impr,
         "error": None,
     }
+
+
+def _sweep_batch(doc_json: str, points: list[dict]) -> list[dict]:
+    """Run consecutive grid points in grid order, in one process.
+
+    Grid axes set only controller fields, so the points of a batch share
+    one context: each terminal-tick's coverage, scores and ranked list are
+    computed by the first point and read by the rest.  The memo is freed
+    when the batch ends.  Module-level so ProcessPoolExecutor can pickle it.
+    """
+    shared = engine.SharedContext() if len(points) > 1 else None
+    return [_sweep_point(doc_json, point, shared) for point in points]
+
+
+def _batches(points: list[dict], workers: int) -> list[list[dict]]:
+    """Split the points into min(workers, points) contiguous batches whose
+    sizes differ by at most one."""
+    count = max(1, min(workers, len(points)))
+    size, extra = divmod(len(points), count)
+    batches, start = [], 0
+    for i in range(count):
+        end = start + size + (i < extra)
+        batches.append(points[start:end])
+        start = end
+    return batches
 
 
 def _cmd_sweep(args) -> int:
@@ -263,11 +287,13 @@ def _cmd_sweep(args) -> int:
     names = [name for name, _ in axes]
     points = [dict(zip(names, combo)) for combo in product(*(vs for _, vs in axes))]
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_point, [doc_json] * len(points), points))
+    batches = _batches(points, args.workers)
+    if len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+            done = list(pool.map(_sweep_batch, [doc_json] * len(batches), batches))
     else:
-        results = [_sweep_point(doc_json, point) for point in points]
+        done = [_sweep_batch(doc_json, points)]
+    results = [result for batch in done for result in batch]
 
     header = names + SWEEP_METRIC_COLUMNS + ["error"]
     lines = [",".join(header)]

@@ -7,33 +7,47 @@ The event queue pops by (time, terminal id, kind rank, insertion order),
 with context events ranking before timer events, so a run is a pure
 function of its scenario: identical scenarios yield byte-identical traces.
 
-Per context event the engine: advances the terminal's position, checks
-whether the serving station still covers it (emitting a link-loss event
-first if not), synthesizes every covered network's criteria (overwriting
-RSS from the radio model), scores and ranks them, and hands the ranked
-list to the controller.
+Per context event the engine takes the terminal's context at that tick:
+its position, the stations that cover it, every covered network's
+synthesized criteria (RSS from the radio model), their scores and the
+ranked list.  If the serving station no longer covers the terminal it
+delivers a link-loss event first; then it records the list and hands it to
+the controller.
 
-Facts fixed for the run are computed once: the catalog index, each
-(terminal, station) attachment, and the topology's coverage index.  A
-station's synthesized sample depends only on (station, t), so it is taken
-once per tick and shared by every terminal; the queue pops in time order
-and synthesis advances only when time does, so a sample is dropped when
-the tick moves on.  When RSS carries no weight a station's score does not
-depend on the terminal either, so it too is computed once per (station,
-tick) and shared; when RSS is weighted each terminal scores a copy of the
-sample with its own RSS.
+Facts fixed for the run are computed once: the catalog index and the
+topology's coverage index.  A (terminal, station) attachment is built the
+first time the controller reads it, which happens only when a handoff
+triggers.  A station's synthesized sample depends only on (station, t), so
+it is taken once per tick and shared by every terminal; the queue pops in
+time order and synthesis advances only when time does, so a sample is
+dropped when the tick moves on.  When RSS carries no weight a station's
+score does not depend on the terminal either, so it too is computed once
+per (station, tick) and shared; when RSS is weighted each terminal scores a
+copy of the sample with its own RSS.
+
+Nothing in a terminal-tick's context reads the controller: the link-loss
+check, the record and the controller step come after it.  A
+``SharedContext`` keeps that context for several runs of one scenario that
+differ only in ``controller``, as the points of a ``sweep`` batch do.  The
+first run to reach a (terminal, t) computes it and later runs read it.
+Their traces equal those of runs made alone, because every run asks for
+the same terminal-ticks in the same order, whatever its controller, and
+the context of each is a function of that order and of the scenario
+outside ``controller``, to which the shared context is bound.  A plain
+``run`` stores no context.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import controller as ctl
 from .context import CriteriaVector, catalog_index
-from .desirability import DesirabilityScore, desirability, rank
-from .scenario import Scenario, TerminalSpec
+from .desirability import AvailableNetworkList, DesirabilityScore, desirability, rank
+from .scenario import Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import Attachment
 from .topology import BaseStation, coverage
@@ -106,27 +120,138 @@ def _record_payload(rec: ctl.HandoffRecord) -> dict:
     }
 
 
-class _Run:
+class _Attachments(Mapping):
+    """One terminal's attachment to each station, built the first time it is
+    read: the controller reads them only when a handoff triggers."""
+
+    def __init__(self, terminal: str, stations: Mapping[str, BaseStation]):
+        self.terminal = terminal
+        self.stations = stations
+        self.built: dict[str, Attachment] = {}
+
+    def __getitem__(self, station_id: str) -> Attachment:
+        att = self.built.get(station_id)
+        if att is None:
+            bs = self.stations[station_id]
+            att = self.built[station_id] = Attachment(
+                terminal_id=self.terminal,
+                provider_id=bs.provider_id,
+                net_id=bs.net_id,
+                cell_id=bs.id,
+                channel_id=bs.channels[0],
+                technology=bs.technology,
+            )
+        return att
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.stations)
+
+    def __len__(self) -> int:
+        return len(self.stations)
+
+
+class _Tick(NamedTuple):
+    """The controller-independent context of one (terminal, t).  The list
+    holds exactly the stations that cover the terminal."""
+
+    anl: AvailableNetworkList
+    payload: dict  # the ANL record's payload
+
+
+class _Context:
+    """Computes the context of each (terminal, t), asked in time order."""
+
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self.trace = Trace()
         self.synth = SynthesisState(scenario.synthesis)
-        self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
-        self.terms = {term.id: term for term in scenario.terminals}
-        # Policy lookup keys on the terminal's application type.
-        self.configs = {
-            term.id: replace(scenario.controller, app_type=term.app_type)
-            for term in scenario.terminals
-        }
-        self.heap: list = []
-        self.seq = 0
         self.synth_t: Optional[int] = None
         # station -> (sample, score) at synth_t; the score is None when it
         # depends on the terminal's RSS.
         self.scored: dict[str, tuple[CriteriaVector, Optional[DesirabilityScore]]] = {}
         self.shared_scores = "RSS" not in scenario.weights.weights
         self.index = catalog_index(scenario.catalog)
-        self.attachments: dict[tuple[str, str], Attachment] = {}
+        self.paths = {term.id: term.path for term in scenario.terminals}
+
+    def at(self, terminal: str, now: int) -> _Tick:
+        sc = self.sc
+        if self.synth_t != now:
+            self.synth.advance_to(now, sc.tick_ms)
+            self.synth_t = now
+            self.scored.clear()
+        pos = advance_position(self.paths[terminal], now)
+        covered = coverage(pos, sc.topology)
+        scores: list[DesirabilityScore] = []
+        for bs, rss in covered:
+            memo = self.scored.get(bs.id)
+            if memo is None:
+                vector = sample_context(bs.id, now, sc.synthesis, self.synth)
+                score = None
+                if self.shared_scores:
+                    score = desirability(vector, sc.weights, self.index, network_id=bs.id)
+                memo = self.scored[bs.id] = (vector, score)
+            vector, score = memo
+            if score is None:
+                values = dict(vector.values)
+                values["RSS"] = rss
+                score = desirability(
+                    CriteriaVector(values=values, timestamp=now),
+                    sc.weights,
+                    self.index,
+                    network_id=bs.id,
+                )
+            scores.append(score)
+        anl = rank(scores, as_of=now)
+        return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
+
+
+class SharedContext:
+    """The context of a scenario's terminal-ticks, kept for several runs of
+    that scenario that differ only in ``controller``.
+
+    The first run binds it to the scenario's content outside ``controller``;
+    a run of a scenario that differs there raises ValueError.  The first run
+    to reach a (terminal, t) computes its context and stores it, later runs
+    read it.  Every run asks for the same (terminal, t) in the same order,
+    whatever its controller, and an entry is stored only once complete, so
+    a run that fails part way leaves a memo the next run can continue.
+    """
+
+    def __init__(self) -> None:
+        self.key: Optional[str] = None
+        self.context: Optional[_Context] = None
+        self.ticks: dict[tuple[str, int], _Tick] = {}
+
+    def bind(self, scenario: Scenario) -> Callable[[str, int], _Tick]:
+        # Everything the context may depend on; repr, unlike ==, equates NaNs.
+        key = repr(replace(scenario, controller=None, raw=None))
+        if self.context is None:
+            self.key, self.context = key, _Context(scenario)
+        elif key != self.key:
+            raise ValueError("shared context: the scenario differs outside its controller")
+        return self.at
+
+    def at(self, terminal: str, now: int) -> _Tick:
+        tick = self.ticks.get((terminal, now))
+        if tick is None:
+            tick = self.ticks[(terminal, now)] = self.context.at(terminal, now)
+        return tick
+
+
+class _Run:
+    def __init__(self, scenario: Scenario, shared: Optional[SharedContext]):
+        self.sc = scenario
+        self.trace = Trace()
+        self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
+        # Policy lookup keys on the terminal's application type.
+        self.configs = {
+            term.id: replace(scenario.controller, app_type=term.app_type)
+            for term in scenario.terminals
+        }
+        stations = {bs.id: bs for bs in scenario.topology.stations}
+        self.infos = {term.id: _Attachments(term.id, stations) for term in scenario.terminals}
+        self.context = _Context(scenario).at if shared is None else shared.bind(scenario)
+        self.heap: list = []
+        self.seq = 0
 
     def push(self, at: int, terminal: str, rank_: int, kind: str) -> None:
         if at >= self.sc.duration_ms:
@@ -156,66 +281,15 @@ class _Run:
             elif isinstance(action, ctl.RecordHandoff):
                 self.trace.append(now, terminal, HANDOFF, _record_payload(action.record))
 
-    def attachment(self, terminal: str, bs: BaseStation) -> Attachment:
-        key = (terminal, bs.id)
-        att = self.attachments.get(key)
-        if att is None:
-            att = self.attachments[key] = Attachment(
-                terminal_id=terminal,
-                provider_id=bs.provider_id,
-                net_id=bs.net_id,
-                cell_id=bs.id,
-                channel_id=bs.channels[0],
-                technology=bs.technology,
-            )
-        return att
-
     def context_tick(self, terminal: str, now: int) -> None:
-        sc = self.sc
-        if self.synth_t != now:
-            self.synth.advance_to(now, sc.tick_ms)
-            self.synth_t = now
-            self.scored.clear()
-        term = self.terms[terminal]
-        pos = advance_position(term.path, now)
-        covered = coverage(pos, sc.topology)
-        covered_ids = {bs.id for bs, _ in covered}
-
-        state = self.states[terminal]
-        if state.current is not None and state.current not in covered_ids:
+        tick = self.context(terminal, now)
+        current = self.states[terminal].current
+        if current is not None and tick.anl.score_of(current) is None:
             self.deliver(terminal, ctl.CurrentLinkLost(), now, "link_lost")
-
-        scores: list[DesirabilityScore] = []
-        infos: dict[str, Attachment] = {}
-        for bs, rss in covered:
-            memo = self.scored.get(bs.id)
-            if memo is None:
-                vector = sample_context(bs.id, now, sc.synthesis, self.synth)
-                score = None
-                if self.shared_scores:
-                    score = desirability(vector, sc.weights, self.index, network_id=bs.id)
-                memo = self.scored[bs.id] = (vector, score)
-            vector, score = memo
-            if score is None:
-                values = dict(vector.values)
-                values["RSS"] = rss
-                score = desirability(
-                    CriteriaVector(values=values, timestamp=now),
-                    sc.weights,
-                    self.index,
-                    network_id=bs.id,
-                )
-            scores.append(score)
-            infos[bs.id] = self.attachment(terminal, bs)
-        anl = rank(scores, as_of=now)
-        self.trace.append(
-            now,
-            terminal,
-            ANL,
-            {"entries": [[net, score.value] for net, score in anl.entries]},
-        )
-        self.deliver(terminal, ctl.AnlUpdated(anl=anl, infos=infos), now, "anl_updated")
-        self.push(now + sc.tick_ms, terminal, _RANK_CONTEXT, "context")
+        self.trace.append(now, terminal, ANL, tick.payload)
+        infos = self.infos[terminal]
+        self.deliver(terminal, ctl.AnlUpdated(anl=tick.anl, infos=infos), now, "anl_updated")
+        self.push(now + self.sc.tick_ms, terminal, _RANK_CONTEXT, "context")
 
     def timer(self, terminal: str, kind: str, now: int) -> None:
         if kind == "switch":
@@ -261,6 +335,11 @@ class _Run:
         return self.trace
 
 
-def run(scenario: Scenario) -> Trace:
-    """Simulate a validated scenario and return its trace."""
-    return _Run(scenario).execute()
+def run(scenario: Scenario, shared: Optional[SharedContext] = None) -> Trace:
+    """Simulate a validated scenario and return its trace.
+
+    With ``shared``, the controller-independent context of each
+    terminal-tick is read from it, or computed and stored there; without
+    it, the run stores none.
+    """
+    return _Run(scenario, shared).execute()

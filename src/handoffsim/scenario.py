@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -30,7 +31,7 @@ from .desirability import WeightProfile
 from .errors import ScenarioError, WeightProfileError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
 from .taxonomy import Layer
-from .topology import BaseStation, IPNet, Provider, Topology
+from .topology import TIER_DEFAULTS, BaseStation, IPNet, Provider, Topology
 
 Position = tuple[float, float]
 
@@ -113,13 +114,41 @@ def _parse_topology(doc, problems) -> Optional[Topology]:
         providers=tuple(providers),
         nets=tuple(nets),
         stations=tuple(stations),
-        path_loss_overrides=doc.get("path_loss", {}),
+        path_loss_overrides=_parse_path_loss(doc, problems),
     )
     for problem in topo.validate():
         problems.append(f"topology: {problem}")
     if not stations:
         problems.append("topology: no base stations defined")
     return topo
+
+
+_PATH_LOSS_FIELDS = ("tx_power_dbm", "exponent")
+
+
+def _parse_path_loss(doc, problems) -> Mapping[str, Mapping]:
+    """Per-tier overrides of the path-loss parameters, checked field by field."""
+    pdoc = doc.get("path_loss", {})
+    if not isinstance(pdoc, dict):
+        problems.append("path_loss: not an object")
+        return {}
+    for tier, fields in pdoc.items():
+        tpath = f"path_loss.{tier}"
+        if tier not in TIER_DEFAULTS:
+            problems.append(f"{tpath}: unknown tier (expected one of {', '.join(TIER_DEFAULTS)})")
+            continue
+        if not isinstance(fields, dict):
+            problems.append(f"{tpath}: not an object")
+            continue
+        for name, value in fields.items():
+            if name not in _PATH_LOSS_FIELDS:
+                expected = " or ".join(_PATH_LOSS_FIELDS)
+                problems.append(f"{tpath}.{name}: unknown field (expected {expected})")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                problems.append(f"{tpath}.{name}: must be a number")
+            elif not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
+                problems.append(f"{tpath}.{name}: must be finite")
+    return pdoc
 
 
 def _parse_terminals(doc, problems) -> list[TerminalSpec]:

@@ -169,11 +169,17 @@ class CoverageIndex:
     station id order, leaving out stations whose radius can reach nothing
     (negative or NaN).  The grid splits the stations' padded bounding boxes
     into about one square cell per station, and each cell lists, in id
-    order, every station whose box padded by one cell overlaps it.  The pad
-    absorbs rounding in the cell arithmetic, so the grid only prefilters:
-    the covered/not-covered verdict is the exact distance test.  When some
-    box is not finite (an infinite radius, a non-finite position) there is
-    no grid and every query tests every entry.
+    order, every station whose padded box overlaps it.  The grid only
+    prefilters: the covered/not-covered verdict is the exact distance test.
+    When some box is not finite (an infinite radius, a non-finite position)
+    there is no grid and every query tests every entry.
+
+    The pad is a few ulps of the largest box coordinate.  A covered point
+    has ``|fl(x - sx)| <= hypot(...) <= radius``, so rounding in that
+    difference and in ``sx + radius`` puts it at most about two ulps of the
+    largest coordinate outside the unpadded box, and so inside the padded
+    one.  The cell of a point is a monotone function of its coordinates,
+    so a point inside a padded box lands in one of the box's cells.
     """
 
     def __init__(self, topo: Topology):
@@ -187,26 +193,26 @@ class CoverageIndex:
         boxes = [(x - r, y - r, x + r, y + r) for _, x, y, r, _ in self.entries]
         if not boxes or not all(math.isfinite(v) for box in boxes for v in box):
             return
+        pad = 4 * math.ulp(max(abs(v) for box in boxes for v in box))
+        boxes = [(bx0 - pad, by0 - pad, bx1 + pad, by1 + pad) for bx0, by0, bx1, by1 in boxes]
         x0 = min(b[0] for b in boxes)
         y0 = min(b[1] for b in boxes)
-        width = max(b[2] for b in boxes) - x0
-        height = max(b[3] for b in boxes) - y0
+        x1 = max(b[2] for b in boxes)
+        y1 = max(b[3] for b in boxes)
+        width, height = x1 - x0, y1 - y0
         n = len(boxes)
         # About n cells over the extent; the second bound keeps a long thin
         # extent from being cut into a row of far more than n cells.
         cell = max(math.sqrt(width * height / n), (width + height) / n) or 1.0
-        x0, y0 = x0 - cell, y0 - cell
-        spans = (width + 2 * cell, height + 2 * cell)
-        if not all(math.isfinite(v) for v in (x0, y0, *spans)):
+        if not all(math.isfinite(v) for v in (x0, y0, x1, y1, width, height, cell)):
             return  # the padded extent overflows
-        self.cell, self.x0, self.y0 = cell, x0, y0
-        self.x1, self.y1 = x0 + spans[0], y0 + spans[1]
-        self.cols = math.floor(spans[0] / cell) + 1
-        self.rows = math.floor(spans[1] / cell) + 1
+        self.cell, self.x0, self.y0, self.x1, self.y1 = cell, x0, y0, x1, y1
+        self.cols = math.floor(width / cell) + 1
+        self.rows = math.floor(height / cell) + 1
         self.cells = [[] for _ in range(self.cols * self.rows)]
         for entry, (bx0, by0, bx1, by1) in zip(self.entries, boxes):
-            c0, r0 = self._cell_of(bx0 - cell, by0 - cell)
-            c1, r1 = self._cell_of(bx1 + cell, by1 + cell)
+            c0, r0 = self._cell_of(bx0, by0)
+            c1, r1 = self._cell_of(bx1, by1)
             for row in range(r0, r1 + 1):
                 for col in range(c0, c1 + 1):
                     self.cells[row * self.cols + col].append(entry)
@@ -226,7 +232,7 @@ class CoverageIndex:
             col, row = self._cell_of(x, y)
             candidates = self.cells[row * self.cols + col]
         else:
-            return []  # farther than a cell beyond every box; NaN lands here too
+            return []  # outside every padded box; NaN lands here too
         out = []
         for bs, sx, sy, radius, params in candidates:
             d = math.hypot(x - sx, y - sy)

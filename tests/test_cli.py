@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from handoffsim import cli, engine
 from handoffsim.cli import main, parse_grid
 from handoffsim.metrics import CSV_COLUMNS
 from handoffsim.trace import INIT, read_trace
@@ -121,6 +123,33 @@ class TestRun:
         assert "tick_ms" in capsys.readouterr().err
 
 
+class TestBadPathLoss:
+    """A malformed path-loss override is a validation failure (exit 2) in
+    every command, not a crash in the middle of a run."""
+
+    @pytest.fixture()
+    def bad_path_loss(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["path_loss"] = {"macro": {"exponent": "x"}}
+        path = tmp_path / "bad_path_loss.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["run", "--no-trace"],
+        ["sweep", "--grid", "delta=0,0.5"],
+    ])
+    def test_exits_invalid_naming_the_field(self, bad_path_loss, argv, tmp_path, capsys):
+        argv = [argv[0], str(bad_path_loss), *argv[1:]]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "path_loss.macro.exponent: must be a number" in err
+        assert "Traceback" not in err
+
+
 class TestParseGrid:
     def test_axes_keep_given_order(self):
         axes = parse_grid("sp=0,200;delta=0,0.5")
@@ -195,6 +224,75 @@ class TestSweep:
     def test_bad_grid_is_usage_error(self, quick_scenario, capsys):
         assert main(["sweep", str(quick_scenario), "--grid", "warp=1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _sweep(path, grid, workers, capsys):
+    assert main(["sweep", str(path), "--grid", grid, "--workers", str(workers)]) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def _points_run_alone(path, grid, capsys):
+    """The sweep CSV assembled from one-point sweeps, which share nothing."""
+    axes = parse_grid(grid)
+    rows = []
+    for combo in product(*(values for _, values in axes)):
+        point = ";".join(f"{name}={value}" for (name, _), value in zip(axes, combo))
+        header, row = _sweep(path, point, 1, capsys)[0].splitlines()
+        rows.append(row)
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestSweepBatches:
+    """Consecutive points run in one batch per worker and share the context;
+    the CSV must equal the one from points run alone."""
+
+    # th_inf=4 meets both scenarios' th_sup=4, so every other point is invalid.
+    GRID = "strategy=reactive,proactive;delta=0,0.3;th_inf=0.5,4"
+
+    @pytest.mark.parametrize("scenario", ["noisy.json", "crossing.json"])
+    def test_batches_match_points_run_alone(self, scenario, capsys):
+        path = SCENARIO_DIR / scenario
+        want = _points_run_alone(path, self.GRID, capsys)
+        assert want.count("must be strictly below") == 4
+        for workers in (1, 2, 3):
+            out, err = _sweep(path, self.GRID, workers, capsys)
+            assert out == want, workers
+            assert "4 of 8 grid points failed" in err
+
+    def test_more_workers_than_points(self, capsys):
+        grid = "th_inf=0.5,4;strategy=proactive"
+        path = SCENARIO_DIR / "noisy.json"
+        assert _sweep(path, grid, 5, capsys)[0] == _points_run_alone(path, grid, capsys)
+
+    def test_batches_are_contiguous_and_near_equal(self):
+        points = [{"delta": i} for i in range(8)]
+        assert [len(b) for b in cli._batches(points, 3)] == [3, 3, 2]
+        assert [p for b in cli._batches(points, 3) for p in b] == points
+        assert cli._batches(points, 1) == [points]
+        assert cli._batches(points[:2], 5) == [points[:1], points[1:2]]
+        assert cli._batches(points, 0) == [points]
+
+    def test_a_batch_computes_each_terminal_tick_once(self, monkeypatch):
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        ticks = len(doc["terminals"]) * doc["duration_ms"] // doc["tick_ms"]
+        points = [{"delta": 0.0}, {"delta": 0.3, "strategy": "reactive"}, {"th_inf": 4.0},
+                  {"sp": 0}]
+        calls = []
+        real = engine.coverage
+
+        def counting(pos, topo):
+            calls.append(pos)
+            return real(pos, topo)
+
+        monkeypatch.setattr(engine, "coverage", counting)
+        batched = cli._sweep_batch(json.dumps(doc), points)
+        assert len(calls) == ticks
+        assert [r["error"] is None for r in batched] == [True, True, False, True]
+        calls.clear()
+        alone = [cli._sweep_point(json.dumps(doc), point) for point in points]
+        assert len(calls) == 3 * ticks
+        assert batched == alone
 
 
 class TestUsage:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from handoffsim.cli import main
-from handoffsim.engine import run
+from handoffsim.engine import SharedContext, run
 from handoffsim.scenario import from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -198,3 +198,26 @@ def test_cli_metrics_bytes_are_pinned(inputs, name, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path), "--no-trace"]) == 0
     capsys.readouterr()
     assert _sha((tmp_path / f"{name}.metrics.csv").read_text()) == GOLDEN[name][1]
+
+
+# Controller settings a sweep might vary over one scenario.
+VARIANTS = [
+    {},
+    {"hysteresis_delta": 0.3, "dwell_sp": 0},
+    {"strategy": "proactive", "th_sup": 5.0, "th_inf": 0.5, "dwell_sp": 400},
+    {"strategy": "reactive", "hysteresis_delta": 0.0},
+]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shared_context_keeps_every_controller_variant_byte_identical(inputs, name):
+    shared = SharedContext()
+    behaviours = set()
+    for variant in VARIANTS:
+        doc = copy.deepcopy(inputs[name])
+        doc["controller"].update(variant)
+        alone = run(from_dict(copy.deepcopy(doc)))
+        assert run(from_dict(doc), shared).to_ndjson() == alone.to_ndjson(), variant
+        behaviours.add(tuple(r.to_json() for r in alone.records if r.kind != "init"))
+    # The variants behave differently, so sharing is tested on distinct runs.
+    assert len(behaviours) > 1

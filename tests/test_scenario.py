@@ -290,6 +290,41 @@ class TestSynthesisValidation:
         from_dict(doc)  # must not raise
 
 
+class TestPathLossValidation:
+    def test_numeric_overrides_load(self):
+        sc = from_dict(_doc(path_loss={"macro": {"exponent": 2, "tx_power_dbm": -38.5},
+                                       "femto": {}}))
+        assert sc.topology.path_loss_overrides["macro"] == {"exponent": 2, "tx_power_dbm": -38.5}
+
+    @pytest.mark.parametrize("value", ["x", None, [3.0], {"n": 3}, True])
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "exponent"])
+    def test_non_numeric_value(self, field, value):
+        assert _problems(_doc(path_loss={"macro": {field: value}})) == [
+            f"path_loss.macro.{field}: must be a number"
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "exponent"])
+    def test_non_finite_value(self, field, value):
+        assert _problems(_doc(path_loss={"pico": {field: value}})) == [
+            f"path_loss.pico.{field}: must be finite"
+        ]
+
+    def test_unknown_field(self):
+        # A radius here would be silently ignored: coverage radii come from
+        # the tier or the station.
+        _assert_problem(_doc(path_loss={"micro": {"radius": 50.0}}),
+                        "path_loss.micro.radius: unknown field")
+
+    def test_unknown_tier(self):
+        _assert_problem(_doc(path_loss={"blimp": {"exponent": 2.0}}),
+                        "path_loss.blimp: unknown tier")
+
+    def test_not_an_object(self):
+        assert _problems(_doc(path_loss=[1, 2])) == ["path_loss: not an object"]
+        assert _problems(_doc(path_loss={"macro": 3.0})) == ["path_loss.macro: not an object"]
+
+
 class TestErrorAccumulation:
     def test_multiple_problems_reported_together(self):
         doc = _doc(tick_ms=0, terminals=[])

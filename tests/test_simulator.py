@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handoffsim.engine import advance_position, run
+from handoffsim import controller as ctl
+from handoffsim.engine import SharedContext, advance_position, run
 from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.synthesis import (
     ContextSynthesisSpec,
@@ -172,28 +173,46 @@ _path_loss = st.fixed_dictionaries({}, optional={
 })
 
 
-def _beyond_box_edges(bs):
-    """Points one float step outside the station's bounding box along each
-    axis; rounding leaves some of them covered."""
+def _steps(v, n):
+    """The float n steps from v, away from zero for n > 0."""
+    for _ in range(abs(n)):
+        v = math.nextafter(v, math.inf if n > 0 else -math.inf)
+    return v
+
+
+def _beyond_box_edges(bs, steps=(1,)):
+    """Points a float step or a few outside the station's bounding box along
+    each axis; rounding leaves some of them covered."""
     (x, y), r = bs.position, bs.coverage_radius
-    return [
-        (math.nextafter(x - r, -math.inf), y),
-        (math.nextafter(x + r, math.inf), y),
-        (x, math.nextafter(y - r, -math.inf)),
-        (x, math.nextafter(y + r, math.inf)),
-    ]
+    out = []
+    for n in steps:
+        out += [
+            (_steps(x - r, -n), y),
+            (_steps(x + r, n), y),
+            (x, _steps(y - r, -n)),
+            (x, _steps(y + r, n)),
+        ]
+    return out
+
+
+# Far from the origin a float step is large, and rounding in x - sx and
+# x + r moves a point across a box edge by more.
+_offset = st.sampled_from([0.0, 1e6, -3.3e7, 1e9, -7.5e8])
 
 
 @st.composite
 def _coverage_cases(draw):
     """A topology and query points: free points, points far outside every
-    station, points exactly on a station's radius, and points just past a
-    station's bounding box.  Stations may share a position."""
-    queries = draw(st.lists(_point, min_size=1, max_size=6))
-    spots = draw(st.lists(_point, min_size=1, max_size=3))
+    station, points exactly on a station's radius, and points one to three
+    float steps past a station's bounding box.  Stations may share a
+    position, and the whole layout may sit far from the origin."""
+    ox, oy = draw(_offset), draw(_offset)
+    shift = st.tuples(_coord.map(lambda v: v + ox), _coord.map(lambda v: v + oy))
+    queries = draw(st.lists(shift, min_size=1, max_size=6))
+    spots = draw(st.lists(shift, min_size=1, max_size=3))
     stations = []
     for i in range(draw(st.integers(min_value=1, max_value=14))):
-        pos = draw(st.one_of(st.sampled_from(spots), _point))
+        pos = draw(st.one_of(st.sampled_from(spots), shift))
         tier = draw(st.sampled_from(sorted(TIER_DEFAULTS)))
         radius = draw(st.one_of(
             st.none(),
@@ -206,9 +225,9 @@ def _coverage_cases(draw):
     base = _topo(stations)
     topo = Topology(providers=base.providers, nets=base.nets, stations=base.stations,
                     path_loss_overrides=overrides)
-    queries += [(-1e4, 0.0), (0.0, 1e4), (5e3, -5e3)]
+    queries += [(ox - 1e4, oy), (ox, oy + 1e4), (ox + 5e3, oy - 5e3)]
     for bs in stations:
-        queries += _beyond_box_edges(bs)
+        queries += _beyond_box_edges(bs, steps=(1, 2, 3))
     return topo, queries
 
 
@@ -224,6 +243,33 @@ class TestCoverageIndex:
         points = [(0.4, -0.7), (0.1, -0.4), (0.1, -0.4 - 1e-9)]
         for pos in points + _beyond_box_edges(topo.stations[0]):
             _assert_matches_full_scan(pos, topo)
+
+    def test_far_from_the_origin_on_its_radius_and_just_past_its_box(self):
+        stations = [
+            _bs("a", pos=(1e9 + 0.1, -1e9 - 0.7), tier="femto", radius=0.3),
+            _bs("b", net="n2", pos=(1e9 + 40.0, -1e9), tier="pico"),
+            _bs("c", net="n3", pos=(1e9 - 25.0, -1e9 + 10.0), tier="femto"),
+        ]
+        topo = _topo(stations)
+        points = [(1e9 + 0.4, -1e9 - 0.7), (1e9 - 60.0, -1e9), (1e9, -1e9)]
+        for bs in stations:
+            points += _beyond_box_edges(bs, steps=(1, 2, 3, 8))
+        for pos in points:
+            _assert_matches_full_scan(pos, topo)
+
+    def test_cells_list_a_station_only_near_its_box(self):
+        # The pad is a few float steps, not a cell: a small station sits
+        # only in the cells its own disk's box overlaps.
+        stations = [_bs(f"s{i:02d}", net=f"n{i}", pos=(i * 97.0, (i * 61) % 400 * 1.0),
+                        tier=("macro", "pico", "femto")[i % 3]) for i in range(30)]
+        index = _topo(stations).coverage_index
+        for i, cell_list in enumerate(index.cells):
+            col, row = i % index.cols, i // index.cols
+            cx0, cy0 = index.x0 + col * index.cell, index.y0 + row * index.cell
+            for bs, x, y, r, _ in cell_list:
+                slack = 1e-6 + r
+                assert cx0 - slack <= x <= cx0 + index.cell + slack, (bs.id, col)
+                assert cy0 - slack <= y <= cy0 + index.cell + slack, (bs.id, row)
 
     def test_coincident_stations_keep_id_order(self):
         topo = _topo([_bs(sid, net=f"n{sid}", pos=(7.0, 7.0), tier="pico") for sid in "cab"])
@@ -590,3 +636,61 @@ class TestEngine:
         assert payload["terminals"] == ["mt1"]
         per_terminal = [r for r in inits if r.terminal == "mt1"]
         assert per_terminal[0].payload == {"phase": "disconnection"}
+
+
+class TestSharedContext:
+    def test_refused_for_a_scenario_that_differs_outside_the_controller(self):
+        shared = SharedContext()
+        run(from_dict(_crossing_doc()), shared)
+        moved = _crossing_doc()
+        moved["terminals"][0]["path"][0][1] = [1.0, 0.0]
+        others = [
+            _crossing_doc(seed=8),
+            _crossing_doc(tick_ms=200),
+            _crossing_doc(path_loss={"macro": {"exponent": 2.5}}),
+            _crossing_doc(weights={"k": 0.5, "weights": {"Q": 1.0}}),
+            moved,
+        ]
+        for doc in others:
+            with pytest.raises(ValueError, match="outside its controller"):
+                run(from_dict(doc), shared)
+        doc = _crossing_doc()
+        doc["controller"]["hysteresis_delta"] = 0.7
+        doc["controller"]["strategy"] = "proactive"
+        assert run(from_dict(doc), shared).to_ndjson() == run(from_dict(doc)).to_ndjson()
+
+    def test_bound_by_content_so_a_reparsed_nan_still_matches(self):
+        shared = SharedContext()
+        for delta in (0.0, 0.4):
+            doc = _crossing_doc(metrics_constants={"AL": float("nan")})
+            doc["controller"]["hysteresis_delta"] = delta
+            run(from_dict(doc), shared)
+
+    def test_a_plain_run_shares_nothing(self):
+        shared = SharedContext()
+        run(from_dict(_crossing_doc()))
+        assert shared.ticks == {}
+        run(from_dict(_crossing_doc(seed=8)), shared)  # still unbound, so accepted
+
+    def test_a_run_that_fails_part_way_leaves_a_memo_the_next_run_continues(
+        self, monkeypatch
+    ):
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        shared = SharedContext()
+        real_step = ctl.step
+
+        def failing_step(state, event, cfg, now):
+            if now >= doc["duration_ms"] // 2:
+                raise RuntimeError("stop here")
+            return real_step(state, event, cfg, now)
+
+        monkeypatch.setattr(ctl, "step", failing_step)
+        with pytest.raises(RuntimeError):
+            run(from_dict(copy.deepcopy(doc)), shared)
+        monkeypatch.undo()
+        filled = len(shared.ticks)
+        assert 0 < filled < doc["duration_ms"] // doc["tick_ms"]
+        doc["controller"]["dwell_sp"] = 0
+        want = run(from_dict(copy.deepcopy(doc))).to_ndjson()
+        assert run(from_dict(doc), shared).to_ndjson() == want
+        assert len(shared.ticks) == doc["duration_ms"] // doc["tick_ms"]
