@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import engine
 from .errors import HandoffSimError, ScenarioError
-from .metrics import compute_metrics, snapshots_to_csv, snapshots_to_json
+from .metrics import compute_metrics, metric_cells, snapshots_to_csv, snapshots_to_json
 from .scenario import from_dict, load_scenario
 from .taxonomy import enumerate_types
 
@@ -173,6 +173,8 @@ _GRID_AXES = {
 }
 
 SWEEP_METRIC_COLUMNS = ["completed", "accepted", "hor", "shor", "dtib", "il_ms", "impr"]
+# Raises at import if the table does not publish one of the sweep columns.
+_sweep_cells = metric_cells(SWEEP_METRIC_COLUMNS)
 
 
 def parse_grid(text: str) -> list[tuple[str, list]]:
@@ -216,7 +218,7 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
 def _sweep_point(
     doc_json: str, overrides: dict, shared: Optional[engine.SharedContext] = None
 ) -> dict:
-    """Run one grid point; returns metric cells or an error message."""
+    """Run one grid point; returns its metric cells or an error message."""
     try:
         doc = json.loads(doc_json)
         controller = dict(doc.get("controller", {}))
@@ -230,16 +232,7 @@ def _sweep_point(
         return {"error": "; ".join(exc.problems)}
     except HandoffSimError as exc:
         return {"error": str(exc)}
-    return {
-        "completed": snap.completed,
-        "accepted": snap.accepted,
-        "hor": snap.hor,
-        "shor": snap.shor if snap.shor_defined else None,
-        "dtib": snap.dtib,
-        "il_ms": snap.il,
-        "impr": snap.impr,
-        "error": None,
-    }
+    return {"cells": _sweep_cells(snap), "error": None}
 
 
 def _sweep_batch(doc_json: str, points: list[dict]) -> list[dict]:
@@ -305,10 +298,7 @@ def _cmd_sweep(args) -> int:
             cells += ["" for _ in SWEEP_METRIC_COLUMNS]
             cells.append(result["error"].replace(",", ";"))
         else:
-            for col in SWEEP_METRIC_COLUMNS:
-                value = result[col]
-                cells.append("" if value is None else str(value))
-            cells.append("")
+            cells += result["cells"] + [""]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:

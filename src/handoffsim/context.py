@@ -7,20 +7,20 @@ Each measurable quantity is a criterion with a polarity: beneficial values
 help a network's standing, detrimental values hurt it.
 
 Goals attach numeric acceptance regions to performance metrics, and
-features bundle goals into named qualities a handoff should exhibit.
+features bundle goals into named qualities a handoff should exhibit.  The
+metrics a run publishes, and the ids goals name them by, are one table.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import NonFiniteValueError, UnknownCriterionError, UnknownMetricError
+from .errors import UnknownMetricError
 
 
 class ContextSource(Enum):
@@ -131,39 +131,59 @@ class CriteriaVector:
     timestamp: int = 0
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    criterion_id: str
-    problem: str  # "unknown" or "non_finite"
+class Metric(NamedTuple):
+    """One published metric: ``id`` is the name goals and
+    ``MetricSnapshot.get`` use (None for a plain count), ``column`` heads
+    the CSV column and keys the JSON entry, and ``source`` is the snapshot
+    attribute that holds the value, or the key of ``counts`` when ``kind``
+    is "count".  A "constant" is a pass-through attribute set from the
+    scenario's ``metrics_constants[id]`` and never synthesized."""
+
+    id: Optional[str]
+    column: str
+    source: str
+    kind: str = "fold"
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    issues: tuple[ValidationIssue, ...] = ()
-
-    def raise_first(self) -> None:
-        for issue in self.issues:
-            if issue.problem == "unknown":
-                raise UnknownCriterionError(issue.criterion_id)
-            raise NonFiniteValueError(issue.criterion_id, float("nan"))
-
-
-def validate_vector(v: CriteriaVector, catalog: Sequence[CriterionDef]) -> ValidationResult:
-    """Check that every entry names a cataloged criterion and is finite.
-
-    Entries are judged independently; one bad entry does not mask others.
-    """
-    index = catalog_index(catalog)
-    issues = []
-    for cid in v.values:
-        value = v.values[cid]
-        if cid not in index:
-            issues.append(ValidationIssue(cid, "unknown"))
-            continue
-        if not math.isfinite(value):
-            issues.append(ValidationIssue(cid, "non_finite"))
-    return ValidationResult(ok=not issues, issues=tuple(issues))
+# Every metric a run publishes, in column order.  ``metrics`` folds and
+# writes them; scenario parsing checks ``metrics_constants`` against the
+# pass-through rows, which is why the table lives here and not there.
+METRICS: tuple[Metric, ...] = (
+    Metric(None, "completed", "completed"),
+    Metric(None, "accepted", "accepted"),
+    Metric(None, "rejected", "rejected"),
+    Metric("HOR", "hor", "hor"),
+    Metric("SHOR", "shor", "shor"),
+    Metric("IHOR", "ihor", "ihor"),
+    Metric("OHOR", "ohor", "ohor"),
+    Metric("THOR", "thor", "thor"),
+    Metric("PHOR", "phor", "phor"),
+    Metric("DTIB", "dtib", "dtib"),
+    Metric("IL", "il_ms", "il"),
+    Metric("IR", "ir", "ir"),
+    Metric("HOL", "hol_ms", "hol"),
+    Metric("DLat", "dlat_ms", "dlat"),
+    Metric("ExLat", "exlat_ms", "exlat"),
+    Metric("EvLat", "evlat_ms", "evlat"),
+    Metric("ImpR", "impr", "impr"),
+    Metric("DR", "dr", "dr"),
+    Metric("DL", "dl_ms", "dl"),
+    Metric("DI", "di", "di"),
+    Metric("AL", "al", "al", "constant"),
+    Metric("SO", "so", "so", "constant"),
+    Metric("SSO", "sso", "sso", "constant"),
+    Metric("DAR", "dar", "dar", "constant"),
+    Metric(None, "connects", "connects", "count"),
+    Metric(None, "link_losses", "link_losses", "count"),
+    Metric(None, "prep_entries", "prep_entries", "count"),
+    Metric(None, "rollbacks", "rollbacks", "count"),
+    Metric(None, "executions", "executions", "count"),
+    Metric(None, "timely", "timely", "count"),
+    Metric(None, "tardy", "tardy", "count"),
+    Metric(None, "premature", "premature", "count"),
+)
+# Pass-through metric id -> snapshot attribute.
+PASS_THROUGH = {m.id: m.source for m in METRICS if m.kind == "constant"}
 
 
 class GoalDirection(Enum):

@@ -231,7 +231,6 @@ class EvalOutcome:
 
 
 def evaluate(
-    pre: MeasurementSet,
     post: MeasurementSet,
     anl: Optional[AvailableNetworkList],
     regions: Mapping[str, GoalSpec],
@@ -552,7 +551,6 @@ def _on_timer(state, event, cfg, now):
         # A timer armed for an evaluation that already ended; drop it.
         return state, ()
     outcome = evaluate(
-        pre=MeasurementSet(network=state.flight.from_net, values={"UF": state.flight.uf_old}),
         post=_post_measurements(state, now),
         anl=state.last_anl,
         regions=cfg.success_regions,

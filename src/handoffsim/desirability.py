@@ -146,12 +146,3 @@ def best(anl: AvailableNetworkList) -> Optional[str]:
     if not anl.entries:
         return None
     return anl.entries[0][0]
-
-
-def relative_desirability(anl: AvailableNetworkList, current_id: str) -> float:
-    """Absolute score gap between the current network and the list head."""
-    current = anl.score_of(current_id)
-    if current is None:
-        raise KeyError(f"network {current_id!r} not present in the list")
-    head = anl.entries[0][1].value
-    return abs(current - head)

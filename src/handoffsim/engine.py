@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
@@ -68,14 +68,6 @@ def advance_position(path: tuple[tuple[int, Position], ...], t: int) -> Position
             frac = (t - t0) / (t1 - t0)
             return (p0[0] + (p1[0] - p0[0]) * frac, p0[1] + (p1[1] - p0[1]) * frac)
     return path[-1][1]
-
-
-@dataclass
-class _Pending:
-    """One scheduled queue entry."""
-
-    kind: str  # "context" | "switch" | "eval"
-    at: int
 
 
 def _plan_payload(plan: ctl.TriggerPlan) -> dict:

@@ -43,12 +43,6 @@ class UnknownTopologyElementError(HandoffSimError):
         super().__init__(f"unknown {kind} id: {element_id!r}")
 
 
-class EmptyDimensionError(HandoffSimError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"scenario dimension {index} has zero alternatives")
-
-
 class IllegalEventError(HandoffSimError):
     def __init__(self, phase, event):
         self.phase = phase

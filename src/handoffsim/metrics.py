@@ -18,26 +18,29 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Sequence
 
+from .context import METRICS, PASS_THROUGH
 from .controller import HandoffRecord  # re-exported record type
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 __all__ = [
     "HandoffRecord",
+    "METRICS",
+    "PASS_THROUGH",
     "MetricSnapshot",
     "compute_metrics",
     "classify_timeliness",
-    "handoff_success",
+    "metric_cells",
     "snapshots_to_csv",
     "snapshots_to_json",
     "CSV_COLUMNS",
 ]
 
 
-def handoff_success(record: dict) -> bool:
-    """A handoff counts as successful when evaluation accepted it."""
-    return bool(record["accepted"])
+CSV_COLUMNS = ["terminal"] + [m.column for m in METRICS]
+_SOURCE_BY_ID = {m.id: m.source for m in METRICS if m.id is not None}
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,7 @@ class MetricSnapshot:
     accepted: int = 0
     rejected: int = 0
     hor: float = 0.0
-    shor: float = 0.0
-    shor_defined: bool = False
+    shor: Optional[float] = None  # None until a handoff completes
     ihor: float = 0.0
     ohor: float = 0.0
     thor: float = 0.0
@@ -60,50 +62,19 @@ class MetricSnapshot:
     exlat: Optional[float] = None
     evlat: Optional[float] = None
     impr: Optional[float] = None
-    ouir: float = 0.0
     dr: float = 0.0
     dl: Optional[float] = None
     di: Optional[float] = None
-    # Pass-through posture constants a scenario may supply; never synthesized.
+    # Pass-through constants: the rows of kind "constant" in METRICS.
     al: Optional[float] = None
     so: Optional[float] = None
     sso: Optional[float] = None
     dar: Optional[float] = None
-    cb: Optional[float] = None
-    cd: Optional[float] = None
-    hob: Optional[float] = None
     counts: dict = field(default_factory=dict)
 
     def get(self, metric_id: str) -> Optional[float]:
         """Metric lookup by id for goal checking; None when unavailable."""
-        table = {
-            "HOR": self.hor,
-            "SHOR": self.shor if self.shor_defined else None,
-            "IHOR": self.ihor,
-            "OHOR": self.ohor,
-            "THOR": self.thor,
-            "PHOR": self.phor,
-            "DTIB": self.dtib,
-            "IL": self.il,
-            "IR": self.ir,
-            "HOL": self.hol,
-            "DLat": self.dlat,
-            "ExLat": self.exlat,
-            "EvLat": self.evlat,
-            "ImpR": self.impr,
-            "OUIR": self.ouir,
-            "DR": self.dr,
-            "DL": self.dl,
-            "DI": self.di,
-            "AL": self.al,
-            "SO": self.so,
-            "SSO": self.sso,
-            "DAR": self.dar,
-            "CB": self.cb,
-            "CD": self.cd,
-            "HOB": self.hob,
-        }
-        return table[metric_id]
+        return getattr(self, _SOURCE_BY_ID[metric_id])
 
 
 def _segments(points: list[tuple[int, object]], horizon: int):
@@ -379,8 +350,7 @@ def compute_metrics(
         accepted=accepted,
         rejected=completed - accepted,
         hor=ihor + ohor,
-        shor=(accepted / completed) if completed else 0.0,
-        shor_defined=completed > 0,
+        shor=(accepted / completed) if completed else None,
         ihor=ihor,
         ohor=ohor,
         thor=rate(tardy),
@@ -393,123 +363,42 @@ def compute_metrics(
         exlat=_mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records]),
         evlat=_mean([float(r["t_eval_done"] - r["t_switch_done"]) for r, _ in records]),
         impr=_mean(impr_terms),
-        ouir=0.0,
         dr=rate(len(runs)),
         dl=_mean([float(length) for length, _ in runs]),
         di=_mean([deficit for _, deficit in runs]),
-        al=constants.get("AL"),
-        so=constants.get("SO"),
-        sso=constants.get("SSO"),
-        dar=constants.get("DAR"),
         counts=counts,
+        **{attr: constants.get(mid) for mid, attr in PASS_THROUGH.items()},
     )
 
 
-CSV_COLUMNS = [
-    "terminal",
-    "completed",
-    "accepted",
-    "rejected",
-    "hor",
-    "shor",
-    "shor_defined",
-    "ihor",
-    "ohor",
-    "thor",
-    "phor",
-    "dtib",
-    "il_ms",
-    "ir",
-    "hol_ms",
-    "dlat_ms",
-    "exlat_ms",
-    "evlat_ms",
-    "impr",
-    "ouir",
-    "dr",
-    "dl_ms",
-    "di",
-    "al",
-    "so",
-    "sso",
-    "dar",
-    "cb",
-    "cd",
-    "hob",
-    "connects",
-    "link_losses",
-    "prep_entries",
-    "rollbacks",
-    "executions",
-    "timely",
-    "tardy",
-    "premature",
-]
-
-
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    return "" if value is None else str(value)
 
 
-def _row(label: str, snap: MetricSnapshot) -> list[str]:
-    values = {
-        "terminal": label,
-        "completed": snap.completed,
-        "accepted": snap.accepted,
-        "rejected": snap.rejected,
-        "hor": snap.hor,
-        "shor": snap.shor if snap.shor_defined else None,
-        "shor_defined": snap.shor_defined,
-        "ihor": snap.ihor,
-        "ohor": snap.ohor,
-        "thor": snap.thor,
-        "phor": snap.phor,
-        "dtib": snap.dtib,
-        "il_ms": snap.il,
-        "ir": snap.ir,
-        "hol_ms": snap.hol,
-        "dlat_ms": snap.dlat,
-        "exlat_ms": snap.exlat,
-        "evlat_ms": snap.evlat,
-        "impr": snap.impr,
-        "ouir": snap.ouir,
-        "dr": snap.dr,
-        "dl_ms": snap.dl,
-        "di": snap.di,
-        "al": snap.al,
-        "so": snap.so,
-        "sso": snap.sso,
-        "dar": snap.dar,
-        "cb": snap.cb,
-        "cd": snap.cd,
-        "hob": snap.hob,
-        "connects": snap.counts.get("connects", 0),
-        "link_losses": snap.counts.get("link_losses", 0),
-        "prep_entries": snap.counts.get("prep_entries", 0),
-        "rollbacks": snap.counts.get("rollbacks", 0),
-        "executions": snap.counts.get("executions", 0),
-        "timely": snap.counts.get("timely", 0),
-        "tardy": snap.counts.get("tardy", 0),
-        "premature": snap.counts.get("premature", 0),
-    }
-    return [_cell(values[col]) for col in CSV_COLUMNS]
+def metric_cells(columns: Sequence[str]):
+    """A function that renders a snapshot's cells for ``columns``, in that
+    order; raises KeyError for a column the table does not publish."""
+    by_column = {m.column: m for m in METRICS}
+    getters = []
+    for column in columns:
+        m = by_column[column]
+        if m.kind == "count":
+            getters.append(lambda snap, key=m.source: snap.counts.get(key, 0))
+        else:
+            getters.append(attrgetter(m.source))
+    return lambda snap: [_cell(get(snap)) for get in getters]
+
+
+_all_cells = metric_cells(CSV_COLUMNS[1:])
 
 
 def snapshots_to_csv(rows: Sequence[tuple[str, MetricSnapshot]]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for label, snap in rows:
-        lines.append(",".join(_row(label, snap)))
+        lines.append(",".join([label] + _all_cells(snap)))
     return "\n".join(lines) + "\n"
 
 
 def snapshots_to_json(rows: Sequence[tuple[str, MetricSnapshot]]) -> str:
-    doc = {}
-    for label, snap in rows:
-        entry = dict(zip(CSV_COLUMNS, _row(label, snap)))
-        entry.pop("terminal")
-        doc[label] = entry
+    doc = {label: dict(zip(CSV_COLUMNS[1:], _all_cells(snap))) for label, snap in rows}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

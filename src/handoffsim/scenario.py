@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .context import (
+    PASS_THROUGH,
     ContextSource,
     CriterionDef,
     GoalSpec,
@@ -144,11 +145,37 @@ def _parse_path_loss(doc, problems) -> Mapping[str, Mapping]:
             if name not in _PATH_LOSS_FIELDS:
                 expected = " or ".join(_PATH_LOSS_FIELDS)
                 problems.append(f"{tpath}.{name}: unknown field (expected {expected})")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"{tpath}.{name}: must be a number")
-            elif not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
-                problems.append(f"{tpath}.{name}: must be finite")
+            else:
+                _check_number(f"{tpath}.{name}", value, problems)
     return pdoc
+
+
+def _check_number(path: str, value, problems) -> bool:
+    """Whether ``value`` is a finite JSON number; reports why not at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problems.append(f"{path}: must be a number")
+        return False
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
+        problems.append(f"{path}: must be finite")
+        return False
+    return True
+
+
+def _parse_constants(doc, problems) -> dict[str, float]:
+    """The pass-through metric values a scenario supplies, by metric id."""
+    cdoc = doc.get("metrics_constants", {})
+    if not isinstance(cdoc, dict):
+        problems.append("metrics_constants: not an object")
+        return {}
+    constants = {}
+    for mid, value in cdoc.items():
+        path = f"metrics_constants.{mid}"
+        if mid not in PASS_THROUGH:
+            expected = ", ".join(PASS_THROUGH)
+            problems.append(f"{path}: unknown constant (expected one of {expected})")
+        elif _check_number(path, value, problems):
+            constants[mid] = float(value)
+    return constants
 
 
 def _parse_terminals(doc, problems) -> list[TerminalSpec]:
@@ -402,7 +429,7 @@ def from_dict(doc: Mapping) -> Scenario:
                 )
 
     feature_goals = doc.get("feature_goals")
-    constants = {k: float(v) for k, v in doc.get("metrics_constants", {}).items()}
+    constants = _parse_constants(doc, problems)
 
     if problems:
         raise ScenarioError(problems)

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional, Sequence
-
-from .errors import EmptyDimensionError
+from typing import Optional
 
 
 class InfraLevel(Enum):
@@ -199,13 +197,3 @@ def classify(
         return NOT_A_HANDOFF
     tech = d.tech_changed if level in (InfraLevel.CELL, InfraLevel.NET, InfraLevel.PROVIDER) else False
     return _make_type(d.terminal_changed, level, tech)
-
-
-def scenario_space_size(dimensions: Sequence[int]) -> int:
-    """Number of combinations over independent scenario dimensions."""
-    size = 1
-    for i, n in enumerate(dimensions):
-        if n == 0:
-            raise EmptyDimensionError(i)
-        size *= n
-    return size

@@ -10,7 +10,7 @@ import pytest
 
 from handoffsim import cli, engine
 from handoffsim.cli import main, parse_grid
-from handoffsim.metrics import CSV_COLUMNS
+from handoffsim.metrics import CSV_COLUMNS, metric_cells
 from handoffsim.trace import INIT, read_trace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -178,7 +178,38 @@ class TestParseGrid:
             parse_grid(" ; ")
 
 
+class TestBadMetricsConstants:
+    """``metrics_constants`` feeds the pass-through rows of the metric table.
+    Anything else there is a validation failure (exit 2), not a traceback
+    and not a value that silently vanishes from the output."""
+
+    @pytest.mark.parametrize("constants, problem", [
+        (["AL"], "metrics_constants: not an object"),
+        ({"CB": 2.0}, "metrics_constants.CB: unknown constant"),
+        ({"AL": "x"}, "metrics_constants.AL: must be a number"),
+        ({"SO": True}, "metrics_constants.SO: must be a number"),
+        ({"AL": float("nan")}, "metrics_constants.AL: must be finite"),
+    ], ids=["not_an_object", "unknown", "string", "bool", "nan"])
+    def test_run_exits_invalid_naming_the_key(self, constants, problem, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["metrics_constants"] = constants
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path), "--no-trace"]) == 2
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "Traceback" not in err
+
+
 class TestSweep:
+    def test_metric_columns_are_drawn_from_the_table(self, quick_scenario, capsys):
+        assert main(["sweep", str(quick_scenario), "--grid", "delta=0"]) == 0
+        header = capsys.readouterr().out.split("\n", 1)[0].split(",")
+        assert header == ["delta", *cli.SWEEP_METRIC_COLUMNS, "error"]
+        assert set(cli.SWEEP_METRIC_COLUMNS) <= set(CSV_COLUMNS)
+        with pytest.raises(KeyError):
+            metric_cells(["ouir"])
+
     def test_grid_rows_in_cartesian_order(self, quick_scenario, capsys):
         assert main(["sweep", str(quick_scenario),
                      "--grid", "delta=0,0.5;th_sup=3,4"]) == 0

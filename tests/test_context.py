@@ -1,4 +1,4 @@
-"""Criterion catalog, vector validation, goals, and feature reports."""
+"""Criterion catalog, goals, and feature reports."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from handoffsim.context import (
     FEATURE_NAMES,
     ContextSource,
-    CriteriaVector,
     CriterionDef,
     GoalDirection,
     GoalSpec,
@@ -22,7 +21,6 @@ from handoffsim.context import (
     feature_report,
     goal_holds,
     goal_satisfied,
-    validate_vector,
 )
 from handoffsim.errors import UnknownMetricError
 
@@ -80,38 +78,6 @@ class TestCatalog:
         assert all(c.floor > 0 for c in default_catalog())
 
 
-class TestVectorValidation:
-    def test_clean_vector_passes(self):
-        v = CriteriaVector(values={"RSS": -60.0, "NL": 12.0}, timestamp=5)
-        result = validate_vector(v, default_catalog())
-        assert result.ok
-        assert result.issues == ()
-
-    def test_unknown_criterion_flagged(self):
-        v = CriteriaVector(values={"XYZ": 1.0})
-        result = validate_vector(v, default_catalog())
-        assert not result.ok
-        assert [(i.criterion_id, i.problem) for i in result.issues] == [("XYZ", "unknown")]
-
-    def test_non_finite_flagged(self):
-        v = CriteriaVector(values={"RSS": float("nan")})
-        result = validate_vector(v, default_catalog())
-        assert not result.ok
-        assert result.issues[0].problem == "non_finite"
-
-    def test_issues_reported_independently(self):
-        # One bad entry must not mask another.
-        v = CriteriaVector(values={"XYZ": 1.0, "RSS": float("inf"), "NL": 3.0})
-        result = validate_vector(v, default_catalog())
-        problems = {(i.criterion_id, i.problem) for i in result.issues}
-        assert problems == {("XYZ", "unknown"), ("RSS", "non_finite")}
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_any_finite_value_accepted(self, value):
-        v = CriteriaVector(values={"SNR": value})
-        assert validate_vector(v, default_catalog()).ok
-
-
 class TestGoals:
     def test_minimize_is_strict_below(self):
         goal = GoalSpec("IL", GoalDirection.MINIMIZE, bound=500.0)
@@ -157,7 +123,7 @@ class TestGoals:
             def get(self, mid):
                 return None
 
-        goal = GoalSpec("CB", GoalDirection.MAINTAIN_BELOW, bound=1.0)
+        goal = GoalSpec("AL", GoalDirection.MAINTAIN_BELOW, bound=1.0)
         with pytest.raises(UnknownMetricError):
             goal_satisfied(Snap(), goal)
 
@@ -179,7 +145,7 @@ class TestFeatures:
     def test_report_covers_every_feature(self):
         specs = default_feature_specs()
         values = {
-            "IL": 10.0, "IR": 0.1, "DR": 0.0, "OUIR": 0.0, "HOR": 0.2,
+            "IL": 10.0, "IR": 0.1, "DR": 0.0, "HOR": 0.2,
             "DTIB": 0.9, "SHOR": 1.0, "DLat": 5.0, "ExLat": 5.0, "EvLat": 5.0,
             "ImpR": 1.5, "THOR": 0.0, "PHOR": 0.0,
         }
@@ -190,18 +156,19 @@ class TestFeatures:
     def test_goalless_feature_passes_vacuously(self):
         specs = default_feature_specs()
         report = feature_report(_DictSnap({
-            "IL": 10.0, "IR": 0.1, "DR": 0.0, "OUIR": 0.0, "HOR": 0.2,
+            "IL": 10.0, "IR": 0.1, "DR": 0.0, "HOR": 0.2,
             "DTIB": 0.9, "SHOR": 1.0, "DLat": 5.0, "ExLat": 5.0, "EvLat": 5.0,
             "ImpR": 1.5, "THOR": 0.0, "PHOR": 0.0,
         }), specs)
         assert report["security"].passed
         assert report["security"].vacuous
+        assert report["autonomy"].vacuous
         assert not report["correctness"].vacuous
 
     def test_failed_goals_named(self):
         specs = default_feature_specs()
         values = {
-            "IL": 10.0, "IR": 0.1, "DR": 0.0, "OUIR": 0.0, "HOR": 5.0,
+            "IL": 10.0, "IR": 0.1, "DR": 0.0, "HOR": 5.0,
             "DTIB": 0.2, "SHOR": 1.0, "DLat": 5.0, "ExLat": 5.0, "EvLat": 5.0,
             "ImpR": 1.5, "THOR": 0.0, "PHOR": 0.0,
         }

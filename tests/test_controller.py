@@ -275,17 +275,13 @@ def _anl(now, *pairs):
 class TestEvaluate:
     def test_accepted_on_best_with_no_regions(self):
         anl = _anl(0, ("n2", 6.0), ("n1", 5.0))
-        out = evaluate(
-            MeasurementSet("n1", {"UF": 5.0}), MeasurementSet("n2", {"UF": 6.0}), anl, {}
-        )
+        out = evaluate(MeasurementSet("n2", {"UF": 6.0}), anl, {})
         assert out.accepted
         assert out.reasons == ()
 
     def test_not_best_rejected(self):
         anl = _anl(0, ("n3", 7.0), ("n2", 6.0))
-        out = evaluate(
-            MeasurementSet("n1", {}), MeasurementSet("n2", {"UF": 6.0}), anl, {}
-        )
+        out = evaluate(MeasurementSet("n2", {"UF": 6.0}), anl, {})
         assert not out.accepted
         assert out.reasons == ("NotBest",)
 
@@ -293,7 +289,6 @@ class TestEvaluate:
         anl = _anl(0, ("n2", 6.0))
         regions = {"IL": GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0)}
         out = evaluate(
-            MeasurementSet("n1", {}),
             MeasurementSet("n2", {"UF": 6.0, "IL": 120.0}),
             anl,
             regions,
@@ -304,7 +299,7 @@ class TestEvaluate:
     def test_missing_configured_measure_is_a_violation(self):
         anl = _anl(0, ("n2", 6.0))
         regions = {"PJ": GoalSpec("PJ", GoalDirection.MAINTAIN_BELOW, bound=10.0)}
-        out = evaluate(MeasurementSet("n1", {}), MeasurementSet("n2", {}), anl, regions)
+        out = evaluate(MeasurementSet("n2", {}), anl, regions)
         assert not out.accepted
         assert out.reasons == ("PJ",)
 
@@ -315,7 +310,6 @@ class TestEvaluate:
             "EvLat": GoalSpec("EvLat", GoalDirection.MAINTAIN_BELOW, bound=10.0),
         }
         out = evaluate(
-            MeasurementSet("n1", {}),
             MeasurementSet("n2", {"IL": 120.0, "EvLat": 100.0}),
             anl,
             regions,
@@ -323,7 +317,7 @@ class TestEvaluate:
         assert out.reasons == ("NotBest", "EvLat", "IL")
 
     def test_no_list_at_all_counts_as_not_best(self):
-        out = evaluate(MeasurementSet("n1", {}), MeasurementSet("n2", {}), None, {})
+        out = evaluate(MeasurementSet("n2", {}), None, {})
         assert out.reasons == ("NotBest",)
 
 

@@ -22,7 +22,6 @@ from handoffsim.desirability import (
     best,
     desirability,
     rank,
-    relative_desirability,
 )
 from handoffsim.errors import (
     DuplicateNetworkError,
@@ -199,16 +198,6 @@ class TestRanking:
         anl = rank(_scores(("a", 1.5), ("b", 3.0)))
         assert anl.score_of("a") == 1.5
         assert anl.score_of("missing") is None
-
-    def test_relative_desirability(self):
-        anl = rank(_scores(("a", 1.0), ("b", 3.0)))
-        assert relative_desirability(anl, "a") == pytest.approx(2.0)
-        assert relative_desirability(anl, "b") == 0.0
-
-    def test_relative_desirability_unknown_network(self):
-        anl = rank(_scores(("a", 1.0)))
-        with pytest.raises(KeyError):
-            relative_desirability(anl, "zz")
 
     @given(
         st.lists(

@@ -125,27 +125,29 @@ def _inputs() -> dict:
     return docs
 
 
-# (trace sha256, CLI metrics CSV sha256)
+# (trace sha256, CLI metrics CSV sha256).  Each CSV digest is that of the
+# CSV written before the metric table, with the columns shor_defined, ouir,
+# cb, cd and hob cut from it, so the table reproduces every kept cell.
 GOLDEN = {
     "crossing": (
         "5b5a4a6c3789b79070a5a166275cb96f24bd053eafed5aa55e8485832ac4cd3d",
-        "e8379894894b0359361282c4f8d68b9b4433433328c41e74e4418b3b6830e92b",
+        "1cd81054d8fafa34936e7339c8a7d51b43d2edbd9cb374f0b238ceab7e6728d1",
     ),
     "dense_geometric": (
         "fc85221631697fc9448f6a8a1373159e6f6d58aa21f0f0cba9640dfdb9ea480c",
-        "c05f09dd22c6a85f4f4141b006b67c836e4ac79452650aa3536951b9f243f774",
+        "dc9d4c9e23cad021eac885aa205b07f474d6625dbc606d2e3ca98efd249924f0",
     ),
     "dense_stochastic": (
         "144fc75f4efc356864dba405ce6b16bc2536ab8934c798e66024d3222a1721c1",
-        "0645c0e89ebcb2d1220865486e9eb3f0a4d4813ebaba22c1c93c28b4400df3fe",
+        "74aacbf75a1e01fad81374709e14ee33a067d7fa2bd5dca75b3a75fa293a9b12",
     ),
     "dense_rss": (
         "3983655fd1ea7e61de17779bf727db611300538568f88932f24890594f8a6f13",
-        "abb48e984b68bf52de5ba601e73823316855e089269f694ea708cbee0ec521a1",
+        "52e13e0ebb6b772691eb903644407623e69a3d777f6c2cfa26c17565c61f9054",
     ),
     "noisy": (
         "f7fe0cd854543238ad7430e2683a7eb464e34fd7ceefc16e0f3114e3e7b14f27",
-        "b2ff15db116c8136122d43a932e107419463abe084df284f392beee49687f4eb",
+        "c52209beed084ef7125a033cfb698eb4b0c39be595548f1447137195f8c4a953",
     ),
 }
 
@@ -185,6 +187,12 @@ def test_rss_weighted_overlay_tells_terminals_apart(inputs):
     assert any(len(values) > 1 for values in scores.values())
 
 
+# sha256 of `sweep crossing.json --grid SWEEP_GRID`, recorded before the sweep
+# columns were drawn from the metric table; the worker count must not change it.
+SWEEP_GRID = "delta=0,0.5;strategy=reactive,proactive"
+SWEEP_CSV_SHA = "f3fa4cfe03c313506efd52aaa4804e81d2d61b06e2f1ec2507f75f8936703b5b"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_bytes_are_pinned(inputs, name):
     trace = run(from_dict(copy.deepcopy(inputs[name])))
@@ -198,6 +206,16 @@ def test_cli_metrics_bytes_are_pinned(inputs, name, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path), "--no-trace"]) == 0
     capsys.readouterr()
     assert _sha((tmp_path / f"{name}.metrics.csv").read_text()) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_csv_bytes_are_pinned(workers, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", str(SCENARIO_DIR / "crossing.json"), "--grid", SWEEP_GRID,
+            "--workers", str(workers), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha(out.read_text()) == SWEEP_CSV_SHA
 
 
 # Controller settings a sweep might vary over one scenario.

@@ -2,20 +2,24 @@
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from handoffsim.context import default_feature_specs
 from handoffsim.engine import run
 from handoffsim.metrics import (
     CSV_COLUMNS,
+    METRICS,
+    PASS_THROUGH,
+    MetricSnapshot,
     _segments,
     _TerminalStats,
     classify_timeliness,
     compute_metrics,
-    handoff_success,
     snapshots_to_csv,
     snapshots_to_json,
 )
@@ -84,11 +88,6 @@ def _anl(tr, t, entries, terminal="mt1"):
     tr.append(t, terminal, ANL, {"entries": [list(e) for e in entries]})
 
 
-def test_handoff_success_mirrors_accepted_flag():
-    assert handoff_success(_record(accepted=True)) is True
-    assert handoff_success(_record(accepted=False, reject=("IL",))) is False
-
-
 class TestCrossingEndToEnd:
     """Frozen expectations for the bundled two-network crossing scenario."""
 
@@ -111,7 +110,7 @@ class TestCrossingEndToEnd:
         assert snap.ohor == snap.hor
         assert snap.hor == snap.ihor + snap.ohor
         assert snap.ir == snap.hor  # one execution, no losses
-        assert snap.shor == 1.0 and snap.shor_defined
+        assert snap.shor == 1.0
 
     def test_latencies(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
@@ -142,8 +141,6 @@ class TestCrossingEndToEnd:
         assert snap.al == 1.0
         assert snap.dar == 1.0
         assert snap.so is None and snap.sso is None
-        assert snap.cb is None and snap.cd is None and snap.hob is None
-        assert snap.ouir == 0.0
 
     def test_single_terminal_equals_pool(self, crossing_trace):
         pooled = compute_metrics(crossing_trace)
@@ -189,7 +186,7 @@ class TestDwellInBest:
         assert snap.dtib is None
         assert snap.get("DTIB") is None
         assert snap.completed == 0
-        assert not snap.shor_defined
+        assert snap.shor is None
         assert snap.get("SHOR") is None
 
     def test_detached_interval_not_counted(self):
@@ -452,18 +449,28 @@ class TestRatesAndMeans:
 class TestSnapshotAccess:
     def test_get_covers_all_published_ids(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
-        expected = {
-            "HOR": snap.hor, "SHOR": snap.shor, "IHOR": snap.ihor,
-            "OHOR": snap.ohor, "THOR": snap.thor, "PHOR": snap.phor,
-            "DTIB": snap.dtib, "IL": snap.il, "IR": snap.ir,
-            "HOL": snap.hol, "DLat": snap.dlat, "ExLat": snap.exlat,
-            "EvLat": snap.evlat, "ImpR": snap.impr, "OUIR": snap.ouir,
-            "DR": snap.dr, "DL": snap.dl, "DI": snap.di,
-            "AL": snap.al, "SO": snap.so, "SSO": snap.sso,
-            "DAR": snap.dar, "CB": snap.cb, "CD": snap.cd, "HOB": snap.hob,
-        }
-        for metric_id, value in expected.items():
-            assert snap.get(metric_id) == value, metric_id
+        ids = [m.id for m in METRICS if m.id is not None]
+        assert len(ids) == len(set(ids))
+        for m in METRICS:
+            if m.id is not None:
+                assert snap.get(m.id) == getattr(snap, m.source), m.id
+
+    def test_every_row_reads_a_value_the_fold_produces(self, crossing_trace):
+        # A misspelt counter key would otherwise publish a silent 0.
+        snap = compute_metrics(crossing_trace)
+        attrs = {f.name for f in fields(MetricSnapshot)}
+        for m in METRICS:
+            if m.kind == "count":
+                assert m.source in snap.counts, m
+            else:
+                assert m.source in attrs, m
+        assert set(PASS_THROUGH) == {"AL", "SO", "SSO", "DAR"}
+
+    def test_every_feature_goal_names_a_published_id(self):
+        ids = {m.id for m in METRICS}
+        for spec in default_feature_specs():
+            for goal in spec.goals:
+                assert goal.metric_id in ids, (spec.name, goal.metric_id)
 
     def test_get_rejects_unknown_id(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
@@ -489,10 +496,9 @@ class TestSerialization:
         row = dict(zip(CSV_COLUMNS, text.strip().split("\n")[1].split(",")))
         assert row["terminal"] == "mt1"
         assert row["completed"] == "1"
-        assert row["shor_defined"] == "true"
+        assert row["shor"] == "1.0"
         assert row["dtib"] == "1.0"
         assert row["so"] == ""      # absent constant serializes empty
-        assert row["cb"] == ""
 
     def test_csv_empty_cells_for_undefined_means(self):
         tr = _base_trace(duration=1000)
@@ -501,7 +507,6 @@ class TestSerialization:
         text = snapshots_to_csv([("mt1", compute_metrics(tr))])
         row = dict(zip(CSV_COLUMNS, text.strip().split("\n")[1].split(",")))
         assert row["shor"] == ""
-        assert row["shor_defined"] == "false"
         assert row["dtib"] == ""
         assert row["il_ms"] == ""
         assert row["dl_ms"] == ""
@@ -511,4 +516,5 @@ class TestSerialization:
         assert set(doc) == {"mt1", "all"}
         assert "terminal" not in doc["mt1"]
         assert doc["mt1"]["completed"] == "1"
-        assert set(doc["mt1"]) == set(CSV_COLUMNS) - {"terminal"}
+        assert list(doc["mt1"]) == sorted(m.column for m in METRICS)
+        assert CSV_COLUMNS == ["terminal"] + [m.column for m in METRICS]

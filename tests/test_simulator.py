@@ -662,7 +662,9 @@ class TestSharedContext:
     def test_bound_by_content_so_a_reparsed_nan_still_matches(self):
         shared = SharedContext()
         for delta in (0.0, 0.4):
-            doc = _crossing_doc(metrics_constants={"AL": float("nan")})
+            doc = _crossing_doc()
+            station = doc["topology"]["providers"][0]["nets"][0]["stations"][0]
+            station["radius"] = float("nan")  # accepted, and covers nothing
             doc["controller"]["hysteresis_delta"] = delta
             run(from_dict(doc), shared)
 

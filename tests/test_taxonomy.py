@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handoffsim.errors import EmptyDimensionError, UnknownTopologyElementError
+from handoffsim.errors import UnknownTopologyElementError
 from handoffsim.taxonomy import (
     Attachment,
     InfraLevel,
@@ -15,7 +15,6 @@ from handoffsim.taxonomy import (
     classify,
     delta,
     enumerate_types,
-    scenario_space_size,
 )
 from handoffsim.topology import BaseStation, IPNet, Provider, Topology
 
@@ -232,19 +231,3 @@ class TestTopologyValidatedClassification:
     def test_wrong_net_rejected(self, topo):
         with pytest.raises(UnknownTopologyElementError):
             classify(_att(), _att(net="n2", channel="ch2"), topology=topo)
-
-
-class TestScenarioSpace:
-    def test_product(self):
-        assert scenario_space_size([3, 4, 5]) == 60
-
-    def test_single_dimension(self):
-        assert scenario_space_size([7]) == 7
-
-    def test_no_dimensions_is_one(self):
-        assert scenario_space_size([]) == 1
-
-    def test_empty_dimension_raises_with_index(self):
-        with pytest.raises(EmptyDimensionError) as exc:
-            scenario_space_size([3, 0, 5])
-        assert exc.value.index == 1
