@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 
 from . import engine
 from .errors import HandoffSimError, ScenarioError
-from .metrics import compute_metrics, metric_cells, snapshots_to_csv, snapshots_to_json
+from .metrics import (
+    MetricFolder,
+    compute_metrics,
+    metric_cells,
+    snapshots_to_csv,
+    snapshots_to_json,
+)
 from .scenario import from_dict, load_scenario
 from .taxonomy import enumerate_types
 
@@ -218,7 +224,9 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
 def _sweep_point(
     doc_json: str, overrides: dict, shared: Optional[engine.SharedContext] = None
 ) -> dict:
-    """Run one grid point; returns its metric cells or an error message."""
+    """Run one grid point; returns its metric cells or an error message.
+
+    The point keeps no trace: its records are folded as they are made."""
     try:
         doc = json.loads(doc_json)
         controller = dict(doc.get("controller", {}))
@@ -226,8 +234,7 @@ def _sweep_point(
             controller[_GRID_AXES[axis][0]] = value
         doc["controller"] = controller
         scenario = from_dict(doc)
-        trace = engine.run(scenario, shared)
-        snap = compute_metrics(trace, scenario.duration_ms)
+        snap = engine.run(scenario, shared, MetricFolder(scenario.duration_ms)).snapshot()
     except ScenarioError as exc:
         return {"error": "; ".join(exc.problems)}
     except HandoffSimError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Mapping, NamedTuple, Optional, Sequence

@@ -17,8 +17,15 @@ a reason to move at all: imperative (below the lower threshold) or
 opportunist (above the upper threshold).
 
 ``step`` is a pure function: the returned state and actions depend only on
-the inputs.  All mutable memory (recent score samples, the last seen
-network list, the in-flight handoff) lives inside ControllerState.
+the inputs.  All mutable memory (the last seen network list, the in-flight
+handoff) lives inside ControllerState.
+
+The proactive gate extrapolates each network's score from two samples:
+the one in the current list and the previous one.  A network's previous
+sample is its score in the last list, stamped with the time of that ANL
+step; the serving network, when that list left it out, keeps the last
+sample it had (``held``).  Older samples are never read, so the state keeps
+O(1) memory per step and ``step`` does no merge and no sort.
 """
 
 from __future__ import annotations
@@ -115,6 +122,11 @@ class ControllerConfig:
     opportunist_on_target: bool = False
     success_regions: Mapping[str, GoalSpec] = field(default_factory=dict)
     policy: PolicyTable = DEFAULT_POLICY
+
+
+# The measures ``evaluate`` grades a finished handoff on: the only metric ids
+# a success region can name.
+MEASURED = ("UF", "IL", "DLat", "ExLat", "EvLat", "HOL", "ImpR")
 
 
 def sufficiently_better(uf_target: float, uf_curr: float, delta: float) -> bool:
@@ -368,33 +380,28 @@ class ControllerState:
     flight: Optional[InFlight] = None
     switch_deadline: Optional[int] = None
     eval_deadline: Optional[int] = None
-    # Recent score samples per network, oldest first, at most two each.
-    samples: tuple[tuple[str, tuple[tuple[int, float], ...]], ...] = ()
     last_anl: Optional[AvailableNetworkList] = None
+    anl_at: Optional[int] = None  # time of the ANL step that saw last_anl
+    # (network, (t, score)): the serving network's last sample while
+    # last_anl leaves it out.
+    held: Optional[tuple[str, tuple[int, float]]] = None
 
 
 def initial_state(terminal: str) -> ControllerState:
     return ControllerState(terminal=terminal)
 
 
-def _latest(state: ControllerState, net: str) -> Optional[float]:
-    for nid, series in state.samples:
-        if nid == net:
-            return series[-1][1]
+def latest_sample(state: ControllerState, net: Optional[str]) -> Optional[tuple[int, float]]:
+    """The last (t, score) sample the machine holds for a network, or None:
+    its score in the last list, else the held sample of the serving one."""
+    if state.last_anl is not None:
+        value = state.last_anl.values.get(net)
+        if value is not None:
+            return state.anl_at, value
+    held = state.held
+    if held is not None and held[0] == net:
+        return held[1]
     return None
-
-
-def _merge_samples(state: ControllerState, anl: AvailableNetworkList, now: int) -> dict:
-    """Network -> its last one or two (t, score) samples once ``anl`` is
-    seen: every listed network, plus the serving one while it is unlisted."""
-    old = dict(state.samples)
-    merged = {}
-    if state.current in old:
-        merged[state.current] = old[state.current]
-    for nid, score in anl.entries:
-        prev = old.get(nid)
-        merged[nid] = (prev[-1], (now, score.value)) if prev else ((now, score.value),)
-    return merged
 
 
 def _candidate(anl: AvailableNetworkList, current: str) -> Optional[str]:
@@ -405,11 +412,18 @@ def _candidate(anl: AvailableNetworkList, current: str) -> Optional[str]:
     return None
 
 
-def _entry_holds(samples: dict, current: str, candidate: str, cfg: ControllerConfig, now: int) -> bool:
-    curr_series = samples.get(current)
-    tgt_series = samples.get(candidate)
-    if not curr_series or not tgt_series:
-        return False
+def _series(state: ControllerState, net: str, value: float, now: int) -> Series:
+    # The previous sample, if any, then the one just listed.
+    prev = latest_sample(state, net)
+    return ((now, value),) if prev is None else (prev, (now, value))
+
+
+def _entry_holds(
+    state: ControllerState, anl: AvailableNetworkList, current: str, candidate: str,
+    cfg: ControllerConfig, now: int,
+) -> bool:
+    curr_series = _series(state, current, anl.values[current], now)
+    tgt_series = _series(state, candidate, anl.values[candidate], now)
     try:
         return should_enter_preparation(curr_series, tgt_series, cfg, now)
     except InsufficientSamplesError:
@@ -439,7 +453,11 @@ def step(
 def _on_anl(state, event, cfg, now):
     # Every field of the next state is settled first, then built once.
     anl = event.anl
-    samples = _merge_samples(state, anl, now)
+    held = None
+    if state.current is not None and state.current not in anl.values:
+        sample = latest_sample(state, state.current)
+        if sample is not None:
+            held = (state.current, sample)
     phase, current, prep = state.phase, state.current, state.prep
     plan, flight, switch_deadline = state.plan, state.flight, state.switch_deadline
     actions = ()
@@ -451,12 +469,12 @@ def _on_anl(state, event, cfg, now):
             actions = (Connect(head),)
     elif phase in (Phase.EXECUTION, Phase.EVALUATION):
         pass  # Committed; keep absorbing context for the eventual evaluation.
-    elif anl.score_of(current) is None:
+    elif current not in anl.values:
         # The serving network is no longer listed.
         phase, current, prep = Phase.DISCONNECTION, None, None
     else:
         cand = _candidate(anl, current)
-        if cand is None or not _entry_holds(samples, current, cand, cfg, now):
+        if cand is None or not _entry_holds(state, anl, current, cand, cfg, now):
             if phase is Phase.PREPARATION:
                 # The serving network is the best choice again: roll back.
                 phase, prep = Phase.INITIATION, None
@@ -467,8 +485,8 @@ def _on_anl(state, event, cfg, now):
                 # Retargeting restarts the dwell clock.
                 prep = PrepData(target=cand, entered_at=prep.entered_at)
             phase = Phase.PREPARATION
-            d_curr = samples[current][-1][1]
-            d_tgt = samples[cand][-1][1]
+            d_curr = anl.values[current]
+            d_tgt = anl.values[cand]
             suffb = sufficiently_better(d_tgt, d_curr, cfg.hysteresis_delta)
             dwell, conb = consistently_better(prep.dwell, now, cfg.dwell_sp, suffb)
             reason = handoff_reason(d_curr, cfg, suffb and conb, uf_target=d_tgt)
@@ -503,8 +521,9 @@ def _on_anl(state, event, cfg, now):
         flight=flight,
         switch_deadline=switch_deadline,
         eval_deadline=state.eval_deadline,
-        samples=tuple(sorted(samples.items())),
         last_anl=anl,
+        anl_at=now,
+        held=held,
     ), actions
 
 
@@ -567,27 +586,23 @@ def _on_timer(state, event, cfg, now):
 
 
 def _uf_new(state) -> float:
-    value = state.last_anl.score_of(state.current) if state.last_anl else None
-    if value is None:
-        value = _latest(state, state.current)
-    if value is None:
-        value = state.flight.uf_old
-    return value
+    sample = latest_sample(state, state.current)
+    return state.flight.uf_old if sample is None else sample[1]
 
 
 def _post_measurements(state, now) -> MeasurementSet:
-    flight = state.flight
+    flight, when = state.flight, state.plan.when
     uf_new = _uf_new(state)
-    values = {
-        "UF": uf_new,
-        "IL": float(flight.t_switch_done - state.plan.when),
-        "DLat": float(state.plan.when - flight.t_prep),
-        "ExLat": float(flight.t_switch_done - state.plan.when),
-        "EvLat": float(now - flight.t_switch_done),
-        "HOL": float(now - flight.t_prep),
-    }
-    if flight.uf_old != 0.0:
-        values["ImpR"] = uf_new / flight.uf_old
+    measured = (
+        uf_new,
+        float(flight.t_switch_done - when),
+        float(when - flight.t_prep),
+        float(flight.t_switch_done - when),
+        float(now - flight.t_switch_done),
+        float(now - flight.t_prep),
+        uf_new / flight.uf_old if flight.uf_old != 0.0 else None,  # no ratio to a zero base
+    )
+    values = {mid: v for mid, v in zip(MEASURED, measured, strict=True) if v is not None}
     return MeasurementSet(network=state.current, values=values)
 
 

@@ -14,7 +14,7 @@ criterion must sum to 1.  Criteria without a weight contribute nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -110,21 +110,25 @@ class AvailableNetworkList:
     """Candidate networks ordered best first.
 
     ``entries`` pairs each network id with its score; order is descending
-    desirability with ties broken by ascending network id.
+    desirability with ties broken by ascending network id, and each network
+    appears once.  ``values`` maps each listed id to its score value; it is
+    built with the list, because the controller looks scores up by id on
+    every step (a ``cached_property`` would take a lock on each read).
     """
 
     entries: tuple[tuple[str, DesirabilityScore], ...] = ()
     as_of: int = 0
+    values: Mapping[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", {net: s.value for net, s in self.entries})
 
     @property
     def network_ids(self) -> tuple[str, ...]:
         return tuple(net for net, _ in self.entries)
 
     def score_of(self, network_id: str) -> Optional[float]:
-        for net, score in self.entries:
-            if net == network_id:
-                return score.value
-        return None
+        return self.values.get(network_id)
 
 
 def rank(scores: Sequence[DesirabilityScore], as_of: int = 0) -> AvailableNetworkList:

@@ -25,6 +25,16 @@ score does not depend on the terminal either, so it too is computed once
 per (station, tick) and shared; when RSS is weighted each terminal scores a
 copy of the sample with its own RSS.
 
+When no score reads RSS, the engine queries coverage on a copy of the
+topology that does not measure it (``measure_rss=False``), so coverage
+takes no per-station ``log10``.  The call stays ``coverage(pos, topology)``
+through this module's name, which the benchmark's tracer wraps.
+
+Records go to a sink: anything with ``append(t, terminal, kind, payload)``,
+called once per record in trace order.  The default is a ``Trace``, which
+keeps them; a ``metrics.MetricFolder`` folds them into metrics as they come
+and keeps none, as the points of a ``sweep`` do.
+
 Nothing in a terminal-tick's context reads the controller: the link-loss
 check, the record and the controller step come after it.  A
 ``SharedContext`` keeps that context for several runs of one scenario that
@@ -161,6 +171,11 @@ class _Context:
         # depends on the terminal's RSS.
         self.scored: dict[str, tuple[CriteriaVector, Optional[DesirabilityScore]]] = {}
         self.shared_scores = "RSS" not in scenario.weights.weights
+        # When no score reads RSS, coverage queries leave it out.
+        self.topology = (
+            replace(scenario.topology, measure_rss=False)
+            if self.shared_scores else scenario.topology
+        )
         self.index = catalog_index(scenario.catalog)
         self.paths = {term.id: term.path for term in scenario.terminals}
 
@@ -171,7 +186,7 @@ class _Context:
             self.synth_t = now
             self.scored.clear()
         pos = advance_position(self.paths[terminal], now)
-        covered = coverage(pos, sc.topology)
+        covered = coverage(pos, self.topology)
         scores: list[DesirabilityScore] = []
         for bs, rss in covered:
             memo = self.scored.get(bs.id)
@@ -230,9 +245,10 @@ class SharedContext:
 
 
 class _Run:
-    def __init__(self, scenario: Scenario, shared: Optional[SharedContext]):
+    def __init__(self, scenario: Scenario, shared: Optional[SharedContext], sink):
         self.sc = scenario
-        self.trace = Trace()
+        self.sink = sink
+        self.record = sink.append
         self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
         # Policy lookup keys on the terminal's application type.
         self.configs = {
@@ -255,7 +271,7 @@ class _Run:
         state = self.states[terminal]
         new_state, actions = ctl.step(state, event, self.configs[terminal], now)
         self.states[terminal] = new_state
-        self.trace.append(
+        self.record(
             now,
             terminal,
             TRANSITION,
@@ -271,14 +287,14 @@ class _Run:
             if isinstance(action, ctl.ScheduleTimer):
                 self.push(action.at, terminal, _RANK_TIMER, action.kind)
             elif isinstance(action, ctl.RecordHandoff):
-                self.trace.append(now, terminal, HANDOFF, _record_payload(action.record))
+                self.record(now, terminal, HANDOFF, _record_payload(action.record))
 
     def context_tick(self, terminal: str, now: int) -> None:
         tick = self.context(terminal, now)
         current = self.states[terminal].current
-        if current is not None and tick.anl.score_of(current) is None:
+        if current is not None and current not in tick.anl.values:
             self.deliver(terminal, ctl.CurrentLinkLost(), now, "link_lost")
-        self.trace.append(now, terminal, ANL, tick.payload)
+        self.record(now, terminal, ANL, tick.payload)
         infos = self.infos[terminal]
         self.deliver(terminal, ctl.AnlUpdated(anl=tick.anl, infos=infos), now, "anl_updated")
         self.push(now + self.sc.tick_ms, terminal, _RANK_CONTEXT, "context")
@@ -289,9 +305,9 @@ class _Run:
         else:
             self.deliver(terminal, ctl.TimerFired(kind="eval", at=now), now, "timer_eval")
 
-    def execute(self) -> Trace:
+    def execute(self):
         sc = self.sc
-        self.trace.append(
+        self.record(
             0,
             None,
             INIT,
@@ -315,7 +331,7 @@ class _Run:
             },
         )
         for tid in sorted(self.states):
-            self.trace.append(0, tid, INIT, {"phase": ctl.Phase.DISCONNECTION.value})
+            self.record(0, tid, INIT, {"phase": ctl.Phase.DISCONNECTION.value})
         for tid in sorted(self.states):
             self.push(0, tid, _RANK_CONTEXT, "context")
         while self.heap:
@@ -324,14 +340,16 @@ class _Run:
                 self.context_tick(terminal, at)
             else:
                 self.timer(terminal, kind, at)
-        return self.trace
+        return self.sink
 
 
-def run(scenario: Scenario, shared: Optional[SharedContext] = None) -> Trace:
-    """Simulate a validated scenario and return its trace.
+def run(scenario: Scenario, shared: Optional[SharedContext] = None, sink=None):
+    """Simulate a validated scenario, hand each record in trace order to
+    ``sink.append(t, terminal, kind, payload)``, and return the sink: by
+    default a new ``Trace``.
 
     With ``shared``, the controller-independent context of each
     terminal-tick is read from it, or computed and stored there; without
     it, the run stores none.
     """
-    return _Run(scenario, shared).execute()
+    return _Run(scenario, shared, Trace() if sink is None else sink).execute()

@@ -1,4 +1,9 @@
-"""Run metrics computed from traces.
+"""Run metrics folded from trace records.
+
+A ``MetricFolder`` takes records one at a time, in trace order, through the
+same ``append(t, terminal, kind, payload)`` a ``Trace`` has, so it can be
+the engine's record sink and fold a run that keeps no trace;
+``compute_metrics`` feeds one from a finished trace.
 
 Counts are tallied first and rates derived from them, so the imperative
 and opportunist rates always sum to the total handoff rate exactly.
@@ -29,6 +34,7 @@ __all__ = [
     "HandoffRecord",
     "METRICS",
     "PASS_THROUGH",
+    "MetricFolder",
     "MetricSnapshot",
     "compute_metrics",
     "classify_timeliness",
@@ -92,6 +98,12 @@ def _segments(points: list[tuple[int, object]], horizon: int):
 class _TerminalStats:
     """Single-pass accumulation of one terminal's trace records."""
 
+    # Every counter at zero; each terminal, and each pooled snapshot, starts
+    # from a copy (a dict copy is faster to build than a dict display).
+    COUNTS = dict.fromkeys(
+        ("connects", "link_losses", "d2i", "prep_entries", "rollbacks", "executions"), 0
+    )
+
     def __init__(self, terminal: str, horizon: int, tick: int, th_inf: float):
         self.terminal = terminal
         self.horizon = horizon
@@ -101,26 +113,19 @@ class _TerminalStats:
         self.attach_points: list[tuple[int, Optional[str]]] = [(0, None)]
         self.anl_points: list[tuple[int, Optional[str]]] = [(0, None)]
         self.anl_by_t: dict[int, dict[str, float]] = {}
-        self.counts = {
-            "connects": 0,
-            "link_losses": 0,
-            "d2i": 0,
-            "prep_entries": 0,
-            "rollbacks": 0,
-            "executions": 0,
-        }
+        self.counts = self.COUNTS.copy()
 
-    def feed(self, rec) -> None:
-        if rec.kind == HANDOFF:
-            self.records.append(rec.payload)
-        elif rec.kind == ANL:
-            entries = rec.payload["entries"]
+    def feed(self, t: int, kind: str, payload: dict) -> None:
+        if kind == HANDOFF:
+            self.records.append(payload)
+        elif kind == ANL:
+            entries = payload["entries"]
             head = entries[0][0] if entries else None
-            self.anl_points.append((rec.t, head))
-            self.anl_by_t[rec.t] = {net: value for net, value in entries}
-        elif rec.kind == TRANSITION:
-            p = rec.payload
-            self.attach_points.append((rec.t, p["attached"]))
+            self.anl_points.append((t, head))
+            self.anl_by_t[t] = {net: value for net, value in entries}
+        elif kind == TRANSITION:
+            p = payload
+            self.attach_points.append((t, p["attached"]))
             for action in p["actions"]:
                 if "connect" in action:
                     self.counts["connects"] += 1
@@ -229,34 +234,75 @@ class _TerminalStats:
         return span
 
 
-def _collect(trace: Trace, horizon: int, terminal: Optional[str]):
-    init = None
-    for rec in trace.records:
-        if rec.kind == INIT and rec.terminal is None:
-            init = rec.payload
-            break
-    tick = init["tick_ms"] if init else 1
-    th_inf = init["controller"]["th_inf"] if init else float("-inf")
-    constants = dict(init.get("metrics_constants", {})) if init else {}
-    terminals = init["terminals"] if init else []
-    if terminal is not None:
-        terminals = [terminal]
-    stats = {tid: _TerminalStats(tid, horizon, tick, th_inf) for tid in terminals}
-    for rec in trace.records:
-        if rec.terminal in stats:
-            stats[rec.terminal].feed(rec)
-    return stats, init, constants
+class MetricFolder:
+    """Folds one run's records, as they arrive, into a metric snapshot.
+
+    A record sink: ``append`` takes each record in trace order.  The run's
+    init record (terminal None) fixes the tick, the lower threshold, the
+    default tardiness tolerance, the pass-through constants and, unless
+    ``terminal`` names one, the terminals to fold; a terminal's records are
+    fed to its ``_TerminalStats`` and every other record is dropped.
+    ``snapshot`` pools the terminals folded.  Without an init record the
+    folder takes a tick of 1 ms and no threshold.
+    """
+
+    def __init__(
+        self,
+        horizon_ms: int,
+        terminal: Optional[str] = None,
+        tardy_tolerance_ms: Optional[int] = None,
+    ):
+        self.horizon = horizon_ms
+        self.terminal = terminal
+        self.tolerance = tardy_tolerance_ms
+        self.init: Optional[dict] = None
+        self.stats: dict[str, _TerminalStats] = {}
+        self._start(None)
+
+    def _start(self, init: Optional[dict]) -> None:
+        self.init = init
+        tick = init["tick_ms"] if init else 1
+        th_inf = init["controller"]["th_inf"] if init else float("-inf")
+        terminals = init["terminals"] if init else []
+        if self.terminal is not None:
+            terminals = [self.terminal]
+        self.stats = {tid: _TerminalStats(tid, self.horizon, tick, th_inf) for tid in terminals}
+
+    def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
+        st = self.stats.get(terminal)
+        if st is not None:
+            st.feed(t, kind, payload)
+        elif terminal is None and kind == INIT and self.init is None:
+            self._start(payload)
+
+    def feed_trace(self, trace: Trace) -> "MetricFolder":
+        """Fold a finished trace, whose init record may sit anywhere in it."""
+        for rec in trace.records:
+            if rec.kind == INIT and rec.terminal is None:
+                self._start(rec.payload)
+                break
+        stats = self.stats
+        for rec in trace.records:
+            if rec.terminal in stats:
+                stats[rec.terminal].feed(rec.t, rec.kind, rec.payload)
+        return self
+
+    def snapshot(self) -> MetricSnapshot:
+        tolerance = self.tolerance
+        if tolerance is None:
+            tolerance = _default_tolerance(self.init)
+        constants = self.init.get("metrics_constants", {}) if self.init else {}
+        return _snapshot(list(self.stats.values()), self.horizon, tolerance, constants)
 
 
 def classify_timeliness(
     record: dict, trace: Trace, tolerance_ms: Optional[int] = None
 ) -> str:
     """Grade one completed handoff as timely, tardy, or premature."""
-    stats, init, _ = _collect(trace, _trace_horizon(trace), record["terminal"])
+    folder = MetricFolder(_trace_horizon(trace), record["terminal"]).feed_trace(trace)
     if tolerance_ms is None:
-        tolerance_ms = _default_tolerance(init)
-    st = stats[record["terminal"]]
-    return _timeliness(record, st, tolerance_ms)
+        tolerance_ms = _default_tolerance(folder.init)
+    return _timeliness(record, folder.stats[record["terminal"]], tolerance_ms)
 
 
 def _timeliness(record: dict, st: _TerminalStats, tolerance_ms: int) -> str:
@@ -295,17 +341,19 @@ def compute_metrics(
     """Compute the snapshot for one terminal, or pooled over all of them."""
     if horizon_ms is None:
         horizon_ms = _trace_horizon(trace)
-    stats, init, constants = _collect(trace, horizon_ms, terminal)
-    if tardy_tolerance_ms is None:
-        tardy_tolerance_ms = _default_tolerance(init)
+    folder = MetricFolder(horizon_ms, terminal, tardy_tolerance_ms)
+    return folder.feed_trace(trace).snapshot()
 
+
+def _snapshot(
+    stats: list[_TerminalStats], horizon_ms: int, tardy_tolerance_ms: int, constants: dict
+) -> MetricSnapshot:
     records: list[tuple[dict, _TerminalStats]] = []
-    counts = {"connects": 0, "link_losses": 0, "d2i": 0, "prep_entries": 0,
-              "rollbacks": 0, "executions": 0}
+    counts = _TerminalStats.COUNTS.copy()
     on_head = 0
     attached = 0
     runs: list[tuple[int, float]] = []
-    for st in stats.values():
+    for st in stats:
         records.extend((r, st) for r in st.records)
         for key in counts:
             counts[key] += st.counts[key]

@@ -21,13 +21,11 @@ from .context import (
     PASS_THROUGH,
     ContextSource,
     CriterionDef,
-    GoalSpec,
     Polarity,
-    catalog_index,
     default_catalog,
     _goal_from_config,
 )
-from .controller import DEFAULT_LAYER_METHODS, ControllerConfig, PolicyTable, Strategy
+from .controller import DEFAULT_LAYER_METHODS, MEASURED, ControllerConfig, PolicyTable, Strategy
 from .desirability import WeightProfile
 from .errors import ScenarioError, WeightProfileError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
@@ -273,6 +271,13 @@ def _parse_controller(doc, problems) -> ControllerConfig:
         strategy = Strategy.REACTIVE
     regions = {}
     for mid, gdoc in sorted(doc.get("success_regions", {}).items()):
+        if mid not in MEASURED:
+            # evaluate() would reject every handoff for want of the measure.
+            problems.append(
+                f"success_regions.{mid}: not measured by the controller "
+                f"(expected one of {', '.join(MEASURED)})"
+            )
+            continue
         try:
             regions[mid] = _goal_from_config(mid, gdoc)
         except (ValueError, KeyError) as exc:

@@ -15,7 +15,8 @@ reference distance d0 of one meter.
 Coverage queries go through a per-topology index, built on the first
 query: the stations sorted by id with their radius and path-loss
 parameters, plus a uniform grid over their coverage disks' bounding boxes
-that narrows each query to the stations near the position.
+that narrows each query to the stations near the position.  A topology
+built with ``measure_rss=False`` answers the same stations with no RSS.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ class Topology:
     nets: tuple[IPNet, ...]
     stations: tuple[BaseStation, ...]
     path_loss_overrides: Mapping[str, Mapping] = field(default_factory=dict)
+    # False: coverage queries report None for RSS and skip its log10, for
+    # runs whose scores do not read it.
+    measure_rss: bool = True
 
     @cached_property
     def coverage_index(self) -> "CoverageIndex":
@@ -183,6 +187,7 @@ class CoverageIndex:
     """
 
     def __init__(self, topo: Topology):
+        self.measure_rss = topo.measure_rss
         self.entries = []
         for bs in sorted(topo.stations, key=lambda s: s.id):
             radius = bs.coverage_radius
@@ -224,7 +229,7 @@ class CoverageIndex:
         row = min(math.floor((y - self.y0) / self.cell), self.rows - 1)
         return col, row
 
-    def covering(self, pos: Position) -> list[tuple[BaseStation, float]]:
+    def covering(self, pos: Position) -> list[tuple[BaseStation, Optional[float]]]:
         x, y = pos
         if self.cells is None:
             candidates = self.entries
@@ -233,6 +238,11 @@ class CoverageIndex:
             candidates = self.cells[row * self.cols + col]
         else:
             return []  # outside every padded box; NaN lands here too
+        if not self.measure_rss:
+            return [
+                (bs, None) for bs, sx, sy, radius, _ in candidates
+                if math.hypot(x - sx, y - sy) <= radius
+            ]
         out = []
         for bs, sx, sy, radius, params in candidates:
             d = math.hypot(x - sx, y - sy)
@@ -241,8 +251,9 @@ class CoverageIndex:
         return out
 
 
-def coverage(pos: Position, topo: Topology) -> list[tuple[BaseStation, float]]:
-    """Stations whose radius reaches the position, with their RSS there.
+def coverage(pos: Position, topo: Topology) -> list[tuple[BaseStation, Optional[float]]]:
+    """Stations whose radius reaches the position, with their RSS there
+    (None when the topology does not measure it).
 
     Ordered by station id so downstream iteration is deterministic.
     """

@@ -55,6 +55,30 @@ class TestValidate:
         assert "ghost.json" in capsys.readouterr().err
 
 
+class TestUnmeasuredSuccessRegion:
+    """A region on a metric the controller never measures would reject every
+    handoff; each command refuses the scenario instead."""
+
+    @pytest.fixture()
+    def hor_region(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["success_regions"] = {"HOR": {"direction": "maintain_below", "bound": 100.0}}
+        path = tmp_path / "hor.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("extra", [["validate"], ["run", "--no-trace"],
+                                       ["sweep", "--grid", "delta=0"]])
+    def test_exits_invalid_naming_the_region(self, hor_region, extra, tmp_path, capsys):
+        argv = [extra[0], str(hor_region), *extra[1:]]
+        if extra[0] == "run":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "success_regions.HOR: not measured by the controller" in captured.err
+
+
 class TestTaxonomy:
     def test_csv_on_stdout(self, capsys):
         assert main(["enumerate-taxonomy"]) == 0

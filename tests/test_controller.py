@@ -28,6 +28,7 @@ from handoffsim.controller import (
     evaluate,
     handoff_reason,
     initial_state,
+    latest_sample,
     select_method,
     should_enter_preparation,
     step,
@@ -577,12 +578,54 @@ class TestPhaseMachine:
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
         st2, _ = _feed_anl(st1, 100, ("n1", 5.1), ("n2", 3.1))
         st3, _ = _feed_anl(st2, 200, ("n1", 5.2), ("n2", 3.2))
-        samples = dict(st3.samples)
-        assert samples["n1"] == ((100, 5.1), (200, 5.2))
-        assert samples["n2"] == ((100, 3.1), (200, 3.2))
+        assert latest_sample(st3, "n1") == (200, 5.2)
+        assert latest_sample(st3, "n2") == (200, 3.2)
+        assert latest_sample(st3, "n9") is None
 
     def test_vanished_networks_dropped_from_history(self):
         st0 = initial_state("mt1")
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
         st2, _ = _feed_anl(st1, 100, ("n1", 5.1))
-        assert dict(st2.samples).keys() == {"n1"}
+        assert latest_sample(st2, "n1") == (100, 5.1)
+        assert latest_sample(st2, "n2") is None
+
+    def test_serving_network_keeps_its_sample_while_unlisted(self):
+        st0 = initial_state("mt1")
+        st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
+        st2, _ = _feed_anl(st1, 100, ("n2", 6.0), ("n1", 5.0))
+        st3, _ = step(st2, SwitchComplete(), CFG, 200)
+        assert st3.phase is Phase.EVALUATION and st3.current == "n2"
+        # Lists that leave the serving network out keep its last sample.
+        st4, _ = _feed_anl(st3, 210, ("n1", 5.0))
+        st5, _ = _feed_anl(st4, 220, ("n1", 5.1))
+        assert latest_sample(st5, "n2") == (100, 6.0)
+        _, actions = step(st5, TimerFired(kind="eval", at=250), CFG, 250)
+        assert actions[0].record.uf_new == 6.0
+        # Listed again, it takes the new sample.
+        st6, _ = _feed_anl(st5, 230, ("n2", 6.5), ("n1", 5.1))
+        assert latest_sample(st6, "n2") == (230, 6.5)
+
+    def test_proactive_gate_reads_only_the_previous_and_current_samples(self):
+        cfg = ControllerConfig(
+            hysteresis_delta=0.5, th_sup=8.0, th_inf=2.0, dwell_sp=0,
+            strategy=Strategy.PROACTIVE, prep_latency=100,
+        )
+
+        def verdict(*lists):
+            st = initial_state("mt1")
+            for now, pairs in zip(range(0, 100 * len(lists), 100), lists):
+                st, actions = _feed_anl(st, now, *pairs, cfg=cfg)
+            return st.phase, st.prep, actions
+
+        # At t=200 n2 sits 0.5 below n1 and closes 1.5 per 100 ms from t=100:
+        # the crossing is 33 ms away, within prep_latency.
+        last = (("n1", 5.0), ("n2", 4.5))
+        entered = verdict((("n1", 5.0), ("n2", 3.0)), (("n1", 5.0), ("n2", 3.0)), last)
+        assert entered[0] is Phase.PREPARATION
+        # A different sample older than the last list leaves the verdict as is.
+        older = verdict((("n1", 5.0), ("n2", 4.5)), (("n1", 5.0), ("n2", 3.0)), last)
+        assert older == entered
+        # A different previous sample changes it: closing 0.1 per 100 ms puts
+        # the crossing 500 ms away.
+        slower = verdict((("n1", 5.0), ("n2", 3.0)), (("n1", 5.0), ("n2", 4.4)), last)
+        assert slower[0] is Phase.INITIATION

@@ -10,7 +10,9 @@ strategy: reactive, and proactive with its linear crossing prediction.
 
 States are memoized relative to the current time (all rule arithmetic
 uses time differences only), so converging histories are explored once
-and the search stays small.
+and the search stays small.  Both keys hold only the latest sample of each
+network: the reference stores two per network, but the older one is never
+read at the next step, so histories that differ only there converge.
 """
 
 from __future__ import annotations
@@ -353,9 +355,11 @@ def _impl_key(st: ctl.ControllerState, now: int):
         r(st.flight.t_prep), st.flight.from_net, st.flight.uf_old,
         st.flight.ho_type, r(st.flight.t_switch_done),
     )
-    samples = tuple(
-        (nid, tuple((r(t), v) for t, v in series)) for nid, series in st.samples
-    )
+    nets = set(st.last_anl.values) if st.last_anl else set()
+    if st.held:
+        nets.add(st.held[0])
+    latest = tuple((nid, *ctl.latest_sample(st, nid)) for nid in sorted(nets))
+    samples = tuple((nid, r(t), v) for nid, t, v in latest)
     anl = st.last_anl and tuple((nid, s.value) for nid, s in st.last_anl.entries)
     return (
         st.phase.value, st.current, prep, plan, flight,
@@ -379,7 +383,7 @@ def _ref_key(s, now: int):
         s["phase"], s["current"], s["target"], r(s["prep_entered"]),
         r(s["dwell_since"]), plan, flight, r(s["switch_deadline"]),
         r(s["eval_deadline"]),
-        tuple((n, tuple((r(t), v) for t, v in ser)) for n, ser in sorted(s["series"].items())),
+        tuple((n, r(ser[-1][0]), ser[-1][1]) for n, ser in sorted(s["series"].items())),
         ranked,
     )
 

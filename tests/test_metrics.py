@@ -376,7 +376,7 @@ def _fed_stats(events, horizon):
             _anl(tr, t, value)
     for rec in tr.records:
         if rec.terminal == "mt1":
-            stats.feed(rec)
+            stats.feed(rec.t, rec.kind, rec.payload)
     return stats
 
 

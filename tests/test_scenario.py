@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from handoffsim.controller import Strategy
+from handoffsim import engine
+from handoffsim.controller import MEASURED, Strategy
+from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
 from handoffsim.scenario import from_dict, load_scenario
 
@@ -247,6 +249,24 @@ class TestControllerValidation:
     def test_bad_success_region(self):
         doc = _doc(success_regions={"ExLat": {"kind": "teleport"}})
         _assert_problem(doc, "success_regions.ExLat")
+
+    @pytest.mark.parametrize("metric_id", ["HOR", "SHOR", "nonsense"])
+    def test_success_region_on_a_measure_the_controller_never_takes(self, metric_id):
+        doc = _doc(success_regions={metric_id: {"direction": "maintain_below", "bound": 100.0}})
+        assert _problems(doc) == [
+            f"success_regions.{metric_id}: not measured by the controller "
+            "(expected one of UF, IL, DLat, ExLat, EvLat, HOL, ImpR)"
+        ]
+
+    def test_every_measured_id_reaches_evaluation(self):
+        # A region that any value satisfies, on every measured id, rejects
+        # nothing: evaluate() would reject a handoff missing the measure.
+        loose = {"direction": "maintain_below", "bound": 1e300}
+        doc = _doc(success_regions={mid: loose for mid in MEASURED})
+        sc = from_dict(doc)
+        assert sorted(sc.controller.success_regions) == sorted(MEASURED)
+        assert (compute_metrics(engine.run(sc)).accepted
+                == compute_metrics(engine.run(from_dict(_doc()))).accepted > 0)
 
 
 class TestSynthesisValidation:

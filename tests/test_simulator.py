@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -158,11 +159,14 @@ def _coverage_by_full_scan(pos, topo):
     return out
 
 
-def _assert_matches_full_scan(pos, topo):
+def _assert_matches_full_scan(pos, topo, unmeasured=None):
     got = coverage(pos, topo)
     want = _coverage_by_full_scan(pos, topo)
     assert [bs.id for bs, _ in got] == [bs.id for bs, _ in want], pos
     assert [rss for _, rss in got] == [rss for _, rss in want], pos  # bit-equal, no approx
+    if unmeasured is not None:
+        # The same topology without RSS covers the same stations.
+        assert coverage(pos, unmeasured) == [(bs, None) for bs, _ in want], pos
 
 
 _coord = st.floats(min_value=-3000.0, max_value=3000.0, allow_nan=False)
@@ -235,8 +239,9 @@ class TestCoverageIndex:
     @given(_coverage_cases())
     def test_matches_the_full_scan(self, case):
         topo, queries = case
+        unmeasured = replace(topo, measure_rss=False)
         for pos in queries:
-            _assert_matches_full_scan(pos, topo)
+            _assert_matches_full_scan(pos, topo, unmeasured)
 
     def test_single_station_on_its_radius_and_just_past_its_box(self):
         topo = _topo([_bs("only", pos=(0.1, -0.7), tier="femto", radius=0.3)])
@@ -254,8 +259,9 @@ class TestCoverageIndex:
         points = [(1e9 + 0.4, -1e9 - 0.7), (1e9 - 60.0, -1e9), (1e9, -1e9)]
         for bs in stations:
             points += _beyond_box_edges(bs, steps=(1, 2, 3, 8))
+        unmeasured = replace(topo, measure_rss=False)
         for pos in points:
-            _assert_matches_full_scan(pos, topo)
+            _assert_matches_full_scan(pos, topo, unmeasured)
 
     def test_cells_list_a_station_only_near_its_box(self):
         # The pad is a few float steps, not a cell: a small station sits
@@ -636,6 +642,21 @@ class TestEngine:
         assert payload["terminals"] == ["mt1"]
         per_terminal = [r for r in inits if r.terminal == "mt1"]
         assert per_terminal[0].payload == {"phase": "disconnection"}
+
+
+@pytest.mark.parametrize("weights, rss_read", [({"Q": 1.0}, False),
+                                                ({"RSS": 0.5, "Q": 0.5}, True)])
+def test_coverage_computes_rss_only_when_a_score_reads_it(monkeypatch, weights, rss_read):
+    import handoffsim.topology as topology
+
+    calls = []
+    real = topology._rss
+    monkeypatch.setattr(topology, "_rss", lambda d, params: calls.append(d) or real(d, params))
+    doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+    doc["weights"] = {"k": 0.0, "weights": weights}
+    trace = run(from_dict(doc))
+    assert any(r.payload["entries"] for r in trace.records if r.kind == ANL)
+    assert bool(calls) == rss_read
 
 
 class TestSharedContext:
