@@ -128,7 +128,6 @@ class CriteriaVector:
     """Criterion values observed for one network at one instant."""
 
     values: Mapping[str, float]
-    timestamp: int = 0
 
 
 class Metric(NamedTuple):

@@ -68,27 +68,24 @@ DEFAULT_LAYER_METHODS: Mapping[Layer, str] = {
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Maps (layer, application type, mobility) to a handoff method label.
+    """Maps (layer, application type) to a handoff method label.
 
-    Lookup tries exact keys first, then wildcard ("*") fallbacks, then the
-    per-layer defaults.  A user-supplied table with no applicable entry and
-    no default for the layer is a configuration gap and raises.
+    Lookup tries the exact key first, then the wildcard ("*") application
+    type, then the per-layer defaults.  A user-supplied table with no
+    applicable entry and no default for the layer is a configuration gap
+    and raises.
     """
 
-    entries: Mapping[tuple[str, str, str], str] = field(default_factory=dict)
+    entries: Mapping[tuple[str, str], str] = field(default_factory=dict)
     defaults: Mapping[Layer, str] = field(default_factory=lambda: dict(DEFAULT_LAYER_METHODS))
 
-    def lookup(self, layer: Layer, app_type: str, mobility: str) -> str:
-        for key in (
-            (layer.value, app_type, mobility),
-            (layer.value, app_type, "*"),
-            (layer.value, "*", "*"),
-        ):
+    def lookup(self, layer: Layer, app_type: str) -> str:
+        for key in ((layer.value, app_type), (layer.value, "*")):
             if key in self.entries:
                 return self.entries[key]
         if layer in self.defaults:
             return self.defaults[layer]
-        raise PolicyGapError((layer.value, app_type, mobility))
+        raise PolicyGapError((layer.value, app_type))
 
 
 DEFAULT_POLICY = PolicyTable()
@@ -97,11 +94,10 @@ DEFAULT_POLICY = PolicyTable()
 def select_method(
     ho_type: HandoffType,
     app_type: str = "*",
-    mobility: str = "*",
     policy: PolicyTable = DEFAULT_POLICY,
 ) -> str:
     """Choose the mechanism that will carry out a handoff of this type."""
-    return policy.lookup(ho_type.layer, app_type, mobility)
+    return policy.lookup(ho_type.layer, app_type)
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,7 @@ class ControllerConfig:
     exec_latency: int = 100
     eval_latency: int = 100
     strategy: Strategy = Strategy.REACTIVE
-    app_timeout: int = 1000
     app_type: str = "*"
-    mobility: str = "*"
     # Alternative opportunist reading: judge the candidate's utility against
     # th_sup instead of the serving network's.  Off by default.
     opportunist_on_target: bool = False
@@ -378,7 +372,6 @@ class ControllerState:
     prep: Optional[PrepData] = None
     plan: Optional[TriggerPlan] = None
     flight: Optional[InFlight] = None
-    switch_deadline: Optional[int] = None
     eval_deadline: Optional[int] = None
     last_anl: Optional[AvailableNetworkList] = None
     anl_at: Optional[int] = None  # time of the ANL step that saw last_anl
@@ -459,7 +452,7 @@ def _on_anl(state, event, cfg, now):
         if sample is not None:
             held = (state.current, sample)
     phase, current, prep = state.phase, state.current, state.prep
-    plan, flight, switch_deadline = state.plan, state.flight, state.switch_deadline
+    plan, flight = state.plan, state.flight
     actions = ()
 
     if phase is Phase.DISCONNECTION:
@@ -498,7 +491,7 @@ def _on_anl(state, event, cfg, now):
                 plan = TriggerPlan(
                     why=reason,
                     where=cand,
-                    how=select_method(ho_type, cfg.app_type, cfg.mobility, cfg.policy),
+                    how=select_method(ho_type, cfg.app_type, cfg.policy),
                     who=f"hce:{state.terminal}",
                     when=now,
                 )
@@ -508,9 +501,8 @@ def _on_anl(state, event, cfg, now):
                     uf_old=d_curr,
                     ho_type=ho_type.code,
                 )
-                switch_deadline = now + cfg.exec_latency
                 phase, current, prep = Phase.EXECUTION, None, None
-                actions = (StartSwitch(plan), ScheduleTimer("switch", switch_deadline))
+                actions = (StartSwitch(plan), ScheduleTimer("switch", now + cfg.exec_latency))
 
     return ControllerState(
         terminal=state.terminal,
@@ -519,7 +511,6 @@ def _on_anl(state, event, cfg, now):
         prep=prep,
         plan=plan,
         flight=flight,
-        switch_deadline=switch_deadline,
         eval_deadline=state.eval_deadline,
         last_anl=anl,
         anl_at=now,
@@ -557,7 +548,6 @@ def _on_switch_complete(state, cfg, now):
         phase=Phase.EVALUATION,
         current=target,
         flight=replace(state.flight, t_switch_done=now),
-        switch_deadline=None,
         eval_deadline=now + cfg.eval_latency,
     )
     return st, (Connect(target), ScheduleTimer("eval", now + cfg.eval_latency))

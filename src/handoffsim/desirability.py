@@ -67,7 +67,6 @@ class WeightProfile:
 class DesirabilityScore:
     network_id: str
     value: float
-    computed_at: int = 0
 
 
 def _clamped_log10(value: float, floor: float) -> float:
@@ -102,7 +101,7 @@ def desirability(
             total += term
         else:
             total -= term
-    return DesirabilityScore(network_id=network_id, value=total, computed_at=v.timestamp)
+    return DesirabilityScore(network_id=network_id, value=total)
 
 
 @dataclass(frozen=True)
@@ -117,21 +116,13 @@ class AvailableNetworkList:
     """
 
     entries: tuple[tuple[str, DesirabilityScore], ...] = ()
-    as_of: int = 0
     values: Mapping[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", {net: s.value for net, s in self.entries})
 
-    @property
-    def network_ids(self) -> tuple[str, ...]:
-        return tuple(net for net, _ in self.entries)
 
-    def score_of(self, network_id: str) -> Optional[float]:
-        return self.values.get(network_id)
-
-
-def rank(scores: Sequence[DesirabilityScore], as_of: int = 0) -> AvailableNetworkList:
+def rank(scores: Sequence[DesirabilityScore]) -> AvailableNetworkList:
     """Order scores into an available-network list, best first."""
     seen = set()
     for s in scores:
@@ -139,10 +130,7 @@ def rank(scores: Sequence[DesirabilityScore], as_of: int = 0) -> AvailableNetwor
             raise DuplicateNetworkError(s.network_id)
         seen.add(s.network_id)
     ordered = sorted(scores, key=lambda s: (-s.value, s.network_id))
-    return AvailableNetworkList(
-        entries=tuple((s.network_id, s) for s in ordered),
-        as_of=as_of,
-    )
+    return AvailableNetworkList(entries=tuple((s.network_id, s) for s in ordered))
 
 
 def best(anl: AvailableNetworkList) -> Optional[str]:

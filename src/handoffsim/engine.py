@@ -81,13 +81,7 @@ def advance_position(path: tuple[tuple[int, Position], ...], t: int) -> Position
 
 
 def _plan_payload(plan: ctl.TriggerPlan) -> dict:
-    return {
-        "why": plan.why.value,
-        "where": plan.where,
-        "how": plan.how,
-        "who": plan.who,
-        "when": plan.when,
-    }
+    return {**vars(plan), "why": plan.why.value}
 
 
 def _action_payload(action: ctl.Action) -> dict:
@@ -104,20 +98,9 @@ def _action_payload(action: ctl.Action) -> dict:
 
 def _record_payload(rec: ctl.HandoffRecord) -> dict:
     return {
-        "terminal": rec.terminal,
-        "from_net": rec.from_net,
-        "to_net": rec.to_net,
+        **vars(rec),
         "reason": rec.reason.value,
-        "ho_type": rec.ho_type,
-        "method": rec.method,
-        "t_prep": rec.t_prep,
-        "t_trigger": rec.t_trigger,
-        "t_switch_done": rec.t_switch_done,
-        "t_eval_done": rec.t_eval_done,
         "dvho_ms": rec.dvho_ms,
-        "uf_old": rec.uf_old,
-        "uf_new": rec.uf_new,
-        "accepted": rec.accepted,
         "reject_reasons": list(rec.reject_reasons),
     }
 
@@ -201,13 +184,13 @@ class _Context:
                 values = dict(vector.values)
                 values["RSS"] = rss
                 score = desirability(
-                    CriteriaVector(values=values, timestamp=now),
+                    CriteriaVector(values=values),
                     sc.weights,
                     self.index,
                     network_id=bs.id,
                 )
             scores.append(score)
-        anl = rank(scores, as_of=now)
+        anl = rank(scores)
         return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
 
 

@@ -36,13 +36,6 @@ class WeightProfileError(HandoffSimError):
     """Weight profile violates its constraints (range, side sums, unknown ids)."""
 
 
-class UnknownTopologyElementError(HandoffSimError):
-    def __init__(self, kind: str, element_id: str):
-        self.kind = kind
-        self.element_id = element_id
-        super().__init__(f"unknown {kind} id: {element_id!r}")
-
-
 class IllegalEventError(HandoffSimError):
     def __init__(self, phase, event):
         self.phase = phase

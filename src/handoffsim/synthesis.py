@@ -107,12 +107,12 @@ def sample_context(
     """
     signals = spec.networks.get(network_id)
     if signals is None:
-        return CriteriaVector(values={}, timestamp=t)
+        return CriteriaVector(values={})
     if spec.mode == "geometric":
         values = {cid: _geometric_value(signals, cid, t) for cid in _all_criteria(signals)}
     else:
         values = dict(state.values[network_id])
-    return CriteriaVector(values=values, timestamp=t)
+    return CriteriaVector(values=values)
 
 
 def _all_criteria(signals: NetworkSignals):

@@ -177,20 +177,12 @@ def enumerate_types() -> list[HandoffType]:
     return types
 
 
-def classify(
-    before: Attachment,
-    after: Attachment,
-    topology=None,
-) -> Optional[HandoffType]:
+def classify(before: Attachment, after: Attachment) -> Optional[HandoffType]:
     """Classify the transition between two attachments.
 
     Returns None for the identity transition (same terminal, same
-    attachment point).  When a topology is supplied, both attachments are
-    validated against it first.
+    attachment point).
     """
-    if topology is not None:
-        topology.validate_attachment(before)
-        topology.validate_attachment(after)
     d = delta(before, after)
     level = _infra_level(d)
     if not d.terminal_changed and level is InfraLevel.NONE:

@@ -26,9 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .errors import UnknownTopologyElementError
-from .taxonomy import Attachment
-
 Position = tuple[float, float]
 
 
@@ -134,22 +131,6 @@ class Topology:
                     problems.append(f"duplicate channel id {ch!r}")
                 seen["channel"].add(ch)
         return problems
-
-    def validate_attachment(self, att: Attachment) -> None:
-        """Raise unless the attachment names a consistent chain of elements."""
-        station = None
-        for bs in self.stations:
-            if bs.id == att.cell_id:
-                station = bs
-                break
-        if station is None:
-            raise UnknownTopologyElementError("station", att.cell_id)
-        if att.channel_id not in station.channels:
-            raise UnknownTopologyElementError("channel", att.channel_id)
-        if att.net_id != station.net_id:
-            raise UnknownTopologyElementError("net", att.net_id)
-        if att.provider_id != station.provider_id:
-            raise UnknownTopologyElementError("provider", att.provider_id)
 
 
 def _rss(d: float, params: PathLossParams) -> float:

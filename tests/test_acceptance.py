@@ -124,7 +124,7 @@ def test_c02_scoring_matches_direct_evaluation():
         oracle = _direct_eval(catalog, weights, values, k)
         if abs(oracle) < 1e-2:
             continue  # keep the relative comparison well conditioned
-        got = desirability(CriteriaVector(values=values, timestamp=0),
+        got = desirability(CriteriaVector(values=values),
                            WeightProfile(weights=weights, k=k),
                            catalog).value
         rel = abs(got - oracle) / abs(oracle)
@@ -140,8 +140,7 @@ def test_c02_scoring_matches_direct_evaluation():
         CriterionDef(id="NL", source=ContextSource.NETWORK, polarity=Polarity.DETRIMENTAL),
     ]
     profile = WeightProfile(weights={"SNR": 0.5, "DTR": 0.5, "BER": 0.5, "NL": 0.5}, k=1.0)
-    vector = CriteriaVector(values={"SNR": 100.0, "DTR": 50.0, "BER": 10.0, "NL": 5.0},
-                            timestamp=0)
+    vector = CriteriaVector(values={"SNR": 100.0, "DTR": 50.0, "BER": 10.0, "NL": 5.0})
     got = desirability(vector, profile, catalog).value
     assert abs(got - 3.0) <= 1e-12
     with mpmath.workdps(50):
@@ -159,12 +158,12 @@ def test_c03_scoring_monotone_in_each_polarity():
     trials = 0
     for _ in range(1000):
         catalog, weights, values, k = _random_instance(rng)
-        base = desirability(CriteriaVector(values=values, timestamp=0),
+        base = desirability(CriteriaVector(values=values),
                             WeightProfile(weights=weights, k=k), catalog).value
         for c in catalog:
             bumped = dict(values)
             bumped[c.id] = values[c.id] * 10.0
-            moved = desirability(CriteriaVector(values=bumped, timestamp=0),
+            moved = desirability(CriteriaVector(values=bumped),
                                  WeightProfile(weights=weights, k=k),
                                  catalog).value
             if c.polarity is Polarity.BENEFICIAL:

@@ -225,6 +225,37 @@ class TestBadMetricsConstants:
         assert "Traceback" not in err
 
 
+def _station(doc):
+    return doc["topology"]["providers"][0]["nets"][0]["stations"][0]
+
+
+class TestMalformedScenarioExitsInvalid:
+    """Values of the wrong JSON type anywhere in a document are validation
+    failures (exit 2) named by their field path, never a traceback."""
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(terminals=["x"]), "terminals[0]"),
+        (lambda d: _station(d).update(radius="big"),
+         "topology.providers[0].nets[0].stations[0].radius"),
+        (lambda d: d.update(weights=[]), "weights"),
+        (lambda d: d["controller"].update(dwell_sp="x"), "controller.dwell_sp"),
+        (lambda d: d.update(policy=[]), "policy"),
+        (lambda d: d["synthesis"]["networks"]["bs_a"].update(base={"Q": "x"}),
+         "synthesis.networks.bs_a.base.Q"),
+        (lambda d: _station(d).update(position=["a", "b"]),
+         "topology.providers[0].nets[0].stations[0].position"),
+    ], ids=["terminal", "radius", "weights", "dwell_sp", "policy", "base", "position"])
+    def test_run_exits_invalid_naming_the_field(self, edit, field, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path), "--no-trace"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {field}: " in err
+        assert "Traceback" not in err
+
+
 class TestSweep:
     def test_metric_columns_are_drawn_from_the_table(self, quick_scenario, capsys):
         assert main(["sweep", str(quick_scenario), "--grid", "delta=0"]) == 0

@@ -244,33 +244,24 @@ class TestPolicy:
         assert select_method(ht_l47) == "SIP"
 
     def test_exact_entry_beats_wildcards(self):
-        table = PolicyTable(
-            entries={
-                ("L3", "voice", "vehicular"): "FMIP",
-                ("L3", "voice", "*"): "HMIP",
-                ("L3", "*", "*"): "MIP6",
-            }
-        )
-        assert table.lookup(Layer.L3, "voice", "vehicular") == "FMIP"
-        assert table.lookup(Layer.L3, "voice", "walking") == "HMIP"
-        assert table.lookup(Layer.L3, "video", "walking") == "MIP6"
+        table = PolicyTable(entries={("L3", "voice"): "HMIP", ("L3", "*"): "MIP6"})
+        assert table.lookup(Layer.L3, "voice") == "HMIP"
+        assert table.lookup(Layer.L3, "video") == "MIP6"
+        assert table.lookup(Layer.L2, "voice") == "MAHO"
 
     def test_defaults_fill_uncovered_layers(self):
-        table = PolicyTable(entries={("L3", "*", "*"): "MIP6"})
-        assert table.lookup(Layer.L2, "voice", "*") == "MAHO"
+        table = PolicyTable(entries={("L3", "*"): "MIP6"})
+        assert table.lookup(Layer.L2, "voice") == "MAHO"
 
     def test_strict_table_raises_on_gap(self):
-        table = PolicyTable(entries={("L3", "*", "*"): "MIP6"}, defaults={})
+        table = PolicyTable(entries={("L3", "*"): "MIP6"}, defaults={})
         with pytest.raises(PolicyGapError) as exc:
-            table.lookup(Layer.L2, "voice", "walking")
-        assert exc.value.key == ("L2", "voice", "walking")
+            table.lookup(Layer.L2, "voice")
+        assert exc.value.key == ("L2", "voice")
 
 
 def _anl(now, *pairs):
-    return rank(
-        [DesirabilityScore(network_id=n, value=v, computed_at=now) for n, v in pairs],
-        as_of=now,
-    )
+    return rank([DesirabilityScore(network_id=n, value=v) for n, v in pairs])
 
 
 class TestEvaluate:

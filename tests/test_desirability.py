@@ -88,10 +88,6 @@ class TestScore:
         b = desirability(CriteriaVector(values=with_extra), PROFILE, CATALOG).value
         assert a == b
 
-    def test_timestamp_carried(self):
-        score = desirability(CriteriaVector(values=VALUES, timestamp=123), PROFILE, CATALOG)
-        assert score.computed_at == 123
-
     def test_unknown_weighted_criterion_raises(self):
         profile = WeightProfile(weights={"NOPE": 1.0})
         with pytest.raises(UnknownCriterionError):
@@ -176,11 +172,11 @@ def _scores(*pairs):
 class TestRanking:
     def test_descending_order(self):
         anl = rank(_scores(("a", 1.0), ("b", 3.0), ("c", 2.0)))
-        assert anl.network_ids == ("b", "c", "a")
+        assert [net for net, _ in anl.entries] == ["b", "c", "a"]
 
     def test_ties_break_by_id(self):
         anl = rank(_scores(("zeta", 2.0), ("alpha", 2.0), ("mid", 2.0)))
-        assert anl.network_ids == ("alpha", "mid", "zeta")
+        assert [net for net, _ in anl.entries] == ["alpha", "mid", "zeta"]
 
     def test_duplicate_network_rejected(self):
         with pytest.raises(DuplicateNetworkError):
@@ -196,8 +192,8 @@ class TestRanking:
 
     def test_score_lookup(self):
         anl = rank(_scores(("a", 1.5), ("b", 3.0)))
-        assert anl.score_of("a") == 1.5
-        assert anl.score_of("missing") is None
+        assert anl.values["a"] == 1.5
+        assert "missing" not in anl.values
 
     @given(
         st.lists(
@@ -213,7 +209,7 @@ class TestRanking:
         anl = rank(_scores(*pairs))
         values = [s.value for _, s in anl.entries]
         assert values == sorted(values, reverse=True)
-        assert sorted(anl.network_ids) == sorted(n for n, _ in pairs)
+        assert sorted(anl.values) == sorted(n for n, _ in pairs)
         # Ties must be ordered by id.
         for (n1, s1), (n2, s2) in zip(anl.entries, anl.entries[1:]):
             if s1.value == s2.value:

@@ -90,7 +90,6 @@ def ref_initial(strategy="reactive"):
         "dwell_since": None,
         "plan": None,
         "flight": None,
-        "switch_deadline": None,
         "eval_deadline": None,
         "series": {},  # net -> its last one or two (t, score) samples
         "last_ranked": None,
@@ -160,7 +159,6 @@ def _ref_prep_update(s, scores, now):
     s["target"] = None
     s["prep_entered"] = None
     s["dwell_since"] = None
-    s["switch_deadline"] = now + EXEC_LAT
     return s, [
         ("start_switch", why, plan["where"], "MIP", "hce:mt1", now),
         ("timer", "switch", now + EXEC_LAT),
@@ -276,7 +274,6 @@ def ref_step(state, letter, now):
         s["phase"] = "evaluation"
         s["current"] = target
         s["flight"] = dict(s["flight"], t_switch_done=now)
-        s["switch_deadline"] = None
         s["eval_deadline"] = now + EVAL_LAT
         return s, [("connect", target), ("timer", "eval", now + EVAL_LAT)]
 
@@ -299,10 +296,7 @@ def _impl_event(letter, now):
     kind, payload = letter
     if kind == "anl":
         pairs = ANL_LETTERS[payload]
-        anl = rank(
-            [DesirabilityScore(network_id=n, value=v, computed_at=now) for n, v in pairs],
-            as_of=now,
-        )
+        anl = rank([DesirabilityScore(network_id=n, value=v) for n, v in pairs])
         infos = {
             n: Attachment(
                 terminal_id="mt1", provider_id="p1", net_id=n,
@@ -363,7 +357,7 @@ def _impl_key(st: ctl.ControllerState, now: int):
     anl = st.last_anl and tuple((nid, s.value) for nid, s in st.last_anl.entries)
     return (
         st.phase.value, st.current, prep, plan, flight,
-        r(st.switch_deadline), r(st.eval_deadline), samples, anl,
+        r(st.eval_deadline), samples, anl,
     )
 
 
@@ -381,8 +375,7 @@ def _ref_key(s, now: int):
     ranked = None if s["last_ranked"] is None else tuple(s["last_ranked"])
     return (
         s["phase"], s["current"], s["target"], r(s["prep_entered"]),
-        r(s["dwell_since"]), plan, flight, r(s["switch_deadline"]),
-        r(s["eval_deadline"]),
+        r(s["dwell_since"]), plan, flight, r(s["eval_deadline"]),
         tuple((n, r(ser[-1][0]), ser[-1][1]) for n, ser in sorted(s["series"].items())),
         ranked,
     )

@@ -345,6 +345,88 @@ class TestPathLossValidation:
         assert _problems(_doc(path_loss={"macro": 3.0})) == ["path_loss.macro: not an object"]
 
 
+class TestMisreadsAreRejected:
+    """Values the parser once read as something else, or ignored."""
+
+    def test_opportunist_on_target_must_be_a_boolean(self):
+        doc = _doc()
+        doc["controller"]["opportunist_on_target"] = "no"  # once ran as True
+        assert _problems(doc) == ["controller.opportunist_on_target: must be true or false"]
+
+    def test_boolean_tick_is_not_an_integer(self):
+        # True once ran a 1 ms tick.
+        assert _problems(_doc(tick_ms=True)) == ["tick_ms: required positive integer"]
+
+    def test_channels_must_be_a_list(self):
+        doc = _doc()
+        doc["topology"]["providers"][0]["nets"][0]["stations"][0]["channels"] = "abc"  # 3 once
+        assert _problems(doc) == [
+            "topology.providers[0].nets[0].stations[0].channels: must be a list"
+        ]
+
+    def test_synthesized_network_must_name_a_station(self):
+        doc = _doc()
+        doc["synthesis"]["networks"]["bs_zz"] = {"base": {"Q": 1.0}}
+        assert _problems(doc) == ["synthesis.networks.bs_zz: names no station"]
+
+    def test_signals_the_mode_does_not_read(self):
+        # The AR(1) process evolves only its base (from start), and the
+        # geometric mode reads no start: a stochastic ramp alone once passed
+        # validation and failed the run.
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        doc["synthesis"]["networks"]["bs_b"] = {"ramps": {"Q": 1.0}}
+        assert _problems(doc) == ["synthesis.networks.bs_b.ramps: not read in stochastic mode"]
+        doc = _doc()
+        doc["synthesis"]["networks"]["bs_a"]["start"] = {"Q": 5.0}
+        assert _problems(doc) == ["synthesis.networks.bs_a.start: not read in geometric mode"]
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        doc["synthesis"]["networks"]["bs_b"]["start"]["R"] = 5.0
+        assert _problems(doc) == ["synthesis.networks.bs_b.start.R: has no base"]
+
+    def test_misspelt_top_level_key(self):
+        doc = _doc()
+        doc["controler"] = doc.pop("controller")
+        problems = _problems(doc)
+        assert len(problems) == 1
+        assert problems[0].startswith("controler: unknown field (expected one of ")
+
+    def test_policy_entry_mobility_is_unknown(self):
+        # Only "*" ever matched: any other mobility made the entry dead.
+        doc = _doc(policy={"entries": [{"layer": "L3", "app_type": "video",
+                                        "mobility": "vehicular", "method": "FMIP"}]})
+        assert [p.split(" (")[0] for p in _problems(doc)] == [
+            "policy.entries[0].mobility: unknown field"
+        ]
+
+    @pytest.mark.parametrize("path", [
+        "feature_goals", "controller.app_timeout", "terminals[0].battery",
+    ])
+    def test_removed_knobs_are_unknown(self, path):
+        doc = _doc()
+        doc["feature_goals"] = {}
+        doc["controller"]["app_timeout"] = 1000
+        doc["terminals"][0]["battery"] = 100.0
+        assert path in [p.split(":")[0] for p in _problems(doc)]
+
+    def test_policy_entries_key_on_layer_and_app_type(self):
+        doc = _doc(policy={"entries": [{"layer": "L3", "app_type": "video", "method": "FMIP"}],
+                           "strict": True})
+        policy = from_dict(doc).controller.policy
+        assert policy.entries == {("L3", "video"): "FMIP"}
+        assert policy.defaults == {}
+
+    @pytest.mark.parametrize("value", [None, [], {}, True, "x"])
+    @pytest.mark.parametrize("field", ["th_sup", "dwell_sp", "exec_latency"])
+    def test_controller_numbers_are_typed(self, field, value):
+        doc = _doc()
+        doc["controller"][field] = value
+        assert [p.split(": ")[0] for p in _problems(doc)] == [f"controller.{field}"]
+
+    def test_waypoint_time_must_be_an_integer(self):
+        doc = _doc(terminals=[{"id": "mt1", "path": [[0.5, [0.0, 0.0]]]}])
+        assert _problems(doc) == ["terminals[0].path[0]: expected [t, [x, y]]"]
+
+
 class TestErrorAccumulation:
     def test_multiple_problems_reported_together(self):
         doc = _doc(tick_ms=0, terminals=[])

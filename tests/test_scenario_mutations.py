@@ -1,0 +1,123 @@
+"""Every single-point mutation of a bundled scenario is rejected with field
+paths, or parses to a scenario that runs to completion.
+
+The mutations are enumerated, not sampled: every value set to each JSON type
+it is not, every key deleted, and an unknown key added to every object.
+"""
+
+import copy
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from handoffsim import engine
+from handoffsim.errors import ScenarioError
+from handoffsim.scenario import from_dict
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# One value of each JSON type: null, boolean, string, float, integer, array, object.
+JSON_VALUES = (None, True, "x", 1.5, 7, [], {})
+UNKNOWN_KEY = "zz_unknown"
+TOP_KEYS = {
+    "seed", "duration_ms", "tick_ms", "topology", "path_loss", "terminals", "criteria",
+    "weights", "controller", "success_regions", "policy", "synthesis", "metrics_constants",
+}
+# "<key>(.<key>|[<index>])*: <message>", rooted at a top-level key.
+FIELD_PATH = re.compile(r"^(\w+)(\.\w+|\[\d+\])*: ")
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value below the root, parents first."""
+    if type(node) is dict:
+        children = node.items()
+    elif type(node) is list:
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _edited(doc, path, edit):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    edit(parent, path[-1])
+    return out
+
+
+def _set(value):
+    def edit(parent, key):
+        parent[key] = copy.deepcopy(value)
+    return edit
+
+
+def _delete(parent, key):
+    del parent[key]
+
+
+def _add_unknown(parent, key):
+    parent[key][UNKNOWN_KEY] = 1
+
+
+def mutations(doc):
+    """(description, mutated document) for every single-point mutation."""
+    root = copy.deepcopy(doc)
+    root[UNKNOWN_KEY] = 1
+    yield f"add {UNKNOWN_KEY}", root
+    for path, value in _nodes(doc):
+        for other in JSON_VALUES:
+            if type(other) is not type(value):
+                yield f"set {list(path)} to {json.dumps(other)}", _edited(doc, path, _set(other))
+        if type(path[-1]) is str:
+            yield f"delete {list(path)}", _edited(doc, path, _delete)
+        if type(value) is dict:
+            yield f"add {UNKNOWN_KEY} to {list(path)}", _edited(doc, path, _add_unknown)
+
+
+def _outcome(doc):
+    """("rejected" or "ran", None), or (None, why the document breaks the
+    parser's contract)."""
+    try:
+        scenario = from_dict(doc)
+    except ScenarioError as exc:
+        unanchored = [
+            p for p in exc.problems
+            if not (m := FIELD_PATH.match(p)) or m.group(1) not in TOP_KEYS | {UNKNOWN_KEY}
+        ]
+        if unanchored:
+            return None, f"problems without a field path: {unanchored}"
+        return "rejected", None
+    except Exception as exc:
+        return None, f"from_dict raised {exc!r}"
+    try:
+        engine.run(scenario)
+    except Exception as exc:
+        return None, f"accepted, then engine.run raised {exc!r}"
+    return "ran", None
+
+
+@pytest.mark.parametrize("name", ["crossing.json", "noisy.json"])
+def test_every_mutation_is_rejected_with_paths_or_runs(name):
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    total, counts, failures = 0, {"rejected": 0, "ran": 0}, []
+    for what, mutated in mutations(doc):
+        total += 1
+        verdict, why = _outcome(mutated)
+        if verdict is None:
+            failures.append(f"{what}: {why}")
+        else:
+            counts[verdict] += 1
+        # Base values and ramps are keyed by any criterion id; every other
+        # object has a fixed set of keys.
+        if (verdict == "ran" and what.startswith(f"add {UNKNOWN_KEY}")
+                and not what.endswith(("'base']", "'ramps']"))):
+            failures.append(f"{what}: the unknown key was accepted")
+    print(f"{name}: {total} mutations, {counts}, {len(failures)} failures")
+    assert total > 500
+    assert not failures, "\n".join(failures[:20]) + f"\n... {len(failures)} of {total}"

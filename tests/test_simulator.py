@@ -684,10 +684,13 @@ class TestSharedContext:
         shared = SharedContext()
         for delta in (0.0, 0.4):
             doc = _crossing_doc()
-            station = doc["topology"]["providers"][0]["nets"][0]["stations"][0]
-            station["radius"] = float("nan")  # accepted, and covers nothing
             doc["controller"]["hysteresis_delta"] = delta
-            run(from_dict(doc), shared)
+            sc = from_dict(doc)
+            # A document cannot carry a NaN radius; a topology built in code
+            # can, and that station covers nothing.
+            first, *rest = sc.topology.stations
+            stations = (replace(first, radius=float("nan")), *rest)
+            run(replace(sc, topology=replace(sc.topology, stations=stations)), shared)
 
     def test_a_plain_run_shares_nothing(self):
         shared = SharedContext()

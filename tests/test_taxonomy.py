@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handoffsim.errors import UnknownTopologyElementError
 from handoffsim.taxonomy import (
     Attachment,
     InfraLevel,
@@ -16,7 +15,6 @@ from handoffsim.taxonomy import (
     delta,
     enumerate_types,
 )
-from handoffsim.topology import BaseStation, IPNet, Provider, Topology
 
 
 def _att(terminal="mt1", provider="p1", net="n1", cell="c1", channel="ch1", tech="lte"):
@@ -204,30 +202,3 @@ class TestClassification:
         else:
             assert fwd.infra_level is rev.infra_level
             assert fwd.terminal_changed == rev.terminal_changed
-
-
-class TestTopologyValidatedClassification:
-    @pytest.fixture()
-    def topo(self):
-        return Topology(
-            providers=(Provider(id="p1", net_ids=("n1",)),),
-            nets=(IPNet(id="n1", provider_id="p1", station_ids=("c1",)),),
-            stations=(
-                BaseStation(
-                    id="c1", net_id="n1", provider_id="p1", position=(0, 0),
-                    technology="lte", channels=("ch1", "ch2"),
-                ),
-            ),
-        )
-
-    def test_consistent_attachments_pass(self, topo):
-        ht = classify(_att(channel="ch1"), _att(channel="ch2"), topology=topo)
-        assert ht.code == "channel"
-
-    def test_unknown_station_rejected(self, topo):
-        with pytest.raises(UnknownTopologyElementError):
-            classify(_att(), _att(cell="ghost"), topology=topo)
-
-    def test_wrong_net_rejected(self, topo):
-        with pytest.raises(UnknownTopologyElementError):
-            classify(_att(), _att(net="n2", channel="ch2"), topology=topo)
