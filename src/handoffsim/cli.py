@@ -120,11 +120,10 @@ def _cmd_taxonomy(args) -> int:
 
 
 def _metric_rows(scenario, trace):
-    rows = [
-        (spec.id, compute_metrics(trace, scenario.duration_ms, spec.id))
-        for spec in scenario.terminals
-    ]
-    rows.append(("all", compute_metrics(trace, scenario.duration_ms)))
+    """One row per terminal and a pooled "all" row, from one fold."""
+    pooled = compute_metrics(trace, scenario.duration_ms)
+    rows = [(spec.id, pooled.by_terminal[spec.id]) for spec in scenario.terminals]
+    rows.append(("all", pooled))
     return rows
 
 

@@ -3,7 +3,10 @@
 A ``MetricFolder`` takes records one at a time, in trace order, through the
 same ``append(t, terminal, kind, payload)`` a ``Trace`` has, so it can be
 the engine's record sink and fold a run that keeps no trace;
-``compute_metrics`` feeds one from a finished trace.
+``compute_metrics`` feeds one from a finished trace.  One fold gives the
+pooled snapshot and, in its ``by_terminal``, each terminal's own: a
+terminal's dwell times, degradation runs and timeliness grades are worked
+out once and read by both.
 
 Counts are tallied first and rates derived from them, so the imperative
 and opportunist rates always sum to the total handoff rate exactly.
@@ -24,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .context import METRICS, PASS_THROUGH
 from .controller import HandoffRecord  # re-exported record type
@@ -77,6 +80,9 @@ class MetricSnapshot:
     sso: Optional[float] = None
     dar: Optional[float] = None
     counts: dict = field(default_factory=dict)
+    # A pooled snapshot's per-terminal snapshots, by terminal id; empty in
+    # a terminal's own.  Not a metric, so equality leaves it out.
+    by_terminal: dict = field(default_factory=dict, repr=False, compare=False)
 
     def get(self, metric_id: str) -> Optional[float]:
         """Metric lookup by id for goal checking; None when unavailable."""
@@ -86,13 +92,27 @@ class MetricSnapshot:
 def _segments(points: list[tuple[int, object]], horizon: int):
     """Turn (t, value) breakpoints into [t0, t1) segments within the horizon."""
     out = []
-    for i, (t, value) in enumerate(points):
-        t0 = max(t, 0)
-        t1 = points[i + 1][0] if i + 1 < len(points) else horizon
-        t1 = min(t1, horizon)
+    ends = [t for t, _ in points[1:]]
+    ends.append(horizon)
+    for (t0, value), t1 in zip(points, ends):
+        if t0 < 0:
+            t0 = 0
+        if t1 > horizon:
+            t1 = horizon
         if t1 > t0:
             out.append((t0, t1, value))
     return out
+
+
+class _Facts(NamedTuple):
+    """What one terminal's own snapshot and the pooled one both read."""
+
+    terminal: str
+    counts: dict
+    on_head: int
+    attached: int
+    runs: list[tuple[int, float]]
+    graded: list[tuple[dict, str]]  # (handoff record, timeliness grade)
 
 
 class _TerminalStats:
@@ -220,6 +240,13 @@ class _TerminalStats:
             runs.append((cur_len, cur_deficit / cur_len))
         return runs
 
+    def facts(self, tolerance_ms: int) -> _Facts:
+        on_head, attached = self.dwell_times()
+        graded = [(r, _timeliness(r, self, tolerance_ms)) for r in self.records]
+        return _Facts(
+            self.terminal, self.counts, on_head, attached, self.degradation_runs(), graded
+        )
+
     def below_span_before(self, t_trigger: int, from_net: str) -> int:
         """Continuous ms the from-network utility sat below th_inf just
         before the trigger instant."""
@@ -235,45 +262,46 @@ class _TerminalStats:
 
 
 class MetricFolder:
-    """Folds one run's records, as they arrive, into a metric snapshot.
+    """Folds one run's records, as they arrive, into metric snapshots.
 
     A record sink: ``append`` takes each record in trace order.  The run's
     init record (terminal None) fixes the tick, the lower threshold, the
-    default tardiness tolerance, the pass-through constants and, unless
-    ``terminal`` names one, the terminals to fold; a terminal's records are
-    fed to its ``_TerminalStats`` and every other record is dropped.
-    ``snapshot`` pools the terminals folded.  Without an init record the
-    folder takes a tick of 1 ms and no threshold.
+    default tardiness tolerance, the pass-through constants and the
+    terminals to fold first, in its order; a terminal it does not list is
+    added at its first record.  Each terminal's records feed its own
+    ``_TerminalStats``, and other run-level records are dropped.  Without
+    an init record the folder takes a tick of 1 ms and no threshold.
     """
 
-    def __init__(
-        self,
-        horizon_ms: int,
-        terminal: Optional[str] = None,
-        tardy_tolerance_ms: Optional[int] = None,
-    ):
+    def __init__(self, horizon_ms: int, tardy_tolerance_ms: Optional[int] = None):
         self.horizon = horizon_ms
-        self.terminal = terminal
         self.tolerance = tardy_tolerance_ms
-        self.init: Optional[dict] = None
-        self.stats: dict[str, _TerminalStats] = {}
         self._start(None)
 
     def _start(self, init: Optional[dict]) -> None:
         self.init = init
-        tick = init["tick_ms"] if init else 1
-        th_inf = init["controller"]["th_inf"] if init else float("-inf")
-        terminals = init["terminals"] if init else []
-        if self.terminal is not None:
-            terminals = [self.terminal]
-        self.stats = {tid: _TerminalStats(tid, self.horizon, tick, th_inf) for tid in terminals}
+        self.tick = init["tick_ms"] if init else 1
+        self.th_inf = init["controller"]["th_inf"] if init else float("-inf")
+        self.stats: dict[str, _TerminalStats] = {}
+        for tid in init["terminals"] if init else ():
+            self.stats[tid] = self._new(tid)
+
+    def _new(self, terminal: str) -> _TerminalStats:
+        return _TerminalStats(terminal, self.horizon, self.tick, self.th_inf)
+
+    def _of(self, terminal: str) -> _TerminalStats:
+        """The terminal's stats; empty ones if it has no records."""
+        return self.stats.get(terminal) or self._new(terminal)
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
         st = self.stats.get(terminal)
-        if st is not None:
-            st.feed(t, kind, payload)
-        elif terminal is None and kind == INIT and self.init is None:
-            self._start(payload)
+        if st is None:
+            if terminal is None:
+                if kind == INIT and self.init is None:
+                    self._start(payload)
+                return
+            st = self.stats[terminal] = self._new(terminal)
+        st.feed(t, kind, payload)
 
     def feed_trace(self, trace: Trace) -> "MetricFolder":
         """Fold a finished trace, whose init record may sit anywhere in it."""
@@ -281,28 +309,39 @@ class MetricFolder:
             if rec.kind == INIT and rec.terminal is None:
                 self._start(rec.payload)
                 break
-        stats = self.stats
+        append = self.append
         for rec in trace.records:
-            if rec.terminal in stats:
-                stats[rec.terminal].feed(rec.t, rec.kind, rec.payload)
+            append(rec.t, rec.terminal, rec.kind, rec.payload)
         return self
 
-    def snapshot(self) -> MetricSnapshot:
+    def snapshot(self, terminal: Optional[str] = None) -> MetricSnapshot:
+        """The snapshot pooled over every terminal folded, with each one's
+        own in ``by_terminal``; or, given ``terminal``, that one's alone."""
         tolerance = self.tolerance
         if tolerance is None:
             tolerance = _default_tolerance(self.init)
         constants = self.init.get("metrics_constants", {}) if self.init else {}
-        return _snapshot(list(self.stats.values()), self.horizon, tolerance, constants)
+        if terminal is not None:
+            return _snapshot([self._of(terminal).facts(tolerance)], self.horizon, constants)
+        facts = [st.facts(tolerance) for st in self.stats.values()]
+        by_terminal = {f.terminal: _snapshot([f], self.horizon, constants) for f in facts}
+        return _snapshot(facts, self.horizon, constants, by_terminal)
 
 
 def classify_timeliness(
     record: dict, trace: Trace, tolerance_ms: Optional[int] = None
 ) -> str:
     """Grade one completed handoff as timely, tardy, or premature."""
-    folder = MetricFolder(_trace_horizon(trace), record["terminal"]).feed_trace(trace)
+    terminal = record["terminal"]
+    folder = MetricFolder(_trace_horizon(trace)).feed_trace(_records_of(trace, terminal))
     if tolerance_ms is None:
         tolerance_ms = _default_tolerance(folder.init)
-    return _timeliness(record, folder.stats[record["terminal"]], tolerance_ms)
+    return _timeliness(record, folder._of(terminal), tolerance_ms)
+
+
+def _records_of(trace: Trace, terminal: str) -> Trace:
+    """The run-level records and one terminal's: all that its fold reads."""
+    return Trace([r for r in trace.records if r.terminal is None or r.terminal == terminal])
 
 
 def _timeliness(record: dict, st: _TerminalStats, tolerance_ms: int) -> str:
@@ -338,36 +377,38 @@ def compute_metrics(
     terminal: Optional[str] = None,
     tardy_tolerance_ms: Optional[int] = None,
 ) -> MetricSnapshot:
-    """Compute the snapshot for one terminal, or pooled over all of them."""
+    """Compute the snapshot for one terminal, or pooled over all of them
+    with each terminal's in ``by_terminal``, in one walk over the trace."""
     if horizon_ms is None:
         horizon_ms = _trace_horizon(trace)
-    folder = MetricFolder(horizon_ms, terminal, tardy_tolerance_ms)
-    return folder.feed_trace(trace).snapshot()
+    if terminal is not None:
+        trace = _records_of(trace, terminal)
+    folder = MetricFolder(horizon_ms, tardy_tolerance_ms)
+    return folder.feed_trace(trace).snapshot(terminal)
 
 
 def _snapshot(
-    stats: list[_TerminalStats], horizon_ms: int, tardy_tolerance_ms: int, constants: dict
+    facts: list[_Facts], horizon_ms: int, constants: dict, by_terminal: Optional[dict] = None
 ) -> MetricSnapshot:
-    records: list[tuple[dict, _TerminalStats]] = []
+    records: list[tuple[dict, str]] = []  # (handoff record, timeliness grade)
     counts = _TerminalStats.COUNTS.copy()
     on_head = 0
     attached = 0
     runs: list[tuple[int, float]] = []
-    for st in stats:
-        records.extend((r, st) for r in st.records)
+    for f in facts:
+        records.extend(f.graded)
         for key in counts:
-            counts[key] += st.counts[key]
-        oh, at = st.dwell_times()
-        on_head += oh
-        attached += at
-        runs.extend(st.degradation_runs())
+            counts[key] += f.counts[key]
+        on_head += f.on_head
+        attached += f.attached
+        runs.extend(f.runs)
     records.sort(key=lambda pair: (pair[0]["t_eval_done"], pair[0]["terminal"]))
 
     completed = len(records)
     accepted = sum(1 for r, _ in records if r["accepted"])
     imperative = sum(1 for r, _ in records if r["reason"] == "imperative")
     opportunist = completed - imperative
-    grades = [_timeliness(r, st, tardy_tolerance_ms) for r, st in records]
+    grades = [grade for _, grade in records]
     tardy = grades.count("tardy")
     premature = grades.count("premature")
     timely = grades.count("timely")
@@ -415,6 +456,7 @@ def _snapshot(
         dl=_mean([float(length) for length, _ in runs]),
         di=_mean([deficit for _, deficit in runs]),
         counts=counts,
+        by_terminal=by_terminal or {},
         **{attr: constants.get(mid) for mid, attr in PASS_THROUGH.items()},
     )
 

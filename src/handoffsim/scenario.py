@@ -412,7 +412,8 @@ def _parse_policy(doc, problems) -> PolicyTable:
     return PolicyTable(entries=entries, defaults={} if strict else dict(DEFAULT_LAYER_METHODS))
 
 
-def _parse_synthesis(doc, problems, seed: int) -> ContextSynthesisSpec:
+def _parse_synthesis(doc, catalog, problems, seed: int) -> ContextSynthesisSpec:
+    criteria = {c.id for c in catalog}
     sdoc = _object(doc.get("synthesis", {}), "synthesis", _SYNTHESIS_KEYS, problems) or {}
     mode = sdoc.get("mode", "geometric")
     if mode not in ("geometric", "stochastic"):
@@ -457,6 +458,13 @@ def _parse_synthesis(doc, problems, seed: int) -> ContextSynthesisSpec:
             waypoints=waypoints,
             start=_numbers(ndoc, "start", npath, problems),
         )
+        # An id the catalog lacks would still be synthesized, and in the
+        # stochastic mode draw from the shared generator on every tick.  A
+        # start id must have a base, so checking the base checks it too.
+        for key in ("base", "ramps", "waypoints"):
+            for cid in getattr(signals, key):
+                if cid not in criteria:
+                    problems.append(f"{npath}.{key}.{cid}: unknown criterion")
         for cid in signals.start:
             if cid not in signals.base:
                 problems.append(f"{npath}.start.{cid}: has no base")
@@ -496,7 +504,7 @@ def from_dict(doc: Mapping) -> Scenario:
     catalog = _parse_catalog(doc, problems)
     weights = _parse_weights(doc, catalog, problems)
     controller = _parse_controller(doc, problems)
-    synthesis = _parse_synthesis(doc, problems, seed)
+    synthesis = _parse_synthesis(doc, catalog, problems, seed)
 
     # Every synthesized network must be a station, and every weighted
     # criterion other than RSS must be synthesized for every station,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -22,6 +23,25 @@ TRANSITION = "transition"
 HANDOFF = "handoff"
 
 
+# Encodes a value as the canonical ``json.dumps(value, sort_keys=True,
+# separators=(",", ":"))`` does; for a str that is ``encode_basestring_ascii``.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _line(t, terminal, kind: str, payload) -> str:
+    """One record's canonical line, without its newline: the envelope's four
+    keys are written in sorted order and each value encoded on its own, the
+    usual int time, str kind and str-or-None terminal without the encoder."""
+    return '{"kind":%s,"payload":%s,"t":%s,"terminal":%s}' % (
+        encode_basestring_ascii(kind) if type(kind) is str else _encode(kind),
+        _encode(payload),
+        t if type(t) is int else _encode(t),
+        "null" if terminal is None else (
+            encode_basestring_ascii(terminal) if type(terminal) is str else _encode(terminal)
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     t: int
@@ -30,11 +50,7 @@ class TraceRecord:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"t": self.t, "terminal": self.terminal, "kind": self.kind, "payload": self.payload},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return _line(self.t, self.terminal, self.kind, self.payload)
 
 
 @dataclass
@@ -51,11 +67,18 @@ class Trace:
             if r.kind == kind and (terminal is None or r.terminal == terminal)
         ]
 
+    def _lines(self):
+        for r in self.records:
+            yield _line(r.t, r.terminal, r.kind, r.payload) + "\n"
+
     def to_ndjson(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        return "".join(self._lines())
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_ndjson())
+        """Stream the lines of ``to_ndjson`` to ``path``, never holding the
+        whole text."""
+        with open(path, "w") as fh:
+            fh.writelines(self._lines())
 
 
 def parse_ndjson(lines: Iterable[str]) -> Trace:

@@ -244,7 +244,10 @@ class TestMalformedScenarioExitsInvalid:
          "synthesis.networks.bs_a.base.Q"),
         (lambda d: _station(d).update(position=["a", "b"]),
          "topology.providers[0].nets[0].stations[0].position"),
-    ], ids=["terminal", "radius", "weights", "dwell_sp", "policy", "base", "position"])
+        (lambda d: d["synthesis"]["networks"]["bs_b"]["ramps"].update(Zed=1.0),
+         "synthesis.networks.bs_b.ramps.Zed"),
+    ], ids=["terminal", "radius", "weights", "dwell_sp", "policy", "base", "position",
+            "criterion"])
     def test_run_exits_invalid_naming_the_field(self, edit, field, tmp_path, capsys):
         doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
         edit(doc)

@@ -4,7 +4,8 @@
 and keeps no trace; ``compute_metrics`` feeds the same fold from a trace.
 Both must give equal snapshots on the golden inputs, which include the
 bundled scenarios, pooled and per terminal, run alone and through a
-shared context.
+shared context; and a pooled snapshot's ``by_terminal`` holds exactly the
+snapshot each terminal gets when asked for alone.
 """
 
 import copy
@@ -26,12 +27,16 @@ def inputs():
 def test_online_fold_equals_the_trace_fold(inputs, name):
     sc = from_dict(copy.deepcopy(inputs[name]))
     trace = engine.run(sc)
-    pooled = engine.run(sc, sink=MetricFolder(sc.duration_ms)).snapshot()
+    online = engine.run(sc, sink=MetricFolder(sc.duration_ms))
+    pooled = online.snapshot()
     assert pooled == compute_metrics(trace, sc.duration_ms)
     assert pooled.counts["connects"] > 0
+    assert list(pooled.by_terminal) == sorted(term.id for term in sc.terminals)
     for term in sc.terminals:
-        folder = engine.run(sc, sink=MetricFolder(sc.duration_ms, term.id))
-        assert folder.snapshot() == compute_metrics(trace, sc.duration_ms, term.id), term.id
+        alone = compute_metrics(trace, sc.duration_ms, term.id)
+        assert pooled.by_terminal[term.id] == alone, term.id
+        assert online.snapshot(term.id) == alone, term.id
+        assert alone.by_terminal == {}
 
 
 @pytest.mark.parametrize("name", ["crossing", "noisy"])
@@ -46,13 +51,15 @@ def test_online_fold_through_a_shared_context(inputs, name):
 
 
 def test_records_without_an_init_record_fold_with_defaults():
-    folder = MetricFolder(1000, "mt1")
+    folder = MetricFolder(1000)
     folder.append(0, "mt1", "anl", {"entries": [["n1", 5.0]]})
     folder.append(0, "mt1", "transition", {
         "event": "anl_updated", "from": "disconnection", "to": "initiation",
         "attached": "n1", "actions": [{"connect": "n1"}],
     })
-    folder.append(0, "mt2", "anl", {"entries": []})  # not the folded terminal
-    snap = folder.snapshot()
+    folder.append(0, "mt2", "anl", {"entries": []})  # another terminal's record
+    snap = folder.snapshot("mt1")
     assert snap.counts["connects"] == 1 and snap.counts["d2i"] == 1
     assert snap.dtib == 1.0
+    assert folder.snapshot().by_terminal == {"mt1": snap, "mt2": folder.snapshot("mt2")}
+    assert folder.snapshot("mt2").counts["connects"] == 0

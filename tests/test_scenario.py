@@ -383,6 +383,26 @@ class TestMisreadsAreRejected:
         doc["synthesis"]["networks"]["bs_b"]["start"]["R"] = 5.0
         assert _problems(doc) == ["synthesis.networks.bs_b.start.R: has no base"]
 
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("noisy.json", "base", 1.0),
+        ("crossing.json", "base", 1.0),
+        ("crossing.json", "ramps", 1.0),
+        ("crossing.json", "waypoints", [[0, 1.0], [1000, 2.0]]),
+    ], ids=["stochastic_base", "base", "ramps", "waypoints"])
+    def test_signal_criteria_must_be_in_the_catalog(self, scenario, key, value):
+        # Such an id was synthesized and never scored: in the stochastic
+        # mode it took a draw from the shared AR(1) generator every tick
+        # and so shifted every later draw.
+        doc = json.loads((SCENARIO_DIR / scenario).read_text())
+        doc["synthesis"]["networks"]["bs_a"].setdefault(key, {})["Zed"] = value
+        assert _problems(doc) == [f"synthesis.networks.bs_a.{key}.Zed: unknown criterion"]
+
+    def test_a_start_id_outside_the_catalog_has_no_base(self):
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        signals = doc["synthesis"]["networks"]["bs_a"]
+        signals["base"]["Zed"] = signals["start"]["Zed"] = 1.0
+        assert _problems(doc) == ["synthesis.networks.bs_a.base.Zed: unknown criterion"]
+
     def test_misspelt_top_level_key(self):
         doc = _doc()
         doc["controler"] = doc.pop("controller")

@@ -113,10 +113,9 @@ def test_every_mutation_is_rejected_with_paths_or_runs(name):
             failures.append(f"{what}: {why}")
         else:
             counts[verdict] += 1
-        # Base values and ramps are keyed by any criterion id; every other
-        # object has a fixed set of keys.
-        if (verdict == "ran" and what.startswith(f"add {UNKNOWN_KEY}")
-                and not what.endswith(("'base']", "'ramps']"))):
+        # Every object has a fixed set of keys: base values, ramps,
+        # waypoints and start values are keyed by the catalog's criteria.
+        if verdict == "ran" and what.startswith(f"add {UNKNOWN_KEY}"):
             failures.append(f"{what}: the unknown key was accepted")
     print(f"{name}: {total} mutations, {counts}, {len(failures)} failures")
     assert total > 500
