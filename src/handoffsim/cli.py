@@ -4,7 +4,15 @@ Subcommands: validate a scenario file, enumerate the handoff type
 taxonomy, run one simulation, or sweep a parameter grid over repeated
 runs.  Data goes to stdout (or files under --out); diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage error, 2 scenario validation
-failure, 3 runtime failure.
+failure, 3 runtime failure (an unreadable input, an unwritable output,
+an engine error).
+
+A sweep parses the scenario once and each grid point only in its
+controller part.  Worker processes split the sorted terminals, not the
+points: each parses the scenario once and runs every point over its own
+terminals through one shared context, and the points' per-terminal fold
+results are pooled here in terminal order.  With fewer terminals than
+workers the points are split as well.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,10 +32,11 @@ from .metrics import (
     MetricFolder,
     compute_metrics,
     metric_cells,
+    pool,
     snapshots_to_csv,
     snapshots_to_json,
 )
-from .scenario import from_dict, load_scenario
+from .scenario import Scenario, from_dict, load_scenario, parse_controller
 from .taxonomy import enumerate_types
 
 EXIT_OK = 0
@@ -73,7 +83,11 @@ def _build_parser() -> _Parser:
         "--grid", required=True,
         help="semicolon-separated axes, e.g. 'delta=0,0.5;sp=0,200'",
     )
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel runs")
+    p_sweep.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes; each runs every grid point over its share of the "
+        "terminals (and of the points, when there are fewer terminals than workers)",
+    )
     p_sweep.add_argument("--out", help="write the sweep CSV here instead of stdout")
     return parser
 
@@ -109,10 +123,19 @@ def _taxonomy_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_failed(exc: OSError, path) -> int:
+    """Report an output file or directory that could not be written."""
+    print(f"{exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def _cmd_taxonomy(args) -> int:
     text = _taxonomy_csv()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _write_failed(exc, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -150,19 +173,22 @@ def _cmd_run(args) -> int:
         return EXIT_RUNTIME
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
-    if not args.no_trace:
-        trace_path = out_dir / f"{stem}.trace.ndjson"
-        trace.write(trace_path)
-        print(f"wrote {trace_path}", file=sys.stderr)
-    if args.metrics == "csv":
-        text = snapshots_to_csv(rows)
-        metrics_path = out_dir / f"{stem}.metrics.csv"
-    else:
-        text = snapshots_to_json(rows)
-        metrics_path = out_dir / f"{stem}.metrics.json"
-    metrics_path.write_text(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if not args.no_trace:
+            trace_path = out_dir / f"{stem}.trace.ndjson"
+            trace.write(trace_path)
+            print(f"wrote {trace_path}", file=sys.stderr)
+        if args.metrics == "csv":
+            text = snapshots_to_csv(rows)
+            metrics_path = out_dir / f"{stem}.metrics.csv"
+        else:
+            text = snapshots_to_json(rows)
+            metrics_path = out_dir / f"{stem}.metrics.json"
+        metrics_path.write_text(text)
+    except OSError as exc:
+        return _write_failed(exc, out_dir)
     print(f"wrote {metrics_path}", file=sys.stderr)
     sys.stdout.write(text)
     return EXIT_OK
@@ -220,50 +246,105 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
     return axes
 
 
-def _sweep_point(
-    doc_json: str, overrides: dict, shared: Optional[engine.SharedContext] = None
-) -> dict:
-    """Run one grid point; returns its metric cells or an error message.
+def _sweep_point(scenario: Scenario, shared: Optional[engine.SharedContext]) -> tuple:
+    """Run one grid point over the scenario's terminals, folding its records
+    as they are made, with no trace.
 
-    The point keeps no trace: its records are folded as they are made."""
+    Returns ``(facts, None)``, each terminal's fold results in sorted
+    terminal order; or, when the run fails, ``(None, (t, terminal,
+    message))`` for the event it failed at."""
     try:
-        doc = json.loads(doc_json)
-        controller = dict(doc.get("controller", {}))
-        for axis, value in overrides.items():
-            controller[_GRID_AXES[axis][0]] = value
-        doc["controller"] = controller
-        scenario = from_dict(doc)
-        snap = engine.run(scenario, shared, MetricFolder(scenario.duration_ms)).snapshot()
-    except ScenarioError as exc:
-        return {"error": "; ".join(exc.problems)}
+        folder = engine.run(scenario, shared, MetricFolder(scenario.duration_ms))
     except HandoffSimError as exc:
-        return {"error": str(exc)}
-    return {"cells": _sweep_cells(snap), "error": None}
+        return None, (*exc.at, str(exc))
+    return folder.facts(), None
 
 
-def _sweep_batch(doc_json: str, points: list[dict]) -> list[dict]:
-    """Run consecutive grid points in grid order, in one process.
+def _sweep_batch(base: Scenario, terminals: list[str], controllers: list) -> list[tuple]:
+    """Run grid points, given as controller configurations, in grid order
+    over the base scenario's ``terminals``, in one process.
 
-    Grid axes set only controller fields, so the points of a batch share
-    one context: each terminal-tick's coverage, scores and ranked list are
-    computed by the first point and read by the rest.  The memo is freed
-    when the batch ends.  Module-level so ProcessPoolExecutor can pickle it.
-    """
-    shared = engine.SharedContext() if len(points) > 1 else None
-    return [_sweep_point(doc_json, point, shared) for point in points]
+    Grid axes set only controller fields, so the points share one context:
+    each terminal-tick's coverage, scores and ranked list are computed by
+    the first point and read by the rest.  The memo is freed when the batch
+    ends."""
+    ids = set(terminals)
+    group = tuple(term for term in base.terminals if term.id in ids)
+    shared = engine.SharedContext() if len(controllers) > 1 else None
+    return [
+        _sweep_point(replace(base, terminals=group, controller=controller), shared)
+        for controller in controllers
+    ]
 
 
-def _batches(points: list[dict], workers: int) -> list[list[dict]]:
-    """Split the points into min(workers, points) contiguous batches whose
+def _sweep_task(doc_json: str, terminals: list[str], controllers: list) -> list[tuple]:
+    """``_sweep_batch`` in a worker process, which parses the base document
+    once.  Module-level so ProcessPoolExecutor can pickle it."""
+    return _sweep_batch(from_dict(json.loads(doc_json)), terminals, controllers)
+
+
+def _batches(items: list, workers: int) -> list[list]:
+    """Split the items into min(workers, items) contiguous batches whose
     sizes differ by at most one."""
-    count = max(1, min(workers, len(points)))
-    size, extra = divmod(len(points), count)
+    count = max(1, min(workers, len(items)))
+    size, extra = divmod(len(items), count)
     batches, start = [], 0
     for i in range(count):
         end = start + size + (i < extra)
-        batches.append(points[start:end])
+        batches.append(items[start:end])
         start = end
     return batches
+
+
+def _point_controllers(scenario: Scenario, points: list[dict]) -> list:
+    """Each grid point's controller configuration, or its validation message.
+
+    Only the controller part of the document is parsed again: the rest is
+    the base scenario's, already valid, and no axis reaches it."""
+    out = []
+    for point in points:
+        controller = dict(scenario.raw.get("controller", {}))
+        for axis, value in point.items():
+            controller[_GRID_AXES[axis][0]] = value
+        try:
+            out.append(parse_controller({**scenario.raw, "controller": controller}))
+        except ScenarioError as exc:
+            out.append("; ".join(exc.problems))
+    return out
+
+
+def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
+    """Each point's pooled snapshot, or its first failure's message.
+
+    The sorted terminals are split into ``min(workers, terminals)``
+    contiguous groups, and the points into ``workers // groups`` batches
+    (one, unless there are fewer terminals than workers).  Each (group,
+    batch) pair runs in its own process, or in this one when there is one
+    pair.  A point's groups pool in terminal order to the run's snapshot; a
+    point that fails takes the first failure in event order, as a run of
+    all its terminals would stop there."""
+    terminals = sorted(term.id for term in scenario.terminals)
+    groups = _batches(terminals, workers)
+    batches = _batches(controllers, workers // len(groups))
+    tasks = [(group, batch) for group in groups for batch in batches]
+    if len(tasks) > 1:
+        doc_json = json.dumps(scenario.raw)
+        with ProcessPoolExecutor(max_workers=len(tasks)) as executor:
+            done = list(executor.map(_sweep_task, [doc_json] * len(tasks), *zip(*tasks)))
+    else:
+        done = [_sweep_batch(scenario, terminals, controllers)]
+    # Each group's batches, joined, hold its result for every point.
+    step = len(batches)
+    by_group = [[r for out in done[i:i + step] for r in out] for i in range(0, len(done), step)]
+    outcomes = []
+    for results in zip(*by_group):  # one point's, in group order
+        failures = [failure for _, failure in results if failure is not None]
+        if failures:
+            outcomes.append(min(failures)[2])
+        else:
+            facts = [f for group_facts, _ in results for f in group_facts]
+            outcomes.append(pool(facts, scenario.duration_ms, scenario.metrics_constants))
+    return outcomes
 
 
 def _cmd_sweep(args) -> int:
@@ -282,33 +363,32 @@ def _cmd_sweep(args) -> int:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    doc_json = json.dumps(scenario.raw)
     names = [name for name, _ in axes]
     points = [dict(zip(names, combo)) for combo in product(*(vs for _, vs in axes))]
-
-    batches = _batches(points, args.workers)
-    if len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            done = list(pool.map(_sweep_batch, [doc_json] * len(batches), batches))
-    else:
-        done = [_sweep_batch(doc_json, points)]
-    results = [result for batch in done for result in batch]
+    results = _point_controllers(scenario, points)
+    valid = [r for r in results if not isinstance(r, str)]
+    if valid:
+        ran = iter(_run_points(scenario, valid, args.workers))
+        results = [r if isinstance(r, str) else next(ran) for r in results]
 
     header = names + SWEEP_METRIC_COLUMNS + ["error"]
     lines = [",".join(header)]
     failures = 0
     for point, result in zip(points, results):
         cells = [str(point[name]) for name in names]
-        if result.get("error"):
+        if isinstance(result, str):
             failures += 1
             cells += ["" for _ in SWEEP_METRIC_COLUMNS]
-            cells.append(result["error"].replace(",", ";"))
+            cells.append(result.replace(",", ";"))
         else:
-            cells += result["cells"] + [""]
+            cells += _sweep_cells(result) + [""]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _write_failed(exc, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -38,25 +38,34 @@ and keeps none, as the points of a ``sweep`` do.
 Nothing in a terminal-tick's context reads the controller: the link-loss
 check, the record and the controller step come after it.  A
 ``SharedContext`` keeps that context for several runs of one scenario that
-differ only in ``controller``, as the points of a ``sweep`` batch do.  The
+differ only in ``controller``, as the points of a ``sweep`` worker do.  The
 first run to reach a (terminal, t) computes it and later runs read it.
 Their traces equal those of runs made alone, because every run asks for
 the same terminal-ticks in the same order, whatever its controller, and
 the context of each is a function of that order and of the scenario
 outside ``controller``, to which the shared context is bound.  A plain
 ``run`` stores no context.
+
+Nor does a terminal's context or controller read another terminal: each
+tick advances synthesis for every station whichever terminals ask, so a
+run over some of a scenario's terminals gives each of them the records it
+gets in a run over all of them.  A sweep worker relies on this to run only
+its own terminals.  A HandoffSimError raised while an event is processed
+carries the event's ``(t, terminal)``, so the first failure of a run over
+all terminals is the earliest of those of runs over parts of them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
 from .context import CriteriaVector, catalog_index
 from .desirability import AvailableNetworkList, DesirabilityScore, desirability, rank
+from .errors import HandoffSimError
 from .scenario import Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import Attachment
@@ -194,30 +203,45 @@ class _Context:
         return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
 
 
+def _key(scenario: Scenario) -> str:
+    # Everything the context may depend on; repr, unlike ==, equates NaNs.
+    return repr(replace(scenario, controller=None, raw=None))
+
+
+# The fields _key reads.
+_KEYED = tuple(f.name for f in fields(Scenario) if f.name not in ("controller", "raw"))
+
+
 class SharedContext:
     """The context of a scenario's terminal-ticks, kept for several runs of
     that scenario that differ only in ``controller``.
 
     The first run binds it to the scenario's content outside ``controller``;
-    a run of a scenario that differs there raises ValueError.  The first run
-    to reach a (terminal, t) computes its context and stores it, later runs
-    read it.  Every run asks for the same (terminal, t) in the same order,
-    whatever its controller, and an entry is stored only once complete, so
-    a run that fails part way leaves a memo the next run can continue.
+    a run of a scenario that differs there raises ValueError.  A scenario
+    whose fields outside ``controller`` are the very objects of the bound
+    one is accepted at once; any other is compared by content.  The first
+    run to reach a (terminal, t) computes its context and stores it, later
+    runs read it.  Every run asks for the same (terminal, t) in the same
+    order, whatever its controller, and an entry is stored only once
+    complete, so a run that fails part way leaves a memo the next run can
+    continue.
     """
 
     def __init__(self) -> None:
-        self.key: Optional[str] = None
+        self.key: Optional[str] = None  # the bound scenario's, once needed
         self.context: Optional[_Context] = None
         self.ticks: dict[tuple[str, int], _Tick] = {}
 
     def bind(self, scenario: Scenario) -> Callable[[str, int], _Tick]:
-        # Everything the context may depend on; repr, unlike ==, equates NaNs.
-        key = repr(replace(scenario, controller=None, raw=None))
         if self.context is None:
-            self.key, self.context = key, _Context(scenario)
-        elif key != self.key:
-            raise ValueError("shared context: the scenario differs outside its controller")
+            self.context = _Context(scenario)
+            return self.at
+        bound = self.context.sc
+        if any(getattr(scenario, name) is not getattr(bound, name) for name in _KEYED):
+            if self.key is None:
+                self.key = _key(bound)
+            if _key(scenario) != self.key:
+                raise ValueError("shared context: the scenario differs outside its controller")
         return self.at
 
     def at(self, terminal: str, now: int) -> _Tick:
@@ -317,12 +341,16 @@ class _Run:
             self.record(0, tid, INIT, {"phase": ctl.Phase.DISCONNECTION.value})
         for tid in sorted(self.states):
             self.push(0, tid, _RANK_CONTEXT, "context")
-        while self.heap:
-            at, terminal, rank_, _, kind = heapq.heappop(self.heap)
-            if kind == "context":
-                self.context_tick(terminal, at)
-            else:
-                self.timer(terminal, kind, at)
+        try:
+            while self.heap:
+                at, terminal, rank_, _, kind = heapq.heappop(self.heap)
+                if kind == "context":
+                    self.context_tick(terminal, at)
+                else:
+                    self.timer(terminal, kind, at)
+        except HandoffSimError as exc:
+            exc.at = (at, terminal)
+            raise
         return self.sink
 
 
@@ -333,6 +361,7 @@ def run(scenario: Scenario, shared: Optional[SharedContext] = None, sink=None):
 
     With ``shared``, the controller-independent context of each
     terminal-tick is read from it, or computed and stored there; without
-    it, the run stores none.
+    it, the run stores none.  A HandoffSimError raised by an event carries
+    that event's ``(t, terminal)`` in its ``at`` attribute.
     """
     return _Run(scenario, shared, Trace() if sink is None else sink).execute()

@@ -6,7 +6,9 @@ the engine's record sink and fold a run that keeps no trace;
 ``compute_metrics`` feeds one from a finished trace.  One fold gives the
 pooled snapshot and, in its ``by_terminal``, each terminal's own: a
 terminal's dwell times, degradation runs and timeliness grades are worked
-out once and read by both.
+out once and read by both.  ``MetricFolder.facts`` hands out those
+per-terminal results, and ``pool`` turns the results of several folders,
+each over some of a run's terminals, into the run's pooled snapshot.
 
 Counts are tallied first and rates derived from them, so the imperative
 and opportunist rates always sum to the total handoff rate exactly.
@@ -27,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .context import METRICS, PASS_THROUGH
 from .controller import HandoffRecord  # re-exported record type
@@ -42,6 +44,7 @@ __all__ = [
     "compute_metrics",
     "classify_timeliness",
     "metric_cells",
+    "pool",
     "snapshots_to_csv",
     "snapshots_to_json",
     "CSV_COLUMNS",
@@ -314,18 +317,27 @@ class MetricFolder:
             append(rec.t, rec.terminal, rec.kind, rec.payload)
         return self
 
+    def _tolerance(self) -> int:
+        if self.tolerance is None:
+            return _default_tolerance(self.init)
+        return self.tolerance
+
+    def facts(self) -> list[_Facts]:
+        """Each folded terminal's results, in fold order: all that ``pool``
+        reads.  The results of several folders, each over some of a run's
+        terminals, pool to the snapshot of one folder over all of them."""
+        tolerance = self._tolerance()
+        return [st.facts(tolerance) for st in self.stats.values()]
+
     def snapshot(self, terminal: Optional[str] = None) -> MetricSnapshot:
         """The snapshot pooled over every terminal folded, with each one's
         own in ``by_terminal``; or, given ``terminal``, that one's alone."""
-        tolerance = self.tolerance
-        if tolerance is None:
-            tolerance = _default_tolerance(self.init)
         constants = self.init.get("metrics_constants", {}) if self.init else {}
         if terminal is not None:
-            return _snapshot([self._of(terminal).facts(tolerance)], self.horizon, constants)
-        facts = [st.facts(tolerance) for st in self.stats.values()]
-        by_terminal = {f.terminal: _snapshot([f], self.horizon, constants) for f in facts}
-        return _snapshot(facts, self.horizon, constants, by_terminal)
+            return pool([self._of(terminal).facts(self._tolerance())], self.horizon, constants)
+        facts = self.facts()
+        by_terminal = {f.terminal: pool([f], self.horizon, constants) for f in facts}
+        return pool(facts, self.horizon, constants, by_terminal)
 
 
 def classify_timeliness(
@@ -387,9 +399,14 @@ def compute_metrics(
     return folder.feed_trace(trace).snapshot(terminal)
 
 
-def _snapshot(
-    facts: list[_Facts], horizon_ms: int, constants: dict, by_terminal: Optional[dict] = None
+def pool(
+    facts: Sequence[_Facts], horizon_ms: int, constants: Mapping[str, float],
+    by_terminal: Optional[dict] = None,
 ) -> MetricSnapshot:
+    """The snapshot pooled over terminals' fold results (``MetricFolder.facts``)
+    for a run of ``horizon_ms`` with pass-through ``constants`` (metric id ->
+    value).  Given in the order one folder over all of them folds, the
+    terminals pool to that folder's snapshot, float for float."""
     records: list[tuple[dict, str]] = []  # (handoff record, timeliness grade)
     counts = _TerminalStats.COUNTS.copy()
     on_head = 0

@@ -534,6 +534,19 @@ def from_dict(doc: Mapping) -> Scenario:
     )
 
 
+def parse_controller(doc: Mapping) -> ControllerConfig:
+    """The controller configuration that ``from_dict`` builds from a
+    document's ``controller``, ``success_regions`` and ``policy``, reading
+    no other key.  For a document valid in every other part it raises
+    ScenarioError with the problems ``from_dict`` reports, in the same
+    order, so a sweep checks a grid point without parsing it whole."""
+    problems: list[str] = []
+    controller = _parse_controller(doc, problems)
+    if problems:
+        raise ScenarioError(problems)
+    return controller
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read, parse, and validate a scenario file."""
     text = Path(path).read_text()

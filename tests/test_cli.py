@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, artifacts, and stream separation."""
 
+import copy
 import json
+import random
 import subprocess
 import sys
 from itertools import product
@@ -10,8 +12,11 @@ import pytest
 
 from handoffsim import cli, engine
 from handoffsim.cli import main, parse_grid
+from handoffsim.errors import PolicyGapError
 from handoffsim.metrics import CSV_COLUMNS, metric_cells
+from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.trace import INIT, read_trace
+from test_golden import _inputs
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CROSSING = str(SCENARIO_DIR / "crossing.json")
@@ -95,6 +100,25 @@ class TestTaxonomy:
         assert str(target) in captured.err
         assert len(target.read_text().strip().split("\n")) == 16
 
+    def test_unwritable_out_is_a_runtime_failure(self, tmp_path, capsys):
+        target = _regular_file(tmp_path) / "types.csv"
+        assert main(["enumerate-taxonomy", "--out", str(target)]) == 3
+        _assert_reported_without_traceback(capsys, target)
+
+
+def _regular_file(tmp_path):
+    """A plain file, which no output path can pass through."""
+    path = tmp_path / "plain"
+    path.write_text("")
+    return path
+
+
+def _assert_reported_without_traceback(capsys, path):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: " in captured.err
+    assert "Traceback" not in captured.err
+
 
 class TestRun:
     def test_writes_trace_and_metrics(self, quick_scenario, tmp_path, capsys):
@@ -145,6 +169,14 @@ class TestRun:
     def test_invalid_scenario(self, broken_scenario, tmp_path, capsys):
         assert main(["run", str(broken_scenario), "--out", str(tmp_path)]) == 2
         assert "tick_ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("no_trace", [False, True])
+    def test_unwritable_out_is_a_runtime_failure(self, quick_scenario, tmp_path, capsys,
+                                                 no_trace):
+        out = _regular_file(tmp_path) / "sub"
+        argv = ["run", str(quick_scenario), "--out", str(out)]
+        assert main(argv + ["--no-trace"] * no_trace) == 3
+        _assert_reported_without_traceback(capsys, out)
 
 
 class TestBadPathLoss:
@@ -301,6 +333,12 @@ class TestSweep:
         assert captured.out == ""
         assert target.read_text().startswith("delta,")
 
+    def test_unwritable_out_is_a_runtime_failure(self, quick_scenario, tmp_path, capsys):
+        target = _regular_file(tmp_path) / "x.csv"
+        assert main(["sweep", str(quick_scenario), "--grid", "delta=0",
+                     "--out", str(target)]) == 3
+        _assert_reported_without_traceback(capsys, target)
+
     def test_parallel_workers_match_serial(self, quick_scenario, capsys):
         assert main(["sweep", str(quick_scenario),
                      "--grid", "delta=0,0.5;sp=0,200"]) == 0
@@ -363,10 +401,15 @@ class TestSweepBatches:
         assert cli._batches(points, 0) == [points]
 
     def test_a_batch_computes_each_terminal_tick_once(self, monkeypatch):
-        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
-        ticks = len(doc["terminals"]) * doc["duration_ms"] // doc["tick_ms"]
+        sc = load_scenario(SCENARIO_DIR / "noisy.json")
+        ticks = len(sc.terminals) * sc.duration_ms // sc.tick_ms
         points = [{"delta": 0.0}, {"delta": 0.3, "strategy": "reactive"}, {"th_inf": 4.0},
                   {"sp": 0}]
+        checked = cli._point_controllers(sc, points)
+        assert [type(c) is str for c in checked] == [False, False, True, False]
+        assert "th_inf" in checked[2]
+        controllers = [c for c in checked if type(c) is not str]
+        terminals = [term.id for term in sc.terminals]
         calls = []
         real = engine.coverage
 
@@ -375,13 +418,154 @@ class TestSweepBatches:
             return real(pos, topo)
 
         monkeypatch.setattr(engine, "coverage", counting)
-        batched = cli._sweep_batch(json.dumps(doc), points)
+        batched = cli._sweep_batch(sc, terminals, controllers)
         assert len(calls) == ticks
-        assert [r["error"] is None for r in batched] == [True, True, False, True]
+        assert [failure for _, failure in batched] == [None, None, None]
         calls.clear()
-        alone = [cli._sweep_point(json.dumps(doc), point) for point in points]
+        alone = [cli._sweep_batch(sc, terminals, [c]) for c in controllers]
         assert len(calls) == 3 * ticks
-        assert batched == alone
+        assert batched == [result for (result,) in alone]
+
+
+def _small_overlay() -> dict:
+    """A scenario shaped like the benchmark workloads, at a small size: a
+    tiered overlay with seeded AR(1) signals and straight-line terminals."""
+    rng = random.Random("small-overlay")
+    nets = [[] for _ in range(4)]
+    networks = {}
+    for tier, count in {"macro": 2, "micro": 4, "pico": 6}.items():
+        for i in range(count):
+            sid = f"{tier}{i:03d}"
+            pos = [round(rng.uniform(0.0, 800.0), 3), round(rng.uniform(0.0, 800.0), 3)]
+            nets[i % 4].append({"id": sid, "position": pos, "technology": "lte",
+                                "tier": tier, "channels": [f"{sid}c"]})
+            networks[sid] = {"base": {"Q": round(rng.uniform(5e3, 5e4), 1)}}
+    terminals = []
+    for i in range(2):
+        start = [round(rng.uniform(100.0, 700.0), 3) for _ in range(2)]
+        end = [round(rng.uniform(0.0, 800.0), 3) for _ in range(2)]
+        terminals.append({"id": f"mt{i:03d}", "path": [[0, start], [4000, end]]})
+    return {
+        "seed": 3,
+        "duration_ms": 4000,
+        "tick_ms": 100,
+        "topology": {"providers": [
+            {"id": f"prov{p}", "nets": [{"id": f"net{p}{n}", "stations": nets[2 * p + n]}
+                                        for n in range(2)]}
+            for p in range(2)
+        ]},
+        "terminals": terminals,
+        "criteria": [{"id": "Q", "source": "network", "polarity": "beneficial"}],
+        "weights": {"k": 0.0, "weights": {"Q": 1.0}},
+        "controller": {"hysteresis_delta": 0.05, "th_sup": 3.0, "th_inf": 1.0, "dwell_sp": 200,
+                       "prep_latency": 100, "exec_latency": 100, "eval_latency": 100},
+        "synthesis": {"mode": "stochastic", "ar1_rho": 0.9, "noise_sigma": 8000.0,
+                      "networks": networks},
+    }
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs each task here, in order."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return [fn(*args) for args in zip(*iterables)]
+
+
+class TestSweepTerminalGroups:
+    """Workers split the sorted terminals and each runs every point over its
+    own; the pooled rows must equal those of points run alone."""
+
+    # Every input here has th_sup = 3, so th_inf = 3.5 makes a point invalid.
+    DENSE_GRID = "delta=0,0.3;th_inf=0.5,3.5"
+    SMALL_GRID = "delta=0.02,0.1;th_inf=1,3.5;sp=0,400"
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _inputs()
+
+    def _write(self, tmp_path, name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("name", ["dense_geometric", "dense_stochastic", "dense_rss", "small"])
+    def test_groups_match_points_run_alone(self, inputs, name, tmp_path, capsys):
+        doc = _small_overlay() if name == "small" else inputs[name]
+        grid = self.SMALL_GRID if name == "small" else self.DENSE_GRID
+        path = self._write(tmp_path, name, doc)
+        want = _points_run_alone(path, grid, capsys)
+        points = want.count("\n") - 1
+        assert want.count("must be strictly below") == points // 2
+        for workers in (1, 2, 3, 5):
+            out, err = _sweep(path, grid, workers, capsys)
+            assert out == want, workers
+            assert f"{points // 2} of {points} grid points failed" in err
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_each_worker_computes_its_terminal_ticks_once(
+        self, inputs, workers, tmp_path, monkeypatch, capsys
+    ):
+        doc = inputs["dense_stochastic"]
+        path = self._write(tmp_path, "dense", doc)
+        grid = "delta=0,0.3;sp=0,400"
+        want = _sweep(path, grid, 1, capsys)[0]
+        ticks = doc["duration_ms"] // doc["tick_ms"]
+        calls, tasks = [], []
+        real_coverage, real_task = engine.coverage, cli._sweep_task
+
+        def counting(pos, topo):
+            calls.append(pos)
+            return real_coverage(pos, topo)
+
+        def task(doc_json, terminals, controllers):
+            calls.clear()
+            results = real_task(doc_json, terminals, controllers)
+            tasks.append((list(terminals), len(controllers), len(calls)))
+            return results
+
+        monkeypatch.setattr(engine, "coverage", counting)
+        monkeypatch.setattr(cli, "_sweep_task", task)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+        assert _sweep(path, grid, workers, capsys)[0] == want
+        terminals = sorted(term["id"] for term in doc["terminals"])
+        if workers == 1:
+            assert tasks == [] and len(calls) == len(terminals) * ticks
+            return
+        assert [group for group, _, _ in tasks] == cli._batches(terminals, workers)
+        for group, points, coverage_calls in tasks:
+            assert points == 4
+            assert coverage_calls == len(group) * ticks
+
+    def test_a_failing_point_reports_the_first_failure_in_event_order(self, tmp_path, capsys):
+        # A strict policy with no entries fails the first handoff to trigger.
+        # mt2 (voice) triggers at 9100 ms; mt1 (video) stays out of bs_b's
+        # reach until 10100 ms, so the terminal with the larger id fails first.
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["policy"] = {"strict": True}
+        doc["terminals"] = [
+            {"id": "mt1", "app_type": "video",
+             "path": [[0, [-940.0, 0.0]], [10000, [-940.0, 0.0]], [10100, [0.0, 0.0]]]},
+            {"id": "mt2", "app_type": "voice", "path": [[0, [0.0, 0.0]]]},
+        ]
+        with pytest.raises(PolicyGapError) as failed:
+            engine.run(from_dict(copy.deepcopy(doc)))
+        assert failed.value.at == (9100, "mt2")
+        path = self._write(tmp_path, "strict", doc)
+        for workers in (1, 2, 3):
+            out, err = _sweep(path, "delta=0,0.1", workers, capsys)
+            errors = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+            assert errors == ["policy table has no entry for ('L3'; 'voice')",
+                              "policy table has no entry for ('L3'; 'video')"], workers
+            assert "2 of 2 grid points failed" in err
 
 
 class TestUsage:

@@ -5,15 +5,17 @@ and keeps no trace; ``compute_metrics`` feeds the same fold from a trace.
 Both must give equal snapshots on the golden inputs, which include the
 bundled scenarios, pooled and per terminal, run alone and through a
 shared context; and a pooled snapshot's ``by_terminal`` holds exactly the
-snapshot each terminal gets when asked for alone.
+snapshot each terminal gets when asked for alone.  Runs over groups of a
+scenario's terminals pool to the snapshot of the run over all of them.
 """
 
 import copy
+from dataclasses import replace
 
 import pytest
 
 from handoffsim import engine
-from handoffsim.metrics import MetricFolder, compute_metrics
+from handoffsim.metrics import MetricFolder, compute_metrics, pool
 from handoffsim.scenario import from_dict
 from test_golden import GOLDEN, VARIANTS, _inputs
 
@@ -48,6 +50,26 @@ def test_online_fold_through_a_shared_context(inputs, name):
         sc = from_dict(doc)
         folded = engine.run(sc, shared, MetricFolder(sc.duration_ms)).snapshot()
         assert folded == compute_metrics(engine.run(sc), sc.duration_ms), variant
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_terminal_groups_pool_to_the_whole_run(inputs, name):
+    sc = from_dict(copy.deepcopy(inputs[name]))
+    whole = engine.run(sc, sink=MetricFolder(sc.duration_ms)).snapshot()
+    terminals = tuple(sorted(sc.terminals, key=lambda term: term.id))
+
+    def facts(group):
+        return engine.run(replace(sc, terminals=group), sink=MetricFolder(sc.duration_ms)).facts()
+
+    def pooled(groups):
+        return pool([f for group in groups for f in facts(group)], sc.duration_ms,
+                    sc.metrics_constants)
+
+    cuts = [(terminals[:cut], terminals[cut:]) for cut in range(len(terminals) + 1)]
+    for groups in [*cuts, [(term,) for term in terminals]]:
+        snap = pooled(groups)
+        assert snap == whole, [len(group) for group in groups]
+        assert repr(snap) == repr(whole)  # floats keep their bits
 
 
 def test_records_without_an_init_record_fold_with_defaults():

@@ -39,3 +39,51 @@ def test_the_probes_install_and_come_off(tracer):
     with tracer.Tracer():
         assert all(getattr(o, a) is not f for (o, a), f in zip(pairs, before))
     assert [getattr(owner, attr) for owner, attr in pairs] == before
+
+
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "crossing.json"
+
+
+def _count_calls(monkeypatch, pairs) -> list:
+    """Wrap each (owner, attribute) so that a call appends its name."""
+    calls = []
+    for owner, attr in pairs:
+        real = getattr(owner, attr)
+
+        def counting(*args, _real=real, _name=f"{owner.__name__}.{attr}", **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+def test_a_serial_sweep_probes_each_point_once(tracer, monkeypatch, capsys):
+    """``sweep.point`` times one grid point, and parsing stays out of it."""
+    from handoffsim import cli
+
+    targets = tracer._targets()
+    points = _count_calls(monkeypatch, targets["sweep.point"])
+    parses = _count_calls(
+        monkeypatch, [(owner, attr) for owner, attr in targets["scenario.from_dict"]
+                      if owner is cli]
+    )
+    grid = "delta=0,0.5;strategy=reactive,proactive"
+    assert cli.main(["sweep", str(SCENARIO), "--grid", grid, "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert points == ["handoffsim.cli._sweep_point"] * 4
+    assert len(parses) <= 4
+
+
+def test_run_probes_the_engine_and_the_fold_once(tracer, monkeypatch, tmp_path, capsys):
+    """``sim_ticks_per_s`` and ``metrics_s`` each time one call of a run."""
+    from handoffsim import cli
+
+    targets = tracer._targets()
+    calls = _count_calls(
+        monkeypatch, targets["engine.run"] + targets["metrics.compute_metrics"]
+    )
+    argv = ["run", str(SCENARIO), "--out", str(tmp_path), "--no-trace"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["handoffsim.cli.compute_metrics", "handoffsim.engine.run"]

@@ -10,7 +10,7 @@ from handoffsim import engine
 from handoffsim.controller import MEASURED, Strategy
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
-from handoffsim.scenario import from_dict, load_scenario
+from handoffsim.scenario import from_dict, load_scenario, parse_controller
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -267,6 +267,25 @@ class TestControllerValidation:
         assert sorted(sc.controller.success_regions) == sorted(MEASURED)
         assert (compute_metrics(engine.run(sc)).accepted
                 == compute_metrics(engine.run(from_dict(_doc()))).accepted > 0)
+
+    @pytest.mark.parametrize("edit", [
+        {},
+        {"controller": {"th_inf": 4.0, "dwell_sp": -5, "strategy": "psychic", "warp": 1}},
+        {"controller": {"hysteresis_delta": float("nan"), "opportunist_on_target": 1}},
+        {"success_regions": {"HOR": {}, "ExLat": {"kind": "teleport"}},
+         "policy": {"entries": [{"layer": "L9"}, {"layer": "L3"}], "strict": "yes"}},
+        {"controller": [], "policy": []},
+    ], ids=["valid", "controller", "types", "regions-policy", "not-objects"])
+    def test_parse_controller_reports_what_from_dict_reports(self, edit):
+        doc = _doc(**edit)
+        try:
+            want = from_dict(doc).controller
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as err:
+                parse_controller(doc)
+            assert err.value.problems == exc.problems
+        else:
+            assert parse_controller(doc) == want
 
 
 class TestSynthesisValidation:

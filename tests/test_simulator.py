@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from handoffsim import controller as ctl
+from handoffsim import engine
 from handoffsim.engine import SharedContext, advance_position, run
 from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.synthesis import (
@@ -691,6 +692,21 @@ class TestSharedContext:
             first, *rest = sc.topology.stations
             stations = (replace(first, radius=float("nan")), *rest)
             run(replace(sc, topology=replace(sc.topology, stations=stations)), shared)
+
+    def test_a_scenario_made_of_the_bound_ones_fields_is_bound_without_a_key(
+        self, monkeypatch
+    ):
+        keyed = []
+        real_key = engine._key
+        monkeypatch.setattr(engine, "_key", lambda sc: keyed.append(sc) or real_key(sc))
+        base = from_dict(_crossing_doc())
+        shared = SharedContext()
+        for delta in (0.0, 0.4, 0.7):
+            sc = replace(base, controller=replace(base.controller, hysteresis_delta=delta))
+            assert run(sc, shared).to_ndjson() == run(sc).to_ndjson()
+        assert keyed == []
+        run(from_dict(_crossing_doc()), shared)  # equal content, other objects
+        assert len(keyed) == 2
 
     def test_a_plain_run_shares_nothing(self):
         shared = SharedContext()
