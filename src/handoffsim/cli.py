@@ -9,16 +9,15 @@ an engine error).
 
 A sweep parses the scenario once and each grid point only in its
 controller part.  Worker processes split the sorted terminals, not the
-points: each parses the scenario once and runs every point over its own
-terminals through one shared context, and the points' per-terminal fold
-results are pooled here in terminal order.  With fewer terminals than
-workers the points are split as well.
+points: each receives the parsed scenario when it starts and runs every
+point over its own terminals through one shared context, and the points'
+per-terminal fold results are pooled here in terminal order.  With fewer
+terminals than workers the points are split as well.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -277,10 +276,19 @@ def _sweep_batch(base: Scenario, terminals: list[str], controllers: list) -> lis
     ]
 
 
-def _sweep_task(doc_json: str, terminals: list[str], controllers: list) -> list[tuple]:
-    """``_sweep_batch`` in a worker process, which parses the base document
-    once.  Module-level so ProcessPoolExecutor can pickle it."""
-    return _sweep_batch(from_dict(json.loads(doc_json)), terminals, controllers)
+# A worker process's base scenario, set once by the pool's initializer.
+_worker_scenario: Optional[Scenario] = None
+
+
+def _init_worker(scenario: Scenario) -> None:
+    global _worker_scenario
+    _worker_scenario = scenario
+
+
+def _sweep_task(terminals: list[str], controllers: list) -> list[tuple]:
+    """``_sweep_batch`` in a worker process, over the scenario its pool's
+    initializer gave it.  Module-level so ProcessPoolExecutor can pickle it."""
+    return _sweep_batch(_worker_scenario, terminals, controllers)
 
 
 def _batches(items: list, workers: int) -> list[list]:
@@ -320,7 +328,9 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     contiguous groups, and the points into ``workers // groups`` batches
     (one, unless there are fewer terminals than workers).  Each (group,
     batch) pair runs in its own process, or in this one when there is one
-    pair.  A point's groups pool in terminal order to the run's snapshot; a
+    pair.  Every worker gets the parsed scenario through the pool's
+    initializer: a forked worker inherits it and a spawned one unpickles it
+    once.  A point's groups pool in terminal order to the run's snapshot; a
     point that fails takes the first failure in event order, as a run of
     all its terminals would stop there."""
     terminals = sorted(term.id for term in scenario.terminals)
@@ -328,9 +338,10 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     batches = _batches(controllers, workers // len(groups))
     tasks = [(group, batch) for group in groups for batch in batches]
     if len(tasks) > 1:
-        doc_json = json.dumps(scenario.raw)
-        with ProcessPoolExecutor(max_workers=len(tasks)) as executor:
-            done = list(executor.map(_sweep_task, [doc_json] * len(tasks), *zip(*tasks)))
+        with ProcessPoolExecutor(
+            max_workers=len(tasks), initializer=_init_worker, initargs=(scenario,)
+        ) as executor:
+            done = list(executor.map(_sweep_task, *zip(*tasks)))
     else:
         done = [_sweep_batch(scenario, terminals, controllers)]
     # Each group's batches, joined, hold its result for every point.

@@ -123,8 +123,7 @@ def catalog_index(
     return index
 
 
-@dataclass(frozen=True)
-class CriteriaVector:
+class CriteriaVector(NamedTuple):
     """Criterion values observed for one network at one instant."""
 
     values: Mapping[str, float]

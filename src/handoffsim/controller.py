@@ -18,7 +18,9 @@ opportunist (above the upper threshold).
 
 ``step`` is a pure function: the returned state and actions depend only on
 the inputs.  All mutable memory (the last seen network list, the in-flight
-handoff) lives inside ControllerState.
+handoff) lives inside ControllerState.  The values built once per event
+(ControllerState, the AnlUpdated event, PrepData and DwellTracker) are
+NamedTuples: immutable, and built without a ``__setattr__`` per field.
 
 The proactive gate extrapolates each network's score from two samples:
 the one in the current list and the previous one.  A network's previous
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .context import GoalSpec, goal_holds
 from .desirability import AvailableNetworkList, best
@@ -128,8 +130,7 @@ def sufficiently_better(uf_target: float, uf_curr: float, delta: float) -> bool:
     return uf_target > uf_curr + delta
 
 
-@dataclass(frozen=True)
-class DwellTracker:
+class DwellTracker(NamedTuple):
     """Remembers when the sufficiently-better condition started holding."""
 
     since: Optional[int] = None
@@ -145,9 +146,9 @@ def consistently_better(
     Any gap resets the clock; sp = 0 passes at the first holding instant.
     """
     if not suffb_now:
-        return DwellTracker(since=None), False
+        return DwellTracker(), False
     since = tracker.since if tracker.since is not None else now
-    return DwellTracker(since=since), (now - since) >= sp
+    return DwellTracker(since), (now - since) >= sp
 
 
 def handoff_reason(
@@ -290,10 +291,9 @@ class HandoffRecord:
 # Events
 
 
-@dataclass(frozen=True)
-class AnlUpdated:
+class AnlUpdated(NamedTuple):
     anl: AvailableNetworkList
-    infos: Mapping[str, Attachment] = field(default_factory=dict)
+    infos: Mapping[str, Attachment]
 
 
 @dataclass(frozen=True)
@@ -347,8 +347,7 @@ Action = Union[Connect, StartSwitch, ScheduleTimer, RecordHandoff]
 # Controller state
 
 
-@dataclass(frozen=True)
-class PrepData:
+class PrepData(NamedTuple):
     target: str
     entered_at: int
     dwell: DwellTracker = DwellTracker()
@@ -364,8 +363,7 @@ class InFlight:
     t_switch_done: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     terminal: str
     phase: Phase = Phase.DISCONNECTION
     current: Optional[str] = None
@@ -505,30 +503,20 @@ def _on_anl(state, event, cfg, now):
                 actions = (StartSwitch(plan), ScheduleTimer("switch", now + cfg.exec_latency))
 
     return ControllerState(
-        terminal=state.terminal,
-        phase=phase,
-        current=current,
-        prep=prep,
-        plan=plan,
-        flight=flight,
-        eval_deadline=state.eval_deadline,
-        last_anl=anl,
-        anl_at=now,
-        held=held,
+        state.terminal, phase, current, prep, plan, flight, state.eval_deadline, anl, now, held,
     ), actions
 
 
 def _on_link_lost(state, cfg, now):
     if state.phase in (Phase.INITIATION, Phase.PREPARATION):
         return (
-            replace(state, phase=Phase.DISCONNECTION, current=None, prep=None),
+            state._replace(phase=Phase.DISCONNECTION, current=None, prep=None),
             (),
         )
     if state.phase is Phase.EVALUATION:
         # The new link died under evaluation: record the failure at once.
         record = _build_record(state, now, EvalOutcome(False, ("LinkLost",)))
-        st = replace(
-            state,
+        st = state._replace(
             phase=Phase.DISCONNECTION,
             current=None,
             plan=None,
@@ -543,8 +531,7 @@ def _on_switch_complete(state, cfg, now):
     if state.phase is not Phase.EXECUTION:
         raise IllegalEventError(state.phase, SwitchComplete())
     target = state.plan.where
-    st = replace(
-        state,
+    st = state._replace(
         phase=Phase.EVALUATION,
         current=target,
         flight=replace(state.flight, t_switch_done=now),
@@ -565,8 +552,7 @@ def _on_timer(state, event, cfg, now):
         regions=cfg.success_regions,
     )
     record = _build_record(state, now, outcome)
-    st = replace(
-        state,
+    st = state._replace(
         phase=Phase.INITIATION,
         plan=None,
         flight=None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .context import CriteriaVector, CriterionDef, Polarity, catalog_index
 from .errors import (
@@ -63,8 +63,7 @@ class WeightProfile:
                 )
 
 
-@dataclass(frozen=True)
-class DesirabilityScore:
+class DesirabilityScore(NamedTuple):
     network_id: str
     value: float
 
@@ -86,13 +85,14 @@ def desirability(
     may be a prebuilt ``catalog_index``.
     """
     index = catalog_index(catalog)
+    values = v.values
     total = 0.0
     for cid, coefficient in profile.terms:
         if cid not in index:
             raise UnknownCriterionError(cid)
-        if cid not in v.values:
+        if cid not in values:
             raise MissingCriterionError(cid)
-        raw = v.values[cid]
+        raw = values[cid]
         if not math.isfinite(raw):
             raise NonFiniteValueError(cid, raw)
         cdef = index[cid]
@@ -101,7 +101,7 @@ def desirability(
             total += term
         else:
             total -= term
-    return DesirabilityScore(network_id=network_id, value=total)
+    return DesirabilityScore(network_id, total)
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,25 @@ class AvailableNetworkList:
         object.__setattr__(self, "values", {net: s.value for net, s in self.entries})
 
 
+def _rank_key(s: DesirabilityScore) -> tuple[float, str]:
+    return -s.value, s.network_id
+
+
 def rank(scores: Sequence[DesirabilityScore]) -> AvailableNetworkList:
-    """Order scores into an available-network list, best first."""
-    seen = set()
-    for s in scores:
-        if s.network_id in seen:
-            raise DuplicateNetworkError(s.network_id)
-        seen.add(s.network_id)
-    ordered = sorted(scores, key=lambda s: (-s.value, s.network_id))
-    return AvailableNetworkList(entries=tuple((s.network_id, s) for s in ordered))
+    """Order scores into an available-network list, best first.
+
+    A network listed twice raises DuplicateNetworkError naming the first
+    repeat in input order.  The list's ``values`` map holds one entry per
+    network, so it is shorter than the input exactly when one repeats; only
+    then is the input walked again, to name it."""
+    anl = AvailableNetworkList(tuple([(s.network_id, s) for s in sorted(scores, key=_rank_key)]))
+    if len(anl.values) != len(scores):
+        seen = set()
+        for s in scores:
+            if s.network_id in seen:
+                raise DuplicateNetworkError(s.network_id)
+            seen.add(s.network_id)
+    return anl
 
 
 def best(anl: AvailableNetworkList) -> Optional[str]:

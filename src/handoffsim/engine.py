@@ -30,6 +30,12 @@ topology that does not measure it (``measure_rss=False``), so coverage
 takes no per-station ``log10``.  The call stays ``coverage(pos, topology)``
 through this module's name, which the benchmark's tracer wraps.
 
+The values built per event, terminal-tick or record are immutable
+NamedTuples, which cost no ``__setattr__`` per field to build: each
+station's ``CriteriaVector`` and ``DesirabilityScore``, the controller's
+``AnlUpdated`` event and ``ControllerState`` (with its ``PrepData`` and
+``DwellTracker``), and a ``Trace``'s ``TraceRecord``.
+
 Records go to a sink: anything with ``append(t, terminal, kind, payload)``,
 called once per record in trace order.  The default is a ``Trace``, which
 keeps them; a ``metrics.MetricFolder`` folds them into metrics as they come
@@ -186,18 +192,13 @@ class _Context:
                 vector = sample_context(bs.id, now, sc.synthesis, self.synth)
                 score = None
                 if self.shared_scores:
-                    score = desirability(vector, sc.weights, self.index, network_id=bs.id)
+                    score = desirability(vector, sc.weights, self.index, bs.id)
                 memo = self.scored[bs.id] = (vector, score)
             vector, score = memo
             if score is None:
                 values = dict(vector.values)
                 values["RSS"] = rss
-                score = desirability(
-                    CriteriaVector(values=values),
-                    sc.weights,
-                    self.index,
-                    network_id=bs.id,
-                )
+                score = desirability(CriteriaVector(values), sc.weights, self.index, bs.id)
             scores.append(score)
         anl = rank(scores)
         return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
@@ -278,14 +279,15 @@ class _Run:
         state = self.states[terminal]
         new_state, actions = ctl.step(state, event, self.configs[terminal], now)
         self.states[terminal] = new_state
+        # _value_ skips the Enum ``value`` descriptor, twice per event.
         self.record(
             now,
             terminal,
             TRANSITION,
             {
                 "event": event_name,
-                "from": state.phase.value,
-                "to": new_state.phase.value,
+                "from": state.phase._value_,
+                "to": new_state.phase._value_,
                 "attached": new_state.current,
                 "actions": [_action_payload(a) for a in actions],
             },
@@ -302,8 +304,7 @@ class _Run:
         if current is not None and current not in tick.anl.values:
             self.deliver(terminal, ctl.CurrentLinkLost(), now, "link_lost")
         self.record(now, terminal, ANL, tick.payload)
-        infos = self.infos[terminal]
-        self.deliver(terminal, ctl.AnlUpdated(anl=tick.anl, infos=infos), now, "anl_updated")
+        self.deliver(terminal, ctl.AnlUpdated(tick.anl, self.infos[terminal]), now, "anl_updated")
         self.push(now + self.sc.tick_ms, terminal, _RANK_CONTEXT, "context")
 
     def timer(self, terminal: str, kind: str, now: int) -> None:

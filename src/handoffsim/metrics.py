@@ -312,9 +312,16 @@ class MetricFolder:
             if rec.kind == INIT and rec.terminal is None:
                 self._start(rec.payload)
                 break
-        append = self.append
-        for rec in trace.records:
-            append(rec.t, rec.terminal, rec.kind, rec.payload)
+        # ``append`` inlined for a terminal already folded.  ``stats`` stays
+        # the same dict: ``append`` restarts the folder only at a run-level
+        # init record, and none is left once one has started it.
+        stats, append = self.stats, self.append
+        for t, terminal, kind, payload in trace.records:
+            st = stats.get(terminal)
+            if st is None:
+                append(t, terminal, kind, payload)
+            else:
+                st.feed(t, kind, payload)
         return self
 
     def _tolerance(self) -> int:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedTraceError
 
@@ -42,8 +42,7 @@ def _line(t, terminal, kind: str, payload) -> str:
     )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     t: int
     terminal: Optional[str]
     kind: str
@@ -58,7 +57,7 @@ class Trace:
     records: list[TraceRecord] = field(default_factory=list)
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
-        self.records.append(TraceRecord(t=t, terminal=terminal, kind=kind, payload=payload))
+        self.records.append(TraceRecord(t, terminal, kind, payload))
 
     def of_kind(self, kind: str, terminal: Optional[str] = None) -> list[TraceRecord]:
         return [
@@ -68,8 +67,8 @@ class Trace:
         ]
 
     def _lines(self):
-        for r in self.records:
-            yield _line(r.t, r.terminal, r.kind, r.payload) + "\n"
+        for t, terminal, kind, payload in self.records:
+            yield _line(t, terminal, kind, payload) + "\n"
 
     def to_ndjson(self) -> str:
         return "".join(self._lines())

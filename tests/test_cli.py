@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from handoffsim import cli, engine
+from handoffsim import scenario as scenario_module
 from handoffsim.cli import main, parse_grid
 from handoffsim.errors import PolicyGapError
 from handoffsim.metrics import CSV_COLUMNS, metric_cells
@@ -465,10 +467,13 @@ def _small_overlay() -> dict:
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs each task here, in order."""
+    """Stands in for ProcessPoolExecutor: runs the initializer and then each
+    task here, in order."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -526,9 +531,9 @@ class TestSweepTerminalGroups:
             calls.append(pos)
             return real_coverage(pos, topo)
 
-        def task(doc_json, terminals, controllers):
+        def task(terminals, controllers):
             calls.clear()
-            results = real_task(doc_json, terminals, controllers)
+            results = real_task(terminals, controllers)
             tasks.append((list(terminals), len(controllers), len(calls)))
             return results
 
@@ -544,6 +549,27 @@ class TestSweepTerminalGroups:
         for group, points, coverage_calls in tasks:
             assert points == 4
             assert coverage_calls == len(group) * ticks
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_inherit_the_parsed_scenario(
+        self, inputs, workers, tmp_path, monkeypatch, capsys
+    ):
+        # Each call appends its process id to a file, so a call in a forked
+        # worker is seen here too.
+        path = self._write(tmp_path, "dense", inputs["dense_stochastic"])
+        log = tmp_path / "from_dict.pids"
+        real = scenario_module.from_dict
+
+        def logged(doc):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(doc)
+
+        monkeypatch.setattr(scenario_module, "from_dict", logged)
+        monkeypatch.setattr(cli, "from_dict", logged)
+        out, err = _sweep(path, "delta=0,0.3;sp=0,400", workers, capsys)
+        assert out.count("\n") == 5 and "failed" not in err
+        assert log.read_text().split() == [str(os.getpid())]
 
     def test_a_failing_point_reports_the_first_failure_in_event_order(self, tmp_path, capsys):
         # A strict policy with no entries fails the first handoff to trigger.

@@ -12,10 +12,12 @@ from handoffsim.controller import (
     AnlUpdated,
     Connect,
     ControllerConfig,
+    ControllerState,
     CurrentLinkLost,
     DwellTracker,
     Phase,
     PolicyTable,
+    PrepData,
     Reason,
     RecordHandoff,
     ScheduleTimer,
@@ -35,7 +37,7 @@ from handoffsim.controller import (
     sufficiently_better,
     MeasurementSet,
 )
-from handoffsim.context import GoalDirection, GoalSpec
+from handoffsim.context import CriteriaVector, GoalDirection, GoalSpec
 from handoffsim.desirability import DesirabilityScore, rank
 from handoffsim.errors import (
     IllegalEventError,
@@ -43,6 +45,7 @@ from handoffsim.errors import (
     PolicyGapError,
 )
 from handoffsim.taxonomy import Attachment, Layer, classify
+from handoffsim.trace import ANL, TraceRecord
 
 
 class TestSufficientlyBetter:
@@ -620,3 +623,22 @@ class TestPhaseMachine:
         # the crossing 500 ms away.
         slower = verdict((("n1", 5.0), ("n2", 3.0)), (("n1", 5.0), ("n2", 4.4)), last)
         assert slower[0] is Phase.INITIATION
+
+
+# The values built once per event, terminal-tick or record.
+_PER_EVENT_VALUES = [
+    ControllerState("mt1", Phase.INITIATION, "n1"),
+    AnlUpdated(_anl(0, ("n1", 5.0)), _infos("n1")),
+    PrepData("n2", 100),
+    DwellTracker(100),
+    DesirabilityScore("n1", 5.0),
+    CriteriaVector({"Q": 1.0}),
+    TraceRecord(0, "mt1", ANL, {"entries": []}),
+]
+
+
+@pytest.mark.parametrize("value", _PER_EVENT_VALUES, ids=lambda v: type(v).__name__)
+def test_per_event_values_are_immutable(value):
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)

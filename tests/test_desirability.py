@@ -214,3 +214,24 @@ class TestRanking:
         for (n1, s1), (n2, s2) in zip(anl.entries, anl.entries[1:]):
             if s1.value == s2.value:
                 assert n1 < n2
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="abcd", min_size=1, max_size=2),
+                st.floats(allow_nan=False, width=32),
+            ),
+            max_size=8,
+        )
+    )
+    def test_rank_names_the_first_repeat_or_sorts(self, pairs):
+        scores = _scores(*pairs)
+        ids = [n for n, _ in pairs]
+        repeats = [n for i, n in enumerate(ids) if n in ids[:i]]
+        if repeats:
+            with pytest.raises(DuplicateNetworkError) as raised:
+                rank(scores)
+            assert raised.value.network_id == repeats[0]
+        else:
+            ranked = [s for _, s in rank(scores).entries]
+            assert ranked == sorted(scores, key=lambda s: (-s.value, s.network_id))

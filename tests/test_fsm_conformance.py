@@ -17,6 +17,7 @@ read at the next step, so histories that differ only there converge.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -507,3 +508,31 @@ def test_proactive_machines_agree_on_every_sequence(proactive_exploration):
 
 def test_proactive_walk_enters_preparation_on_predictions(proactive_exploration):
     assert proactive_exploration[4] > 0
+
+
+@pytest.mark.parametrize("strategy", list(ctl.Strategy))
+def test_step_leaves_its_input_state_unchanged(strategy):
+    """Over every state the walk reaches, each letter leaves the state
+    ``step`` was given equal to a deep copy taken before the call."""
+    cfg = replace(CFG, strategy=strategy)
+    memo: dict = {}
+    stack = [(ctl.initial_state("mt1"), 0, 0)]
+    edges = 0
+    while stack:
+        state, now, depth = stack.pop()
+        key = _impl_key(state, now)
+        if depth == MAX_DEPTH or memo.get(key, MAX_DEPTH) <= depth:
+            continue
+        memo[key] = depth
+        for letter in LETTERS:
+            before = copy.deepcopy(state)
+            try:
+                after, _ = ctl.step(state, _impl_event(letter, now), cfg, now)
+            except IllegalEventError:
+                after = None
+            assert state == before, letter
+            assert _impl_key(state, now) == key, letter
+            edges += 1
+            if after is not None:
+                stack.append((after, now + STEP_MS, depth + 1))
+    assert edges > 1_000
