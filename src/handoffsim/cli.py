@@ -141,9 +141,8 @@ def _cmd_taxonomy(args) -> int:
     return EXIT_OK
 
 
-def _metric_rows(scenario, trace):
-    """One row per terminal and a pooled "all" row, from one fold."""
-    pooled = compute_metrics(trace, scenario.duration_ms)
+def _metric_rows(scenario, pooled):
+    """One row per terminal and a pooled "all" row, from one fold's snapshot."""
     rows = [(spec.id, pooled.by_terminal[spec.id]) for spec in scenario.terminals]
     rows.append(("all", pooled))
     return rows
@@ -165,8 +164,14 @@ def _cmd_run(args) -> int:
         return EXIT_RUNTIME
 
     try:
-        trace = engine.run(scenario)
-        rows = _metric_rows(scenario, trace)
+        if args.no_trace:
+            # The records go straight to the fold; no trace is kept.
+            trace = None
+            pooled = engine.run(scenario, sink=MetricFolder(scenario.duration_ms)).snapshot()
+        else:
+            trace = engine.run(scenario)
+            pooled = compute_metrics(trace, scenario.duration_ms)
+        rows = _metric_rows(scenario, pooled)
     except HandoffSimError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -175,7 +180,7 @@ def _cmd_run(args) -> int:
     stem = Path(args.scenario).stem
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if not args.no_trace:
+        if trace is not None:
             trace_path = out_dir / f"{stem}.trace.ndjson"
             trace.write(trace_path)
             print(f"wrote {trace_path}", file=sys.stderr)

@@ -14,7 +14,8 @@ criterion must sum to 1.  Criteria without a weight contribute nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -104,22 +105,27 @@ def desirability(
     return DesirabilityScore(network_id, total)
 
 
-@dataclass(frozen=True)
-class AvailableNetworkList:
+class AvailableNetworkList(namedtuple("AvailableNetworkList", ("entries", "values"))):
     """Candidate networks ordered best first.
 
     ``entries`` pairs each network id with its score; order is descending
     desirability with ties broken by ascending network id, and each network
     appears once.  ``values`` maps each listed id to its score value; it is
     built with the list, because the controller looks scores up by id on
-    every step (a ``cached_property`` would take a lock on each read).
+    every step.  Given only ``entries``, the list builds ``values`` from
+    them, so two lists are equal exactly when their entries are, and a
+    list hashes by its entries.
     """
 
-    entries: tuple[tuple[str, DesirabilityScore], ...] = ()
-    values: Mapping[str, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", {net: s.value for net, s in self.entries})
+    def __new__(cls, entries=(), values=None):
+        if values is None:
+            values = {net: s.value for net, s in entries}
+        return super().__new__(cls, entries, values)
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
 
 def _rank_key(s: DesirabilityScore) -> tuple[float, str]:
@@ -133,14 +139,16 @@ def rank(scores: Sequence[DesirabilityScore]) -> AvailableNetworkList:
     repeat in input order.  The list's ``values`` map holds one entry per
     network, so it is shorter than the input exactly when one repeats; only
     then is the input walked again, to name it."""
-    anl = AvailableNetworkList(tuple([(s.network_id, s) for s in sorted(scores, key=_rank_key)]))
-    if len(anl.values) != len(scores):
+    ordered = sorted(scores, key=_rank_key)
+    values = {s.network_id: s.value for s in ordered}
+    if len(values) != len(scores):
         seen = set()
         for s in scores:
             if s.network_id in seen:
                 raise DuplicateNetworkError(s.network_id)
             seen.add(s.network_id)
-    return anl
+    # tuple.__new__ skips __new__'s Python frame: values is already built.
+    return tuple.__new__(AvailableNetworkList, (tuple([(s.network_id, s) for s in ordered]), values))
 
 
 def best(anl: AvailableNetworkList) -> Optional[str]:

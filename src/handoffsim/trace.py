@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -26,20 +27,101 @@ HANDOFF = "handoff"
 # Encodes a value as the canonical ``json.dumps(value, sort_keys=True,
 # separators=(",", ":"))`` does; for a str that is ``encode_basestring_ascii``.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_float_repr = float.__repr__
+_INF = float("inf")
 
 
-def _line(t, terminal, kind: str, payload) -> str:
-    """One record's canonical line, without its newline: the envelope's four
-    keys are written in sorted order and each value encoded on its own, the
-    usual int time, str kind and str-or-None terminal without the encoder."""
-    return '{"kind":%s,"payload":%s,"t":%s,"terminal":%s}' % (
+def _line(t, terminal, kind: str, payload_text: str, end: str = "") -> str:
+    """One record's canonical line, given its payload's encoding: the
+    envelope's four keys are written in sorted order and each value encoded
+    on its own, the usual int time, str kind and str-or-None terminal
+    without the encoder."""
+    return '{"kind":%s,"payload":%s,"t":%s,"terminal":%s}%s' % (
         encode_basestring_ascii(kind) if type(kind) is str else _encode(kind),
-        _encode(payload),
+        payload_text,
         t if type(t) is int else _encode(t),
         "null" if terminal is None else (
             encode_basestring_ascii(terminal) if type(terminal) is str else _encode(terminal)
         ),
+        end,
     )
+
+
+class LineEncoder:
+    """Encodes the records of one write, in trace order, to their lines.
+
+    Most of what a run traces repeats, and this formats each repeat once:
+
+    - An ``anl`` entry ``[net, value]`` with a str net and a float value is
+      formatted once per tick.  When no score reads RSS, a station's score
+      at a tick is one float shared by every terminal it covers.  The
+      fragment memo is cleared whenever ``t`` changes, so it holds one
+      tick's distinct entries.
+    - A transition with no action is formatted once per (event, from, to,
+      attached), a set bounded by the run's events, phases and stations.
+
+    A finite float's JSON text is its ``repr``, so a fragment is what the
+    canonical encoder writes for it; everything else, including a payload
+    whose keys or value types differ from these shapes in any way, goes to
+    that encoder.  A memo key never joins values that are equal but encode
+    differently: a value must be an exact float, so ``1`` and ``True`` never
+    meet ``1.0``, and a zero is keyed by its text, so ``0.0`` and ``-0.0``
+    stay apart.
+    """
+
+    def __init__(self) -> None:
+        self.t = None  # the tick of the fragments held
+        self.fragments: dict[tuple, str] = {}
+        self.transitions: dict[tuple, str] = {}
+        self.fragments_formatted = 0  # anl entries formatted, not reused
+
+    def line(self, t, terminal, kind, payload) -> str:
+        """The record's canonical line, with its newline."""
+        text = None
+        if type(payload) is dict:
+            if kind == ANL and len(payload) == 1:
+                text = self._entries(t, payload.get("entries"))
+            elif kind == TRANSITION and len(payload) == 5 and payload.get("actions") == []:
+                text = self._transition(payload)
+        return _line(t, terminal, kind, _encode(payload) if text is None else text, "\n")
+
+    def _entries(self, t, entries) -> Optional[str]:
+        if type(entries) is not list:
+            return None
+        if t != self.t:
+            self.t = t
+            self.fragments.clear()
+        memo = self.fragments
+        parts = []
+        for entry in entries:
+            if type(entry) is not list or len(entry) != 2:
+                return None
+            net, value = entry
+            if type(net) is not str or type(value) is not float:
+                return None
+            key = (net, value) if value else (net, _float_repr(value))
+            text = memo.get(key)
+            if text is None:
+                self.fragments_formatted += 1
+                text = memo[key] = "[%s,%s]" % (
+                    encode_basestring_ascii(net),
+                    _float_repr(value) if -_INF < value < _INF else _encode(value),
+                )
+            parts.append(text)
+        return '{"entries":[%s]}' % ",".join(parts)
+
+    def _transition(self, payload: dict) -> Optional[str]:
+        try:
+            key = (payload["event"], payload["from"], payload["to"], payload["attached"])
+        except KeyError:
+            return None
+        for value in key:
+            if value is not None and type(value) is not str:
+                return None
+        text = self.transitions.get(key)
+        if text is None:
+            text = self.transitions[key] = _encode(payload)
+        return text
 
 
 class TraceRecord(NamedTuple):
@@ -49,7 +131,7 @@ class TraceRecord(NamedTuple):
     payload: dict
 
     def to_json(self) -> str:
-        return _line(self.t, self.terminal, self.kind, self.payload)
+        return _line(self.t, self.terminal, self.kind, _encode(self.payload))
 
 
 @dataclass
@@ -67,8 +149,8 @@ class Trace:
         ]
 
     def _lines(self):
-        for t, terminal, kind, payload in self.records:
-            yield _line(t, terminal, kind, payload) + "\n"
+        """Each record's line, through one encoder for the whole trace."""
+        return starmap(LineEncoder().line, self.records)
 
     def to_ndjson(self) -> str:
         return "".join(self._lines())

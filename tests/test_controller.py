@@ -632,6 +632,7 @@ _PER_EVENT_VALUES = [
     PrepData("n2", 100),
     DwellTracker(100),
     DesirabilityScore("n1", 5.0),
+    _anl(0, ("n1", 5.0), ("n2", 4.0)),
     CriteriaVector({"Q": 1.0}),
     TraceRecord(0, "mt1", ANL, {"entries": []}),
 ]

@@ -195,6 +195,15 @@ class TestRanking:
         assert anl.values["a"] == 1.5
         assert "missing" not in anl.values
 
+    def test_lists_compare_and_hash_by_entries(self):
+        anl = rank(_scores(("a", 1.5), ("b", 3.0)))
+        again = rank(_scores(("b", 3.0), ("a", 1.5)))
+        built = AvailableNetworkList(anl.entries)
+        assert anl == again == built and hash(anl) == hash(again) == hash(built)
+        assert built.values == anl.values
+        assert anl != rank(_scores(("a", 1.5), ("b", 2.0)))
+        assert AvailableNetworkList() == rank([]) and AvailableNetworkList().values == {}
+
     @given(
         st.lists(
             st.tuples(

@@ -208,6 +208,23 @@ def test_cli_metrics_bytes_are_pinned(inputs, name, tmp_path, capsys):
     assert _sha((tmp_path / f"{name}.metrics.csv").read_text()) == GOLDEN[name][1]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_no_trace_folds_to_the_same_metrics_bytes(inputs, name, fmt, tmp_path, capsys):
+    """``--no-trace`` folds the records as they are made; a traced run folds
+    its finished trace.  Both write the same metrics file."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(inputs[name]))
+    written = []
+    for flags in ([], ["--no-trace"]):
+        out = tmp_path / ("untraced" if flags else "traced")
+        assert main(["run", str(path), "--out", str(out), "--metrics", fmt, *flags]) == 0
+        capsys.readouterr()
+        assert (out / f"{name}.trace.ndjson").exists() is not bool(flags)
+        written.append((out / f"{name}.metrics.{fmt}").read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_csv_bytes_are_pinned(workers, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+loading a scenario imports none of the modules that run or report it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,21 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_loading_a_scenario_imports_no_run_or_report_module():
+    """A fresh process that only loads a scenario compiles every module it
+    imports when bytecode is not cached, so the trace encoder, the engine,
+    the metric fold and the CLI stay out of that import."""
+    code = (
+        "import sys, handoffsim.scenario\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('handoffsim'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout.split()
+    assert "handoffsim.scenario" in out
+    for name in ("trace", "engine", "metrics", "cli"):
+        assert f"handoffsim.{name}" not in out
