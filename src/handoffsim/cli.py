@@ -91,16 +91,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_validate(args) -> int:
+def _load(path: str, seed: Optional[int] = None) -> Scenario | int:
+    """The scenario in the file at ``path``, with its seed replaced when
+    ``seed`` is given; or, when it cannot be loaded, the exit code, after
+    saying why on stderr."""
     try:
-        load_scenario(args.scenario)
+        scenario = load_scenario(path)
+        if seed is not None:
+            scenario = from_dict({**scenario.raw, "seed": seed})
     except ScenarioError as exc:
         for problem in exc.problems:
-            print(f"{args.scenario}: {problem}", file=sys.stderr)
+            print(f"{path}: {problem}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
+        print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return scenario
+
+
+def _cmd_validate(args) -> int:
+    loaded = _load(args.scenario)
+    if isinstance(loaded, int):
+        return loaded
     print(f"{args.scenario}: valid")
     return EXIT_OK
 
@@ -149,19 +161,9 @@ def _metric_rows(scenario, pooled):
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            doc = dict(scenario.raw)
-            doc["seed"] = args.seed
-            scenario = from_dict(doc)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"{args.scenario}: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    scenario = _load(args.scenario, args.seed)
+    if isinstance(scenario, int):
+        return scenario
 
     try:
         if args.no_trace:
@@ -369,15 +371,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"{args.scenario}: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    scenario = _load(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
 
     names = [name for name, _ in axes]
     points = [dict(zip(names, combo)) for combo in product(*(vs for _, vs in axes))]

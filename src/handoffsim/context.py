@@ -31,11 +31,6 @@ class ContextSource(Enum):
     PROVIDER = "provider"
     HANDOFF_PERFORMANCE = "handoff_performance"
 
-    @property
-    def is_internal(self) -> bool:
-        # Only the decision process's own performance history is internal.
-        return self is ContextSource.HANDOFF_PERFORMANCE
-
 
 class Polarity(Enum):
     BENEFICIAL = "beneficial"

@@ -38,8 +38,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .context import GoalSpec, goal_holds
 from .desirability import AvailableNetworkList, best
-from .errors import IllegalEventError, InsufficientSamplesError, PolicyGapError
-from .taxonomy import Attachment, HandoffType, Layer, classify
+from .errors import IllegalEventError, PolicyGapError
+from .taxonomy import Attachment, Layer, classify
 
 
 class Phase(Enum):
@@ -91,15 +91,6 @@ class PolicyTable:
 
 
 DEFAULT_POLICY = PolicyTable()
-
-
-def select_method(
-    ho_type: HandoffType,
-    app_type: str = "*",
-    policy: PolicyTable = DEFAULT_POLICY,
-) -> str:
-    """Choose the mechanism that will carry out a handoff of this type."""
-    return policy.lookup(ho_type.layer, app_type)
 
 
 @dataclass(frozen=True)
@@ -174,15 +165,15 @@ Series = Sequence[tuple[int, float]]
 
 
 def should_enter_preparation(
-    curr_series: Series, target_series: Series, cfg: ControllerConfig, now: int
+    curr_series: Series, target_series: Series, cfg: ControllerConfig
 ) -> bool:
     """Decide whether a candidate deserves preparation.
 
     Reactive: the candidate's latest score already beats the serving one.
     Proactive: also true when a straight line through the last two samples
     of each series predicts the candidate overtaking within prep_latency
-    ms.  Prediction with fewer than two samples in either series raises
-    InsufficientSamplesError.
+    ms.  With fewer than two samples in either series there is no
+    prediction, and a candidate not yet ahead is refused.
     """
     if not curr_series or not target_series:
         raise ValueError("both series must be nonempty")
@@ -193,17 +184,15 @@ def should_enter_preparation(
     if cfg.strategy is Strategy.REACTIVE:
         return False
     if len(curr_series) < 2 or len(target_series) < 2:
-        raise InsufficientSamplesError(
-            "proactive prediction needs two samples per series"
-        )
+        return False
     slope_curr = _slope(curr_series[-2], curr_series[-1])
     slope_tgt = _slope(target_series[-2], target_series[-1])
     closing = slope_tgt - slope_curr
     if closing <= 0.0:
         return False
     gap = d_curr - d_tgt
-    # Durations, not instants: adding `now` to both sides would round them
-    # differently at different absolute times.
+    # Durations, not instants: adding the current time to both sides would
+    # round them differently at different absolute times.
     return gap / closing <= cfg.prep_latency
 
 
@@ -415,11 +404,7 @@ def _entry_holds(
 ) -> bool:
     curr_series = _series(state, current, anl.values[current], now)
     tgt_series = _series(state, candidate, anl.values[candidate], now)
-    try:
-        return should_enter_preparation(curr_series, tgt_series, cfg, now)
-    except InsufficientSamplesError:
-        # Cannot predict yet; fall back to the plain crossing test.
-        return tgt_series[-1][1] > curr_series[-1][1]
+    return should_enter_preparation(curr_series, tgt_series, cfg)
 
 
 def step(
@@ -489,7 +474,7 @@ def _on_anl(state, event, cfg, now):
                 plan = TriggerPlan(
                     why=reason,
                     where=cand,
-                    how=select_method(ho_type, cfg.app_type, cfg.policy),
+                    how=cfg.policy.lookup(ho_type.layer, cfg.app_type),
                     who=f"hce:{state.terminal}",
                     when=now,
                 )

@@ -204,12 +204,7 @@ class _Context:
         return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
 
 
-def _key(scenario: Scenario) -> str:
-    # Everything the context may depend on; repr, unlike ==, equates NaNs.
-    return repr(replace(scenario, controller=None, raw=None))
-
-
-# The fields _key reads.
+# Everything the context may depend on.
 _KEYED = tuple(f.name for f in fields(Scenario) if f.name not in ("controller", "raw"))
 
 
@@ -217,19 +212,18 @@ class SharedContext:
     """The context of a scenario's terminal-ticks, kept for several runs of
     that scenario that differ only in ``controller``.
 
-    The first run binds it to the scenario's content outside ``controller``;
-    a run of a scenario that differs there raises ValueError.  A scenario
-    whose fields outside ``controller`` are the very objects of the bound
-    one is accepted at once; any other is compared by content.  The first
-    run to reach a (terminal, t) computes its context and stores it, later
-    runs read it.  Every run asks for the same (terminal, t) in the same
-    order, whatever its controller, and an entry is stored only once
-    complete, so a run that fails part way leaves a memo the next run can
-    continue.
+    The first run binds it to its scenario.  A later run is accepted only
+    when its scenario's fields outside ``controller`` are the very objects
+    of the bound one's, as ``dataclasses.replace(bound, controller=...)``
+    makes; any other scenario, even one of equal content, raises
+    ValueError.  The first run to reach a (terminal, t) computes its
+    context and stores it, later runs read it.  Every run asks for the
+    same (terminal, t) in the same order, whatever its controller, and an
+    entry is stored only once complete, so a run that fails part way
+    leaves a memo the next run can continue.
     """
 
     def __init__(self) -> None:
-        self.key: Optional[str] = None  # the bound scenario's, once needed
         self.context: Optional[_Context] = None
         self.ticks: dict[tuple[str, int], _Tick] = {}
 
@@ -239,10 +233,7 @@ class SharedContext:
             return self.at
         bound = self.context.sc
         if any(getattr(scenario, name) is not getattr(bound, name) for name in _KEYED):
-            if self.key is None:
-                self.key = _key(bound)
-            if _key(scenario) != self.key:
-                raise ValueError("shared context: the scenario differs outside its controller")
+            raise ValueError("shared context: the scenario differs outside its controller")
         return self.at
 
     def at(self, terminal: str, now: int) -> _Tick:

@@ -43,10 +43,6 @@ class IllegalEventError(HandoffSimError):
         super().__init__(f"event {event!r} is not defined in phase {phase!r}")
 
 
-class InsufficientSamplesError(HandoffSimError):
-    """Proactive prediction needs at least two samples per series."""
-
-
 class PolicyGapError(HandoffSimError):
     def __init__(self, key):
         self.key = key

@@ -42,7 +42,6 @@ __all__ = [
     "MetricFolder",
     "MetricSnapshot",
     "compute_metrics",
-    "classify_timeliness",
     "metric_cells",
     "pool",
     "snapshots_to_csv",
@@ -269,16 +268,15 @@ class MetricFolder:
 
     A record sink: ``append`` takes each record in trace order.  The run's
     init record (terminal None) fixes the tick, the lower threshold, the
-    default tardiness tolerance, the pass-through constants and the
-    terminals to fold first, in its order; a terminal it does not list is
-    added at its first record.  Each terminal's records feed its own
-    ``_TerminalStats``, and other run-level records are dropped.  Without
+    tardiness tolerance, the pass-through constants and the terminals to
+    fold first, in its order; a terminal it does not list is added at its
+    first record.  Each terminal's records feed its own ``_TerminalStats``,
+    and other run-level records are dropped.  Without
     an init record the folder takes a tick of 1 ms and no threshold.
     """
 
-    def __init__(self, horizon_ms: int, tardy_tolerance_ms: Optional[int] = None):
+    def __init__(self, horizon_ms: int):
         self.horizon = horizon_ms
-        self.tolerance = tardy_tolerance_ms
         self._start(None)
 
     def _start(self, init: Optional[dict]) -> None:
@@ -291,10 +289,6 @@ class MetricFolder:
 
     def _new(self, terminal: str) -> _TerminalStats:
         return _TerminalStats(terminal, self.horizon, self.tick, self.th_inf)
-
-    def _of(self, terminal: str) -> _TerminalStats:
-        """The terminal's stats; empty ones if it has no records."""
-        return self.stats.get(terminal) or self._new(terminal)
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
         st = self.stats.get(terminal)
@@ -324,16 +318,11 @@ class MetricFolder:
                 st.feed(t, kind, payload)
         return self
 
-    def _tolerance(self) -> int:
-        if self.tolerance is None:
-            return _default_tolerance(self.init)
-        return self.tolerance
-
     def facts(self) -> list[_Facts]:
         """Each folded terminal's results, in fold order: all that ``pool``
         reads.  The results of several folders, each over some of a run's
         terminals, pool to the snapshot of one folder over all of them."""
-        tolerance = self._tolerance()
+        tolerance = _tardy_tolerance(self.init)
         return [st.facts(tolerance) for st in self.stats.values()]
 
     def snapshot(self, terminal: Optional[str] = None) -> MetricSnapshot:
@@ -341,21 +330,12 @@ class MetricFolder:
         own in ``by_terminal``; or, given ``terminal``, that one's alone."""
         constants = self.init.get("metrics_constants", {}) if self.init else {}
         if terminal is not None:
-            return pool([self._of(terminal).facts(self._tolerance())], self.horizon, constants)
+            # A terminal with no records gets empty stats.
+            st = self.stats.get(terminal) or self._new(terminal)
+            return pool([st.facts(_tardy_tolerance(self.init))], self.horizon, constants)
         facts = self.facts()
         by_terminal = {f.terminal: pool([f], self.horizon, constants) for f in facts}
         return pool(facts, self.horizon, constants, by_terminal)
-
-
-def classify_timeliness(
-    record: dict, trace: Trace, tolerance_ms: Optional[int] = None
-) -> str:
-    """Grade one completed handoff as timely, tardy, or premature."""
-    terminal = record["terminal"]
-    folder = MetricFolder(_trace_horizon(trace)).feed_trace(_records_of(trace, terminal))
-    if tolerance_ms is None:
-        tolerance_ms = _default_tolerance(folder.init)
-    return _timeliness(record, folder._of(terminal), tolerance_ms)
 
 
 def _records_of(trace: Trace, terminal: str) -> Trace:
@@ -364,6 +344,7 @@ def _records_of(trace: Trace, terminal: str) -> Trace:
 
 
 def _timeliness(record: dict, st: _TerminalStats, tolerance_ms: int) -> str:
+    """Grade one completed handoff as timely, tardy, or premature."""
     if not record["accepted"] and "NotBest" in record["reject_reasons"]:
         return "premature"
     if st.below_span_before(record["t_trigger"], record["from_net"]) > tolerance_ms:
@@ -371,7 +352,8 @@ def _timeliness(record: dict, st: _TerminalStats, tolerance_ms: int) -> str:
     return "timely"
 
 
-def _default_tolerance(init) -> int:
+def _tardy_tolerance(init) -> int:
+    """The tardiness tolerance: the dwell period plus one tick."""
     if not init:
         return 0
     return init["controller"]["dwell_sp"] + init["tick_ms"]
@@ -394,7 +376,6 @@ def compute_metrics(
     trace: Trace,
     horizon_ms: Optional[int] = None,
     terminal: Optional[str] = None,
-    tardy_tolerance_ms: Optional[int] = None,
 ) -> MetricSnapshot:
     """Compute the snapshot for one terminal, or pooled over all of them
     with each terminal's in ``by_terminal``, in one walk over the trace."""
@@ -402,8 +383,7 @@ def compute_metrics(
         horizon_ms = _trace_horizon(trace)
     if terminal is not None:
         trace = _records_of(trace, terminal)
-    folder = MetricFolder(horizon_ms, tardy_tolerance_ms)
-    return folder.feed_trace(trace).snapshot(terminal)
+    return MetricFolder(horizon_ms).feed_trace(trace).snapshot(terminal)
 
 
 def pool(

@@ -548,10 +548,17 @@ def parse_controller(doc: Mapping) -> ControllerConfig:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
-    text = Path(path).read_text()
+    """Read, parse, and validate a scenario file.  A file that is not UTF-8
+    JSON within the parser's limits raises ScenarioError, as an invalid
+    document does; one that cannot be read raises OSError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"byte {exc.start}: not UTF-8 text ({exc.reason})"]) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"line {exc.lineno}: {exc.msg}"]) from exc
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise ScenarioError([f"not parseable as JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ScenarioError(["not parseable as JSON: nested too deeply"]) from exc
     return from_dict(doc)

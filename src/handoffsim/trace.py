@@ -31,19 +31,18 @@ _float_repr = float.__repr__
 _INF = float("inf")
 
 
-def _line(t, terminal, kind: str, payload_text: str, end: str = "") -> str:
-    """One record's canonical line, given its payload's encoding: the
-    envelope's four keys are written in sorted order and each value encoded
-    on its own, the usual int time, str kind and str-or-None terminal
-    without the encoder."""
-    return '{"kind":%s,"payload":%s,"t":%s,"terminal":%s}%s' % (
+def _line(t, terminal, kind: str, payload_text: str) -> str:
+    """One record's canonical line, with its newline, given its payload's
+    encoding: the envelope's four keys are written in sorted order and each
+    value encoded on its own, the usual int time, str kind and str-or-None
+    terminal without the encoder."""
+    return '{"kind":%s,"payload":%s,"t":%s,"terminal":%s}\n' % (
         encode_basestring_ascii(kind) if type(kind) is str else _encode(kind),
         payload_text,
         t if type(t) is int else _encode(t),
         "null" if terminal is None else (
             encode_basestring_ascii(terminal) if type(terminal) is str else _encode(terminal)
         ),
-        end,
     )
 
 
@@ -83,7 +82,7 @@ class LineEncoder:
                 text = self._entries(t, payload.get("entries"))
             elif kind == TRANSITION and len(payload) == 5 and payload.get("actions") == []:
                 text = self._transition(payload)
-        return _line(t, terminal, kind, _encode(payload) if text is None else text, "\n")
+        return _line(t, terminal, kind, _encode(payload) if text is None else text)
 
     def _entries(self, t, entries) -> Optional[str]:
         if type(entries) is not list:
@@ -130,9 +129,6 @@ class TraceRecord(NamedTuple):
     kind: str
     payload: dict
 
-    def to_json(self) -> str:
-        return _line(self.t, self.terminal, self.kind, _encode(self.payload))
-
 
 @dataclass
 class Trace:
@@ -140,13 +136,6 @@ class Trace:
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
         self.records.append(TraceRecord(t, terminal, kind, payload))
-
-    def of_kind(self, kind: str, terminal: Optional[str] = None) -> list[TraceRecord]:
-        return [
-            r
-            for r in self.records
-            if r.kind == kind and (terminal is None or r.terminal == terminal)
-        ]
 
     def _lines(self):
         """Each record's line, through one encoder for the whole trace."""

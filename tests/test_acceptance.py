@@ -74,7 +74,7 @@ def _two_net_doc(duration_ms, controller, networks, tick_ms=100):
 
 
 def _handoffs(trace):
-    return [r.payload for r in trace.of_kind(HANDOFF)]
+    return [r.payload for r in trace.records if r.kind == HANDOFF]
 
 
 # --- 1: taxonomy enumeration --------------------------------------------
@@ -238,7 +238,9 @@ def test_c05_execution_never_rolls_back(exploration):
     total_handoffs = 0
     for i in range(100):
         trace = run(from_dict(_random_run_doc(i)))
-        for rec in trace.of_kind(TRANSITION):
+        for rec in trace.records:
+            if rec.kind != TRANSITION:
+                continue
             pair = (rec.payload["from"], rec.payload["to"])
             assert pair not in forbidden, (i, rec)
         total_handoffs += len(_handoffs(trace))
@@ -381,8 +383,8 @@ def test_c10_reproducibility(tmp_path, capsys):
 # --- 11: metrics recount ------------------------------------------------------
 
 def _recount(trace):
-    records = [r.payload for r in trace.of_kind(HANDOFF)]
-    transitions = [r.payload for r in trace.of_kind(TRANSITION)]
+    records = [r.payload for r in trace.records if r.kind == HANDOFF]
+    transitions = [r.payload for r in trace.records if r.kind == TRANSITION]
     return {
         "completed": len(records),
         "accepted": sum(1 for r in records if r["accepted"]),

@@ -165,7 +165,7 @@ class TestRun:
                      "--seed", "99"]) == 0
         capsys.readouterr()
         trace = read_trace(out / "quick.trace.ndjson")
-        run_init = [r for r in trace.of_kind(INIT) if r.terminal is None][0]
+        run_init = [r for r in trace.records if r.kind == INIT and r.terminal is None][0]
         assert run_init.payload["seed"] == 99
 
     def test_invalid_scenario(self, broken_scenario, tmp_path, capsys):
@@ -291,6 +291,36 @@ class TestMalformedScenarioExitsInvalid:
         err = capsys.readouterr().err
         assert f"{path}: {field}: " in err
         assert "Traceback" not in err
+
+
+class TestUnparseableFile:
+    """A file the JSON parser cannot turn into a document, or can only by
+    exceeding its limits, is a validation failure (exit 2) reported in one
+    line, in every command."""
+
+    @pytest.mark.parametrize("content, problem", [
+        (b'{"seed": "\xff"}', "not UTF-8"),
+        (b'{"seed": ' + b"9" * 5000 + b"}", "not parseable as JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ], ids=["not_utf8", "long_integer", "deep_nesting"])
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["run", "--no-trace"],
+        ["sweep", "--grid", "delta=0,0.5"],
+    ], ids=["validate", "run", "sweep"])
+    def test_exits_invalid_in_one_line(self, content, problem, argv, tmp_path, capsys):
+        path = tmp_path / "unparseable.json"
+        path.write_bytes(content)
+        argv = [argv[0], str(path), *argv[1:]]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{path}: ")
+        assert problem in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestSweep:

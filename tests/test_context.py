@@ -30,11 +30,14 @@ class TestCatalog:
         assert len(ContextSource) == 6
 
     def test_exactly_one_internal_source(self):
-        internal = [s for s in ContextSource if s.is_internal]
-        assert internal == [ContextSource.HANDOFF_PERFORMANCE]
+        # The decision process's own performance history is the internal
+        # source, and only the history criteria come from it.
+        internal = {c.id for c in default_catalog()
+                    if c.source is ContextSource.HANDOFF_PERFORMANCE}
+        assert internal == {"ETSLH", "HOLH"}
 
     def test_external_sources_are_the_surroundings(self):
-        external = {s for s in ContextSource if not s.is_internal}
+        external = {c.source for c in default_catalog() if c.id not in ("ETSLH", "HOLH")}
         assert external == {
             ContextSource.USER,
             ContextSource.TERMINAL,
@@ -66,7 +69,7 @@ class TestCatalog:
         assert index["UPREF"].source is ContextSource.USER
         assert index["FEE"].source is ContextSource.PROVIDER
         assert index["LP"].source is ContextSource.APPLICATION
-        assert index["ETSLH"].source.is_internal
+        assert index["ETSLH"].source is ContextSource.HANDOFF_PERFORMANCE
 
     def test_duplicate_id_rejected(self):
         catalog = default_catalog()

@@ -31,7 +31,6 @@ from handoffsim.controller import (
     handoff_reason,
     initial_state,
     latest_sample,
-    select_method,
     should_enter_preparation,
     step,
     sufficiently_better,
@@ -41,7 +40,6 @@ from handoffsim.context import CriteriaVector, GoalDirection, GoalSpec
 from handoffsim.desirability import DesirabilityScore, rank
 from handoffsim.errors import (
     IllegalEventError,
-    InsufficientSamplesError,
     PolicyGapError,
 )
 from handoffsim.taxonomy import Attachment, Layer, classify
@@ -133,50 +131,52 @@ class TestShouldEnterPreparation:
     def test_crossed_enters_for_both_strategies(self):
         curr = [(0, 4.0)]
         tgt = [(0, 4.5)]
-        assert should_enter_preparation(curr, tgt, self.REACTIVE, 0)
-        assert should_enter_preparation(curr, tgt, self.PROACTIVE, 0)
+        assert should_enter_preparation(curr, tgt, self.REACTIVE)
+        assert should_enter_preparation(curr, tgt, self.PROACTIVE)
 
     def test_reactive_ignores_trends(self):
         curr = [(0, 4.0), (100, 4.0)]
         tgt = [(0, 3.0), (100, 3.9)]  # racing upward, not there yet
-        assert not should_enter_preparation(curr, tgt, self.REACTIVE, 100)
+        assert not should_enter_preparation(curr, tgt, self.REACTIVE)
 
     def test_proactive_predicts_crossing_within_window(self):
         # Target climbs 0.006/ms toward a flat current: gap 0.4 closes in
         # ~66.7 ms, inside the 100 ms preparation window.
         curr = [(0, 4.0), (100, 4.0)]
         tgt = [(0, 3.0), (100, 3.6)]
-        assert should_enter_preparation(curr, tgt, self.PROACTIVE, 100)
+        assert should_enter_preparation(curr, tgt, self.PROACTIVE)
 
     def test_proactive_rejects_crossing_beyond_window(self):
         cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=50)
         curr = [(0, 4.0), (100, 4.0)]
         tgt = [(0, 3.0), (100, 3.6)]  # crossing at ~166.7 > 150
-        assert not should_enter_preparation(curr, tgt, cfg, 100)
+        assert not should_enter_preparation(curr, tgt, cfg)
 
     def test_proactive_rejects_diverging_series(self):
         curr = [(0, 4.0), (100, 4.2)]
         tgt = [(0, 3.0), (100, 2.8)]
-        assert not should_enter_preparation(curr, tgt, self.PROACTIVE, 100)
+        assert not should_enter_preparation(curr, tgt, self.PROACTIVE)
 
     def test_proactive_parallel_series_never_cross(self):
         curr = [(0, 4.0), (100, 4.1)]
         tgt = [(0, 3.0), (100, 3.1)]
-        assert not should_enter_preparation(curr, tgt, self.PROACTIVE, 100)
+        assert not should_enter_preparation(curr, tgt, self.PROACTIVE)
 
     def test_prediction_needs_two_samples_per_series(self):
-        with pytest.raises(InsufficientSamplesError):
-            should_enter_preparation([(0, 4.0), (100, 4.0)], [(100, 3.6)], self.PROACTIVE, 100)
-        with pytest.raises(InsufficientSamplesError):
-            should_enter_preparation([(100, 4.0)], [(0, 3.0), (100, 3.6)], self.PROACTIVE, 100)
+        # With one sample in either series nothing is predicted, so a
+        # candidate not yet ahead is refused.
+        assert not should_enter_preparation(
+            [(0, 4.0), (100, 4.0)], [(100, 3.6)], self.PROACTIVE)
+        assert not should_enter_preparation(
+            [(100, 4.0)], [(0, 3.0), (100, 3.6)], self.PROACTIVE)
 
     def test_crossed_needs_no_history(self):
         # Already ahead: no prediction, one sample suffices even proactively.
-        assert should_enter_preparation([(100, 4.0)], [(100, 4.1)], self.PROACTIVE, 100)
+        assert should_enter_preparation([(100, 4.0)], [(100, 4.1)], self.PROACTIVE)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            should_enter_preparation([], [(0, 1.0)], self.REACTIVE, 0)
+            should_enter_preparation([], [(0, 1.0)], self.REACTIVE)
 
     @given(
         gap=st.floats(min_value=0.01, max_value=5.0),
@@ -193,22 +193,21 @@ class TestShouldEnterPreparation:
         (c0, c1), (g0, g1) = ([Fraction(v) for _, v in s] for s in (curr, tgt))
         real_closing = ((g1 - g0) - (c1 - c0)) / 100
         expected = real_closing > 0 and (c1 - g1) / real_closing <= cfg.prep_latency
-        assert should_enter_preparation(curr, tgt, cfg, 100) == expected
+        assert should_enter_preparation(curr, tgt, cfg) == expected
 
     @given(
         t0=st.integers(min_value=0, max_value=10_000),
         dt=st.integers(min_value=1, max_value=1_000),
-        lag=st.integers(min_value=0, max_value=1_000),
         curr=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
         closing=st.floats(min_value=1e-6, max_value=1.0),
         nudge=st.floats(min_value=-1e-7, max_value=1e-7),
         latency=st.integers(min_value=1, max_value=1_000),
     )
-    @example(t0=0, dt=100, lag=0, curr=(4.0, 4.0), closing=0.001, nudge=1e-9, latency=100)
-    def test_verdict_ignores_absolute_time(self, t0, dt, lag, curr, closing, nudge, latency):
+    @example(t0=0, dt=100, curr=(4.0, 4.0), closing=0.001, nudge=1e-9, latency=100)
+    def test_verdict_ignores_absolute_time(self, t0, dt, curr, closing, nudge, latency):
         # The target closes in about `latency + nudge` ms, within float
         # steps of the window's end, where rounding an absolute crossing
-        # time flipped the verdict once `now` was hours or a day in.
+        # time flipped the verdict once time was hours or a day in.
         cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=latency)
         c0, c1 = curr
         g1 = c1 - closing * (latency + nudge)
@@ -217,7 +216,7 @@ class TestShouldEnterPreparation:
         def verdict(shift):
             t_a, t_b = t0 + shift, t0 + dt + shift
             return should_enter_preparation(
-                [(t_a, c0), (t_b, c1)], [(t_a, g0), (t_b, g1)], cfg, t_b + lag
+                [(t_a, c0), (t_b, c1)], [(t_a, g0), (t_b, g1)], cfg
             )
 
         base = verdict(0)
@@ -240,11 +239,11 @@ class TestPolicy:
     def test_defaults_by_layer(self):
         ht_l2 = classify(_att("n1"), Attachment("mt1", "p1", "n1", "c2", "x9", "lte"))
         assert ht_l2.layer is Layer.L2
-        assert select_method(ht_l2) == "MAHO"
+        assert PolicyTable().lookup(ht_l2.layer, "*") == "MAHO"
         ht_l3 = classify(_att("n1"), _att("n2"))
-        assert select_method(ht_l3) == "MIP"
+        assert PolicyTable().lookup(ht_l3.layer, "*") == "MIP"
         ht_l47 = classify(_att("n1"), _att("n1", terminal="mt2"))
-        assert select_method(ht_l47) == "SIP"
+        assert PolicyTable().lookup(ht_l47.layer, "*") == "SIP"
 
     def test_exact_entry_beats_wildcards(self):
         table = PolicyTable(entries={("L3", "voice"): "HMIP", ("L3", "*"): "MIP6"})

@@ -16,7 +16,7 @@ import pytest
 
 from handoffsim import engine
 from handoffsim.metrics import MetricFolder, compute_metrics, pool
-from handoffsim.scenario import from_dict
+from handoffsim.scenario import from_dict, parse_controller
 from test_golden import GOLDEN, VARIANTS, _inputs
 
 
@@ -43,11 +43,12 @@ def test_online_fold_equals_the_trace_fold(inputs, name):
 
 @pytest.mark.parametrize("name", ["crossing", "noisy"])
 def test_online_fold_through_a_shared_context(inputs, name):
+    base = from_dict(copy.deepcopy(inputs[name]))
     shared = engine.SharedContext()
     for variant in VARIANTS:
         doc = copy.deepcopy(inputs[name])
         doc["controller"].update(variant)
-        sc = from_dict(doc)
+        sc = replace(base, controller=parse_controller(doc))
         folded = engine.run(sc, shared, MetricFolder(sc.duration_ms)).snapshot()
         assert folded == compute_metrics(engine.run(sc), sc.duration_ms), variant
 

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-loading a scenario imports none of the modules that run or report it."""
+"""Every name a module of the package imports is used in that module, every
+name it defines has a caller outside the tests, and loading a scenario
+imports none of the modules that run or report it."""
 
 import ast
 import os
@@ -61,3 +62,92 @@ def test_loading_a_scenario_imports_no_run_or_report_module():
     assert "handoffsim.scenario" in out
     for name in ("trace", "engine", "metrics", "cli"):
         assert f"handoffsim.{name}" not in out
+
+
+# The names of the package with no caller in it or in the benchmark, and
+# why each is kept.
+UNCALLED = {
+    "default_feature_specs": "the feature layer, kept until it is wired into run or deleted",
+    "feature_report": "the feature layer, kept until it is wired into run or deleted",
+    "rss_at": "the plain per-station RSS that a reference engine is to build on",
+    "to_ndjson": "a trace's text in memory, the bytes the golden and determinism tests "
+    "compare; write streams the same lines",
+}
+CALLERS = [PACKAGE, PACKAGE.parent.parent / "perfbench"]
+
+
+def definitions(tree: ast.Module):
+    """(name, node) for each top-level def or class, and for each public
+    method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def mentions(tree: ast.Module):
+    """(name, line) for each name the module mentions outside ``__all__``:
+    as a name, an attribute, an imported name, or a str constant that is an
+    identifier (a name looked up with ``getattr``)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def uncalled(sources: dict) -> list[str]:
+    """Each definition in ``sources`` (module name -> text) whose name no
+    other place in them mentions; a mention inside the definition itself
+    does not count.  Names are matched alone, so a method counts as called
+    wherever any attribute of its name is read."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    seen: dict[str, list] = {}
+    for module, tree in trees.items():
+        for name, line in mentions(tree):
+            seen.setdefault(name, []).append((module, line))
+    out = []
+    for module, tree in trees.items():
+        for name, node in definitions(tree):
+            others = [
+                (m, line) for m, line in seen.get(name, ())
+                if m != module or not node.lineno <= line <= node.end_lineno
+            ]
+            if not others:
+                out.append(f"{module}: {name}")
+    return out
+
+
+def test_the_check_finds_a_name_only_its_definition_uses():
+    sources = {
+        "a": "__all__ = ['f', 'C']\ndef f(n):\n    return f(n - 1)\n"
+             "class C:\n    def used(self):\n        return 1\n"
+             "    def unused(self):\n        return C\n",
+        "b": "from a import C\nC().used()\n",
+    }
+    assert uncalled(sources) == ["a: f", "a: unused"]
+
+
+def test_every_public_name_has_a_caller():
+    sources = {
+        str(path.relative_to(PACKAGE.parent.parent)): path.read_text()
+        for root in CALLERS for path in sorted(root.glob("*.py"))
+    }
+    # An allowlisted name that gains a caller leaves the list.
+    found = [entry for entry in uncalled(sources) if entry.startswith("src/")]
+    assert sorted(entry.rpartition(": ")[2] for entry in found) == sorted(UNCALLED), found

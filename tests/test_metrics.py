@@ -18,7 +18,6 @@ from handoffsim.metrics import (
     MetricSnapshot,
     _segments,
     _TerminalStats,
-    classify_timeliness,
     compute_metrics,
     snapshots_to_csv,
     snapshots_to_json,
@@ -133,8 +132,6 @@ class TestCrossingEndToEnd:
         assert snap.counts["timely"] == 1
         assert snap.counts["tardy"] == 0
         assert snap.counts["premature"] == 0
-        rec = crossing_trace.of_kind(HANDOFF)[0].payload
-        assert classify_timeliness(rec, crossing_trace) == "timely"
 
     def test_constants_passed_through(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
@@ -149,10 +146,10 @@ class TestCrossingEndToEnd:
 
     def test_recount_against_independent_walker(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
-        records = [r.payload for r in crossing_trace.of_kind(HANDOFF)]
+        records = [r.payload for r in crossing_trace.records if r.kind == HANDOFF]
         assert snap.completed == len(records)
         assert snap.accepted == sum(1 for r in records if r["accepted"])
-        transitions = [r.payload for r in crossing_trace.of_kind(TRANSITION)]
+        transitions = [r.payload for r in crossing_trace.records if r.kind == TRANSITION]
         assert snap.counts["connects"] == sum(
             1 for p in transitions for a in p["actions"] if "connect" in a)
         assert snap.counts["link_losses"] == sum(
@@ -238,52 +235,58 @@ class TestDegradation:
 
 
 class TestTimeliness:
-    def _trace_with_history(self, values, t_trigger, dwell_sp=0):
+    """Each grade read from the pooled counts of a one-handoff trace."""
+
+    def _trace_with_history(self, values, t_trigger, dwell_sp=0, **record):
         tr = _base_trace(duration=1000, th_inf=2.0, dwell_sp=dwell_sp)
         for i, v in enumerate(values):
             _anl(tr, i * 100, [("n1", float(v)), ("n2", 10.0)])
         _attach(tr, 0, "n1")
         rec = _record(t_prep=t_trigger, t_trigger=t_trigger,
-                      t_switch=t_trigger, t_eval=t_trigger)
+                      t_switch=t_trigger, t_eval=t_trigger, **record)
         tr.append(t_trigger, "mt1", HANDOFF, rec)
-        return tr, rec
+        return tr
+
+    @staticmethod
+    def _grade(tr):
+        counts = compute_metrics(tr).counts
+        graded = [g for g in ("timely", "tardy", "premature") if counts[g]]
+        assert [counts[g] for g in graded] == [1]
+        return graded[0]
 
     def test_premature_overrides_history(self):
-        tr, _ = self._trace_with_history([5] * 10, 500)
-        rec = _record(accepted=False, reject=("NotBest",))
-        assert classify_timeliness(rec, tr) == "premature"
+        # The history alone would make it tardy.
+        values = [5, 5, 1, 1, 1, 1, 5, 5, 5, 5]
+        tr = self._trace_with_history(values, 500, accepted=False, reject=("NotBest",))
+        assert self._grade(tr) == "premature"
 
     def test_rejection_without_notbest_is_not_premature(self):
-        tr, _ = self._trace_with_history([5] * 10, 500)
-        rec = _record(accepted=False, reject=("IL",), t_trigger=500)
-        assert classify_timeliness(rec, tr) == "timely"
+        tr = self._trace_with_history([5] * 10, 500, accepted=False, reject=("IL",))
+        assert self._grade(tr) == "timely"
 
     def test_long_degradation_before_trigger_is_tardy(self):
         # below threshold from t=200 through the t=500 trigger: span 300 ms
         values = [5, 5, 1, 1, 1, 1, 5, 5, 5, 5]
-        tr, rec = self._trace_with_history(values, 500)
-        assert classify_timeliness(rec, tr) == "tardy"
+        tr = self._trace_with_history(values, 500)
+        assert self._grade(tr) == "tardy"
 
     def test_short_dip_within_tolerance_is_timely(self):
-        # default tolerance is dwell_sp + one tick = 100 ms
+        # the tolerance is dwell_sp + one tick = 100 ms
         values = [5, 5, 5, 5, 1, 1, 5, 5, 5, 5]
-        tr, rec = self._trace_with_history(values, 500)
-        assert classify_timeliness(rec, tr) == "timely"
-
-    def test_explicit_tolerance_overrides_default(self):
-        values = [5, 5, 1, 1, 1, 1, 5, 5, 5, 5]
-        tr, rec = self._trace_with_history(values, 500)
-        assert classify_timeliness(rec, tr, tolerance_ms=300) == "timely"
-        assert classify_timeliness(rec, tr, tolerance_ms=299) == "tardy"
+        tr = self._trace_with_history(values, 500)
+        assert self._grade(tr) == "timely"
 
     def test_dwell_period_widens_default_tolerance(self):
+        # A 300 ms span is within dwell_sp + one tick exactly when dwell_sp
+        # is at least 200 ms.
         values = [5, 5, 1, 1, 1, 1, 5, 5, 5, 5]
-        tr, rec = self._trace_with_history(values, 500, dwell_sp=400)
-        assert classify_timeliness(rec, tr) == "timely"
+        for dwell_sp, grade in ((400, "timely"), (200, "timely"), (199, "tardy")):
+            tr = self._trace_with_history(values, 500, dwell_sp=dwell_sp)
+            assert self._grade(tr) == grade, dwell_sp
 
     def test_pooled_counts_match_grades(self):
         values = [5, 5, 1, 1, 1, 1, 5, 5, 5, 5]
-        tr, _ = self._trace_with_history(values, 500)
+        tr = self._trace_with_history(values, 500)
         snap = compute_metrics(tr)
         assert snap.counts["tardy"] == 1
         assert snap.thor == pytest.approx(1.0)

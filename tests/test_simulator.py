@@ -11,9 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from handoffsim import controller as ctl
-from handoffsim import engine
 from handoffsim.engine import SharedContext, advance_position, run
-from handoffsim.scenario import from_dict, load_scenario
+from handoffsim.scenario import from_dict, load_scenario, parse_controller
 from handoffsim.synthesis import (
     ContextSynthesisSpec,
     NetworkSignals,
@@ -503,7 +502,8 @@ def _crossing_doc(**tweaks):
 
 
 def _transitions(trace, terminal=None):
-    return [r.payload for r in trace.of_kind(TRANSITION, terminal)]
+    return [r.payload for r in trace.records
+            if r.kind == TRANSITION and terminal in (None, r.terminal)]
 
 
 class TestEngine:
@@ -511,18 +511,18 @@ class TestEngine:
         trace = run(from_dict(_crossing_doc(duration_ms=0)))
         kinds = {r.kind for r in trace.records}
         assert kinds == {INIT}
-        assert trace.of_kind(ANL) == []
+        assert not any(r.kind == ANL for r in trace.records)
 
     def test_tick_grid_is_half_open(self):
         trace = run(from_dict(_crossing_doc(duration_ms=10000, tick_ms=500)))
-        ticks = sorted({r.t for r in trace.of_kind(ANL)})
+        ticks = sorted({r.t for r in trace.records if r.kind == ANL})
         assert ticks[0] == 0
         assert ticks[-1] == 9500
         assert len(ticks) == 20
 
     def test_crossing_scenario_single_handoff(self):
         trace = run(load_scenario(SCENARIO_DIR / "crossing.json"))
-        records = [r.payload for r in trace.of_kind(HANDOFF)]
+        records = [r.payload for r in trace.records if r.kind == HANDOFF]
         assert len(records) == 1
         rec = records[0]
         assert rec["from_net"] == "bs_a"
@@ -542,7 +542,8 @@ class TestEngine:
         assert first["from"] == "disconnection"
         assert first["to"] == "initiation"
         assert first["attached"] == "bs_a"
-        head = trace.of_kind(ANL, "mt1")[0].payload["entries"][0][0]
+        anl = [r for r in trace.records if r.kind == ANL and r.terminal == "mt1"]
+        head = anl[0].payload["entries"][0][0]
         assert head == "bs_a"
 
     def test_connect_conservation(self):
@@ -563,7 +564,7 @@ class TestEngine:
     def test_timers_past_horizon_are_dropped(self):
         # the switch timer would land exactly at the horizon; it never fires
         trace = run(from_dict(_crossing_doc(duration_ms=9200)))
-        assert trace.of_kind(HANDOFF) == []
+        assert not any(r.kind == HANDOFF for r in trace.records)
         last = _transitions(trace)[-1]
         assert last["to"] == "execution"
 
@@ -592,14 +593,14 @@ class TestEngine:
         assert losses[0]["attached"] is None
         # x(t) = 0.02 t crosses the 100 m radius after t = 5000; the first
         # tick past it is 5500
-        t_loss = [r.t for r in trace.of_kind(TRANSITION)
-                  if r.payload["event"] == "link_lost"][0]
+        t_loss = [r.t for r in trace.records
+                  if r.kind == TRANSITION and r.payload["event"] == "link_lost"][0]
         assert t_loss == 5500
-        reattach = [r for r in trace.of_kind(TRANSITION)
-                    if r.t == t_loss and r.payload["event"] == "anl_updated"]
+        reattach = [r for r in trace.records if r.kind == TRANSITION
+                    and r.t == t_loss and r.payload["event"] == "anl_updated"]
         assert len(reattach) == 1
         assert reattach[0].payload["attached"] == "bs_b"
-        assert trace.of_kind(HANDOFF) == []
+        assert not any(r.kind == HANDOFF for r in trace.records)
 
     def test_trace_is_byte_reproducible(self):
         for name in ("crossing.json", "noisy.json"):
@@ -626,12 +627,12 @@ class TestEngine:
             {"id": "mt1", "path": [[0, [0.0, 0.0]]], "app_type": "voice"},
         ]
         trace = run(from_dict(doc))
-        t0 = [r.terminal for r in trace.of_kind(ANL) if r.t == 0]
+        t0 = [r.terminal for r in trace.records if r.kind == ANL and r.t == 0]
         assert t0 == ["mt1", "mt2"]
 
     def test_run_init_record_carries_configuration(self):
         trace = run(load_scenario(SCENARIO_DIR / "crossing.json"))
-        inits = trace.of_kind(INIT)
+        inits = [r for r in trace.records if r.kind == INIT]
         run_init = [r for r in inits if r.terminal is None]
         assert len(run_init) == 1
         payload = run_init[0].payload
@@ -663,7 +664,8 @@ def test_coverage_computes_rss_only_when_a_score_reads_it(monkeypatch, weights, 
 class TestSharedContext:
     def test_refused_for_a_scenario_that_differs_outside_the_controller(self):
         shared = SharedContext()
-        run(from_dict(_crossing_doc()), shared)
+        base = from_dict(_crossing_doc())
+        run(base, shared)
         moved = _crossing_doc()
         moved["terminals"][0]["path"][0][1] = [1.0, 0.0]
         others = [
@@ -679,34 +681,21 @@ class TestSharedContext:
         doc = _crossing_doc()
         doc["controller"]["hysteresis_delta"] = 0.7
         doc["controller"]["strategy"] = "proactive"
-        assert run(from_dict(doc), shared).to_ndjson() == run(from_dict(doc)).to_ndjson()
+        sc = replace(base, controller=parse_controller(doc))
+        assert run(sc, shared).to_ndjson() == run(from_dict(doc)).to_ndjson()
 
-    def test_bound_by_content_so_a_reparsed_nan_still_matches(self):
-        shared = SharedContext()
-        for delta in (0.0, 0.4):
-            doc = _crossing_doc()
-            doc["controller"]["hysteresis_delta"] = delta
-            sc = from_dict(doc)
-            # A document cannot carry a NaN radius; a topology built in code
-            # can, and that station covers nothing.
-            first, *rest = sc.topology.stations
-            stations = (replace(first, radius=float("nan")), *rest)
-            run(replace(sc, topology=replace(sc.topology, stations=stations)), shared)
-
-    def test_a_scenario_made_of_the_bound_ones_fields_is_bound_without_a_key(
-        self, monkeypatch
-    ):
-        keyed = []
-        real_key = engine._key
-        monkeypatch.setattr(engine, "_key", lambda sc: keyed.append(sc) or real_key(sc))
+    def test_refused_for_an_equal_but_reparsed_scenario(self):
+        # Binding is by identity: the context is shared only with scenarios
+        # made of the bound one's objects, as a sweep makes its points.
         base = from_dict(_crossing_doc())
         shared = SharedContext()
         for delta in (0.0, 0.4, 0.7):
             sc = replace(base, controller=replace(base.controller, hysteresis_delta=delta))
             assert run(sc, shared).to_ndjson() == run(sc).to_ndjson()
-        assert keyed == []
-        run(from_dict(_crossing_doc()), shared)  # equal content, other objects
-        assert len(keyed) == 2
+        again = from_dict(_crossing_doc())
+        assert again == base
+        with pytest.raises(ValueError, match="outside its controller"):
+            run(again, shared)
 
     def test_a_plain_run_shares_nothing(self):
         shared = SharedContext()
@@ -727,12 +716,13 @@ class TestSharedContext:
             return real_step(state, event, cfg, now)
 
         monkeypatch.setattr(ctl, "step", failing_step)
+        base = from_dict(copy.deepcopy(doc))
         with pytest.raises(RuntimeError):
-            run(from_dict(copy.deepcopy(doc)), shared)
+            run(base, shared)
         monkeypatch.undo()
         filled = len(shared.ticks)
         assert 0 < filled < doc["duration_ms"] // doc["tick_ms"]
         doc["controller"]["dwell_sp"] = 0
         want = run(from_dict(copy.deepcopy(doc))).to_ndjson()
-        assert run(from_dict(doc), shared).to_ndjson() == want
+        assert run(replace(base, controller=parse_controller(doc)), shared).to_ndjson() == want
         assert len(shared.ticks) == doc["duration_ms"] // doc["tick_ms"]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from handoffsim import engine, trace as trace_module
 from handoffsim.scenario import from_dict
 from handoffsim.trace import (
-    ANL, HANDOFF, INIT, TRANSITION, LineEncoder, Trace, TraceRecord, read_trace,
+    ANL, HANDOFF, INIT, TRANSITION, LineEncoder, Trace, read_trace,
 )
 from test_golden import _inputs
 
@@ -62,7 +62,7 @@ NESTED = {"a": [float("nan"), {"b": [float("inf"), float("-inf")]}], "c": True, 
 @example(record=(float("nan"), None, ANL, NESTED))
 @example(record=(1.5, 'é"\x01', "kind", {}))
 def test_a_line_is_the_canonical_dump(record):
-    assert TraceRecord(*record).to_json() == _dumps(*record)
+    assert LineEncoder().line(*record) == _dumps(*record) + "\n"
 
 
 @given(records=st.lists(_RECORD, max_size=3))
