@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -278,7 +276,7 @@ def _sweep_batch(base: Scenario, terminals: list[str], controllers: list) -> lis
     group = tuple(term for term in base.terminals if term.id in ids)
     shared = engine.SharedContext() if len(controllers) > 1 else None
     return [
-        _sweep_point(replace(base, terminals=group, controller=controller), shared)
+        _sweep_point(base._replace(terminals=group, controller=controller), shared)
         for controller in controllers
     ]
 
@@ -345,6 +343,9 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     batches = _batches(controllers, workers // len(groups))
     tasks = [(group, batch) for group in groups for batch in batches]
     if len(tasks) > 1:
+        # Imported here: it would cost every run and validate 15-20 ms and 1.5 MB.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=len(tasks), initializer=_init_worker, initargs=(scenario,)
         ) as executor:

@@ -14,10 +14,8 @@ metrics a run publishes, and the ids goals name them by, are one table.
 from __future__ import annotations
 
 import json
-from collections import abc
-from dataclasses import dataclass
+from collections import abc, namedtuple
 from enum import Enum
-from importlib import resources
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnknownMetricError
@@ -37,8 +35,7 @@ class Polarity(Enum):
     DETRIMENTAL = "detrimental"
 
 
-@dataclass(frozen=True)
-class CriterionDef:
+class CriterionDef(NamedTuple):
     """One measurable decision criterion.
 
     ``floor`` is the smallest value admitted into logarithmic scoring;
@@ -187,27 +184,28 @@ class GoalDirection(Enum):
     KEEP_WITHIN = "keep_within"
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    """Acceptance region for one metric.
+class GoalSpec(
+    namedtuple("GoalSpec", ("metric_id", "direction", "bound", "lower", "upper"),
+               defaults=(None, None, None))
+):
+    """Acceptance region for one metric: ``metric_id``, a ``GoalDirection``,
+    and a ``bound``, or ``lower`` and ``upper`` for keep-within.
 
     Minimize and Maximize are open-ended wishes; to make them checkable
     every goal carries a configured numeric bound, so they behave as
-    maintain-below and maintain-above respectively.
+    maintain-below and maintain-above respectively.  A goal missing the
+    bounds its direction needs raises ValueError.
     """
 
-    metric_id: str
-    direction: GoalDirection
-    bound: Optional[float] = None
-    lower: Optional[float] = None
-    upper: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.direction is GoalDirection.KEEP_WITHIN:
-            if self.lower is None or self.upper is None:
-                raise ValueError(f"goal {self.metric_id}: keep_within needs lower and upper")
-        elif self.bound is None:
-            raise ValueError(f"goal {self.metric_id}: direction {self.direction.value} needs a bound")
+    def __new__(cls, metric_id, direction, bound=None, lower=None, upper=None):
+        if direction is GoalDirection.KEEP_WITHIN:
+            if lower is None or upper is None:
+                raise ValueError(f"goal {metric_id}: keep_within needs lower and upper")
+        elif bound is None:
+            raise ValueError(f"goal {metric_id}: direction {direction.value} needs a bound")
+        return super().__new__(cls, metric_id, direction, bound, lower, upper)
 
 
 def goal_holds(value: float, goal: GoalSpec) -> bool:
@@ -231,8 +229,7 @@ def goal_satisfied(snapshot, goal: GoalSpec) -> bool:
     return goal_holds(value, goal)
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
+class FeatureSpec(NamedTuple):
     """A named quality of the handoff process, judged by its goals."""
 
     name: str
@@ -254,8 +251,7 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureResult:
+class FeatureResult(NamedTuple):
     feature: str
     passed: bool
     vacuous: bool
@@ -263,6 +259,8 @@ class FeatureResult:
 
 
 def _load_default_goal_config() -> dict:
+    from importlib import resources  # only the feature layer reads package data
+
     data = resources.files("handoffsim").joinpath("data/feature_goals.json").read_text()
     return json.loads(data)
 

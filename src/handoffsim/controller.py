@@ -18,9 +18,12 @@ opportunist (above the upper threshold).
 
 ``step`` is a pure function: the returned state and actions depend only on
 the inputs.  All mutable memory (the last seen network list, the in-flight
-handoff) lives inside ControllerState.  The values built once per event
-(ControllerState, the AnlUpdated event, PrepData and DwellTracker) are
-NamedTuples: immutable, and built without a ``__setattr__`` per field.
+handoff) lives inside ControllerState.  Every value here (the state, the
+configuration, events, actions, plans and records) is a NamedTuple:
+immutable, and built without a ``__setattr__`` per field.  Two of them with
+equal fields compare equal whatever their types (``ScheduleTimer`` and
+``TimerFired``, ``CurrentLinkLost`` and ``SwitchComplete``), so ``step``
+and its callers tell events and actions apart with ``isinstance``.
 
 The proactive gate extrapolates each network's score from two samples:
 the one in the current list and the previous one.  A network's previous
@@ -32,7 +35,6 @@ O(1) memory per step and ``step`` does no merge and no sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -68,8 +70,7 @@ DEFAULT_LAYER_METHODS: Mapping[Layer, str] = {
 }
 
 
-@dataclass(frozen=True)
-class PolicyTable:
+class PolicyTable(NamedTuple):
     """Maps (layer, application type) to a handoff method label.
 
     Lookup tries the exact key first, then the wildcard ("*") application
@@ -78,8 +79,8 @@ class PolicyTable:
     and raises.
     """
 
-    entries: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    defaults: Mapping[Layer, str] = field(default_factory=lambda: dict(DEFAULT_LAYER_METHODS))
+    entries: Mapping[tuple[str, str], str] = {}
+    defaults: Mapping[Layer, str] = DEFAULT_LAYER_METHODS
 
     def lookup(self, layer: Layer, app_type: str) -> str:
         for key in ((layer.value, app_type), (layer.value, "*")):
@@ -93,8 +94,7 @@ class PolicyTable:
 DEFAULT_POLICY = PolicyTable()
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(NamedTuple):
     hysteresis_delta: float = 0.5
     th_sup: float = 8.0
     th_inf: float = 2.0
@@ -107,7 +107,7 @@ class ControllerConfig:
     # Alternative opportunist reading: judge the candidate's utility against
     # th_sup instead of the serving network's.  Off by default.
     opportunist_on_target: bool = False
-    success_regions: Mapping[str, GoalSpec] = field(default_factory=dict)
+    success_regions: Mapping[str, GoalSpec] = {}
     policy: PolicyTable = DEFAULT_POLICY
 
 
@@ -203,8 +203,7 @@ def _slope(p0: tuple[int, float], p1: tuple[int, float]) -> float:
     return (v1 - v0) / (t1 - t0)
 
 
-@dataclass(frozen=True)
-class TriggerPlan:
+class TriggerPlan(NamedTuple):
     """A fully decided handoff: why, where, how, who, and when."""
 
     why: Reason
@@ -214,14 +213,12 @@ class TriggerPlan:
     when: int
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
+class MeasurementSet(NamedTuple):
     network: str
-    values: Mapping[str, float] = field(default_factory=dict)
+    values: Mapping[str, float] = {}
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     accepted: bool
     reasons: tuple[str, ...] = ()
 
@@ -251,8 +248,7 @@ def evaluate(
     return EvalOutcome(accepted=True)
 
 
-@dataclass(frozen=True)
-class HandoffRecord:
+class HandoffRecord(NamedTuple):
     """Everything known about one completed handoff attempt."""
 
     terminal: str
@@ -285,18 +281,15 @@ class AnlUpdated(NamedTuple):
     infos: Mapping[str, Attachment]
 
 
-@dataclass(frozen=True)
-class CurrentLinkLost:
+class CurrentLinkLost(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class SwitchComplete:
+class SwitchComplete(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class TimerFired:
+class TimerFired(NamedTuple):
     kind: str  # "eval"
     at: int
 
@@ -308,24 +301,20 @@ Event = Union[AnlUpdated, CurrentLinkLost, SwitchComplete, TimerFired]
 # Actions
 
 
-@dataclass(frozen=True)
-class Connect:
+class Connect(NamedTuple):
     network: str
 
 
-@dataclass(frozen=True)
-class StartSwitch:
+class StartSwitch(NamedTuple):
     plan: TriggerPlan
 
 
-@dataclass(frozen=True)
-class ScheduleTimer:
+class ScheduleTimer(NamedTuple):
     kind: str  # "switch" | "eval"
     at: int
 
 
-@dataclass(frozen=True)
-class RecordHandoff:
+class RecordHandoff(NamedTuple):
     record: HandoffRecord
 
 
@@ -343,8 +332,7 @@ class PrepData(NamedTuple):
     last_reason: Optional[Reason] = None
 
 
-@dataclass(frozen=True)
-class InFlight:
+class InFlight(NamedTuple):
     t_prep: int
     from_net: str
     uf_old: float
@@ -519,7 +507,7 @@ def _on_switch_complete(state, cfg, now):
     st = state._replace(
         phase=Phase.EVALUATION,
         current=target,
-        flight=replace(state.flight, t_switch_done=now),
+        flight=state.flight._replace(t_switch_done=now),
         eval_deadline=now + cfg.eval_latency,
     )
     return st, (Connect(target), ScheduleTimer("eval", now + cfg.eval_latency))

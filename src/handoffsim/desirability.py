@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -31,12 +30,15 @@ from .errors import (
 SIDE_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Per-criterion weights plus the shared additive constant K."""
+class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,))):
+    """Per-criterion weights plus the shared additive constant K.
 
-    weights: Mapping[str, float]
-    k: float = 1.0
+    The class keeps a ``__dict__``, unlike a plain named tuple, only to
+    cache ``terms``; setting an attribute raises AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: WeightProfile is immutable")
 
     @cached_property
     def terms(self) -> tuple[tuple[str, float], ...]:

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import fields, replace
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
@@ -96,7 +95,7 @@ def advance_position(path: tuple[tuple[int, Position], ...], t: int) -> Position
 
 
 def _plan_payload(plan: ctl.TriggerPlan) -> dict:
-    return {**vars(plan), "why": plan.why.value}
+    return {**plan._asdict(), "why": plan.why.value}
 
 
 def _action_payload(action: ctl.Action) -> dict:
@@ -113,7 +112,7 @@ def _action_payload(action: ctl.Action) -> dict:
 
 def _record_payload(rec: ctl.HandoffRecord) -> dict:
     return {
-        **vars(rec),
+        **rec._asdict(),
         "reason": rec.reason.value,
         "dvho_ms": rec.dvho_ms,
         "reject_reasons": list(rec.reject_reasons),
@@ -171,7 +170,7 @@ class _Context:
         self.shared_scores = "RSS" not in scenario.weights.weights
         # When no score reads RSS, coverage queries leave it out.
         self.topology = (
-            replace(scenario.topology, measure_rss=False)
+            scenario.topology._replace(measure_rss=False)
             if self.shared_scores else scenario.topology
         )
         self.index = catalog_index(scenario.catalog)
@@ -205,7 +204,7 @@ class _Context:
 
 
 # Everything the context may depend on.
-_KEYED = tuple(f.name for f in fields(Scenario) if f.name not in ("controller", "raw"))
+_KEYED = tuple(name for name in Scenario._fields if name not in ("controller", "raw"))
 
 
 class SharedContext:
@@ -214,10 +213,10 @@ class SharedContext:
 
     The first run binds it to its scenario.  A later run is accepted only
     when its scenario's fields outside ``controller`` are the very objects
-    of the bound one's, as ``dataclasses.replace(bound, controller=...)``
-    makes; any other scenario, even one of equal content, raises
-    ValueError.  The first run to reach a (terminal, t) computes its
-    context and stores it, later runs read it.  Every run asks for the
+    of the bound one's, as ``bound._replace(controller=...)`` makes; any
+    other scenario, even one of equal content, raises ValueError.  The
+    first run to reach a (terminal, t) computes its context and stores it,
+    later runs read it.  Every run asks for the
     same (terminal, t) in the same order, whatever its controller, and an
     entry is stored only once complete, so a run that fails part way
     leaves a memo the next run can continue.
@@ -251,7 +250,7 @@ class _Run:
         self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
         # Policy lookup keys on the terminal's application type.
         self.configs = {
-            term.id: replace(scenario.controller, app_type=term.app_type)
+            term.id: scenario.controller._replace(app_type=term.app_type)
             for term in scenario.terminals
         }
         stations = {bs.id: bs for bs in scenario.topology.stations}

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .context import (
     PASS_THROUGH,
@@ -36,15 +35,13 @@ from .topology import TIER_DEFAULTS, BaseStation, IPNet, Provider, Topology
 Position = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class TerminalSpec:
+class TerminalSpec(NamedTuple):
     id: str
     path: tuple[tuple[int, Position], ...]
     app_type: str = "*"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     seed: int
     duration_ms: int
     tick_ms: int
@@ -54,8 +51,8 @@ class Scenario:
     controller: ControllerConfig
     synthesis: ContextSynthesisSpec
     catalog: tuple[CriterionDef, ...]
-    metrics_constants: Mapping[str, float] = field(default_factory=dict)
-    raw: Mapping = field(default_factory=dict)
+    metrics_constants: Mapping[str, float] = {}
+    raw: Mapping = {}
 
 
 # The keys each object of a document accepts.  Objects keyed by ids (tiers,
@@ -409,7 +406,7 @@ def _parse_policy(doc, problems) -> PolicyTable:
         if method is not None and app_type is not None:
             entries[(layer, app_type)] = method
     strict = _field(pdoc, "strict", "policy", problems, bool, False)
-    return PolicyTable(entries=entries, defaults={} if strict else dict(DEFAULT_LAYER_METHODS))
+    return PolicyTable(entries=entries, defaults={} if strict else DEFAULT_LAYER_METHODS)
 
 
 def _parse_synthesis(doc, catalog, problems, seed: int) -> ContextSynthesisSpec:

@@ -17,26 +17,24 @@ and criterion order, so a given seed always yields the same byte stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .context import CriteriaVector
 
 
-@dataclass(frozen=True)
-class NetworkSignals:
-    """Synthesis inputs for one network's criteria."""
+class NetworkSignals(NamedTuple):
+    """Synthesis inputs for one network's criteria.  The empty defaults are
+    shared and never mutated; the parser passes all four maps."""
 
-    base: Mapping[str, float] = field(default_factory=dict)
-    ramps: Mapping[str, float] = field(default_factory=dict)  # value units per ms
-    waypoints: Mapping[str, Sequence[tuple[int, float]]] = field(default_factory=dict)
-    start: Mapping[str, float] = field(default_factory=dict)  # stochastic initial values
+    base: Mapping[str, float] = {}
+    ramps: Mapping[str, float] = {}  # value units per ms
+    waypoints: Mapping[str, Sequence[tuple[int, float]]] = {}
+    start: Mapping[str, float] = {}  # stochastic initial values
 
 
-@dataclass(frozen=True)
-class ContextSynthesisSpec:
+class ContextSynthesisSpec(NamedTuple):
     mode: str  # "geometric" | "stochastic"
-    networks: Mapping[str, NetworkSignals] = field(default_factory=dict)
+    networks: Mapping[str, NetworkSignals] = {}
     ar1_rho: float = 0.9
     noise_sigma: float = 0.0
     seed: int = 0

@@ -20,10 +20,9 @@ terminal changes carry no verticality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class InfraLevel(Enum):
@@ -47,8 +46,7 @@ class Layer(Enum):
     L4_7 = "L4-7"
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     """A point of attachment, fully qualified."""
 
     terminal_id: str
@@ -59,8 +57,7 @@ class Attachment:
     technology: str
 
 
-@dataclass(frozen=True)
-class TransitionDelta:
+class TransitionDelta(NamedTuple):
     terminal_changed: bool
     channel_changed: bool
     cell_changed: bool
@@ -69,8 +66,7 @@ class TransitionDelta:
     tech_changed: bool
 
 
-@dataclass(frozen=True)
-class HandoffType:
+class HandoffType(NamedTuple):
     code: str
     terminal_changed: bool
     infra_level: InfraLevel

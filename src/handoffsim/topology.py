@@ -22,9 +22,9 @@ built with ``measure_rss=False`` answers the same stations with no RSS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 Position = tuple[float, float]
 
@@ -39,8 +39,7 @@ TIER_DEFAULTS: Mapping[str, dict] = {
 REFERENCE_DISTANCE_M = 1.0
 
 
-@dataclass(frozen=True)
-class PathLossParams:
+class PathLossParams(NamedTuple):
     tx_power_dbm: float
     exponent: float
     d0: float = REFERENCE_DISTANCE_M
@@ -54,8 +53,7 @@ def tier_path_loss(tier: str, overrides: Optional[Mapping[str, Mapping]] = None)
     return PathLossParams(tx_power_dbm=cfg["tx_power_dbm"], exponent=cfg["exponent"])
 
 
-@dataclass(frozen=True)
-class BaseStation:
+class BaseStation(NamedTuple):
     id: str
     net_id: str
     provider_id: str
@@ -72,28 +70,32 @@ class BaseStation:
         return TIER_DEFAULTS[self.tier]["radius"]
 
 
-@dataclass(frozen=True)
-class IPNet:
+class IPNet(NamedTuple):
     id: str
     provider_id: str
     station_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Provider:
+class Provider(NamedTuple):
     id: str
     net_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Topology:
-    providers: tuple[Provider, ...]
-    nets: tuple[IPNet, ...]
-    stations: tuple[BaseStation, ...]
-    path_loss_overrides: Mapping[str, Mapping] = field(default_factory=dict)
-    # False: coverage queries report None for RSS and skip its log10, for
-    # runs whose scores do not read it.
-    measure_rss: bool = True
+class Topology(
+    namedtuple("Topology", ("providers", "nets", "stations", "path_loss_overrides", "measure_rss"),
+               defaults=({}, True))
+):
+    """Providers, nets and stations, each a tuple; ``path_loss_overrides``
+    maps a tier to its overridden path-loss parameters.  With
+    ``measure_rss`` False, coverage queries report None for RSS and skip its
+    log10, for runs whose scores do not read it.
+
+    The class keeps a ``__dict__``, unlike a plain named tuple, only to
+    cache ``coverage_index``; setting an attribute raises AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: Topology is immutable")
 
     @cached_property
     def coverage_index(self) -> "CoverageIndex":

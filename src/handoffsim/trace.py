@@ -137,18 +137,11 @@ class Trace:
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
         self.records.append(TraceRecord(t, terminal, kind, payload))
 
-    def _lines(self):
-        """Each record's line, through one encoder for the whole trace."""
-        return starmap(LineEncoder().line, self.records)
-
-    def to_ndjson(self) -> str:
-        return "".join(self._lines())
-
     def write(self, path: str | Path) -> None:
-        """Stream the lines of ``to_ndjson`` to ``path``, never holding the
-        whole text."""
+        """Stream each record's canonical line to ``path``, through one
+        encoder for the whole trace, never holding the whole text."""
         with open(path, "w") as fh:
-            fh.writelines(self._lines())
+            fh.writelines(starmap(LineEncoder().line, self.records))
 
 
 def parse_ndjson(lines: Iterable[str]) -> Trace:

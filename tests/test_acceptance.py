@@ -25,6 +25,7 @@ from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.taxonomy import Attachment, Layer, classify, enumerate_types
 from handoffsim.trace import HANDOFF, TRANSITION
 from handoffsim.context import CriteriaVector
+from trace_text import ndjson
 
 from pathlib import Path
 
@@ -356,7 +357,7 @@ def test_c09_zero_friction_tracks_the_best_network():
 
 def test_c10_reproducibility(tmp_path, capsys):
     sc = load_scenario(SCENARIO_DIR / "noisy.json")
-    assert run(sc).to_ndjson() == run(sc).to_ndjson()
+    assert ndjson(run(sc)) == ndjson(run(sc))
 
     for d in ("one", "two"):
         assert cli_main(["run", str(SCENARIO_DIR / "noisy.json"),

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifacts, and stream separation."""
 
+import concurrent.futures
 import copy
 import json
 import os
@@ -569,7 +570,8 @@ class TestSweepTerminalGroups:
 
         monkeypatch.setattr(engine, "coverage", counting)
         monkeypatch.setattr(cli, "_sweep_task", task)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+        # The CLI imports the pool from concurrent.futures when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
         assert _sweep(path, grid, workers, capsys)[0] == want
         terminals = sorted(term["id"] for term in doc["terminals"])
         if workers == 1:

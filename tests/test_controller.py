@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from handoffsim import engine
 from handoffsim.controller import (
     AnlUpdated,
     Connect,
@@ -337,13 +338,20 @@ def _feed_anl(state, now, *pairs, cfg=CFG):
     return step(state, event, cfg, now)
 
 
+def _assert_actions(actions, *expected):
+    """Equal, and of the same types: a NamedTuple equals any tuple of its
+    fields, so ``ScheduleTimer("eval", 5) == TimerFired("eval", 5)``."""
+    assert [type(a) for a in actions] == [type(e) for e in expected]
+    assert actions == expected
+
+
 class TestPhaseMachine:
     def test_first_list_connects_to_head(self):
         st0 = initial_state("mt1")
         st1, actions = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
         assert st1.phase is Phase.INITIATION
         assert st1.current == "n1"
-        assert actions == (Connect("n1"),)
+        _assert_actions(actions, Connect("n1"))
 
     def test_empty_list_keeps_disconnection(self):
         st0 = initial_state("mt1")
@@ -365,12 +373,12 @@ class TestPhaseMachine:
         assert plan == TriggerPlan(
             why=Reason.OPPORTUNIST, where="n2", how="MIP", who="hce:mt1", when=100
         )
-        assert actions[1] == ScheduleTimer("switch", 200)
+        _assert_actions(actions[1:], ScheduleTimer("switch", 200))
 
         st3, actions = step(st2, SwitchComplete(), CFG, 200)
         assert st3.phase is Phase.EVALUATION
         assert st3.current == "n2"
-        assert actions == (Connect("n2"), ScheduleTimer("eval", 250))
+        _assert_actions(actions, Connect("n2"), ScheduleTimer("eval", 250))
 
         # A fresher list lands during evaluation and is absorbed silently.
         st4, actions = _feed_anl(st3, 210, ("n2", 6.2), ("n1", 5.0))
@@ -642,3 +650,22 @@ def test_per_event_values_are_immutable(value):
     for name in (*value._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+def test_events_and_actions_equal_as_tuples_are_told_apart_by_type():
+    assert ScheduleTimer("eval", 250) == TimerFired("eval", 250)
+    assert CurrentLinkLost() == SwitchComplete()
+    # In Execution the switch completes, and a lost link is undefined.
+    st1, _ = _feed_anl(initial_state("mt1"), 0, ("n1", 5.0), ("n2", 3.0))
+    st2, _ = _feed_anl(st1, 100, ("n2", 6.0), ("n1", 5.0))
+    assert st2.phase is Phase.EXECUTION
+    st3, _ = step(st2, SwitchComplete(), CFG, 200)
+    assert st3.phase is Phase.EVALUATION
+    with pytest.raises(IllegalEventError):
+        step(st2, CurrentLinkLost(), CFG, 200)
+    # The engine traces an action by its type, not by its fields.
+    assert engine._action_payload(ScheduleTimer("eval", 250)) == {
+        "schedule_timer": {"kind": "eval", "at": 250}
+    }
+    with pytest.raises(TypeError):
+        engine._action_payload(TimerFired("eval", 250))

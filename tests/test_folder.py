@@ -10,7 +10,6 @@ scenario's terminals pool to the snapshot of the run over all of them.
 """
 
 import copy
-from dataclasses import replace
 
 import pytest
 
@@ -48,7 +47,7 @@ def test_online_fold_through_a_shared_context(inputs, name):
     for variant in VARIANTS:
         doc = copy.deepcopy(inputs[name])
         doc["controller"].update(variant)
-        sc = replace(base, controller=parse_controller(doc))
+        sc = base._replace(controller=parse_controller(doc))
         folded = engine.run(sc, shared, MetricFolder(sc.duration_ms)).snapshot()
         assert folded == compute_metrics(engine.run(sc), sc.duration_ms), variant
 
@@ -60,7 +59,7 @@ def test_terminal_groups_pool_to_the_whole_run(inputs, name):
     terminals = tuple(sorted(sc.terminals, key=lambda term: term.id))
 
     def facts(group):
-        return engine.run(replace(sc, terminals=group), sink=MetricFolder(sc.duration_ms)).facts()
+        return engine.run(sc._replace(terminals=group), sink=MetricFolder(sc.duration_ms)).facts()
 
     def pooled(groups):
         return pool([f for group in groups for f in facts(group)], sc.duration_ms,

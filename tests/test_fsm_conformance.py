@@ -18,7 +18,6 @@ read at the next step, so histories that differ only there converge.
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -387,7 +386,7 @@ def _explore(strategy=ctl.Strategy.REACTIVE):
     (phase, letter kind, phase) transitions, the edge and handoff-record
     counts, and how many edges opened Preparation on a prediction alone:
     the candidate's latest score was not above the serving network's."""
-    cfg = replace(CFG, strategy=strategy)
+    cfg = CFG._replace(strategy=strategy)
     memo: dict = {}
     transitions = set()
     edge_count = 0
@@ -514,7 +513,7 @@ def test_proactive_walk_enters_preparation_on_predictions(proactive_exploration)
 def test_step_leaves_its_input_state_unchanged(strategy):
     """Over every state the walk reaches, each letter leaves the state
     ``step`` was given equal to a deep copy taken before the call."""
-    cfg = replace(CFG, strategy=strategy)
+    cfg = CFG._replace(strategy=strategy)
     memo: dict = {}
     stack = [(ctl.initial_state("mt1"), 0, 0)]
     edges = 0

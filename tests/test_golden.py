@@ -13,7 +13,6 @@ import hashlib
 import json
 import random
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ import pytest
 from handoffsim.cli import main
 from handoffsim.engine import SharedContext, run
 from handoffsim.scenario import from_dict, parse_controller
+from trace_text import ndjson
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -197,7 +197,7 @@ SWEEP_CSV_SHA = "f3fa4cfe03c313506efd52aaa4804e81d2d61b06e2f1ec2507f75f8936703b5
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_bytes_are_pinned(inputs, name):
     trace = run(from_dict(copy.deepcopy(inputs[name])))
-    assert _sha(trace.to_ndjson()) == GOLDEN[name][0]
+    assert _sha(ndjson(trace)) == GOLDEN[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -256,8 +256,8 @@ def test_shared_context_keeps_every_controller_variant_byte_identical(inputs, na
         doc = copy.deepcopy(inputs[name])
         doc["controller"].update(variant)
         alone = run(from_dict(copy.deepcopy(doc)))
-        sc = replace(base, controller=parse_controller(doc))
-        assert run(sc, shared).to_ndjson() == alone.to_ndjson(), variant
+        sc = base._replace(controller=parse_controller(doc))
+        assert ndjson(run(sc, shared)) == ndjson(alone), variant
         behaviours.add(tuple(json.dumps(r) for r in alone.records if r.kind != "init"))
     # The variants behave differently, so sharing is tested on distinct runs.
     assert len(behaviours) > 1

@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, every
-name it defines has a caller outside the tests, and loading a scenario
-imports none of the modules that run or report it."""
+name it defines has a caller outside the tests, loading a scenario imports
+none of the modules that run or report it, nor any that only dataclasses or
+package data need, and the CLI imports no process pool until a sweep
+starts one."""
 
 import ast
 import os
@@ -46,22 +48,44 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+def imported_by(statement: str) -> set[str]:
+    """The modules a fresh ``python -S`` has loaded after ``statement``.
+    Without ``site``, whose own imports vary by machine, nothing but the
+    interpreter's start-up and the package can load a module."""
+    code = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return set(subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.split())
+
+
 def test_loading_a_scenario_imports_no_run_or_report_module():
     """A fresh process that only loads a scenario compiles every module it
     imports when bytecode is not cached, so the trace encoder, the engine,
     the metric fold and the CLI stay out of that import."""
-    code = (
-        "import sys, handoffsim.scenario\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('handoffsim'))))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-        timeout=60,
-    ).stdout.split()
-    assert "handoffsim.scenario" in out
+    modules = imported_by("import handoffsim.scenario")
+    assert "handoffsim.scenario" in modules
     for name in ("trace", "engine", "metrics", "cli"):
-        assert f"handoffsim.{name}" not in out
+        assert f"handoffsim.{name}" not in modules
+
+
+def test_loading_a_scenario_imports_no_dataclasses_or_package_data_reader():
+    """Every value a scenario is made of is a named tuple: ``dataclasses``
+    (which pulls in ``inspect``) would cost each import several ms, and
+    only the feature layer's goal file needs ``importlib.resources``."""
+    modules = imported_by("import handoffsim.scenario")
+    assert "handoffsim.scenario" in modules
+    for name in ("dataclasses", "inspect", "importlib.resources"):
+        assert name not in modules
+
+
+def test_the_cli_imports_no_process_pool():
+    """Only a sweep with more than one task imports the pool."""
+    modules = imported_by("import handoffsim.cli")
+    assert "handoffsim.cli" in modules
+    for name in ("concurrent.futures.process", "multiprocessing"):
+        assert name not in modules
 
 
 # The names of the package with no caller in it or in the benchmark, and
@@ -70,8 +94,6 @@ UNCALLED = {
     "default_feature_specs": "the feature layer, kept until it is wired into run or deleted",
     "feature_report": "the feature layer, kept until it is wired into run or deleted",
     "rss_at": "the plain per-station RSS that a reference engine is to build on",
-    "to_ndjson": "a trace's text in memory, the bytes the golden and determinism tests "
-    "compare; write streams the same lines",
 }
 CALLERS = [PACKAGE, PACKAGE.parent.parent / "perfbench"]
 

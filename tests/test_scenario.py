@@ -2,15 +2,23 @@
 
 import copy
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
+from handoffsim import controller as ctl
 from handoffsim import engine
+from handoffsim.context import FeatureResult, FeatureSpec, GoalDirection, GoalSpec
 from handoffsim.controller import MEASURED, Strategy
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
 from handoffsim.scenario import from_dict, load_scenario, parse_controller
+from handoffsim.synthesis import NetworkSignals
+from handoffsim.taxonomy import Attachment, classify, delta
+from handoffsim.topology import tier_path_loss
+from test_golden import _inputs
+from trace_text import ndjson
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -500,3 +508,75 @@ class TestFileLoading:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(tmp_path / "ghost.json")
+
+
+def _values():
+    """One value of each type a scenario is made of, or that a controller
+    step or a feature report builds: 31 types, all named tuples."""
+    sc = load_scenario(SCENARIO_DIR / "crossing.json")
+    topo = sc.topology
+    old = Attachment("mt1", "p1", "net1", "c1", "ch1", "lte")
+    new = Attachment("mt1", "p1", "net1", "c2", "ch2", "lte")
+    plan = ctl.TriggerPlan(ctl.Reason.OPPORTUNIST, "c2", "MAHO", "hce:mt1", 100)
+    record = ctl.HandoffRecord(
+        "mt1", "c1", "c2", ctl.Reason.OPPORTUNIST, "cell_horizontal", "MAHO",
+        0, 100, 200, 300, 5.0, 6.0, True,
+    )
+    return [
+        sc, topo, topo.stations[0], topo.nets[0], topo.providers[0], tier_path_loss("macro"),
+        sc.terminals[0], sc.weights, sc.controller, sc.controller.policy, sc.synthesis,
+        NetworkSignals({"Q": 1.0}), sc.catalog[0],
+        GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
+        FeatureSpec("timely"), FeatureResult("timely", True, True),
+        old, delta(old, new), classify(old, new),
+        plan, ctl.MeasurementSet("c2", {"IL": 10.0}), ctl.EvalOutcome(True), record,
+        ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired("eval", 300),
+        ctl.Connect("c2"), ctl.StartSwitch(plan), ctl.ScheduleTimer("eval", 300),
+        ctl.RecordHandoff(record), ctl.InFlight(0, "c1", 5.0, "cell_horizontal", 200),
+    ]
+
+
+def test_the_value_list_names_each_type_once():
+    types = [type(v) for v in _values()]
+    assert len(types) == len(set(types)) == 31
+    assert all(issubclass(t, tuple) for t in types)
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_scenario_values_are_immutable(value):
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_a_value_survives_pickling(value):
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value)
+    assert back == value
+
+
+class TestPickledScenarios:
+    """Sweep workers unpickle the parsed scenario their pool hands them."""
+
+    @pytest.mark.parametrize("name", ["crossing.json", "noisy.json"])
+    def test_bundled_scenario_round_trips(self, name):
+        sc = load_scenario(SCENARIO_DIR / name)
+        sc.topology.coverage_index  # a cached index travels with its topology
+        assert pickle.loads(pickle.dumps(sc)) == sc
+
+    @pytest.mark.parametrize("name", sorted(_inputs()))
+    def test_golden_input_round_trips(self, name):
+        sc = from_dict(_inputs()[name])
+        assert pickle.loads(pickle.dumps(sc)) == sc
+
+    def test_replaced_controllers_of_an_unpickled_scenario_share_one_context(self):
+        doc = _inputs()["noisy"]
+        base = pickle.loads(pickle.dumps(from_dict(copy.deepcopy(doc))))
+        shared = engine.SharedContext()
+        for hysteresis in (0.0, 0.5, 2.0):
+            sc = base._replace(controller=base.controller._replace(hysteresis_delta=hysteresis))
+            assert sc.topology is base.topology
+            assert ndjson(engine.run(sc, shared)) == ndjson(engine.run(sc))
+        with pytest.raises(ValueError):  # equal, but not made from the bound one
+            engine.run(from_dict(doc), shared)

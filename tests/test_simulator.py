@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,7 @@ from handoffsim.topology import (
     tier_path_loss,
 )
 from handoffsim.trace import ANL, HANDOFF, INIT, TRANSITION
+from trace_text import ndjson
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -239,7 +239,7 @@ class TestCoverageIndex:
     @given(_coverage_cases())
     def test_matches_the_full_scan(self, case):
         topo, queries = case
-        unmeasured = replace(topo, measure_rss=False)
+        unmeasured = topo._replace(measure_rss=False)
         for pos in queries:
             _assert_matches_full_scan(pos, topo, unmeasured)
 
@@ -259,7 +259,7 @@ class TestCoverageIndex:
         points = [(1e9 + 0.4, -1e9 - 0.7), (1e9 - 60.0, -1e9), (1e9, -1e9)]
         for bs in stations:
             points += _beyond_box_edges(bs, steps=(1, 2, 3, 8))
-        unmeasured = replace(topo, measure_rss=False)
+        unmeasured = topo._replace(measure_rss=False)
         for pos in points:
             _assert_matches_full_scan(pos, topo, unmeasured)
 
@@ -605,17 +605,17 @@ class TestEngine:
     def test_trace_is_byte_reproducible(self):
         for name in ("crossing.json", "noisy.json"):
             sc = load_scenario(SCENARIO_DIR / name)
-            assert run(sc).to_ndjson() == run(sc).to_ndjson()
+            assert ndjson(run(sc)) == ndjson(run(sc))
 
     def test_seed_changes_stochastic_trace(self):
         doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
-        base = run(from_dict(doc)).to_ndjson()
+        base = ndjson(run(from_dict(doc)))
         doc["seed"] = doc["seed"] + 1
-        assert run(from_dict(doc)).to_ndjson() != base
+        assert ndjson(run(from_dict(doc))) != base
 
     def test_seed_is_irrelevant_for_geometric_mode(self):
-        a = run(from_dict(_crossing_doc(seed=1))).to_ndjson()
-        b = run(from_dict(_crossing_doc(seed=2))).to_ndjson()
+        a = ndjson(run(from_dict(_crossing_doc(seed=1))))
+        b = ndjson(run(from_dict(_crossing_doc(seed=2))))
         # init records carry the seed; everything after them matches
         tail = lambda s: s.splitlines()[1:]
         assert tail(a) == tail(b)
@@ -681,8 +681,8 @@ class TestSharedContext:
         doc = _crossing_doc()
         doc["controller"]["hysteresis_delta"] = 0.7
         doc["controller"]["strategy"] = "proactive"
-        sc = replace(base, controller=parse_controller(doc))
-        assert run(sc, shared).to_ndjson() == run(from_dict(doc)).to_ndjson()
+        sc = base._replace(controller=parse_controller(doc))
+        assert ndjson(run(sc, shared)) == ndjson(run(from_dict(doc)))
 
     def test_refused_for_an_equal_but_reparsed_scenario(self):
         # Binding is by identity: the context is shared only with scenarios
@@ -690,8 +690,8 @@ class TestSharedContext:
         base = from_dict(_crossing_doc())
         shared = SharedContext()
         for delta in (0.0, 0.4, 0.7):
-            sc = replace(base, controller=replace(base.controller, hysteresis_delta=delta))
-            assert run(sc, shared).to_ndjson() == run(sc).to_ndjson()
+            sc = base._replace(controller=base.controller._replace(hysteresis_delta=delta))
+            assert ndjson(run(sc, shared)) == ndjson(run(sc))
         again = from_dict(_crossing_doc())
         assert again == base
         with pytest.raises(ValueError, match="outside its controller"):
@@ -723,6 +723,6 @@ class TestSharedContext:
         filled = len(shared.ticks)
         assert 0 < filled < doc["duration_ms"] // doc["tick_ms"]
         doc["controller"]["dwell_sp"] = 0
-        want = run(from_dict(copy.deepcopy(doc))).to_ndjson()
-        assert run(replace(base, controller=parse_controller(doc)), shared).to_ndjson() == want
+        want = ndjson(run(from_dict(copy.deepcopy(doc))))
+        assert ndjson(run(base._replace(controller=parse_controller(doc)), shared)) == want
         assert len(shared.ticks) == doc["duration_ms"] // doc["tick_ms"]

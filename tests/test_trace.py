@@ -24,6 +24,7 @@ from handoffsim.trace import (
     ANL, HANDOFF, INIT, TRANSITION, LineEncoder, Trace, read_trace,
 )
 from test_golden import _inputs
+from trace_text import ndjson
 
 _ODD_TEXT = st.sampled_from(['"', "\\", 'mt"1', "\x00\x1f\n\r\t", "é漢😀", " ", ""])
 _TEXT = st.one_of(st.text(max_size=8), _ODD_TEXT)
@@ -71,19 +72,19 @@ def test_write_streams_to_ndjson_and_reads_back_to_the_same_bytes(records, out_d
     trace = Trace()
     for record in records:
         trace.append(*record)
-    text = trace.to_ndjson()
+    text = ndjson(trace)
     assert text == "".join(_dumps(*record) + "\n" for record in records)
     path = out_dir / "trace.ndjson"
     trace.write(path)
     assert path.read_bytes() == text.encode()
-    assert read_trace(path).to_ndjson() == text
+    assert ndjson(read_trace(path)) == text
 
 
 def test_a_run_writes_its_ndjson(out_dir):
     trace = engine.run(from_dict(copy.deepcopy(_inputs()["crossing"])))
     path = out_dir / "crossing.trace.ndjson"
     trace.write(path)
-    assert path.read_text() == trace.to_ndjson()
+    assert path.read_text() == ndjson(trace)
     assert path.read_text() == "".join(
         _dumps(r.t, r.terminal, r.kind, r.payload) + "\n" for r in trace.records
     )
@@ -159,12 +160,12 @@ def test_the_memoized_shapes_write_what_json_dumps_does(records, out_dir):
     for record in records:
         trace.append(*record)
     expected = [_dumps(*record) for record in records]
-    text = trace.to_ndjson()
+    text = ndjson(trace)
     assert text.split("\n")[:-1] == expected
     path = out_dir / "memo.ndjson"
     trace.write(path)
     assert path.read_text().split("\n")[:-1] == expected
-    assert read_trace(path).to_ndjson() == text
+    assert ndjson(read_trace(path)) == text
 
 
 def test_each_tick_formats_each_distinct_anl_entry_once(monkeypatch, out_dir):
