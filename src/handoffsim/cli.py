@@ -226,6 +226,8 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
         if name not in _GRID_AXES:
             known = ", ".join(sorted(_GRID_AXES))
             raise ValueError(f"grid axis {name!r}: unknown (expected one of {known})")
+        if any(name == given for given, _ in axes):
+            raise ValueError(f"grid axis {name!r}: given more than once")
         _, parse = _GRID_AXES[name]
         values = []
         for raw in values_text.split(","):
@@ -367,6 +369,9 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        print(f"error: --workers: expected at least 1, got {args.workers}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         axes = parse_grid(args.grid)
     except ValueError as exc:

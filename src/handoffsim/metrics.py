@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -54,37 +53,44 @@ CSV_COLUMNS = ["terminal"] + [m.column for m in METRICS]
 _SOURCE_BY_ID = {m.id: m.source for m in METRICS if m.id is not None}
 
 
-@dataclass(frozen=True)
-class MetricSnapshot:
-    completed: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    hor: float = 0.0
-    shor: Optional[float] = None  # None until a handoff completes
-    ihor: float = 0.0
-    ohor: float = 0.0
-    thor: float = 0.0
-    phor: float = 0.0
-    dtib: Optional[float] = None
-    il: Optional[float] = None
-    ir: float = 0.0
-    hol: Optional[float] = None
-    dlat: Optional[float] = None
-    exlat: Optional[float] = None
-    evlat: Optional[float] = None
-    impr: Optional[float] = None
-    dr: float = 0.0
-    dl: Optional[float] = None
-    di: Optional[float] = None
+class _MetricValues(NamedTuple):
+    completed: int
+    accepted: int
+    rejected: int
+    hor: float
+    shor: Optional[float]  # None until a handoff completes
+    ihor: float
+    ohor: float
+    thor: float
+    phor: float
+    dtib: Optional[float]
+    il: Optional[float]
+    ir: float
+    hol: Optional[float]
+    dlat: Optional[float]
+    exlat: Optional[float]
+    evlat: Optional[float]
+    impr: Optional[float]
+    dr: float
+    dl: Optional[float]
+    di: Optional[float]
     # Pass-through constants: the rows of kind "constant" in METRICS.
-    al: Optional[float] = None
-    so: Optional[float] = None
-    sso: Optional[float] = None
-    dar: Optional[float] = None
-    counts: dict = field(default_factory=dict)
-    # A pooled snapshot's per-terminal snapshots, by terminal id; empty in
-    # a terminal's own.  Not a metric, so equality leaves it out.
-    by_terminal: dict = field(default_factory=dict, repr=False, compare=False)
+    al: Optional[float]
+    so: Optional[float]
+    sso: Optional[float]
+    dar: Optional[float]
+    counts: dict
+
+
+class MetricSnapshot(_MetricValues):
+    """One run's metrics, pooled over some of its terminals.
+
+    ``by_terminal`` holds a pooled snapshot's per-terminal snapshots, by
+    terminal id, and is empty in a terminal's own.  It is not a metric, so
+    it is an attribute outside the tuple, and equality and repr leave it
+    out."""
+
+    by_terminal: dict = {}  # shared by every snapshot that sets none; never mutated
 
     def get(self, metric_id: str) -> Optional[float]:
         """Metric lookup by id for goal checking; None when unavailable."""
@@ -118,7 +124,13 @@ class _Facts(NamedTuple):
 
 
 class _TerminalStats:
-    """Single-pass accumulation of one terminal's trace records."""
+    """Single-pass accumulation of one terminal's trace records.
+
+    Records arrive in trace order, which is time order.  A breakpoint is
+    kept only where the attached network or the list head changes: a
+    neighbouring segment with the same value would only extend the one
+    before it, and every lookup reads the same value over the joined span.
+    """
 
     # Every counter at zero; each terminal, and each pooled snapshot, starts
     # from a copy (a dict copy is faster to build than a dict display).
@@ -126,41 +138,48 @@ class _TerminalStats:
         ("connects", "link_losses", "d2i", "prep_entries", "rollbacks", "executions"), 0
     )
 
-    def __init__(self, terminal: str, horizon: int, tick: int, th_inf: float):
+    def __init__(self, terminal: str, horizon: int, tick: int, th_inf: float, moves: dict):
         self.terminal = terminal
         self.horizon = horizon
         self.tick = tick
         self.th_inf = th_inf
+        self.moves = moves  # (event, from, to) -> the counters that transition bumps
         self.records: list[dict] = []
+        self.attached: Optional[str] = None  # the value of the last attach breakpoint
         self.attach_points: list[tuple[int, Optional[str]]] = [(0, None)]
+        self.head: Optional[str] = None  # the value of the last head breakpoint
         self.anl_points: list[tuple[int, Optional[str]]] = [(0, None)]
         self.anl_by_t: dict[int, dict[str, float]] = {}
         self.counts = self.COUNTS.copy()
 
     def feed(self, t: int, kind: str, payload: dict) -> None:
-        if kind == HANDOFF:
-            self.records.append(payload)
-        elif kind == ANL:
+        if kind == ANL:
             entries = payload["entries"]
             head = entries[0][0] if entries else None
-            self.anl_points.append((t, head))
-            self.anl_by_t[t] = {net: value for net, value in entries}
+            if head != self.head:
+                self.head = head
+                self.anl_points.append((t, head))
+            self.anl_by_t[t] = dict(entries)
         elif kind == TRANSITION:
-            p = payload
-            self.attach_points.append((t, p["attached"]))
-            for action in p["actions"]:
+            attached = payload["attached"]
+            if attached != self.attached:
+                self.attached = attached
+                self.attach_points.append((t, attached))
+            counts = self.counts
+            for action in payload["actions"]:
                 if "connect" in action:
-                    self.counts["connects"] += 1
-            if p["event"] == "link_lost":
-                self.counts["link_losses"] += 1
-            if p["from"] == "disconnection" and p["to"] == "initiation":
-                self.counts["d2i"] += 1
-            if p["from"] == "initiation" and p["to"] in ("preparation", "execution"):
-                self.counts["prep_entries"] += 1
-            if p["from"] == "preparation" and p["to"] == "initiation":
-                self.counts["rollbacks"] += 1
-            if p["to"] == "execution" and p["from"] != "execution":
-                self.counts["executions"] += 1
+                    counts["connects"] += 1
+            move = payload["event"], payload["from"], payload["to"]
+            try:
+                bumped = self.moves[move]
+            except KeyError:
+                bumped = self.moves[move] = _bumped_by(*move)
+            except TypeError:  # an unhashable value, in a hand-made trace
+                bumped = _bumped_by(*move)
+            for key in bumped:
+                counts[key] += 1
+        elif kind == HANDOFF:
+            self.records.append(payload)
 
     @cached_property
     def attach_segs(self) -> list[tuple[int, int, Optional[str]]]:
@@ -196,27 +215,29 @@ class _TerminalStats:
         return on_head, attached
 
     def uf_series(self) -> list[tuple[int, int, float]]:
-        """Serving-network utility per tick segment while attached."""
-        attach_segs = self.attach_segs
-        starts = [a0 for a0, _, _ in attach_segs]
+        """Serving-network utility per tick segment while attached.
 
-        def attached_at(t: int) -> Optional[str]:
-            i = bisect_right(starts, t) - 1
-            if i >= 0 and t < attach_segs[i][1]:
-                return attach_segs[i][2]
-            return None
-
+        The list times and the attach segments are both sorted, so one walk
+        finds the segment, if any, that holds each time."""
+        segs = self.attach_segs
+        horizon, tick, anl_by_t = self.horizon, self.tick, self.anl_by_t
         out = []
+        i, n = 0, len(segs)
         for t in self.anl_times:
-            if t >= self.horizon:
+            if t >= horizon:
+                break
+            while i < n and segs[i][1] <= t:
+                i += 1
+            if i == n:
+                break
+            a0, _, net = segs[i]
+            if net is None or t < a0:
                 continue
-            net = attached_at(t)
-            if net is None:
-                continue
-            value = self.anl_by_t[t].get(net)
+            value = anl_by_t[t].get(net)
             if value is None:
                 continue
-            out.append((t, min(t + self.tick, self.horizon), value))
+            end = t + tick
+            out.append((t, horizon if end > horizon else end, value))
         return out
 
     def degradation_runs(self) -> list[tuple[int, float]]:
@@ -283,12 +304,13 @@ class MetricFolder:
         self.init = init
         self.tick = init["tick_ms"] if init else 1
         self.th_inf = init["controller"]["th_inf"] if init else float("-inf")
+        self.moves: dict[tuple, tuple[str, ...]] = {}
         self.stats: dict[str, _TerminalStats] = {}
         for tid in init["terminals"] if init else ():
             self.stats[tid] = self._new(tid)
 
     def _new(self, terminal: str) -> _TerminalStats:
-        return _TerminalStats(terminal, self.horizon, self.tick, self.th_inf)
+        return _TerminalStats(terminal, self.horizon, self.tick, self.th_inf, self.moves)
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
         st = self.stats.get(terminal)
@@ -341,6 +363,24 @@ class MetricFolder:
 def _records_of(trace: Trace, terminal: str) -> Trace:
     """The run-level records and one terminal's: all that its fold reads."""
     return Trace([r for r in trace.records if r.terminal is None or r.terminal == terminal])
+
+
+def _bumped_by(event, source, target) -> tuple[str, ...]:
+    """The counters a transition on ``event`` from phase ``source`` to
+    ``target`` bumps.  A fold asks once per distinct triple and keeps the
+    answer, which stays exact for whatever values a read-back trace holds."""
+    bumped = []
+    if event == "link_lost":
+        bumped.append("link_losses")
+    if source == "disconnection" and target == "initiation":
+        bumped.append("d2i")
+    if source == "initiation" and target in ("preparation", "execution"):
+        bumped.append("prep_entries")
+    if source == "preparation" and target == "initiation":
+        bumped.append("rollbacks")
+    if target == "execution" and source != "execution":
+        bumped.append("executions")
+    return tuple(bumped)
 
 
 def _timeliness(record: dict, st: _TerminalStats, tolerance_ms: int) -> str:
@@ -426,6 +466,7 @@ def pool(
     impr_terms = [
         r["uf_new"] / r["uf_old"] for r, _ in records if r["accepted"] and r["uf_old"] != 0.0
     ]
+    exlat = _mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records])
 
     counts.update(
         completed=completed,
@@ -438,7 +479,7 @@ def pool(
         premature=premature,
     )
 
-    return MetricSnapshot(
+    snapshot = MetricSnapshot(
         completed=completed,
         accepted=accepted,
         rejected=completed - accepted,
@@ -449,24 +490,22 @@ def pool(
         thor=rate(tardy),
         phor=rate(premature),
         dtib=(on_head / attached) if attached else None,
-        il=_mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records]),
+        il=exlat,
         ir=rate(counts["executions"] + counts["link_losses"]),
         hol=_mean([float(r["t_eval_done"] - r["t_prep"]) for r, _ in records]),
         dlat=_mean([float(r["t_trigger"] - r["t_prep"]) for r, _ in records]),
-        exlat=_mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records]),
+        exlat=exlat,
         evlat=_mean([float(r["t_eval_done"] - r["t_switch_done"]) for r, _ in records]),
         impr=_mean(impr_terms),
         dr=rate(len(runs)),
         dl=_mean([float(length) for length, _ in runs]),
         di=_mean([deficit for _, deficit in runs]),
         counts=counts,
-        by_terminal=by_terminal or {},
         **{attr: constants.get(mid) for mid, attr in PASS_THROUGH.items()},
     )
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
+    if by_terminal:
+        snapshot.by_terminal = by_terminal
+    return snapshot
 
 
 def metric_cells(columns: Sequence[str]):
@@ -480,7 +519,7 @@ def metric_cells(columns: Sequence[str]):
             getters.append(lambda snap, key=m.source: snap.counts.get(key, 0))
         else:
             getters.append(attrgetter(m.source))
-    return lambda snap: [_cell(get(snap)) for get in getters]
+    return lambda snap: ["" if v is None else str(v) for v in [get(snap) for get in getters]]
 
 
 _all_cells = metric_cells(CSV_COLUMNS[1:])

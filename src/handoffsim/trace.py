@@ -9,7 +9,6 @@ behave identically produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -130,9 +129,13 @@ class TraceRecord(NamedTuple):
     payload: dict
 
 
-@dataclass
 class Trace:
-    records: list[TraceRecord] = field(default_factory=list)
+    """A run's records, in the order they were made."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: Optional[list[TraceRecord]] = None):
+        self.records = [] if records is None else records
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
         self.records.append(TraceRecord(t, terminal, kind, payload))

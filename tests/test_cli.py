@@ -236,6 +236,12 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="no axes"):
             parse_grid(" ; ")
 
+    def test_repeated_axis(self):
+        # Each point maps axis -> value, so a second "delta" would overwrite
+        # the first and label every row with the last value.
+        with pytest.raises(ValueError, match="'delta': given more than once"):
+            parse_grid("delta=0.1,0.2;sp=0; delta =0.5")
+
 
 class TestBadMetricsConstants:
     """``metrics_constants`` feeds the pass-through rows of the metric table.
@@ -384,6 +390,21 @@ class TestSweep:
     def test_bad_grid_is_usage_error(self, quick_scenario, capsys):
         assert main(["sweep", str(quick_scenario), "--grid", "warp=1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_axis_is_usage_error(self, quick_scenario, capsys):
+        grid = "delta=0.1,0.2;delta=0.5"
+        assert main(["sweep", str(quick_scenario), "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: grid axis 'delta': given more than once" in captured.err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_usage_error(self, quick_scenario, workers, capsys):
+        argv = ["sweep", str(quick_scenario), "--grid", "delta=0", "--workers", workers]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --workers: expected at least 1, got {workers}" in captured.err
 
 
 def _sweep(path, grid, workers, capsys):

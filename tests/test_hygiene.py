@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 name it defines has a caller outside the tests, loading a scenario imports
 none of the modules that run or report it, nor any that only dataclasses or
-package data need, and the CLI imports no process pool until a sweep
-starts one."""
+package data need, and the CLI imports no ``dataclasses`` and no process
+pool until a sweep starts one."""
 
 import ast
 import os
@@ -77,6 +77,16 @@ def test_loading_a_scenario_imports_no_dataclasses_or_package_data_reader():
     modules = imported_by("import handoffsim.scenario")
     assert "handoffsim.scenario" in modules
     for name in ("dataclasses", "inspect", "importlib.resources"):
+        assert name not in modules
+
+
+def test_the_cli_imports_no_dataclasses():
+    """The trace and the metric snapshot are no dataclasses either, so a
+    ``run`` or ``sweep`` process never pays for ``dataclasses`` and the
+    modules it pulls in."""
+    modules = imported_by("import handoffsim.cli")
+    assert "handoffsim.cli" in modules
+    for name in ("dataclasses", "inspect", "ast", "dis", "tokenize"):
         assert name not in modules
 
 

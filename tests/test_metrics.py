@@ -2,11 +2,10 @@
 
 import json
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handoffsim.context import default_feature_specs
@@ -15,10 +14,11 @@ from handoffsim.metrics import (
     CSV_COLUMNS,
     METRICS,
     PASS_THROUGH,
+    MetricFolder,
     MetricSnapshot,
-    _segments,
-    _TerminalStats,
+    _Facts,
     compute_metrics,
+    pool,
     snapshots_to_csv,
     snapshots_to_json,
 )
@@ -293,110 +293,180 @@ class TestTimeliness:
 
 
 # --- reference fold -----------------------------------------------------------
-# Direct, quadratic forms of the per-terminal lookups; the fold's merge and
-# bisection must agree with them on every breakpoint list.
+# A plain fold that reads only the records: each terminal's attachment and
+# list head are looked up at every millisecond of the horizon, each list time's
+# map is rebuilt from its last record, and each counter is a predicate on each
+# transition.  It shares no state or breakpoint list with the fold under test,
+# so a breakpoint the fold drops or merges wrongly shows up here.
 
-def ref_dwell_times(st_):
-    attach_segs = _segments(st_.attach_points, st_.horizon)
-    head_segs = _segments(st_.anl_points, st_.horizon)
-    attached = 0
-    on_head = 0
-    for a0, a1, net in attach_segs:
-        if net is None:
-            continue
-        attached += a1 - a0
-        for h0, h1, head in head_segs:
-            lo = max(a0, h0)
-            hi = min(a1, h1)
-            if hi > lo and head == net:
-                on_head += hi - lo
-    return on_head, attached
-
-
-def ref_uf_series(st_):
-    attach_segs = _segments(st_.attach_points, st_.horizon)
-
-    def attached_at(t):
-        for a0, a1, value in attach_segs:
-            if a0 <= t < a1:
-                return value
-        return None
-
-    out = []
-    for t in sorted(st_.anl_by_t):
-        if t >= st_.horizon:
-            continue
-        net = attached_at(t)
-        if net is None:
-            continue
-        value = st_.anl_by_t[t].get(net)
-        if value is None:
-            continue
-        out.append((t, min(t + st_.tick, st_.horizon), value))
+def _per_ms(points, horizon):
+    """For each millisecond of the horizon, the value of the last (time,
+    value) point at or before it, in record order; None before the first."""
+    out, value, i = [], None, 0
+    for ms in range(horizon):
+        while i < len(points) and points[i][0] <= ms:
+            value = points[i][1]
+            i += 1
+        out.append(value)
     return out
 
 
-def ref_below_span_before(st_, t_trigger, from_net):
-    span = 0
-    ticks = [t for t in sorted(st_.anl_by_t) if t <= t_trigger]
-    for t in reversed(ticks):
-        value = st_.anl_by_t[t].get(from_net)
-        if value is None or value >= st_.th_inf:
-            break
-        span = t_trigger - t
-    return span
+def ref_facts(trace, horizon):
+    """Each terminal's fold results, in fold order, computed from the raw
+    records; ``pool`` turns them into the snapshots."""
+    init = next(r.payload for r in trace.records if r.kind == INIT and r.terminal is None)
+    tick, th_inf = init["tick_ms"], init["controller"]["th_inf"]
+    tolerance = init["controller"]["dwell_sp"] + tick
+    order = list(init["terminals"])
+    for r in trace.records:
+        if r.terminal is not None and r.terminal not in order:
+            order.append(r.terminal)
+    facts = []
+    for terminal in order:
+        own = [r for r in trace.records if r.terminal == terminal]
+        transitions = [r for r in own if r.kind == TRANSITION]
+        lists = [r for r in own if r.kind == ANL]
+        attach_points = [(r.t, r.payload["attached"]) for r in transitions]
+        head_points = [(r.t, r.payload["entries"][0][0] if r.payload["entries"] else None)
+                       for r in lists]
+
+        attached_at = _per_ms(attach_points, horizon)
+        heads = _per_ms(head_points, horizon)
+        attached = sum(net is not None for net in attached_at)
+        on_head = sum(net is not None and net == head for net, head in zip(attached_at, heads))
+
+        maps = {}
+        for r in lists:
+            maps[r.t] = {}
+            for net, value in r.payload["entries"]:
+                maps[r.t][net] = value
+        series = []
+        for t in sorted(maps):
+            net = attached_at[t] if 0 <= t < horizon else None
+            if net is not None and net in maps[t]:
+                series.append((t, min(t + tick, horizon), maps[t][net]))
+        runs, length, deficit, prev_end = [], 0, 0.0, None
+        for t0, t1, value in series:
+            if length and (value >= th_inf or t0 != prev_end):
+                runs.append((length, deficit / length))
+                length, deficit = 0, 0.0
+            if value < th_inf:
+                length += t1 - t0
+                deficit += (th_inf - value) * (t1 - t0)
+            prev_end = t1
+        if length:
+            runs.append((length, deficit / length))
+
+        def grade(record):
+            if not record["accepted"] and "NotBest" in record["reject_reasons"]:
+                return "premature"
+            span = 0
+            for t in sorted((t for t in maps if t <= record["t_trigger"]), reverse=True):
+                value = maps[t].get(record["from_net"])
+                if value is None or value >= th_inf:
+                    break
+                span = record["t_trigger"] - t
+            return "tardy" if span > tolerance else "timely"
+
+        moves = [(r.payload["event"], r.payload["from"], r.payload["to"]) for r in transitions]
+        counts = {
+            "connects": sum("connect" in a for r in transitions for a in r.payload["actions"]),
+            "link_losses": sum(e == "link_lost" for e, _, _ in moves),
+            "d2i": sum(a == "disconnection" and b == "initiation" for _, a, b in moves),
+            "prep_entries": sum(a == "initiation" and b in ("preparation", "execution")
+                                for _, a, b in moves),
+            "rollbacks": sum(a == "preparation" and b == "initiation" for _, a, b in moves),
+            "executions": sum(b == "execution" != a for _, a, b in moves),
+        }
+        graded = [(r.payload, grade(r.payload)) for r in own if r.kind == HANDOFF]
+        facts.append(_Facts(terminal, counts, on_head, attached, runs, graded))
+    return facts
 
 
-# Attachments come from n1, n2 or None; list heads also include n3 and n4,
-# which are never attached. Times on a coarse grid repeat often and reach
-# past the horizon.
-_ATTACHED = st.sampled_from(["n1", "n2", None])
-_LISTED = st.sampled_from(["n1", "n2", "n3", "n4"])
-_TIME = st.integers(min_value=0, max_value=24).map(lambda k: 50 * k)
-_EVENT = st.one_of(
-    st.tuples(st.just(TRANSITION), _ATTACHED),
-    st.tuples(
-        st.just(ANL),
-        st.lists(
-            st.tuples(_LISTED, st.sampled_from([0.5, 1.5, 2.0, 2.5, 4.0])),
-            max_size=3,
-            unique_by=lambda e: e[0],
-        ),
-    ),
-)
+# Two terminals that the init record lists and one it does not.  Attachments
+# and list heads come from few networks, so equal neighbours are common;
+# phases and events include strings outside the five phases; list entries may
+# repeat a network; times on the tick grid repeat often and reach from before
+# the start to past the horizon.  Each record is decoded from one integer,
+# which hypothesis draws far faster than nested strategies.
+_PHASES = ["disconnection", "initiation", "preparation", "execution", "evaluation", "limbo"]
+_EVENTS = ["anl_updated", "link_lost", "timer_eval"]
+_ATTACHED = ["n1", "n2", None]
+_NETS = ["n1", "n2", "n3"]
+_VALUES = [0.5, 1.5, 2.0, 2.5, 4.0]
+_ACTIONS = [[], [{"connect": "n1"}], [{"disconnect": "n2"}, {"connect": "n2"}]]
 
 
-def _fed_stats(events, horizon):
-    stats = _TerminalStats("mt1", horizon, 100, 2.0)
-    tr = _base_trace(duration=horizon)
-    for t, (kind, value) in sorted(events, key=lambda e: e[0]):
-        if kind == TRANSITION:
-            tr.append(t, "mt1", TRANSITION, {
-                "event": "anl_updated", "from": "initiation", "to": "initiation",
-                "attached": value, "actions": [],
-            })
-        else:
-            _anl(tr, t, value)
-    for rec in tr.records:
-        if rec.terminal == "mt1":
-            stats.feed(rec.t, rec.kind, rec.payload)
-    return stats
+def _decode(code):
+    """(t, terminal, kind, payload) of one record: each field takes the
+    remainder of ``code`` by its number of choices, then ``code`` moves on."""
+    def pick(choices):
+        nonlocal code
+        code, i = divmod(code, len(choices))
+        return choices[i]
+
+    t = pick(range(-100, 1300, 100))
+    terminal = pick(["mt1", "mt1", "mt1", "mt2", "mt3"])
+    kind = pick([TRANSITION, TRANSITION, ANL, ANL, HANDOFF])
+    if kind == TRANSITION:
+        payload = {"event": pick(_EVENTS), "from": pick(_PHASES), "to": pick(_PHASES),
+                   "attached": pick(_ATTACHED), "actions": pick(_ACTIONS)}
+    elif kind == ANL:
+        payload = {"entries": [[pick(_NETS), pick(_VALUES)] for _ in range(pick(range(4)))]}
+    else:
+        back = pick([0, 50, 150, 400])
+        payload = _record(
+            terminal=terminal, from_net=pick(_NETS), reason=pick(["imperative", "opportunist"]),
+            t_prep=t - back - 50, t_trigger=t - back, t_switch=t - back // 2, t_eval=t,
+            uf_old=pick([0.0, 1.0, 2.5]), accepted=pick([True, False]),
+            reject=pick([(), ("NotBest",), ("IL",)]),
+        )
+    return t, terminal, kind, payload
+
+
+def _trace_of(codes, horizon):
+    tr = _base_trace(duration=horizon, terminals=("mt1", "mt2"), constants={"AL": 0.5})
+    for t, terminal, kind, payload in sorted(map(_decode, codes), key=lambda r: r[0]):
+        tr.append(t, terminal, kind, payload)
+    return tr
 
 
 class TestFoldMatchesReference:
+    @settings(max_examples=300)
     @given(
-        events=st.lists(st.tuples(_TIME, _EVENT), max_size=30),
+        codes=st.lists(st.integers(min_value=0, max_value=2**24), min_size=8, max_size=40),
         horizon=st.integers(min_value=0, max_value=1100),
     )
-    def test_lookups_match_reference(self, events, horizon):
-        stats = _fed_stats(events, horizon)
-        assert stats.dwell_times() == ref_dwell_times(stats)
-        assert stats.uf_series() == ref_uf_series(stats)
-        for t_trigger in range(0, 1300, 25):
-            for net in ("n1", "n2", "n3", "n4"):
-                assert stats.below_span_before(t_trigger, net) == (
-                    ref_below_span_before(stats, t_trigger, net)
-                )
+    def test_fold_matches_a_reference_over_the_raw_records(self, codes, horizon):
+        trace = _trace_of(codes, horizon)
+        expected = ref_facts(trace, horizon)
+        constants = {"AL": 0.5}
+        want = pool(expected, horizon, constants)
+
+        online = MetricFolder(horizon)
+        for rec in trace.records:
+            online.append(*rec)
+        assert online.facts() == expected
+        assert online.snapshot() == want
+
+        pooled = compute_metrics(trace)
+        assert pooled == want
+        assert repr(pooled) == repr(want)  # floats keep their bits
+        for f in expected:
+            alone = pool([f], horizon, constants)
+            assert compute_metrics(trace, horizon, f.terminal) == alone, f.terminal
+            assert pooled.by_terminal[f.terminal] == alone, f.terminal
+
+    def test_a_phase_that_is_no_str_is_counted_like_any_other_value(self):
+        # A hand-made trace may carry a list where a phase belongs; it matches
+        # no phase, and the fold still counts the transition's other side.
+        tr = _base_trace()
+        tr.append(100, "mt1", TRANSITION, {
+            "event": "link_lost", "from": ["preparation"], "to": "execution",
+            "attached": "n1", "actions": [],
+        })
+        counts = compute_metrics(tr).counts
+        assert (counts["executions"], counts["link_losses"], counts["prep_entries"]) == (1, 1, 0)
 
 
 class TestRatesAndMeans:
@@ -461,7 +531,7 @@ class TestSnapshotAccess:
     def test_every_row_reads_a_value_the_fold_produces(self, crossing_trace):
         # A misspelt counter key would otherwise publish a silent 0.
         snap = compute_metrics(crossing_trace)
-        attrs = {f.name for f in fields(MetricSnapshot)}
+        attrs = set(MetricSnapshot._fields)
         for m in METRICS:
             if m.kind == "count":
                 assert m.source in snap.counts, m

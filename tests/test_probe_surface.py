@@ -76,19 +76,25 @@ def test_a_serial_sweep_probes_each_point_once(tracer, monkeypatch, capsys):
 
 
 def test_run_probes_the_engine_and_the_fold_once(tracer, monkeypatch, tmp_path, capsys):
-    """``sim_ticks_per_s`` and ``metrics_s`` each time one call of a traced
-    run, the one the benchmark times; with ``--no-trace`` the fold happens
-    in the engine's record sink, so only the engine is called."""
+    """``sim_ticks_per_s`` times one engine call of a traced run, the one the
+    benchmark times, and ``metrics_s`` one fold call plus one CSV rendering,
+    so no part of the fold can run outside what it times.  With
+    ``--no-trace`` the fold happens in the engine's record sink, so only the
+    engine and the rendering are called."""
     from handoffsim import cli
 
     targets = tracer._targets()
     calls = _count_calls(
-        monkeypatch, targets["engine.run"] + targets["metrics.compute_metrics"]
+        monkeypatch,
+        targets["engine.run"] + targets["metrics.compute_metrics"] + targets["metrics.to_csv"],
     )
     argv = ["run", str(SCENARIO), "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert sorted(calls) == ["handoffsim.cli.compute_metrics", "handoffsim.engine.run"]
+    assert sorted(calls) == [
+        "handoffsim.cli.compute_metrics", "handoffsim.cli.snapshots_to_csv",
+        "handoffsim.engine.run",
+    ]
     calls.clear()
     assert cli.main(argv + ["--no-trace"]) == 0
     capsys.readouterr()
-    assert calls == ["handoffsim.engine.run"]
+    assert calls == ["handoffsim.engine.run", "handoffsim.cli.snapshots_to_csv"]
