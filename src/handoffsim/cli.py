@@ -5,19 +5,26 @@ taxonomy, run one simulation, or sweep a parameter grid over repeated
 runs.  Data goes to stdout (or files under --out); diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage error, 2 scenario validation
 failure, 3 runtime failure (an unreadable input, an unwritable output,
-an engine error).
+an engine error, a sweep worker pool that cannot start or loses a
+worker).
+
+Each command runs with the cycle collector paused: a run makes no
+reference cycle, so reference counting frees all it makes, and
+``tests/test_cli.py`` pins that.
 
 A sweep parses the scenario once and each grid point only in its
 controller part.  Worker processes split the sorted terminals, not the
 points: each receives the parsed scenario when it starts and runs every
 point over its own terminals through one shared context, and the points'
 per-terminal fold results are pooled here in terminal order.  With fewer
-terminals than workers the points are split as well.
+terminals than workers the points are split as well.  Forked workers
+inherit the paused collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from itertools import product
 from pathlib import Path
@@ -328,6 +335,10 @@ def _point_controllers(scenario: Scenario, points: list[dict]) -> list:
     return out
 
 
+class _WorkersFailed(Exception):
+    """A sweep's worker processes could not start, or one of them died."""
+
+
 def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     """Each point's pooled snapshot, or its first failure's message.
 
@@ -339,7 +350,8 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     initializer: a forked worker inherits it and a spawned one unpickles it
     once.  A point's groups pool in terminal order to the run's snapshot; a
     point that fails takes the first failure in event order, as a run of
-    all its terminals would stop there."""
+    all its terminals would stop there.  A pool that cannot start, or
+    loses a worker, raises _WorkersFailed."""
     terminals = sorted(term.id for term in scenario.terminals)
     groups = _batches(terminals, workers)
     batches = _batches(controllers, workers // len(groups))
@@ -347,11 +359,15 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     if len(tasks) > 1:
         # Imported here: it would cost every run and validate 15-20 ms and 1.5 MB.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(
-            max_workers=len(tasks), initializer=_init_worker, initargs=(scenario,)
-        ) as executor:
-            done = list(executor.map(_sweep_task, *zip(*tasks)))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=len(tasks), initializer=_init_worker, initargs=(scenario,)
+            ) as executor:
+                done = list(executor.map(_sweep_task, *zip(*tasks)))
+        except (BrokenProcessPool, OSError) as exc:
+            raise _WorkersFailed(str(exc)) from None
     else:
         done = [_sweep_batch(scenario, terminals, controllers)]
     # Each group's batches, joined, hold its result for every point.
@@ -386,7 +402,11 @@ def _cmd_sweep(args) -> int:
     results = _point_controllers(scenario, points)
     valid = [r for r in results if not isinstance(r, str)]
     if valid:
-        ran = iter(_run_points(scenario, valid, args.workers))
+        try:
+            ran = iter(_run_points(scenario, valid, args.workers))
+        except _WorkersFailed as exc:
+            print(f"sweep failed: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         results = [r if isinstance(r, str) else next(ran) for r in results]
 
     header = names + SWEEP_METRIC_COLUMNS + ["error"]
@@ -416,6 +436,9 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  The command runs with the
+    cycle collector paused, which is restored as it was found however the
+    command ends: it would only scan a run's records, which form no cycle."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -427,7 +450,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "sweep": _cmd_sweep,
     }
-    return handlers[args.command](args)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return handlers[args.command](args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .context import CriteriaVector, CriterionDef, Polarity, catalog_index
@@ -34,16 +33,39 @@ class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,
     """Per-criterion weights plus the shared additive constant K.
 
     The class keeps a ``__dict__``, unlike a plain named tuple, only to
-    cache ``terms``; setting an attribute raises AttributeError.
+    keep the ``terms`` of the last tuple catalog it was asked for; setting
+    an attribute raises AttributeError.
     """
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: WeightProfile is immutable")
 
-    @cached_property
-    def terms(self) -> tuple[tuple[str, float], ...]:
-        """(criterion id, K + W) per weighted criterion, in id order."""
-        return tuple((cid, self.k + self.weights[cid]) for cid in sorted(self.weights))
+    def terms(
+        self, catalog: Sequence[CriterionDef] | Mapping[str, CriterionDef]
+    ) -> tuple[tuple[str, float, Optional[float], bool], ...]:
+        """(criterion id, K + W, floor, beneficial) per weighted criterion,
+        in id order, resolved against ``catalog``; the floor is None for a
+        criterion the catalog lacks.
+
+        The terms of a tuple catalog, which cannot change, are kept and
+        returned again while the same tuple is asked for, so a run that
+        scores against its scenario's catalog resolves them once."""
+        kept = self.__dict__.get("_terms")
+        if kept is not None and kept[0] is catalog:
+            return kept[1]
+        index = catalog_index(catalog)
+        terms = []
+        for cid in sorted(self.weights):
+            cdef = index.get(cid)
+            coefficient = self.k + self.weights[cid]
+            if cdef is None:
+                terms.append((cid, coefficient, None, False))
+            else:
+                terms.append((cid, coefficient, cdef.floor, cdef.polarity is Polarity.BENEFICIAL))
+        terms = tuple(terms)
+        if type(catalog) is tuple:
+            self.__dict__["_terms"] = (catalog, terms)
+        return terms
 
     def validate(self, catalog: Sequence[CriterionDef]) -> None:
         """Raise WeightProfileError on any constraint violation."""
@@ -85,22 +107,21 @@ def desirability(
 
     Every weighted criterion must be present in the vector and finite.
     Criteria present in the vector but unweighted are ignored.  ``catalog``
-    may be a prebuilt ``catalog_index``.
+    may be a prebuilt ``catalog_index``; the profile's ``terms`` are
+    resolved against it.
     """
-    index = catalog_index(catalog)
     values = v.values
     total = 0.0
-    for cid, coefficient in profile.terms:
-        if cid not in index:
+    for cid, coefficient, floor, beneficial in profile.terms(catalog):
+        if floor is None:
             raise UnknownCriterionError(cid)
         if cid not in values:
             raise MissingCriterionError(cid)
         raw = values[cid]
         if not math.isfinite(raw):
             raise NonFiniteValueError(cid, raw)
-        cdef = index[cid]
-        term = coefficient * _clamped_log10(raw, cdef.floor)
-        if cdef.polarity is Polarity.BENEFICIAL:
+        term = coefficient * _clamped_log10(raw, floor)
+        if beneficial:
             total += term
         else:
             total -= term

@@ -14,16 +14,22 @@ ranked list.  If the serving station no longer covers the terminal it
 delivers a link-loss event first; then it records the list and hands it to
 the controller.
 
-Facts fixed for the run are computed once: the catalog index and the
-topology's coverage index.  A (terminal, station) attachment is built the
-first time the controller reads it, which happens only when a handoff
-triggers.  A station's synthesized sample depends only on (station, t), so
-it is taken once per tick and shared by every terminal; the queue pops in
-time order and synthesis advances only when time does, so a sample is
-dropped when the tick moves on.  When RSS carries no weight a station's
-score does not depend on the terminal either, so it too is computed once
-per (station, tick) and shared; when RSS is weighted each terminal scores a
-copy of the sample with its own RSS.
+Facts fixed for the run are computed once: the topology's coverage index,
+each geometric network's sorted criteria and the stochastic walk's
+network and criterion order (in the run's ``SynthesisState``), and each
+weighted term's coefficient, floor and polarity (the ``terms`` a
+``WeightProfile`` keeps for the scenario's catalog).  Coverage, sampling,
+scoring and ranking are still called through this module's names, once
+per unit, which the benchmark's layer probes wrap.  A (terminal, station)
+attachment is built the first time the controller reads it, which
+happens only when a handoff triggers.  A station's synthesized sample
+depends only on (station, t), so it is taken once per tick and shared by
+every terminal; the queue pops in time order and synthesis advances only
+when time does, so a sample is dropped when the tick moves on.  When RSS
+carries no weight a station's score does not depend on the terminal
+either, so it too is computed once per (station, tick) and shared; when
+RSS is weighted each terminal scores a copy of the sample with its own
+RSS.
 
 When no score reads RSS, the engine queries coverage on a copy of the
 topology that does not measure it (``measure_rss=False``), so coverage
@@ -35,6 +41,11 @@ NamedTuples, which cost no ``__setattr__`` per field to build: each
 station's ``CriteriaVector`` and ``DesirabilityScore``, the controller's
 ``AnlUpdated`` event and ``ControllerState`` (with its ``PrepData`` and
 ``DwellTracker``), and a ``Trace``'s ``TraceRecord``.
+
+A run makes no reference cycle: each record, payload and context value
+is freed by reference counting once nothing holds it.  So the CLI runs
+with the cycle collector paused, which would only scan them; a run called
+as a library leaves the collector as its caller set it.
 
 Records go to a sink: anything with ``append(t, terminal, kind, payload)``,
 called once per record in trace order.  The default is a ``Trace``, which
@@ -68,7 +79,7 @@ from collections.abc import Callable, Iterator, Mapping
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
-from .context import CriteriaVector, catalog_index
+from .context import CriteriaVector
 from .desirability import AvailableNetworkList, DesirabilityScore, desirability, rank
 from .errors import HandoffSimError
 from .scenario import Scenario
@@ -173,7 +184,6 @@ class _Context:
             scenario.topology._replace(measure_rss=False)
             if self.shared_scores else scenario.topology
         )
-        self.index = catalog_index(scenario.catalog)
         self.paths = {term.id: term.path for term in scenario.terminals}
 
     def at(self, terminal: str, now: int) -> _Tick:
@@ -191,13 +201,13 @@ class _Context:
                 vector = sample_context(bs.id, now, sc.synthesis, self.synth)
                 score = None
                 if self.shared_scores:
-                    score = desirability(vector, sc.weights, self.index, bs.id)
+                    score = desirability(vector, sc.weights, sc.catalog, bs.id)
                 memo = self.scored[bs.id] = (vector, score)
             vector, score = memo
             if score is None:
                 values = dict(vector.values)
                 values["RSS"] = rss
-                score = desirability(CriteriaVector(values), sc.weights, self.index, bs.id)
+                score = desirability(CriteriaVector(values), sc.weights, sc.catalog, bs.id)
             scores.append(score)
         anl = rank(scores)
         return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})

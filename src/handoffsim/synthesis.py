@@ -59,19 +59,30 @@ def _geometric_value(signals: NetworkSignals, cid: str, t: int) -> float:
 
 
 class SynthesisState:
-    """Mutable evolution state, advanced tick by tick."""
+    """Mutable evolution state, advanced tick by tick, with the spec's
+    constants resolved once: each geometric network's criteria in sorted
+    order, and the sorted network and criterion order of the stochastic
+    walk with each criterion's base."""
 
     def __init__(self, spec: ContextSynthesisSpec):
         self.spec = spec
         self.rng = random.Random(spec.seed)
         self.t: Optional[int] = None
         self.values: dict[str, dict[str, float]] = {}
+        self.criteria: dict[str, tuple[str, ...]] = {}
+        # (values, ((criterion, base), ...)) per network, in the walk's order.
+        self.walk: list[tuple[dict[str, float], tuple[tuple[str, float], ...]]] = []
         for net in sorted(spec.networks):
             signals = spec.networks[net]
-            vals = {}
-            for cid in sorted(signals.base):
-                vals[cid] = signals.start.get(cid, signals.base[cid])
+            if spec.mode == "geometric":
+                self.criteria[net] = tuple(
+                    sorted(set(signals.base) | set(signals.ramps) | set(signals.waypoints))
+                )
+                continue
+            bases = tuple((cid, signals.base[cid]) for cid in sorted(signals.base))
+            vals = {cid: signals.start.get(cid, base) for cid, base in bases}
             self.values[net] = vals
+            self.walk.append((vals, bases))
 
     def advance_to(self, t: int, tick: int) -> None:
         """Advance every network's signals up to time t (multiples of tick)."""
@@ -80,17 +91,13 @@ class SynthesisState:
             return
         if self.t is None:
             self.t = 0  # initial values stand for t = 0
+        rho, sigma, gauss = self.spec.ar1_rho, self.spec.noise_sigma, self.rng.gauss
         while self.t < t:
             self.t += tick
-            for net in sorted(self.values):
-                signals = self.spec.networks[net]
-                vals = self.values[net]
-                for cid in sorted(vals):
-                    base = signals.base[cid]
-                    eps = self.rng.gauss(0.0, 1.0)
-                    vals[cid] = base + self.spec.ar1_rho * (vals[cid] - base) + (
-                        self.spec.noise_sigma * eps
-                    )
+            for vals, bases in self.walk:
+                for cid, base in bases:
+                    eps = gauss(0.0, 1.0)
+                    vals[cid] = base + rho * (vals[cid] - base) + (sigma * eps)
 
 
 def sample_context(
@@ -98,20 +105,16 @@ def sample_context(
 ) -> CriteriaVector:
     """Criterion values a network reports at time t.
 
-    The state must already be advanced to t (the engine advances all
-    networks together once per tick).  The RSS entry, if any, is a
-    placeholder: the engine overwrites it per terminal from the radio
+    The state must be the spec's, already advanced to t (the engine
+    advances all networks together once per tick).  The RSS entry, if any,
+    is a placeholder: the engine overwrites it per terminal from the radio
     model.
     """
     signals = spec.networks.get(network_id)
     if signals is None:
         return CriteriaVector(values={})
     if spec.mode == "geometric":
-        values = {cid: _geometric_value(signals, cid, t) for cid in _all_criteria(signals)}
+        values = {cid: _geometric_value(signals, cid, t) for cid in state.criteria[network_id]}
     else:
         values = dict(state.values[network_id])
     return CriteriaVector(values=values)
-
-
-def _all_criteria(signals: NetworkSignals):
-    return sorted(set(signals.base) | set(signals.ramps) | set(signals.waypoints))

@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import copy
+import errno
+import gc
 import json
 import os
 import random
@@ -645,6 +647,122 @@ class TestSweepTerminalGroups:
             assert errors == ["policy table has no entry for ('L3'; 'voice')",
                               "policy table has no entry for ('L3'; 'video')"], workers
             assert "2 of 2 grid points failed" in err
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestCyclePause:
+    """``main`` runs its command with the cycle collector paused, so every
+    record must be freed by reference counting alone: a run may make no
+    reference cycle, or a long run under the pause would grow its memory."""
+
+    @pytest.fixture(scope="class")
+    def metro(self):
+        """A small benchmark-shaped scenario document, read from the
+        benchmark's generator without writing bytecode into its folder."""
+        sys.path.insert(0, str(PERFBENCH))
+        dont_write = sys.dont_write_bytecode
+        sys.dont_write_bytecode = True
+        try:
+            import workloads
+        finally:
+            sys.dont_write_bytecode = dont_write
+            sys.path.remove(str(PERFBENCH))
+            sys.modules.pop("workloads", None)
+        return workloads.metro(7, 0.25)[0]
+
+    @pytest.mark.parametrize("name", ["crossing", "noisy", "metro_1s", "metro_2s"])
+    def test_run_and_sweep_leave_only_what_validate_leaves(self, name, metro, tmp_path, capsys):
+        if name.startswith("metro"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**metro, "duration_ms": int(name[-2]) * 1000}))
+        else:
+            path = SCENARIO_DIR / f"{name}.json"
+        commands = {
+            "validate": ["validate", str(path)],
+            "run": ["run", str(path), "--out", str(tmp_path)],
+            "run --no-trace": ["run", str(path), "--out", str(tmp_path), "--no-trace"],
+            "sweep": ["sweep", str(path), "--grid", "delta=0,0.2;sp=0,300", "--workers", "1"],
+        }
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            left = {}
+            for what, argv in commands.items():
+                assert main(argv) == 0, what
+                left[what] = gc.collect()  # the unreachable objects the command left
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert left["validate"] > 0  # the argument parser's own cycles
+        assert left == dict.fromkeys(commands, left["validate"])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, enabled, broken_scenario, tmp_path, monkeypatch, capsys
+    ):
+        seen = []
+        real = cli._cmd_validate
+
+        def validate(args):
+            seen.append(gc.isenabled())
+            return real(args)
+
+        monkeypatch.setattr(cli, "_cmd_validate", validate)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            for argv, code in [(["validate", CROSSING], 0), ([], 1),
+                               (["validate", str(broken_scenario)], 2),
+                               (["validate", str(tmp_path / "ghost.json")], 3)]:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled, argv
+            for failure in (RuntimeError("boom"), SystemExit(3), KeyboardInterrupt()):
+                def fail(args, failure=failure):
+                    seen.append(gc.isenabled())
+                    raise failure
+
+                monkeypatch.setattr(cli, "_cmd_validate", fail)
+                with pytest.raises(type(failure)):
+                    main(["validate", CROSSING])
+                assert gc.isenabled() is enabled, failure
+        finally:
+            gc.enable() if was else gc.disable()
+        capsys.readouterr()
+        assert seen == [False] * 6  # every command ran paused
+
+
+class TestSweepWorkerFailure:
+    """A worker pool that cannot start or loses a worker fails the sweep as a
+    runtime failure, in one line, with no traceback."""
+
+    def _assert_one_line_failure(self, path, capsys):
+        assert main(["sweep", str(path), "--grid", "delta=0,0.1", "--workers", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sweep failed: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_a_worker_that_dies(self, quick_scenario, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def dies(terminals, controllers):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(cli, "_sweep_task", dies)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+        self._assert_one_line_failure(quick_scenario, capsys)
+
+    def test_a_pool_that_cannot_start(self, quick_scenario, monkeypatch, capsys):
+        class _NoProcesses(_InProcessPool):
+            def __init__(self, *args, **kwargs):
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoProcesses)
+        self._assert_one_line_failure(quick_scenario, capsys)
 
 
 class TestUsage:

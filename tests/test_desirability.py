@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handoffsim.context import CriteriaVector, default_catalog
+from handoffsim.context import CriteriaVector, Polarity, default_catalog
 from handoffsim.desirability import (
     AvailableNetworkList,
     DesirabilityScore,
@@ -96,6 +96,20 @@ class TestScore:
     def test_missing_weighted_criterion_raises(self):
         with pytest.raises(MissingCriterionError):
             desirability(CriteriaVector(values={"SNR": 10.0}), PROFILE, CATALOG)
+
+    def test_each_catalog_scores_with_its_own_floors_and_polarities(self):
+        """A profile keeps the plan of the tuple catalog it last scored
+        against; another catalog, even of the same ids, gets its own."""
+        profile = WeightProfile(weights={"SNR": 1.0, "BER": 1.0}, k=0.0)
+        vector = CriteriaVector(values={"SNR": 10.0, "BER": 100.0})
+        plain = tuple(CATALOG)
+        floored = tuple(c._replace(floor=1e3) if c.id == "SNR" else c for c in CATALOG)
+        flipped = tuple(c._replace(polarity=Polarity.BENEFICIAL) if c.id == "BER" else c
+                        for c in CATALOG)
+        for catalog, want in [(plain, -1.0), (floored, 1.0), (plain, -1.0), (flipped, 3.0),
+                              (CATALOG, -1.0), (flipped, 3.0)]:
+            assert desirability(vector, profile, catalog).value == want
+            assert desirability(vector, profile, catalog).value == want
 
     def test_non_finite_raises(self):
         bad = dict(VALUES, SNR=float("nan"))

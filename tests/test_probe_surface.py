@@ -98,3 +98,24 @@ def test_run_probes_the_engine_and_the_fold_once(tracer, monkeypatch, tmp_path, 
     assert cli.main(argv + ["--no-trace"]) == 0
     capsys.readouterr()
     assert calls == ["handoffsim.engine.run", "handoffsim.cli.snapshots_to_csv"]
+
+
+ENGINE_CHILDREN = ("topology.coverage", "synthesis.advance_to", "synthesis.sample_context",
+                   "desirability.desirability", "desirability.rank", "controller.step",
+                   "trace.append")
+
+
+def test_a_run_calls_every_engine_layer_the_benchmark_probes(tracer, monkeypatch, tmp_path,
+                                                               capsys):
+    """Each layer of the benchmark's per-layer breakdown is timed by a probe
+    on the name the engine calls it by; a fast path that stopped calling one
+    would read zero calls and zero time there, not a faster layer."""
+    from handoffsim import cli
+
+    targets = tracer._targets()
+    calls = _count_calls(monkeypatch, [pair for name in ENGINE_CHILDREN for pair in targets[name]])
+    assert cli.main(["run", str(SCENARIO), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    probed = {f"{owner.__name__}.{attr}" for name in ENGINE_CHILDREN
+              for owner, attr in targets[name]}
+    assert probed - set(calls) == set()
