@@ -15,7 +15,7 @@ reference cycle, so reference counting frees all it makes, and
 A sweep parses the scenario once and each grid point only in its
 controller part.  Worker processes split the sorted terminals, not the
 points: each receives the parsed scenario when it starts and runs every
-point over its own terminals through one shared context, and the points'
+point over its own terminals in one engine pass, and the points'
 per-terminal fold results are pooled here in terminal order.  With fewer
 terminals than workers the points are split as well.  Forked workers
 inherit the paused collector.
@@ -259,35 +259,26 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
     return axes
 
 
-def _sweep_point(scenario: Scenario, shared: Optional[engine.SharedContext]) -> tuple:
-    """Run one grid point over the scenario's terminals, folding its records
-    as they are made, with no trace.
-
-    Returns ``(facts, None)``, each terminal's fold results in sorted
-    terminal order; or, when the run fails, ``(None, (t, terminal,
-    message))`` for the event it failed at."""
-    try:
-        folder = engine.run(scenario, shared, MetricFolder(scenario.duration_ms))
-    except HandoffSimError as exc:
-        return None, (*exc.at, str(exc))
-    return folder.facts(), None
+def _sweep_point(outcome) -> tuple:
+    """One grid point's outcome of its batch's engine pass, as ``(facts,
+    None)``, each terminal's fold results in sorted terminal order; or, when
+    the point failed, ``(None, (t, terminal, message))`` for the event it
+    failed at."""
+    if isinstance(outcome, HandoffSimError):
+        return None, (*outcome.at, str(outcome))
+    return outcome.facts(), None
 
 
 def _sweep_batch(base: Scenario, terminals: list[str], controllers: list) -> list[tuple]:
     """Run grid points, given as controller configurations, in grid order
-    over the base scenario's ``terminals``, in one process.
-
-    Grid axes set only controller fields, so the points share one context:
-    each terminal-tick's coverage, scores and ranked list are computed by
-    the first point and read by the rest.  The memo is freed when the batch
-    ends."""
+    over the base scenario's ``terminals``, in one engine pass: grid axes set
+    only controller fields, so each terminal-tick's context is computed once
+    and every point steps its own controller over it, folding its records
+    as they are made, with no trace."""
     ids = set(terminals)
-    group = tuple(term for term in base.terminals if term.id in ids)
-    shared = engine.SharedContext() if len(controllers) > 1 else None
-    return [
-        _sweep_point(base._replace(terminals=group, controller=controller), shared)
-        for controller in controllers
-    ]
+    group = base._replace(terminals=tuple(term for term in base.terminals if term.id in ids))
+    points = [(controller, MetricFolder(base.duration_ms)) for controller in controllers]
+    return [_sweep_point(outcome) for outcome in engine.run(group, points=points)]
 
 
 # A worker process's base scenario, set once by the pool's initializer.

@@ -53,15 +53,14 @@ keeps them; a ``metrics.MetricFolder`` folds them into metrics as they come
 and keeps none, as the points of a ``sweep`` do.
 
 Nothing in a terminal-tick's context reads the controller: the link-loss
-check, the record and the controller step come after it.  A
-``SharedContext`` keeps that context for several runs of one scenario that
-differ only in ``controller``, as the points of a ``sweep`` worker do.  The
-first run to reach a (terminal, t) computes it and later runs read it.
-Their traces equal those of runs made alone, because every run asks for
-the same terminal-ticks in the same order, whatever its controller, and
-the context of each is a function of that order and of the scenario
-outside ``controller``, to which the shared context is bound.  A plain
-``run`` stores no context.
+check, the record and the controller step come after it.  So one pass can
+run a scenario under several controllers, as the points of a ``sweep``
+worker do: each point keeps its own controller states and sink, each
+(terminal, t) context is computed once and handed to every point still
+running, in point order, and each point's timers are queued with the
+point under the key a run alone gives them.  Each point's records equal
+those of its run alone.  A controller error stops only its point; an
+error in the context stops every running point at that event.
 
 Nor does a terminal's context or controller read another terminal: each
 tick advances synthesis for every station whichever terminals ask, so a
@@ -75,7 +74,7 @@ all terminals is the earliest of those of runs over parts of them.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
@@ -213,74 +212,53 @@ class _Context:
         return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
 
 
-# Everything the context may depend on.
-_KEYED = tuple(name for name in Scenario._fields if name not in ("controller", "raw"))
+class _Point:
+    """One controller's side of a run: each terminal's controller state and
+    configuration, the sink its records go to, and the error that stopped
+    it, if any."""
 
-
-class SharedContext:
-    """The context of a scenario's terminal-ticks, kept for several runs of
-    that scenario that differ only in ``controller``.
-
-    The first run binds it to its scenario.  A later run is accepted only
-    when its scenario's fields outside ``controller`` are the very objects
-    of the bound one's, as ``bound._replace(controller=...)`` makes; any
-    other scenario, even one of equal content, raises ValueError.  The
-    first run to reach a (terminal, t) computes its context and stores it,
-    later runs read it.  Every run asks for the
-    same (terminal, t) in the same order, whatever its controller, and an
-    entry is stored only once complete, so a run that fails part way
-    leaves a memo the next run can continue.
-    """
-
-    def __init__(self) -> None:
-        self.context: Optional[_Context] = None
-        self.ticks: dict[tuple[str, int], _Tick] = {}
-
-    def bind(self, scenario: Scenario) -> Callable[[str, int], _Tick]:
-        if self.context is None:
-            self.context = _Context(scenario)
-            return self.at
-        bound = self.context.sc
-        if any(getattr(scenario, name) is not getattr(bound, name) for name in _KEYED):
-            raise ValueError("shared context: the scenario differs outside its controller")
-        return self.at
-
-    def at(self, terminal: str, now: int) -> _Tick:
-        tick = self.ticks.get((terminal, now))
-        if tick is None:
-            tick = self.ticks[(terminal, now)] = self.context.at(terminal, now)
-        return tick
-
-
-class _Run:
-    def __init__(self, scenario: Scenario, shared: Optional[SharedContext], sink):
-        self.sc = scenario
+    def __init__(self, scenario: Scenario, controller: ctl.ControllerConfig, sink):
+        self.controller = controller
         self.sink = sink
         self.record = sink.append
         self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
         # Policy lookup keys on the terminal's application type.
         self.configs = {
-            term.id: scenario.controller._replace(app_type=term.app_type)
-            for term in scenario.terminals
+            term.id: controller._replace(app_type=term.app_type) for term in scenario.terminals
         }
+        self.error: Optional[HandoffSimError] = None
+
+
+class _Run:
+    def __init__(self, scenario: Scenario, points):
+        self.sc = scenario
+        self.points = [_Point(scenario, controller, sink) for controller, sink in points]
+        self.live = self.points
         stations = {bs.id: bs for bs in scenario.topology.stations}
         self.infos = {term.id: _Attachments(term.id, stations) for term in scenario.terminals}
-        self.context = _Context(scenario).at if shared is None else shared.bind(scenario)
+        self.context = _Context(scenario).at
         self.heap: list = []
         self.seq = 0
 
-    def push(self, at: int, terminal: str, rank_: int, kind: str) -> None:
+    def push(self, at: int, terminal: str, rank_: int, kind: str, point=None) -> None:
         if at >= self.sc.duration_ms:
             return  # beyond the horizon; never processed
         self.seq += 1
-        heapq.heappush(self.heap, (at, terminal, rank_, self.seq, kind))
+        heapq.heappush(self.heap, (at, terminal, rank_, self.seq, kind, point))
 
-    def deliver(self, terminal: str, event: ctl.Event, now: int, event_name: str) -> None:
-        state = self.states[terminal]
-        new_state, actions = ctl.step(state, event, self.configs[terminal], now)
-        self.states[terminal] = new_state
+    def fail(self, points: list[_Point], exc: HandoffSimError, at: int, terminal: str) -> None:
+        exc.at = (at, terminal)
+        for point in points:
+            point.error = exc
+        self.live = [point for point in self.live if point.error is None]
+
+    def deliver(self, point: _Point, terminal: str, event: ctl.Event, now: int,
+                event_name: str) -> None:
+        state = point.states[terminal]
+        new_state, actions = ctl.step(state, event, point.configs[terminal], now)
+        point.states[terminal] = new_state
         # _value_ skips the Enum ``value`` descriptor, twice per event.
-        self.record(
+        point.record(
             now,
             terminal,
             TRANSITION,
@@ -294,75 +272,97 @@ class _Run:
         )
         for action in actions:
             if isinstance(action, ctl.ScheduleTimer):
-                self.push(action.at, terminal, _RANK_TIMER, action.kind)
+                self.push(action.at, terminal, _RANK_TIMER, action.kind, point)
             elif isinstance(action, ctl.RecordHandoff):
-                self.record(now, terminal, HANDOFF, _record_payload(action.record))
+                point.record(now, terminal, HANDOFF, _record_payload(action.record))
 
     def context_tick(self, terminal: str, now: int) -> None:
-        tick = self.context(terminal, now)
-        current = self.states[terminal].current
-        if current is not None and current not in tick.anl.values:
-            self.deliver(terminal, ctl.CurrentLinkLost(), now, "link_lost")
-        self.record(now, terminal, ANL, tick.payload)
-        self.deliver(terminal, ctl.AnlUpdated(tick.anl, self.infos[terminal]), now, "anl_updated")
+        try:
+            tick = self.context(terminal, now)
+        except HandoffSimError as exc:
+            self.fail(self.live, exc, now, terminal)
+            return
+        values, payload = tick.anl.values, tick.payload
+        event = ctl.AnlUpdated(tick.anl, self.infos[terminal])
+        for point in self.live:
+            try:
+                current = point.states[terminal].current
+                if current is not None and current not in values:
+                    self.deliver(point, terminal, ctl.CurrentLinkLost(), now, "link_lost")
+                point.record(now, terminal, ANL, payload)
+                self.deliver(point, terminal, event, now, "anl_updated")
+            except HandoffSimError as exc:
+                self.fail([point], exc, now, terminal)
         self.push(now + self.sc.tick_ms, terminal, _RANK_CONTEXT, "context")
 
-    def timer(self, terminal: str, kind: str, now: int) -> None:
-        if kind == "switch":
-            self.deliver(terminal, ctl.SwitchComplete(), now, "switch_complete")
-        else:
-            self.deliver(terminal, ctl.TimerFired(kind="eval", at=now), now, "timer_eval")
-
-    def execute(self):
-        sc = self.sc
-        self.record(
-            0,
-            None,
-            INIT,
-            {
-                "seed": sc.seed,
-                "duration_ms": sc.duration_ms,
-                "tick_ms": sc.tick_ms,
-                "controller": {
-                    "hysteresis_delta": sc.controller.hysteresis_delta,
-                    "th_sup": sc.controller.th_sup,
-                    "th_inf": sc.controller.th_inf,
-                    "dwell_sp": sc.controller.dwell_sp,
-                    "prep_latency": sc.controller.prep_latency,
-                    "exec_latency": sc.controller.exec_latency,
-                    "eval_latency": sc.controller.eval_latency,
-                    "strategy": sc.controller.strategy.value,
-                },
-                "stations": sorted(bs.id for bs in sc.topology.stations),
-                "terminals": sorted(self.states),
-                "metrics_constants": dict(sorted(sc.metrics_constants.items())),
-            },
-        )
-        for tid in sorted(self.states):
-            self.record(0, tid, INIT, {"phase": ctl.Phase.DISCONNECTION.value})
-        for tid in sorted(self.states):
-            self.push(0, tid, _RANK_CONTEXT, "context")
+    def timer(self, point: _Point, terminal: str, kind: str, now: int) -> None:
         try:
-            while self.heap:
-                at, terminal, rank_, _, kind = heapq.heappop(self.heap)
-                if kind == "context":
-                    self.context_tick(terminal, at)
-                else:
-                    self.timer(terminal, kind, at)
+            if kind == "switch":
+                self.deliver(point, terminal, ctl.SwitchComplete(), now, "switch_complete")
+            else:
+                self.deliver(point, terminal, ctl.TimerFired(kind="eval", at=now), now,
+                             "timer_eval")
         except HandoffSimError as exc:
-            exc.at = (at, terminal)
-            raise
-        return self.sink
+            self.fail([point], exc, now, terminal)
+
+    def execute(self) -> list:
+        sc = self.sc
+        terminals = sorted(term.id for term in sc.terminals)
+        for point in self.points:
+            cfg = point.controller
+            point.record(
+                0,
+                None,
+                INIT,
+                {
+                    "seed": sc.seed,
+                    "duration_ms": sc.duration_ms,
+                    "tick_ms": sc.tick_ms,
+                    "controller": {
+                        "hysteresis_delta": cfg.hysteresis_delta,
+                        "th_sup": cfg.th_sup,
+                        "th_inf": cfg.th_inf,
+                        "dwell_sp": cfg.dwell_sp,
+                        "prep_latency": cfg.prep_latency,
+                        "exec_latency": cfg.exec_latency,
+                        "eval_latency": cfg.eval_latency,
+                        "strategy": cfg.strategy.value,
+                    },
+                    "stations": sorted(bs.id for bs in sc.topology.stations),
+                    "terminals": terminals,
+                    "metrics_constants": dict(sorted(sc.metrics_constants.items())),
+                },
+            )
+            for tid in terminals:
+                point.record(0, tid, INIT, {"phase": ctl.Phase.DISCONNECTION.value})
+        for tid in terminals:
+            self.push(0, tid, _RANK_CONTEXT, "context")
+        heap = self.heap
+        while heap and self.live:
+            at, terminal, _, _, kind, point = heapq.heappop(heap)
+            if point is None:
+                self.context_tick(terminal, at)
+            elif point.error is None:
+                self.timer(point, terminal, kind, at)
+        return [point.sink if point.error is None else point.error for point in self.points]
 
 
-def run(scenario: Scenario, shared: Optional[SharedContext] = None, sink=None):
+def run(scenario: Scenario, sink=None, points=None):
     """Simulate a validated scenario, hand each record in trace order to
     ``sink.append(t, terminal, kind, payload)``, and return the sink: by
-    default a new ``Trace``.
-
-    With ``shared``, the controller-independent context of each
-    terminal-tick is read from it, or computed and stored there; without
-    it, the run stores none.  A HandoffSimError raised by an event carries
+    default a new ``Trace``.  A HandoffSimError raised by an event carries
     that event's ``(t, terminal)`` in its ``at`` attribute.
+
+    With ``points``, (controller, sink) pairs, one pass runs the scenario
+    under each controller in place of its own, each point's records going
+    to its sink, and returns a list with each point's sink, or the
+    HandoffSimError that stopped it.
     """
-    return _Run(scenario, shared, Trace() if sink is None else sink).execute()
+    if points is not None:
+        if sink is not None:
+            raise TypeError("run: with points, each point carries its own sink")
+        return _Run(scenario, points).execute()
+    (outcome,) = _Run(scenario, [(scenario.controller, Trace() if sink is None else sink)]).execute()
+    if isinstance(outcome, HandoffSimError):
+        raise outcome
+    return outcome

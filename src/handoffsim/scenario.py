@@ -302,6 +302,9 @@ def _parse_catalog(doc, problems) -> list[CriterionDef]:
         floor = _field(cdoc, "floor", cpath, problems, float, 1e-6)
         if len(problems) > before:
             continue
+        if floor <= 0:  # scoring takes the log of max(value, floor)
+            problems.append(f"{cpath}.floor: must be > 0")
+            continue
         try:
             source = ContextSource(source)
         except ValueError:

@@ -17,8 +17,8 @@ import pytest
 from handoffsim import cli, engine
 from handoffsim import scenario as scenario_module
 from handoffsim.cli import main, parse_grid
-from handoffsim.errors import PolicyGapError
-from handoffsim.metrics import CSV_COLUMNS, metric_cells
+from handoffsim.errors import HandoffSimError, PolicyGapError
+from handoffsim.metrics import CSV_COLUMNS, compute_metrics, metric_cells
 from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.trace import INIT, read_trace
 from test_golden import _inputs
@@ -209,6 +209,31 @@ class TestBadPathLoss:
         err = capsys.readouterr().err
         assert "path_loss.macro.exponent: must be a number" in err
         assert "Traceback" not in err
+
+
+class TestBadCriterionFloor:
+    """Scoring takes the log of a criterion's value clamped to its floor, so
+    a floor that is not a positive finite number is a validation failure,
+    not a math domain error once a value reaches it."""
+
+    @pytest.mark.parametrize("floor, why", [(0.0, "must be > 0"), (-1.0, "must be > 0"),
+                                            (float("nan"), "must be finite")])
+    @pytest.mark.parametrize("command", [["validate"], ["run"]])
+    def test_exits_invalid_naming_the_floor(self, floor, why, command, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["criteria"][0]["floor"] = floor
+        for signals in doc["synthesis"]["networks"].values():
+            signals["base"]["Q"] = 0.0
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(doc))
+        argv = [*command, str(path)]
+        if command == ["run"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: criteria[0].floor: {why}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestParseGrid:
@@ -647,6 +672,72 @@ class TestSweepTerminalGroups:
             assert errors == ["policy table has no entry for ('L3'; 'voice')",
                               "policy table has no entry for ('L3'; 'video')"], workers
             assert "2 of 2 grid points failed" in err
+
+
+class TestSweepFailureIsolation:
+    """A batch's points run in one engine pass, yet each row is its point's
+    run alone: a controller error stops only its own point, and a context
+    error stops every point still running at that event, while a point that
+    failed earlier keeps its own error."""
+
+    # Under a strict policy with no entries, delta 0 fails at 9100 ms and
+    # 0.1 at 11600 ms, while 1e6 never hands off and runs to the end.
+    DELTAS = (0.0, 1e6, 0.1)
+
+    @pytest.fixture()
+    def strict(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["policy"] = {"strict": True}
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(doc))
+        return doc, path
+
+    def _rows_alone(self, doc):
+        """Each point's row, from its own ``engine.run``."""
+        rows = []
+        for delta in self.DELTAS:
+            point = copy.deepcopy(doc)
+            point["controller"]["hysteresis_delta"] = delta
+            sc = from_dict(point)
+            try:
+                trace = engine.run(sc)
+            except HandoffSimError as exc:
+                cells = [""] * len(cli.SWEEP_METRIC_COLUMNS) + [str(exc).replace(",", ";")]
+            else:
+                cells = cli._sweep_cells(compute_metrics(trace, sc.duration_ms)) + [""]
+            rows.append(",".join([str(delta), *cells]))
+        return rows
+
+    def _check(self, path, want, capsys):
+        grid = "delta=" + ",".join(str(d) for d in self.DELTAS)
+        failed = sum(not row.endswith(",") for row in want)
+        for workers in (1, 2, 3):
+            out, err = _sweep(path, grid, workers, capsys)
+            assert out.splitlines()[1:] == want, workers
+            assert f"{failed} of 3 grid points failed" in err
+
+    def test_a_controller_error_stops_only_its_point(self, strict, capsys):
+        doc, path = strict
+        want = self._rows_alone(doc)
+        assert [row.endswith(",") for row in want] == [False, True, False]
+        self._check(path, want, capsys)
+
+    def test_a_context_error_stops_every_live_point(self, strict, monkeypatch, capsys):
+        real = engine.sample_context
+
+        def failing(net, t, spec, state):
+            if t == 10000:
+                raise HandoffSimError("no context at 10000 ms")
+            return real(net, t, spec, state)
+
+        monkeypatch.setattr(engine, "sample_context", failing)
+        doc, path = strict
+        want = self._rows_alone(doc)
+        assert [row.rsplit(",", 1)[1] for row in want] == [
+            "policy table has no entry for ('L3'; 'video')", "no context at 10000 ms",
+            "no context at 10000 ms",
+        ]
+        self._check(path, want, capsys)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

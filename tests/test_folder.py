@@ -3,8 +3,8 @@
 ``MetricFolder`` as the engine's record sink sees each record as it is made
 and keeps no trace; ``compute_metrics`` feeds the same fold from a trace.
 Both must give equal snapshots on the golden inputs, which include the
-bundled scenarios, pooled and per terminal, run alone and through a
-shared context; and a pooled snapshot's ``by_terminal`` holds exactly the
+bundled scenarios, pooled and per terminal, run alone and as points of one
+engine pass; and a pooled snapshot's ``by_terminal`` holds exactly the
 snapshot each terminal gets when asked for alone.  Runs over groups of a
 scenario's terminals pool to the snapshot of the run over all of them.
 """
@@ -42,14 +42,18 @@ def test_online_fold_equals_the_trace_fold(inputs, name):
 
 @pytest.mark.parametrize("name", ["crossing", "noisy"])
 def test_online_fold_through_a_shared_context(inputs, name):
+    # One engine pass folds every variant, as a sweep batch does.
     base = from_dict(copy.deepcopy(inputs[name]))
-    shared = engine.SharedContext()
+    controllers = []
     for variant in VARIANTS:
         doc = copy.deepcopy(inputs[name])
         doc["controller"].update(variant)
-        sc = base._replace(controller=parse_controller(doc))
-        folded = engine.run(sc, shared, MetricFolder(sc.duration_ms)).snapshot()
-        assert folded == compute_metrics(engine.run(sc), sc.duration_ms), variant
+        controllers.append(parse_controller(doc))
+    points = [(controller, MetricFolder(base.duration_ms)) for controller in controllers]
+    folders = engine.run(base, points=points)
+    for variant, controller, folder in zip(VARIANTS, controllers, folders):
+        alone = engine.run(base._replace(controller=controller))
+        assert folder.snapshot() == compute_metrics(alone, base.duration_ms), variant
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

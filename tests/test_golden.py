@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from handoffsim.cli import main
-from handoffsim.engine import SharedContext, run
+from handoffsim.engine import run
 from handoffsim.scenario import from_dict, parse_controller
+from handoffsim.trace import Trace
 from trace_text import ndjson
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -247,17 +248,18 @@ VARIANTS = [
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shared_context_keeps_every_controller_variant_byte_identical(inputs, name):
-    # Each variant is the base scenario with another controller, as a sweep
-    # builds its points.
+    # One engine pass steps every variant over one context, as a sweep batch
+    # does; each variant's records must be those of its run alone.
     base = from_dict(copy.deepcopy(inputs[name]))
-    shared = SharedContext()
-    behaviours = set()
+    controllers, alone = [], []
     for variant in VARIANTS:
         doc = copy.deepcopy(inputs[name])
         doc["controller"].update(variant)
-        alone = run(from_dict(copy.deepcopy(doc)))
-        sc = base._replace(controller=parse_controller(doc))
-        assert ndjson(run(sc, shared)) == ndjson(alone), variant
-        behaviours.add(tuple(json.dumps(r) for r in alone.records if r.kind != "init"))
-    # The variants behave differently, so sharing is tested on distinct runs.
+        controllers.append(parse_controller(doc))
+        alone.append(run(from_dict(doc)))
+    together = run(base, points=[(controller, Trace()) for controller in controllers])
+    for variant, trace, want in zip(VARIANTS, together, alone):
+        assert ndjson(trace) == ndjson(want), variant
+    # The variants behave differently, so the pass is tested on distinct runs.
+    behaviours = {tuple(json.dumps(r) for r in t.records if r.kind != "init") for t in alone}
     assert len(behaviours) > 1

@@ -59,7 +59,9 @@ def _count_calls(monkeypatch, pairs) -> list:
 
 
 def test_a_serial_sweep_probes_each_point_once(tracer, monkeypatch, capsys):
-    """``sweep.point`` times one grid point, and parsing stays out of it."""
+    """``sweep.point`` is called once per grid point, and parsing stays out
+    of it.  A batch's points run in one engine pass, so what it times is a
+    point's outcome turned into its fold results, not the point's run."""
     from handoffsim import cli
 
     targets = tracer._targets()
@@ -119,3 +121,43 @@ def test_a_run_calls_every_engine_layer_the_benchmark_probes(tracer, monkeypatch
     probed = {f"{owner.__name__}.{attr}" for name in ENGINE_CHILDREN
               for owner, attr in targets[name]}
     assert probed - set(calls) == set()
+
+
+def test_a_serial_sweep_calls_every_engine_layer_inside_engine_run(tracer, monkeypatch,
+                                                                     capsys):
+    """The benchmark's per-layer self times add up to ``engine.run`` only if
+    every engine layer of the traced sweep is called while ``engine.run`` is
+    on the stack; a sweep that reached the layers by another path would
+    leave their time outside it."""
+    from handoffsim import cli
+
+    targets = tracer._targets()
+    depth = [0]
+    calls = []
+
+    def wrap(owner, attr, name):
+        real = getattr(owner, attr)
+
+        def probe(*args, **kwargs):
+            calls.append((name, depth[0] > 0))
+            if name == "engine.run":
+                depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                if name == "engine.run":
+                    depth[0] -= 1
+
+        monkeypatch.setattr(owner, attr, probe)
+
+    for name in ("engine.run", "sweep.point", *ENGINE_CHILDREN):
+        for owner, attr in targets[name]:
+            wrap(owner, attr, name)
+    grid = "delta=0,0.5;strategy=reactive,proactive"
+    assert cli.main(["sweep", str(SCENARIO), "--grid", grid, "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert [inside for name, inside in calls if name == "engine.run"] == [False]
+    assert [inside for name, inside in calls if name == "sweep.point"] == [False] * 4
+    children = [(name, inside) for name, inside in calls if name in ENGINE_CHILDREN]
+    assert {"topology.coverage", "controller.step"} <= {name for name, _ in children}
+    assert all(inside for _, inside in children)

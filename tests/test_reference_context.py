@@ -29,7 +29,7 @@ coords = st.integers(-1000, 7000).map(lambda v: v / 10)  # -100.0 to 700.0 m
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, ticks=6):
     """Small valid scenario documents: 1-12 stations over every tier, some
     on one spot; terminals whose waypoints sit on a station's radius or at
     the edge of its coverage box, in the open or out of reach, near the
@@ -38,7 +38,7 @@ def scenarios(draw):
     weighted with RSS or without."""
     origin = draw(st.sampled_from([0.0, 1e6 + 0.5, -3e7]))
     tick = draw(st.sampled_from([100, 200]))
-    duration = tick * draw(st.integers(1, 6))
+    duration = tick * draw(st.integers(1, ticks))
     mode = draw(st.sampled_from(["geometric", "stochastic"]))
 
     criteria = [

@@ -17,6 +17,7 @@ from handoffsim.scenario import from_dict, load_scenario, parse_controller
 from handoffsim.synthesis import NetworkSignals
 from handoffsim.taxonomy import Attachment, classify, delta
 from handoffsim.topology import tier_path_loss
+from handoffsim.trace import Trace
 from test_golden import _inputs
 from trace_text import ndjson
 
@@ -571,12 +572,11 @@ class TestPickledScenarios:
         assert pickle.loads(pickle.dumps(sc)) == sc
 
     def test_replaced_controllers_of_an_unpickled_scenario_share_one_context(self):
+        # A worker's points run in one pass over the scenario it unpickled.
         doc = _inputs()["noisy"]
         base = pickle.loads(pickle.dumps(from_dict(copy.deepcopy(doc))))
-        shared = engine.SharedContext()
-        for hysteresis in (0.0, 0.5, 2.0):
-            sc = base._replace(controller=base.controller._replace(hysteresis_delta=hysteresis))
-            assert sc.topology is base.topology
-            assert ndjson(engine.run(sc, shared)) == ndjson(engine.run(sc))
-        with pytest.raises(ValueError):  # equal, but not made from the bound one
-            engine.run(from_dict(doc), shared)
+        controllers = [base.controller._replace(hysteresis_delta=h) for h in (0.0, 0.5, 2.0)]
+        together = engine.run(base, points=[(c, Trace()) for c in controllers])
+        for controller, trace in zip(controllers, together):
+            alone = engine.run(from_dict(copy.deepcopy(doc))._replace(controller=controller))
+            assert ndjson(trace) == ndjson(alone)

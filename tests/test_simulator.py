@@ -1,6 +1,5 @@
 """Radio model, signal synthesis, and event engine behavior."""
 
-import copy
 import json
 import math
 from pathlib import Path
@@ -9,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handoffsim import controller as ctl
-from handoffsim.engine import SharedContext, advance_position, run
-from handoffsim.scenario import from_dict, load_scenario, parse_controller
+from handoffsim.engine import advance_position, run
+from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.synthesis import (
     ContextSynthesisSpec,
     NetworkSignals,
@@ -659,70 +657,3 @@ def test_coverage_computes_rss_only_when_a_score_reads_it(monkeypatch, weights, 
     trace = run(from_dict(doc))
     assert any(r.payload["entries"] for r in trace.records if r.kind == ANL)
     assert bool(calls) == rss_read
-
-
-class TestSharedContext:
-    def test_refused_for_a_scenario_that_differs_outside_the_controller(self):
-        shared = SharedContext()
-        base = from_dict(_crossing_doc())
-        run(base, shared)
-        moved = _crossing_doc()
-        moved["terminals"][0]["path"][0][1] = [1.0, 0.0]
-        others = [
-            _crossing_doc(seed=8),
-            _crossing_doc(tick_ms=200),
-            _crossing_doc(path_loss={"macro": {"exponent": 2.5}}),
-            _crossing_doc(weights={"k": 0.5, "weights": {"Q": 1.0}}),
-            moved,
-        ]
-        for doc in others:
-            with pytest.raises(ValueError, match="outside its controller"):
-                run(from_dict(doc), shared)
-        doc = _crossing_doc()
-        doc["controller"]["hysteresis_delta"] = 0.7
-        doc["controller"]["strategy"] = "proactive"
-        sc = base._replace(controller=parse_controller(doc))
-        assert ndjson(run(sc, shared)) == ndjson(run(from_dict(doc)))
-
-    def test_refused_for_an_equal_but_reparsed_scenario(self):
-        # Binding is by identity: the context is shared only with scenarios
-        # made of the bound one's objects, as a sweep makes its points.
-        base = from_dict(_crossing_doc())
-        shared = SharedContext()
-        for delta in (0.0, 0.4, 0.7):
-            sc = base._replace(controller=base.controller._replace(hysteresis_delta=delta))
-            assert ndjson(run(sc, shared)) == ndjson(run(sc))
-        again = from_dict(_crossing_doc())
-        assert again == base
-        with pytest.raises(ValueError, match="outside its controller"):
-            run(again, shared)
-
-    def test_a_plain_run_shares_nothing(self):
-        shared = SharedContext()
-        run(from_dict(_crossing_doc()))
-        assert shared.ticks == {}
-        run(from_dict(_crossing_doc(seed=8)), shared)  # still unbound, so accepted
-
-    def test_a_run_that_fails_part_way_leaves_a_memo_the_next_run_continues(
-        self, monkeypatch
-    ):
-        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
-        shared = SharedContext()
-        real_step = ctl.step
-
-        def failing_step(state, event, cfg, now):
-            if now >= doc["duration_ms"] // 2:
-                raise RuntimeError("stop here")
-            return real_step(state, event, cfg, now)
-
-        monkeypatch.setattr(ctl, "step", failing_step)
-        base = from_dict(copy.deepcopy(doc))
-        with pytest.raises(RuntimeError):
-            run(base, shared)
-        monkeypatch.undo()
-        filled = len(shared.ticks)
-        assert 0 < filled < doc["duration_ms"] // doc["tick_ms"]
-        doc["controller"]["dwell_sp"] = 0
-        want = ndjson(run(from_dict(copy.deepcopy(doc))))
-        assert ndjson(run(base._replace(controller=parse_controller(doc)), shared)) == want
-        assert len(shared.ticks) == doc["duration_ms"] // doc["tick_ms"]
