@@ -1,12 +1,13 @@
 """Run metrics folded from trace records.
 
-A ``MetricFolder`` takes records one at a time, in trace order, through the
+A ``MetricFolder`` takes records one at a time, in time order, through the
 same ``append(t, terminal, kind, payload)`` a ``Trace`` has, so it can be
 the engine's record sink and fold a run that keeps no trace;
-``compute_metrics`` feeds one from a finished trace.  One fold gives the
-pooled snapshot and, in its ``by_terminal``, each terminal's own: a
-terminal's dwell times, degradation runs and timeliness grades are worked
-out once and read by both.  ``MetricFolder.facts`` hands out those
+``compute_metrics`` feeds one from a finished trace, sorted by time.  Each
+terminal's dwell times and degradation runs are settled as time moves past
+each record, not walked at the end.  One fold gives the pooled snapshot
+and, in its ``by_terminal``, each terminal's own: a terminal's results are
+worked out once and read by both.  ``MetricFolder.facts`` hands out those
 per-terminal results, and ``pool`` turns the results of several folders,
 each over some of a run's terminals, into the run's pooled snapshot.
 
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections import namedtuple
+from copy import copy
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .context import METRICS, PASS_THROUGH
@@ -53,33 +56,11 @@ CSV_COLUMNS = ["terminal"] + [m.column for m in METRICS]
 _SOURCE_BY_ID = {m.id: m.source for m in METRICS if m.id is not None}
 
 
-class _MetricValues(NamedTuple):
-    completed: int
-    accepted: int
-    rejected: int
-    hor: float
-    shor: Optional[float]  # None until a handoff completes
-    ihor: float
-    ohor: float
-    thor: float
-    phor: float
-    dtib: Optional[float]
-    il: Optional[float]
-    ir: float
-    hol: Optional[float]
-    dlat: Optional[float]
-    exlat: Optional[float]
-    evlat: Optional[float]
-    impr: Optional[float]
-    dr: float
-    dl: Optional[float]
-    di: Optional[float]
-    # Pass-through constants: the rows of kind "constant" in METRICS.
-    al: Optional[float]
-    so: Optional[float]
-    sso: Optional[float]
-    dar: Optional[float]
-    counts: dict
+# The snapshot's fields: each non-count row's attribute, in table order,
+# then the counters.
+_MetricValues = namedtuple(
+    "_MetricValues", [m.source for m in METRICS if m.kind != "count"] + ["counts"]
+)
 
 
 class MetricSnapshot(_MetricValues):
@@ -97,21 +78,6 @@ class MetricSnapshot(_MetricValues):
         return getattr(self, _SOURCE_BY_ID[metric_id])
 
 
-def _segments(points: list[tuple[int, object]], horizon: int):
-    """Turn (t, value) breakpoints into [t0, t1) segments within the horizon."""
-    out = []
-    ends = [t for t, _ in points[1:]]
-    ends.append(horizon)
-    for (t0, value), t1 in zip(points, ends):
-        if t0 < 0:
-            t0 = 0
-        if t1 > horizon:
-            t1 = horizon
-        if t1 > t0:
-            out.append((t0, t1, value))
-    return out
-
-
 class _Facts(NamedTuple):
     """What one terminal's own snapshot and the pooled one both read."""
 
@@ -126,10 +92,14 @@ class _Facts(NamedTuple):
 class _TerminalStats:
     """Single-pass accumulation of one terminal's trace records.
 
-    Records arrive in trace order, which is time order.  A breakpoint is
-    kept only where the attached network or the list head changes: a
-    neighbouring segment with the same value would only extend the one
-    before it, and every lookup reads the same value over the joined span.
+    Records arrive in time order, and what holds at a time is what its last
+    record left: the attached network, the list head, the list's map.  So a
+    time is settled once a record with a later time arrives, and the last
+    one in ``facts``, up to the horizon.  The span to the next time, both
+    clipped to [0, horizon], adds to the attached time, and to the on-head
+    time when the attached network heads the list.  If the settled time had
+    a list and lies in [0, horizon), the attached network's value in it
+    extends or closes the open degradation run.
     """
 
     # Every counter at zero; each terminal, and each pooled snapshot, starts
@@ -145,26 +115,29 @@ class _TerminalStats:
         self.th_inf = th_inf
         self.moves = moves  # (event, from, to) -> the counters that transition bumps
         self.records: list[dict] = []
-        self.attached: Optional[str] = None  # the value of the last attach breakpoint
-        self.attach_points: list[tuple[int, Optional[str]]] = [(0, None)]
-        self.head: Optional[str] = None  # the value of the last head breakpoint
-        self.anl_points: list[tuple[int, Optional[str]]] = [(0, None)]
-        self.anl_by_t: dict[int, dict[str, float]] = {}
         self.counts = self.COUNTS.copy()
+        self.anl_by_t: dict[int, dict[str, float]] = {}  # each list time's network -> score
+        # The time of the last record, not yet settled, and what holds there.
+        self.t = float("-inf")
+        self.attached: Optional[str] = None
+        self.head: Optional[str] = None
+        # Settled: ms attached and on the list head, and the degradation runs
+        # as (duration ms, summed deficit x ms), the last one open while the
+        # utility tick that ended at ``run_end`` was below the threshold.
+        self.on_head = 0
+        self.attached_ms = 0
+        self.runs: list[tuple[int, float]] = []
+        self.run_end: Optional[int] = None
 
     def feed(self, t: int, kind: str, payload: dict) -> None:
+        if t != self.t:
+            self.settle(t)
         if kind == ANL:
             entries = payload["entries"]
-            head = entries[0][0] if entries else None
-            if head != self.head:
-                self.head = head
-                self.anl_points.append((t, head))
+            self.head = entries[0][0] if entries else None
             self.anl_by_t[t] = dict(entries)
         elif kind == TRANSITION:
-            attached = payload["attached"]
-            if attached != self.attached:
-                self.attached = attached
-                self.attach_points.append((t, attached))
+            self.attached = payload["attached"]
             counts = self.counts
             for action in payload["actions"]:
                 if "connect" in action:
@@ -181,94 +154,51 @@ class _TerminalStats:
         elif kind == HANDOFF:
             self.records.append(payload)
 
-    @cached_property
-    def attach_segs(self) -> list[tuple[int, int, Optional[str]]]:
-        return _segments(self.attach_points, self.horizon)
+    def settle(self, t: int) -> None:
+        """Settle the time of the last record, which ``t`` follows."""
+        t0, net, horizon = self.t, self.attached, self.horizon
+        self.t = t
+        if net is None:
+            return
+        lo = t0 if t0 > 0 else 0
+        hi = t if t < horizon else horizon
+        if hi > lo:
+            self.attached_ms += hi - lo
+            if net == self.head:
+                self.on_head += hi - lo
+        anl = self.anl_by_t.get(t0)
+        if anl is None or not 0 <= t0 < horizon:
+            return
+        value = anl.get(net)
+        if value is None:
+            return
+        end = t0 + self.tick
+        if end > horizon:
+            end = horizon
+        if value < self.th_inf:
+            # A tick continues the open run only where the one before it ended.
+            if self.run_end != t0:
+                self.runs.append((0, 0.0))
+            ms, deficit = self.runs[-1]
+            span = end - t0
+            self.runs[-1] = (ms + span, deficit + (self.th_inf - value) * span)
+            self.run_end = end
+        else:
+            self.run_end = None
 
     @cached_property
     def anl_times(self) -> list[int]:
         return sorted(self.anl_by_t)
 
-    def dwell_times(self) -> tuple[int, int]:
-        """(time attached to the list head, total time attached), in ms.
-
-        Breakpoints arrive in trace order, so both segment lists are sorted
-        and disjoint and one merge pass visits every overlapping pair.
-        """
-        attach_segs = self.attach_segs
-        head_segs = _segments(self.anl_points, self.horizon)
-        attached = sum(a1 - a0 for a0, a1, net in attach_segs if net is not None)
-        on_head = 0
-        i = j = 0
-        while i < len(attach_segs) and j < len(head_segs):
-            a0, a1, net = attach_segs[i]
-            h0, h1, head = head_segs[j]
-            if net is not None and head == net:
-                lo = a0 if a0 > h0 else h0
-                hi = a1 if a1 < h1 else h1
-                if hi > lo:
-                    on_head += hi - lo
-            if a1 <= h1:
-                i += 1
-            else:
-                j += 1
-        return on_head, attached
-
-    def uf_series(self) -> list[tuple[int, int, float]]:
-        """Serving-network utility per tick segment while attached.
-
-        The list times and the attach segments are both sorted, so one walk
-        finds the segment, if any, that holds each time."""
-        segs = self.attach_segs
-        horizon, tick, anl_by_t = self.horizon, self.tick, self.anl_by_t
-        out = []
-        i, n = 0, len(segs)
-        for t in self.anl_times:
-            if t >= horizon:
-                break
-            while i < n and segs[i][1] <= t:
-                i += 1
-            if i == n:
-                break
-            a0, _, net = segs[i]
-            if net is None or t < a0:
-                continue
-            value = anl_by_t[t].get(net)
-            if value is None:
-                continue
-            end = t + tick
-            out.append((t, horizon if end > horizon else end, value))
-        return out
-
-    def degradation_runs(self) -> list[tuple[int, float]]:
-        """Maximal below-threshold runs as (duration ms, mean deficit)."""
-        runs = []
-        cur_len = 0
-        cur_deficit = 0.0
-        prev_end = None
-        for t0, t1, value in self.uf_series():
-            below = value < self.th_inf
-            contiguous = prev_end == t0
-            if below:
-                if cur_len and not contiguous:
-                    runs.append((cur_len, cur_deficit / cur_len))
-                    cur_len, cur_deficit = 0, 0.0
-                cur_len += t1 - t0
-                cur_deficit += (self.th_inf - value) * (t1 - t0)
-            elif cur_len:
-                runs.append((cur_len, cur_deficit / cur_len))
-                cur_len, cur_deficit = 0, 0.0
-            prev_end = t1
-        if cur_len:
-            runs.append((cur_len, cur_deficit / cur_len))
-        return runs
-
     def facts(self, tolerance_ms: int) -> _Facts:
-        on_head, attached = self.dwell_times()
-        graded = [(r, _timeliness(r, self, tolerance_ms)) for r in self.records]
-        return _Facts(
-            self.terminal, self.counts, on_head, attached, self.degradation_runs(), graded
-        )
+        # Settle the last time, and grade, on a copy, so the fold can go on
+        # or be asked again: the copy's sorted list times die with it.
+        end = copy(self)
+        end.runs = self.runs.copy()
+        end.settle(self.horizon)
+        runs = [(ms, deficit / ms) for ms, deficit in end.runs if ms]  # (ms, mean deficit)
+        graded = [(r, _timeliness(r, end, tolerance_ms)) for r in self.records]
+        return _Facts(self.terminal, self.counts, end.on_head, end.attached_ms, runs, graded)
 
     def below_span_before(self, t_trigger: int, from_net: str) -> int:
         """Continuous ms the from-network utility sat below th_inf just
@@ -287,7 +217,7 @@ class _TerminalStats:
 class MetricFolder:
     """Folds one run's records, as they arrive, into metric snapshots.
 
-    A record sink: ``append`` takes each record in trace order.  The run's
+    A record sink: ``append`` takes each record in time order.  The run's
     init record (terminal None) fixes the tick, the lower threshold, the
     tardiness tolerance, the pass-through constants and the terminals to
     fold first, in its order; a terminal it does not list is added at its
@@ -323,7 +253,8 @@ class MetricFolder:
         st.feed(t, kind, payload)
 
     def feed_trace(self, trace: Trace) -> "MetricFolder":
-        """Fold a finished trace, whose init record may sit anywhere in it."""
+        """Fold a finished trace, whose init record may sit anywhere in it,
+        in time order: a stable sort, one pass over what the engine wrote."""
         for rec in trace.records:
             if rec.kind == INIT and rec.terminal is None:
                 self._start(rec.payload)
@@ -332,7 +263,7 @@ class MetricFolder:
         # the same dict: ``append`` restarts the folder only at a run-level
         # init record, and none is left once one has started it.
         stats, append = self.stats, self.append
-        for t, terminal, kind, payload in trace.records:
+        for t, terminal, kind, payload in sorted(trace.records, key=itemgetter(0)):
             st = stats.get(terminal)
             if st is None:
                 append(t, terminal, kind, payload)
@@ -525,10 +456,17 @@ def metric_cells(columns: Sequence[str]):
 _all_cells = metric_cells(CSV_COLUMNS[1:])
 
 
+def _csv_cell(label: str) -> str:
+    """``label`` quoted as ``csv``'s minimal quoting does, when it must be."""
+    if "," in label or '"' in label or "\r" in label or "\n" in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
 def snapshots_to_csv(rows: Sequence[tuple[str, MetricSnapshot]]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for label, snap in rows:
-        lines.append(",".join([label] + _all_cells(snap)))
+        lines.append(",".join([_csv_cell(label)] + _all_cells(snap)))
     return "\n".join(lines) + "\n"
 
 

@@ -256,6 +256,8 @@ def _parse_terminals(doc, problems) -> list[TerminalSpec]:
             continue
         if tid in seen:
             problems.append(f"{tpath}.id: duplicate terminal id {tid!r}")
+        if tid == "all":
+            problems.append(f'{tpath}.id: "all" is reserved for the pooled row')
         seen.add(tid)
         before = len(problems)
         app_type = _field(tdoc, "app_type", tpath, problems, str, "*")

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import csv
 import errno
 import gc
 import json
@@ -234,6 +235,45 @@ class TestBadCriterionFloor:
         assert captured.out == ""
         assert f"{path}: criteria[0].floor: {why}" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestTerminalIdsInMetricRows:
+    """Each terminal id labels its own metrics row, next to the pooled "all"
+    row, in the CSV and as a JSON key."""
+
+    @staticmethod
+    def _renamed(tmp_path, ids):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["duration_ms"] = 2000
+        [term] = doc["terminals"]
+        doc["terminals"] = [{**term, "id": tid} for tid in ids]
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--metrics", "json"], ["run"]])
+    def test_the_pooled_label_is_no_terminal_id(self, command, tmp_path, capsys):
+        path = self._renamed(tmp_path, ["all"])
+        argv = [*command[:1], str(path), *command[1:]]
+        if command[0] == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f'{path}: terminals[0].id: "all" is reserved for the pooled row' in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_csv_reader_reads_back_every_id(self, tmp_path, capsys):
+        ids = ["mt,1", 'a"b', "x\ny"]
+        path = self._renamed(tmp_path, ids)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--no-trace"]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "out" / "renamed.metrics.csv").read_text()
+        rows = list(csv.reader(text.splitlines(keepends=True)))
+        assert rows[0] == CSV_COLUMNS
+        assert [row[0] for row in rows[1:]] == [*ids, "all"]
+        assert {len(row) for row in rows} == {len(CSV_COLUMNS)}
+        assert rows[1][1:] == rows[2][1:] == rows[3][1:]
 
 
 class TestParseGrid:

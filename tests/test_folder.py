@@ -12,11 +12,14 @@ scenario's terminals pool to the snapshot of the run over all of them.
 import copy
 
 import pytest
+from hypothesis import given, settings
 
 from handoffsim import engine
 from handoffsim.metrics import MetricFolder, compute_metrics, pool
 from handoffsim.scenario import from_dict, parse_controller
 from test_golden import GOLDEN, VARIANTS, _inputs
+from test_metrics import ref_facts
+from test_reference_context import scenarios
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +92,26 @@ def test_records_without_an_init_record_fold_with_defaults():
     assert snap.dtib == 1.0
     assert folder.snapshot().by_terminal == {"mt1": snap, "mt2": folder.snapshot("mt2")}
     assert folder.snapshot("mt2").counts["connects"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=scenarios(ticks=20, crossing=True))
+def test_folds_of_a_run_that_hands_off_match_the_reference(doc):
+    sc = from_dict(doc)
+    trace = engine.run(sc)
+    online = engine.run(sc, sink=MetricFolder(sc.duration_ms)).snapshot()
+    want = pool(ref_facts(trace, sc.duration_ms), sc.duration_ms, sc.metrics_constants)
+    assert repr(online) == repr(compute_metrics(trace)) == repr(want)
+    assert online.by_terminal == compute_metrics(trace).by_terminal
+
+
+def test_asking_part_way_leaves_the_fold_unchanged(inputs):
+    # Each ask settles and grades on a copy; none of it stays in the fold.
+    sc = from_dict(copy.deepcopy(inputs["crossing"]))
+    trace = engine.run(sc)
+    folder = MetricFolder(sc.duration_ms)
+    for rec in trace.records:
+        folder.append(*rec)
+        folder.facts()
+    assert repr(folder.snapshot()) == repr(compute_metrics(trace))
+    assert folder.snapshot() == folder.snapshot()

@@ -591,3 +591,42 @@ class TestSerialization:
         assert doc["mt1"]["completed"] == "1"
         assert list(doc["mt1"]) == sorted(m.column for m in METRICS)
         assert CSV_COLUMNS == ["terminal"] + [m.column for m in METRICS]
+
+
+class TestRecordOrder:
+    """A finished trace folds in time order: records at one time keep their
+    order, and records at different times may come in any order."""
+
+    @settings(max_examples=150)
+    @given(
+        codes=st.lists(st.integers(min_value=0, max_value=2**24), min_size=8, max_size=40),
+        horizon=st.integers(min_value=0, max_value=1100),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_reordering_across_times_keeps_the_snapshot(self, codes, horizon, rng):
+        trace = _trace_of(codes, horizon)
+        by_t = {}
+        for rec in trace.records:
+            by_t.setdefault(rec.t, []).append(rec)
+        # Deal each time's records out in their order, the times interleaved.
+        slots = [rec.t for rec in trace.records]
+        rng.shuffle(slots)
+        queues = {t: iter(recs) for t, recs in by_t.items()}
+        shuffled = Trace([next(queues[t]) for t in slots])
+
+        want = pool(ref_facts(trace, horizon), horizon, {"AL": 0.5})
+        got = compute_metrics(shuffled)
+        assert repr(got) == repr(compute_metrics(trace)) == repr(want)
+        assert got.by_terminal == compute_metrics(trace).by_terminal
+
+    def test_transitions_given_out_of_time_order(self):
+        # Attached to n2 from 200 ms, then to the list head n1 from 500 ms.
+        tr = _base_trace(duration=1000)
+        for t in range(0, 1000, 100):
+            _anl(tr, t, [("n1", 5.0), ("n2", 3.0)])
+        for t, net in ((500, "n1"), (600, "n1"), (200, "n2")):
+            _attach(tr, t, net)
+        in_order = Trace(sorted(tr.records, key=lambda r: r.t))
+        snap = compute_metrics(tr)
+        assert repr(snap) == repr(compute_metrics(in_order))
+        assert snap.dtib == pytest.approx(500 / 800)

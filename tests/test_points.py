@@ -67,6 +67,16 @@ def test_every_point_of_one_pass_equals_its_run_alone(doc, variants):
     assert _one_pass(doc, docs) == [_alone(d) for d in docs]
 
 
+@settings(max_examples=80, deadline=None)
+@given(doc=scenarios(ticks=20, crossing=True),
+       variants=st.lists(overrides, min_size=1, max_size=4))
+def test_every_point_of_one_pass_equals_its_run_alone_across_a_crossing(doc, variants):
+    # Two stations' scores cross under one terminal, so most points hand off
+    # and schedule their own timers.
+    docs = [_with_controller(doc, v) for v in variants]
+    assert _one_pass(doc, docs) == [_alone(d) for d in docs]
+
+
 @pytest.fixture()
 def strict():
     """``crossing.json`` under a strict policy with no entries, so a handoff

@@ -29,17 +29,24 @@ coords = st.integers(-1000, 7000).map(lambda v: v / 10)  # -100.0 to 700.0 m
 
 
 @st.composite
-def scenarios(draw, ticks=6):
+def scenarios(draw, ticks=6, crossing=False):
     """Small valid scenario documents: 1-12 stations over every tier, some
     on one spot; terminals whose waypoints sit on a station's radius or at
     the edge of its coverage box, in the open or out of reach, near the
     origin or far from it; geometric or
     stochastic signals; criteria with their own floors and polarities,
-    weighted with RSS or without."""
+    weighted with RSS or without.
+
+    With ``crossing``, the signals are geometric, ``Q`` is weighted, and two
+    more stations ``x0`` and ``x1``, away from the others, cover a terminal
+    ``mtx`` that stays the same distance from both.  ``x0``'s ``Q`` falls
+    from 1e12 to 0 over half or three quarters of the run while ``x1``'s
+    rises from 0 to 1e12 over all of it, so their scores cross and a
+    handoff between them is due."""
     origin = draw(st.sampled_from([0.0, 1e6 + 0.5, -3e7]))
     tick = draw(st.sampled_from([100, 200]))
-    duration = tick * draw(st.integers(1, ticks))
-    mode = draw(st.sampled_from(["geometric", "stochastic"]))
+    duration = tick * draw(st.integers(ticks // 2 if crossing else 1, ticks))
+    mode = "geometric" if crossing else draw(st.sampled_from(["geometric", "stochastic"]))
 
     criteria = [
         {"id": cid, "source": "network",
@@ -49,6 +56,8 @@ def scenarios(draw, ticks=6):
     ]
     polarity = {c["id"]: c["polarity"] for c in criteria} | {"RSS": "beneficial"}
     weighted = draw(st.sets(st.sampled_from(["Q", "L", "RSS"])))
+    if crossing:
+        weighted.add("Q")
     weights = {}
     for side in ("beneficial", "detrimental"):
         ids = sorted(cid for cid in weighted if polarity[cid] == side)
@@ -109,6 +118,20 @@ def scenarios(draw, ticks=6):
                 signals.setdefault("ramps", {})[cid] = draw(st.sampled_from([0.0, -7.5, 31.25]))
         if signals:
             networks[station["id"]] = signals
+    if crossing:
+        x, y = -5000.0, 5000.0  # out of every other station's reach
+        tier = draw(st.sampled_from(["macro", "micro", "pico"]))
+        for i, dx in enumerate((-20.0, 20.0)):
+            stations.append({"id": f"x{i}", "position": [origin + x + dx, origin + y],
+                             "technology": "lte", "tier": tier, "channels": [f"x{i}c"]})
+        terminals.append({"id": "mtx", "path": [[0, [origin + x, origin + y]],
+                                                 [duration, [origin + x, origin + y + 10.0]]]})
+        falls_in = duration * draw(st.sampled_from([0.5, 0.75]))
+        ramps = {"x0": (1e12, -1e12 / falls_in), "x1": (0.0, 1e12 / duration)}
+        for sid, (base, ramp) in ramps.items():
+            networks[sid] = {"base": {"Q": base}, "ramps": {"Q": ramp}}
+            if "L" in weighted:
+                networks[sid]["base"]["L"] = 35.0
     synthesis = {"mode": mode, "networks": networks}
     if mode == "stochastic":
         synthesis["ar1_rho"] = draw(st.sampled_from([0.0, 0.5, 0.9]))
