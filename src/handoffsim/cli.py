@@ -145,17 +145,21 @@ def _write_failed(exc: OSError, path) -> int:
     return EXIT_RUNTIME
 
 
-def _cmd_taxonomy(args) -> int:
-    text = _taxonomy_csv()
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            return _write_failed(exc, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if not out:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        return _write_failed(exc, out)
+    print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK
+
+
+def _cmd_taxonomy(args) -> int:
+    return _emit(_taxonomy_csv(), args.out)
 
 
 def _metric_rows(scenario, pooled):
@@ -412,18 +416,10 @@ def _cmd_sweep(args) -> int:
         else:
             cells += _sweep_cells(result) + [""]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            return _write_failed(exc, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    if failures:
+    status = _emit("\n".join(lines) + "\n", args.out)
+    if failures and status == EXIT_OK:
         print(f"{failures} of {len(points)} grid points failed", file=sys.stderr)
-    return EXIT_OK
+    return status
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,4 +1,4 @@
-"""Context vocabulary: information sources, criteria, goals, and features.
+"""Context vocabulary: information sources, criteria, metrics, and goals.
 
 Six context sources feed the decision process.  Five describe the world
 around a terminal (user, terminal, application, network, provider); the
@@ -6,19 +6,16 @@ sixth is internal and carries the decision process's own past performance.
 Each measurable quantity is a criterion with a polarity: beneficial values
 help a network's standing, detrimental values hurt it.
 
-Goals attach numeric acceptance regions to performance metrics, and
-features bundle goals into named qualities a handoff should exhibit.  The
-metrics a run publishes, and the ids goals name them by, are one table.
+Goals attach numeric acceptance regions to measured quantities; a
+controller's success regions are goals on what it measures of a completed
+handoff.  The metrics a run publishes are one table.
 """
 
 from __future__ import annotations
 
-import json
 from collections import abc, namedtuple
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
-
-from .errors import UnknownMetricError
 
 
 class ContextSource(Enum):
@@ -122,12 +119,12 @@ class CriteriaVector(NamedTuple):
 
 
 class Metric(NamedTuple):
-    """One published metric: ``id`` is the name goals and
-    ``MetricSnapshot.get`` use (None for a plain count), ``column`` heads
-    the CSV column and keys the JSON entry, and ``source`` is the snapshot
-    attribute that holds the value, or the key of ``counts`` when ``kind``
-    is "count".  A "constant" is a pass-through attribute set from the
-    scenario's ``metrics_constants[id]`` and never synthesized."""
+    """One published metric: ``id`` is its name in the paper's vocabulary
+    (None for a plain count), ``column`` heads the CSV column and keys the
+    JSON entry, and ``source`` is the snapshot attribute that holds the
+    value, or the key of ``counts`` when ``kind`` is "count".  A "constant"
+    is a pass-through attribute set from the scenario's
+    ``metrics_constants[id]`` and never synthesized."""
 
     id: Optional[str]
     column: str
@@ -215,108 +212,3 @@ def goal_holds(value: float, goal: GoalSpec) -> bool:
     if goal.direction in (GoalDirection.MAXIMIZE, GoalDirection.MAINTAIN_ABOVE):
         return value > goal.bound
     return goal.lower <= value <= goal.upper
-
-
-def goal_satisfied(snapshot, goal: GoalSpec) -> bool:
-    """Check a goal against a metric snapshot.
-
-    ``snapshot`` needs only a ``get(metric_id)`` method returning a float or
-    None.  A metric the snapshot cannot provide raises UnknownMetricError.
-    """
-    value = snapshot.get(goal.metric_id)
-    if value is None:
-        raise UnknownMetricError(goal.metric_id)
-    return goal_holds(value, goal)
-
-
-class FeatureSpec(NamedTuple):
-    """A named quality of the handoff process, judged by its goals."""
-
-    name: str
-    goals: tuple[GoalSpec, ...] = ()
-    description: str = ""
-
-
-FEATURE_NAMES = (
-    "seamlessness",
-    "autonomy",
-    "security",
-    "correctness",
-    "adaptability",
-    "necessary",
-    "selective",
-    "efficient",
-    "beneficial",
-    "timely",
-)
-
-
-class FeatureResult(NamedTuple):
-    feature: str
-    passed: bool
-    vacuous: bool
-    failed_goals: tuple[str, ...] = ()
-
-
-def _load_default_goal_config() -> dict:
-    from importlib import resources  # only the feature layer reads package data
-
-    data = resources.files("handoffsim").joinpath("data/feature_goals.json").read_text()
-    return json.loads(data)
-
-
-def _goal_from_config(metric_id: str, cfg: Mapping) -> GoalSpec:
-    direction = GoalDirection(cfg["direction"])
-    return GoalSpec(
-        metric_id=metric_id,
-        direction=direction,
-        bound=cfg.get("bound"),
-        lower=cfg.get("lower"),
-        upper=cfg.get("upper"),
-    )
-
-
-def default_feature_specs(overrides: Optional[Mapping] = None) -> list[FeatureSpec]:
-    """Build the ten feature specs from the shipped goal configuration.
-
-    ``overrides`` replaces the goal list of any feature it names, using the
-    same JSON shape as the shipped file: {feature: {metric: {direction,
-    bound|lower+upper}}}.  An empty goal map is allowed and yields a feature
-    that passes vacuously.
-    """
-    config = _load_default_goal_config()
-    if overrides:
-        for name, goals in overrides.items():
-            if name not in FEATURE_NAMES:
-                raise ValueError(f"unknown feature name: {name!r}")
-            config[name] = {"goals": dict(goals)}
-    specs = []
-    for name in FEATURE_NAMES:
-        entry = config.get(name, {"goals": {}})
-        goals = tuple(
-            _goal_from_config(mid, gcfg) for mid, gcfg in sorted(entry.get("goals", {}).items())
-        )
-        specs.append(FeatureSpec(name=name, goals=goals, description=entry.get("description", "")))
-    return specs
-
-
-def feature_report(snapshot, specs: Sequence[FeatureSpec]) -> dict[str, FeatureResult]:
-    """Judge every feature against a metric snapshot.
-
-    A feature passes when all of its goals hold.  A feature with no goals
-    passes and is flagged vacuous so reports cannot silently claim
-    substance they never checked.
-    """
-    report = {}
-    for spec in specs:
-        failed = []
-        for goal in spec.goals:
-            if not goal_satisfied(snapshot, goal):
-                failed.append(goal.metric_id)
-        report[spec.name] = FeatureResult(
-            feature=spec.name,
-            passed=not failed,
-            vacuous=not spec.goals,
-            failed_goals=tuple(failed),
-        )
-    return report

@@ -49,12 +49,6 @@ class PolicyGapError(HandoffSimError):
         super().__init__(f"policy table has no entry for {key!r}")
 
 
-class UnknownMetricError(HandoffSimError):
-    def __init__(self, metric_id: str):
-        self.metric_id = metric_id
-        super().__init__(f"metric {metric_id!r} is not present in the snapshot")
-
-
 class MalformedTraceError(HandoffSimError):
     """Trace input is not parseable as line-delimited JSON records."""
 

@@ -53,7 +53,6 @@ __all__ = [
 
 
 CSV_COLUMNS = ["terminal"] + [m.column for m in METRICS]
-_SOURCE_BY_ID = {m.id: m.source for m in METRICS if m.id is not None}
 
 
 # The snapshot's fields: each non-count row's attribute, in table order,
@@ -72,10 +71,6 @@ class MetricSnapshot(_MetricValues):
     out."""
 
     by_terminal: dict = {}  # shared by every snapshot that sets none; never mutated
-
-    def get(self, metric_id: str) -> Optional[float]:
-        """Metric lookup by id for goal checking; None when unavailable."""
-        return getattr(self, _SOURCE_BY_ID[metric_id])
 
 
 class _Facts(NamedTuple):

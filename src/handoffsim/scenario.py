@@ -21,9 +21,10 @@ from .context import (
     PASS_THROUGH,
     ContextSource,
     CriterionDef,
+    GoalDirection,
+    GoalSpec,
     Polarity,
     default_catalog,
-    _goal_from_config,
 )
 from .controller import DEFAULT_LAYER_METHODS, MEASURED, ControllerConfig, PolicyTable, Strategy
 from .desirability import WeightProfile
@@ -75,6 +76,7 @@ _ENTRY_KEYS = frozenset(("layer", "app_type", "method"))
 _SYNTHESIS_KEYS = frozenset(("mode", "networks", "ar1_rho", "noise_sigma"))
 _SIGNAL_KEYS = frozenset(("base", "ramps", "waypoints", "start"))
 _REGION_KEYS = frozenset(("direction", "bound", "lower", "upper"))
+_DIRECTIONS = ", ".join(d.value for d in GoalDirection)
 _PATH_LOSS_KEYS = frozenset(("tx_power_dbm", "exponent"))
 
 _LAYERS = tuple(layer.value for layer in Layer)
@@ -266,7 +268,7 @@ def _parse_terminals(doc, problems) -> list[TerminalSpec]:
             problems.append(f"{tpath}.path: needs at least one [t, [x, y]] waypoint")
             continue
         waypoints = []
-        last_t = -1
+        last_t = None
         for wi, wp in enumerate(path_doc):
             if type(wp) is not list or len(wp) != 2 or type(wp[0]) is not int:
                 why = "expected [t, [x, y]]"
@@ -276,7 +278,7 @@ def _parse_terminals(doc, problems) -> list[TerminalSpec]:
                 problems.append(f"{tpath}.path[{wi}]: {why}")
                 continue
             t, (x, y) = wp
-            if t <= last_t:
+            if last_t is not None and t <= last_t:
                 problems.append(f"{tpath}.path[{wi}]: waypoint times must increase")
             last_t = t
             waypoints.append((t, (float(x), float(y))))
@@ -379,14 +381,27 @@ def _parse_regions(doc, problems) -> dict:
         if gdoc is None:
             continue
         before = len(problems)
-        _field(gdoc, "direction", rpath, problems, str)
+        direction = _field(gdoc, "direction", rpath, problems, str)
         for name in ("bound", "lower", "upper"):
             if name in gdoc:
                 _field(gdoc, name, rpath, problems, float)
+        if direction is not None:
+            try:
+                direction = GoalDirection(direction)
+            except ValueError:
+                problems.append(f"{rpath}.direction: expected one of {_DIRECTIONS}")
+            else:
+                # keep_within reads lower and upper; every other direction, bound.
+                within = direction is GoalDirection.KEEP_WITHIN
+                for name in ("bound",) if within else ("lower", "upper"):
+                    if name in gdoc:
+                        problems.append(f"{rpath}.{name}: not read for direction {direction.value}")
         if len(problems) > before:
             continue
         try:
-            regions[mid] = _goal_from_config(mid, gdoc)
+            regions[mid] = GoalSpec(
+                mid, direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper")
+            )
         except ValueError as exc:
             problems.append(f"{rpath}: {exc}")
     return regions

@@ -90,6 +90,44 @@ class TestUnmeasuredSuccessRegion:
         assert "success_regions.HOR: not measured by the controller" in captured.err
 
 
+class TestSuccessRegionKeys:
+    def test_a_key_its_direction_never_reads_exits_invalid(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["success_regions"] = {"ExLat": {"direction": "minimize", "bound": 5, "lower": 1}}
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: success_regions.ExLat.lower: not read for direction minimize\n"
+        )
+
+
+class TestPathBeforeTimeZero:
+    """Waypoint times need only increase: a path may start before the run."""
+
+    @pytest.fixture()
+    def early_path(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["duration_ms"] = 2000
+        doc["terminals"][0]["path"] = [[-500, [0.0, 0.0]], [1500, [130.0, 0.0]]]
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_validate(self, early_path, capsys):
+        assert main(["validate", str(early_path)]) == 0
+        assert capsys.readouterr().out.strip() == f"{early_path}: valid"
+
+    def test_run(self, early_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(early_path), "--out", str(out)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.partition(",")[0] for row in rows] == ["terminal", "mt1", "all"]
+        assert read_trace(out / "early.trace.ndjson").records
+
+
 class TestTaxonomy:
     def test_csv_on_stdout(self, capsys):
         assert main(["enumerate-taxonomy"]) == 0

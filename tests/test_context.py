@@ -1,4 +1,4 @@
-"""Criterion catalog, goals, and feature reports."""
+"""Criterion catalog and goals."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from handoffsim.context import (
-    FEATURE_NAMES,
     ContextSource,
     CriterionDef,
     GoalDirection,
@@ -17,12 +16,8 @@ from handoffsim.context import (
     Polarity,
     catalog_index,
     default_catalog,
-    default_feature_specs,
-    feature_report,
     goal_holds,
-    goal_satisfied,
 )
-from handoffsim.errors import UnknownMetricError
 
 
 class TestCatalog:
@@ -112,84 +107,6 @@ class TestGoals:
     def test_open_directions_require_bound(self):
         with pytest.raises(ValueError):
             GoalSpec("IL", GoalDirection.MINIMIZE)
-
-    def test_goal_satisfied_reads_snapshot(self):
-        class Snap:
-            def get(self, mid):
-                return {"IL": 100.0}.get(mid)
-
-        goal = GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=500.0)
-        assert goal_satisfied(Snap(), goal)
-
-    def test_goal_on_missing_metric_raises(self):
-        class Snap:
-            def get(self, mid):
-                return None
-
-        goal = GoalSpec("AL", GoalDirection.MAINTAIN_BELOW, bound=1.0)
-        with pytest.raises(UnknownMetricError):
-            goal_satisfied(Snap(), goal)
-
-
-class _DictSnap:
-    def __init__(self, values):
-        self.values = values
-
-    def get(self, mid):
-        return self.values.get(mid)
-
-
-class TestFeatures:
-    def test_ten_features_in_order(self):
-        specs = default_feature_specs()
-        assert [s.name for s in specs] == list(FEATURE_NAMES)
-        assert len(specs) == 10
-
-    def test_report_covers_every_feature(self):
-        specs = default_feature_specs()
-        values = {
-            "IL": 10.0, "IR": 0.1, "DR": 0.0, "HOR": 0.2,
-            "DTIB": 0.9, "SHOR": 1.0, "DLat": 5.0, "ExLat": 5.0, "EvLat": 5.0,
-            "ImpR": 1.5, "THOR": 0.0, "PHOR": 0.0,
-        }
-        report = feature_report(_DictSnap(values), specs)
-        assert set(report) == set(FEATURE_NAMES)
-        assert all(r.passed for r in report.values())
-
-    def test_goalless_feature_passes_vacuously(self):
-        specs = default_feature_specs()
-        report = feature_report(_DictSnap({
-            "IL": 10.0, "IR": 0.1, "DR": 0.0, "HOR": 0.2,
-            "DTIB": 0.9, "SHOR": 1.0, "DLat": 5.0, "ExLat": 5.0, "EvLat": 5.0,
-            "ImpR": 1.5, "THOR": 0.0, "PHOR": 0.0,
-        }), specs)
-        assert report["security"].passed
-        assert report["security"].vacuous
-        assert report["autonomy"].vacuous
-        assert not report["correctness"].vacuous
-
-    def test_failed_goals_named(self):
-        specs = default_feature_specs()
-        values = {
-            "IL": 10.0, "IR": 0.1, "DR": 0.0, "HOR": 5.0,
-            "DTIB": 0.2, "SHOR": 1.0, "DLat": 5.0, "ExLat": 5.0, "EvLat": 5.0,
-            "ImpR": 1.5, "THOR": 0.0, "PHOR": 0.0,
-        }
-        report = feature_report(_DictSnap(values), specs)
-        assert not report["correctness"].passed
-        assert set(report["correctness"].failed_goals) == {"HOR", "DTIB"}
-
-    def test_overrides_replace_goals(self):
-        specs = default_feature_specs(
-            overrides={"beneficial": {"ImpR": {"direction": "maintain_above", "bound": 2.0}}}
-        )
-        spec = next(s for s in specs if s.name == "beneficial")
-        assert len(spec.goals) == 1
-        assert spec.goals[0].bound == 2.0
-
-    def test_unknown_feature_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown feature"):
-            default_feature_specs(overrides={"speed": {}})
 
 
 @given(

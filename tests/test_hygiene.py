@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 name it defines has a caller outside the tests, loading a scenario imports
-none of the modules that run or report it, nor any that only dataclasses or
-package data need, and the CLI imports no ``dataclasses`` and no process
-pool until a sweep starts one."""
+none of the modules that run or report it, nor ``dataclasses`` or a package
+data reader, and the CLI imports no ``dataclasses`` and no process pool
+until a sweep starts one."""
 
 import ast
 import os
@@ -72,8 +72,9 @@ def test_loading_a_scenario_imports_no_run_or_report_module():
 
 def test_loading_a_scenario_imports_no_dataclasses_or_package_data_reader():
     """Every value a scenario is made of is a named tuple: ``dataclasses``
-    (which pulls in ``inspect``) would cost each import several ms, and
-    only the feature layer's goal file needs ``importlib.resources``."""
+    (which pulls in ``inspect``) would cost each import several ms.  The
+    package ships no data files, so nothing it loads needs
+    ``importlib.resources``."""
     modules = imported_by("import handoffsim.scenario")
     assert "handoffsim.scenario" in modules
     for name in ("dataclasses", "inspect", "importlib.resources"):
@@ -101,8 +102,6 @@ def test_the_cli_imports_no_process_pool():
 # The names of the package with no caller in it or in the benchmark, and
 # why each is kept.
 UNCALLED = {
-    "default_feature_specs": "the feature layer, kept until it is wired into run or deleted",
-    "feature_report": "the feature layer, kept until it is wired into run or deleted",
     "rss_at": "the plain per-station RSS that a reference engine is to build on",
 }
 CALLERS = [PACKAGE, PACKAGE.parent.parent / "perfbench"]

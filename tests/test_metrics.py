@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handoffsim.context import default_feature_specs
 from handoffsim.engine import run
 from handoffsim.metrics import (
     CSV_COLUMNS,
@@ -181,10 +180,8 @@ class TestDwellInBest:
             _anl(tr, t, [])
         snap = compute_metrics(tr)
         assert snap.dtib is None
-        assert snap.get("DTIB") is None
         assert snap.completed == 0
         assert snap.shor is None
-        assert snap.get("SHOR") is None
 
     def test_detached_interval_not_counted(self):
         tr = _base_trace(duration=1000)
@@ -520,14 +517,6 @@ class TestRatesAndMeans:
 
 
 class TestSnapshotAccess:
-    def test_get_covers_all_published_ids(self, crossing_trace):
-        snap = compute_metrics(crossing_trace)
-        ids = [m.id for m in METRICS if m.id is not None]
-        assert len(ids) == len(set(ids))
-        for m in METRICS:
-            if m.id is not None:
-                assert snap.get(m.id) == getattr(snap, m.source), m.id
-
     def test_every_row_reads_a_value_the_fold_produces(self, crossing_trace):
         # A misspelt counter key would otherwise publish a silent 0.
         snap = compute_metrics(crossing_trace)
@@ -538,17 +527,6 @@ class TestSnapshotAccess:
             else:
                 assert m.source in attrs, m
         assert set(PASS_THROUGH) == {"AL", "SO", "SSO", "DAR"}
-
-    def test_every_feature_goal_names_a_published_id(self):
-        ids = {m.id for m in METRICS}
-        for spec in default_feature_specs():
-            for goal in spec.goals:
-                assert goal.metric_id in ids, (spec.name, goal.metric_id)
-
-    def test_get_rejects_unknown_id(self, crossing_trace):
-        snap = compute_metrics(crossing_trace)
-        with pytest.raises(KeyError):
-            snap.get("XYZ")
 
 
 class TestSerialization:

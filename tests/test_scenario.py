@@ -9,7 +9,7 @@ import pytest
 
 from handoffsim import controller as ctl
 from handoffsim import engine
-from handoffsim.context import FeatureResult, FeatureSpec, GoalDirection, GoalSpec
+from handoffsim.context import GoalDirection, GoalSpec
 from handoffsim.controller import MEASURED, Strategy
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
@@ -174,6 +174,16 @@ class TestTerminalValidation:
         ])
         _assert_problem(doc, "waypoint times must increase")
 
+    @pytest.mark.parametrize("t", [-1, -5, -500])
+    def test_path_may_start_before_time_zero(self, t):
+        doc = _doc(terminals=[{"id": "mt1", "path": [[t, [0.0, 0.0]], [6000, [130.0, 0.0]]]}])
+        assert from_dict(doc).terminals[0].path == ((t, (0.0, 0.0)), (6000, (130.0, 0.0)))
+
+    @pytest.mark.parametrize("t", [-500, -1, 0])
+    def test_equal_times_are_rejected_at_any_time(self, t):
+        doc = _doc(terminals=[{"id": "mt1", "path": [[t, [0.0, 0.0]], [t, [1.0, 0.0]]]}])
+        assert _problems(doc) == ["terminals[0].path[1]: waypoint times must increase"]
+
     def test_malformed_waypoint(self):
         doc = _doc(terminals=[{"id": "mt1", "path": [[0]]}])
         _assert_problem(doc, "expected [t, [x, y]]")
@@ -215,6 +225,21 @@ class TestCriteriaAndWeights:
     def test_negative_k(self):
         doc = _doc(weights={"k": -1.0, "weights": {"Q": 1.0}})
         _assert_problem(doc, "constant K")
+
+
+# A success region with a key its direction never reads, or an unknown
+# direction, and the one problem each is reported as.
+_REGION_PROBLEMS = [
+    ({"direction": "minimize", "bound": 5, "lower": 1},
+     "success_regions.ExLat.lower: not read for direction minimize"),
+    ({"direction": "maintain_above", "bound": 5, "upper": 9},
+     "success_regions.ExLat.upper: not read for direction maintain_above"),
+    ({"direction": "keep_within", "lower": 1, "upper": 2, "bound": 5},
+     "success_regions.ExLat.bound: not read for direction keep_within"),
+    ({"direction": "sideways", "bound": 5},
+     "success_regions.ExLat.direction: expected one of minimize, maximize, "
+     "maintain_below, maintain_above, keep_within"),
+]
 
 
 class TestControllerValidation:
@@ -267,6 +292,23 @@ class TestControllerValidation:
             "(expected one of UF, IL, DLat, ExLat, EvLat, HOL, ImpR)"
         ]
 
+    @pytest.mark.parametrize("region, problem", _REGION_PROBLEMS,
+                             ids=[p.partition(": ")[0] for _, p in _REGION_PROBLEMS])
+    def test_region_key_its_direction_never_reads(self, region, problem):
+        assert _problems(_doc(success_regions={"ExLat": region})) == [problem]
+
+    @pytest.mark.parametrize("region", [
+        {"direction": "keep_within", "lower": 1, "upper": 2.5},
+        {"direction": "minimize", "bound": 5},
+        {"direction": "maintain_above", "bound": -1.5},
+    ])
+    def test_region_with_the_keys_its_direction_reads(self, region):
+        goal = from_dict(_doc(success_regions={"ExLat": region})).controller.success_regions
+        assert goal["ExLat"] == GoalSpec(
+            "ExLat", GoalDirection(region["direction"]),
+            region.get("bound"), region.get("lower"), region.get("upper"),
+        )
+
     def test_every_measured_id_reaches_evaluation(self):
         # A region that any value satisfies, on every measured id, rejects
         # nothing: evaluate() would reject a handoff missing the measure.
@@ -284,7 +326,9 @@ class TestControllerValidation:
         {"success_regions": {"HOR": {}, "ExLat": {"kind": "teleport"}},
          "policy": {"entries": [{"layer": "L9"}, {"layer": "L3"}], "strict": "yes"}},
         {"controller": [], "policy": []},
-    ], ids=["valid", "controller", "types", "regions-policy", "not-objects"])
+        *({"success_regions": {"ExLat": region}} for region, _ in _REGION_PROBLEMS),
+    ], ids=["valid", "controller", "types", "regions-policy", "not-objects",
+            *(f"region-{p.partition(': ')[0]}" for _, p in _REGION_PROBLEMS)])
     def test_parse_controller_reports_what_from_dict_reports(self, edit):
         doc = _doc(**edit)
         try:
@@ -513,7 +557,7 @@ class TestFileLoading:
 
 def _values():
     """One value of each type a scenario is made of, or that a controller
-    step or a feature report builds: 31 types, all named tuples."""
+    step builds: 29 types, all named tuples."""
     sc = load_scenario(SCENARIO_DIR / "crossing.json")
     topo = sc.topology
     old = Attachment("mt1", "p1", "net1", "c1", "ch1", "lte")
@@ -528,7 +572,6 @@ def _values():
         sc.terminals[0], sc.weights, sc.controller, sc.controller.policy, sc.synthesis,
         NetworkSignals({"Q": 1.0}), sc.catalog[0],
         GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
-        FeatureSpec("timely"), FeatureResult("timely", True, True),
         old, delta(old, new), classify(old, new),
         plan, ctl.MeasurementSet("c2", {"IL": 10.0}), ctl.EvalOutcome(True), record,
         ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired("eval", 300),
@@ -539,7 +582,7 @@ def _values():
 
 def test_the_value_list_names_each_type_once():
     types = [type(v) for v in _values()]
-    assert len(types) == len(set(types)) == 31
+    assert len(types) == len(set(types)) == 29
     assert all(issubclass(t, tuple) for t in types)
 
 
