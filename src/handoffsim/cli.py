@@ -5,26 +5,29 @@ taxonomy, run one simulation, or sweep a parameter grid over repeated
 runs.  Data goes to stdout (or files under --out); diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage error, 2 scenario validation
 failure, 3 runtime failure (an unreadable input, an unwritable output,
-an engine error, a sweep worker pool that cannot start or loses a
-worker).
+an engine error, a sweep worker that cannot be started or that dies).
 
 Each command runs with the cycle collector paused: a run makes no
 reference cycle, so reference counting frees all it makes, and
 ``tests/test_cli.py`` pins that.
 
 A sweep parses the scenario once and each grid point only in its
-controller part.  Worker processes split the sorted terminals, not the
-points: each receives the parsed scenario when it starts and runs every
+controller part.  ``--workers N`` means N processes, this one included,
+and they split the sorted terminals, not the points: each runs every
 point over its own terminals in one engine pass, and the points'
 per-terminal fold results are pooled here in terminal order.  With fewer
-terminals than workers the points are split as well.  Forked workers
-inherit the paused collector.
+terminals than workers the points are split as well.  This process runs
+the last share itself; each other share runs in a child forked from it,
+which inherits the parsed scenario and the paused collector and sends
+its results back pickled over a pipe.  Where ``os.fork`` does not exist,
+this process runs every share in turn.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from itertools import product
 from pathlib import Path
@@ -89,8 +92,8 @@ def _build_parser() -> _Parser:
     )
     p_sweep.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes; each runs every grid point over its share of the "
-        "terminals (and of the points, when there are fewer terminals than workers)",
+        help="processes, this one included; each runs every grid point over its share "
+        "of the terminals (and of the points, when there are fewer terminals than workers)",
     )
     p_sweep.add_argument("--out", help="write the sweep CSV here instead of stdout")
     return parser
@@ -285,21 +288,6 @@ def _sweep_batch(base: Scenario, terminals: list[str], controllers: list) -> lis
     return [_sweep_point(outcome) for outcome in engine.run(group, points=points)]
 
 
-# A worker process's base scenario, set once by the pool's initializer.
-_worker_scenario: Optional[Scenario] = None
-
-
-def _init_worker(scenario: Scenario) -> None:
-    global _worker_scenario
-    _worker_scenario = scenario
-
-
-def _sweep_task(terminals: list[str], controllers: list) -> list[tuple]:
-    """``_sweep_batch`` in a worker process, over the scenario its pool's
-    initializer gave it.  Module-level so ProcessPoolExecutor can pickle it."""
-    return _sweep_batch(_worker_scenario, terminals, controllers)
-
-
 def _batches(items: list, workers: int) -> list[list]:
     """Split the items into min(workers, items) contiguous batches whose
     sizes differ by at most one."""
@@ -331,7 +319,100 @@ def _point_controllers(scenario: Scenario, points: list[dict]) -> list:
 
 
 class _WorkersFailed(Exception):
-    """A sweep's worker processes could not start, or one of them died."""
+    """A sweep's worker process could not be started, or died."""
+
+
+class _Child:
+    """A forked process that computes ``fn(*args)`` and sends the result back,
+    pickled, over its own pipe.  It leaves with ``os._exit``, so it never
+    returns into the caller's code and runs no exit hook or stdio flush; on
+    an exception it writes one line to stderr and leaves with status 1.
+    The CLI starts no thread, so no lock is held across the fork."""
+
+    def __init__(self, fn, *args):
+        import pickle  # imported here: run, validate and a one-task sweep never fork
+
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as out:
+                    pickle.dump(fn(*args), out, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            except BaseException as exc:  # whatever it is, the child must leave here
+                os.write(2, f"sweep worker {os.getpid()}: {exc!r}\n".encode())
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid, self.fd = pid, read_fd
+
+    def result(self):
+        """The child's result, once it has sent all of it and exited;
+        _WorkersFailed when it exited otherwise than with status 0 or sent
+        what cannot be unpickled."""
+        import pickle
+
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code > 0:
+            raise _WorkersFailed(f"a worker process exited with status {code}")
+        if code < 0:
+            raise _WorkersFailed(f"a worker process was killed by signal {-code}")
+        try:
+            return pickle.loads(data)
+        except Exception as exc:
+            raise _WorkersFailed(
+                f"a worker process sent a result that cannot be read: {exc!r}"
+            ) from None
+
+    def reap(self) -> None:
+        """End the child, unless its result was taken, and wait for it."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _run_tasks(scenario: Scenario, tasks: list[tuple]) -> list[list[tuple]]:
+    """``_sweep_batch`` over each (terminals, controllers) task, in task order.
+
+    Every task but the last runs in a forked child, which inherits the
+    parsed scenario and the paused collector; the last runs here meanwhile,
+    and only then are the children's results read.  A child blocked on a
+    full pipe has finished computing, so it waits for nothing of ours.  Where
+    there is no ``os.fork``, every task runs here, in order.  Each child
+    started is reaped, and ended first if its result was not taken, however
+    this returns."""
+    if len(tasks) == 1 or not hasattr(os, "fork"):
+        return [_sweep_batch(scenario, *task) for task in tasks]
+    children = []
+    try:
+        try:
+            for task in tasks[:-1]:
+                children.append(_Child(_sweep_batch, scenario, *task))
+        except OSError as exc:
+            raise _WorkersFailed(f"cannot start a worker process: {exc.strerror or exc}") from None
+        own = _sweep_batch(scenario, *tasks[-1])
+        return [child.result() for child in children] + [own]
+    finally:
+        for child in children:
+            child.reap()
 
 
 def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
@@ -340,31 +421,16 @@ def _run_points(scenario: Scenario, controllers: list, workers: int) -> list:
     The sorted terminals are split into ``min(workers, terminals)``
     contiguous groups, and the points into ``workers // groups`` batches
     (one, unless there are fewer terminals than workers).  Each (group,
-    batch) pair runs in its own process, or in this one when there is one
-    pair.  Every worker gets the parsed scenario through the pool's
-    initializer: a forked worker inherits it and a spawned one unpickles it
-    once.  A point's groups pool in terminal order to the run's snapshot; a
-    point that fails takes the first failure in event order, as a run of
-    all its terminals would stop there.  A pool that cannot start, or
-    loses a worker, raises _WorkersFailed."""
+    batch) pair is a task, and ``_run_tasks`` runs them in ``workers``
+    processes at most, this one included.  A point's groups pool in
+    terminal order to the run's snapshot; a point that fails takes the
+    first failure in event order, as a run of all its terminals would stop
+    there.  A worker that cannot be started, or that dies, raises
+    _WorkersFailed."""
     terminals = sorted(term.id for term in scenario.terminals)
     groups = _batches(terminals, workers)
     batches = _batches(controllers, workers // len(groups))
-    tasks = [(group, batch) for group in groups for batch in batches]
-    if len(tasks) > 1:
-        # Imported here: it would cost every run and validate 15-20 ms and 1.5 MB.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=len(tasks), initializer=_init_worker, initargs=(scenario,)
-            ) as executor:
-                done = list(executor.map(_sweep_task, *zip(*tasks)))
-        except (BrokenProcessPool, OSError) as exc:
-            raise _WorkersFailed(str(exc)) from None
-    else:
-        done = [_sweep_batch(scenario, terminals, controllers)]
+    done = _run_tasks(scenario, [(group, batch) for group in groups for batch in batches])
     # Each group's batches, joined, hold its result for every point.
     step = len(batches)
     by_group = [[r for out in done[i:i + step] for r in out] for i in range(0, len(done), step)]

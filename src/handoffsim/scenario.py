@@ -399,11 +399,15 @@ def _parse_regions(doc, problems) -> dict:
         if len(problems) > before:
             continue
         try:
-            regions[mid] = GoalSpec(
-                mid, direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper")
-            )
+            goal = GoalSpec(mid, direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper"))
         except ValueError as exc:
             problems.append(f"{rpath}: {exc}")
+            continue
+        if direction is GoalDirection.KEEP_WITHIN and goal.lower > goal.upper:
+            # No value lies in an empty range, so every handoff would be rejected.
+            problems.append(f"{rpath}: lower above upper")
+        else:
+            regions[mid] = goal
     return regions
 
 

@@ -1,6 +1,5 @@
 """Command line behavior: exit codes, artifacts, and stream separation."""
 
-import concurrent.futures
 import copy
 import csv
 import errno
@@ -8,6 +7,7 @@ import gc
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from itertools import product
@@ -102,6 +102,20 @@ class TestSuccessRegionKeys:
         assert captured.err == (
             f"{path}: success_regions.ExLat.lower: not read for direction minimize\n"
         )
+
+
+class TestEmptyKeepWithinRegion:
+    def test_lower_above_upper_exits_invalid(self, tmp_path, capsys):
+        # No value lies in [5, 1]: the one completed handoff would be rejected.
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["success_regions"] = {"ExLat": {"direction": "keep_within", "lower": 5, "upper": 1}}
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"{path}: success_regions.ExLat: lower above upper\n"
 
 
 class TestPathBeforeTimeZero:
@@ -623,23 +637,33 @@ def _small_overlay() -> dict:
     }
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs the initializer and then each
-    task here, in order."""
+class _InProcessChild:
+    """Stands in for ``cli._Child``, the fork helper: runs its task here, as
+    it is started, and hands the result back as is."""
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.max_workers = max_workers
-        if initializer is not None:
-            initializer(*initargs)
+    def __init__(self, fn, *args):
+        self.value = fn(*args)
 
-    def __enter__(self):
-        return self
+    def result(self):
+        return self.value
 
-    def __exit__(self, *exc):
-        return False
+    def reap(self):
+        pass
 
-    def map(self, fn, *iterables):
-        return [fn(*args) for args in zip(*iterables)]
+
+def _count_forks(monkeypatch, fail_at=None):
+    """The ``os.fork`` calls made from now on, each one listed; the call
+    numbered ``fail_at`` raises EAGAIN instead of forking."""
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
 
 
 class TestSweepTerminalGroups:
@@ -682,31 +706,47 @@ class TestSweepTerminalGroups:
         want = _sweep(path, grid, 1, capsys)[0]
         ticks = doc["duration_ms"] // doc["tick_ms"]
         calls, tasks = [], []
-        real_coverage, real_task = engine.coverage, cli._sweep_task
+        real_coverage, real_batch = engine.coverage, cli._sweep_batch
 
         def counting(pos, topo):
             calls.append(pos)
             return real_coverage(pos, topo)
 
-        def task(terminals, controllers):
+        def batch(scenario, terminals, controllers):
             calls.clear()
-            results = real_task(terminals, controllers)
+            results = real_batch(scenario, terminals, controllers)
             tasks.append((list(terminals), len(controllers), len(calls)))
             return results
 
         monkeypatch.setattr(engine, "coverage", counting)
-        monkeypatch.setattr(cli, "_sweep_task", task)
-        # The CLI imports the pool from concurrent.futures when it starts one.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(cli, "_sweep_batch", batch)
+        # Tasks that would run in forked children run here, in task order.
+        monkeypatch.setattr(cli, "_Child", _InProcessChild)
         assert _sweep(path, grid, workers, capsys)[0] == want
         terminals = sorted(term["id"] for term in doc["terminals"])
-        if workers == 1:
-            assert tasks == [] and len(calls) == len(terminals) * ticks
-            return
         assert [group for group, _, _ in tasks] == cli._batches(terminals, workers)
         for group, points, coverage_calls in tasks:
             assert points == 4
             assert coverage_calls == len(group) * ticks
+
+    @pytest.mark.parametrize("workers, tasks", [(2, 2), (3, 3)])
+    def test_forks_a_child_for_every_task_but_one(
+        self, quick_scenario, workers, tasks, monkeypatch, capsys
+    ):
+        # One terminal, so the six points are split into `workers` tasks.
+        grid = "delta=0,0.1,0.2;sp=0,200"
+        want = _sweep(quick_scenario, grid, 1, capsys)[0]
+        forks = _count_forks(monkeypatch)
+        assert _sweep(quick_scenario, grid, workers, capsys)[0] == want
+        assert len(forks) == tasks - 1
+
+    def test_without_fork_every_task_runs_here(self, inputs, tmp_path, monkeypatch, capsys):
+        path = self._write(tmp_path, "dense", inputs["dense_stochastic"])
+        grid = "delta=0,0.3;sp=0,400"
+        want = _sweep(path, grid, 1, capsys)[0]
+        monkeypatch.delattr(os, "fork")
+        for workers in (2, 3):
+            assert _sweep(path, grid, workers, capsys)[0] == want, workers
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_workers_inherit_the_parsed_scenario(
@@ -904,34 +944,82 @@ class TestCyclePause:
         assert seen == [False] * 6  # every command ran paused
 
 
-class TestSweepWorkerFailure:
-    """A worker pool that cannot start or loses a worker fails the sweep as a
-    runtime failure, in one line, with no traceback."""
+def _unreadable():
+    raise ValueError("this result cannot be rebuilt")
 
-    def _assert_one_line_failure(self, path, capsys):
-        assert main(["sweep", str(path), "--grid", "delta=0,0.1", "--workers", "2"]) == 3
+
+class _Unreadable:
+    """Pickles, but raises when unpickled."""
+
+    def __reduce__(self):
+        return _unreadable, ()
+
+
+class TestSweepWorkerFailure:
+    """A worker process that cannot be started, or that dies, fails the
+    sweep as a runtime failure, in one line, with no traceback, and leaves
+    no child behind."""
+
+    def _assert_one_line_failure(self, path, capsys, grid="delta=0,0.1", workers=2):
+        argv = ["sweep", str(path), "--grid", grid, "--workers", str(workers)]
+        assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("sweep failed: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return captured.err
+
+    def _in_children(self, monkeypatch, child_batch):
+        """Run ``child_batch`` in place of ``_sweep_batch`` in forked children."""
+        parent, real = os.getpid(), cli._sweep_batch
+
+        def batch(*args):
+            return real(*args) if os.getpid() == parent else child_batch(*args)
+
+        monkeypatch.setattr(cli, "_sweep_batch", batch)
 
     def test_a_worker_that_dies(self, quick_scenario, monkeypatch, capsys):
-        from concurrent.futures.process import BrokenProcessPool
+        self._in_children(monkeypatch, lambda *args: os._exit(7))
+        err = self._assert_one_line_failure(quick_scenario, capsys)
+        assert err == "sweep failed: a worker process exited with status 7\n"
 
-        def dies(terminals, controllers):
-            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+    def test_a_worker_killed_by_a_signal(self, quick_scenario, monkeypatch, capsys):
+        self._in_children(monkeypatch, lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        err = self._assert_one_line_failure(quick_scenario, capsys)
+        assert err == f"sweep failed: a worker process was killed by signal {signal.SIGKILL}\n"
 
-        monkeypatch.setattr(cli, "_sweep_task", dies)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-        self._assert_one_line_failure(quick_scenario, capsys)
+    def test_a_worker_that_cannot_be_started(self, quick_scenario, monkeypatch, capsys):
+        forks = _count_forks(monkeypatch, fail_at=2)
+        # One terminal and three points make three tasks: two to fork.
+        err = self._assert_one_line_failure(quick_scenario, capsys, "delta=0,0.1,0.2", 3)
+        assert len(forks) == 2
+        assert err == "sweep failed: cannot start a worker process: " \
+                      "Resource temporarily unavailable\n"
 
-    def test_a_pool_that_cannot_start(self, quick_scenario, monkeypatch, capsys):
-        class _NoProcesses(_InProcessPool):
-            def __init__(self, *args, **kwargs):
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    def test_a_result_that_cannot_be_unpickled(self, quick_scenario, monkeypatch, capsys):
+        self._in_children(monkeypatch, lambda *args: [_Unreadable()])
+        err = self._assert_one_line_failure(quick_scenario, capsys)
+        assert "a worker process sent a result that cannot be read" in err
+        assert "this result cannot be rebuilt" in err
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoProcesses)
-        self._assert_one_line_failure(quick_scenario, capsys)
+    def test_an_error_here_still_reaps_every_child(self, quick_scenario, monkeypatch, capsys):
+        parent, real = os.getpid(), cli._sweep_batch
+
+        def batch(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("this process's own task failed")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_sweep_batch", batch)
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="own task failed"):
+            main(["sweep", str(quick_scenario), "--grid", "delta=0,0.1,0.2", "--workers", "3"])
+        capsys.readouterr()
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestUsage:

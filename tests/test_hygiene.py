@@ -1,10 +1,11 @@
 """Every name a module of the package imports is used in that module, every
 name it defines has a caller outside the tests, loading a scenario imports
 none of the modules that run or report it, nor ``dataclasses`` or a package
-data reader, and the CLI imports no ``dataclasses`` and no process pool
-until a sweep starts one."""
+data reader, and the CLI imports no ``dataclasses`` and no process pool,
+even when a sweep forks its workers."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -91,11 +92,27 @@ def test_the_cli_imports_no_dataclasses():
         assert name not in modules
 
 
-def test_the_cli_imports_no_process_pool():
-    """Only a sweep with more than one task imports the pool."""
+def test_the_cli_imports_no_process_pool(tmp_path):
+    """A sweep runs its workers in forked children, so neither the CLI nor a
+    parallel sweep imports a process pool; ``pickle`` is imported only when
+    a sweep forks, so ``run`` and ``validate`` do without it."""
     modules = imported_by("import handoffsim.cli")
     assert "handoffsim.cli" in modules
-    for name in ("concurrent.futures.process", "multiprocessing"):
+    for name in ("concurrent.futures", "multiprocessing", "pickle"):
+        assert name not in modules
+    doc = json.loads((PACKAGE.parent.parent / "scenarios" / "crossing.json").read_text())
+    doc["terminals"].append({**doc["terminals"][0], "id": "mt2"})
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", str(path), "--grid", "delta=0,0.2", "--workers", "2"]
+    modules = imported_by(
+        "import contextlib, io\nfrom handoffsim import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "assert out.getvalue().count(chr(10)) == 3\n"
+    )
+    assert "pickle" in modules  # the sweep forked
+    for name in ("concurrent.futures", "multiprocessing"):
         assert name not in modules
 
 

@@ -299,6 +299,7 @@ class TestControllerValidation:
 
     @pytest.mark.parametrize("region", [
         {"direction": "keep_within", "lower": 1, "upper": 2.5},
+        {"direction": "keep_within", "lower": 2.5, "upper": 2.5},
         {"direction": "minimize", "bound": 5},
         {"direction": "maintain_above", "bound": -1.5},
     ])
@@ -308,6 +309,14 @@ class TestControllerValidation:
             "ExLat", GoalDirection(region["direction"]),
             region.get("bound"), region.get("lower"), region.get("upper"),
         )
+
+    @pytest.mark.parametrize("lower, upper", [(5, 1), (-1.5, -2.5)])
+    def test_keep_within_with_lower_above_upper(self, lower, upper):
+        # No value lies in the range, so every handoff would be rejected.
+        region = {"direction": "keep_within", "lower": lower, "upper": upper}
+        assert _problems(_doc(success_regions={"ExLat": region})) == [
+            "success_regions.ExLat: lower above upper"
+        ]
 
     def test_every_measured_id_reaches_evaluation(self):
         # A region that any value satisfies, on every measured id, rejects
@@ -327,8 +336,10 @@ class TestControllerValidation:
          "policy": {"entries": [{"layer": "L9"}, {"layer": "L3"}], "strict": "yes"}},
         {"controller": [], "policy": []},
         *({"success_regions": {"ExLat": region}} for region, _ in _REGION_PROBLEMS),
+        {"success_regions": {"ExLat": {"direction": "keep_within", "lower": 5, "upper": 1}}},
     ], ids=["valid", "controller", "types", "regions-policy", "not-objects",
-            *(f"region-{p.partition(': ')[0]}" for _, p in _REGION_PROBLEMS)])
+            *(f"region-{p.partition(': ')[0]}" for _, p in _REGION_PROBLEMS),
+            "region-lower-above-upper"])
     def test_parse_controller_reports_what_from_dict_reports(self, edit):
         doc = _doc(**edit)
         try:
