@@ -13,9 +13,8 @@ handoff.  The metrics a run publishes are one table.
 
 from __future__ import annotations
 
-from collections import abc, namedtuple
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 
 class ContextSource(Enum):
@@ -97,21 +96,6 @@ def default_catalog() -> list[CriterionDef]:
     return list(_DEFAULT_CATALOG)
 
 
-def catalog_index(
-    catalog: Sequence[CriterionDef] | Mapping[str, CriterionDef],
-) -> Mapping[str, CriterionDef]:
-    """Criteria by id.  A mapping is taken to be an index already and is
-    returned unchanged, so a caller scoring many vectors builds it once."""
-    if isinstance(catalog, abc.Mapping):
-        return catalog
-    index: dict[str, CriterionDef] = {}
-    for cdef in catalog:
-        if cdef.id in index:
-            raise ValueError(f"catalog defines criterion {cdef.id!r} twice")
-        index[cdef.id] = cdef
-    return index
-
-
 class CriteriaVector(NamedTuple):
     """Criterion values observed for one network at one instant."""
 
@@ -181,28 +165,20 @@ class GoalDirection(Enum):
     KEEP_WITHIN = "keep_within"
 
 
-class GoalSpec(
-    namedtuple("GoalSpec", ("metric_id", "direction", "bound", "lower", "upper"),
-               defaults=(None, None, None))
-):
+class GoalSpec(NamedTuple):
     """Acceptance region for one metric: ``metric_id``, a ``GoalDirection``,
     and a ``bound``, or ``lower`` and ``upper`` for keep-within.
 
     Minimize and Maximize are open-ended wishes; to make them checkable
     every goal carries a configured numeric bound, so they behave as
-    maintain-below and maintain-above respectively.  A goal missing the
-    bounds its direction needs raises ValueError.
+    maintain-below and maintain-above respectively.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, metric_id, direction, bound=None, lower=None, upper=None):
-        if direction is GoalDirection.KEEP_WITHIN:
-            if lower is None or upper is None:
-                raise ValueError(f"goal {metric_id}: keep_within needs lower and upper")
-        elif bound is None:
-            raise ValueError(f"goal {metric_id}: direction {direction.value} needs a bound")
-        return super().__new__(cls, metric_id, direction, bound, lower, upper)
+    metric_id: str
+    direction: GoalDirection
+    bound: Optional[float] = None
+    lower: Optional[float] = None
+    upper: Optional[float] = None
 
 
 def goal_holds(value: float, goal: GoalSpec) -> bool:

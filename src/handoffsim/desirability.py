@@ -8,25 +8,23 @@ at or below a criterion's floor are clamped up to the floor before the log
 so the score stays finite.
 
 Weights live in [0, 1] and each polarity side that has any weighted
-criterion must sum to 1.  Criteria without a weight contribute nothing.
+criterion sums to 1; the scenario parser checks both where it reads the
+weights.  Criteria without a weight contribute nothing.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .context import CriteriaVector, CriterionDef, Polarity, catalog_index
+from .context import CriteriaVector, CriterionDef, Polarity
 from .errors import (
     DuplicateNetworkError,
     MissingCriterionError,
     NonFiniteValueError,
     UnknownCriterionError,
-    WeightProfileError,
 )
-
-SIDE_SUM_TOLERANCE = 1e-9
 
 
 class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,))):
@@ -41,7 +39,7 @@ class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,
         raise AttributeError(f"cannot set {name!r}: WeightProfile is immutable")
 
     def terms(
-        self, catalog: Sequence[CriterionDef] | Mapping[str, CriterionDef]
+        self, catalog: Sequence[CriterionDef]
     ) -> tuple[tuple[str, float, Optional[float], bool], ...]:
         """(criterion id, K + W, floor, beneficial) per weighted criterion,
         in id order, resolved against ``catalog``; the floor is None for a
@@ -53,7 +51,7 @@ class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,
         kept = self.__dict__.get("_terms")
         if kept is not None and kept[0] is catalog:
             return kept[1]
-        index = catalog_index(catalog)
+        index = {cdef.id: cdef for cdef in catalog}
         terms = []
         for cid in sorted(self.weights):
             cdef = index.get(cid)
@@ -66,26 +64,6 @@ class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,
         if type(catalog) is tuple:
             self.__dict__["_terms"] = (catalog, terms)
         return terms
-
-    def validate(self, catalog: Sequence[CriterionDef]) -> None:
-        """Raise WeightProfileError on any constraint violation."""
-        index = catalog_index(catalog)
-        if not math.isfinite(self.k) or self.k < 0:
-            raise WeightProfileError(f"constant K must be finite and >= 0, got {self.k!r}")
-        sums = {Polarity.BENEFICIAL: 0.0, Polarity.DETRIMENTAL: 0.0}
-        counts = {Polarity.BENEFICIAL: 0, Polarity.DETRIMENTAL: 0}
-        for cid, w in self.weights.items():
-            if cid not in index:
-                raise WeightProfileError(f"weight names unknown criterion {cid!r}")
-            if not math.isfinite(w) or not (0.0 <= w <= 1.0):
-                raise WeightProfileError(f"weight for {cid!r} outside [0, 1]: {w!r}")
-            sums[index[cid].polarity] += w
-            counts[index[cid].polarity] += 1
-        for side, total in sums.items():
-            if counts[side] and abs(total - 1.0) > SIDE_SUM_TOLERANCE:
-                raise WeightProfileError(
-                    f"{side.value} weights sum to {total!r}, expected 1.0"
-                )
 
 
 class DesirabilityScore(NamedTuple):
@@ -100,15 +78,14 @@ def _clamped_log10(value: float, floor: float) -> float:
 def desirability(
     v: CriteriaVector,
     profile: WeightProfile,
-    catalog: Sequence[CriterionDef] | Mapping[str, CriterionDef],
+    catalog: Sequence[CriterionDef],
     network_id: str = "",
 ) -> DesirabilityScore:
     """Score one network's criteria vector.
 
     Every weighted criterion must be present in the vector and finite.
-    Criteria present in the vector but unweighted are ignored.  ``catalog``
-    may be a prebuilt ``catalog_index``; the profile's ``terms`` are
-    resolved against it.
+    Criteria present in the vector but unweighted are ignored.  The
+    profile's ``terms`` are resolved against ``catalog``.
     """
     values = v.values
     total = 0.0

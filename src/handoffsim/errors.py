@@ -32,10 +32,6 @@ class DuplicateNetworkError(HandoffSimError):
         super().__init__(f"duplicate network id in ranking input: {network_id!r}")
 
 
-class WeightProfileError(HandoffSimError):
-    """Weight profile violates its constraints (range, side sums, unknown ids)."""
-
-
 class IllegalEventError(HandoffSimError):
     def __init__(self, phase, event):
         self.phase = phase

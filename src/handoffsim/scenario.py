@@ -28,10 +28,10 @@ from .context import (
 )
 from .controller import DEFAULT_LAYER_METHODS, MEASURED, ControllerConfig, PolicyTable, Strategy
 from .desirability import WeightProfile
-from .errors import ScenarioError, WeightProfileError
+from .errors import ScenarioError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
 from .taxonomy import Layer
-from .topology import TIER_DEFAULTS, BaseStation, IPNet, Provider, Topology
+from .topology import TIER_DEFAULTS, BaseStation, Topology
 
 Position = tuple[float, float]
 
@@ -83,6 +83,7 @@ _LAYERS = tuple(layer.value for layer in Layer)
 _DEFAULT_CONTROLLER = ControllerConfig()
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
 _FLOAT_MAX = sys.float_info.max
+_SIDE_SUM_TOLERANCE = 1e-9  # how far a polarity side's weights may sum from 1
 
 # Values are tested by exact type: JSON gives dict, list, str, int, float
 # and bool, and ``isinstance`` against the typing aliases costs a
@@ -180,32 +181,42 @@ def _check_xy(value) -> Optional[str]:
     return _check_number(value[0]) or _check_number(value[1])
 
 
+def _unique(value: str, seen: set, path: str, what: str, problems) -> None:
+    """Report ``value`` at ``path`` if ``seen`` holds it already, then add it."""
+    if value in seen:
+        problems.append(f"{path}: duplicate {what} id {value!r}")
+    seen.add(value)
+
+
 def _parse_topology(doc, problems) -> Optional[Topology]:
-    """The topology, or None when it has a problem."""
+    """The topology, or None when it has a problem.  Provider, net, station
+    and channel ids are each unique across the whole topology."""
     reported = len(problems)
     topo_doc = doc.get("topology")
     if type(topo_doc) is not dict:
         problems.append("topology: missing or not an object")
         return None
     _object(topo_doc, "topology", frozenset(("providers",)), problems)
-    providers, nets, stations = [], [], []
+    stations = []
+    seen_providers, seen_nets, seen_stations, seen_channels = set(), set(), set(), set()
     for pi, pdoc in enumerate(_field(topo_doc, "providers", "topology", problems, list, []) or ()):
         ppath = f"topology.providers[{pi}]"
         pdoc, pid = _identified(pdoc, ppath, _PROVIDER_KEYS, problems)
         if pid is None:
             continue
-        net_ids = []
+        _unique(pid, seen_providers, f"{ppath}.id", "provider", problems)
         for ni, ndoc in enumerate(_field(pdoc, "nets", ppath, problems, list, []) or ()):
             npath = f"{ppath}.nets[{ni}]"
             ndoc, nid = _identified(ndoc, npath, _NET_KEYS, problems)
             if nid is None:
                 continue
-            station_ids = []
+            _unique(nid, seen_nets, f"{npath}.id", "net", problems)
             for si, sdoc in enumerate(_field(ndoc, "stations", npath, problems, list, []) or ()):
                 spath = f"{npath}.stations[{si}]"
                 sdoc, sid = _identified(sdoc, spath, _STATION_KEYS, problems)
                 if sid is None:
                     continue
+                _unique(sid, seen_stations, f"{spath}.id", "station", problems)
                 before = len(problems)
                 pos = sdoc.get("position")
                 why = _check_xy(pos)
@@ -213,35 +224,36 @@ def _parse_topology(doc, problems) -> Optional[Topology]:
                     problems.append(f"{spath}.position: {why}")
                 tech = _field(sdoc, "technology", spath, problems, str)
                 tier = _field(sdoc, "tier", spath, problems, str, "macro")
+                if tier is not None and tier not in TIER_DEFAULTS:
+                    problems.append(f"{spath}.tier: unknown tier {tier!r}")
                 radius = _field(sdoc, "radius", spath, problems, float) if "radius" in sdoc else None
-                channels = _field(sdoc, "channels", spath, problems, list, []) or ()
-                for ci, channel in enumerate(channels):
+                if radius is not None and radius <= 0:
+                    problems.append(f"{spath}.radius: non-positive radius")
+                channels = _field(sdoc, "channels", spath, problems, list, [])
+                if channels == []:
+                    problems.append(f"{spath}.channels: lists no channels")
+                for ci, channel in enumerate(channels or ()):
+                    cpath = f"{spath}.channels[{ci}]"
                     if type(channel) is not str:
-                        problems.append(f"{spath}.channels[{ci}]: must be a string")
+                        problems.append(f"{cpath}: must be a string")
+                    else:
+                        _unique(channel, seen_channels, cpath, "channel", problems)
                 if len(problems) == before:
                     stations.append(BaseStation(
                         id=sid, net_id=nid, provider_id=pid, position=(float(pos[0]), float(pos[1])),
                         technology=tech, tier=tier, radius=radius, channels=tuple(channels),
                     ))
-                    station_ids.append(sid)
-            nets.append(IPNet(id=nid, provider_id=pid, station_ids=tuple(station_ids)))
-            net_ids.append(nid)
-        providers.append(Provider(id=pid, net_ids=tuple(net_ids)))
     # Per-tier overrides of the path-loss parameters.
     tiers = _object(doc.get("path_loss", {}), "path_loss", frozenset(TIER_DEFAULTS), problems, "tier")
     path_loss = {
         tier: _numbers(tiers, tier, "path_loss", problems, _PATH_LOSS_KEYS)
         for tier in tiers or () if tier in TIER_DEFAULTS
     }
-    topo = Topology(
-        providers=tuple(providers), nets=tuple(nets), stations=tuple(stations),
-        path_loss_overrides=path_loss,
-    )
-    for problem in topo.validate():
-        problems.append(f"topology: {problem}")
-    if not stations:
+    if not seen_stations:  # a station listed with a problem is reported as that
         problems.append("topology: no base stations defined")
-    return topo if len(problems) == reported else None
+    if len(problems) > reported:
+        return None
+    return Topology(stations=tuple(stations), path_loss_overrides=path_loss)
 
 
 def _parse_terminals(doc, problems) -> list[TerminalSpec]:
@@ -256,11 +268,9 @@ def _parse_terminals(doc, problems) -> list[TerminalSpec]:
         tdoc, tid = _identified(tdoc, tpath, _TERMINAL_KEYS, problems)
         if tid is None:
             continue
-        if tid in seen:
-            problems.append(f"{tpath}.id: duplicate terminal id {tid!r}")
+        _unique(tid, seen, f"{tpath}.id", "terminal", problems)
         if tid == "all":
             problems.append(f'{tpath}.id: "all" is reserved for the pooled row')
-        seen.add(tid)
         before = len(problems)
         app_type = _field(tdoc, "app_type", tpath, problems, str, "*")
         path_doc = tdoc.get("path")
@@ -326,6 +336,8 @@ def _parse_catalog(doc, problems) -> list[CriterionDef]:
 
 
 def _parse_weights(doc, catalog, problems) -> WeightProfile:
+    """The weights: each in [0, 1] and naming a criterion of ``catalog``,
+    each polarity side that has any summing to 1, and K >= 0."""
     wdoc = _object(doc.get("weights", {}), "weights", frozenset(("weights", "k")), problems) or {}
     before = len(problems)
     weights = _numbers(wdoc, "weights", "weights", problems)
@@ -333,10 +345,24 @@ def _parse_weights(doc, catalog, problems) -> WeightProfile:
     if len(problems) > before:
         return WeightProfile(weights={})
     profile = WeightProfile(weights=weights, k=float(k))
-    try:
-        profile.validate(catalog)
-    except WeightProfileError as exc:
-        problems.append(f"weights: {exc}")
+    if k < 0:
+        problems.append(f"weights.k: constant K must be >= 0, got {profile.k!r}")
+    polarity = {c.id: c.polarity for c in catalog}
+    sums = {}
+    ranged = len(problems)
+    for cid, w in weights.items():
+        if cid not in polarity:
+            problems.append(f"weights.weights.{cid}: unknown criterion {cid!r}")
+        elif not 0.0 <= w <= 1.0:
+            problems.append(f"weights.weights.{cid}: outside [0, 1]: {w!r}")
+        else:
+            sums[polarity[cid]] = sums.get(polarity[cid], 0.0) + w
+    if len(problems) == ranged:  # a side's sum means nothing while a weight is invalid
+        for side in Polarity:
+            if side in sums and abs(sums[side] - 1.0) > _SIDE_SUM_TOLERANCE:
+                problems.append(
+                    f"weights.weights: {side.value} weights sum to {sums[side]!r}, expected 1.0"
+                )
     return profile
 
 
@@ -393,16 +419,18 @@ def _parse_regions(doc, problems) -> dict:
             else:
                 # keep_within reads lower and upper; every other direction, bound.
                 within = direction is GoalDirection.KEEP_WITHIN
-                for name in ("bound",) if within else ("lower", "upper"):
-                    if name in gdoc:
+                reads = ("lower", "upper") if within else ("bound",)
+                for name in ("bound", "lower", "upper"):
+                    if name in reads and name not in gdoc:
+                        problems.append(f"{rpath}.{name}: " + (
+                            "keep_within needs lower and upper" if within
+                            else f"direction {direction.value} needs a bound"
+                        ))
+                    elif name not in reads and name in gdoc:
                         problems.append(f"{rpath}.{name}: not read for direction {direction.value}")
         if len(problems) > before:
             continue
-        try:
-            goal = GoalSpec(mid, direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper"))
-        except ValueError as exc:
-            problems.append(f"{rpath}: {exc}")
-            continue
+        goal = GoalSpec(mid, direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper"))
         if direction is GoalDirection.KEEP_WITHIN and goal.lower > goal.upper:
             # No value lies in an empty range, so every handoff would be rejected.
             problems.append(f"{rpath}: lower above upper")
@@ -433,8 +461,8 @@ def _parse_policy(doc, problems) -> PolicyTable:
     return PolicyTable(entries=entries, defaults={} if strict else DEFAULT_LAYER_METHODS)
 
 
-def _parse_synthesis(doc, catalog, problems, seed: int) -> ContextSynthesisSpec:
-    criteria = {c.id for c in catalog}
+def _parse_synthesis(doc, criteria: set, problems, seed: int) -> ContextSynthesisSpec:
+    """The synthesis spec; ``criteria`` holds the catalog's criterion ids."""
     sdoc = _object(doc.get("synthesis", {}), "synthesis", _SYNTHESIS_KEYS, problems) or {}
     mode = sdoc.get("mode", "geometric")
     if mode not in ("geometric", "stochastic"):
@@ -523,9 +551,10 @@ def from_dict(doc: Mapping) -> Scenario:
     topo = _parse_topology(doc, problems)
     terminals = _parse_terminals(doc, problems)
     catalog = _parse_catalog(doc, problems)
+    criteria = {c.id for c in catalog}
     weights = _parse_weights(doc, catalog, problems)
     controller = _parse_controller(doc, problems)
-    synthesis = _parse_synthesis(doc, catalog, problems, seed)
+    synthesis = _parse_synthesis(doc, criteria, problems, seed)
 
     # Every synthesized network must be a station, and every weighted
     # criterion other than RSS must be synthesized for every station,
@@ -535,7 +564,8 @@ def from_dict(doc: Mapping) -> Scenario:
         for net_id in synthesis.networks:
             if net_id not in station_ids:
                 problems.append(f"synthesis.networks.{net_id}: names no station")
-        weighted = sorted(set(weights.weights) - {"RSS"})
+        # An unknown weighted criterion is reported once, at its weight.
+        weighted = sorted(w for w in weights.weights if w != "RSS" and w in criteria)
         for bs in topo.stations:
             signals = synthesis.networks.get(bs.id)
             have = () if signals is None else {*signals.base, *signals.ramps, *signals.waypoints}

@@ -1,9 +1,11 @@
 """Overlay network topology and the radio propagation model.
 
-Providers own IP networks; IP networks own base stations (cells); each
-station advertises one access technology, a coverage radius, and a list of
-channels.  Stations come in four tiers whose default coverage radii nest:
-macro covers the most ground, then micro, pico, and femto.
+Providers own IP networks; IP networks own base stations (cells).  A
+topology keeps only the stations, each naming its net and provider and
+advertising one access technology, a coverage radius, and a list of
+channels; the scenario parser checks each one where it reads it.  Stations
+come in four tiers whose default coverage radii nest: macro covers the
+most ground, then micro, pico, and femto.
 
 Received signal strength follows a log-distance path loss law:
 
@@ -70,25 +72,13 @@ class BaseStation(NamedTuple):
         return TIER_DEFAULTS[self.tier]["radius"]
 
 
-class IPNet(NamedTuple):
-    id: str
-    provider_id: str
-    station_ids: tuple[str, ...]
-
-
-class Provider(NamedTuple):
-    id: str
-    net_ids: tuple[str, ...]
-
-
 class Topology(
-    namedtuple("Topology", ("providers", "nets", "stations", "path_loss_overrides", "measure_rss"),
-               defaults=({}, True))
+    namedtuple("Topology", ("stations", "path_loss_overrides", "measure_rss"), defaults=({}, True))
 ):
-    """Providers, nets and stations, each a tuple; ``path_loss_overrides``
-    maps a tier to its overridden path-loss parameters.  With
-    ``measure_rss`` False, coverage queries report None for RSS and skip its
-    log10, for runs whose scores do not read it.
+    """The stations, a tuple; ``path_loss_overrides`` maps a tier to its
+    overridden path-loss parameters.  With ``measure_rss`` False, coverage
+    queries report None for RSS and skip its log10, for runs whose scores
+    do not read it.
 
     The class keeps a ``__dict__``, unlike a plain named tuple, only to
     cache ``coverage_index``; setting an attribute raises AttributeError.
@@ -101,38 +91,6 @@ class Topology(
     def coverage_index(self) -> "CoverageIndex":
         """Built on first use, so parsing a scenario never pays for it."""
         return CoverageIndex(self)
-
-    def validate(self) -> list[str]:
-        """Return structural problems; an empty list means well formed."""
-        problems = []
-        seen: dict[str, set] = {"provider": set(), "net": set(), "station": set(), "channel": set()}
-        for p in self.providers:
-            if p.id in seen["provider"]:
-                problems.append(f"duplicate provider id {p.id!r}")
-            seen["provider"].add(p.id)
-        for net in self.nets:
-            if net.id in seen["net"]:
-                problems.append(f"duplicate net id {net.id!r}")
-            seen["net"].add(net.id)
-            if net.provider_id not in seen["provider"]:
-                problems.append(f"net {net.id!r} names unknown provider {net.provider_id!r}")
-        for bs in self.stations:
-            if bs.id in seen["station"]:
-                problems.append(f"duplicate station id {bs.id!r}")
-            seen["station"].add(bs.id)
-            if bs.net_id not in seen["net"]:
-                problems.append(f"station {bs.id!r} names unknown net {bs.net_id!r}")
-            if bs.tier not in TIER_DEFAULTS:
-                problems.append(f"station {bs.id!r} has unknown tier {bs.tier!r}")
-            if bs.radius is not None and bs.radius <= 0:
-                problems.append(f"station {bs.id!r} has non-positive radius")
-            if not bs.channels:
-                problems.append(f"station {bs.id!r} lists no channels")
-            for ch in bs.channels:
-                if ch in seen["channel"]:
-                    problems.append(f"duplicate channel id {ch!r}")
-                seen["channel"].add(ch)
-        return problems
 
 
 def _rss(d: float, params: PathLossParams) -> float:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,10 +13,10 @@ from handoffsim.context import (
     GoalDirection,
     GoalSpec,
     Polarity,
-    catalog_index,
     default_catalog,
     goal_holds,
 )
+from test_scenario import _doc, _problems
 
 
 class TestCatalog:
@@ -43,8 +42,7 @@ class TestCatalog:
 
     def test_catalog_ids_unique(self):
         catalog = default_catalog()
-        index = catalog_index(catalog)
-        assert len(index) == len(catalog)
+        assert len({c.id for c in catalog}) == len(catalog)
 
     def test_catalog_covers_every_source(self):
         sources = {c.source for c in default_catalog()}
@@ -56,7 +54,7 @@ class TestCatalog:
         assert any(c.polarity is Polarity.DETRIMENTAL for c in catalog)
 
     def test_known_entries(self):
-        index = catalog_index(default_catalog())
+        index = {c.id: c for c in default_catalog()}
         assert index["RSS"].polarity is Polarity.BENEFICIAL
         assert index["RSS"].source is ContextSource.TERMINAL
         assert index["BER"].polarity is Polarity.DETRIMENTAL
@@ -67,10 +65,10 @@ class TestCatalog:
         assert index["ETSLH"].source is ContextSource.HANDOFF_PERFORMANCE
 
     def test_duplicate_id_rejected(self):
-        catalog = default_catalog()
-        catalog.append(catalog[0])
-        with pytest.raises(ValueError, match="twice"):
-            catalog_index(catalog)
+        # A scenario's catalog is checked where its criteria are read.
+        doc = _doc()
+        doc["criteria"].append(doc["criteria"][0])
+        assert _problems(doc) == ["criteria[1].id: 'Q' already defined"]
 
     def test_floor_default_positive(self):
         assert all(c.floor > 0 for c in default_catalog())
@@ -100,13 +98,19 @@ class TestGoals:
         assert not goal_holds(0.999, goal)
         assert not goal_holds(2.001, goal)
 
+    # A scenario's goals are checked where its success regions are read.
     def test_keep_within_requires_both_bounds(self):
-        with pytest.raises(ValueError):
-            GoalSpec("ImpR", GoalDirection.KEEP_WITHIN, lower=1.0)
+        region = {"direction": "keep_within"}
+        assert _problems(_doc(success_regions={"ImpR": region})) == [
+            "success_regions.ImpR.lower: keep_within needs lower and upper",
+            "success_regions.ImpR.upper: keep_within needs lower and upper",
+        ]
 
     def test_open_directions_require_bound(self):
-        with pytest.raises(ValueError):
-            GoalSpec("IL", GoalDirection.MINIMIZE)
+        for direction in ("minimize", "maximize", "maintain_above"):
+            assert _problems(_doc(success_regions={"IL": {"direction": direction}})) == [
+                f"success_regions.IL.bound: direction {direction} needs a bound"
+            ]
 
 
 @given(

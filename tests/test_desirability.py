@@ -27,9 +27,11 @@ from handoffsim.errors import (
     DuplicateNetworkError,
     MissingCriterionError,
     NonFiniteValueError,
+    ScenarioError,
     UnknownCriterionError,
-    WeightProfileError,
 )
+from handoffsim.scenario import from_dict
+from test_scenario import _doc
 
 CATALOG = default_catalog()
 
@@ -143,40 +145,60 @@ class TestScore:
         assert hi >= lo
 
 
+def _weight_problems(profile):
+    """The problems the scenario parser reports for ``profile``'s weights,
+    which the scoring itself takes as given."""
+    try:
+        from_dict(_doc(weights={"k": profile.k, "weights": profile.weights}))
+    except ScenarioError as exc:
+        return [p for p in exc.problems if p.startswith("weights")]
+    return []
+
+
 class TestWeightProfile:
     def test_valid_profile_passes(self):
-        PROFILE.validate(CATALOG)
+        assert _weight_problems(PROFILE) == []
 
     def test_single_sided_profile_allowed(self):
-        WeightProfile(weights={"SNR": 1.0}).validate(CATALOG)
+        assert _weight_problems(WeightProfile(weights={"SNR": 1.0})) == []
 
     def test_negative_k_rejected(self):
-        with pytest.raises(WeightProfileError, match="K"):
-            WeightProfile(weights={"SNR": 1.0}, k=-0.1).validate(CATALOG)
+        assert _weight_problems(WeightProfile(weights={"SNR": 1.0}, k=-0.1)) == [
+            "weights.k: constant K must be >= 0, got -0.1"
+        ]
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(WeightProfileError, match="unknown"):
-            WeightProfile(weights={"NOPE": 1.0}).validate(CATALOG)
+        assert _weight_problems(WeightProfile(weights={"NOPE": 1.0})) == [
+            "weights.weights.NOPE: unknown criterion 'NOPE'"
+        ]
 
     def test_weight_above_one_rejected(self):
-        with pytest.raises(WeightProfileError, match="outside"):
-            WeightProfile(weights={"SNR": 1.2}).validate(CATALOG)
+        assert _weight_problems(WeightProfile(weights={"SNR": 1.2})) == [
+            "weights.weights.SNR: outside [0, 1]: 1.2"
+        ]
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(WeightProfileError, match="outside"):
-            WeightProfile(weights={"SNR": -0.2}).validate(CATALOG)
+        assert _weight_problems(WeightProfile(weights={"SNR": -0.2, "DTR": 1.2})) == [
+            "weights.weights.SNR: outside [0, 1]: -0.2",
+            "weights.weights.DTR: outside [0, 1]: 1.2",
+        ]
 
     def test_side_sum_must_be_one(self):
-        with pytest.raises(WeightProfileError, match="sum"):
-            WeightProfile(weights={"SNR": 0.5, "DTR": 0.4}).validate(CATALOG)
+        profile = WeightProfile(weights={"SNR": 0.5, "DTR": 0.4, "BER": 0.5, "NL": 0.6})
+        assert _weight_problems(profile) == [
+            "weights.weights: beneficial weights sum to 0.9, expected 1.0",
+            "weights.weights: detrimental weights sum to 1.1, expected 1.0",
+        ]
 
     def test_side_sum_tolerates_float_dust(self):
-        WeightProfile(weights={"SNR": 0.1, "DTR": 0.2, "NBW": 0.7}).validate(CATALOG)
+        weights = {"NBW": 0.7, "DTR": 0.2, "SNR": 0.1}
+        assert sum(weights.values()) != 1.0  # summed in this order
+        assert _weight_problems(WeightProfile(weights=weights)) == []
 
     def test_zero_weights_count_toward_side_sum(self):
         # A weighted-but-zero criterion makes the side sum 1.0 only if the
         # rest carries the full mass.
-        WeightProfile(weights={"SNR": 0.0, "DTR": 1.0}).validate(CATALOG)
+        assert _weight_problems(WeightProfile(weights={"SNR": 0.0, "DTR": 1.0})) == []
 
 
 def _scores(*pairs):

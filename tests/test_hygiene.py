@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 name it defines has a caller outside the tests, loading a scenario imports
 none of the modules that run or report it, nor ``dataclasses`` or a package
-data reader, and the CLI imports no ``dataclasses`` and no process pool,
-even when a sweep forks its workers."""
+data reader, the CLI imports no ``dataclasses`` and no process pool,
+even when a sweep forks its workers, and only the scenario parser decides
+what a valid scenario is."""
 
 import ast
 import json
@@ -114,6 +115,44 @@ def test_the_cli_imports_no_process_pool(tmp_path):
     assert "pickle" in modules  # the sweep forked
     for name in ("concurrent.futures", "multiprocessing"):
         assert name not in modules
+
+
+def validity_checks(source: str) -> list[str]:
+    """Each place in ``source`` that judges a scenario, in line order: a
+    call that builds a ``ScenarioError``, and a ``validate`` method of a
+    top-level class."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if "ScenarioError" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append((node.lineno, "ScenarioError"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "validate":
+                    found.append((item.lineno, f"{node.name}.validate"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_check_finds_an_error_built_and_a_validate_method():
+    source = ("from errors import ScenarioError\nclass T:\n    def validate(self):\n"
+              "        raise errors.ScenarioError([])\ndef f():\n    return ScenarioError(['x'])\n")
+    assert validity_checks(source) == [
+        "line 3: T.validate", "line 4: ScenarioError", "line 6: ScenarioError",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_parser_judges_a_scenario(module):
+    """A value type that validates itself would decide validity a second
+    way, and report a problem with no field path."""
+    found = validity_checks((PACKAGE / module).read_text())
+    if module == "scenario.py":
+        assert found and all(f.endswith(": ScenarioError") for f in found)
+    else:
+        assert found == []
 
 
 # The names of the package with no caller in it or in the benchmark, and

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from handoffsim.engine import advance_position, run
+from handoffsim.errors import ScenarioError
 from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.synthesis import (
     ContextSynthesisSpec,
@@ -19,9 +20,7 @@ from handoffsim.synthesis import (
 from handoffsim.topology import (
     TIER_DEFAULTS,
     BaseStation,
-    IPNet,
     PathLossParams,
-    Provider,
     Topology,
     coverage,
     rss_at,
@@ -90,15 +89,7 @@ class TestPathLoss:
 
 
 def _topo(stations):
-    nets = {}
-    for bs in stations:
-        nets.setdefault(bs.net_id, []).append(bs.id)
-    return Topology(
-        providers=(Provider(id="prov1", net_ids=tuple(sorted(nets))),),
-        nets=tuple(IPNet(id=n, provider_id="prov1", station_ids=tuple(ids))
-                   for n, ids in sorted(nets.items())),
-        stations=tuple(stations),
-    )
+    return Topology(stations=tuple(stations))
 
 
 class TestCoverage:
@@ -136,10 +127,7 @@ class TestCoverage:
         stations = [_bs("s1")]
         plain = _topo(stations)
         boosted = Topology(
-            providers=plain.providers,
-            nets=plain.nets,
-            stations=plain.stations,
-            path_loss_overrides={"macro": {"tx_power_dbm": -30.0}},
+            stations=plain.stations, path_loss_overrides={"macro": {"tx_power_dbm": -30.0}},
         )
         (_, rss_plain), = coverage((10.0, 0.0), plain)
         (_, rss_boosted), = coverage((10.0, 0.0), boosted)
@@ -224,9 +212,7 @@ def _coverage_cases(draw):
         ))
         stations.append(_bs(f"s{i:02d}", net=f"net{i % 3}", pos=pos, tier=tier, radius=radius))
     overrides = draw(st.dictionaries(st.sampled_from(sorted(TIER_DEFAULTS)), _path_loss))
-    base = _topo(stations)
-    topo = Topology(providers=base.providers, nets=base.nets, stations=base.stations,
-                    path_loss_overrides=overrides)
+    topo = Topology(stations=tuple(stations), path_loss_overrides=overrides)
     queries += [(ox - 1e4, oy), (ox, oy + 1e4), (ox + 5e3, oy - 5e3)]
     for bs in stations:
         queries += _beyond_box_edges(bs, steps=(1, 2, 3))
@@ -312,35 +298,63 @@ class TestCoverageIndex:
         assert "coverage_index" in vars(sc.topology)
 
 
+def _topology_problems(stations):
+    """The problems the scenario parser reports under ``topology`` for a
+    document that lists ``stations`` under their providers and nets."""
+    providers = {}
+    for bs in stations:
+        sdoc = {"id": bs.id, "position": list(bs.position), "technology": bs.technology,
+                "tier": bs.tier, "channels": list(bs.channels)}
+        if bs.radius is not None:
+            sdoc["radius"] = bs.radius
+        providers.setdefault(bs.provider_id, {}).setdefault(bs.net_id, []).append(sdoc)
+    doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+    doc["topology"] = {"providers": [
+        {"id": pid, "nets": [{"id": nid, "stations": sdocs} for nid, sdocs in nets.items()]}
+        for pid, nets in providers.items()
+    ]}
+    try:
+        from_dict(doc)
+    except ScenarioError as exc:
+        return [p for p in exc.problems if p.startswith("topology")]
+    return []
+
+
 class TestTopologyValidate:
+    """The parser checks a topology where it reads each field."""
+
     def test_clean_topology_has_no_problems(self):
-        assert _topo([_bs()]).validate() == []
+        assert _topology_problems([_bs()]) == []
 
     def test_duplicate_station_id(self):
-        problems = _topo([_bs("dup", channels=("c1",)),
-                          _bs("dup", channels=("c2",))]).validate()
-        assert any("duplicate station" in p for p in problems)
+        problems = _topology_problems([_bs("dup", channels=("c1",)),
+                                       _bs("dup", channels=("c2",))])
+        assert problems == [
+            "topology.providers[0].nets[0].stations[1].id: duplicate station id 'dup'"
+        ]
 
     def test_unknown_tier_reported(self):
-        problems = _topo([_bs(tier="mega", radius=10.0)]).validate()
-        assert any("unknown tier" in p for p in problems)
+        problems = _topology_problems([_bs(tier="mega", radius=10.0)])
+        assert problems == ["topology.providers[0].nets[0].stations[0].tier: unknown tier 'mega'"]
 
     def test_missing_channels_reported(self):
-        problems = _topo([_bs(channels=())]).validate()
-        assert any("no channels" in p for p in problems)
+        problems = _topology_problems([_bs(channels=())])
+        assert problems == ["topology.providers[0].nets[0].stations[0].channels: lists no channels"]
 
     def test_duplicate_channel_across_stations(self):
-        problems = _topo([_bs("s1", channels=("shared",)),
-                          _bs("s2", net="net2", channels=("shared",))]).validate()
-        assert any("duplicate channel" in p for p in problems)
+        problems = _topology_problems([_bs("s1", channels=("shared",)),
+                                       _bs("s2", net="net2", prov="prov2", channels=("shared",))])
+        assert problems == [
+            "topology.providers[1].nets[0].stations[0].channels[0]: duplicate channel id 'shared'"
+        ]
 
     def test_unknown_net_reference(self):
-        topo = Topology(
-            providers=(Provider(id="prov1", net_ids=("net1",)),),
-            nets=(IPNet(id="net1", provider_id="prov1", station_ids=("s1",)),),
-            stations=(_bs("s1", net="ghost"),),
-        )
-        assert any("unknown net" in p for p in topo.validate())
+        # A station's net and provider are those it is listed under, so no
+        # station can name a net or provider the topology lacks.
+        topo = load_scenario(SCENARIO_DIR / "crossing.json").topology
+        assert [(bs.id, bs.net_id, bs.provider_id) for bs in topo.stations] == [
+            ("bs_a", "net_a", "prov1"), ("bs_b", "net_b", "prov1"),
+        ]
 
 
 class TestAdvancePosition:
