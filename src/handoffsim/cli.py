@@ -187,7 +187,8 @@ def _cmd_run(args) -> int:
             pooled = compute_metrics(trace, scenario.duration_ms)
         rows = _metric_rows(scenario, pooled)
     except HandoffSimError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+        where = "" if exc.at is None else " at {} ms, terminal {}".format(*exc.at)
+        print(f"run failed{where}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     out_dir = Path(args.out)

@@ -438,7 +438,13 @@ def _on_anl(state, event, cfg, now):
         phase, current, prep = Phase.DISCONNECTION, None, None
     else:
         cand = _candidate(anl, current)
-        if cand is None or not _entry_holds(state, anl, current, cand, cfg, now):
+        # The listed scores settle a reactive entry; only a proactive one
+        # reads the sample series for a prediction.
+        if cand is None or not (
+            anl.values[cand] > anl.values[current]
+            or cfg.strategy is Strategy.PROACTIVE
+            and _entry_holds(state, anl, current, cand, cfg, now)
+        ):
             if phase is Phase.PREPARATION:
                 # The serving network is the best choice again: roll back.
                 phase, prep = Phase.INITIATION, None

@@ -18,9 +18,10 @@ Facts fixed for the run are computed once: the topology's coverage index,
 each geometric network's sorted criteria and the stochastic walk's
 network and criterion order (in the run's ``SynthesisState``), and each
 weighted term's coefficient, floor and polarity (the ``terms`` a
-``WeightProfile`` keeps for the scenario's catalog).  Coverage, sampling,
-scoring and ranking are still called through this module's names, once
-per unit, which the benchmark's layer probes wrap.  A (terminal, station)
+``WeightProfile`` keeps for the scenario's catalog).  Sampling, scoring
+and ranking are still called through this module's names, once per unit,
+and coverage through its name whenever it is asked; the benchmark's layer
+probes wrap these names.  A (terminal, station)
 attachment is built the first time the controller reads it, which
 happens only when a handoff triggers.  A station's synthesized sample
 depends only on (station, t), so it is taken once per tick and shared by
@@ -34,7 +35,14 @@ RSS.
 When no score reads RSS, the engine queries coverage on a copy of the
 topology that does not measure it (``measure_rss=False``), so coverage
 takes no per-station ``log10``.  The call stays ``coverage(pos, topology)``
-through this module's name, which the benchmark's tracer wraps.
+through this module's name, which the benchmark's tracer wraps.  Then the
+stations covering a terminal are all its context takes from its position,
+so coverage is asked only when the terminal may have left the answer's
+reach: each answer says how far the position can move before it may
+change, and the engine keeps it for as long as the terminal, at its
+path's top speed, needs to move that far, skipping both interpolation and
+coverage until then.  When RSS is weighted, every tick's RSS differs, so
+coverage is asked every tick.
 
 The values built per event, terminal-tick or record are immutable
 NamedTuples, which cost no ``__setattr__`` per field to build: each
@@ -74,6 +82,7 @@ all terminals is the earliest of those of runs over parts of them.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator, Mapping
 from typing import NamedTuple, Optional
 
@@ -84,7 +93,7 @@ from .errors import HandoffSimError
 from .scenario import Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import Attachment
-from .topology import BaseStation, coverage
+from .topology import BaseStation, Coverage, coverage
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 Position = tuple[float, float]
@@ -102,6 +111,22 @@ def advance_position(path: tuple[tuple[int, Position], ...], t: int) -> Position
             frac = (t - t0) / (t1 - t0)
             return (p0[0] + (p1[0] - p0[0]) * frac, p0[1] + (p1[1] - p0[1]) * frac)
     return path[-1][1]
+
+
+def _moves(path: tuple[tuple[int, Position], ...]) -> tuple[float, float]:
+    """(slack, pace) of a path: how far, in meters, rounding can put an
+    interpolated position off the exact line, and the milliseconds per
+    meter at its top segment speed, rounded up.  A terminal that moved for
+    ``(reach - slack) * pace`` ms or less has moved less than ``reach``.
+    A parked path has an infinite pace; a non-finite one gives a NaN or
+    non-positive window, so its coverage is asked every tick."""
+    slack = 1e-9 * (1.0 + sum(abs(x) + abs(y) for _, (x, y) in path))
+    top = max(
+        (math.hypot(p1[0] - p0[0], p1[1] - p0[1]) / (t1 - t0)
+         for (t0, p0), (t1, p1) in zip(path, path[1:])),
+        default=0.0,
+    ) * (1.0 + 1e-9)
+    return slack, 1.0 / top if top > 0.0 else math.inf
 
 
 def _plan_payload(plan: ctl.TriggerPlan) -> dict:
@@ -184,6 +209,14 @@ class _Context:
             if self.shared_scores else scenario.topology
         )
         self.paths = {term.id: term.path for term in scenario.terminals}
+        # When no score reads RSS, a terminal's coverage answer is all its
+        # context takes from its position, so it is kept, with (since,
+        # window), until the terminal may have moved as far as its reach.
+        self.moves = (
+            {term.id: _moves(term.path) for term in scenario.terminals}
+            if self.shared_scores else None
+        )
+        self.held: dict[str, tuple[int, float, Coverage]] = {}
 
     def at(self, terminal: str, now: int) -> _Tick:
         sc = self.sc
@@ -191,8 +224,14 @@ class _Context:
             self.synth.advance_to(now, sc.tick_ms)
             self.synth_t = now
             self.scored.clear()
-        pos = advance_position(self.paths[terminal], now)
-        covered = coverage(pos, self.topology)
+        held = self.held.get(terminal)
+        if held is not None and now - held[0] < held[1]:
+            covered = held[2]
+        else:
+            covered = coverage(advance_position(self.paths[terminal], now), self.topology)
+            if self.moves is not None:
+                slack, pace = self.moves[terminal]
+                self.held[terminal] = (now, (covered.reach - slack) * pace, covered)
         scores: list[DesirabilityScore] = []
         for bs, rss in covered:
             memo = self.scored.get(bs.id)

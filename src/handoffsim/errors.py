@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class HandoffSimError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``at`` is the ``(t, terminal)``
+    of the engine event that raised it, or None when no event did."""
+
+    at = None
 
 
 class UnknownCriterionError(HandoffSimError):

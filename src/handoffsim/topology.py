@@ -19,6 +19,8 @@ query: the stations sorted by id with their radius and path-loss
 parameters, plus a uniform grid over their coverage disks' bounding boxes
 that narrows each query to the stations near the position.  A topology
 built with ``measure_rss=False`` answers the same stations with no RSS.
+Each answer also carries its reach: how far the position can move before
+the answer may change.
 """
 
 from __future__ import annotations
@@ -107,6 +109,15 @@ def rss_at(pos: Position, station: BaseStation, params: Optional[PathLossParams]
     return _rss(math.hypot(dx, dy), params)
 
 
+class Coverage(list):
+    """The (station, RSS) pairs that cover a position, in station id order,
+    and ``reach``: a distance in meters that the position can move, in any
+    direction, without changing which stations cover it.  A reach of 0
+    promises nothing."""
+
+    __slots__ = ("reach",)
+
+
 class CoverageIndex:
     """Per-run coverage facts of one topology.
 
@@ -125,6 +136,18 @@ class CoverageIndex:
     largest coordinate outside the unpadded box, and so inside the padded
     one.  The cell of a point is a monotone function of its coordinates,
     so a point inside a padded box lands in one of the box's cells.
+
+    A query's reach is the least of ``|hypot(dx, dy) - radius|`` over the
+    stations it tests, and of the distance to its cell's edges (or to the
+    grid, from outside it): a point that moves less stays on the same side
+    of every circle it was tested against and in the same cell, whose
+    list holds every station that can cover it.  The reach is then cut by
+    a guard of ``1e-9`` of the coordinates' scale, ``1 + |x| + |y|`` plus
+    the largest ``|sx| + |sy| + radius`` of a finite entry, far above the
+    rounding in these differences; one that is not finite and positive
+    becomes 0.  Entries with a non-finite field need no guard: their
+    distance or radius is infinite or NaN wherever the position is finite,
+    so their verdict cannot change.
     """
 
     def __init__(self, topo: Topology):
@@ -135,6 +158,13 @@ class CoverageIndex:
             if radius >= 0:
                 params = tier_path_loss(bs.tier, topo.path_loss_overrides)
                 self.entries.append((bs, bs.position[0], bs.position[1], radius, params))
+        # Overflows to inf, and so zeroes every reach, when the coordinates
+        # are too large for the guard to be summed.
+        self.extent = max(
+            (abs(x) + abs(y) + r for _, x, y, r, _ in self.entries
+             if math.isfinite(x) and math.isfinite(y) and math.isfinite(r)),
+            default=0.0,
+        )
         self.cells: Optional[list[list]] = None
         boxes = [(x - r, y - r, x + r, y + r) for _, x, y, r, _ in self.entries]
         if not boxes or not all(math.isfinite(v) for box in boxes for v in box):
@@ -170,31 +200,43 @@ class CoverageIndex:
         row = min(math.floor((y - self.y0) / self.cell), self.rows - 1)
         return col, row
 
-    def covering(self, pos: Position) -> list[tuple[BaseStation, Optional[float]]]:
+    def covering(self, pos: Position) -> Coverage:
         x, y = pos
+        out = Coverage()
         if self.cells is None:
             candidates = self.entries
+            reach = math.inf
         elif self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1:
             col, row = self._cell_of(x, y)
             candidates = self.cells[row * self.cols + col]
+            # The last column and row end where the grid does.
+            left, bottom = self.x0 + col * self.cell, self.y0 + row * self.cell
+            right = min(left + self.cell, self.x1)
+            top = min(bottom + self.cell, self.y1)
+            reach = min(x - left, right - x, y - bottom, top - y)
         else:
-            return []  # outside every padded box; NaN lands here too
-        if not self.measure_rss:
-            return [
-                (bs, None) for bs, sx, sy, radius, _ in candidates
-                if math.hypot(x - sx, y - sy) <= radius
-            ]
-        out = []
+            # Outside every padded box; NaN lands here too.
+            candidates = ()
+            reach = math.hypot(max(self.x0 - x, x - self.x1, 0.0),
+                               max(self.y0 - y, y - self.y1, 0.0))
+        measure_rss = self.measure_rss
         for bs, sx, sy, radius, params in candidates:
             d = math.hypot(x - sx, y - sy)
             if d <= radius:
-                out.append((bs, _rss(d, params)))
+                out.append((bs, _rss(d, params) if measure_rss else None))
+                gap = radius - d
+            else:
+                gap = d - radius
+            if gap < reach:  # a NaN gap is a verdict no move changes
+                reach = gap
+        reach -= 1e-9 * (1.0 + abs(x) + abs(y) + self.extent)
+        out.reach = reach if 0.0 < reach < math.inf else 0.0
         return out
 
 
-def coverage(pos: Position, topo: Topology) -> list[tuple[BaseStation, Optional[float]]]:
+def coverage(pos: Position, topo: Topology) -> Coverage:
     """Stations whose radius reaches the position, with their RSS there
-    (None when the topology does not measure it).
+    (None when the topology does not measure it), and the answer's reach.
 
     Ordered by station id so downstream iteration is deterministic.
     """

@@ -236,6 +236,22 @@ class TestRun:
         assert main(argv + ["--no-trace"] * no_trace) == 3
         _assert_reported_without_traceback(capsys, out)
 
+    @pytest.mark.parametrize("no_trace", [False, True])
+    def test_a_failed_run_names_its_time_and_terminal(self, tmp_path, capsys, no_trace):
+        # A strict policy with no entries passes validation but has no
+        # mechanism for the first handoff, which triggers at 9100 ms.
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["policy"] = {"strict": True}
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--no-trace"] * no_trace) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "run failed at 9100 ms, terminal mt1: policy table has no entry for ('L3', 'video')\n"
+        )
+
 
 class TestBadPathLoss:
     """A malformed path-loss override is a validation failure (exit 2) in
@@ -584,13 +600,14 @@ class TestSweepBatches:
         controllers = [c for c in checked if type(c) is not str]
         terminals = [term.id for term in sc.terminals]
         calls = []
-        real = engine.coverage
+        real = engine.rank
 
-        def counting(pos, topo):
-            calls.append(pos)
-            return real(pos, topo)
+        # rank runs once per terminal-tick context; coverage may be reused.
+        def counting(scores):
+            calls.append(scores)
+            return real(scores)
 
-        monkeypatch.setattr(engine, "coverage", counting)
+        monkeypatch.setattr(engine, "rank", counting)
         batched = cli._sweep_batch(sc, terminals, controllers)
         assert len(calls) == ticks
         assert [failure for _, failure in batched] == [None, None, None]
@@ -706,11 +723,12 @@ class TestSweepTerminalGroups:
         want = _sweep(path, grid, 1, capsys)[0]
         ticks = doc["duration_ms"] // doc["tick_ms"]
         calls, tasks = [], []
-        real_coverage, real_batch = engine.coverage, cli._sweep_batch
+        real_rank, real_batch = engine.rank, cli._sweep_batch
 
-        def counting(pos, topo):
-            calls.append(pos)
-            return real_coverage(pos, topo)
+        # rank runs once per terminal-tick context; coverage may be reused.
+        def counting(scores):
+            calls.append(scores)
+            return real_rank(scores)
 
         def batch(scenario, terminals, controllers):
             calls.clear()
@@ -718,16 +736,16 @@ class TestSweepTerminalGroups:
             tasks.append((list(terminals), len(controllers), len(calls)))
             return results
 
-        monkeypatch.setattr(engine, "coverage", counting)
+        monkeypatch.setattr(engine, "rank", counting)
         monkeypatch.setattr(cli, "_sweep_batch", batch)
         # Tasks that would run in forked children run here, in task order.
         monkeypatch.setattr(cli, "_Child", _InProcessChild)
         assert _sweep(path, grid, workers, capsys)[0] == want
         terminals = sorted(term["id"] for term in doc["terminals"])
         assert [group for group, _, _ in tasks] == cli._batches(terminals, workers)
-        for group, points, coverage_calls in tasks:
+        for group, points, rank_calls in tasks:
             assert points == 4
-            assert coverage_calls == len(group) * ticks
+            assert rank_calls == len(group) * ticks
 
     @pytest.mark.parametrize("workers, tasks", [(2, 2), (3, 3)])
     def test_forks_a_child_for_every_task_but_one(
@@ -1036,9 +1054,11 @@ class TestUsage:
         capsys.readouterr()
 
     def test_module_entry_point(self):
+        # The child imports the package from this checkout, as the suite does.
+        src = str(Path(cli.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "handoffsim.cli", "validate", CROSSING],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
         assert "valid" in proc.stdout

@@ -5,9 +5,10 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handoffsim import engine
 from handoffsim.engine import advance_position, run
 from handoffsim.errors import ScenarioError
 from handoffsim.scenario import from_dict, load_scenario
@@ -27,6 +28,7 @@ from handoffsim.topology import (
     tier_path_loss,
 )
 from handoffsim.trace import ANL, HANDOFF, INIT, TRANSITION
+from reference_context import scenarios
 from trace_text import ndjson
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -191,12 +193,12 @@ _offset = st.sampled_from([0.0, 1e6, -3.3e7, 1e9, -7.5e8])
 
 
 @st.composite
-def _coverage_cases(draw):
+def _coverage_cases(draw, offsets=_offset):
     """A topology and query points: free points, points far outside every
     station, points exactly on a station's radius, and points one to three
     float steps past a station's bounding box.  Stations may share a
     position, and the whole layout may sit far from the origin."""
-    ox, oy = draw(_offset), draw(_offset)
+    ox, oy = draw(offsets), draw(offsets)
     shift = st.tuples(_coord.map(lambda v: v + ox), _coord.map(lambda v: v + oy))
     queries = draw(st.lists(shift, min_size=1, max_size=6))
     spots = draw(st.lists(shift, min_size=1, max_size=3))
@@ -217,6 +219,15 @@ def _coverage_cases(draw):
     for bs in stations:
         queries += _beyond_box_edges(bs, steps=(1, 2, 3))
     return topo, queries
+
+
+NON_FINITE_STATIONS = [
+    _bs("inf_radius", radius=math.inf),
+    _bs("nan_pos", net="n2", pos=(math.nan, 0.0)),
+    _bs("neg_radius", net="n3", radius=-1.0),
+    _bs("huge", net="n4", pos=(1e308, -1e308), radius=1e308),
+]
+NON_FINITE_QUERIES = [(0.0, 0.0), (math.inf, 0.0), (math.nan, 1.0), (1e308, -1e308)]
 
 
 class TestCoverageIndex:
@@ -272,13 +283,8 @@ class TestCoverageIndex:
             assert coverage(pos, topo) == []
 
     def test_non_finite_inputs_agree_with_the_full_scan(self):
-        topo = _topo([
-            _bs("inf_radius", radius=math.inf),
-            _bs("nan_pos", net="n2", pos=(math.nan, 0.0)),
-            _bs("neg_radius", net="n3", radius=-1.0),
-            _bs("huge", net="n4", pos=(1e308, -1e308), radius=1e308),
-        ])
-        for pos in [(0.0, 0.0), (math.inf, 0.0), (math.nan, 1.0), (1e308, -1e308)]:
+        topo = _topo(NON_FINITE_STATIONS)
+        for pos in NON_FINITE_QUERIES:
             _assert_matches_full_scan(pos, topo)
         assert coverage((math.nan, 1.0), _topo([_bs("a")])) == []
 
@@ -296,6 +302,93 @@ class TestCoverageIndex:
         assert "coverage_index" not in vars(sc.topology)
         coverage((0.0, 0.0), sc.topology)
         assert "coverage_index" in vars(sc.topology)
+
+
+# Stations with a non-finite field, whose distance or radius is infinite or
+# NaN wherever the query is finite, and none so large that the reach's
+# guard overflows.
+_ODD_STATIONS = [
+    _bs("odd_inf_radius", net="odd", pos=(40.0, -30.0), radius=math.inf),
+    _bs("odd_nan_pos", net="odd", pos=(math.nan, 0.0)),
+    _bs("odd_inf_pos", net="odd", pos=(math.inf, 5.0), tier="pico"),
+    _bs("odd_inf_both", net="odd", pos=(-math.inf, math.inf), radius=math.inf),
+    _bs("odd_neg_radius", net="odd", radius=-1.0),
+]
+
+
+@st.composite
+def _reach_cases(draw):
+    """A topology and query points, drawn from the index's cases near the
+    origin and far from it; from cases so far out that a float step is
+    half a meter or more; from those cases with stations whose position or radius
+    is not finite, so that there is no grid; and the topology of
+    ``test_non_finite_inputs_agree_with_the_full_scan``."""
+    kind = draw(st.sampled_from(["finite", "huge", "non_finite", "full_scan_test"]))
+    if kind == "full_scan_test":
+        return _topo(NON_FINITE_STATIONS), list(NON_FINITE_QUERIES)
+    offsets = st.sampled_from([3e15, -7.1e17, 2.5e16]) if kind == "huge" else _offset
+    topo, queries = draw(_coverage_cases(offsets))
+    if kind == "non_finite":
+        odd = draw(st.lists(st.sampled_from(_ODD_STATIONS), min_size=1, unique=True))
+        topo = topo._replace(stations=topo.stations + tuple(odd))
+        queries += NON_FINITE_QUERIES
+    return topo, queries
+
+
+def _directions(pos, topo, angle):
+    """Unit vectors along each axis and the diagonals, toward and away from
+    each station with a finite position, and at ``angle``."""
+    out = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (math.sqrt(0.5), math.sqrt(0.5))]
+    out.append((math.cos(angle), math.sin(angle)))
+    for bs in topo.stations:
+        dx, dy = bs.position[0] - pos[0], bs.position[1] - pos[1]
+        d = math.hypot(dx, dy)
+        if 0.0 < d < math.inf:
+            out += [(dx / d, dy / d), (-dx / d, -dy / d)]
+    return out
+
+
+class TestCoverageReach:
+    @given(_reach_cases(), st.floats(0.0, 2 * math.pi),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_a_move_shorter_than_the_reach_keeps_the_stations(self, case, angle, fraction):
+        topo, queries = case
+        unmeasured = topo._replace(measure_rss=False)
+        for pos in queries:
+            here = coverage(pos, topo)
+            ids = [bs.id for bs, _ in here]
+            assert here.reach == coverage(pos, unmeasured).reach
+            assert 0.0 <= here.reach < math.inf
+            if here.reach == 0.0:
+                continue
+            for ux, uy in _directions(pos, topo, angle):
+                for f in (fraction, math.nextafter(1.0, 0.0)):
+                    dx, dy = here.reach * f * ux, here.reach * f * uy
+                    if not math.hypot(dx, dy) < here.reach:
+                        continue
+                    moved = (pos[0] + dx, pos[1] + dy)
+                    assert [bs.id for bs, _ in coverage(moved, topo)] == ids, (pos, moved)
+                    assert [bs.id for bs, _ in coverage(moved, unmeasured)] == ids, (pos, moved)
+
+    def test_a_position_on_a_radius_or_not_finite_has_no_reach(self):
+        topo = _topo([_bs("a", radius=50.0), _bs("b", net="n2", pos=(500.0, 0.0))])
+        assert coverage((30.0, 40.0), topo).reach == 0.0
+        for pos in [(math.inf, 0.0), (0.0, math.nan)]:
+            assert coverage(pos, topo).reach == 0.0
+        assert coverage((0.0, 0.0), _topo(NON_FINITE_STATIONS)).reach == 0.0  # the guard overflows
+
+    def test_the_reach_is_the_nearest_circle_or_cell_edge(self):
+        # One station, so one cell: its padded box, and the grid's extent.
+        topo = _topo([_bs("a", radius=50.0)])
+        index = topo.coverage_index
+        assert index.cells is not None and len(index.cells) == 1
+        got = coverage((0.0, 10.0), topo)
+        assert [bs.id for bs, _ in got] == ["a"]
+        assert got.reach == pytest.approx(40.0, abs=1e-6)  # to the top edge, 40 m up
+        got = coverage((-20.0, 0.0), topo)
+        assert got.reach == pytest.approx(30.0, abs=1e-6)  # to the circle, 30 m left
+        got = coverage((0.0, 80.0), topo)
+        assert got == [] and got.reach == pytest.approx(30.0, abs=1e-6)  # to the extent
 
 
 def _topology_problems(stations):
@@ -671,3 +764,100 @@ def test_coverage_computes_rss_only_when_a_score_reads_it(monkeypatch, weights, 
     trace = run(from_dict(doc))
     assert any(r.payload["entries"] for r in trace.records if r.kind == ANL)
     assert bool(calls) == rss_read
+
+
+def _run_counting(sc, every_tick=False):
+    """``run(sc)`` and the positions coverage was asked at; with
+    ``every_tick``, each answer's reach is cut to 0, so none is reused."""
+    real, asked = engine.coverage, []
+
+    def counting(pos, topo):
+        asked.append(pos)
+        got = real(pos, topo)
+        if every_tick:
+            got.reach = 0.0
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "coverage", counting)
+        return run(sc), asked
+
+
+def _assert_reuse_changes_nothing(sc):
+    reused, asked = _run_counting(sc)
+    fresh, asked_fresh = _run_counting(sc, every_tick=True)
+    assert ndjson(reused) == ndjson(fresh)
+    assert len(asked_fresh) == len(sc.terminals) * (sc.duration_ms // sc.tick_ms)
+    return asked
+
+
+def _moves_doc(terminals, weights=None):
+    """Four stations of three sizes and the given terminals, over 40 ticks
+    in which ``a``'s score falls below ``b``'s."""
+    stations = [("a", [0.0, 0.0], 50.0), ("b", [120.0, 0.0], 100.0),
+                ("c", [400.0, 300.0], 30.0), ("d", [-300.0, 200.0], 300.0)]
+    return {
+        "seed": 1,
+        "duration_ms": 4000,
+        "tick_ms": 100,
+        "topology": {"providers": [{"id": "p", "nets": [
+            {"id": f"n{sid}", "stations": [{"id": sid, "position": pos, "radius": radius,
+                                            "technology": "lte", "channels": [f"{sid}c"]}]}
+            for sid, pos, radius in stations
+        ]}]},
+        "terminals": [{"id": tid, "path": path} for tid, path in terminals.items()],
+        "criteria": [{"id": "Q", "source": "network", "polarity": "beneficial"}],
+        "weights": {"k": 0.0, "weights": weights or {"Q": 1.0}},
+        "controller": {"strategy": "reactive", "dwell_sp": 0, "hysteresis_delta": 0.0,
+                       "th_sup": 3.0, "th_inf": 1.0},
+        "synthesis": {"mode": "geometric", "networks": {
+            sid: {"base": {"Q": 4e4 if sid == "a" else 1e4},
+                  "ramps": {"Q": -9.0 if sid == "a" else 0.0}}
+            for sid, _, _ in stations
+        }},
+    }
+
+
+class TestCoverageReuse:
+    """Between ticks the engine keeps a terminal's coverage answer for as
+    long as the terminal cannot have moved as far as the answer's reach.
+    The records must be those of a run that asks coverage every tick."""
+
+    PATHS = {
+        "on_circle": [[0, [30.0, 40.0]]],  # exactly on a's radius of 50 m
+        "tangent": [[0, [-200.0, 50.0]], [4000, [200.0, 50.0]]],  # touches a at t = 2000
+        "early": [[-1000, [-100.0, -20.0]], [1500, [150.0, 30.0]]],
+        "single": [[500, [40.0, 5.0]]],  # covered by a and b
+    }
+
+    def _with_cell_edge(self, doc):
+        """``doc`` and a terminal that crosses one of its grid's column
+        edges at t = 150, between two ticks."""
+        index = from_dict(doc).topology.coverage_index
+        assert index.cols > 1
+        x, y = index.x0 + index.cell, index.y0 + 0.5 * index.cell
+        doc["terminals"].append({"id": "edge", "path": [[0, [x - 1.5, y]], [200, [x + 0.5, y]]]})
+        return doc
+
+    def test_hand_made_paths(self):
+        doc = self._with_cell_edge(_moves_doc(self.PATHS))
+        sc = from_dict(doc)
+        asked = _assert_reuse_changes_nothing(sc)
+        assert len(asked) < len(sc.terminals) * 40
+        handoffs = [r for r in run(sc).records if r.kind == HANDOFF]
+        assert handoffs  # the hand-made terminals do hand off
+
+    def test_rss_weighted_runs_ask_every_tick(self):
+        doc = self._with_cell_edge(_moves_doc(self.PATHS, {"RSS": 0.5, "Q": 0.5}))
+        sc = from_dict(doc)
+        assert len(_assert_reuse_changes_nothing(sc)) == len(sc.terminals) * 40
+
+    @pytest.mark.parametrize("tid, calls", [("single", 1), ("on_circle", 40)])
+    def test_a_parked_terminal_is_asked_once_unless_it_sits_on_a_radius(self, tid, calls):
+        sc = from_dict(_moves_doc({tid: self.PATHS[tid]}))
+        assert len(_assert_reuse_changes_nothing(sc)) == calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.one_of(scenarios(), scenarios(crossing=True)))
+    def test_generated_scenarios(self, doc):
+        _assert_reuse_changes_nothing(from_dict(doc))
