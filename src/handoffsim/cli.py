@@ -43,7 +43,7 @@ from .metrics import (
     snapshots_to_csv,
     snapshots_to_json,
 )
-from .scenario import Scenario, from_dict, load_scenario, parse_controller
+from .scenario import Scenario, Strategy, from_dict, load_scenario, parse_controller
 from .taxonomy import enumerate_types
 
 EXIT_OK = 0
@@ -221,6 +221,7 @@ _GRID_AXES = {
     "th_inf": ("th_inf", float),
     "strategy": ("strategy", str),
 }
+_STRATEGIES = tuple(strategy.value for strategy in Strategy)
 
 SWEEP_METRIC_COLUMNS = ["completed", "accepted", "hor", "shor", "dtib", "il_ms", "impr"]
 # Raises at import if the table does not publish one of the sweep columns.
@@ -255,9 +256,9 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
                 raise ValueError(f"grid axis {name!r}: bad value {raw!r}") from None
         if name == "strategy":
             for v in values:
-                if v not in ("reactive", "proactive"):
+                if v not in _STRATEGIES:
                     raise ValueError(
-                        f"grid axis 'strategy': expected reactive or proactive, got {v!r}"
+                        f"grid axis 'strategy': expected {' or '.join(_STRATEGIES)}, got {v!r}"
                     )
         if not values:
             raise ValueError(f"grid axis {name!r}: no values")

@@ -18,9 +18,10 @@ opportunist (above the upper threshold).
 
 ``step`` is a pure function: the returned state and actions depend only on
 the inputs.  All mutable memory (the last seen network list, the in-flight
-handoff) lives inside ControllerState.  Every value here (the state, the
-configuration, events, actions, plans and records) is a NamedTuple:
-immutable, and built without a ``__setattr__`` per field.  Two of them with
+handoff) lives inside ControllerState.  Every value here (the state,
+events, actions, plans and records) is a NamedTuple: immutable, and built
+without a ``__setattr__`` per field; so is the configuration, which the
+scenario schema defines (``scenario.ControllerConfig``).  Two of them with
 equal fields compare equal whatever their types (``ScheduleTimer`` and
 ``TimerFired``, ``CurrentLinkLost`` and ``SwitchComplete``), so ``step``
 and its callers tell events and actions apart with ``isinstance``.
@@ -40,8 +41,9 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .context import GoalSpec, goal_holds
 from .desirability import AvailableNetworkList, best
-from .errors import IllegalEventError, PolicyGapError
-from .taxonomy import Attachment, Layer, classify
+from .errors import IllegalEventError
+from .scenario import MEASURED, ControllerConfig, Strategy
+from .taxonomy import Attachment, classify
 
 
 class Phase(Enum):
@@ -55,65 +57,6 @@ class Phase(Enum):
 class Reason(Enum):
     IMPERATIVE = "imperative"
     OPPORTUNIST = "opportunist"
-
-
-class Strategy(Enum):
-    REACTIVE = "reactive"
-    PROACTIVE = "proactive"
-
-
-DEFAULT_LAYER_METHODS: Mapping[Layer, str] = {
-    Layer.L1: "MAHO",
-    Layer.L2: "MAHO",
-    Layer.L3: "MIP",
-    Layer.L4_7: "SIP",
-}
-
-
-class PolicyTable(NamedTuple):
-    """Maps (layer, application type) to a handoff method label.
-
-    Lookup tries the exact key first, then the wildcard ("*") application
-    type, then the per-layer defaults.  A user-supplied table with no
-    applicable entry and no default for the layer is a configuration gap
-    and raises.
-    """
-
-    entries: Mapping[tuple[str, str], str] = {}
-    defaults: Mapping[Layer, str] = DEFAULT_LAYER_METHODS
-
-    def lookup(self, layer: Layer, app_type: str) -> str:
-        for key in ((layer.value, app_type), (layer.value, "*")):
-            if key in self.entries:
-                return self.entries[key]
-        if layer in self.defaults:
-            return self.defaults[layer]
-        raise PolicyGapError((layer.value, app_type))
-
-
-DEFAULT_POLICY = PolicyTable()
-
-
-class ControllerConfig(NamedTuple):
-    hysteresis_delta: float = 0.5
-    th_sup: float = 8.0
-    th_inf: float = 2.0
-    dwell_sp: int = 200
-    prep_latency: int = 100
-    exec_latency: int = 100
-    eval_latency: int = 100
-    strategy: Strategy = Strategy.REACTIVE
-    app_type: str = "*"
-    # Alternative opportunist reading: judge the candidate's utility against
-    # th_sup instead of the serving network's.  Off by default.
-    opportunist_on_target: bool = False
-    success_regions: Mapping[str, GoalSpec] = {}
-    policy: PolicyTable = DEFAULT_POLICY
-
-
-# The measures ``evaluate`` grades a finished handoff on: the only metric ids
-# a success region can name.
-MEASURED = ("UF", "IL", "DLat", "ExLat", "EvLat", "HOL", "ImpR")
 
 
 def sufficiently_better(uf_target: float, uf_curr: float, delta: float) -> bool:
@@ -329,7 +272,6 @@ class PrepData(NamedTuple):
     target: str
     entered_at: int
     dwell: DwellTracker = DwellTracker()
-    last_reason: Optional[Reason] = None
 
 
 class InFlight(NamedTuple):
@@ -461,7 +403,7 @@ def _on_anl(state, event, cfg, now):
             dwell, conb = consistently_better(prep.dwell, now, cfg.dwell_sp, suffb)
             reason = handoff_reason(d_curr, cfg, suffb and conb, uf_target=d_tgt)
             if reason is None:
-                prep = PrepData(prep.target, prep.entered_at, dwell, reason)
+                prep = PrepData(prep.target, prep.entered_at, dwell)
             else:
                 # All gates passed: commit the plan and start switching.
                 ho_type = classify(event.infos[current], event.infos[cand])

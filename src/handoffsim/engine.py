@@ -90,7 +90,7 @@ from . import controller as ctl
 from .context import CriteriaVector
 from .desirability import AvailableNetworkList, DesirabilityScore, desirability, rank
 from .errors import HandoffSimError
-from .scenario import Scenario
+from .scenario import ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import Attachment
 from .topology import BaseStation, Coverage, coverage
@@ -256,7 +256,7 @@ class _Point:
     configuration, the sink its records go to, and the error that stopped
     it, if any."""
 
-    def __init__(self, scenario: Scenario, controller: ctl.ControllerConfig, sink):
+    def __init__(self, scenario: Scenario, controller: ControllerConfig, sink):
         self.controller = controller
         self.sink = sink
         self.record = sink.append

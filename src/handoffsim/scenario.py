@@ -8,12 +8,17 @@ raises ScenarioError carrying every diagnostic it found, each anchored to
 the offending field path (or input line for parse errors).  Each object of
 a document accepts a fixed set of keys and each value one JSON type, so a
 key either changes the run or is rejected.
+
+The controller's configuration types live here too, beside the rest of
+what a parsed document holds, so loading a scenario does not import the
+handoff state machine that reads them (``controller``).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -26,14 +31,72 @@ from .context import (
     Polarity,
     default_catalog,
 )
-from .controller import DEFAULT_LAYER_METHODS, MEASURED, ControllerConfig, PolicyTable, Strategy
 from .desirability import WeightProfile
-from .errors import ScenarioError
+from .errors import PolicyGapError, ScenarioError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
 from .taxonomy import Layer
 from .topology import TIER_DEFAULTS, BaseStation, Topology
 
 Position = tuple[float, float]
+
+
+class Strategy(Enum):
+    REACTIVE = "reactive"
+    PROACTIVE = "proactive"
+
+
+DEFAULT_LAYER_METHODS: Mapping[Layer, str] = {
+    Layer.L1: "MAHO",
+    Layer.L2: "MAHO",
+    Layer.L3: "MIP",
+    Layer.L4_7: "SIP",
+}
+
+
+class PolicyTable(NamedTuple):
+    """Maps (layer, application type) to a handoff method label.
+
+    Lookup tries the exact key first, then the wildcard ("*") application
+    type, then the per-layer defaults.  A user-supplied table with no
+    applicable entry and no default for the layer is a configuration gap
+    and raises.
+    """
+
+    entries: Mapping[tuple[str, str], str] = {}
+    defaults: Mapping[Layer, str] = DEFAULT_LAYER_METHODS
+
+    def lookup(self, layer: Layer, app_type: str) -> str:
+        for key in ((layer.value, app_type), (layer.value, "*")):
+            if key in self.entries:
+                return self.entries[key]
+        if layer in self.defaults:
+            return self.defaults[layer]
+        raise PolicyGapError((layer.value, app_type))
+
+
+DEFAULT_POLICY = PolicyTable()
+
+
+class ControllerConfig(NamedTuple):
+    hysteresis_delta: float = 0.5
+    th_sup: float = 8.0
+    th_inf: float = 2.0
+    dwell_sp: int = 200
+    prep_latency: int = 100
+    exec_latency: int = 100
+    eval_latency: int = 100
+    strategy: Strategy = Strategy.REACTIVE
+    app_type: str = "*"
+    # Alternative opportunist reading: judge the candidate's utility against
+    # th_sup instead of the serving network's.  Off by default.
+    opportunist_on_target: bool = False
+    success_regions: Mapping[str, GoalSpec] = {}
+    policy: PolicyTable = DEFAULT_POLICY
+
+
+# The measures the controller's ``evaluate`` grades a finished handoff on:
+# the only metric ids a success region can name.
+MEASURED = ("UF", "IL", "DLat", "ExLat", "EvLat", "HOL", "ImpR")
 
 
 class TerminalSpec(NamedTuple):
@@ -461,6 +524,35 @@ def _parse_policy(doc, problems) -> PolicyTable:
     return PolicyTable(entries=entries, defaults={} if strict else DEFAULT_LAYER_METHODS)
 
 
+def _check_policy_reach(topo: Topology, terminals, policy: PolicyTable, problems) -> None:
+    """Report each (layer, app_type) pair that some handoff can reach and
+    ``policy`` has no method for.  Distinct stations are distinct cells, so
+    a handoff reaches L2 when a net holds two stations, L3 when a provider
+    holds stations in two nets, and L4-7 when stations sit under two
+    providers; never L1."""
+    stations_per_net, nets_per_provider = {}, {}
+    for bs in topo.stations:
+        stations_per_net[bs.net_id] = stations_per_net.get(bs.net_id, 0) + 1
+        nets_per_provider.setdefault(bs.provider_id, set()).add(bs.net_id)
+    reached = (
+        (Layer.L2, max(stations_per_net.values()) > 1),
+        (Layer.L3, any(len(nets) > 1 for nets in nets_per_provider.values())),
+        (Layer.L4_7, len(nets_per_provider) > 1),
+    )
+    app_types = sorted({term.app_type for term in terminals})
+    for layer, reachable in reached:
+        if not reachable:
+            continue
+        for app_type in app_types:
+            try:
+                policy.lookup(layer, app_type)
+            except PolicyGapError as gap:
+                problems.append(
+                    f"policy.entries: strict table has no entry for {gap.key!r},"
+                    " which a handoff can reach"
+                )
+
+
 def _parse_synthesis(doc, criteria: set, problems, seed: int) -> ContextSynthesisSpec:
     """The synthesis spec; ``criteria`` holds the catalog's criterion ids."""
     sdoc = _object(doc.get("synthesis", {}), "synthesis", _SYNTHESIS_KEYS, problems) or {}
@@ -572,6 +664,9 @@ def from_dict(doc: Mapping) -> Scenario:
             missing = [w for w in weighted if w not in have]
             if missing:
                 problems.append(f"synthesis.networks.{bs.id}: missing weighted criteria {missing}")
+        # Only a strict table lacks a method for some layer.
+        if not controller.policy.defaults:
+            _check_policy_reach(topo, terminals, controller.policy, problems)
     # The pass-through metric values, by metric id.
     constants = _numbers(doc, "metrics_constants", "", problems, frozenset(PASS_THROUGH), "constant")
 
@@ -590,7 +685,10 @@ def parse_controller(doc: Mapping) -> ControllerConfig:
     document's ``controller``, ``success_regions`` and ``policy``, reading
     no other key.  For a document valid in every other part it raises
     ScenarioError with the problems ``from_dict`` reports, in the same
-    order, so a sweep checks a grid point without parsing it whole."""
+    order, so a sweep checks a grid point without parsing it whole.  A
+    strict policy is not checked against the layers a handoff can reach:
+    that needs the topology and terminals, which a grid point shares with
+    the document ``from_dict`` checked."""
     problems: list[str] = []
     controller = _parse_controller(doc, problems)
     if problems:

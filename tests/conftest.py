@@ -16,3 +16,24 @@ def fsm_exploration():
     from test_fsm_conformance import _explore
 
     return _explore()
+
+
+@pytest.fixture()
+def handoffs_hit_a_policy_gap(monkeypatch):
+    """Each handoff fails where it starts, as it would under a strict policy
+    table without its entry: ``controller.step`` raises PolicyGapError for
+    the terminal's application type in place of every step that starts a
+    switch.  Every handoff of ``crossing.json`` is an L3 one.  A sweep's
+    forked workers inherit the patch."""
+    from handoffsim import controller
+    from handoffsim.errors import PolicyGapError
+
+    real = controller.step
+
+    def step(state, event, cfg, now):
+        new_state, actions = real(state, event, cfg, now)
+        if any(isinstance(action, controller.StartSwitch) for action in actions):
+            raise PolicyGapError(("L3", cfg.app_type))
+        return new_state, actions
+
+    monkeypatch.setattr(controller, "step", step)

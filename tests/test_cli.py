@@ -21,7 +21,7 @@ from handoffsim.cli import main, parse_grid
 from handoffsim.errors import HandoffSimError, PolicyGapError
 from handoffsim.metrics import CSV_COLUMNS, compute_metrics, metric_cells
 from handoffsim.scenario import from_dict, load_scenario
-from handoffsim.trace import INIT, read_trace
+from handoffsim.trace import HANDOFF, INIT, read_trace
 from test_golden import _inputs
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,6 +60,34 @@ class TestValidate:
         assert captured.out == ""
         assert "tick_ms" in captured.err
         assert "terminal" in captured.err
+
+    def test_a_strict_policy_with_a_gap_is_invalid(self, tmp_path, capsys):
+        # Before a run can fail at its first handoff (9100 ms, L3, video).
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["policy"] = {"strict": True}
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: policy.entries: strict table has no entry for ('L3', 'video'),"
+            " which a handoff can reach\n"
+        )
+
+    def test_a_strict_policy_that_covers_every_reachable_layer_runs(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["policy"] = {"strict": True,
+                         "entries": [{"layer": "L3", "app_type": "video", "method": "FMIP"}]}
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        handoffs = [r for r in read_trace(out / "strict.trace.ndjson").records
+                    if r.kind == HANDOFF]
+        assert handoffs and {r.payload["method"] for r in handoffs} == {"FMIP"}
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "ghost.json")]) == 3
@@ -237,14 +265,10 @@ class TestRun:
         _assert_reported_without_traceback(capsys, out)
 
     @pytest.mark.parametrize("no_trace", [False, True])
-    def test_a_failed_run_names_its_time_and_terminal(self, tmp_path, capsys, no_trace):
-        # A strict policy with no entries passes validation but has no
-        # mechanism for the first handoff, which triggers at 9100 ms.
-        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
-        doc["policy"] = {"strict": True}
-        path = tmp_path / "strict.json"
-        path.write_text(json.dumps(doc))
-        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+    def test_a_failed_run_names_its_time_and_terminal(self, tmp_path, capsys, no_trace,
+                                                      handoffs_hit_a_policy_gap):
+        # The first handoff triggers at 9100 ms, and fails there.
+        argv = ["run", CROSSING, "--out", str(tmp_path / "out")]
         assert main(argv + ["--no-trace"] * no_trace) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -787,12 +811,12 @@ class TestSweepTerminalGroups:
         assert out.count("\n") == 5 and "failed" not in err
         assert log.read_text().split() == [str(os.getpid())]
 
-    def test_a_failing_point_reports_the_first_failure_in_event_order(self, tmp_path, capsys):
-        # A strict policy with no entries fails the first handoff to trigger.
-        # mt2 (voice) triggers at 9100 ms; mt1 (video) stays out of bs_b's
-        # reach until 10100 ms, so the terminal with the larger id fails first.
+    def test_a_failing_point_reports_the_first_failure_in_event_order(
+            self, tmp_path, capsys, handoffs_hit_a_policy_gap):
+        # Each handoff fails where it triggers.  mt2 (voice) triggers at
+        # 9100 ms; mt1 (video) stays out of bs_b's reach until 10100 ms, so
+        # the terminal with the larger id fails first.
         doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
-        doc["policy"] = {"strict": True}
         doc["terminals"] = [
             {"id": "mt1", "app_type": "video",
              "path": [[0, [-940.0, 0.0]], [10000, [-940.0, 0.0]], [10100, [0.0, 0.0]]]},
@@ -801,7 +825,7 @@ class TestSweepTerminalGroups:
         with pytest.raises(PolicyGapError) as failed:
             engine.run(from_dict(copy.deepcopy(doc)))
         assert failed.value.at == (9100, "mt2")
-        path = self._write(tmp_path, "strict", doc)
+        path = self._write(tmp_path, "two", doc)
         for workers in (1, 2, 3):
             out, err = _sweep(path, "delta=0,0.1", workers, capsys)
             errors = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
@@ -816,17 +840,13 @@ class TestSweepFailureIsolation:
     error stops every point still running at that event, while a point that
     failed earlier keeps its own error."""
 
-    # Under a strict policy with no entries, delta 0 fails at 9100 ms and
-    # 0.1 at 11600 ms, while 1e6 never hands off and runs to the end.
+    # With each handoff failing where it triggers, delta 0 fails at 9100 ms
+    # and 0.1 at 11600 ms, while 1e6 never hands off and runs to the end.
     DELTAS = (0.0, 1e6, 0.1)
 
     @pytest.fixture()
-    def strict(self, tmp_path):
-        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
-        doc["policy"] = {"strict": True}
-        path = tmp_path / "strict.json"
-        path.write_text(json.dumps(doc))
-        return doc, path
+    def crossing(self, handoffs_hit_a_policy_gap):
+        return json.loads((SCENARIO_DIR / "crossing.json").read_text()), CROSSING
 
     def _rows_alone(self, doc):
         """Each point's row, from its own ``engine.run``."""
@@ -852,13 +872,13 @@ class TestSweepFailureIsolation:
             assert out.splitlines()[1:] == want, workers
             assert f"{failed} of 3 grid points failed" in err
 
-    def test_a_controller_error_stops_only_its_point(self, strict, capsys):
-        doc, path = strict
+    def test_a_controller_error_stops_only_its_point(self, crossing, capsys):
+        doc, path = crossing
         want = self._rows_alone(doc)
         assert [row.endswith(",") for row in want] == [False, True, False]
         self._check(path, want, capsys)
 
-    def test_a_context_error_stops_every_live_point(self, strict, monkeypatch, capsys):
+    def test_a_context_error_stops_every_live_point(self, crossing, monkeypatch, capsys):
         real = engine.sample_context
 
         def failing(net, t, spec, state):
@@ -867,7 +887,7 @@ class TestSweepFailureIsolation:
             return real(net, t, spec, state)
 
         monkeypatch.setattr(engine, "sample_context", failing)
-        doc, path = strict
+        doc, path = crossing
         want = self._rows_alone(doc)
         assert [row.rsplit(",", 1)[1] for row in want] == [
             "policy table has no entry for ('L3'; 'video')", "no context at 10000 ms",

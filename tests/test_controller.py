@@ -12,18 +12,15 @@ from handoffsim import engine
 from handoffsim.controller import (
     AnlUpdated,
     Connect,
-    ControllerConfig,
     ControllerState,
     CurrentLinkLost,
     DwellTracker,
     Phase,
-    PolicyTable,
     PrepData,
     Reason,
     RecordHandoff,
     ScheduleTimer,
     StartSwitch,
-    Strategy,
     SwitchComplete,
     TimerFired,
     TriggerPlan,
@@ -43,6 +40,7 @@ from handoffsim.errors import (
     IllegalEventError,
     PolicyGapError,
 )
+from handoffsim.scenario import ControllerConfig, PolicyTable, Strategy
 from handoffsim.taxonomy import Attachment, Layer, classify
 from handoffsim.trace import ANL, TraceRecord
 
@@ -418,7 +416,8 @@ class TestPhaseMachine:
         st2, actions = _feed_anl(st1, 100, ("n2", 6.5), ("n1", 5.0), cfg=cfg)
         assert st2.phase is Phase.PREPARATION  # margin ok, but 2 < 5 < 8
         assert actions == ()
-        assert st2.prep.last_reason is None
+        # The margin and the dwell held, so the dwell clock keeps running.
+        assert st2.prep == PrepData("n2", 100, DwellTracker(100))
 
     def test_rollback_when_serving_is_best_again(self):
         st0 = initial_state("mt1")

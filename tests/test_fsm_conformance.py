@@ -25,6 +25,7 @@ import pytest
 from handoffsim import controller as ctl
 from handoffsim.desirability import DesirabilityScore, rank
 from handoffsim.errors import IllegalEventError
+from handoffsim.scenario import ControllerConfig, Strategy
 from handoffsim.taxonomy import Attachment
 
 DELTA = 1.0
@@ -37,7 +38,7 @@ PREP_LAT = 100
 STEP_MS = 100
 MAX_DEPTH = 6
 
-CFG = ctl.ControllerConfig(
+CFG = ControllerConfig(
     hysteresis_delta=DELTA,
     th_sup=TH_SUP,
     th_inf=TH_INF,
@@ -45,7 +46,7 @@ CFG = ctl.ControllerConfig(
     prep_latency=PREP_LAT,
     exec_latency=EXEC_LAT,
     eval_latency=EVAL_LAT,
-    strategy=ctl.Strategy.REACTIVE,
+    strategy=Strategy.REACTIVE,
 )
 
 # Ranked score lists covering the interesting regimes: empty coverage,
@@ -342,7 +343,6 @@ def _impl_key(st: ctl.ControllerState, now: int):
 
     prep = st.prep and (
         st.prep.target, r(st.prep.entered_at), r(st.prep.dwell.since),
-        st.prep.last_reason and st.prep.last_reason.value,
     )
     plan = st.plan and (st.plan.why.value, st.plan.where, st.plan.how, r(st.plan.when))
     flight = st.flight and (
@@ -381,7 +381,7 @@ def _ref_key(s, now: int):
     )
 
 
-def _explore(strategy=ctl.Strategy.REACTIVE):
+def _explore(strategy=Strategy.REACTIVE):
     """Walk both machines in lockstep.  Returns the memo, the set of
     (phase, letter kind, phase) transitions, the edge and handoff-record
     counts, and how many edges opened Preparation on a prediction alone:
@@ -446,7 +446,7 @@ def exploration(fsm_exploration):
 
 @pytest.fixture(scope="module")
 def proactive_exploration():
-    return _explore(ctl.Strategy.PROACTIVE)
+    return _explore(Strategy.PROACTIVE)
 
 
 def test_machines_agree_on_every_sequence(exploration):
@@ -509,7 +509,7 @@ def test_proactive_walk_enters_preparation_on_predictions(proactive_exploration)
     assert proactive_exploration[4] > 0
 
 
-@pytest.mark.parametrize("strategy", list(ctl.Strategy))
+@pytest.mark.parametrize("strategy", list(Strategy))
 def test_step_leaves_its_input_state_unchanged(strategy):
     """Over every state the walk reaches, each letter leaves the state
     ``step`` was given equal to a deep copy taken before the call."""

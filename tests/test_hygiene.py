@@ -64,11 +64,12 @@ def imported_by(statement: str) -> set[str]:
 
 def test_loading_a_scenario_imports_no_run_or_report_module():
     """A fresh process that only loads a scenario compiles every module it
-    imports when bytecode is not cached, so the trace encoder, the engine,
-    the metric fold and the CLI stay out of that import."""
+    imports when bytecode is not cached, so the handoff state machine, the
+    trace encoder, the engine, the metric fold and the CLI stay out of that
+    import."""
     modules = imported_by("import handoffsim.scenario")
     assert "handoffsim.scenario" in modules
-    for name in ("trace", "engine", "metrics", "cli"):
+    for name in ("controller", "trace", "engine", "metrics", "cli"):
         assert f"handoffsim.{name}" not in modules
 
 

@@ -78,25 +78,25 @@ def test_every_point_of_one_pass_equals_its_run_alone_across_a_crossing(doc, var
 
 
 @pytest.fixture()
-def strict():
-    """``crossing.json`` under a strict policy with no entries, so a handoff
-    fails where it starts: at 9100 ms with ``delta`` 0 and at 11600 ms with
-    0.1, while ``delta`` 1e6 never hands off and runs to the end."""
+def gapped(handoffs_hit_a_policy_gap):
+    """``crossing.json`` with each handoff failing where it starts, as
+    under a strict policy table without its entry: at 9100 ms with
+    ``delta`` 0 and at 11600 ms with 0.1, while ``delta`` 1e6 never hands
+    off and runs to the end."""
     doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
-    doc["policy"] = {"strict": True}
     return [_with_controller(doc, {"hysteresis_delta": d}) for d in (0.0, 1e6, 0.1)]
 
 
-def test_a_controller_error_stops_only_its_point(strict):
-    want = [_alone(d) for d in strict]
+def test_a_controller_error_stops_only_its_point(gapped):
+    want = [_alone(d) for d in gapped]
     assert [w[:2] for w in want if w[0] == "failed"] == [("failed", (9100, "mt1")),
                                                           ("failed", (11600, "mt1"))]
     for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
-        docs = [strict[i] for i in order]
-        assert _one_pass(strict[0], docs) == [want[i] for i in order], order
+        docs = [gapped[i] for i in order]
+        assert _one_pass(gapped[0], docs) == [want[i] for i in order], order
 
 
-def test_a_context_error_stops_every_live_point(strict, monkeypatch):
+def test_a_context_error_stops_every_live_point(gapped, monkeypatch):
     real = engine.sample_context
     asked = []
 
@@ -108,19 +108,18 @@ def test_a_context_error_stops_every_live_point(strict, monkeypatch):
 
     monkeypatch.setattr(engine, "sample_context", failing)
     early, stopped = ("failed", (9100, "mt1")), ("failed", (10000, "mt1"))
-    want = [_alone(d) for d in strict]
+    want = [_alone(d) for d in gapped]
     assert [w[:2] for w in want] == [early, stopped, stopped]
     assert want[1] == want[2]
-    assert _one_pass(strict[0], strict) == want
+    assert _one_pass(gapped[0], gapped) == want
     # With no point left running, the pass stops.
     asked.clear()
-    assert _one_pass(strict[0], strict[:1]) == want[:1]
+    assert _one_pass(gapped[0], gapped[:1]) == want[:1]
     assert max(asked) == 9100
 
 
-def test_a_plain_run_raises_its_error_with_the_event():
+def test_a_plain_run_raises_its_error_with_the_event(handoffs_hit_a_policy_gap):
     doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
-    doc["policy"] = {"strict": True}
     with pytest.raises(HandoffSimError) as failed:
         engine.run(from_dict(doc))
     assert failed.value.at == (9100, "mt1")

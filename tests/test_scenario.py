@@ -10,10 +10,9 @@ import pytest
 from handoffsim import controller as ctl
 from handoffsim import engine
 from handoffsim.context import GoalDirection, GoalSpec
-from handoffsim.controller import MEASURED, Strategy
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
-from handoffsim.scenario import from_dict, load_scenario, parse_controller
+from handoffsim.scenario import MEASURED, Strategy, from_dict, load_scenario, parse_controller
 from handoffsim.synthesis import NetworkSignals
 from handoffsim.taxonomy import Attachment, classify, delta
 from handoffsim.topology import tier_path_loss
@@ -350,6 +349,74 @@ class TestControllerValidation:
             assert err.value.problems == exc.problems
         else:
             assert parse_controller(doc) == want
+
+
+class TestStrictPolicyReach:
+    """A strict table must name a method for every (layer, app_type) pair
+    that a handoff of the scenario can reach."""
+
+    GAP = "policy.entries: strict table has no entry for {}, which a handoff can reach"
+
+    def _strict(self, *entries, topology=None, app_types=("video",)):
+        doc = _doc(policy={"strict": True, "entries": [
+            {"layer": layer, "app_type": app, "method": "M"} for layer, app in entries
+        ]})
+        if topology is not None:
+            doc["topology"]["providers"] = topology
+        doc["terminals"] = [
+            {"id": f"mt{i}", "path": [[0, [0.0, 0.0]]], "app_type": app}
+            for i, app in enumerate(app_types)
+        ]
+        return doc
+
+    def _providers(self, *layout):
+        """Providers of nets of stations: ``[[["bs_a"], ["bs_b"]]]`` is one
+        provider with two nets of one station each."""
+        return [
+            {"id": f"p{pi}", "nets": [
+                {"id": f"n{pi}{ni}", "stations": [
+                    {"id": sid, "position": [0.0, 0.0], "technology": "lte",
+                     "channels": [f"{sid}_ch"]} for sid in net
+                ]} for ni, net in enumerate(nets)
+            ]} for pi, nets in enumerate(layout)
+        ]
+
+    def test_each_missing_pair_is_reported_in_layer_then_app_type_order(self):
+        doc = self._strict(("L3", "voice"), app_types=("voice", "video", "data"),
+                           topology=self._providers([["bs_a", "bs_b"]], [["bs_c"]]))
+        doc["synthesis"]["networks"]["bs_c"] = {"base": {"Q": 1.0}}
+        assert _problems(doc) == [self.GAP.format(pair) for pair in [
+            ("L2", "data"), ("L2", "video"), ("L2", "voice"),
+            ("L4-7", "data"), ("L4-7", "video"), ("L4-7", "voice"),
+        ]]
+
+    @pytest.mark.parametrize("layout, layer", [
+        ([[["bs_a", "bs_b"]]], "L2"),
+        ([[["bs_a"], ["bs_b"]]], "L3"),
+        ([[["bs_a"]], [["bs_b"]]], "L4-7"),
+    ], ids=["one-net", "one-provider", "two-providers"])
+    def test_a_layout_reaches_one_layer(self, layout, layer):
+        topology = self._providers(*layout)
+        assert _problems(self._strict(topology=topology)) == [
+            self.GAP.format((layer, "video"))
+        ]
+        for app in ("video", "*"):
+            sc = from_dict(self._strict((layer, app), topology=topology))
+            assert sc.controller.policy.defaults == {}
+
+    def test_one_station_reaches_no_layer(self):
+        doc = self._strict(topology=self._providers([["bs_a"]]))
+        del doc["synthesis"]["networks"]["bs_b"]
+        assert from_dict(doc).controller.policy.entries == {}
+
+    def test_a_wildcard_terminal_needs_a_wildcard_entry(self):
+        doc = self._strict(("L3", "video"), app_types=("video", "*"))
+        assert _problems(doc) == [self.GAP.format(("L3", "*"))]
+
+    def test_a_table_with_defaults_is_not_checked(self):
+        doc = self._strict()
+        doc["policy"]["strict"] = False
+        assert from_dict(doc).controller.policy.entries == {}
 
 
 class TestSynthesisValidation:
