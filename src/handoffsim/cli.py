@@ -43,7 +43,7 @@ from .metrics import (
     snapshots_to_csv,
     snapshots_to_json,
 )
-from .scenario import Scenario, Strategy, from_dict, load_scenario, parse_controller
+from .scenario import CONTROLLER_NUMBERS, Scenario, Strategy, from_dict, load_scenario, parse_controller
 from .taxonomy import enumerate_types
 
 EXIT_OK = 0
@@ -213,13 +213,13 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-# Grid axis -> (controller field, value parser).
+# Grid axis -> the controller field it sets.
 _GRID_AXES = {
-    "delta": ("hysteresis_delta", float),
-    "sp": ("dwell_sp", int),
-    "th_sup": ("th_sup", float),
-    "th_inf": ("th_inf", float),
-    "strategy": ("strategy", str),
+    "delta": "hysteresis_delta",
+    "sp": "dwell_sp",
+    "th_sup": "th_sup",
+    "th_inf": "th_inf",
+    "strategy": "strategy",
 }
 _STRATEGIES = tuple(strategy.value for strategy in Strategy)
 
@@ -244,7 +244,7 @@ def parse_grid(text: str) -> list[tuple[str, list]]:
             raise ValueError(f"grid axis {name!r}: unknown (expected one of {known})")
         if any(name == given for given, _ in axes):
             raise ValueError(f"grid axis {name!r}: given more than once")
-        _, parse = _GRID_AXES[name]
+        parse = CONTROLLER_NUMBERS.get(_GRID_AXES[name], str)
         values = []
         for raw in values_text.split(","):
             raw = raw.strip()
@@ -312,7 +312,7 @@ def _point_controllers(scenario: Scenario, points: list[dict]) -> list:
     for point in points:
         controller = dict(scenario.raw.get("controller", {}))
         for axis, value in point.items():
-            controller[_GRID_AXES[axis][0]] = value
+            controller[_GRID_AXES[axis]] = value
         try:
             out.append(parse_controller({**scenario.raw, "controller": controller}))
         except ScenarioError as exc:

@@ -104,15 +104,13 @@ class CriteriaVector(NamedTuple):
 
 class Metric(NamedTuple):
     """One published metric: ``id`` is its name in the paper's vocabulary
-    (None for a plain count), ``column`` heads the CSV column and keys the
-    JSON entry, and ``source`` is the snapshot attribute that holds the
-    value, or the key of ``counts`` when ``kind`` is "count".  A "constant"
-    is a pass-through attribute set from the scenario's
-    ``metrics_constants[id]`` and never synthesized."""
+    (None for a plain count), and ``column`` heads its CSV column, keys its
+    JSON entry and names its snapshot field.  A "constant" is passed through
+    from the scenario's ``metrics_constants[id]`` and never synthesized;
+    every other row is folded from the trace."""
 
     id: Optional[str]
     column: str
-    source: str
     kind: str = "fold"
 
 
@@ -120,41 +118,41 @@ class Metric(NamedTuple):
 # writes them; scenario parsing checks ``metrics_constants`` against the
 # pass-through rows, which is why the table lives here and not there.
 METRICS: tuple[Metric, ...] = (
-    Metric(None, "completed", "completed"),
-    Metric(None, "accepted", "accepted"),
-    Metric(None, "rejected", "rejected"),
-    Metric("HOR", "hor", "hor"),
-    Metric("SHOR", "shor", "shor"),
-    Metric("IHOR", "ihor", "ihor"),
-    Metric("OHOR", "ohor", "ohor"),
-    Metric("THOR", "thor", "thor"),
-    Metric("PHOR", "phor", "phor"),
-    Metric("DTIB", "dtib", "dtib"),
-    Metric("IL", "il_ms", "il"),
-    Metric("IR", "ir", "ir"),
-    Metric("HOL", "hol_ms", "hol"),
-    Metric("DLat", "dlat_ms", "dlat"),
-    Metric("ExLat", "exlat_ms", "exlat"),
-    Metric("EvLat", "evlat_ms", "evlat"),
-    Metric("ImpR", "impr", "impr"),
-    Metric("DR", "dr", "dr"),
-    Metric("DL", "dl_ms", "dl"),
-    Metric("DI", "di", "di"),
-    Metric("AL", "al", "al", "constant"),
-    Metric("SO", "so", "so", "constant"),
-    Metric("SSO", "sso", "sso", "constant"),
-    Metric("DAR", "dar", "dar", "constant"),
-    Metric(None, "connects", "connects", "count"),
-    Metric(None, "link_losses", "link_losses", "count"),
-    Metric(None, "prep_entries", "prep_entries", "count"),
-    Metric(None, "rollbacks", "rollbacks", "count"),
-    Metric(None, "executions", "executions", "count"),
-    Metric(None, "timely", "timely", "count"),
-    Metric(None, "tardy", "tardy", "count"),
-    Metric(None, "premature", "premature", "count"),
+    Metric(None, "completed"),
+    Metric(None, "accepted"),
+    Metric(None, "rejected"),
+    Metric("HOR", "hor"),
+    Metric("SHOR", "shor"),
+    Metric("IHOR", "ihor"),
+    Metric("OHOR", "ohor"),
+    Metric("THOR", "thor"),
+    Metric("PHOR", "phor"),
+    Metric("DTIB", "dtib"),
+    Metric("IL", "il_ms"),
+    Metric("IR", "ir"),
+    Metric("HOL", "hol_ms"),
+    Metric("DLat", "dlat_ms"),
+    Metric("ExLat", "exlat_ms"),
+    Metric("EvLat", "evlat_ms"),
+    Metric("ImpR", "impr"),
+    Metric("DR", "dr"),
+    Metric("DL", "dl_ms"),
+    Metric("DI", "di"),
+    Metric("AL", "al", "constant"),
+    Metric("SO", "so", "constant"),
+    Metric("SSO", "sso", "constant"),
+    Metric("DAR", "dar", "constant"),
+    Metric(None, "connects"),
+    Metric(None, "link_losses"),
+    Metric(None, "prep_entries"),
+    Metric(None, "rollbacks"),
+    Metric(None, "executions"),
+    Metric(None, "timely"),
+    Metric(None, "tardy"),
+    Metric(None, "premature"),
 )
-# Pass-through metric id -> snapshot attribute.
-PASS_THROUGH = {m.id: m.source for m in METRICS if m.kind == "constant"}
+# Pass-through metric id -> column.
+PASS_THROUGH = {m.id: m.column for m in METRICS if m.kind == "constant"}
 
 
 class GoalDirection(Enum):

@@ -90,7 +90,7 @@ from . import controller as ctl
 from .context import CriteriaVector
 from .desirability import AvailableNetworkList, DesirabilityScore, desirability, rank
 from .errors import HandoffSimError
-from .scenario import ControllerConfig, Scenario
+from .scenario import CONTROLLER_NUMBERS, ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import Attachment
 from .topology import BaseStation, Coverage, coverage
@@ -358,13 +358,7 @@ class _Run:
                     "duration_ms": sc.duration_ms,
                     "tick_ms": sc.tick_ms,
                     "controller": {
-                        "hysteresis_delta": cfg.hysteresis_delta,
-                        "th_sup": cfg.th_sup,
-                        "th_inf": cfg.th_inf,
-                        "dwell_sp": cfg.dwell_sp,
-                        "prep_latency": cfg.prep_latency,
-                        "exec_latency": cfg.exec_latency,
-                        "eval_latency": cfg.eval_latency,
+                        **{name: getattr(cfg, name) for name in CONTROLLER_NUMBERS},
                         "strategy": cfg.strategy.value,
                     },
                     "stations": sorted(bs.id for bs in sc.topology.stations),

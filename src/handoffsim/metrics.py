@@ -11,6 +11,9 @@ worked out once and read by both.  ``MetricFolder.facts`` hands out those
 per-terminal results, and ``pool`` turns the results of several folders,
 each over some of a run's terminals, into the run's pooled snapshot.
 
+A snapshot is the published row: its fields are the ``METRICS`` columns,
+in table order, so a CSV or JSON row is the snapshot's own values.
+
 Counts are tallied first and rates derived from them, so the imperative
 and opportunist rates always sum to the total handoff rate exactly.
 Quantities with no generating data in a run (mean latencies with no
@@ -30,15 +33,13 @@ from bisect import bisect_right
 from collections import namedtuple
 from copy import copy
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .context import METRICS, PASS_THROUGH
-from .controller import HandoffRecord  # re-exported record type
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 __all__ = [
-    "HandoffRecord",
     "METRICS",
     "PASS_THROUGH",
     "MetricFolder",
@@ -55,11 +56,9 @@ __all__ = [
 CSV_COLUMNS = ["terminal"] + [m.column for m in METRICS]
 
 
-# The snapshot's fields: each non-count row's attribute, in table order,
-# then the counters.
-_MetricValues = namedtuple(
-    "_MetricValues", [m.source for m in METRICS if m.kind != "count"] + ["counts"]
-)
+# The snapshot's fields: the table's columns, in its order.
+_MetricValues = namedtuple("_MetricValues", CSV_COLUMNS[1:])
+_FIELD_AT = {column: i for i, column in enumerate(_MetricValues._fields)}
 
 
 class MetricSnapshot(_MetricValues):
@@ -97,10 +96,11 @@ class _TerminalStats:
     extends or closes the open degradation run.
     """
 
-    # Every counter at zero; each terminal, and each pooled snapshot, starts
-    # from a copy (a dict copy is faster to build than a dict display).
+    # Every transition counter at zero, keyed by its column; each terminal,
+    # and each pooled snapshot, starts from a copy (a dict copy is faster to
+    # build than a dict display).
     COUNTS = dict.fromkeys(
-        ("connects", "link_losses", "d2i", "prep_entries", "rollbacks", "executions"), 0
+        ("connects", "link_losses", "prep_entries", "rollbacks", "executions"), 0
     )
 
     def __init__(self, terminal: str, horizon: int, tick: int, th_inf: float, moves: dict):
@@ -286,11 +286,6 @@ class MetricFolder:
         return pool(facts, self.horizon, constants, by_terminal)
 
 
-def _records_of(trace: Trace, terminal: str) -> Trace:
-    """The run-level records and one terminal's: all that its fold reads."""
-    return Trace([r for r in trace.records if r.terminal is None or r.terminal == terminal])
-
-
 def _bumped_by(event, source, target) -> tuple[str, ...]:
     """The counters a transition on ``event`` from phase ``source`` to
     ``target`` bumps.  A fold asks once per distinct triple and keeps the
@@ -298,8 +293,6 @@ def _bumped_by(event, source, target) -> tuple[str, ...]:
     bumped = []
     if event == "link_lost":
         bumped.append("link_losses")
-    if source == "disconnection" and target == "initiation":
-        bumped.append("d2i")
     if source == "initiation" and target in ("preparation", "execution"):
         bumped.append("prep_entries")
     if source == "preparation" and target == "initiation":
@@ -347,8 +340,6 @@ def compute_metrics(
     with each terminal's in ``by_terminal``, in one walk over the trace."""
     if horizon_ms is None:
         horizon_ms = _trace_horizon(trace)
-    if terminal is not None:
-        trace = _records_of(trace, terminal)
     return MetricFolder(horizon_ms).feed_trace(trace).snapshot(terminal)
 
 
@@ -377,33 +368,20 @@ def pool(
     completed = len(records)
     accepted = sum(1 for r, _ in records if r["accepted"])
     imperative = sum(1 for r, _ in records if r["reason"] == "imperative")
-    opportunist = completed - imperative
     grades = [grade for _, grade in records]
     tardy = grades.count("tardy")
     premature = grades.count("premature")
-    timely = grades.count("timely")
 
     horizon_s = horizon_ms / 1000.0
     def rate(count: int) -> float:
         return count / horizon_s if horizon_s > 0 else 0.0
 
     ihor = rate(imperative)
-    ohor = rate(opportunist)
+    ohor = rate(completed - imperative)
     impr_terms = [
         r["uf_new"] / r["uf_old"] for r, _ in records if r["accepted"] and r["uf_old"] != 0.0
     ]
     exlat = _mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records])
-
-    counts.update(
-        completed=completed,
-        accepted=accepted,
-        rejected=completed - accepted,
-        imperative=imperative,
-        opportunist=opportunist,
-        timely=timely,
-        tardy=tardy,
-        premature=premature,
-    )
 
     snapshot = MetricSnapshot(
         completed=completed,
@@ -416,39 +394,36 @@ def pool(
         thor=rate(tardy),
         phor=rate(premature),
         dtib=(on_head / attached) if attached else None,
-        il=exlat,
+        il_ms=exlat,
         ir=rate(counts["executions"] + counts["link_losses"]),
-        hol=_mean([float(r["t_eval_done"] - r["t_prep"]) for r, _ in records]),
-        dlat=_mean([float(r["t_trigger"] - r["t_prep"]) for r, _ in records]),
-        exlat=exlat,
-        evlat=_mean([float(r["t_eval_done"] - r["t_switch_done"]) for r, _ in records]),
+        hol_ms=_mean([float(r["t_eval_done"] - r["t_prep"]) for r, _ in records]),
+        dlat_ms=_mean([float(r["t_trigger"] - r["t_prep"]) for r, _ in records]),
+        exlat_ms=exlat,
+        evlat_ms=_mean([float(r["t_eval_done"] - r["t_switch_done"]) for r, _ in records]),
         impr=_mean(impr_terms),
         dr=rate(len(runs)),
-        dl=_mean([float(length) for length, _ in runs]),
+        dl_ms=_mean([float(length) for length, _ in runs]),
         di=_mean([deficit for _, deficit in runs]),
-        counts=counts,
-        **{attr: constants.get(mid) for mid, attr in PASS_THROUGH.items()},
+        timely=grades.count("timely"),
+        tardy=tardy,
+        premature=premature,
+        **counts,
+        **{column: constants.get(mid) for mid, column in PASS_THROUGH.items()},
     )
     if by_terminal:
         snapshot.by_terminal = by_terminal
     return snapshot
 
 
+def _cells(values) -> list[str]:
+    return ["" if v is None else str(v) for v in values]
+
+
 def metric_cells(columns: Sequence[str]):
     """A function that renders a snapshot's cells for ``columns``, in that
     order; raises KeyError for a column the table does not publish."""
-    by_column = {m.column: m for m in METRICS}
-    getters = []
-    for column in columns:
-        m = by_column[column]
-        if m.kind == "count":
-            getters.append(lambda snap, key=m.source: snap.counts.get(key, 0))
-        else:
-            getters.append(attrgetter(m.source))
-    return lambda snap: ["" if v is None else str(v) for v in [get(snap) for get in getters]]
-
-
-_all_cells = metric_cells(CSV_COLUMNS[1:])
+    at = [_FIELD_AT[column] for column in columns]
+    return lambda snap: _cells([snap[i] for i in at])
 
 
 def _csv_cell(label: str) -> str:
@@ -461,10 +436,10 @@ def _csv_cell(label: str) -> str:
 def snapshots_to_csv(rows: Sequence[tuple[str, MetricSnapshot]]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for label, snap in rows:
-        lines.append(",".join([_csv_cell(label)] + _all_cells(snap)))
+        lines.append(",".join([_csv_cell(label)] + _cells(snap)))
     return "\n".join(lines) + "\n"
 
 
 def snapshots_to_json(rows: Sequence[tuple[str, MetricSnapshot]]) -> str:
-    doc = {label: dict(zip(CSV_COLUMNS[1:], _all_cells(snap))) for label, snap in rows}
+    doc = {label: dict(zip(snap._fields, _cells(snap))) for label, snap in rows}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

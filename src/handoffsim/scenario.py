@@ -130,11 +130,13 @@ _NET_KEYS = frozenset(("id", "stations"))
 _STATION_KEYS = frozenset(("id", "position", "technology", "tier", "radius", "channels"))
 _TERMINAL_KEYS = frozenset(("id", "path", "app_type"))
 _CRITERION_KEYS = frozenset(("id", "source", "polarity", "unit", "floor"))
-_CONTROLLER_NUMBERS = {
+# The controller's numeric fields and their types, in the order the init
+# record lists them; a sweep's numeric grid axes parse with these types.
+CONTROLLER_NUMBERS = {
     "hysteresis_delta": float, "th_sup": float, "th_inf": float,
     "dwell_sp": int, "prep_latency": int, "exec_latency": int, "eval_latency": int,
 }
-_CONTROLLER_KEYS = frozenset((*_CONTROLLER_NUMBERS, "strategy", "opportunist_on_target"))
+_CONTROLLER_KEYS = frozenset((*CONTROLLER_NUMBERS, "strategy", "opportunist_on_target"))
 _ENTRY_KEYS = frozenset(("layer", "app_type", "method"))
 _SYNTHESIS_KEYS = frozenset(("mode", "networks", "ar1_rho", "noise_sigma"))
 _SIGNAL_KEYS = frozenset(("base", "ramps", "waypoints", "start"))
@@ -433,7 +435,7 @@ def _parse_controller(doc, problems) -> ControllerConfig:
     cdoc = _object(doc.get("controller", {}), "controller", _CONTROLLER_KEYS, problems) or {}
     before = len(problems)
     given = {}
-    for name, kind in _CONTROLLER_NUMBERS.items():
+    for name, kind in CONTROLLER_NUMBERS.items():
         value = _field(cdoc, name, "controller", problems, kind, getattr(_DEFAULT_CONTROLLER, name))
         given[name] = None if value is None else kind(value)
     for name, value in given.items():

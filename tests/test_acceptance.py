@@ -395,8 +395,6 @@ def _recount(trace):
         "connects": sum(1 for p in transitions
                         for a in p["actions"] if "connect" in a),
         "link_losses": sum(1 for p in transitions if p["event"] == "link_lost"),
-        "d2i": sum(1 for p in transitions
-                   if p["from"] == "disconnection" and p["to"] == "initiation"),
         "prep_entries": sum(1 for p in transitions
                             if p["from"] == "initiation"
                             and p["to"] in ("preparation", "execution")),
@@ -417,11 +415,15 @@ def test_c11_metrics_match_independent_recount():
     for name, trace in traces.items():
         snap = compute_metrics(trace)
         expected, records = _recount(trace)
+        # The reason split is published as rates, not counts.
+        horizon_s = trace.records[0].payload["duration_ms"] / 1000.0
+        assert snap.ihor == expected.pop("imperative") / horizon_s, name
+        assert snap.ohor == expected.pop("opportunist") / horizon_s, name
+        checked += 2
         for key, value in expected.items():
-            assert snap.counts[key] == value, (name, key)
+            assert getattr(snap, key) == value, (name, key)
             checked += 1
-        assert (snap.counts["timely"] + snap.counts["tardy"]
-                + snap.counts["premature"]) == snap.completed
+        assert snap.timely + snap.tardy + snap.premature == snap.completed
         assert snap.hor == snap.ihor + snap.ohor  # exact float identity
 
         def close(a, b):
@@ -429,13 +431,13 @@ def test_c11_metrics_match_independent_recount():
                 a, b, rel_tol=1e-12, abs_tol=1e-15)
 
         mean = lambda xs: statistics.fmean(xs) if xs else None
-        assert close(snap.il, mean([float(r["t_switch_done"] - r["t_trigger"])
+        assert close(snap.il_ms, mean([float(r["t_switch_done"] - r["t_trigger"])
                                     for r in records]))
-        assert close(snap.hol, mean([float(r["t_eval_done"] - r["t_prep"])
+        assert close(snap.hol_ms, mean([float(r["t_eval_done"] - r["t_prep"])
                                      for r in records]))
-        assert close(snap.dlat, mean([float(r["t_trigger"] - r["t_prep"])
+        assert close(snap.dlat_ms, mean([float(r["t_trigger"] - r["t_prep"])
                                       for r in records]))
-        assert close(snap.evlat, mean([float(r["t_eval_done"] - r["t_switch_done"])
+        assert close(snap.evlat_ms, mean([float(r["t_eval_done"] - r["t_switch_done"])
                                        for r in records]))
         assert close(snap.impr, mean([r["uf_new"] / r["uf_old"] for r in records
                                       if r["accepted"] and r["uf_old"] != 0.0]))

@@ -34,7 +34,7 @@ def test_online_fold_equals_the_trace_fold(inputs, name):
     online = engine.run(sc, sink=MetricFolder(sc.duration_ms))
     pooled = online.snapshot()
     assert pooled == compute_metrics(trace, sc.duration_ms)
-    assert pooled.counts["connects"] > 0
+    assert pooled.connects > 0
     assert list(pooled.by_terminal) == sorted(term.id for term in sc.terminals)
     for term in sc.terminals:
         alone = compute_metrics(trace, sc.duration_ms, term.id)
@@ -88,10 +88,10 @@ def test_records_without_an_init_record_fold_with_defaults():
     })
     folder.append(0, "mt2", "anl", {"entries": []})  # another terminal's record
     snap = folder.snapshot("mt1")
-    assert snap.counts["connects"] == 1 and snap.counts["d2i"] == 1
+    assert snap.connects == 1
     assert snap.dtib == 1.0
     assert folder.snapshot().by_terminal == {"mt1": snap, "mt2": folder.snapshot("mt2")}
-    assert folder.snapshot("mt2").counts["connects"] == 0
+    assert folder.snapshot("mt2").connects == 0
 
 
 @settings(max_examples=60, deadline=None)

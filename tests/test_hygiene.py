@@ -1,9 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 name it defines has a caller outside the tests, loading a scenario imports
 none of the modules that run or report it, nor ``dataclasses`` or a package
-data reader, the CLI imports no ``dataclasses`` and no process pool,
-even when a sweep forks its workers, and only the scenario parser decides
-what a valid scenario is."""
+data reader, the metric fold imports no engine code, the CLI imports no
+``dataclasses`` and no process pool, even when a sweep forks its workers,
+and only the scenario parser decides what a valid scenario is."""
 
 import ast
 import json
@@ -71,6 +71,16 @@ def test_loading_a_scenario_imports_no_run_or_report_module():
     assert "handoffsim.scenario" in modules
     for name in ("controller", "trace", "engine", "metrics", "cli"):
         assert f"handoffsim.{name}" not in modules
+
+
+def test_the_metric_fold_imports_no_engine_code():
+    """The fold reads only the trace, so it shares no code with the engine
+    whose records it checks: loading it imports the metric table, the
+    errors and the trace, and no other module of the package."""
+    modules = imported_by("import handoffsim.metrics")
+    assert {m for m in modules if m.startswith("handoffsim.")} == {
+        "handoffsim.metrics", "handoffsim.context", "handoffsim.errors", "handoffsim.trace",
+    }
 
 
 def test_loading_a_scenario_imports_no_dataclasses_or_package_data_reader():

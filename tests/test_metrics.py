@@ -94,12 +94,11 @@ class TestCrossingEndToEnd:
         assert snap.completed == 1
         assert snap.accepted == 1
         assert snap.rejected == 0
-        assert snap.counts["connects"] == 2
-        assert snap.counts["d2i"] == 1
-        assert snap.counts["prep_entries"] == 1
-        assert snap.counts["executions"] == 1
-        assert snap.counts["rollbacks"] == 0
-        assert snap.counts["link_losses"] == 0
+        assert snap.connects == 2
+        assert snap.prep_entries == 1
+        assert snap.executions == 1
+        assert snap.rollbacks == 0
+        assert snap.link_losses == 0
 
     def test_rates(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
@@ -112,11 +111,11 @@ class TestCrossingEndToEnd:
 
     def test_latencies(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
-        assert snap.il == 100.0
-        assert snap.hol == 200.0
-        assert snap.dlat == 0.0
-        assert snap.exlat == 100.0
-        assert snap.evlat == 100.0
+        assert snap.il_ms == 100.0
+        assert snap.hol_ms == 200.0
+        assert snap.dlat_ms == 0.0
+        assert snap.exlat_ms == 100.0
+        assert snap.evlat_ms == 100.0
 
     def test_dwell_in_best_is_total(self, crossing_trace):
         assert compute_metrics(crossing_trace).dtib == 1.0
@@ -128,9 +127,9 @@ class TestCrossingEndToEnd:
 
     def test_timeliness_grades(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
-        assert snap.counts["timely"] == 1
-        assert snap.counts["tardy"] == 0
-        assert snap.counts["premature"] == 0
+        assert snap.timely == 1
+        assert snap.tardy == 0
+        assert snap.premature == 0
 
     def test_constants_passed_through(self, crossing_trace):
         snap = compute_metrics(crossing_trace)
@@ -149,11 +148,11 @@ class TestCrossingEndToEnd:
         assert snap.completed == len(records)
         assert snap.accepted == sum(1 for r in records if r["accepted"])
         transitions = [r.payload for r in crossing_trace.records if r.kind == TRANSITION]
-        assert snap.counts["connects"] == sum(
+        assert snap.connects == sum(
             1 for p in transitions for a in p["actions"] if "connect" in a)
-        assert snap.counts["link_losses"] == sum(
+        assert snap.link_losses == sum(
             1 for p in transitions if p["event"] == "link_lost")
-        assert snap.counts["executions"] == sum(
+        assert snap.executions == sum(
             1 for p in transitions
             if p["to"] == "execution" and p["from"] != "execution")
 
@@ -194,7 +193,7 @@ class TestDwellInBest:
         })
         snap = compute_metrics(tr)
         assert snap.dtib == pytest.approx(1.0)  # all attached time was on head
-        assert snap.counts["link_losses"] == 1
+        assert snap.link_losses == 1
         assert snap.ir == pytest.approx(1.0)  # one loss over one second
 
 
@@ -207,7 +206,7 @@ class TestDegradation:
         _attach(tr, 0, "n1")
         snap = compute_metrics(tr)
         assert snap.dr == pytest.approx(1.0)    # one run in one second
-        assert snap.dl == pytest.approx(200.0)  # two ticks long
+        assert snap.dl_ms == pytest.approx(200.0)  # two ticks long
         # deficits 1.0 and 0.5 over equal spans average to 0.75
         assert snap.di == pytest.approx(0.75)
 
@@ -219,7 +218,7 @@ class TestDegradation:
         _attach(tr, 0, "n1")
         snap = compute_metrics(tr)
         assert snap.dr == pytest.approx(2.0)
-        assert snap.dl == pytest.approx(100.0)
+        assert snap.dl_ms == pytest.approx(100.0)
 
     def test_no_dip_means_no_runs(self):
         tr = _base_trace(duration=1000, th_inf=2.0)
@@ -228,7 +227,7 @@ class TestDegradation:
         _attach(tr, 0, "n1")
         snap = compute_metrics(tr)
         assert snap.dr == 0.0
-        assert snap.dl is None and snap.di is None
+        assert snap.dl_ms is None and snap.di is None
 
 
 class TestTimeliness:
@@ -246,9 +245,9 @@ class TestTimeliness:
 
     @staticmethod
     def _grade(tr):
-        counts = compute_metrics(tr).counts
-        graded = [g for g in ("timely", "tardy", "premature") if counts[g]]
-        assert [counts[g] for g in graded] == [1]
+        snap = compute_metrics(tr)
+        graded = [g for g in ("timely", "tardy", "premature") if getattr(snap, g)]
+        assert [getattr(snap, g) for g in graded] == [1]
         return graded[0]
 
     def test_premature_overrides_history(self):
@@ -285,7 +284,7 @@ class TestTimeliness:
         values = [5, 5, 1, 1, 1, 1, 5, 5, 5, 5]
         tr = self._trace_with_history(values, 500)
         snap = compute_metrics(tr)
-        assert snap.counts["tardy"] == 1
+        assert snap.tardy == 1
         assert snap.thor == pytest.approx(1.0)
 
 
@@ -369,7 +368,6 @@ def ref_facts(trace, horizon):
         counts = {
             "connects": sum("connect" in a for r in transitions for a in r.payload["actions"]),
             "link_losses": sum(e == "link_lost" for e, _, _ in moves),
-            "d2i": sum(a == "disconnection" and b == "initiation" for _, a, b in moves),
             "prep_entries": sum(a == "initiation" and b in ("preparation", "execution")
                                 for _, a, b in moves),
             "rollbacks": sum(a == "preparation" and b == "initiation" for _, a, b in moves),
@@ -462,8 +460,8 @@ class TestFoldMatchesReference:
             "event": "link_lost", "from": ["preparation"], "to": "execution",
             "attached": "n1", "actions": [],
         })
-        counts = compute_metrics(tr).counts
-        assert (counts["executions"], counts["link_losses"], counts["prep_entries"]) == (1, 1, 0)
+        snap = compute_metrics(tr)
+        assert (snap.executions, snap.link_losses, snap.prep_entries) == (1, 1, 0)
 
 
 class TestRatesAndMeans:
@@ -502,11 +500,11 @@ class TestRatesAndMeans:
         tr.append(800, "mt1", HANDOFF,
                   _record(t_prep=500, t_trigger=700, t_switch=750, t_eval=800))
         snap = compute_metrics(tr)
-        assert snap.dlat == pytest.approx(150.0)   # (100 + 200) / 2
-        assert snap.exlat == pytest.approx(75.0)   # (100 + 50) / 2
-        assert snap.evlat == pytest.approx(75.0)   # (100 + 50) / 2
-        assert snap.hol == pytest.approx(300.0)    # (300 + 300) / 2
-        assert snap.il == snap.exlat
+        assert snap.dlat_ms == pytest.approx(150.0)   # (100 + 200) / 2
+        assert snap.exlat_ms == pytest.approx(75.0)   # (100 + 50) / 2
+        assert snap.evlat_ms == pytest.approx(75.0)   # (100 + 50) / 2
+        assert snap.hol_ms == pytest.approx(300.0)    # (300 + 300) / 2
+        assert snap.il_ms == snap.exlat_ms
 
     def test_empty_trace_rates_are_zero(self):
         tr = _base_trace(duration=0)
@@ -517,16 +515,21 @@ class TestRatesAndMeans:
 
 
 class TestSnapshotAccess:
-    def test_every_row_reads_a_value_the_fold_produces(self, crossing_trace):
-        # A misspelt counter key would otherwise publish a silent 0.
-        snap = compute_metrics(crossing_trace)
+    def test_every_row_reads_a_value_the_fold_produces(self):
         attrs = set(MetricSnapshot._fields)
         for m in METRICS:
-            if m.kind == "count":
-                assert m.source in snap.counts, m
-            else:
-                assert m.source in attrs, m
+            assert m.column in attrs, m
         assert set(PASS_THROUGH) == {"AL", "SO", "SSO", "DAR"}
+
+    def test_the_snapshot_fields_are_the_published_columns_in_order(self):
+        assert MetricSnapshot._fields == tuple(CSV_COLUMNS[1:])
+
+    def test_a_row_is_the_snapshots_own_values_in_order(self, crossing_trace):
+        snap = compute_metrics(crossing_trace)
+        cells = ["" if v is None else str(v) for v in snap]
+        assert snapshots_to_csv([("mt1", snap)]).split("\n")[1].split(",") == ["mt1"] + cells
+        doc = json.loads(snapshots_to_json([("mt1", snap)]))
+        assert doc == {"mt1": dict(zip(CSV_COLUMNS[1:], cells))}
 
 
 class TestSerialization:
