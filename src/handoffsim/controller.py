@@ -10,11 +10,17 @@ committed: once a switch starts nothing cancels it, and the machine can
 only move forward into Evaluation, which grades the finished handoff and
 returns to Initiation.
 
-Triggers are gated three ways: the target must be sufficiently better than
-the serving network (a hysteresis margin), it must have stayed that way
-for a configured dwell time, and the serving network's utility must supply
-a reason to move at all: imperative (below the lower threshold) or
-opportunist (above the upper threshold).
+Each gate answers only what ``step`` asks of it, so each rule is written once:
+
+* Entry into Preparation: ``_on_anl`` enters when the best other network's
+  listed score beats the serving one's and, under the proactive strategy,
+  also when ``crossing_predicted`` foresees that within ``prep_latency`` ms.
+* ``sufficiently_better``: the target clears the hysteresis margin.
+* ``consistently_better``: the margin has held for the dwell time.
+* ``handoff_reason``, asked once both hold: imperative (serving utility
+  below the lower threshold), opportunist (above the upper), or none, and
+  the machine stays in Preparation.
+* ``evaluate``: a finished handoff's rejection reasons; none means accepted.
 
 ``step`` is a pure function: the returned state and actions depend only on
 the inputs.  All mutable memory (the last seen network list, the in-flight
@@ -37,7 +43,7 @@ O(1) memory per step and ``step`` does no merge and no sort.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .context import GoalSpec, goal_holds
 from .desirability import AvailableNetworkList, best
@@ -64,84 +70,58 @@ def sufficiently_better(uf_target: float, uf_curr: float, delta: float) -> bool:
     return uf_target > uf_curr + delta
 
 
-class DwellTracker(NamedTuple):
-    """Remembers when the sufficiently-better condition started holding."""
-
-    since: Optional[int] = None
-
-
 def consistently_better(
-    tracker: DwellTracker, now: int, sp: int, suffb_now: bool
-) -> tuple[DwellTracker, bool]:
+    since: Optional[int], now: int, sp: int, suffb_now: bool
+) -> tuple[Optional[int], bool]:
     """Dwell gate: sufficiently-better must hold continuously for sp ms.
 
-    Returns the updated tracker and the verdict.  The boundary is
-    inclusive: a condition that started at t is consistent at t + sp.
-    Any gap resets the clock; sp = 0 passes at the first holding instant.
+    Takes the time the condition started holding, or None, and returns it
+    updated, with the verdict.  The boundary is inclusive: a condition that
+    started at t is consistent at t + sp.  Any gap resets the clock; sp = 0
+    passes at the first holding instant.
     """
     if not suffb_now:
-        return DwellTracker(), False
-    since = tracker.since if tracker.since is not None else now
-    return DwellTracker(since), (now - since) >= sp
+        return None, False
+    if since is None:
+        since = now
+    return since, (now - since) >= sp
 
 
-def handoff_reason(
-    uf_curr: float,
-    cfg: ControllerConfig,
-    target_conb: bool,
-    uf_target: Optional[float] = None,
-) -> Optional[Reason]:
-    """Why move at all?  Imperative flight from a failing link, or an
-    opportunist grab while comfortable.  Either way the target must have
-    proven itself (target_conb)."""
-    if not target_conb:
-        return None
+def handoff_reason(uf_curr: float, uf_target: float, cfg: ControllerConfig) -> Optional[Reason]:
+    """Why move to a target that has proven itself: imperative flight from
+    a failing link, or an opportunist grab while comfortable (judged on the
+    target's utility under ``opportunist_on_target``).  None: stay."""
     if uf_curr < cfg.th_inf:
         return Reason.IMPERATIVE
-    judged = uf_target if (cfg.opportunist_on_target and uf_target is not None) else uf_curr
-    if judged > cfg.th_sup:
+    if (uf_target if cfg.opportunist_on_target else uf_curr) > cfg.th_sup:
         return Reason.OPPORTUNIST
     return None
 
 
-Series = Sequence[tuple[int, float]]
+Sample = tuple[int, float]
 
 
-def should_enter_preparation(
-    curr_series: Series, target_series: Series, cfg: ControllerConfig
+def crossing_predicted(
+    curr_prev: Optional[Sample], curr: Sample,
+    tgt_prev: Optional[Sample], tgt: Sample, prep_latency: int,
 ) -> bool:
-    """Decide whether a candidate deserves preparation.
-
-    Reactive: the candidate's latest score already beats the serving one.
-    Proactive: also true when a straight line through the last two samples
-    of each series predicts the candidate overtaking within prep_latency
-    ms.  With fewer than two samples in either series there is no
-    prediction, and a candidate not yet ahead is refused.
+    """Proactive entry: a straight line through each network's previous and
+    current (t, score) samples has the target overtaking the serving
+    network within prep_latency ms.  With no previous sample for either
+    network nothing is predicted.
     """
-    if not curr_series or not target_series:
-        raise ValueError("both series must be nonempty")
-    t_curr, d_curr = curr_series[-1]
-    t_tgt, d_tgt = target_series[-1]
-    if d_tgt > d_curr:
-        return True
-    if cfg.strategy is Strategy.REACTIVE:
+    if curr_prev is None or tgt_prev is None:
         return False
-    if len(curr_series) < 2 or len(target_series) < 2:
-        return False
-    slope_curr = _slope(curr_series[-2], curr_series[-1])
-    slope_tgt = _slope(target_series[-2], target_series[-1])
-    closing = slope_tgt - slope_curr
-    if closing <= 0.0:
-        return False
-    gap = d_curr - d_tgt
+    closing = _slope(tgt_prev, tgt) - _slope(curr_prev, curr)
+    gap = curr[1] - tgt[1]
     # Durations, not instants: adding the current time to both sides would
     # round them differently at different absolute times.
-    return gap / closing <= cfg.prep_latency
+    return closing > 0.0 and gap / closing <= prep_latency
 
 
-def _slope(p0: tuple[int, float], p1: tuple[int, float]) -> float:
+def _slope(p0: Sample, p1: Sample) -> float:
     (t0, v0), (t1, v1) = p0, p1
-    if t1 == t0:
+    if t1 == t0:  # two lists at one time: step takes any event sequence
         return 0.0
     return (v1 - v0) / (t1 - t0)
 
@@ -156,39 +136,29 @@ class TriggerPlan(NamedTuple):
     when: int
 
 
-class MeasurementSet(NamedTuple):
-    network: str
-    values: Mapping[str, float] = {}
-
-
-class EvalOutcome(NamedTuple):
-    accepted: bool
-    reasons: tuple[str, ...] = ()
-
-
 def evaluate(
-    post: MeasurementSet,
+    network: str,
+    measured: Mapping[str, float],
     anl: Optional[AvailableNetworkList],
     regions: Mapping[str, GoalSpec],
-) -> EvalOutcome:
-    """Grade a finished handoff.
+) -> tuple[str, ...]:
+    """Grade a finished handoff: the reasons to reject it, in a stable
+    order; none means accepted.
 
     Accepted when the terminal landed on the head of the current list and
     every configured objective measure sits inside its region.  A region
-    configured over a measure the set does not carry counts as a
-    violation rather than passing silently.
+    over a measure missing from ``measured`` counts as a violation rather
+    than passing silently.
     """
     reasons = []
     head = best(anl) if anl is not None else None
-    if head != post.network:
+    if head != network:
         reasons.append("NotBest")
     for metric_id in sorted(regions):
-        value = post.values.get(metric_id)
+        value = measured.get(metric_id)
         if value is None or not goal_holds(value, regions[metric_id]):
             reasons.append(metric_id)
-    if reasons:
-        return EvalOutcome(accepted=False, reasons=tuple(reasons))
-    return EvalOutcome(accepted=True)
+    return tuple(reasons)
 
 
 class HandoffRecord(NamedTuple):
@@ -271,7 +241,7 @@ Action = Union[Connect, StartSwitch, ScheduleTimer, RecordHandoff]
 class PrepData(NamedTuple):
     target: str
     entered_at: int
-    dwell: DwellTracker = DwellTracker()
+    since: Optional[int] = None  # when sufficiently-better started holding
 
 
 class InFlight(NamedTuple):
@@ -294,14 +264,14 @@ class ControllerState(NamedTuple):
     anl_at: Optional[int] = None  # time of the ANL step that saw last_anl
     # (network, (t, score)): the serving network's last sample while
     # last_anl leaves it out.
-    held: Optional[tuple[str, tuple[int, float]]] = None
+    held: Optional[tuple[str, Sample]] = None
 
 
 def initial_state(terminal: str) -> ControllerState:
     return ControllerState(terminal=terminal)
 
 
-def latest_sample(state: ControllerState, net: Optional[str]) -> Optional[tuple[int, float]]:
+def latest_sample(state: ControllerState, net: Optional[str]) -> Optional[Sample]:
     """The last (t, score) sample the machine holds for a network, or None:
     its score in the last list, else the held sample of the serving one."""
     if state.last_anl is not None:
@@ -320,21 +290,6 @@ def _candidate(anl: AvailableNetworkList, current: str) -> Optional[str]:
         if nid != current:
             return nid
     return None
-
-
-def _series(state: ControllerState, net: str, value: float, now: int) -> Series:
-    # The previous sample, if any, then the one just listed.
-    prev = latest_sample(state, net)
-    return ((now, value),) if prev is None else (prev, (now, value))
-
-
-def _entry_holds(
-    state: ControllerState, anl: AvailableNetworkList, current: str, candidate: str,
-    cfg: ControllerConfig, now: int,
-) -> bool:
-    curr_series = _series(state, current, anl.values[current], now)
-    tgt_series = _series(state, candidate, anl.values[candidate], now)
-    return should_enter_preparation(curr_series, tgt_series, cfg)
 
 
 def step(
@@ -380,12 +335,17 @@ def _on_anl(state, event, cfg, now):
         phase, current, prep = Phase.DISCONNECTION, None, None
     else:
         cand = _candidate(anl, current)
-        # The listed scores settle a reactive entry; only a proactive one
-        # reads the sample series for a prediction.
+        d_curr = anl.values[current]
+        d_tgt = None if cand is None else anl.values[cand]
+        # The entry rule: the candidate's listed score beats the serving
+        # one; a proactive controller also enters on a predicted crossing.
         if cand is None or not (
-            anl.values[cand] > anl.values[current]
+            d_tgt > d_curr
             or cfg.strategy is Strategy.PROACTIVE
-            and _entry_holds(state, anl, current, cand, cfg, now)
+            and crossing_predicted(
+                latest_sample(state, current), (now, d_curr),
+                latest_sample(state, cand), (now, d_tgt), cfg.prep_latency,
+            )
         ):
             if phase is Phase.PREPARATION:
                 # The serving network is the best choice again: roll back.
@@ -397,13 +357,11 @@ def _on_anl(state, event, cfg, now):
                 # Retargeting restarts the dwell clock.
                 prep = PrepData(target=cand, entered_at=prep.entered_at)
             phase = Phase.PREPARATION
-            d_curr = anl.values[current]
-            d_tgt = anl.values[cand]
             suffb = sufficiently_better(d_tgt, d_curr, cfg.hysteresis_delta)
-            dwell, conb = consistently_better(prep.dwell, now, cfg.dwell_sp, suffb)
-            reason = handoff_reason(d_curr, cfg, suffb and conb, uf_target=d_tgt)
+            since, conb = consistently_better(prep.since, now, cfg.dwell_sp, suffb)
+            reason = handoff_reason(d_curr, d_tgt, cfg) if conb else None
             if reason is None:
-                prep = PrepData(prep.target, prep.entered_at, dwell)
+                prep = PrepData(prep.target, prep.entered_at, since)
             else:
                 # All gates passed: commit the plan and start switching.
                 ho_type = classify(event.infos[current], event.infos[cand])
@@ -436,7 +394,7 @@ def _on_link_lost(state, cfg, now):
         )
     if state.phase is Phase.EVALUATION:
         # The new link died under evaluation: record the failure at once.
-        record = _build_record(state, now, EvalOutcome(False, ("LinkLost",)))
+        record = _build_record(state, now, ("LinkLost",))
         st = state._replace(
             phase=Phase.DISCONNECTION,
             current=None,
@@ -467,12 +425,20 @@ def _on_timer(state, event, cfg, now):
     if state.phase is not Phase.EVALUATION or event.at != state.eval_deadline:
         # A timer armed for an evaluation that already ended; drop it.
         return state, ()
-    outcome = evaluate(
-        post=_post_measurements(state, now),
-        anl=state.last_anl,
-        regions=cfg.success_regions,
+    flight, when = state.flight, state.plan.when
+    uf_new = _uf_new(state)
+    values = (
+        uf_new,
+        float(flight.t_switch_done - when),
+        float(when - flight.t_prep),
+        float(flight.t_switch_done - when),
+        float(now - flight.t_switch_done),
+        float(now - flight.t_prep),
+        uf_new / flight.uf_old if flight.uf_old != 0.0 else None,  # no ratio to a zero base
     )
-    record = _build_record(state, now, outcome)
+    measured = {mid: v for mid, v in zip(MEASURED, values, strict=True) if v is not None}
+    reasons = evaluate(state.current, measured, state.last_anl, cfg.success_regions)
+    record = _build_record(state, now, reasons)
     st = state._replace(
         phase=Phase.INITIATION,
         plan=None,
@@ -487,23 +453,7 @@ def _uf_new(state) -> float:
     return state.flight.uf_old if sample is None else sample[1]
 
 
-def _post_measurements(state, now) -> MeasurementSet:
-    flight, when = state.flight, state.plan.when
-    uf_new = _uf_new(state)
-    measured = (
-        uf_new,
-        float(flight.t_switch_done - when),
-        float(when - flight.t_prep),
-        float(flight.t_switch_done - when),
-        float(now - flight.t_switch_done),
-        float(now - flight.t_prep),
-        uf_new / flight.uf_old if flight.uf_old != 0.0 else None,  # no ratio to a zero base
-    )
-    values = {mid: v for mid, v in zip(MEASURED, measured, strict=True) if v is not None}
-    return MeasurementSet(network=state.current, values=values)
-
-
-def _build_record(state, now, outcome: EvalOutcome) -> HandoffRecord:
+def _build_record(state, now, reasons: tuple[str, ...]) -> HandoffRecord:
     flight = state.flight
     plan = state.plan
     return HandoffRecord(
@@ -519,6 +469,6 @@ def _build_record(state, now, outcome: EvalOutcome) -> HandoffRecord:
         t_eval_done=now,
         uf_old=flight.uf_old,
         uf_new=_uf_new(state),
-        accepted=outcome.accepted,
-        reject_reasons=outcome.reasons,
+        accepted=not reasons,
+        reject_reasons=reasons,
     )

@@ -47,8 +47,8 @@ coverage is asked every tick.
 The values built per event, terminal-tick or record are immutable
 NamedTuples, which cost no ``__setattr__`` per field to build: each
 station's ``CriteriaVector`` and ``DesirabilityScore``, the controller's
-``AnlUpdated`` event and ``ControllerState`` (with its ``PrepData`` and
-``DwellTracker``), and a ``Trace``'s ``TraceRecord``.
+``AnlUpdated`` event and ``ControllerState`` (with its ``PrepData``),
+and a ``Trace``'s ``TraceRecord``.
 
 A run makes no reference cycle: each record, payload and context value
 is freed by reference counting once nothing holds it.  So the CLI runs
@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
@@ -154,34 +154,25 @@ def _record_payload(rec: ctl.HandoffRecord) -> dict:
     }
 
 
-class _Attachments(Mapping):
+class _Attachments(dict):
     """One terminal's attachment to each station, built the first time it is
     read: the controller reads them only when a handoff triggers."""
 
     def __init__(self, terminal: str, stations: Mapping[str, BaseStation]):
         self.terminal = terminal
         self.stations = stations
-        self.built: dict[str, Attachment] = {}
 
-    def __getitem__(self, station_id: str) -> Attachment:
-        att = self.built.get(station_id)
-        if att is None:
-            bs = self.stations[station_id]
-            att = self.built[station_id] = Attachment(
-                terminal_id=self.terminal,
-                provider_id=bs.provider_id,
-                net_id=bs.net_id,
-                cell_id=bs.id,
-                channel_id=bs.channels[0],
-                technology=bs.technology,
-            )
+    def __missing__(self, station_id: str) -> Attachment:
+        bs = self.stations[station_id]
+        att = self[station_id] = Attachment(
+            terminal_id=self.terminal,
+            provider_id=bs.provider_id,
+            net_id=bs.net_id,
+            cell_id=bs.id,
+            channel_id=bs.channels[0],
+            technology=bs.technology,
+        )
         return att
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.stations)
-
-    def __len__(self) -> int:
-        return len(self.stations)
 
 
 class _Tick(NamedTuple):

@@ -623,6 +623,36 @@ def _parse_synthesis(doc, criteria: set, problems, seed: int) -> ContextSynthesi
     )
 
 
+def _check_geometric_range(
+    synthesis: ContextSynthesisSpec, weighted, duration: int, tick: int, problems
+) -> None:
+    """Report each weighted geometric signal that is not finite at some
+    tick of the run, where scoring would reject it mid-run.  A ramp is
+    monotone in t, so the last tick bounds it; a waypoint series overflows
+    only on a segment whose rise is not finite, once a tick reaches it."""
+    if duration <= 0:
+        return  # no tick samples anything
+    last = duration - tick
+    for net_id, signals in synthesis.networks.items():
+        for cid in weighted:
+            series = signals.waypoints.get(cid)
+            if series is None:
+                value = signals.base.get(cid, 0.0) + signals.ramps.get(cid, 0.0) * last
+                if not abs(value) <= _FLOAT_MAX:
+                    problems.append(
+                        f"synthesis.networks.{net_id}.ramps.{cid}: not finite by {last} ms")
+                continue
+            values = [v for _, v in series]
+            if abs(max(values) - min(values)) <= _FLOAT_MAX:
+                continue  # no segment's rise can overflow
+            for (t0, v0), (t1, v1) in zip(series, series[1:]):
+                reached = max(0, (t0 // tick + 1) * tick) <= min(t1, last)  # a tick in (t0, t1]
+                if reached and not abs(v1 - v0) <= _FLOAT_MAX:
+                    problems.append(f"synthesis.networks.{net_id}.waypoints.{cid}: "
+                                    f"not finite between {t0} and {t1} ms")
+                    break
+
+
 def from_dict(doc: Mapping) -> Scenario:
     """Build a validated Scenario from a parsed JSON document."""
     problems: list[str] = []
@@ -651,15 +681,17 @@ def from_dict(doc: Mapping) -> Scenario:
     synthesis = _parse_synthesis(doc, criteria, problems, seed)
 
     # Every synthesized network must be a station, and every weighted
-    # criterion other than RSS must be synthesized for every station,
-    # otherwise scoring would fail mid-run.
+    # criterion other than RSS must be synthesized for every station and
+    # stay finite, otherwise scoring would fail mid-run.  An unknown
+    # weighted criterion is reported once, at its weight.
+    weighted = sorted(w for w in weights.weights if w != "RSS" and w in criteria)
+    if synthesis.mode == "geometric":
+        _check_geometric_range(synthesis, weighted, duration, tick, problems)
     if topo is not None:
         station_ids = {bs.id for bs in topo.stations}
         for net_id in synthesis.networks:
             if net_id not in station_ids:
                 problems.append(f"synthesis.networks.{net_id}: names no station")
-        # An unknown weighted criterion is reported once, at its weight.
-        weighted = sorted(w for w in weights.weights if w != "RSS" and w in criteria)
         for bs in topo.stations:
             signals = synthesis.networks.get(bs.id)
             have = () if signals is None else {*signals.base, *signals.ramps, *signals.waypoints}

@@ -329,6 +329,25 @@ class TestBadCriterionFloor:
         assert "Traceback" not in captured.err
 
 
+class TestOverflowingSignal:
+    """A ramp that overflows within the horizon once validated and then
+    failed the run at 100 ms (exit 3); every command now refuses it."""
+
+    @pytest.mark.parametrize("command", [["validate"], ["run"], ["sweep", "--grid", "delta=0"]])
+    def test_exits_invalid_naming_the_ramp(self, command, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        doc["synthesis"]["networks"]["bs_b"]["ramps"]["Q"] = 1e308
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], str(path), *command[1:]]
+        if command == ["run"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: synthesis.networks.bs_b.ramps.Q: not finite by 11900 ms\n"
+
+
 class TestTerminalIdsInMetricRows:
     """Each terminal id labels its own metrics row, next to the pooled "all"
     row, in the CSV and as a JSON key."""

@@ -14,7 +14,6 @@ from handoffsim.controller import (
     Connect,
     ControllerState,
     CurrentLinkLost,
-    DwellTracker,
     Phase,
     PrepData,
     Reason,
@@ -25,14 +24,13 @@ from handoffsim.controller import (
     TimerFired,
     TriggerPlan,
     consistently_better,
+    crossing_predicted,
     evaluate,
     handoff_reason,
     initial_state,
     latest_sample,
-    should_enter_preparation,
     step,
     sufficiently_better,
-    MeasurementSet,
 )
 from handoffsim.context import CriteriaVector, GoalDirection, GoalSpec
 from handoffsim.desirability import DesirabilityScore, rank
@@ -69,113 +67,122 @@ class TestConsistentlyBetter:
         # Condition holds at 0 and 50, breaks at 60, resumes at 60; by 140
         # only 80 ms have accrued, short of a 100 ms stability period.
         sp = 100
-        tracker = DwellTracker()
+        since = None
         verdicts = []
         for now, holds in [(0, True), (50, True), (60, False), (60, True), (140, True)]:
-            tracker, ok = consistently_better(tracker, now, sp, holds)
+            since, ok = consistently_better(since, now, sp, holds)
             verdicts.append(ok)
         assert verdicts == [False, False, False, False, False]
-        assert tracker.since == 60
+        assert since == 60
 
     def test_boundary_is_inclusive(self):
         sp = 80
-        tracker = DwellTracker()
-        tracker, ok0 = consistently_better(tracker, 60, sp, True)
-        tracker, ok1 = consistently_better(tracker, 140, sp, True)
+        since, ok0 = consistently_better(None, 60, sp, True)
+        since, ok1 = consistently_better(since, 140, sp, True)
         assert not ok0
         assert ok1  # 140 - 60 == sp exactly
 
     def test_zero_sp_passes_immediately(self):
-        _, ok = consistently_better(DwellTracker(), 5, 0, True)
+        _, ok = consistently_better(None, 5, 0, True)
         assert ok
 
     def test_false_condition_clears_since(self):
-        tracker, ok = consistently_better(DwellTracker(since=10), 50, 20, False)
+        since, ok = consistently_better(10, 50, 20, False)
         assert not ok
-        assert tracker.since is None
+        assert since is None
 
 
 class TestHandoffReason:
     CFG = ControllerConfig(th_inf=2.0, th_sup=8.0)
 
     def test_gate_blocks_everything(self):
-        assert handoff_reason(1.0, self.CFG, target_conb=False) is None
-        assert handoff_reason(9.0, self.CFG, target_conb=False) is None
+        # ``step`` asks for a reason only once the dwell gate passes: until
+        # then neither a failing nor a comfortable serving network moves.
+        cfg = self.CFG._replace(hysteresis_delta=0.5, dwell_sp=300)
+        st1, _ = _feed_anl(initial_state("mt1"), 0, ("n1", 5.0), ("n2", 3.0), cfg=cfg)
+        st2, actions = _feed_anl(st1, 100, ("n2", 3.0), ("n1", 1.0), cfg=cfg)  # below th_inf
+        assert st2.phase is Phase.PREPARATION and actions == ()
+        st3, actions = _feed_anl(st2, 200, ("n2", 10.0), ("n1", 9.0), cfg=cfg)  # above th_sup
+        assert st3.phase is Phase.PREPARATION and actions == ()
+        st4, actions = _feed_anl(st3, 400, ("n2", 10.0), ("n1", 9.0), cfg=cfg)
+        assert st4.phase is Phase.EXECUTION
+        assert actions[0].plan.why is Reason.OPPORTUNIST
 
     def test_imperative_below_lower_threshold(self):
-        assert handoff_reason(1.9, self.CFG, True) is Reason.IMPERATIVE
+        assert handoff_reason(1.9, 3.0, self.CFG) is Reason.IMPERATIVE
 
     def test_opportunist_above_upper_threshold(self):
-        assert handoff_reason(8.1, self.CFG, True) is Reason.OPPORTUNIST
+        assert handoff_reason(8.1, 9.0, self.CFG) is Reason.OPPORTUNIST
 
     def test_dead_band_gives_no_reason(self):
-        assert handoff_reason(5.0, self.CFG, True) is None
-        assert handoff_reason(2.0, self.CFG, True) is None  # boundary: not below
-        assert handoff_reason(8.0, self.CFG, True) is None  # boundary: not above
+        assert handoff_reason(5.0, 6.0, self.CFG) is None
+        assert handoff_reason(2.0, 3.0, self.CFG) is None  # boundary: not below
+        assert handoff_reason(8.0, 9.0, self.CFG) is None  # boundary: not above
 
     def test_opportunist_may_judge_target_instead(self):
         cfg = ControllerConfig(th_inf=2.0, th_sup=8.0, opportunist_on_target=True)
-        assert handoff_reason(5.0, cfg, True, uf_target=9.0) is Reason.OPPORTUNIST
-        assert handoff_reason(5.0, self.CFG, True, uf_target=9.0) is None
+        assert handoff_reason(5.0, 9.0, cfg) is Reason.OPPORTUNIST
+        assert handoff_reason(5.0, 9.0, self.CFG) is None
 
     def test_imperative_wins_over_opportunist_reading(self):
         cfg = ControllerConfig(th_inf=2.0, th_sup=8.0, opportunist_on_target=True)
-        assert handoff_reason(1.0, cfg, True, uf_target=9.0) is Reason.IMPERATIVE
+        assert handoff_reason(1.0, 9.0, cfg) is Reason.IMPERATIVE
 
 
 class TestShouldEnterPreparation:
-    REACTIVE = ControllerConfig(strategy=Strategy.REACTIVE, prep_latency=100)
-    PROACTIVE = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=100)
+    """Entry into Preparation: ``step`` enters when the candidate's listed
+    score beats the serving one, and a proactive controller also when
+    ``crossing_predicted`` foresees the crossing within prep_latency."""
 
     def test_crossed_enters_for_both_strategies(self):
-        curr = [(0, 4.0)]
-        tgt = [(0, 4.5)]
-        assert should_enter_preparation(curr, tgt, self.REACTIVE)
-        assert should_enter_preparation(curr, tgt, self.PROACTIVE)
+        for strategy in Strategy:
+            cfg = CFG._replace(strategy=strategy)
+            st1, _ = _feed_anl(initial_state("mt1"), 0, ("n1", 4.0), ("n2", 3.0), cfg=cfg)
+            st2, actions = _feed_anl(st1, 100, ("n2", 4.4), ("n1", 4.0), cfg=cfg)
+            assert st2.phase is Phase.PREPARATION and st2.prep.target == "n2", strategy
+            assert actions == ()
 
     def test_reactive_ignores_trends(self):
-        curr = [(0, 4.0), (100, 4.0)]
-        tgt = [(0, 3.0), (100, 3.9)]  # racing upward, not there yet
-        assert not should_enter_preparation(curr, tgt, self.REACTIVE)
+        lists = [(0, (("n1", 4.0), ("n2", 3.0))), (100, (("n1", 4.0), ("n2", 3.9)))]
+
+        def phase(strategy):
+            st = initial_state("mt1")
+            for now, pairs in lists:  # n2 racing upward, not there yet
+                st, _ = _feed_anl(st, now, *pairs, cfg=CFG._replace(strategy=strategy))
+            return st.phase
+
+        assert phase(Strategy.REACTIVE) is Phase.INITIATION
+        assert phase(Strategy.PROACTIVE) is Phase.PREPARATION
 
     def test_proactive_predicts_crossing_within_window(self):
         # Target climbs 0.006/ms toward a flat current: gap 0.4 closes in
         # ~66.7 ms, inside the 100 ms preparation window.
-        curr = [(0, 4.0), (100, 4.0)]
-        tgt = [(0, 3.0), (100, 3.6)]
-        assert should_enter_preparation(curr, tgt, self.PROACTIVE)
+        assert crossing_predicted((0, 4.0), (100, 4.0), (0, 3.0), (100, 3.6), 100)
 
     def test_proactive_rejects_crossing_beyond_window(self):
-        cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=50)
-        curr = [(0, 4.0), (100, 4.0)]
-        tgt = [(0, 3.0), (100, 3.6)]  # crossing at ~166.7 > 150
-        assert not should_enter_preparation(curr, tgt, cfg)
+        # Crossing at ~166.7 > 150.
+        assert not crossing_predicted((0, 4.0), (100, 4.0), (0, 3.0), (100, 3.6), 50)
 
     def test_proactive_rejects_diverging_series(self):
-        curr = [(0, 4.0), (100, 4.2)]
-        tgt = [(0, 3.0), (100, 2.8)]
-        assert not should_enter_preparation(curr, tgt, self.PROACTIVE)
+        assert not crossing_predicted((0, 4.0), (100, 4.2), (0, 3.0), (100, 2.8), 100)
 
     def test_proactive_parallel_series_never_cross(self):
-        curr = [(0, 4.0), (100, 4.1)]
-        tgt = [(0, 3.0), (100, 3.1)]
-        assert not should_enter_preparation(curr, tgt, self.PROACTIVE)
+        assert not crossing_predicted((0, 4.0), (100, 4.1), (0, 3.0), (100, 3.1), 100)
+        # Nor does a tie that holds: the target never overtakes.
+        assert not crossing_predicted((0, 4.0), (100, 4.1), (0, 4.0), (100, 4.1), 100)
 
     def test_prediction_needs_two_samples_per_series(self):
-        # With one sample in either series nothing is predicted, so a
-        # candidate not yet ahead is refused.
-        assert not should_enter_preparation(
-            [(0, 4.0), (100, 4.0)], [(100, 3.6)], self.PROACTIVE)
-        assert not should_enter_preparation(
-            [(100, 4.0)], [(0, 3.0), (100, 3.6)], self.PROACTIVE)
+        # With no previous sample for either network nothing is predicted.
+        assert not crossing_predicted((0, 4.0), (100, 4.0), None, (100, 3.6), 100)
+        assert not crossing_predicted(None, (100, 4.0), (0, 3.0), (100, 3.6), 100)
 
     def test_crossed_needs_no_history(self):
         # Already ahead: no prediction, one sample suffices even proactively.
-        assert should_enter_preparation([(100, 4.0)], [(100, 4.1)], self.PROACTIVE)
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            should_enter_preparation([], [(0, 1.0)], self.REACTIVE)
+        cfg = CFG._replace(strategy=Strategy.PROACTIVE)
+        st1, _ = _feed_anl(initial_state("mt1"), 0, ("n1", 4.0), cfg=cfg)
+        st2, _ = _feed_anl(st1, 100, ("n3", 4.1), ("n1", 4.0), cfg=cfg)
+        assert latest_sample(st1, "n3") is None
+        assert st2.phase is Phase.PREPARATION and st2.prep.target == "n3"
 
     @given(
         gap=st.floats(min_value=0.01, max_value=5.0),
@@ -183,7 +190,7 @@ class TestShouldEnterPreparation:
     )
     @example(gap=0.010000000000000002, closing=1e-4)
     def test_prediction_matches_analytic_crossing_time(self, gap, closing):
-        cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=100)
+        prep_latency = 100
         curr = [(0, 4.0), (100, 4.0)]
         tgt = [(0, 4.0 - gap - 100 * closing), (100, 4.0 - gap)]
         # The verdict follows the samples as stored, in exact arithmetic:
@@ -191,8 +198,8 @@ class TestShouldEnterPreparation:
         # inclusive prep_latency boundary relative to gap / closing.
         (c0, c1), (g0, g1) = ([Fraction(v) for _, v in s] for s in (curr, tgt))
         real_closing = ((g1 - g0) - (c1 - c0)) / 100
-        expected = real_closing > 0 and (c1 - g1) / real_closing <= cfg.prep_latency
-        assert should_enter_preparation(curr, tgt, cfg) == expected
+        expected = real_closing > 0 and (c1 - g1) / real_closing <= prep_latency
+        assert crossing_predicted(*curr, *tgt, prep_latency) == expected
 
     @given(
         t0=st.integers(min_value=0, max_value=10_000),
@@ -207,16 +214,13 @@ class TestShouldEnterPreparation:
         # The target closes in about `latency + nudge` ms, within float
         # steps of the window's end, where rounding an absolute crossing
         # time flipped the verdict once time was hours or a day in.
-        cfg = ControllerConfig(strategy=Strategy.PROACTIVE, prep_latency=latency)
         c0, c1 = curr
         g1 = c1 - closing * (latency + nudge)
         g0 = g1 - dt * ((c1 - c0) / dt + closing)
 
         def verdict(shift):
             t_a, t_b = t0 + shift, t0 + dt + shift
-            return should_enter_preparation(
-                [(t_a, c0), (t_b, c1)], [(t_a, g0), (t_b, g1)], cfg
-            )
+            return crossing_predicted((t_a, c0), (t_b, c1), (t_a, g0), (t_b, g1), latency)
 
         base = verdict(0)
         for shift in (3_600_000, 86_400_000):
@@ -268,33 +272,22 @@ def _anl(now, *pairs):
 class TestEvaluate:
     def test_accepted_on_best_with_no_regions(self):
         anl = _anl(0, ("n2", 6.0), ("n1", 5.0))
-        out = evaluate(MeasurementSet("n2", {"UF": 6.0}), anl, {})
-        assert out.accepted
-        assert out.reasons == ()
+        reasons = evaluate("n2", {"UF": 6.0}, anl, {})
+        assert reasons == ()
 
     def test_not_best_rejected(self):
         anl = _anl(0, ("n3", 7.0), ("n2", 6.0))
-        out = evaluate(MeasurementSet("n2", {"UF": 6.0}), anl, {})
-        assert not out.accepted
-        assert out.reasons == ("NotBest",)
+        assert evaluate("n2", {"UF": 6.0}, anl, {}) == ("NotBest",)
 
     def test_region_violation_named(self):
         anl = _anl(0, ("n2", 6.0))
         regions = {"IL": GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0)}
-        out = evaluate(
-            MeasurementSet("n2", {"UF": 6.0, "IL": 120.0}),
-            anl,
-            regions,
-        )
-        assert not out.accepted
-        assert out.reasons == ("IL",)
+        assert evaluate("n2", {"UF": 6.0, "IL": 120.0}, anl, regions) == ("IL",)
 
     def test_missing_configured_measure_is_a_violation(self):
         anl = _anl(0, ("n2", 6.0))
         regions = {"PJ": GoalSpec("PJ", GoalDirection.MAINTAIN_BELOW, bound=10.0)}
-        out = evaluate(MeasurementSet("n2", {}), anl, regions)
-        assert not out.accepted
-        assert out.reasons == ("PJ",)
+        assert evaluate("n2", {}, anl, regions) == ("PJ",)
 
     def test_reasons_accumulate_in_stable_order(self):
         anl = _anl(0, ("n3", 9.0), ("n2", 6.0))
@@ -302,16 +295,11 @@ class TestEvaluate:
             "IL": GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
             "EvLat": GoalSpec("EvLat", GoalDirection.MAINTAIN_BELOW, bound=10.0),
         }
-        out = evaluate(
-            MeasurementSet("n2", {"IL": 120.0, "EvLat": 100.0}),
-            anl,
-            regions,
-        )
-        assert out.reasons == ("NotBest", "EvLat", "IL")
+        reasons = evaluate("n2", {"IL": 120.0, "EvLat": 100.0}, anl, regions)
+        assert reasons == ("NotBest", "EvLat", "IL")
 
     def test_no_list_at_all_counts_as_not_best(self):
-        out = evaluate(MeasurementSet("n2", {}), None, {})
-        assert out.reasons == ("NotBest",)
+        assert evaluate("n2", {}, None, {}) == ("NotBest",)
 
 
 CFG = ControllerConfig(
@@ -417,7 +405,7 @@ class TestPhaseMachine:
         assert st2.phase is Phase.PREPARATION  # margin ok, but 2 < 5 < 8
         assert actions == ()
         # The margin and the dwell held, so the dwell clock keeps running.
-        assert st2.prep == PrepData("n2", 100, DwellTracker(100))
+        assert st2.prep == PrepData("n2", 100, since=100)
 
     def test_rollback_when_serving_is_best_again(self):
         st0 = initial_state("mt1")
@@ -437,12 +425,12 @@ class TestPhaseMachine:
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0), cfg=cfg)
         st2, _ = _feed_anl(st1, 100, ("n2", 6.0), ("n1", 5.0), cfg=cfg)
         assert st2.prep.target == "n2"
-        assert st2.prep.dwell.since == 100
+        assert st2.prep.since == 100
         st3, _ = _feed_anl(st2, 200, ("n3", 7.0), ("n2", 6.0), ("n1", 5.0), cfg=cfg)
         assert st3.phase is Phase.PREPARATION
         assert st3.prep.target == "n3"
         assert st3.prep.entered_at == 100  # preparation began at first entry
-        assert st3.prep.dwell.since == 200  # dwell clock restarted for n3
+        assert st3.prep.since == 200  # dwell clock restarted for n3
 
     def test_serving_network_vanishing_disconnects(self):
         st0 = initial_state("mt1")
@@ -635,8 +623,7 @@ class TestPhaseMachine:
 _PER_EVENT_VALUES = [
     ControllerState("mt1", Phase.INITIATION, "n1"),
     AnlUpdated(_anl(0, ("n1", 5.0)), _infos("n1")),
-    PrepData("n2", 100),
-    DwellTracker(100),
+    PrepData("n2", 100, since=100),
     DesirabilityScore("n1", 5.0),
     _anl(0, ("n1", 5.0), ("n2", 4.0)),
     CriteriaVector({"Q": 1.0}),

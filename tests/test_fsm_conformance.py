@@ -342,7 +342,7 @@ def _impl_key(st: ctl.ControllerState, now: int):
         return None if t is None else t - now
 
     prep = st.prep and (
-        st.prep.target, r(st.prep.entered_at), r(st.prep.dwell.since),
+        st.prep.target, r(st.prep.entered_at), r(st.prep.since),
     )
     plan = st.plan and (st.plan.why.value, st.plan.where, st.plan.how, r(st.plan.when))
     flight = st.flight and (

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,58 @@ class TestSynthesisValidation:
         from_dict(doc)  # must not raise
 
 
+_MAX = sys.float_info.max
+
+
+class TestGeometricOverflow:
+    """A weighted geometric signal that is not finite at some tick of the
+    run would stop scoring mid-run, so the parser rejects it; one that
+    overflows only where no tick samples it runs to completion."""
+
+    @staticmethod
+    def _signal(**signals):
+        doc = _doc()
+        doc["synthesis"]["networks"]["bs_b"] = signals
+        return doc
+
+    def test_a_ramp_that_overflows_by_the_last_tick(self):
+        doc = self._signal(base={"Q": 10000.0}, ramps={"Q": 1e308})
+        assert _problems(doc) == ["synthesis.networks.bs_b.ramps.Q: not finite by 11900 ms"]
+
+    def test_a_waypoint_rise_that_overflows(self):
+        doc = self._signal(waypoints={"Q": [[0, -1.7e308], [12000, 1.7e308]]})
+        assert _problems(doc) == [
+            "synthesis.networks.bs_b.waypoints.Q: not finite between 0 and 12000 ms"
+        ]
+
+    def test_only_a_reached_segment_is_reported(self):
+        # No 100 ms tick falls in (50, 99]; 100 ms falls in (99, 200].
+        doc = self._signal(waypoints={"Q": [[0, 1.0], [50, -1.7e308], [99, 1.7e308],
+                                            [200, -1.7e308]]})
+        assert _problems(doc) == [
+            "synthesis.networks.bs_b.waypoints.Q: not finite between 99 and 200 ms"
+        ]
+
+    @pytest.mark.parametrize("signals", [
+        {"ramps": {"Q": _MAX / 11900}},  # finite at the last tick, 11900 ms
+        {"base": {"Q": -_MAX}, "ramps": {"Q": _MAX / 11900}},
+        {"waypoints": {"Q": [[11900, 1.0], [12000, -1.7e308], [13000, 1.7e308]]}},
+        {"waypoints": {"Q": [[11850, -1.7e308], [11899, 1.7e308]]}},
+        {"waypoints": {"Q": [[-200, -1.7e308], [-100, 1.7e308], [0, 1.0]]}},
+        {"waypoints": {"Q": [[0, -_MAX / 2], [12000, _MAX / 2]]}},
+    ], ids=["ramp", "ramp-from-below", "after-horizon", "between-ticks", "before-zero",
+            "finite-rise"])
+    def test_an_accepted_signal_runs_to_completion(self, signals):
+        trace = engine.run(from_dict(self._signal(**signals)))
+        assert trace.records[-1].t < 12000
+
+    def test_an_unweighted_criterion_is_not_scored(self):
+        doc = _doc(criteria=[*_doc()["criteria"], {"id": "Z", "source": "network",
+                                                   "polarity": "beneficial", "unit": "u"}])
+        doc["synthesis"]["networks"]["bs_b"]["ramps"]["Z"] = 1e308
+        engine.run(from_dict(doc))
+
+
 class TestPathLossValidation:
     def test_numeric_overrides_load(self):
         sc = from_dict(_doc(path_loss={"macro": {"exponent": 2, "tx_power_dbm": -38.5},
@@ -701,7 +754,7 @@ class TestFileLoading:
 
 def _values():
     """One value of each type a scenario is made of, or that a controller
-    step builds: 27 types, all named tuples."""
+    step builds: 25 types, all named tuples."""
     sc = load_scenario(SCENARIO_DIR / "crossing.json")
     topo = sc.topology
     old = Attachment("mt1", "p1", "net1", "c1", "ch1", "lte")
@@ -717,7 +770,7 @@ def _values():
         NetworkSignals({"Q": 1.0}), sc.catalog[0],
         GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
         old, delta(old, new), classify(old, new),
-        plan, ctl.MeasurementSet("c2", {"IL": 10.0}), ctl.EvalOutcome(True), record,
+        plan, record,
         ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired("eval", 300),
         ctl.Connect("c2"), ctl.StartSwitch(plan), ctl.ScheduleTimer("eval", 300),
         ctl.RecordHandoff(record), ctl.InFlight(0, "c1", 5.0, "cell_horizontal", 200),
@@ -726,7 +779,7 @@ def _values():
 
 def test_the_value_list_names_each_type_once():
     types = [type(v) for v in _values()]
-    assert len(types) == len(set(types)) == 27
+    assert len(types) == len(set(types)) == 25
     assert all(issubclass(t, tuple) for t in types)
 
 
