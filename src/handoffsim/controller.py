@@ -49,7 +49,7 @@ from .context import GoalSpec, goal_holds
 from .desirability import AvailableNetworkList, best
 from .errors import IllegalEventError
 from .scenario import MEASURED, ControllerConfig, Strategy
-from .taxonomy import Attachment, classify
+from .taxonomy import StationTypes
 
 
 class Phase(Enum):
@@ -190,8 +190,10 @@ class HandoffRecord(NamedTuple):
 
 
 class AnlUpdated(NamedTuple):
+    """A new ranked list; ``types`` gives a handoff's type by its stations."""
+
     anl: AvailableNetworkList
-    infos: Mapping[str, Attachment]
+    types: StationTypes
 
 
 class CurrentLinkLost(NamedTuple):
@@ -364,7 +366,7 @@ def _on_anl(state, event, cfg, now):
                 prep = PrepData(prep.target, prep.entered_at, since)
             else:
                 # All gates passed: commit the plan and start switching.
-                ho_type = classify(event.infos[current], event.infos[cand])
+                ho_type = event.types[current, cand]
                 plan = TriggerPlan(
                     why=reason,
                     where=cand,

@@ -21,16 +21,16 @@ weighted term's coefficient, floor and polarity (the ``terms`` a
 ``WeightProfile`` keeps for the scenario's catalog).  Sampling, scoring
 and ranking are still called through this module's names, once per unit,
 and coverage through its name whenever it is asked; the benchmark's layer
-probes wrap these names.  A (terminal, station)
-attachment is built the first time the controller reads it, which
-happens only when a handoff triggers.  A station's synthesized sample
-depends only on (station, t), so it is taken once per tick and shared by
-every terminal; the queue pops in time order and synthesis advances only
-when time does, so a sample is dropped when the tick moves on.  When RSS
-carries no weight a station's score does not depend on the terminal
-either, so it too is computed once per (station, tick) and shared; when
-RSS is weighted each terminal scores a copy of the sample with its own
-RSS.
+probes wrap these names.  A run keeps one ``StationTypes``, which every
+terminal and point shares: the type of a handoff between two stations is
+classified the first time the controller reads it, which happens only
+when a handoff triggers.  A station's synthesized sample depends only on
+(station, t), so it is taken once per tick and shared by every terminal;
+the queue pops in time order and synthesis advances only when time does,
+so a sample is dropped when the tick moves on.  When RSS carries no
+weight a station's score does not depend on the terminal either, so it
+too is computed once per (station, tick) and shared; when RSS is weighted
+each terminal scores a copy of the sample with its own RSS.
 
 When no score reads RSS, the engine queries coverage on a copy of the
 topology that does not measure it (``measure_rss=False``), so coverage
@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
@@ -92,8 +91,8 @@ from .desirability import AvailableNetworkList, DesirabilityScore, desirability,
 from .errors import HandoffSimError
 from .scenario import CONTROLLER_NUMBERS, ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
-from .taxonomy import Attachment
-from .topology import BaseStation, Coverage, coverage
+from .taxonomy import StationTypes
+from .topology import Coverage, coverage
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 Position = tuple[float, float]
@@ -152,27 +151,6 @@ def _record_payload(rec: ctl.HandoffRecord) -> dict:
         "dvho_ms": rec.dvho_ms,
         "reject_reasons": list(rec.reject_reasons),
     }
-
-
-class _Attachments(dict):
-    """One terminal's attachment to each station, built the first time it is
-    read: the controller reads them only when a handoff triggers."""
-
-    def __init__(self, terminal: str, stations: Mapping[str, BaseStation]):
-        self.terminal = terminal
-        self.stations = stations
-
-    def __missing__(self, station_id: str) -> Attachment:
-        bs = self.stations[station_id]
-        att = self[station_id] = Attachment(
-            terminal_id=self.terminal,
-            provider_id=bs.provider_id,
-            net_id=bs.net_id,
-            cell_id=bs.id,
-            channel_id=bs.channels[0],
-            technology=bs.technology,
-        )
-        return att
 
 
 class _Tick(NamedTuple):
@@ -264,8 +242,7 @@ class _Run:
         self.sc = scenario
         self.points = [_Point(scenario, controller, sink) for controller, sink in points]
         self.live = self.points
-        stations = {bs.id: bs for bs in scenario.topology.stations}
-        self.infos = {term.id: _Attachments(term.id, stations) for term in scenario.terminals}
+        self.types = StationTypes(scenario.topology.stations)
         self.context = _Context(scenario).at
         self.heap: list = []
         self.seq = 0
@@ -313,7 +290,7 @@ class _Run:
             self.fail(self.live, exc, now, terminal)
             return
         values, payload = tick.anl.values, tick.payload
-        event = ctl.AnlUpdated(tick.anl, self.infos[terminal])
+        event = ctl.AnlUpdated(tick.anl, self.types)
         for point in self.live:
             try:
                 current = point.states[terminal].current

@@ -17,6 +17,7 @@ handoff state machine that reads them (``controller``).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from enum import Enum
 from pathlib import Path
@@ -34,7 +35,7 @@ from .context import (
 from .desirability import WeightProfile
 from .errors import PolicyGapError, ScenarioError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
-from .taxonomy import Layer
+from .taxonomy import Layer, StationTypes
 from .topology import TIER_DEFAULTS, BaseStation, Topology
 
 Position = tuple[float, float]
@@ -528,22 +529,19 @@ def _parse_policy(doc, problems) -> PolicyTable:
 
 def _check_policy_reach(topo: Topology, terminals, policy: PolicyTable, problems) -> None:
     """Report each (layer, app_type) pair that some handoff can reach and
-    ``policy`` has no method for.  Distinct stations are distinct cells, so
-    a handoff reaches L2 when a net holds two stations, L3 when a provider
-    holds stations in two nets, and L4-7 when stations sit under two
-    providers; never L1."""
-    stations_per_net, nets_per_provider = {}, {}
+    ``policy`` has no method for.  Two stations share a net, else a
+    provider, else only the topology, and that group's first station shares
+    no smaller group with one of them; so pairing the first station of each
+    group with each later one reaches every layer that some pair reaches."""
+    types, first, reached = StationTypes(topo.stations), {}, set()
     for bs in topo.stations:
-        stations_per_net[bs.net_id] = stations_per_net.get(bs.net_id, 0) + 1
-        nets_per_provider.setdefault(bs.provider_id, set()).add(bs.net_id)
-    reached = (
-        (Layer.L2, max(stations_per_net.values()) > 1),
-        (Layer.L3, any(len(nets) > 1 for nets in nets_per_provider.values())),
-        (Layer.L4_7, len(nets_per_provider) > 1),
-    )
+        for group in (("net", bs.net_id), ("provider", bs.provider_id), ("topology",)):
+            head = first.setdefault(group, bs.id)
+            if head != bs.id:
+                reached.add(types[head, bs.id].layer)
     app_types = sorted({term.app_type for term in terminals})
-    for layer, reachable in reached:
-        if not reachable:
+    for layer in Layer:
+        if layer not in reached:
             continue
         for app_type in app_types:
             try:
@@ -555,8 +553,9 @@ def _check_policy_reach(topo: Topology, terminals, policy: PolicyTable, problems
                 )
 
 
-def _parse_synthesis(doc, criteria: set, problems, seed: int) -> ContextSynthesisSpec:
-    """The synthesis spec; ``criteria`` holds the catalog's criterion ids."""
+def _parse_synthesis(doc, criteria: set, weighted, problems, seed: int) -> ContextSynthesisSpec:
+    """The synthesis spec; ``criteria`` holds the catalog's criterion ids,
+    ``weighted`` those a score reads, other than RSS."""
     sdoc = _object(doc.get("synthesis", {}), "synthesis", _SYNTHESIS_KEYS, problems) or {}
     mode = sdoc.get("mode", "geometric")
     if mode not in ("geometric", "stochastic"):
@@ -615,12 +614,36 @@ def _parse_synthesis(doc, criteria: set, problems, seed: int) -> ContextSynthesi
     sigma = _field(sdoc, "noise_sigma", "synthesis", problems, float, 0.0)
     if rho is not None and not (0.0 <= rho < 1.0):
         problems.append("synthesis.ar1_rho: must lie in [0, 1)")
+        rho = None
     if sigma is not None and sigma < 0:
         problems.append("synthesis.noise_sigma: must be >= 0")
+        sigma = None
+    if mode == "stochastic" and rho is not None and sigma is not None:
+        _check_walk_range(networks, weighted, rho, sigma, problems)
     return ContextSynthesisSpec(
         mode=mode, networks=networks, ar1_rho=float(rho or 0.0), noise_sigma=float(sigma or 0.0),
         seed=seed,
     )
+
+
+# random.gauss draws cos(2*pi*u) * sqrt(-2 * log(1 - v)), u and v from
+# random(), which is below 1 by at least 2**-53: no draw exceeds this.
+_GAUSS_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
+
+
+def _check_walk_range(networks, weighted, rho: float, sigma: float, problems) -> None:
+    """Report each weighted stochastic signal whose walk can leave the
+    finite range.  With rho in [0, 1), ``|x - base|`` never exceeds ``M``,
+    the larger of the starting offset and ``sigma * _GAUSS_MAX / (1 - rho)``,
+    so the walk stays within ``|base| + M``; 1e-9 covers rounding."""
+    for net_id, signals in networks.items():
+        for cid in weighted:
+            base = signals.base.get(cid)
+            if base is None:
+                continue  # reported as a missing weighted criterion
+            reach = max(abs(signals.start.get(cid, base) - base), sigma * _GAUSS_MAX / (1.0 - rho))
+            if not (abs(base) + reach) * (1.0 + 1e-9) <= _FLOAT_MAX:
+                problems.append(f"synthesis.networks.{net_id}.base.{cid}: walk may not stay finite")
 
 
 def _check_geometric_range(
@@ -678,13 +701,12 @@ def from_dict(doc: Mapping) -> Scenario:
     criteria = {c.id for c in catalog}
     weights = _parse_weights(doc, catalog, problems)
     controller = _parse_controller(doc, problems)
-    synthesis = _parse_synthesis(doc, criteria, problems, seed)
-
     # Every synthesized network must be a station, and every weighted
     # criterion other than RSS must be synthesized for every station and
     # stay finite, otherwise scoring would fail mid-run.  An unknown
     # weighted criterion is reported once, at its weight.
     weighted = sorted(w for w in weights.weights if w != "RSS" and w in criteria)
+    synthesis = _parse_synthesis(doc, criteria, weighted, problems, seed)
     if synthesis.mode == "geometric":
         _check_geometric_range(synthesis, weighted, duration, tick, problems)
     if topo is not None:

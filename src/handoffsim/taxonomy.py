@@ -16,13 +16,18 @@ Verticality is only meaningful where distinct radio technologies can meet:
 cell, network, and provider level changes are vertical when the technology
 changed and horizontal when it did not.  Channel-level changes and pure
 terminal changes carry no verticality.
+
+A run's handoff joins two distinct stations of one terminal, which
+``StationTypes`` classifies, so only the six ``cell_``, ``net_`` and
+``provider_`` x ``horizontal``/``vertical`` types occur in a run.  The other
+nine arise only in ``enumerate_types`` and ``classify``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class InfraLevel(Enum):
@@ -185,3 +190,19 @@ def classify(before: Attachment, after: Attachment) -> Optional[HandoffType]:
         return NOT_A_HANDOFF
     tech = d.tech_changed if level in (InfraLevel.CELL, InfraLevel.NET, InfraLevel.PROVIDER) else False
     return _make_type(d.terminal_changed, level, tech)
+
+
+class StationTypes(dict):
+    """The handoff type between two stations, keyed by ``(from_station,
+    to_station)`` id and classified the first time it is read.  The two
+    attachments hold terminal and channel equal: one terminal moves, and
+    distinct stations are distinct cells, so a channel never decides."""
+
+    def __init__(self, stations: Iterable):
+        self.stations = {bs.id: bs for bs in stations}
+
+    def __missing__(self, pair: tuple[str, str]) -> Optional[HandoffType]:
+        before, after = (Attachment("", bs.provider_id, bs.net_id, bs.id, "", bs.technology)
+                         for bs in map(self.stations.__getitem__, pair))
+        ho_type = self[pair] = classify(before, after)
+        return ho_type

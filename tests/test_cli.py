@@ -348,6 +348,28 @@ class TestOverflowingSignal:
         assert captured.err == f"{path}: synthesis.networks.bs_b.ramps.Q: not finite by 11900 ms\n"
 
 
+class TestOverflowingWalk:
+    """A noise so large that the walk overflowed once validated and then
+    failed the run at 3000 ms (exit 3); every command now refuses it."""
+
+    @pytest.mark.parametrize("command", [["validate"], ["run"], ["sweep", "--grid", "delta=0"]])
+    def test_exits_invalid_naming_the_walk(self, command, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        doc["synthesis"]["noise_sigma"] = 1e308
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], str(path), *command[1:]]
+        if command == ["run"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(
+            f"{path}: synthesis.networks.{net}.base.Q: walk may not stay finite\n"
+            for net in ("bs_a", "bs_b")
+        )
+
+
 class TestTerminalIdsInMetricRows:
     """Each terminal id labels its own metrics row, next to the pooled "all"
     row, in the CSV and as a JSON key."""

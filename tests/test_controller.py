@@ -39,7 +39,8 @@ from handoffsim.errors import (
     PolicyGapError,
 )
 from handoffsim.scenario import ControllerConfig, PolicyTable, Strategy
-from handoffsim.taxonomy import Attachment, Layer, classify
+from handoffsim.taxonomy import Attachment, Layer, StationTypes, classify
+from handoffsim.topology import BaseStation
 from handoffsim.trace import ANL, TraceRecord
 
 
@@ -314,13 +315,16 @@ CFG = ControllerConfig(
 )
 
 
-def _infos(*nets, terminal="mt1"):
-    return {n: _att(n, terminal=terminal) for n in nets}
+def _types(*nets):
+    return StationTypes(
+        BaseStation(id=n, net_id=n, provider_id="p1", position=(0.0, 0.0), technology="lte")
+        for n in nets
+    )
 
 
 def _feed_anl(state, now, *pairs, cfg=CFG):
     nets = [n for n, _ in pairs]
-    event = AnlUpdated(anl=_anl(now, *pairs), infos=_infos(*nets))
+    event = AnlUpdated(anl=_anl(now, *pairs), types=_types(*nets))
     return step(state, event, cfg, now)
 
 
@@ -622,7 +626,7 @@ class TestPhaseMachine:
 # The values built once per event, terminal-tick or record.
 _PER_EVENT_VALUES = [
     ControllerState("mt1", Phase.INITIATION, "n1"),
-    AnlUpdated(_anl(0, ("n1", 5.0)), _infos("n1")),
+    AnlUpdated(_anl(0, ("n1", 5.0)), _types("n1")),
     PrepData("n2", 100, since=100),
     DesirabilityScore("n1", 5.0),
     _anl(0, ("n1", 5.0), ("n2", 4.0)),

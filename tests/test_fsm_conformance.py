@@ -26,7 +26,8 @@ from handoffsim import controller as ctl
 from handoffsim.desirability import DesirabilityScore, rank
 from handoffsim.errors import IllegalEventError
 from handoffsim.scenario import ControllerConfig, Strategy
-from handoffsim.taxonomy import Attachment
+from handoffsim.taxonomy import StationTypes
+from handoffsim.topology import BaseStation
 
 DELTA = 1.0
 TH_INF = 2.0
@@ -298,14 +299,11 @@ def _impl_event(letter, now):
     if kind == "anl":
         pairs = ANL_LETTERS[payload]
         anl = rank([DesirabilityScore(network_id=n, value=v) for n, v in pairs])
-        infos = {
-            n: Attachment(
-                terminal_id="mt1", provider_id="p1", net_id=n,
-                cell_id=f"{n}-c", channel_id=f"{n}-ch", technology="lte",
-            )
+        types = StationTypes(
+            BaseStation(id=n, net_id=n, provider_id="p1", position=(0.0, 0.0), technology="lte")
             for n, _ in pairs
-        }
-        return ctl.AnlUpdated(anl=anl, infos=infos)
+        )
+        return ctl.AnlUpdated(anl=anl, types=types)
     if kind == "loss":
         return ctl.CurrentLinkLost()
     if kind == "switch":

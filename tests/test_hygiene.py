@@ -3,7 +3,8 @@ name it defines has a caller outside the tests, loading a scenario imports
 none of the modules that run or report it, nor ``dataclasses`` or a package
 data reader, the metric fold imports no engine code, the CLI imports no
 ``dataclasses`` and no process pool, even when a sweep forks its workers,
-and only the scenario parser decides what a valid scenario is."""
+only the scenario parser decides what a valid scenario is, and only the
+taxonomy classifies a handoff."""
 
 import ast
 import json
@@ -162,6 +163,35 @@ def test_only_the_parser_judges_a_scenario(module):
     found = validity_checks((PACKAGE / module).read_text())
     if module == "scenario.py":
         assert found and all(f.endswith(": ScenarioError") for f in found)
+    else:
+        assert found == []
+
+
+def classifications(source: str) -> list[str]:
+    """Each call in ``source`` that builds an ``Attachment`` or calls
+    ``classify``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("Attachment", "classify"):
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_an_attachment_built_and_a_classification():
+    source = ("from taxonomy import Attachment\na = Attachment('t', 'p')\n"
+              "t = taxonomy.classify(a, a)\nclassify\n")
+    assert classifications(source) == ["line 2: Attachment", "line 3: classify"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_taxonomy_classifies(module):
+    """A handoff's type is the taxonomy's rule: every other module asks a
+    ``StationTypes`` for it, so the rule is stated once."""
+    found = classifications((PACKAGE / module).read_text())
+    if module == "taxonomy.py":
+        assert found
     else:
         assert found == []
 

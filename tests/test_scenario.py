@@ -3,20 +3,25 @@
 import copy
 import json
 import pickle
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handoffsim import controller as ctl
 from handoffsim import engine
 from handoffsim.context import GoalDirection, GoalSpec
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
-from handoffsim.scenario import MEASURED, Strategy, from_dict, load_scenario, parse_controller
+from handoffsim.scenario import (
+    _GAUSS_MAX, MEASURED, Strategy, from_dict, load_scenario, parse_controller,
+)
 from handoffsim.synthesis import NetworkSignals
-from handoffsim.taxonomy import Attachment, classify, delta
-from handoffsim.topology import tier_path_loss
+from handoffsim.taxonomy import Attachment, Layer, StationTypes, classify, delta
+from handoffsim.topology import BaseStation, tier_path_loss
 from handoffsim.trace import Trace
 from test_golden import _inputs
 from trace_text import ndjson
@@ -420,6 +425,73 @@ class TestStrictPolicyReach:
         assert from_dict(doc).controller.policy.entries == {}
 
 
+# Station, net and provider ids are drawn from one pool, so an id of one kind
+# often names something of another kind too.
+_POOL = tuple("abcdefghijklmnopqrstuvwxyz0")
+
+
+class TestReachScan:
+    """The layers a strict table is checked for are the layers of all pairs
+    of distinct stations, whatever ids a net and a provider share."""
+
+    @staticmethod
+    def _problems(layout, technology=lambda sid: "lte"):
+        """What an empty strict table is reported to lack for ``layout``:
+        (provider id, ((net id, (station id, ...)), ...)) pairs."""
+        doc = TestStrictPolicyReach()._strict(topology=[
+            {"id": pid, "nets": [
+                {"id": nid, "stations": [
+                    {"id": sid, "position": [0.0, 0.0], "technology": technology(sid),
+                     "channels": [f"{sid}_ch"]} for sid in sids
+                ]} for nid, sids in nets
+            ]} for pid, nets in layout
+        ])
+        doc["synthesis"]["networks"] = {
+            sid: {"base": {"Q": 1.0}} for _, nets in layout for _, sids in nets for sid in sids
+        }
+        try:
+            from_dict(doc)
+        except ScenarioError as err:
+            return err.problems
+        return []
+
+    @staticmethod
+    def _gaps(*layers):
+        return [TestStrictPolicyReach.GAP.format((layer, "video")) for layer in layers]
+
+    def test_a_net_and_a_provider_may_share_an_id(self):
+        layout = [("a", [("b", ["s1"])]), ("b", [("c", ["s2"]), ("d", ["s3"])])]
+        assert self._problems(layout) == self._gaps("L3", "L4-7")
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_scan_reports_the_layers_of_all_pairs(self, data):
+        shape = data.draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                                   min_size=1, max_size=3), label="shape")
+        provider_ids, net_ids, station_ids = (
+            iter(data.draw(st.permutations(_POOL), label=kind))
+            for kind in ("providers", "nets", "stations")
+        )
+        layout = [
+            (next(provider_ids), [(next(net_ids), [next(station_ids) for _ in range(size)])
+                                  for size in nets])
+            for nets in shape
+        ]
+        wifi = data.draw(st.sets(st.sampled_from(_POOL)), label="wifi stations")
+
+        def technology(sid):
+            return "wifi" if sid in wifi else "lte"
+
+        stations = [
+            BaseStation(sid, nid, pid, (0.0, 0.0), technology(sid))
+            for pid, nets in layout for nid, sids in nets for sid in sids
+        ]
+        types = StationTypes(stations)
+        layers = {types[a.id, b.id].layer for a in stations for b in stations if a != b}
+        assert self._problems(layout, technology) == self._gaps(
+            *(layer.value for layer in Layer if layer in layers)
+        )
+
 class TestSynthesisValidation:
     def test_unknown_mode(self):
         doc = _doc()
@@ -510,6 +582,79 @@ class TestGeometricOverflow:
         doc = _doc(criteria=[*_doc()["criteria"], {"id": "Z", "source": "network",
                                                    "polarity": "beneficial", "unit": "u"}])
         doc["synthesis"]["networks"]["bs_b"]["ramps"]["Z"] = 1e308
+        engine.run(from_dict(doc))
+
+
+class TestStochasticOverflow:
+    """A weighted AR(1) walk stays within ``|base| + M``, where ``M`` is the
+    larger of its starting offset and ``sigma * Z / (1 - rho)`` and ``Z`` is
+    the largest draw ``random.gauss`` can make; the parser rejects a walk
+    whose bound is not finite."""
+
+    @staticmethod
+    def _noisy(**synthesis):
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        doc["synthesis"].update(synthesis)
+        return doc
+
+    def test_the_bound_is_the_largest_gauss_draw(self):
+        class Extreme(random.Random):
+            """Draws 0.0, then the largest float below 1."""
+
+            def __init__(self):
+                super().__init__(0)
+                self.draws = iter((0.0, 1.0 - 2.0 ** -53))
+
+            def random(self):
+                return next(self.draws)
+
+        assert Extreme().gauss(0.0, 1.0) == _GAUSS_MAX == 8.571674348652905
+
+    def test_a_noise_that_overflows(self):
+        assert _problems(self._noisy(noise_sigma=1e308)) == [
+            f"synthesis.networks.{net}.base.Q: walk may not stay finite" for net in ("bs_a", "bs_b")
+        ]
+
+    @pytest.mark.parametrize("sigma, signals", [
+        (0.0, {"base": {"Q": 1e308}, "start": {"Q": -1e308}}),
+        (1e306, {"base": {"Q": 1.7e308}}),  # its bound overflows; this seed's draws do not
+    ], ids=["starting-offset", "base-plus-noise"])
+    def test_a_walk_that_overflows(self, sigma, signals):
+        doc = self._noisy(noise_sigma=sigma)
+        doc["synthesis"]["networks"]["bs_b"] = signals
+        assert _problems(doc) == ["synthesis.networks.bs_b.base.Q: walk may not stay finite"]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_the_bound_is_exact_in_sigma_and_rho(self, rho):
+        # noisy.json's bases (60000 and 50000) and starting offsets vanish
+        # beside the noise's reach.
+        edge = _MAX / (1.0 + 1e-9) * (1.0 - rho) / _GAUSS_MAX
+        from_dict(self._noisy(noise_sigma=edge * 0.999, ar1_rho=rho))
+        assert _problems(self._noisy(noise_sigma=edge * 1.001, ar1_rho=rho)) == [
+            f"synthesis.networks.{net}.base.Q: walk may not stay finite" for net in ("bs_a", "bs_b")
+        ]
+
+    @pytest.mark.parametrize("synthesis", [
+        {"noise_sigma": 1e306},
+        {"noise_sigma": 1e306, "ar1_rho": 0.0},
+        {"noise_sigma": 0.0, "ar1_rho": 0.0},
+    ], ids=["noise", "white-noise", "still"])
+    def test_an_accepted_walk_runs_to_completion(self, synthesis):
+        doc = self._noisy(**synthesis)
+        trace = engine.run(from_dict(doc))
+        assert trace.records[-1].t < doc["duration_ms"]
+
+    def test_an_invalid_rho_or_sigma_is_reported_alone(self):
+        assert _problems(self._noisy(noise_sigma=1e308, ar1_rho=1.0)) == [
+            "synthesis.ar1_rho: must lie in [0, 1)"
+        ]
+        assert _problems(self._noisy(noise_sigma=-1e308)) == [
+            "synthesis.noise_sigma: must be >= 0"
+        ]
+
+    def test_an_unweighted_criterion_is_not_checked(self):
+        doc = self._noisy(noise_sigma=1e308)
+        doc["weights"]["weights"] = {"RSS": 1.0}
         engine.run(from_dict(doc))
 
 
