@@ -14,7 +14,7 @@ handoff.  The metrics a run publishes are one table.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 
 class ContextSource(Enum):
@@ -94,12 +94,6 @@ _DEFAULT_CATALOG: tuple[CriterionDef, ...] = (
 def default_catalog() -> list[CriterionDef]:
     """Return the built-in criterion catalog (fresh list, safe to extend)."""
     return list(_DEFAULT_CATALOG)
-
-
-class CriteriaVector(NamedTuple):
-    """Criterion values observed for one network at one instant."""
-
-    values: Mapping[str, float]
 
 
 class Metric(NamedTuple):

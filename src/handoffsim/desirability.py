@@ -7,18 +7,20 @@ criterion's weight and K is a constant offset shared by all terms.  Values
 at or below a criterion's floor are clamped up to the floor before the log
 so the score stays finite.
 
-Weights live in [0, 1] and each polarity side that has any weighted
-criterion sums to 1; the scenario parser checks both where it reads the
-weights.  Criteria without a weight contribute nothing.
+Weights live in [0, 1], each polarity side that has any weighted
+criterion sums to 1, and K is small enough that no score of finite values
+overflows; the scenario parser checks all three where it reads the
+weights.  Criteria without a weight contribute nothing.  A score is a
+float, listed with its network as a (network id, score) pair.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .context import CriteriaVector, CriterionDef, Polarity
+from .context import CriterionDef, Polarity
 from .errors import (
     DuplicateNetworkError,
     MissingCriterionError,
@@ -66,28 +68,21 @@ class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,
         return terms
 
 
-class DesirabilityScore(NamedTuple):
-    network_id: str
-    value: float
-
-
 def _clamped_log10(value: float, floor: float) -> float:
     return math.log10(max(value, floor))
 
 
 def desirability(
-    v: CriteriaVector,
+    values: Mapping[str, float],
     profile: WeightProfile,
     catalog: Sequence[CriterionDef],
-    network_id: str = "",
-) -> DesirabilityScore:
-    """Score one network's criteria vector.
+) -> float:
+    """Score one network's criterion values, by criterion id.
 
-    Every weighted criterion must be present in the vector and finite.
-    Criteria present in the vector but unweighted are ignored.  The
-    profile's ``terms`` are resolved against ``catalog``.
+    Every weighted criterion must be present and finite.  Criteria present
+    but unweighted are ignored.  The profile's ``terms`` are resolved
+    against ``catalog``.
     """
-    values = v.values
     total = 0.0
     for cid, coefficient, floor, beneficial in profile.terms(catalog):
         if floor is None:
@@ -102,53 +97,54 @@ def desirability(
             total += term
         else:
             total -= term
-    return DesirabilityScore(network_id, total)
+    return total
 
 
 class AvailableNetworkList(namedtuple("AvailableNetworkList", ("entries", "values"))):
     """Candidate networks ordered best first.
 
-    ``entries`` pairs each network id with its score; order is descending
-    desirability with ties broken by ascending network id, and each network
-    appears once.  ``values`` maps each listed id to its score value; it is
-    built with the list, because the controller looks scores up by id on
-    every step.  Given only ``entries``, the list builds ``values`` from
-    them, so two lists are equal exactly when their entries are, and a
-    list hashes by its entries.
+    ``entries`` is a tuple of (network id, score) pairs; order is
+    descending score with ties broken by ascending network id, and each
+    network appears once.  ``values`` maps each listed id to its score; it
+    is built with the list, because the controller looks scores up by id
+    on every step.  Given only ``entries``, the list builds ``values`` as
+    ``dict(entries)``, so two lists are equal exactly when their entries
+    are, and a list hashes by its entries.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries=(), values=None):
         if values is None:
-            values = {net: s.value for net, s in entries}
+            values = dict(entries)
         return super().__new__(cls, entries, values)
 
     def __hash__(self) -> int:
         return hash(self.entries)
 
 
-def _rank_key(s: DesirabilityScore) -> tuple[float, str]:
-    return -s.value, s.network_id
+def _rank_key(pair: tuple[str, float]) -> tuple[float, str]:
+    return -pair[1], pair[0]
 
 
-def rank(scores: Sequence[DesirabilityScore]) -> AvailableNetworkList:
-    """Order scores into an available-network list, best first.
+def rank(scores: Sequence[tuple[str, float]]) -> AvailableNetworkList:
+    """Order (network id, score) tuples into an available-network list,
+    best first; the tuples themselves become its entries.
 
     A network listed twice raises DuplicateNetworkError naming the first
     repeat in input order.  The list's ``values`` map holds one entry per
     network, so it is shorter than the input exactly when one repeats; only
     then is the input walked again, to name it."""
     ordered = sorted(scores, key=_rank_key)
-    values = {s.network_id: s.value for s in ordered}
+    values = dict(ordered)
     if len(values) != len(scores):
         seen = set()
-        for s in scores:
-            if s.network_id in seen:
-                raise DuplicateNetworkError(s.network_id)
-            seen.add(s.network_id)
+        for net, _ in scores:
+            if net in seen:
+                raise DuplicateNetworkError(net)
+            seen.add(net)
     # tuple.__new__ skips __new__'s Python frame: values is already built.
-    return tuple.__new__(AvailableNetworkList, (tuple([(s.network_id, s) for s in ordered]), values))
+    return tuple.__new__(AvailableNetworkList, (tuple(ordered), values))
 
 
 def best(anl: AvailableNetworkList) -> Optional[str]:

@@ -27,10 +27,12 @@ classified the first time the controller reads it, which happens only
 when a handoff triggers.  A station's synthesized sample depends only on
 (station, t), so it is taken once per tick and shared by every terminal;
 the queue pops in time order and synthesis advances only when time does,
-so a sample is dropped when the tick moves on.  When RSS carries no
-weight a station's score does not depend on the terminal either, so it
-too is computed once per (station, tick) and shared; when RSS is weighted
-each terminal scores a copy of the sample with its own RSS.
+so a sample is dropped when the tick moves on.  A sample is a
+plain dict of criterion values and a score a float, listed as a
+(station, score) pair.  When RSS carries no weight a station's score does
+not depend on the terminal either, so it too is computed once per
+(station, tick) and shared; when RSS is weighted each terminal scores a
+copy of the sample with its own RSS.
 
 When no score reads RSS, the engine queries coverage on a copy of the
 topology that does not measure it (``measure_rss=False``), so coverage
@@ -44,11 +46,11 @@ path's top speed, needs to move that far, skipping both interpolation and
 coverage until then.  When RSS is weighted, every tick's RSS differs, so
 coverage is asked every tick.
 
-The values built per event, terminal-tick or record are immutable
-NamedTuples, which cost no ``__setattr__`` per field to build: each
-station's ``CriteriaVector`` and ``DesirabilityScore``, the controller's
-``AnlUpdated`` event and ``ControllerState`` (with its ``PrepData``),
-and a ``Trace``'s ``TraceRecord``.
+The values built per event or record are immutable NamedTuples, which
+cost no ``__setattr__`` per field to build: the ranked
+``AvailableNetworkList``, the controller's ``AnlUpdated`` event and
+``ControllerState`` (with its ``PrepData``), and a ``Trace``'s
+``TraceRecord``.
 
 A run makes no reference cycle: each record, payload and context value
 is freed by reference counting once nothing holds it.  So the CLI runs
@@ -86,8 +88,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import controller as ctl
-from .context import CriteriaVector
-from .desirability import AvailableNetworkList, DesirabilityScore, desirability, rank
+from .desirability import AvailableNetworkList, desirability, rank
 from .errors import HandoffSimError
 from .scenario import CONTROLLER_NUMBERS, ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
@@ -168,9 +169,9 @@ class _Context:
         self.sc = scenario
         self.synth = SynthesisState(scenario.synthesis)
         self.synth_t: Optional[int] = None
-        # station -> (sample, score) at synth_t; the score is None when it
+        # station -> (values, score) at synth_t; the score is None when it
         # depends on the terminal's RSS.
-        self.scored: dict[str, tuple[CriteriaVector, Optional[DesirabilityScore]]] = {}
+        self.scored: dict[str, tuple[dict[str, float], Optional[float]]] = {}
         self.shared_scores = "RSS" not in scenario.weights.weights
         # When no score reads RSS, coverage queries leave it out.
         self.topology = (
@@ -201,23 +202,19 @@ class _Context:
             if self.moves is not None:
                 slack, pace = self.moves[terminal]
                 self.held[terminal] = (now, (covered.reach - slack) * pace, covered)
-        scores: list[DesirabilityScore] = []
+        scores: list[tuple[str, float]] = []
         for bs, rss in covered:
             memo = self.scored.get(bs.id)
             if memo is None:
-                vector = sample_context(bs.id, now, sc.synthesis, self.synth)
-                score = None
-                if self.shared_scores:
-                    score = desirability(vector, sc.weights, sc.catalog, bs.id)
-                memo = self.scored[bs.id] = (vector, score)
-            vector, score = memo
+                values = sample_context(bs.id, now, sc.synthesis, self.synth)
+                score = desirability(values, sc.weights, sc.catalog) if self.shared_scores else None
+                memo = self.scored[bs.id] = (values, score)
+            values, score = memo
             if score is None:
-                values = dict(vector.values)
-                values["RSS"] = rss
-                score = desirability(CriteriaVector(values), sc.weights, sc.catalog, bs.id)
-            scores.append(score)
+                score = desirability({**values, "RSS": rss}, sc.weights, sc.catalog)
+            scores.append((bs.id, score))
         anl = rank(scores)
-        return _Tick(anl, {"entries": [[net, score.value] for net, score in anl.entries]})
+        return _Tick(anl, {"entries": [[net, score] for net, score in anl.entries]})
 
 
 class _Point:

@@ -36,7 +36,7 @@ from .desirability import WeightProfile
 from .errors import PolicyGapError, ScenarioError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
 from .taxonomy import Layer, StationTypes
-from .topology import TIER_DEFAULTS, BaseStation, Topology
+from .topology import TIER_DEFAULTS, BaseStation, Topology, tier_path_loss
 
 Position = tuple[float, float]
 
@@ -149,6 +149,7 @@ _LAYERS = tuple(layer.value for layer in Layer)
 _DEFAULT_CONTROLLER = ControllerConfig()
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
 _FLOAT_MAX = sys.float_info.max
+_LOG10_MAX = math.log10(_FLOAT_MAX)
 _SIDE_SUM_TOLERANCE = 1e-9  # how far a polarity side's weights may sum from 1
 
 # Values are tested by exact type: JSON gives dict, list, str, int, float
@@ -403,7 +404,13 @@ def _parse_catalog(doc, problems) -> list[CriterionDef]:
 
 def _parse_weights(doc, catalog, problems) -> WeightProfile:
     """The weights: each in [0, 1] and naming a criterion of ``catalog``,
-    each polarity side that has any summing to 1, and K >= 0."""
+    each polarity side that has any summing to 1, and K >= 0 and small
+    enough that no score can overflow.
+
+    A weighted term is ``(K + W) * log10(max(value, floor))`` of a finite
+    value, whose log lies between ``log10 floor`` and ``_LOG10_MAX``; so
+    the sum over the terms of ``(K + W) * max(|log10 floor|, _LOG10_MAX)``
+    bounds every score, and 1e-9 of it covers rounding."""
     wdoc = _object(doc.get("weights", {}), "weights", frozenset(("weights", "k")), problems) or {}
     before = len(problems)
     weights = _numbers(wdoc, "weights", "weights", problems)
@@ -429,6 +436,13 @@ def _parse_weights(doc, catalog, problems) -> WeightProfile:
                 problems.append(
                     f"weights.weights: {side.value} weights sum to {sums[side]!r}, expected 1.0"
                 )
+        floors = {c.id: c.floor for c in catalog}
+        bound = sum(
+            (profile.k + w) * max(abs(math.log10(floors[cid])), _LOG10_MAX)
+            for cid, w in weights.items()
+        )
+        if k >= 0 and not math.isfinite(bound * (1.0 + 1e-9)):
+            problems.append(f"weights.k: scores may not stay finite with K = {profile.k!r}")
     return profile
 
 
@@ -646,6 +660,26 @@ def _check_walk_range(networks, weighted, rho: float, sigma: float, problems) ->
                 problems.append(f"synthesis.networks.{net_id}.base.{cid}: walk may not stay finite")
 
 
+def _check_rss_range(topo: Topology, problems) -> None:
+    """Report each overridden tier whose RSS may not stay finite at one of
+    its stations.  A covered position lies within the station's radius, so
+    ``|RSS| <= |tx_power| + |10 n| * log10(max(radius, d0) / d0)`` there;
+    1e-9 covers rounding."""
+    for tier in topo.path_loss_overrides:
+        params = tier_path_loss(tier, topo.path_loss_overrides)
+        slope = abs(10.0 * params.exponent)
+        finite = math.isfinite(slope) and all(
+            math.isfinite(
+                (abs(params.tx_power_dbm)
+                 + slope * math.log10(max(bs.coverage_radius, params.d0) / params.d0))
+                * (1.0 + 1e-9)
+            )
+            for bs in topo.stations if bs.tier == tier
+        )
+        if not finite:
+            problems.append(f"path_loss.{tier}.exponent: RSS may not stay finite")
+
+
 def _check_geometric_range(
     synthesis: ContextSynthesisSpec, weighted, duration: int, tick: int, problems
 ) -> None:
@@ -710,6 +744,8 @@ def from_dict(doc: Mapping) -> Scenario:
     if synthesis.mode == "geometric":
         _check_geometric_range(synthesis, weighted, duration, tick, problems)
     if topo is not None:
+        if "RSS" in weights.weights:  # only then does a run compute RSS
+            _check_rss_range(topo, problems)
         station_ids = {bs.id for bs in topo.stations}
         for net_id in synthesis.networks:
             if net_id not in station_ids:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import random
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .context import CriteriaVector
-
 
 class NetworkSignals(NamedTuple):
     """Synthesis inputs for one network's criteria.  The empty defaults are
@@ -102,19 +100,19 @@ class SynthesisState:
 
 def sample_context(
     network_id: str, t: int, spec: ContextSynthesisSpec, state: SynthesisState
-) -> CriteriaVector:
-    """Criterion values a network reports at time t.
+) -> dict[str, float]:
+    """Criterion values a network reports at time t, a new dict by
+    criterion id.
 
     The state must be the spec's, already advanced to t (the engine
-    advances all networks together once per tick).  The RSS entry, if any,
-    is a placeholder: the engine overwrites it per terminal from the radio
-    model.
+    advances all networks together once per tick).  A stochastic sample is
+    a copy, because advancing the walk changes its values in place.  The
+    RSS entry, if any, is a placeholder: the engine overwrites it per
+    terminal from the radio model.
     """
     signals = spec.networks.get(network_id)
     if signals is None:
-        return CriteriaVector(values={})
+        return {}
     if spec.mode == "geometric":
-        values = {cid: _geometric_value(signals, cid, t) for cid in state.criteria[network_id]}
-    else:
-        values = dict(state.values[network_id])
-    return CriteriaVector(values=values)
+        return {cid: _geometric_value(signals, cid, t) for cid in state.criteria[network_id]}
+    return dict(state.values[network_id])

@@ -24,7 +24,6 @@ from handoffsim.metrics import compute_metrics
 from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.taxonomy import Attachment, Layer, classify, enumerate_types
 from handoffsim.trace import HANDOFF, TRANSITION
-from handoffsim.context import CriteriaVector
 from trace_text import ndjson
 
 from pathlib import Path
@@ -125,9 +124,7 @@ def test_c02_scoring_matches_direct_evaluation():
         oracle = _direct_eval(catalog, weights, values, k)
         if abs(oracle) < 1e-2:
             continue  # keep the relative comparison well conditioned
-        got = desirability(CriteriaVector(values=values),
-                           WeightProfile(weights=weights, k=k),
-                           catalog).value
+        got = desirability(values, WeightProfile(weights=weights, k=k), catalog)
         rel = abs(got - oracle) / abs(oracle)
         worst = max(worst, rel)
         assert rel <= 1e-9, (catalog, weights, values, k)
@@ -141,8 +138,8 @@ def test_c02_scoring_matches_direct_evaluation():
         CriterionDef(id="NL", source=ContextSource.NETWORK, polarity=Polarity.DETRIMENTAL),
     ]
     profile = WeightProfile(weights={"SNR": 0.5, "DTR": 0.5, "BER": 0.5, "NL": 0.5}, k=1.0)
-    vector = CriteriaVector(values={"SNR": 100.0, "DTR": 50.0, "BER": 10.0, "NL": 5.0})
-    got = desirability(vector, profile, catalog).value
+    values = {"SNR": 100.0, "DTR": 50.0, "BER": 10.0, "NL": 5.0}
+    got = desirability(values, profile, catalog)
     assert abs(got - 3.0) <= 1e-12
     with mpmath.workdps(50):
         hp = (mpmath.mpf("1.5") * (mpmath.log10(100) + mpmath.log10(50))
@@ -159,14 +156,11 @@ def test_c03_scoring_monotone_in_each_polarity():
     trials = 0
     for _ in range(1000):
         catalog, weights, values, k = _random_instance(rng)
-        base = desirability(CriteriaVector(values=values),
-                            WeightProfile(weights=weights, k=k), catalog).value
+        base = desirability(values, WeightProfile(weights=weights, k=k), catalog)
         for c in catalog:
             bumped = dict(values)
             bumped[c.id] = values[c.id] * 10.0
-            moved = desirability(CriteriaVector(values=bumped),
-                                 WeightProfile(weights=weights, k=k),
-                                 catalog).value
+            moved = desirability(bumped, WeightProfile(weights=weights, k=k), catalog)
             if c.polarity is Polarity.BENEFICIAL:
                 assert moved > base, c
             else:

@@ -370,6 +370,38 @@ class TestOverflowingWalk:
         )
 
 
+def _rss_weighted(doc, exponent):
+    doc["weights"]["weights"] = {"Q": 0.5, "RSS": 0.5}
+    doc["path_loss"] = {"macro": {"exponent": exponent}}
+
+
+class TestOverflowingScore:
+    """A K or a path-loss exponent so large that a score or an RSS
+    overflowed once validated: K wrote Infinity into every ``anl`` record,
+    and the exponent failed the run at 0 ms (exit 3).  Every command now
+    refuses both."""
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc["weights"].update(k=1e308),
+         "weights.k: scores may not stay finite with K = 1e+308"),
+        (lambda doc: _rss_weighted(doc, 1e308), "path_loss.macro.exponent: RSS may not stay finite"),
+        (lambda doc: _rss_weighted(doc, -1e308), "path_loss.macro.exponent: RSS may not stay finite"),
+    ], ids=["k", "exponent", "negative-exponent"])
+    @pytest.mark.parametrize("command", [["validate"], ["run"], ["sweep", "--grid", "delta=0"]])
+    def test_exits_invalid_naming_the_field(self, edit, problem, command, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+        edit(doc)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], str(path), *command[1:]]
+        if command == ["run"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {problem}\n"
+
+
 class TestTerminalIdsInMetricRows:
     """Each terminal id labels its own metrics row, next to the pooled "all"
     row, in the CSV and as a JSON key."""

@@ -32,8 +32,8 @@ from handoffsim.controller import (
     step,
     sufficiently_better,
 )
-from handoffsim.context import CriteriaVector, GoalDirection, GoalSpec
-from handoffsim.desirability import DesirabilityScore, rank
+from handoffsim.context import GoalDirection, GoalSpec
+from handoffsim.desirability import rank
 from handoffsim.errors import (
     IllegalEventError,
     PolicyGapError,
@@ -267,7 +267,7 @@ class TestPolicy:
 
 
 def _anl(now, *pairs):
-    return rank([DesirabilityScore(network_id=n, value=v) for n, v in pairs])
+    return rank(pairs)
 
 
 class TestEvaluate:
@@ -628,9 +628,7 @@ _PER_EVENT_VALUES = [
     ControllerState("mt1", Phase.INITIATION, "n1"),
     AnlUpdated(_anl(0, ("n1", 5.0)), _types("n1")),
     PrepData("n2", 100, since=100),
-    DesirabilityScore("n1", 5.0),
     _anl(0, ("n1", 5.0), ("n2", 4.0)),
-    CriteriaVector({"Q": 1.0}),
     TraceRecord(0, "mt1", ANL, {"entries": []}),
 ]
 

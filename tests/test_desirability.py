@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handoffsim.context import CriteriaVector, Polarity, default_catalog
+from handoffsim.context import Polarity, default_catalog
 from handoffsim.desirability import (
     AvailableNetworkList,
-    DesirabilityScore,
     WeightProfile,
     best,
     desirability,
@@ -61,74 +60,69 @@ def _oracle(values, profile, catalog):
 class TestScore:
     def test_worked_example_is_three(self):
         # 1.5*(2 + log10 50) - 1.5*(1 + log10 5) = 1.5*(1 + log10 10) = 3.
-        score = desirability(CriteriaVector(values=VALUES), PROFILE, CATALOG, "n1")
-        assert score.value == pytest.approx(3.0, abs=1e-12)
-        assert score.network_id == "n1"
+        score = desirability(VALUES, PROFILE, CATALOG)
+        assert score == pytest.approx(3.0, abs=1e-12)
 
     def test_worked_example_matches_high_precision_oracle(self):
-        score = desirability(CriteriaVector(values=VALUES), PROFILE, CATALOG)
-        assert score.value == pytest.approx(_oracle(VALUES, PROFILE, CATALOG), abs=1e-12)
+        score = desirability(VALUES, PROFILE, CATALOG)
+        assert score == pytest.approx(_oracle(VALUES, PROFILE, CATALOG), abs=1e-12)
 
     def test_beneficial_adds_detrimental_subtracts(self):
         up = dict(VALUES, SNR=1000.0)
         down = dict(VALUES, BER=100.0)
-        base = desirability(CriteriaVector(values=VALUES), PROFILE, CATALOG).value
-        assert desirability(CriteriaVector(values=up), PROFILE, CATALOG).value > base
-        assert desirability(CriteriaVector(values=down), PROFILE, CATALOG).value < base
+        base = desirability(VALUES, PROFILE, CATALOG)
+        assert desirability(up, PROFILE, CATALOG) > base
+        assert desirability(down, PROFILE, CATALOG) < base
 
     def test_floor_clamps_small_values(self):
         # Zero would blow up log10; the floor (1e-6) caps the penalty at -6
         # per unit coefficient.
         profile = WeightProfile(weights={"SNR": 1.0}, k=0.0)
-        v0 = desirability(CriteriaVector(values={"SNR": 0.0}), profile, CATALOG).value
-        v_tiny = desirability(CriteriaVector(values={"SNR": 1e-12}), profile, CATALOG).value
+        v0 = desirability({"SNR": 0.0}, profile, CATALOG)
+        v_tiny = desirability({"SNR": 1e-12}, profile, CATALOG)
         assert v0 == v_tiny == pytest.approx(-6.0)
 
     def test_unweighted_criteria_contribute_nothing(self):
         with_extra = dict(VALUES, RSS=-55.0, NBW=300.0)
-        a = desirability(CriteriaVector(values=VALUES), PROFILE, CATALOG).value
-        b = desirability(CriteriaVector(values=with_extra), PROFILE, CATALOG).value
+        a = desirability(VALUES, PROFILE, CATALOG)
+        b = desirability(with_extra, PROFILE, CATALOG)
         assert a == b
 
     def test_unknown_weighted_criterion_raises(self):
         profile = WeightProfile(weights={"NOPE": 1.0})
         with pytest.raises(UnknownCriterionError):
-            desirability(CriteriaVector(values={"NOPE": 1.0}), profile, CATALOG)
+            desirability({"NOPE": 1.0}, profile, CATALOG)
 
     def test_missing_weighted_criterion_raises(self):
         with pytest.raises(MissingCriterionError):
-            desirability(CriteriaVector(values={"SNR": 10.0}), PROFILE, CATALOG)
+            desirability({"SNR": 10.0}, PROFILE, CATALOG)
 
     def test_each_catalog_scores_with_its_own_floors_and_polarities(self):
         """A profile keeps the plan of the tuple catalog it last scored
         against; another catalog, even of the same ids, gets its own."""
         profile = WeightProfile(weights={"SNR": 1.0, "BER": 1.0}, k=0.0)
-        vector = CriteriaVector(values={"SNR": 10.0, "BER": 100.0})
+        values = {"SNR": 10.0, "BER": 100.0}
         plain = tuple(CATALOG)
         floored = tuple(c._replace(floor=1e3) if c.id == "SNR" else c for c in CATALOG)
         flipped = tuple(c._replace(polarity=Polarity.BENEFICIAL) if c.id == "BER" else c
                         for c in CATALOG)
         for catalog, want in [(plain, -1.0), (floored, 1.0), (plain, -1.0), (flipped, 3.0),
                               (CATALOG, -1.0), (flipped, 3.0)]:
-            assert desirability(vector, profile, catalog).value == want
-            assert desirability(vector, profile, catalog).value == want
+            assert desirability(values, profile, catalog) == want
+            assert desirability(values, profile, catalog) == want
 
     def test_non_finite_raises(self):
         bad = dict(VALUES, SNR=float("nan"))
         with pytest.raises(NonFiniteValueError):
-            desirability(CriteriaVector(values=bad), PROFILE, CATALOG)
+            desirability(bad, PROFILE, CATALOG)
 
     @given(
         snr=st.floats(min_value=1e-3, max_value=1e9),
         snr_boost=st.floats(min_value=0.0, max_value=1e9),
     )
     def test_beneficial_monotone(self, snr, snr_boost):
-        lo = desirability(
-            CriteriaVector(values=dict(VALUES, SNR=snr)), PROFILE, CATALOG
-        ).value
-        hi = desirability(
-            CriteriaVector(values=dict(VALUES, SNR=snr + snr_boost)), PROFILE, CATALOG
-        ).value
+        lo = desirability(dict(VALUES, SNR=snr), PROFILE, CATALOG)
+        hi = desirability(dict(VALUES, SNR=snr + snr_boost), PROFILE, CATALOG)
         assert hi >= lo
 
     @given(
@@ -136,12 +130,8 @@ class TestScore:
         bump=st.floats(min_value=0.0, max_value=1e9),
     )
     def test_detrimental_antitone(self, ber, bump):
-        lo = desirability(
-            CriteriaVector(values=dict(VALUES, BER=ber + bump)), PROFILE, CATALOG
-        ).value
-        hi = desirability(
-            CriteriaVector(values=dict(VALUES, BER=ber)), PROFILE, CATALOG
-        ).value
+        lo = desirability(dict(VALUES, BER=ber + bump), PROFILE, CATALOG)
+        hi = desirability(dict(VALUES, BER=ber), PROFILE, CATALOG)
         assert hi >= lo
 
 
@@ -201,25 +191,21 @@ class TestWeightProfile:
         assert _weight_problems(WeightProfile(weights={"SNR": 0.0, "DTR": 1.0})) == []
 
 
-def _scores(*pairs):
-    return [DesirabilityScore(network_id=n, value=v) for n, v in pairs]
-
-
 class TestRanking:
     def test_descending_order(self):
-        anl = rank(_scores(("a", 1.0), ("b", 3.0), ("c", 2.0)))
+        anl = rank([("a", 1.0), ("b", 3.0), ("c", 2.0)])
         assert [net for net, _ in anl.entries] == ["b", "c", "a"]
 
     def test_ties_break_by_id(self):
-        anl = rank(_scores(("zeta", 2.0), ("alpha", 2.0), ("mid", 2.0)))
+        anl = rank([("zeta", 2.0), ("alpha", 2.0), ("mid", 2.0)])
         assert [net for net, _ in anl.entries] == ["alpha", "mid", "zeta"]
 
     def test_duplicate_network_rejected(self):
         with pytest.raises(DuplicateNetworkError):
-            rank(_scores(("a", 1.0), ("a", 2.0)))
+            rank([("a", 1.0), ("a", 2.0)])
 
     def test_best_is_head(self):
-        anl = rank(_scores(("a", 1.0), ("b", 3.0)))
+        anl = rank([("a", 1.0), ("b", 3.0)])
         assert best(anl) == "b"
 
     def test_best_of_empty_is_none(self):
@@ -227,17 +213,17 @@ class TestRanking:
         assert best(rank([])) is None
 
     def test_score_lookup(self):
-        anl = rank(_scores(("a", 1.5), ("b", 3.0)))
+        anl = rank([("a", 1.5), ("b", 3.0)])
         assert anl.values["a"] == 1.5
         assert "missing" not in anl.values
 
     def test_lists_compare_and_hash_by_entries(self):
-        anl = rank(_scores(("a", 1.5), ("b", 3.0)))
-        again = rank(_scores(("b", 3.0), ("a", 1.5)))
+        anl = rank([("a", 1.5), ("b", 3.0)])
+        again = rank([("b", 3.0), ("a", 1.5)])
         built = AvailableNetworkList(anl.entries)
         assert anl == again == built and hash(anl) == hash(again) == hash(built)
         assert built.values == anl.values
-        assert anl != rank(_scores(("a", 1.5), ("b", 2.0)))
+        assert anl != rank([("a", 1.5), ("b", 2.0)])
         assert AvailableNetworkList() == rank([]) and AvailableNetworkList().values == {}
 
     @given(
@@ -251,13 +237,13 @@ class TestRanking:
         )
     )
     def test_rank_is_sorted_and_complete(self, pairs):
-        anl = rank(_scores(*pairs))
-        values = [s.value for _, s in anl.entries]
+        anl = rank(pairs)
+        values = [value for _, value in anl.entries]
         assert values == sorted(values, reverse=True)
         assert sorted(anl.values) == sorted(n for n, _ in pairs)
         # Ties must be ordered by id.
         for (n1, s1), (n2, s2) in zip(anl.entries, anl.entries[1:]):
-            if s1.value == s2.value:
+            if s1 == s2:
                 assert n1 < n2
 
     @given(
@@ -270,13 +256,11 @@ class TestRanking:
         )
     )
     def test_rank_names_the_first_repeat_or_sorts(self, pairs):
-        scores = _scores(*pairs)
         ids = [n for n, _ in pairs]
         repeats = [n for i, n in enumerate(ids) if n in ids[:i]]
         if repeats:
             with pytest.raises(DuplicateNetworkError) as raised:
-                rank(scores)
+                rank(pairs)
             assert raised.value.network_id == repeats[0]
         else:
-            ranked = [s for _, s in rank(scores).entries]
-            assert ranked == sorted(scores, key=lambda s: (-s.value, s.network_id))
+            assert list(rank(pairs).entries) == sorted(pairs, key=lambda p: (-p[1], p[0]))

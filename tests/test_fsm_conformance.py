@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 from handoffsim import controller as ctl
-from handoffsim.desirability import DesirabilityScore, rank
+from handoffsim.desirability import rank
 from handoffsim.errors import IllegalEventError
 from handoffsim.scenario import ControllerConfig, Strategy
 from handoffsim.taxonomy import StationTypes
@@ -298,7 +298,7 @@ def _impl_event(letter, now):
     kind, payload = letter
     if kind == "anl":
         pairs = ANL_LETTERS[payload]
-        anl = rank([DesirabilityScore(network_id=n, value=v) for n, v in pairs])
+        anl = rank(pairs)
         types = StationTypes(
             BaseStation(id=n, net_id=n, provider_id="p1", position=(0.0, 0.0), technology="lte")
             for n, _ in pairs
@@ -352,7 +352,7 @@ def _impl_key(st: ctl.ControllerState, now: int):
         nets.add(st.held[0])
     latest = tuple((nid, *ctl.latest_sample(st, nid)) for nid in sorted(nets))
     samples = tuple((nid, r(t), v) for nid, t, v in latest)
-    anl = st.last_anl and tuple((nid, s.value) for nid, s in st.last_anl.entries)
+    anl = st.last_anl and st.last_anl.entries
     return (
         st.phase.value, st.current, prep, plan, flight,
         r(st.eval_deadline), samples, anl,

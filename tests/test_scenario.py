@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import random
 import sys
@@ -656,6 +657,88 @@ class TestStochasticOverflow:
         doc = self._noisy(noise_sigma=1e308)
         doc["weights"]["weights"] = {"RSS": 1.0}
         engine.run(from_dict(doc))
+
+
+def _rss_weighted(path_loss):
+    doc = _doc(path_loss=path_loss)
+    doc["weights"]["weights"] = {"Q": 0.5, "RSS": 0.5}
+    return doc
+
+
+def _scores(trace):
+    return [value for rec in trace.records if rec.kind == "anl"
+            for _, value in rec.payload["entries"]]
+
+
+class TestScoreOverflow:
+    """Each weighted term is ``(K + W) * log10(max(value, floor))`` of a
+    finite value, so ``sum (K + W) * max(|log10 floor|, log10 MAX)`` bounds
+    every score; the parser rejects a K whose bound is not finite."""
+
+    # crossing.json weights Q alone, with W = 1 and the default floor, 1e-6.
+    EDGE = _MAX / (1.0 + 1e-9) / math.log10(_MAX) - 1.0
+
+    def test_a_k_that_overflows(self):
+        assert _problems(_doc(weights={"k": 1e308, "weights": {"Q": 1.0}})) == [
+            "weights.k: scores may not stay finite with K = 1e+308"
+        ]
+
+    def test_the_bound_is_exact_in_k(self):
+        from_dict(_doc(weights={"k": self.EDGE * 0.999, "weights": {"Q": 1.0}}))
+        k = self.EDGE * 1.001
+        assert _problems(_doc(weights={"k": k, "weights": {"Q": 1.0}})) == [
+            f"weights.k: scores may not stay finite with K = {k!r}"
+        ]
+
+    def test_a_floor_below_the_smallest_normal_float_narrows_it(self):
+        doc = _doc(weights={"k": self.EDGE * 0.999, "weights": {"Q": 1.0}})
+        doc["criteria"][0]["floor"] = 5e-324
+        assert _problems(doc) == [
+            f"weights.k: scores may not stay finite with K = {self.EDGE * 0.999!r}"
+        ]
+
+    def test_an_accepted_k_scores_the_largest_values_finitely(self):
+        doc = _doc(weights={"k": self.EDGE * 0.999, "weights": {"Q": 1.0}})
+        for signals in doc["synthesis"]["networks"].values():
+            signals["base"]["Q"] = _MAX
+            signals.pop("ramps", None)
+        scores = _scores(engine.run(from_dict(doc)))
+        assert scores and all(math.isfinite(v) for v in scores)
+        assert max(scores) > _MAX / 2
+
+
+class TestRssOverflow:
+    """When RSS is weighted, a covered position lies within its station's
+    radius, so ``|tx_power| + |10 n| * log10(max(radius, 1))`` bounds its
+    RSS; the parser rejects an exponent whose bound is not finite, and one
+    whose ``10 n`` is not, whatever the tier's stations."""
+
+    # crossing.json's stations are macro cells of the default radius, 1000 m.
+    EDGE = (_MAX / (1.0 + 1e-9) - 40.0) / (10.0 * 3.0)
+
+    @pytest.mark.parametrize("exponent", [1e308, -1e308])
+    def test_an_exponent_that_overflows(self, exponent):
+        assert _problems(_rss_weighted({"macro": {"exponent": exponent}})) == [
+            "path_loss.macro.exponent: RSS may not stay finite"
+        ]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_bound_is_exact_in_the_exponent(self, sign):
+        doc = _rss_weighted({"macro": {"exponent": sign * self.EDGE * 0.999}})
+        trace = engine.run(from_dict(doc))
+        assert all(math.isfinite(v) for v in _scores(trace))
+        assert _problems(_rss_weighted({"macro": {"exponent": sign * self.EDGE * 1.001}})) == [
+            "path_loss.macro.exponent: RSS may not stay finite"
+        ]
+
+    def test_a_tier_without_stations_is_checked_only_for_its_slope(self):
+        from_dict(_rss_weighted({"femto": {"exponent": 1e307}}))
+        assert _problems(_rss_weighted({"femto": {"exponent": 1e308}})) == [
+            "path_loss.femto.exponent: RSS may not stay finite"
+        ]
+
+    def test_an_unweighted_rss_is_not_checked(self):
+        engine.run(from_dict(_doc(path_loss={"macro": {"exponent": 1e308}})))
 
 
 class TestPathLossValidation:

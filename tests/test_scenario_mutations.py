@@ -2,11 +2,14 @@
 paths, or parses to a scenario that runs to completion.
 
 The mutations are enumerated, not sampled: every value set to each JSON type
-it is not, every key deleted, and an unknown key added to every object.
+it is not, every key deleted, and an unknown key added to every object; and
+every float set to each extreme value, after which an accepted scenario
+must also trace only finite floats.
 """
 
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -80,9 +83,22 @@ def mutations(doc):
             yield f"add {UNKNOWN_KEY} to {list(path)}", _edited(doc, path, _add_unknown)
 
 
-def _outcome(doc):
+def _floats(node):
+    """Every float below ``node``, a trace payload."""
+    if type(node) is float:
+        yield node
+    elif type(node) is dict:
+        for child in node.values():
+            yield from _floats(child)
+    elif type(node) is list:
+        for child in node:
+            yield from _floats(child)
+
+
+def _outcome(doc, finite=False):
     """("rejected" or "ran", None), or (None, why the document breaks the
-    parser's contract)."""
+    parser's contract).  With ``finite``, a run that traces a float that
+    is not finite breaks it too."""
     try:
         scenario = from_dict(doc)
     except ScenarioError as exc:
@@ -96,9 +112,14 @@ def _outcome(doc):
     except Exception as exc:
         return None, f"from_dict raised {exc!r}"
     try:
-        engine.run(scenario)
+        trace = engine.run(scenario)
     except Exception as exc:
         return None, f"accepted, then engine.run raised {exc!r}"
+    if finite:
+        for rec in trace.records:
+            bad = [v for v in _floats(rec.payload) if not math.isfinite(v)]
+            if bad:
+                return None, f"accepted, then traced {bad[0]!r} at {rec.t} ms in {rec.kind}"
     return "ran", None
 
 
@@ -120,3 +141,43 @@ def test_every_mutation_is_rejected_with_paths_or_runs(name):
     print(f"{name}: {total} mutations, {counts}, {len(failures)} failures")
     assert total > 500
     assert not failures, "\n".join(failures[:20]) + f"\n... {len(failures)} of {total}"
+
+
+# The extremes of a float: the largest magnitudes, the smallest positive
+# subnormal, zero, and a negative.
+EXTREMES = (1e308, -1e308, 5e-324, 0.0, -1.0)
+
+
+def _rss_weighted_crossing():
+    """crossing.json with RSS weighted and a macro path-loss override."""
+    doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+    doc["weights"]["weights"] = {"Q": 0.5, "RSS": 0.5}
+    doc["path_loss"] = {"macro": {"tx_power_dbm": -40.0, "exponent": 3.0}}
+    return doc
+
+
+_EXTREME_DOCUMENTS = {
+    "crossing": lambda: json.loads((SCENARIO_DIR / "crossing.json").read_text()),
+    "noisy": lambda: json.loads((SCENARIO_DIR / "noisy.json").read_text()),
+    "crossing-rss": _rss_weighted_crossing,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME_DOCUMENTS))
+def test_every_extreme_float_is_rejected_with_paths_or_traces_finitely(name):
+    """Integer leaves are left out: a ``duration_ms`` of ``10**400`` is
+    accepted and never finishes, and no bound on a run's terminal-ticks is
+    decided yet."""
+    doc = _EXTREME_DOCUMENTS[name]()
+    total, failures = 0, []
+    for path, value in _nodes(doc):
+        if type(value) is not float:
+            continue
+        for extreme in EXTREMES:
+            total += 1
+            verdict, why = _outcome(_edited(doc, path, _set(extreme)), finite=True)
+            if verdict is None:
+                failures.append(f"set {list(path)} to {extreme!r}: {why}")
+    print(f"{name}: {total} extreme values, {len(failures)} failures")
+    assert total >= 40
+    assert not failures, "\n".join(failures)

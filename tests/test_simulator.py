@@ -482,9 +482,9 @@ class TestGeometricSynthesis:
         )
         state = SynthesisState(spec)
         state.advance_to(0, 100)
-        assert sample_context("n1", 0, spec, state).values["Q"] == 100.0
+        assert sample_context("n1", 0, spec, state)["Q"] == 100.0
         state.advance_to(500, 100)
-        assert sample_context("n1", 500, spec, state).values["Q"] == 1100.0
+        assert sample_context("n1", 500, spec, state)["Q"] == 1100.0
 
     def test_waypoints_interpolate_and_clamp(self):
         spec = ContextSynthesisSpec(
@@ -493,7 +493,7 @@ class TestGeometricSynthesis:
                 waypoints={"Q": ((0, 1.0), (100, 5.0), (200, 1.0))})},
         )
         state = SynthesisState(spec)
-        samples = {t: sample_context("n1", t, spec, state).values["Q"]
+        samples = {t: sample_context("n1", t, spec, state)["Q"]
                    for t in (-50, 0, 50, 100, 150, 200, 400)}
         assert samples[-50] == 1.0
         assert samples[0] == 1.0
@@ -512,14 +512,14 @@ class TestGeometricSynthesis:
                 waypoints={"Q": ((0, 7.0), (100, 7.0))})},
         )
         state = SynthesisState(spec)
-        values = sample_context("n1", 50, spec, state).values
+        values = sample_context("n1", 50, spec, state)
         assert values["Q"] == 7.0
         assert values["P"] == 1.0
 
     def test_unknown_network_reports_nothing(self):
         spec = ContextSynthesisSpec(mode="geometric", networks={})
         state = SynthesisState(spec)
-        assert sample_context("ghost", 0, spec, state).values == {}
+        assert sample_context("ghost", 0, spec, state) == {}
 
 
 class TestStochasticSynthesis:
@@ -533,11 +533,11 @@ class TestStochasticSynthesis:
         )
         state = SynthesisState(spec)
         state.advance_to(0, 100)
-        assert sample_context("n1", 0, spec, state).values["Q"] == 10.0
+        assert sample_context("n1", 0, spec, state)["Q"] == 10.0
         state.advance_to(100, 100)
-        assert sample_context("n1", 100, spec, state).values["Q"] == pytest.approx(5.0)
+        assert sample_context("n1", 100, spec, state)["Q"] == pytest.approx(5.0)
         state.advance_to(200, 100)
-        assert sample_context("n1", 200, spec, state).values["Q"] == pytest.approx(2.5)
+        assert sample_context("n1", 200, spec, state)["Q"] == pytest.approx(2.5)
 
     def test_same_seed_same_sequence(self):
         spec = ContextSynthesisSpec(
@@ -553,7 +553,7 @@ class TestStochasticSynthesis:
             seq = []
             for t in range(0, 1000, 100):
                 state.advance_to(t, 100)
-                seq.append(sample_context("n1", t, spec, state).values["Q"])
+                seq.append(sample_context("n1", t, spec, state)["Q"])
             runs.append(seq)
         assert runs[0] == runs[1]
 
@@ -568,7 +568,7 @@ class TestStochasticSynthesis:
             out = []
             for t in range(0, 1000, 100):
                 state.advance_to(t, 100)
-                out.append(sample_context("n1", t, spec, state).values["Q"])
+                out.append(sample_context("n1", t, spec, state)["Q"])
             return out
 
         assert sequence(1) != sequence(2)

@@ -13,15 +13,17 @@ encode differently, and shapes one key or one type away from them.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from handoffsim import engine, trace as trace_module
-from handoffsim.scenario import from_dict
+from handoffsim import controller, engine, trace as trace_module
+from handoffsim.desirability import AvailableNetworkList
+from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.trace import (
-    ANL, HANDOFF, INIT, TRANSITION, LineEncoder, Trace, read_trace,
+    ANL, HANDOFF, INIT, TRANSITION, LineEncoder, Trace, parse_ndjson, read_trace,
 )
 from test_golden import _inputs
 from trace_text import ndjson
@@ -88,6 +90,33 @@ def test_a_run_writes_its_ndjson(out_dir):
     assert path.read_text() == "".join(
         _dumps(r.t, r.terminal, r.kind, r.payload) + "\n" for r in trace.records
     )
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["crossing.json", "noisy.json"])
+def test_each_anl_record_rebuilds_the_list_the_controller_got(name, monkeypatch):
+    """A list built straight from an ``anl`` record's pairs, as a replay
+    would build it, equals the one the controller was handed, hashes as it
+    does and looks up the same scores."""
+    handed = {}
+    real = controller.step
+
+    def step(state, event, cfg, now):
+        if isinstance(event, controller.AnlUpdated):
+            handed[(now, state.terminal)] = event.anl
+        return real(state, event, cfg, now)
+
+    monkeypatch.setattr(controller, "step", step)
+    trace = engine.run(load_scenario(SCENARIO_DIR / name))
+    records = [r for r in parse_ndjson(ndjson(trace).splitlines()).records if r.kind == ANL]
+    assert len(records) == len(handed) > 0
+    for rec in records:
+        kept = handed[(rec.t, rec.terminal)]
+        built = AvailableNetworkList(tuple(map(tuple, rec.payload["entries"])))
+        assert built == kept and hash(built) == hash(kept)
+        assert built.values == kept.values
 
 
 # Values a memo key must not join: equal, or both NaN, yet written apart.
