@@ -383,9 +383,10 @@ def _on_anl(state, event, cfg, now):
                 phase, current, prep = Phase.EXECUTION, None, None
                 actions = (StartSwitch(plan), ScheduleTimer("switch", now + cfg.exec_latency))
 
-    return ControllerState(
+    # tuple.__new__ skips the generated __new__ frame: every field is given.
+    return tuple.__new__(ControllerState, (
         state.terminal, phase, current, prep, plan, flight, state.eval_deadline, anl, now, held,
-    ), actions
+    )), actions
 
 
 def _on_link_lost(state, cfg, now):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .context import CriterionDef, Polarity
@@ -123,19 +124,23 @@ class AvailableNetworkList(namedtuple("AvailableNetworkList", ("entries", "value
         return hash(self.entries)
 
 
-def _rank_key(pair: tuple[str, float]) -> tuple[float, str]:
-    return -pair[1], pair[0]
+_score = itemgetter(1)
 
 
 def rank(scores: Sequence[tuple[str, float]]) -> AvailableNetworkList:
     """Order (network id, score) tuples into an available-network list,
     best first; the tuples themselves become its entries.
 
+    The order is that of the key ``(-score, id)``, taken by two sorts on C
+    keys: by pair, so by id, then by score alone, descending.  Python's sort
+    is stable with ``reverse=True`` too, so tied scores (``0.0`` and
+    ``-0.0`` among them) keep ascending id order for any input order.
+
     A network listed twice raises DuplicateNetworkError naming the first
     repeat in input order.  The list's ``values`` map holds one entry per
     network, so it is shorter than the input exactly when one repeats; only
     then is the input walked again, to name it."""
-    ordered = sorted(scores, key=_rank_key)
+    ordered = sorted(sorted(scores), key=_score, reverse=True)
     values = dict(ordered)
     if len(values) != len(scores):
         seen = set()

@@ -46,11 +46,14 @@ path's top speed, needs to move that far, skipping both interpolation and
 coverage until then.  When RSS is weighted, every tick's RSS differs, so
 coverage is asked every tick.
 
-The values built per event or record are immutable NamedTuples, which
+The values built per event or record are immutable named tuples, which
 cost no ``__setattr__`` per field to build: the ranked
 ``AvailableNetworkList``, the controller's ``AnlUpdated`` event and
 ``ControllerState`` (with its ``PrepData``), and a ``Trace``'s
-``TraceRecord``.
+``TraceRecord``.  Those built once per terminal-tick or record (the list,
+the event, the ``ControllerState`` an ANL step returns and the record) are
+built with ``tuple.__new__``, which skips the generated ``__new__`` frame,
+and a context is handed on as a plain (list, payload) pair.
 
 A run makes no reference cycle: each record, payload and context value
 is freed by reference counting once nothing holds it.  So the CLI runs
@@ -85,7 +88,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import controller as ctl
 from .desirability import AvailableNetworkList, desirability, rank
@@ -154,14 +157,6 @@ def _record_payload(rec: ctl.HandoffRecord) -> dict:
     }
 
 
-class _Tick(NamedTuple):
-    """The controller-independent context of one (terminal, t).  The list
-    holds exactly the stations that cover the terminal."""
-
-    anl: AvailableNetworkList
-    payload: dict  # the ANL record's payload
-
-
 class _Context:
     """Computes the context of each (terminal, t), asked in time order."""
 
@@ -188,7 +183,10 @@ class _Context:
         )
         self.held: dict[str, tuple[int, float, Coverage]] = {}
 
-    def at(self, terminal: str, now: int) -> _Tick:
+    def at(self, terminal: str, now: int) -> tuple[AvailableNetworkList, dict]:
+        """The controller-independent context of (terminal, now): the ranked
+        list of exactly the stations that cover the terminal, and the ANL
+        record's payload."""
         sc = self.sc
         if self.synth_t != now:
             self.synth.advance_to(now, sc.tick_ms)
@@ -214,7 +212,7 @@ class _Context:
                 score = desirability({**values, "RSS": rss}, sc.weights, sc.catalog)
             scores.append((bs.id, score))
         anl = rank(scores)
-        return _Tick(anl, {"entries": [[net, score] for net, score in anl.entries]})
+        return anl, {"entries": list(map(list, anl.entries))}
 
 
 class _Point:
@@ -271,7 +269,7 @@ class _Run:
                 "from": state.phase._value_,
                 "to": new_state.phase._value_,
                 "attached": new_state.current,
-                "actions": [_action_payload(a) for a in actions],
+                "actions": list(map(_action_payload, actions)),
             },
         )
         for action in actions:
@@ -282,12 +280,12 @@ class _Run:
 
     def context_tick(self, terminal: str, now: int) -> None:
         try:
-            tick = self.context(terminal, now)
+            anl, payload = self.context(terminal, now)
         except HandoffSimError as exc:
             self.fail(self.live, exc, now, terminal)
             return
-        values, payload = tick.anl.values, tick.payload
-        event = ctl.AnlUpdated(tick.anl, self.types)
+        values = anl.values
+        event = tuple.__new__(ctl.AnlUpdated, (anl, self.types))
         for point in self.live:
             try:
                 current = point.states[terminal].current

@@ -150,6 +150,9 @@ _DEFAULT_CONTROLLER = ControllerConfig()
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
 _FLOAT_MAX = sys.float_info.max
 _LOG10_MAX = math.log10(_FLOAT_MAX)
+# Times are integers, but movement and synthesis divide and scale them as
+# floats.
+_NO_FLOAT = "too large for a float"
 _SIDE_SUM_TOLERANCE = 1e-9  # how far a polarity side's weights may sum from 1
 
 # Values are tested by exact type: JSON gives dict, list, str, int, float
@@ -355,8 +358,13 @@ def _parse_terminals(doc, problems) -> list[TerminalSpec]:
                 problems.append(f"{tpath}.path[{wi}]: {why}")
                 continue
             t, (x, y) = wp
+            if not abs(t) <= _FLOAT_MAX:
+                problems.append(f"{tpath}.path[{wi}]: time {_NO_FLOAT}")
+                continue
             if last_t is not None and t <= last_t:
                 problems.append(f"{tpath}.path[{wi}]: waypoint times must increase")
+            elif last_t is not None and t - last_t > _FLOAT_MAX:
+                problems.append(f"{tpath}.path[{wi}]: time since the last waypoint {_NO_FLOAT}")
             last_t = t
             waypoints.append((t, (float(x), float(y))))
         if len(problems) == before:
@@ -640,8 +648,9 @@ def _parse_synthesis(doc, criteria: set, weighted, problems, seed: int) -> Conte
     )
 
 
-# random.gauss draws cos(2*pi*u) * sqrt(-2 * log(1 - v)), u and v from
-# random(), which is below 1 by at least 2**-53: no draw exceeds this.
+# random.gauss, and the walk that draws as it does, draws
+# cos(2*pi*u) * sqrt(-2 * log(1 - v)), u and v from random(), which is
+# below 1 by at least 2**-53: no draw exceeds this.
 _GAUSS_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
 
@@ -723,8 +732,14 @@ def from_dict(doc: Mapping) -> Scenario:
     if type(duration) is not int or duration < 0:
         problems.append("duration_ms: required non-negative integer")
         duration = 0
+    elif duration > _FLOAT_MAX:
+        problems.append(f"duration_ms: {_NO_FLOAT}")
+        duration = 0
     if type(tick) is not int or tick <= 0:
         problems.append("tick_ms: required positive integer")
+        tick = 1
+    elif tick > _FLOAT_MAX:
+        problems.append(f"tick_ms: {_NO_FLOAT}")
         tick = 1
     if duration % tick != 0:
         problems.append("duration_ms: must be a multiple of tick_ms")

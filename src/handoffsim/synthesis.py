@@ -7,8 +7,9 @@ Two modes drive the criterion values a network reports over time:
   series generalizes a single ramp and can describe pulses and triangles).
 * stochastic: a seeded first-order autoregression around the base,
   x[t] = base + rho * (x[t-1] - base) + sigma * eps, with unit-normal
-  noise.  Sigma zero degenerates to a deterministic geometric decay of the
-  starting offset toward the base.
+  noise eps: the draws ``random.Random(seed).gauss(0.0, 1.0)`` gives, by
+  its own formula, computed inline.  Sigma zero degenerates to a
+  deterministic geometric decay of the starting offset toward the base.
 
 All evolution is advanced one simulator tick at a time in sorted network
 and criterion order, so a given seed always yields the same byte stream.
@@ -16,6 +17,7 @@ and criterion order, so a given seed always yields the same byte stream.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -36,6 +38,9 @@ class ContextSynthesisSpec(NamedTuple):
     ar1_rho: float = 0.9
     noise_sigma: float = 0.0
     seed: int = 0
+
+
+_TWOPI = 2.0 * math.pi  # random.TWOPI
 
 
 def _interp(waypoints: Sequence[tuple[int, float]], t: int) -> float:
@@ -60,12 +65,19 @@ class SynthesisState:
     """Mutable evolution state, advanced tick by tick, with the spec's
     constants resolved once: each geometric network's criteria in sorted
     order, and the sorted network and criterion order of the stochastic
-    walk with each criterion's base."""
+    walk with each criterion's base.
+
+    The walk's noise is the stream ``random.Random(seed).gauss(0.0, 1.0)``
+    would give, drawn by that method's own formula in ``advance_to`` rather
+    than through a call per draw: each pair of ``random()`` values gives
+    one draw and a spare for the next, and the spare is kept here, in
+    ``spare``, across calls."""
 
     def __init__(self, spec: ContextSynthesisSpec):
         self.spec = spec
         self.rng = random.Random(spec.seed)
         self.t: Optional[int] = None
+        self.spare: Optional[float] = None  # the second draw of the last pair
         self.values: dict[str, dict[str, float]] = {}
         self.criteria: dict[str, tuple[str, ...]] = {}
         # (values, ((criterion, base), ...)) per network, in the walk's order.
@@ -89,13 +101,25 @@ class SynthesisState:
             return
         if self.t is None:
             self.t = 0  # initial values stand for t = 0
-        rho, sigma, gauss = self.spec.ar1_rho, self.spec.noise_sigma, self.rng.gauss
+        rho, sigma = self.spec.ar1_rho, self.spec.noise_sigma
+        uniform, spare = self.rng.random, self.spare
+        cos, sin, sqrt, log = math.cos, math.sin, math.sqrt, math.log
         while self.t < t:
             self.t += tick
             for vals, bases in self.walk:
                 for cid, base in bases:
-                    eps = gauss(0.0, 1.0)
+                    # random.gauss(0.0, 1.0): returns 0.0 + z * 1.0, which is
+                    # 0.0 + z, so a -0.0 draw comes out as 0.0.
+                    if spare is None:
+                        x2pi = uniform() * _TWOPI
+                        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                        eps = 0.0 + cos(x2pi) * g2rad
+                        spare = sin(x2pi) * g2rad
+                    else:
+                        eps = 0.0 + spare
+                        spare = None
                     vals[cid] = base + rho * (vals[cid] - base) + (sigma * eps)
+        self.spare = spare
 
 
 def sample_context(

@@ -138,7 +138,8 @@ class Trace:
         self.records = [] if records is None else records
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
-        self.records.append(TraceRecord(t, terminal, kind, payload))
+        # tuple.__new__ skips the named tuple's generated __new__ frame.
+        self.records.append(tuple.__new__(TraceRecord, (t, terminal, kind, payload)))
 
     def write(self, path: str | Path) -> None:
         """Stream each record's canonical line to ``path``, through one

@@ -402,6 +402,50 @@ class TestOverflowingScore:
         assert captured.err == f"{path}: {problem}\n"
 
 
+_PATH = ("terminals", 0, "path")
+
+
+class TestTimesNoFloatHolds:
+    """An integer time that no float can hold made ``validate`` (for
+    ``duration_ms`` and ``tick_ms``) or ``run`` (for a path time, or two
+    whose difference is one) exit 1 with an OverflowError traceback, and a
+    ``duration_ms`` of ``10**400`` on a stochastic scenario validated and
+    then ran without end.  Every command now refuses each at its field
+    path."""
+
+    @pytest.mark.parametrize("name, edits, problem", [
+        ("crossing.json", {("duration_ms",): 10**400}, "duration_ms: too large for a float"),
+        ("crossing.json", {("tick_ms",): 10**400}, "tick_ms: too large for a float"),
+        ("noisy.json", {("duration_ms",): 10**400}, "duration_ms: too large for a float"),
+        ("noisy.json", {(*_PATH, 1, 0): 10**400},
+         "terminals[0].path[1]: time too large for a float"),
+        ("noisy.json", {(*_PATH, 0, 0): -10**400},
+         "terminals[0].path[0]: time too large for a float"),
+        ("noisy.json", {(*_PATH, 0, 0): -10**308, (*_PATH, 1, 0): 10**308},
+         "terminals[0].path[1]: time since the last waypoint too large for a float"),
+    ], ids=["duration", "tick", "noisy-duration", "path-time", "negative-path-time",
+            "path-gap"])
+    @pytest.mark.parametrize("command", [["validate"], ["run"]])
+    def test_exits_invalid_naming_the_time(self, name, edits, problem, command,
+                                           tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / name).read_text())
+        for keys, value in edits.items():
+            node = doc
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], str(path)]
+        if command == ["run"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestTerminalIdsInMetricRows:
     """Each terminal id labels its own metrics row, next to the pooled "all"
     row, in the CSV and as a JSON key."""

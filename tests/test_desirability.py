@@ -264,3 +264,37 @@ class TestRanking:
             assert raised.value.network_id == repeats[0]
         else:
             assert list(rank(pairs).entries) == sorted(pairs, key=lambda p: (-p[1], p[0]))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="abcdef", min_size=1, max_size=2),
+                st.one_of(
+                    st.sampled_from((0.0, -0.0, 1.5, -1.5)),
+                    st.floats(allow_nan=False, width=16),
+                ),
+            ),
+            unique_by=lambda p: p[0],
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_rank_orders_any_input_order_by_minus_score_then_id(self, pairs, rnd):
+        """Whatever order the pairs come in, with tied scores (``0.0`` and
+        ``-0.0`` among them), the entries are the input tuples themselves in
+        ``(-score, id)`` order; and a repeated id still raises, naming the
+        first repeat in input order."""
+        rnd.shuffle(pairs)
+        anl = rank(pairs)
+        expected = sorted(pairs, key=lambda p: (-p[1], p[0]))
+        assert anl.entries == tuple(expected)
+        assert all(entry is pair for entry, pair in zip(anl.entries, expected))
+        if pairs:
+            net, score = rnd.choice(pairs)
+            repeated = [*pairs, (net, rnd.choice((0.0, -0.0, score)))]
+            rnd.shuffle(repeated)
+            ids = [n for n, _ in repeated]
+            first = next(n for i, n in enumerate(ids) if n in ids[:i])
+            with pytest.raises(DuplicateNetworkError) as raised:
+                rank(repeated)
+            assert raised.value.network_id == first

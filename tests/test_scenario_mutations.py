@@ -3,8 +3,8 @@ paths, or parses to a scenario that runs to completion.
 
 The mutations are enumerated, not sampled: every value set to each JSON type
 it is not, every key deleted, and an unknown key added to every object; and
-every float set to each extreme value, after which an accepted scenario
-must also trace only finite floats.
+every float and integer set to each extreme value of its type, after which
+an accepted scenario must also trace only finite floats.
 """
 
 import copy
@@ -144,8 +144,12 @@ def test_every_mutation_is_rejected_with_paths_or_runs(name):
 
 
 # The extremes of a float: the largest magnitudes, the smallest positive
-# subnormal, zero, and a negative.
-EXTREMES = (1e308, -1e308, 5e-324, 0.0, -1.0)
+# subnormal, zero, and a negative; and of an integer, magnitudes no float
+# can hold.
+EXTREMES = {
+    float: (1e308, -1e308, 5e-324, 0.0, -1.0),
+    int: (10**400, -10**400),
+}
 
 
 def _rss_weighted_crossing():
@@ -165,19 +169,17 @@ _EXTREME_DOCUMENTS = {
 
 @pytest.mark.parametrize("name", sorted(_EXTREME_DOCUMENTS))
 def test_every_extreme_float_is_rejected_with_paths_or_traces_finitely(name):
-    """Integer leaves are left out: a ``duration_ms`` of ``10**400`` is
-    accepted and never finishes, and no bound on a run's terminal-ticks is
-    decided yet."""
+    """Integer leaves are set too, to magnitudes no float can hold: a
+    ``duration_ms``, ``tick_ms`` or path time of ``10**400`` must be
+    rejected at its path, not overflow or run without end."""
     doc = _EXTREME_DOCUMENTS[name]()
     total, failures = 0, []
     for path, value in _nodes(doc):
-        if type(value) is not float:
-            continue
-        for extreme in EXTREMES:
+        for extreme in EXTREMES.get(type(value), ()):
             total += 1
             verdict, why = _outcome(_edited(doc, path, _set(extreme)), finite=True)
             if verdict is None:
                 failures.append(f"set {list(path)} to {extreme!r}: {why}")
     print(f"{name}: {total} extreme values, {len(failures)} failures")
-    assert total >= 40
+    assert total >= 50
     assert not failures, "\n".join(failures)

@@ -1,7 +1,9 @@
 """Radio model, signal synthesis, and event engine behavior."""
 
+import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -573,31 +575,71 @@ class TestStochasticSynthesis:
 
         assert sequence(1) != sequence(2)
 
-    def test_noise_consumed_in_sorted_network_criterion_order(self):
-        import random
+    # (network, criterion) walk slots, listed out of the walk's sorted order.
+    SLOTS = (("nb", "Q"), ("na", "Q"), ("nb", "P"), ("nc", "A"))
 
+    @staticmethod
+    def _walk(slots, seed, base=0.0, rho=0.0):
+        bases: dict = {}
+        for net, cid in slots:
+            bases.setdefault(net, {})[cid] = base
         spec = ContextSynthesisSpec(
             mode="stochastic",
-            networks={
-                "nb": NetworkSignals(base={"Q": 0.0, "P": 0.0}),
-                "na": NetworkSignals(base={"Q": 0.0}),
-            },
-            ar1_rho=1.0,
+            networks={net: NetworkSignals(base=b) for net, b in bases.items()},
+            ar1_rho=rho,
             noise_sigma=1.0,
-            seed=7,
+            seed=seed,
         )
-        state = SynthesisState(spec)
-        state.advance_to(200, 100)
+        return spec, SynthesisState(spec)
 
-        rng = random.Random(7)
-        expect = {"na": {"Q": 0.0}, "nb": {"P": 0.0, "Q": 0.0}}
-        for _ in range(2):  # two ticks
-            for net in ("na", "nb"):
-                for cid in sorted(expect[net]):
-                    expect[net][cid] += rng.gauss(0.0, 1.0)
-        assert state.values["na"]["Q"] == expect["na"]["Q"]
-        assert state.values["nb"]["P"] == expect["nb"]["P"]
-        assert state.values["nb"]["Q"] == expect["nb"]["Q"]
+    def test_noise_consumed_in_sorted_network_criterion_order(self):
+        """The walk draws what ``random.gauss(0.0, 1.0)`` draws, draw for draw,
+        in sorted network and criterion order: for several seeds, with 1 to 4
+        draws a tick, so that a pair's spare is used in the same tick, in the
+        next one or in the next ``advance_to`` call, over 5 ticks of one call
+        each and over the same 5 in one call.  With rho zero each value is
+        its tick's draw; values are compared by ``float.hex``, so the sign of
+        a zero counts."""
+        for seed, count in itertools.product((0, 7, 41, 2**70), range(1, 5)):
+            spec, state = self._walk(self.SLOTS[:count], seed)
+            expect = list(_gauss_walk(spec, 5))
+            for tick in range(1, 6):
+                state.advance_to(100 * tick, 100)
+                assert _hexed(state.values) == expect[tick - 1], (seed, count, tick)
+            spec, state = self._walk(self.SLOTS[:count], seed)
+            state.advance_to(500, 100)
+            assert _hexed(state.values) == expect[-1], (seed, count)
+
+    def test_a_zero_draw_is_positive_zero(self, monkeypatch):
+        """With ``random()`` stuck at 0.0 both draws of a pair are ``-0.0``
+        (``sqrt(-0.0)``), and ``gauss`` returns ``0.0 + z``, a ``+0.0``.  With
+        base and rho ``-0.0`` the walk's first two terms sum to ``-0.0``, so
+        each value keeps the sign of its draw."""
+        monkeypatch.setattr(random.Random, "random", lambda self: 0.0)
+        spec, state = self._walk(self.SLOTS[:3], 7, base=-0.0, rho=-0.0)
+        expect = list(_gauss_walk(spec, 2))
+        for tick in (1, 2):
+            state.advance_to(100 * tick, 100)
+            assert _hexed(state.values) == expect[tick - 1]
+        assert expect[-1] == {"na": {"Q": "0x0.0p+0"}, "nb": {"P": "0x0.0p+0", "Q": "0x0.0p+0"}}
+
+
+def _hexed(values):
+    return {net: {cid: v.hex() for cid, v in vals.items()} for net, vals in values.items()}
+
+
+def _gauss_walk(spec, ticks):
+    """Each tick's walk values, by ``float.hex``, drawn with ``random.gauss``
+    from a walk that starts at its bases."""
+    rng = random.Random(spec.seed)
+    values = {net: dict(spec.networks[net].base) for net in sorted(spec.networks)}
+    for _ in range(ticks):
+        for net, vals in values.items():
+            for cid in sorted(vals):
+                base = spec.networks[net].base[cid]
+                eps = rng.gauss(0.0, 1.0)
+                vals[cid] = base + spec.ar1_rho * (vals[cid] - base) + (spec.noise_sigma * eps)
+        yield _hexed(values)
 
 
 def _crossing_doc(**tweaks):
