@@ -23,14 +23,16 @@ Each gate answers only what ``step`` asks of it, so each rule is written once:
 * ``evaluate``: a finished handoff's rejection reasons; none means accepted.
 
 ``step`` is a pure function: the returned state and actions depend only on
-the inputs.  All mutable memory (the last seen network list, the in-flight
-handoff) lives inside ControllerState.  Every value here (the state,
-events, actions, plans and records) is a NamedTuple: immutable, and built
-without a ``__setattr__`` per field; so is the configuration, which the
-scenario schema defines (``scenario.ControllerConfig``).  Two of them with
-equal fields compare equal whatever their types (``ScheduleTimer`` and
-``TimerFired``, ``CurrentLinkLost`` and ``SwitchComplete``), so ``step``
-and its callers tell events and actions apart with ``isinstance``.
+the inputs.  All mutable memory lives inside ControllerState: the last
+seen network list and, from trigger to evaluation, the handoff under way
+as the HandoffRecord it will emit, filled in phase by phase.  Every value
+here (the state, events, actions, plans and records) is a NamedTuple:
+immutable, and built without a ``__setattr__`` per field; so is the
+configuration, which the scenario schema defines
+(``scenario.ControllerConfig``).  A NamedTuple equals any tuple of equal
+fields whatever its type (``CurrentLinkLost()`` equals ``SwitchComplete()``,
+and ``ScheduleTimer("eval", t)`` equals ``("eval", t)``), so ``step`` and
+its callers tell events and actions apart with ``isinstance``.
 
 The proactive gate extrapolates each network's score from two samples:
 the one in the current list and the previous one.  A network's previous
@@ -162,7 +164,13 @@ def evaluate(
 
 
 class HandoffRecord(NamedTuple):
-    """Everything known about one completed handoff attempt."""
+    """One handoff attempt, from its trigger to its evaluation.
+
+    The controller builds it at the trigger and carries it as
+    ``ControllerState.flight``: ``t_switch_done`` is None until the switch
+    completes, and ``t_eval_done``, ``uf_new`` and ``accepted`` are None
+    until the evaluation ends it.  An emitted record has every field set.
+    """
 
     terminal: str
     from_net: str
@@ -172,11 +180,11 @@ class HandoffRecord(NamedTuple):
     method: str
     t_prep: int
     t_trigger: int
-    t_switch_done: int
-    t_eval_done: int
+    t_switch_done: Optional[int]
+    t_eval_done: Optional[int]
     uf_old: float
-    uf_new: float
-    accepted: bool
+    uf_new: Optional[float]
+    accepted: Optional[bool]
     reject_reasons: tuple[str, ...] = ()
 
     @property
@@ -205,7 +213,8 @@ class SwitchComplete(NamedTuple):
 
 
 class TimerFired(NamedTuple):
-    kind: str  # "eval"
+    """An evaluation timer, armed for ``at``."""
+
     at: int
 
 
@@ -246,22 +255,12 @@ class PrepData(NamedTuple):
     since: Optional[int] = None  # when sufficiently-better started holding
 
 
-class InFlight(NamedTuple):
-    t_prep: int
-    from_net: str
-    uf_old: float
-    ho_type: str
-    t_switch_done: Optional[int] = None
-
-
 class ControllerState(NamedTuple):
     terminal: str
     phase: Phase = Phase.DISCONNECTION
     current: Optional[str] = None
     prep: Optional[PrepData] = None
-    plan: Optional[TriggerPlan] = None
-    flight: Optional[InFlight] = None
-    eval_deadline: Optional[int] = None
+    flight: Optional[HandoffRecord] = None  # the handoff under way
     last_anl: Optional[AvailableNetworkList] = None
     anl_at: Optional[int] = None  # time of the ANL step that saw last_anl
     # (network, (t, score)): the serving network's last sample while
@@ -321,8 +320,7 @@ def _on_anl(state, event, cfg, now):
         sample = latest_sample(state, state.current)
         if sample is not None:
             held = (state.current, sample)
-    phase, current, prep = state.phase, state.current, state.prep
-    plan, flight = state.plan, state.flight
+    phase, current, prep, flight = state.phase, state.current, state.prep, state.flight
     actions = ()
 
     if phase is Phase.DISCONNECTION:
@@ -365,28 +363,25 @@ def _on_anl(state, event, cfg, now):
             if reason is None:
                 prep = PrepData(prep.target, prep.entered_at, since)
             else:
-                # All gates passed: commit the plan and start switching.
+                # All gates passed: start switching, and carry the record
+                # this handoff will emit.
                 ho_type = event.types[current, cand]
-                plan = TriggerPlan(
-                    why=reason,
-                    where=cand,
-                    how=cfg.policy.lookup(ho_type.layer, cfg.app_type),
-                    who=f"hce:{state.terminal}",
-                    when=now,
+                method = cfg.policy.lookup(ho_type.layer, cfg.app_type)
+                flight = HandoffRecord(
+                    terminal=state.terminal, from_net=current, to_net=cand, reason=reason,
+                    ho_type=ho_type.code, method=method, t_prep=prep.entered_at,
+                    t_trigger=now, t_switch_done=None, t_eval_done=None,
+                    uf_old=d_curr, uf_new=None, accepted=None,
                 )
-                flight = InFlight(
-                    t_prep=prep.entered_at,
-                    from_net=current,
-                    uf_old=d_curr,
-                    ho_type=ho_type.code,
+                plan = TriggerPlan(
+                    why=reason, where=cand, how=method, who=f"hce:{state.terminal}", when=now,
                 )
                 phase, current, prep = Phase.EXECUTION, None, None
                 actions = (StartSwitch(plan), ScheduleTimer("switch", now + cfg.exec_latency))
 
     # tuple.__new__ skips the generated __new__ frame: every field is given.
-    return tuple.__new__(ControllerState, (
-        state.terminal, phase, current, prep, plan, flight, state.eval_deadline, anl, now, held,
-    )), actions
+    fields = (state.terminal, phase, current, prep, flight, anl, now, held)
+    return tuple.__new__(ControllerState, fields), actions
 
 
 def _on_link_lost(state, cfg, now):
@@ -398,13 +393,7 @@ def _on_link_lost(state, cfg, now):
     if state.phase is Phase.EVALUATION:
         # The new link died under evaluation: record the failure at once.
         record = _build_record(state, now, ("LinkLost",))
-        st = state._replace(
-            phase=Phase.DISCONNECTION,
-            current=None,
-            plan=None,
-            flight=None,
-            eval_deadline=None,
-        )
+        st = state._replace(phase=Phase.DISCONNECTION, current=None, flight=None)
         return st, (RecordHandoff(record),)
     raise IllegalEventError(state.phase, CurrentLinkLost())
 
@@ -412,23 +401,22 @@ def _on_link_lost(state, cfg, now):
 def _on_switch_complete(state, cfg, now):
     if state.phase is not Phase.EXECUTION:
         raise IllegalEventError(state.phase, SwitchComplete())
-    target = state.plan.where
+    target = state.flight.to_net
     st = state._replace(
         phase=Phase.EVALUATION,
         current=target,
         flight=state.flight._replace(t_switch_done=now),
-        eval_deadline=now + cfg.eval_latency,
     )
     return st, (Connect(target), ScheduleTimer("eval", now + cfg.eval_latency))
 
 
 def _on_timer(state, event, cfg, now):
-    if event.kind != "eval":
-        raise IllegalEventError(state.phase, event)
-    if state.phase is not Phase.EVALUATION or event.at != state.eval_deadline:
-        # A timer armed for an evaluation that already ended; drop it.
+    flight = state.flight
+    if state.phase is not Phase.EVALUATION or event.at != flight.t_switch_done + cfg.eval_latency:
+        # A timer armed for an evaluation that already ended; drop it.  A
+        # later switch completes later, so an earlier deadline never matches.
         return state, ()
-    flight, when = state.flight, state.plan.when
+    when = flight.t_trigger
     uf_new = _uf_new(state)
     values = (
         uf_new,
@@ -442,13 +430,7 @@ def _on_timer(state, event, cfg, now):
     measured = {mid: v for mid, v in zip(MEASURED, values, strict=True) if v is not None}
     reasons = evaluate(state.current, measured, state.last_anl, cfg.success_regions)
     record = _build_record(state, now, reasons)
-    st = state._replace(
-        phase=Phase.INITIATION,
-        plan=None,
-        flight=None,
-        eval_deadline=None,
-    )
-    return st, (RecordHandoff(record),)
+    return state._replace(phase=Phase.INITIATION, flight=None), (RecordHandoff(record),)
 
 
 def _uf_new(state) -> float:
@@ -457,21 +439,6 @@ def _uf_new(state) -> float:
 
 
 def _build_record(state, now, reasons: tuple[str, ...]) -> HandoffRecord:
-    flight = state.flight
-    plan = state.plan
-    return HandoffRecord(
-        terminal=state.terminal,
-        from_net=flight.from_net,
-        to_net=plan.where,
-        reason=plan.why,
-        ho_type=flight.ho_type,
-        method=plan.how,
-        t_prep=flight.t_prep,
-        t_trigger=plan.when,
-        t_switch_done=flight.t_switch_done,
-        t_eval_done=now,
-        uf_old=flight.uf_old,
-        uf_new=_uf_new(state),
-        accepted=not reasons,
-        reject_reasons=reasons,
+    return state.flight._replace(
+        t_eval_done=now, uf_new=_uf_new(state), accepted=not reasons, reject_reasons=reasons,
     )

@@ -302,8 +302,7 @@ class _Run:
             if kind == "switch":
                 self.deliver(point, terminal, ctl.SwitchComplete(), now, "switch_complete")
             else:
-                self.deliver(point, terminal, ctl.TimerFired(kind="eval", at=now), now,
-                             "timer_eval")
+                self.deliver(point, terminal, ctl.TimerFired(now), now, "timer_eval")
         except HandoffSimError as exc:
             self.fail([point], exc, now, terminal)
 

@@ -337,9 +337,12 @@ def compute_metrics(
     terminal: Optional[str] = None,
 ) -> MetricSnapshot:
     """Compute the snapshot for one terminal, or pooled over all of them
-    with each terminal's in ``by_terminal``, in one walk over the trace."""
+    with each terminal's in ``by_terminal``, in one walk over the trace.
+    One terminal's folds only the run-level records and its own."""
     if horizon_ms is None:
         horizon_ms = _trace_horizon(trace)
+    if terminal is not None:
+        trace = Trace([r for r in trace.records if r.terminal is None or r.terminal == terminal])
     return MetricFolder(horizon_ms).feed_trace(trace).snapshot(terminal)
 
 

@@ -38,7 +38,7 @@ def _pass(name, **measured):
 
 @pytest.fixture(scope="module")
 def exploration(fsm_exploration):
-    memo, transitions, edges, records, _ = fsm_exploration
+    memo, transitions, edges, records, *_ = fsm_exploration
     return {"memo": memo, "transitions": transitions,
             "edges": edges, "records": records}
 

@@ -330,7 +330,7 @@ def _feed_anl(state, now, *pairs, cfg=CFG):
 
 def _assert_actions(actions, *expected):
     """Equal, and of the same types: a NamedTuple equals any tuple of its
-    fields, so ``ScheduleTimer("eval", 5) == TimerFired("eval", 5)``."""
+    fields, so ``ScheduleTimer("eval", 5) == ("eval", 5)``."""
     assert [type(a) for a in actions] == [type(e) for e in expected]
     assert actions == expected
 
@@ -375,7 +375,7 @@ class TestPhaseMachine:
         assert st4.phase is Phase.EVALUATION
         assert actions == ()
 
-        st5, actions = step(st4, TimerFired(kind="eval", at=250), CFG, 250)
+        st5, actions = step(st4, TimerFired(250), CFG, 250)
         assert st5.phase is Phase.INITIATION
         assert len(actions) == 1 and isinstance(actions[0], RecordHandoff)
         rec = actions[0].record
@@ -491,24 +491,49 @@ class TestPhaseMachine:
         st0 = initial_state("mt1")
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
         st2, _ = _feed_anl(st1, 100, ("n2", 6.0), ("n1", 5.0))
-        st3, _ = step(st2, SwitchComplete(), CFG, 200)
-        assert st3.eval_deadline == 250
-        st4, actions = step(st3, TimerFired(kind="eval", at=240), CFG, 240)
+        st3, actions = step(st2, SwitchComplete(), CFG, 200)
+        _assert_actions(actions, Connect("n2"), ScheduleTimer("eval", 250))
+        st4, actions = step(st3, TimerFired(240), CFG, 240)
         assert st4 is st3 or st4 == st3
         assert actions == ()
 
     def test_eval_timer_outside_evaluation_ignored(self):
         st0 = initial_state("mt1")
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
-        st2, actions = step(st1, TimerFired(kind="eval", at=50), CFG, 50)
+        st2, actions = step(st1, TimerFired(50), CFG, 50)
         assert st2.phase is Phase.INITIATION
         assert actions == ()
 
-    def test_unknown_timer_kind_is_illegal(self):
-        st0 = initial_state("mt1")
-        st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0))
-        with pytest.raises(IllegalEventError):
-            step(st1, TimerFired(kind="switch", at=50), CFG, 50)
+    def test_an_ended_evaluations_timer_is_dropped_in_the_next_one(self):
+        # The deadline is derived from the switch that completed last.  With
+        # a long evaluation, the timer of one a lost link ended fires during
+        # the next handoff's, whose switch completed later: it never matches.
+        cfg = CFG._replace(eval_latency=500)
+
+        def feed(state, now, *pairs):
+            return _feed_anl(state, now, *pairs, cfg=cfg)
+
+        st1, _ = feed(initial_state("mt1"), 0, ("n1", 5.0), ("n2", 3.0))
+        st2, _ = feed(st1, 100, ("n2", 6.0), ("n1", 5.0))
+        st3, actions = step(st2, SwitchComplete(), cfg, 200)
+        _assert_actions(actions, Connect("n2"), ScheduleTimer("eval", 700))
+        st4, actions = step(st3, CurrentLinkLost(), cfg, 230)
+        assert st4.phase is Phase.DISCONNECTION
+        assert [a.record.reject_reasons for a in actions] == [("LinkLost",)]
+        st5, _ = feed(st4, 240, ("n1", 5.0), ("n2", 3.0))
+        st6, _ = feed(st5, 300, ("n2", 6.0), ("n1", 5.0))
+        st7, actions = step(st6, SwitchComplete(), cfg, 400)
+        assert st7.phase is Phase.EVALUATION
+        _assert_actions(actions, Connect("n2"), ScheduleTimer("eval", 900))
+        # The first evaluation's timer fires: no action, no change.
+        st8, actions = step(st7, TimerFired(700), cfg, 700)
+        assert actions == () and st8 == st7
+        st9, actions = step(st8, TimerFired(900), cfg, 900)
+        assert st9.phase is Phase.INITIATION
+        assert [type(a) for a in actions] == [RecordHandoff]
+        rec = actions[0].record
+        assert (rec.t_trigger, rec.t_switch_done, rec.t_eval_done) == (300, 400, 900)
+        assert rec.accepted
 
     def test_zero_latency_chain_reaches_execution_in_one_event(self):
         cfg = ControllerConfig(
@@ -530,7 +555,7 @@ class TestPhaseMachine:
         st3, _ = step(st2, SwitchComplete(), CFG, 200)
         # By evaluation time a third network leads the list.
         st4, _ = _feed_anl(st3, 210, ("n3", 9.0), ("n2", 6.2), ("n1", 5.0))
-        st5, actions = step(st4, TimerFired(kind="eval", at=250), CFG, 250)
+        st5, actions = step(st4, TimerFired(250), CFG, 250)
         rec = actions[0].record
         assert not rec.accepted
         assert rec.reject_reasons == ("NotBest",)
@@ -546,7 +571,7 @@ class TestPhaseMachine:
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0), cfg=cfg)
         st2, _ = _feed_anl(st1, 100, ("n2", 6.0), ("n1", 5.0), cfg=cfg)
         st3, _ = step(st2, SwitchComplete(), cfg, 200)
-        st4, actions = step(st3, TimerFired(kind="eval", at=250), cfg, 250)
+        st4, actions = step(st3, TimerFired(250), cfg, 250)
         rec = actions[0].record
         # The switch itself took 100 ms, violating the 50 ms region.
         assert not rec.accepted
@@ -591,7 +616,7 @@ class TestPhaseMachine:
         st4, _ = _feed_anl(st3, 210, ("n1", 5.0))
         st5, _ = _feed_anl(st4, 220, ("n1", 5.1))
         assert latest_sample(st5, "n2") == (100, 6.0)
-        _, actions = step(st5, TimerFired(kind="eval", at=250), CFG, 250)
+        _, actions = step(st5, TimerFired(250), CFG, 250)
         assert actions[0].record.uf_new == 6.0
         # Listed again, it takes the new sample.
         st6, _ = _feed_anl(st5, 230, ("n2", 6.5), ("n1", 5.1))
@@ -641,7 +666,8 @@ def test_per_event_values_are_immutable(value):
 
 
 def test_events_and_actions_equal_as_tuples_are_told_apart_by_type():
-    assert ScheduleTimer("eval", 250) == TimerFired("eval", 250)
+    assert ScheduleTimer("eval", 250) == ("eval", 250)
+    assert TimerFired(250) == (250,)
     assert CurrentLinkLost() == SwitchComplete()
     # In Execution the switch completes, and a lost link is undefined.
     st1, _ = _feed_anl(initial_state("mt1"), 0, ("n1", 5.0), ("n2", 3.0))
@@ -656,4 +682,4 @@ def test_events_and_actions_equal_as_tuples_are_told_apart_by_type():
         "schedule_timer": {"kind": "eval", "at": 250}
     }
     with pytest.raises(TypeError):
-        engine._action_payload(TimerFired("eval", 250))
+        engine._action_payload(TimerFired(250))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,8 +309,7 @@ def _impl_event(letter, now):
         return ctl.CurrentLinkLost()
     if kind == "switch":
         return ctl.SwitchComplete()
-    at = now if kind == "timer_now" else now - STEP_MS
-    return ctl.TimerFired(kind="eval", at=at)
+    return ctl.TimerFired(now if kind == "timer_now" else now - STEP_MS)
 
 
 def _fmt_actions(actions):
@@ -342,10 +342,10 @@ def _impl_key(st: ctl.ControllerState, now: int):
     prep = st.prep and (
         st.prep.target, r(st.prep.entered_at), r(st.prep.since),
     )
-    plan = st.plan and (st.plan.why.value, st.plan.where, st.plan.how, r(st.plan.when))
-    flight = st.flight and (
-        r(st.flight.t_prep), st.flight.from_net, st.flight.uf_old,
-        st.flight.ho_type, r(st.flight.t_switch_done),
+    f = st.flight
+    flight = f and (
+        f.from_net, f.to_net, f.reason.value, f.ho_type, f.method, r(f.t_prep),
+        r(f.t_trigger), r(f.t_switch_done), f.uf_old,
     )
     nets = set(st.last_anl.values) if st.last_anl else set()
     if st.held:
@@ -353,10 +353,7 @@ def _impl_key(st: ctl.ControllerState, now: int):
     latest = tuple((nid, *ctl.latest_sample(st, nid)) for nid in sorted(nets))
     samples = tuple((nid, r(t), v) for nid, t, v in latest)
     anl = st.last_anl and st.last_anl.entries
-    return (
-        st.phase.value, st.current, prep, plan, flight,
-        r(st.eval_deadline), samples, anl,
-    )
+    return st.phase.value, st.current, prep, flight, samples, anl
 
 
 def _ref_key(s, now: int):
@@ -380,13 +377,16 @@ def _ref_key(s, now: int):
 
 
 def _explore(strategy=Strategy.REACTIVE):
-    """Walk both machines in lockstep.  Returns the memo, the set of
-    (phase, letter kind, phase) transitions, the edge and handoff-record
-    counts, and how many edges opened Preparation on a prediction alone:
-    the candidate's latest score was not above the serving network's."""
+    """Walk both machines in lockstep.  Returns the memo; the transitions,
+    a map from each (phase, letter kind, phase) seen to the set of action
+    kind sequences its edges emitted; the edge and handoff-record counts;
+    how many edges opened Preparation on a prediction alone (the
+    candidate's latest score was not above the serving network's); and the
+    (phase, letter kind) pairs on which both machines raised."""
     cfg = CFG._replace(strategy=strategy)
     memo: dict = {}
-    transitions = set()
+    transitions: dict = {}
+    illegal = set()
     edge_count = 0
     record_count = 0
     predicted = 0
@@ -418,6 +418,7 @@ def _explore(strategy=Strategy.REACTIVE):
                 f"in phase {impl.phase.value}: impl={impl_raised} ref={ref_raised}"
             )
             if impl_raised:
+                illegal.add((impl.phase.value, letter[0]))
                 continue
             edge_count += 1
             got = _fmt_actions(impl_actions)
@@ -428,13 +429,15 @@ def _explore(strategy=Strategy.REACTIVE):
             assert impl2.phase.value == ref2["phase"], (name, now, impl2.phase)
             assert impl2.current == ref2["current"], (name, now, impl2.current)
             record_count += sum(1 for a in got if a[0] == "record")
-            transitions.add((impl.phase.value, letter[0], impl2.phase.value))
+            transitions.setdefault((impl.phase.value, letter[0], impl2.phase.value), set()).add(
+                tuple(a[0] for a in got)
+            )
             if impl.phase is ctl.Phase.INITIATION and impl2.phase is ctl.Phase.PREPARATION:
                 scores = dict(ANL_LETTERS[letter[1]])
                 predicted += scores[impl2.prep.target] <= scores[impl2.current]
             stack.append((impl2, ref2, now + STEP_MS, depth + 1))
         assert edge_count < 2_000_000, "state space failed to converge"
-    return memo, transitions, edge_count, record_count, predicted
+    return memo, transitions, edge_count, record_count, predicted, illegal
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +451,7 @@ def proactive_exploration():
 
 
 def test_machines_agree_on_every_sequence(exploration):
-    memo, _, edges, _, _ = exploration
+    memo, _, edges, *_ = exploration
     # The assertion work happens inside the exploration; here we require
     # that it actually covered a nontrivial graph.
     assert len(memo) > 50
@@ -456,24 +459,24 @@ def test_machines_agree_on_every_sequence(exploration):
 
 
 def test_every_phase_reached(exploration):
-    _, transitions, _, _, _ = exploration
+    _, transitions, *_ = exploration
     phases = {p for p, _, _ in transitions} | {p for _, _, p in transitions}
     assert phases == {"disconnection", "initiation", "preparation", "execution", "evaluation"}
 
 
 def test_full_cycles_completed(exploration):
-    _, transitions, _, records, _ = exploration
+    _, transitions, _, records, *_ = exploration
     assert ("evaluation", "timer_now", "initiation") in transitions
     assert records > 0
 
 
 def test_rollback_observed(exploration):
-    _, transitions, _, _, _ = exploration
+    _, transitions, *_ = exploration
     assert ("preparation", "anl", "initiation") in transitions
 
 
 def test_execution_only_exits_via_switch_completion(exploration):
-    _, transitions, _, _, _ = exploration
+    _, transitions, *_ = exploration
     exits = {
         (letter, to)
         for frm, letter, to in transitions
@@ -483,7 +486,7 @@ def test_execution_only_exits_via_switch_completion(exploration):
 
 
 def test_no_backward_transition_from_execution(exploration):
-    _, transitions, _, _, _ = exploration
+    _, transitions, *_ = exploration
     for frm, _, to in transitions:
         if frm == "execution":
             assert to in ("execution", "evaluation")
@@ -494,7 +497,7 @@ def test_reactive_never_enters_on_a_prediction(exploration):
 
 
 def test_proactive_machines_agree_on_every_sequence(proactive_exploration):
-    memo, transitions, edges, records, _ = proactive_exploration
+    memo, transitions, edges, records, *_ = proactive_exploration
     assert len(memo) > 50
     assert edges > 1_000
     assert records > 0
@@ -505,6 +508,80 @@ def test_proactive_machines_agree_on_every_sequence(proactive_exploration):
 
 def test_proactive_walk_enters_preparation_on_predictions(proactive_exploration):
     assert proactive_exploration[4] > 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A walk letter as a transition record names its event, and an action as
+# the trace names it.
+EVENT_NAMES = {
+    "anl": "anl_updated", "loss": "link_lost", "switch": "switch_complete",
+    "timer_now": "timer_eval", "timer_stale": "timer_eval",
+}
+ACTION_NAMES = {
+    "connect": "connect", "start_switch": "start_switch",
+    "timer": "schedule_timer", "record": "record_handoff",
+}
+
+
+def _readme_tables():
+    """The rows of each table in README's phase machine section, as lists
+    of cells with the backticks stripped; header and rule rows dropped."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Handoff phase machine", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        if rows is None:
+            rows = []
+            tables.append(rows)
+        rows.append([c.strip().replace("`", "") for c in line.strip().strip("|").split("|")])
+    return [rows[2:] for rows in tables]
+
+
+def _zero_dwell_edge():
+    """One list takes Initiation to Execution only when ``dwell_sp`` is 0,
+    and the walks' dwell period is one step: the edge, from a direct step."""
+    cfg = CFG._replace(dwell_sp=0)
+    st1, _ = ctl.step(ctl.initial_state("mt1"), _impl_event(("anl", "E_stable"), 0), cfg, 0)
+    st2, actions = ctl.step(st1, _impl_event(("anl", "E_imperative"), STEP_MS), cfg, STEP_MS)
+    return (st1.phase.value, "anl", st2.phase.value), {tuple(a[0] for a in _fmt_actions(actions))}
+
+
+def test_readme_phase_table_is_the_walked_machine(exploration, proactive_exploration):
+    legal, illegal = _readme_tables()
+    table = {}
+    for frm, event, leads_to, actions, _condition in legal:
+        emitted = {}
+        if actions != "none":
+            for part in actions.split(";"):
+                to, names = part.split(":")
+                emitted[to.strip()] = tuple(n.strip() for n in names.split(","))
+        assert (frm, event) not in table, (frm, event)
+        table[frm, event] = {to.strip(): emitted.get(to.strip(), ()) for to in leads_to.split(",")}
+
+    edges = [_zero_dwell_edge()]
+    for walk in (exploration, proactive_exploration):
+        edges.extend(walk[1].items())
+    by_edge = {}
+    for (frm, letter, to), seqs in edges:
+        by_edge.setdefault((frm, EVENT_NAMES[letter], to), set()).update(seqs)
+    walked = {}
+    for (frm, event, to), seqs in by_edge.items():
+        (seq,) = seqs  # each (phase, event, phase) emits one action sequence
+        walked.setdefault((frm, event), {})[to] = tuple(ACTION_NAMES[a] for a in seq)
+    differ = {
+        pair: (table.get(pair), walked.get(pair))
+        for pair in table.keys() | walked.keys() if table.get(pair) != walked.get(pair)
+    }
+    assert not differ, f"(phase, event): (README, walk): {differ}"
+
+    raised = {(frm, EVENT_NAMES[letter]) for walk in (exploration, proactive_exploration)
+              for frm, letter in walk[5]}
+    assert len({tuple(row) for row in illegal}) == len(illegal)
+    assert {tuple(row) for row in illegal} == raised
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))

@@ -982,7 +982,7 @@ class TestFileLoading:
 
 def _values():
     """One value of each type a scenario is made of, or that a controller
-    step builds: 25 types, all named tuples."""
+    step builds: 24 types, all named tuples."""
     sc = load_scenario(SCENARIO_DIR / "crossing.json")
     topo = sc.topology
     old = Attachment("mt1", "p1", "net1", "c1", "ch1", "lte")
@@ -999,15 +999,15 @@ def _values():
         GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
         old, delta(old, new), classify(old, new),
         plan, record,
-        ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired("eval", 300),
+        ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired(300),
         ctl.Connect("c2"), ctl.StartSwitch(plan), ctl.ScheduleTimer("eval", 300),
-        ctl.RecordHandoff(record), ctl.InFlight(0, "c1", 5.0, "cell_horizontal", 200),
+        ctl.RecordHandoff(record),
     ]
 
 
 def test_the_value_list_names_each_type_once():
     types = [type(v) for v in _values()]
-    assert len(types) == len(set(types)) == 25
+    assert len(types) == len(set(types)) == 24
     assert all(issubclass(t, tuple) for t in types)
 
 

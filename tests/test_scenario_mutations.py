@@ -4,13 +4,16 @@ paths, or parses to a scenario that runs to completion.
 The mutations are enumerated, not sampled: every value set to each JSON type
 it is not, every key deleted, and an unknown key added to every object; and
 every float and integer set to each extreme value of its type, after which
-an accepted scenario must also trace only finite floats.
+an accepted scenario must also trace only finite floats.  Each accepted
+scenario's run has RUN_LIMIT_S seconds of wall time: one that does not end
+fails its case instead of hanging the suite.
 """
 
 import copy
 import json
 import math
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,8 @@ TOP_KEYS = {
 }
 # "<key>(.<key>|[<index>])*: <message>", rooted at a top-level key.
 FIELD_PATH = re.compile(r"^(\w+)(\.\w+|\[\d+\])*: ")
+# Each bundled scenario runs in well under a second.
+RUN_LIMIT_S = 10
 
 
 def _nodes(node, path=()):
@@ -95,6 +100,26 @@ def _floats(node):
             yield from _floats(child)
 
 
+class _RunTimedOut(BaseException):
+    """Raised into a run that outlives RUN_LIMIT_S; a BaseException, so no
+    ``except Exception`` on the way swallows it."""
+
+
+def _time_out(signum, frame):
+    raise _RunTimedOut
+
+
+def _run_limited(scenario):
+    """``engine.run(scenario)`` under a RUN_LIMIT_S wall-clock limit."""
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, RUN_LIMIT_S)
+    try:
+        return engine.run(scenario)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _outcome(doc, finite=False):
     """("rejected" or "ran", None), or (None, why the document breaks the
     parser's contract).  With ``finite``, a run that traces a float that
@@ -112,7 +137,9 @@ def _outcome(doc, finite=False):
     except Exception as exc:
         return None, f"from_dict raised {exc!r}"
     try:
-        trace = engine.run(scenario)
+        trace = _run_limited(scenario)
+    except _RunTimedOut:
+        return None, f"accepted, then engine.run did not end within {RUN_LIMIT_S} s"
     except Exception as exc:
         return None, f"accepted, then engine.run raised {exc!r}"
     if finite:
