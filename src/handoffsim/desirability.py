@@ -12,6 +12,10 @@ criterion sums to 1, and K is small enough that no score of finite values
 overflows; the scenario parser checks all three where it reads the
 weights.  Criteria without a weight contribute nothing.  A score is a
 float, listed with its network as a (network id, score) pair.
+
+A ``WeightProfile`` holds only the parsed weights and K.
+``weighted_terms`` resolves them against a criterion catalog into the
+terms ``desirability`` reads; a run does so once.
 """
 
 from __future__ import annotations
@@ -30,43 +34,26 @@ from .errors import (
 )
 
 
-class WeightProfile(namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,))):
-    """Per-criterion weights plus the shared additive constant K.
+WeightProfile = namedtuple("WeightProfile", ("weights", "k"), defaults=(1.0,))
+WeightProfile.__doc__ = "Per-criterion weights plus the shared additive constant K."
 
-    The class keeps a ``__dict__``, unlike a plain named tuple, only to
-    keep the ``terms`` of the last tuple catalog it was asked for; setting
-    an attribute raises AttributeError.
-    """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: WeightProfile is immutable")
-
-    def terms(
-        self, catalog: Sequence[CriterionDef]
-    ) -> tuple[tuple[str, float, Optional[float], bool], ...]:
-        """(criterion id, K + W, floor, beneficial) per weighted criterion,
-        in id order, resolved against ``catalog``; the floor is None for a
-        criterion the catalog lacks.
-
-        The terms of a tuple catalog, which cannot change, are kept and
-        returned again while the same tuple is asked for, so a run that
-        scores against its scenario's catalog resolves them once."""
-        kept = self.__dict__.get("_terms")
-        if kept is not None and kept[0] is catalog:
-            return kept[1]
-        index = {cdef.id: cdef for cdef in catalog}
-        terms = []
-        for cid in sorted(self.weights):
-            cdef = index.get(cid)
-            coefficient = self.k + self.weights[cid]
-            if cdef is None:
-                terms.append((cid, coefficient, None, False))
-            else:
-                terms.append((cid, coefficient, cdef.floor, cdef.polarity is Polarity.BENEFICIAL))
-        terms = tuple(terms)
-        if type(catalog) is tuple:
-            self.__dict__["_terms"] = (catalog, terms)
-        return terms
+def weighted_terms(
+    profile: WeightProfile, catalog: Sequence[CriterionDef]
+) -> tuple[tuple[str, float, Optional[float], bool], ...]:
+    """(criterion id, K + W, floor, beneficial) per weighted criterion, in
+    id order, resolved against ``catalog``; the floor is None for a
+    criterion the catalog lacks."""
+    index = {cdef.id: cdef for cdef in catalog}
+    terms = []
+    for cid in sorted(profile.weights):
+        cdef = index.get(cid)
+        coefficient = profile.k + profile.weights[cid]
+        if cdef is None:
+            terms.append((cid, coefficient, None, False))
+        else:
+            terms.append((cid, coefficient, cdef.floor, cdef.polarity is Polarity.BENEFICIAL))
+    return tuple(terms)
 
 
 def _clamped_log10(value: float, floor: float) -> float:
@@ -75,17 +62,16 @@ def _clamped_log10(value: float, floor: float) -> float:
 
 def desirability(
     values: Mapping[str, float],
-    profile: WeightProfile,
-    catalog: Sequence[CriterionDef],
+    terms: Sequence[tuple[str, float, Optional[float], bool]],
 ) -> float:
-    """Score one network's criterion values, by criterion id.
+    """Score one network's criterion values, by criterion id, over the
+    ``weighted_terms`` of a profile and catalog.
 
     Every weighted criterion must be present and finite.  Criteria present
-    but unweighted are ignored.  The profile's ``terms`` are resolved
-    against ``catalog``.
+    but unweighted are ignored.
     """
     total = 0.0
-    for cid, coefficient, floor, beneficial in profile.terms(catalog):
+    for cid, coefficient, floor, beneficial in terms:
         if floor is None:
             raise UnknownCriterionError(cid)
         if cid not in values:

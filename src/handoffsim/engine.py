@@ -14,13 +14,13 @@ ranked list.  If the serving station no longer covers the terminal it
 delivers a link-loss event first; then it records the list and hands it to
 the controller.
 
-Facts fixed for the run are computed once: the topology's coverage index,
-each geometric network's sorted criteria and the stochastic walk's
-network and criterion order (in the run's ``SynthesisState``), and each
-weighted term's coefficient, floor and polarity (the ``terms`` a
-``WeightProfile`` keeps for the scenario's catalog).  Sampling, scoring
-and ranking are still called through this module's names, once per unit,
-and coverage through its name whenever it is asked; the benchmark's layer
+The parsed scenario holds only data.  A run resolves what stays fixed for
+it once, in ``_Context.__init__``: the weight terms (``weighted_terms``),
+the topology's ``CoverageIndex``, and a ``SynthesisState`` seeded with the
+scenario's seed, which holds each geometric network's sorted criteria and
+the stochastic walk's network and criterion order.  Sampling, scoring and
+ranking are still called through this module's names, once per unit, and
+coverage through its name whenever it is asked; the benchmark's layer
 probes wrap these names.  A run keeps one ``StationTypes``, which every
 terminal and point shares: the type of a handoff between two stations is
 classified the first time the controller reads it, which happens only
@@ -34,14 +34,12 @@ not depend on the terminal either, so it too is computed once per
 (station, tick) and shared; when RSS is weighted each terminal scores a
 copy of the sample with its own RSS.
 
-When no score reads RSS, the engine queries coverage on a copy of the
-topology that does not measure it (``measure_rss=False``), so coverage
-takes no per-station ``log10``.  The call stays ``coverage(pos, topology)``
-through this module's name, which the benchmark's tracer wraps.  Then the
-stations covering a terminal are all its context takes from its position,
-so coverage is asked only when the terminal may have left the answer's
-reach: each answer says how far the position can move before it may
-change, and the engine keeps it for as long as the terminal, at its
+When no score reads RSS, the run's coverage index does not measure it
+(``measure_rss=False``), so coverage takes no per-station ``log10``.  Then
+the stations covering a terminal are all its context takes from its
+position, so coverage is asked only when the terminal may have left the
+answer's reach: each answer says how far the position can move before it
+may change, and the engine keeps it for as long as the terminal, at its
 path's top speed, needs to move that far, skipping both interpolation and
 coverage until then.  When RSS is weighted, every tick's RSS differs, so
 coverage is asked every tick.
@@ -91,12 +89,12 @@ import math
 from typing import Optional
 
 from . import controller as ctl
-from .desirability import AvailableNetworkList, desirability, rank
+from .desirability import AvailableNetworkList, desirability, rank, weighted_terms
 from .errors import HandoffSimError
 from .scenario import CONTROLLER_NUMBERS, ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import StationTypes
-from .topology import Coverage, coverage
+from .topology import Coverage, CoverageIndex, coverage
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 Position = tuple[float, float]
@@ -162,17 +160,15 @@ class _Context:
 
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self.synth = SynthesisState(scenario.synthesis)
+        self.synth = SynthesisState(scenario.synthesis, scenario.seed)
         self.synth_t: Optional[int] = None
         # station -> (values, score) at synth_t; the score is None when it
         # depends on the terminal's RSS.
         self.scored: dict[str, tuple[dict[str, float], Optional[float]]] = {}
         self.shared_scores = "RSS" not in scenario.weights.weights
+        self.terms = weighted_terms(scenario.weights, scenario.catalog)
         # When no score reads RSS, coverage queries leave it out.
-        self.topology = (
-            scenario.topology._replace(measure_rss=False)
-            if self.shared_scores else scenario.topology
-        )
+        self.index = CoverageIndex(scenario.topology, measure_rss=not self.shared_scores)
         self.paths = {term.id: term.path for term in scenario.terminals}
         # When no score reads RSS, a terminal's coverage answer is all its
         # context takes from its position, so it is kept, with (since,
@@ -196,7 +192,7 @@ class _Context:
         if held is not None and now - held[0] < held[1]:
             covered = held[2]
         else:
-            covered = coverage(advance_position(self.paths[terminal], now), self.topology)
+            covered = coverage(advance_position(self.paths[terminal], now), self.index)
             if self.moves is not None:
                 slack, pace = self.moves[terminal]
                 self.held[terminal] = (now, (covered.reach - slack) * pace, covered)
@@ -205,11 +201,11 @@ class _Context:
             memo = self.scored.get(bs.id)
             if memo is None:
                 values = sample_context(bs.id, now, sc.synthesis, self.synth)
-                score = desirability(values, sc.weights, sc.catalog) if self.shared_scores else None
+                score = desirability(values, self.terms) if self.shared_scores else None
                 memo = self.scored[bs.id] = (values, score)
             values, score = memo
             if score is None:
-                score = desirability({**values, "RSS": rss}, sc.weights, sc.catalog)
+                score = desirability({**values, "RSS": rss}, self.terms)
             scores.append((bs.id, score))
         anl = rank(scores)
         return anl, {"entries": list(map(list, anl.entries))}

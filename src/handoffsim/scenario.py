@@ -32,7 +32,7 @@ from .context import (
     Polarity,
     default_catalog,
 )
-from .desirability import WeightProfile
+from .desirability import WeightProfile, weighted_terms
 from .errors import PolicyGapError, ScenarioError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
 from .taxonomy import Layer, StationTypes
@@ -444,10 +444,9 @@ def _parse_weights(doc, catalog, problems) -> WeightProfile:
                 problems.append(
                     f"weights.weights: {side.value} weights sum to {sums[side]!r}, expected 1.0"
                 )
-        floors = {c.id: c.floor for c in catalog}
         bound = sum(
-            (profile.k + w) * max(abs(math.log10(floors[cid])), _LOG10_MAX)
-            for cid, w in weights.items()
+            coefficient * max(abs(math.log10(floor)), _LOG10_MAX)
+            for _, coefficient, floor, _ in weighted_terms(profile, catalog)
         )
         if k >= 0 and not math.isfinite(bound * (1.0 + 1e-9)):
             problems.append(f"weights.k: scores may not stay finite with K = {profile.k!r}")
@@ -575,7 +574,7 @@ def _check_policy_reach(topo: Topology, terminals, policy: PolicyTable, problems
                 )
 
 
-def _parse_synthesis(doc, criteria: set, weighted, problems, seed: int) -> ContextSynthesisSpec:
+def _parse_synthesis(doc, criteria: set, weighted, problems) -> ContextSynthesisSpec:
     """The synthesis spec; ``criteria`` holds the catalog's criterion ids,
     ``weighted`` those a score reads, other than RSS."""
     sdoc = _object(doc.get("synthesis", {}), "synthesis", _SYNTHESIS_KEYS, problems) or {}
@@ -644,7 +643,6 @@ def _parse_synthesis(doc, criteria: set, weighted, problems, seed: int) -> Conte
         _check_walk_range(networks, weighted, rho, sigma, problems)
     return ContextSynthesisSpec(
         mode=mode, networks=networks, ar1_rho=float(rho or 0.0), noise_sigma=float(sigma or 0.0),
-        seed=seed,
     )
 
 
@@ -755,7 +753,7 @@ def from_dict(doc: Mapping) -> Scenario:
     # stay finite, otherwise scoring would fail mid-run.  An unknown
     # weighted criterion is reported once, at its weight.
     weighted = sorted(w for w in weights.weights if w != "RSS" and w in criteria)
-    synthesis = _parse_synthesis(doc, criteria, weighted, problems, seed)
+    synthesis = _parse_synthesis(doc, criteria, weighted, problems)
     if synthesis.mode == "geometric":
         _check_geometric_range(synthesis, weighted, duration, tick, problems)
     if topo is not None:

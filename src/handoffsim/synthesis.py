@@ -37,7 +37,6 @@ class ContextSynthesisSpec(NamedTuple):
     networks: Mapping[str, NetworkSignals] = {}
     ar1_rho: float = 0.9
     noise_sigma: float = 0.0
-    seed: int = 0
 
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI
@@ -62,20 +61,20 @@ def _geometric_value(signals: NetworkSignals, cid: str, t: int) -> float:
 
 
 class SynthesisState:
-    """Mutable evolution state, advanced tick by tick, with the spec's
-    constants resolved once: each geometric network's criteria in sorted
-    order, and the sorted network and criterion order of the stochastic
-    walk with each criterion's base.
+    """Mutable evolution state of one run, advanced tick by tick, with the
+    spec's constants resolved once: each geometric network's criteria in
+    sorted order, and the sorted network and criterion order of the
+    stochastic walk with each criterion's base.
 
     The walk's noise is the stream ``random.Random(seed).gauss(0.0, 1.0)``
-    would give, drawn by that method's own formula in ``advance_to`` rather
-    than through a call per draw: each pair of ``random()`` values gives
-    one draw and a spare for the next, and the spare is kept here, in
-    ``spare``, across calls."""
+    would give, for the run's seed, drawn by that method's own formula in
+    ``advance_to`` rather than through a call per draw: each pair of
+    ``random()`` values gives one draw and a spare for the next, and the
+    spare is kept here, in ``spare``, across calls."""
 
-    def __init__(self, spec: ContextSynthesisSpec):
+    def __init__(self, spec: ContextSynthesisSpec, seed: int):
         self.spec = spec
-        self.rng = random.Random(spec.seed)
+        self.rng = random.Random(seed)
         self.t: Optional[int] = None
         self.spare: Optional[float] = None  # the second draw of the last pair
         self.values: dict[str, dict[str, float]] = {}

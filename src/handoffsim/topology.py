@@ -14,10 +14,10 @@ Received signal strength follows a log-distance path loss law:
 with per-tier defaults for the transmit power and the exponent n, and a
 reference distance d0 of one meter.
 
-Coverage queries go through a per-topology index, built on the first
-query: the stations sorted by id with their radius and path-loss
+Coverage queries go through a ``CoverageIndex`` of a topology, which a
+run builds once: the stations sorted by id with their radius and path-loss
 parameters, plus a uniform grid over their coverage disks' bounding boxes
-that narrows each query to the stations near the position.  A topology
+that narrows each query to the stations near the position.  An index
 built with ``measure_rss=False`` answers the same stations with no RSS.
 Each answer also carries its reach: how far the position can move before
 the answer may change.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
 Position = tuple[float, float]
@@ -74,25 +73,9 @@ class BaseStation(NamedTuple):
         return TIER_DEFAULTS[self.tier]["radius"]
 
 
-class Topology(
-    namedtuple("Topology", ("stations", "path_loss_overrides", "measure_rss"), defaults=({}, True))
-):
-    """The stations, a tuple; ``path_loss_overrides`` maps a tier to its
-    overridden path-loss parameters.  With ``measure_rss`` False, coverage
-    queries report None for RSS and skip its log10, for runs whose scores
-    do not read it.
-
-    The class keeps a ``__dict__``, unlike a plain named tuple, only to
-    cache ``coverage_index``; setting an attribute raises AttributeError.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: Topology is immutable")
-
-    @cached_property
-    def coverage_index(self) -> "CoverageIndex":
-        """Built on first use, so parsing a scenario never pays for it."""
-        return CoverageIndex(self)
+Topology = namedtuple("Topology", ("stations", "path_loss_overrides"), defaults=({},))
+Topology.__doc__ = """The stations, a tuple; ``path_loss_overrides`` maps a tier to its
+overridden path-loss parameters."""
 
 
 def _rss(d: float, params: PathLossParams) -> float:
@@ -119,7 +102,9 @@ class Coverage(list):
 
 
 class CoverageIndex:
-    """Per-run coverage facts of one topology.
+    """Per-run coverage facts of one topology, whose ``stations`` it keeps.
+    With ``measure_rss`` False, queries report None for RSS and skip its
+    log10, for runs whose scores do not read it.
 
     ``entries`` holds (station, x, y, radius, path-loss parameters) in
     station id order, leaving out stations whose radius can reach nothing
@@ -150,8 +135,9 @@ class CoverageIndex:
     so their verdict cannot change.
     """
 
-    def __init__(self, topo: Topology):
-        self.measure_rss = topo.measure_rss
+    def __init__(self, topo: Topology, measure_rss: bool = True):
+        self.stations = topo.stations
+        self.measure_rss = measure_rss
         self.entries = []
         for bs in sorted(topo.stations, key=lambda s: s.id):
             radius = bs.coverage_radius
@@ -234,10 +220,10 @@ class CoverageIndex:
         return out
 
 
-def coverage(pos: Position, topo: Topology) -> Coverage:
+def coverage(pos: Position, index: CoverageIndex) -> Coverage:
     """Stations whose radius reaches the position, with their RSS there
-    (None when the topology does not measure it), and the answer's reach.
+    (None when the index does not measure it), and the answer's reach.
 
     Ordered by station id so downstream iteration is deterministic.
     """
-    return topo.coverage_index.covering(pos)
+    return index.covering(pos)

@@ -54,7 +54,7 @@ def samples(sc):
     sorted network and criterion order; the stochastic walk steps once a
     tick from its start values at 0."""
     spec = sc.synthesis
-    rng = random.Random(spec.seed)
+    rng = random.Random(sc.seed)
     walk = {net: {cid: s.start.get(cid, s.base[cid]) for cid in sorted(s.base)}
             for net, s in sorted(spec.networks.items())}
     for t in range(0, sc.duration_ms, sc.tick_ms):

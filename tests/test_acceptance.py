@@ -18,7 +18,7 @@ import pytest
 
 from handoffsim.cli import main as cli_main
 from handoffsim.context import ContextSource, CriterionDef, Polarity
-from handoffsim.desirability import WeightProfile, desirability
+from handoffsim.desirability import WeightProfile, desirability, weighted_terms
 from handoffsim.engine import run
 from handoffsim.metrics import compute_metrics
 from handoffsim.scenario import from_dict, load_scenario
@@ -124,7 +124,7 @@ def test_c02_scoring_matches_direct_evaluation():
         oracle = _direct_eval(catalog, weights, values, k)
         if abs(oracle) < 1e-2:
             continue  # keep the relative comparison well conditioned
-        got = desirability(values, WeightProfile(weights=weights, k=k), catalog)
+        got = desirability(values, weighted_terms(WeightProfile(weights=weights, k=k), catalog))
         rel = abs(got - oracle) / abs(oracle)
         worst = max(worst, rel)
         assert rel <= 1e-9, (catalog, weights, values, k)
@@ -139,7 +139,7 @@ def test_c02_scoring_matches_direct_evaluation():
     ]
     profile = WeightProfile(weights={"SNR": 0.5, "DTR": 0.5, "BER": 0.5, "NL": 0.5}, k=1.0)
     values = {"SNR": 100.0, "DTR": 50.0, "BER": 10.0, "NL": 5.0}
-    got = desirability(values, profile, catalog)
+    got = desirability(values, weighted_terms(profile, catalog))
     assert abs(got - 3.0) <= 1e-12
     with mpmath.workdps(50):
         hp = (mpmath.mpf("1.5") * (mpmath.log10(100) + mpmath.log10(50))
@@ -156,11 +156,12 @@ def test_c03_scoring_monotone_in_each_polarity():
     trials = 0
     for _ in range(1000):
         catalog, weights, values, k = _random_instance(rng)
-        base = desirability(values, WeightProfile(weights=weights, k=k), catalog)
+        terms = weighted_terms(WeightProfile(weights=weights, k=k), catalog)
+        base = desirability(values, terms)
         for c in catalog:
             bumped = dict(values)
             bumped[c.id] = values[c.id] * 10.0
-            moved = desirability(bumped, WeightProfile(weights=weights, k=k), catalog)
+            moved = desirability(bumped, terms)
             if c.polarity is Polarity.BENEFICIAL:
                 assert moved > base, c
             else:

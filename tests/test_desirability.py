@@ -21,6 +21,7 @@ from handoffsim.desirability import (
     best,
     desirability,
     rank,
+    weighted_terms,
 )
 from handoffsim.errors import (
     DuplicateNetworkError,
@@ -39,6 +40,7 @@ PROFILE = WeightProfile(
     weights={"SNR": 0.5, "DTR": 0.5, "BER": 0.5, "NL": 0.5}, k=1.0
 )
 VALUES = {"SNR": 100.0, "DTR": 50.0, "BER": 10.0, "NL": 5.0}
+TERMS = weighted_terms(PROFILE, CATALOG)
 
 
 def _oracle(values, profile, catalog):
@@ -60,46 +62,48 @@ def _oracle(values, profile, catalog):
 class TestScore:
     def test_worked_example_is_three(self):
         # 1.5*(2 + log10 50) - 1.5*(1 + log10 5) = 1.5*(1 + log10 10) = 3.
-        score = desirability(VALUES, PROFILE, CATALOG)
+        score = desirability(VALUES, TERMS)
         assert score == pytest.approx(3.0, abs=1e-12)
 
     def test_worked_example_matches_high_precision_oracle(self):
-        score = desirability(VALUES, PROFILE, CATALOG)
+        score = desirability(VALUES, TERMS)
         assert score == pytest.approx(_oracle(VALUES, PROFILE, CATALOG), abs=1e-12)
 
     def test_beneficial_adds_detrimental_subtracts(self):
         up = dict(VALUES, SNR=1000.0)
         down = dict(VALUES, BER=100.0)
-        base = desirability(VALUES, PROFILE, CATALOG)
-        assert desirability(up, PROFILE, CATALOG) > base
-        assert desirability(down, PROFILE, CATALOG) < base
+        base = desirability(VALUES, TERMS)
+        assert desirability(up, TERMS) > base
+        assert desirability(down, TERMS) < base
 
     def test_floor_clamps_small_values(self):
         # Zero would blow up log10; the floor (1e-6) caps the penalty at -6
         # per unit coefficient.
-        profile = WeightProfile(weights={"SNR": 1.0}, k=0.0)
-        v0 = desirability({"SNR": 0.0}, profile, CATALOG)
-        v_tiny = desirability({"SNR": 1e-12}, profile, CATALOG)
+        terms = weighted_terms(WeightProfile(weights={"SNR": 1.0}, k=0.0), CATALOG)
+        v0 = desirability({"SNR": 0.0}, terms)
+        v_tiny = desirability({"SNR": 1e-12}, terms)
         assert v0 == v_tiny == pytest.approx(-6.0)
 
     def test_unweighted_criteria_contribute_nothing(self):
         with_extra = dict(VALUES, RSS=-55.0, NBW=300.0)
-        a = desirability(VALUES, PROFILE, CATALOG)
-        b = desirability(with_extra, PROFILE, CATALOG)
+        a = desirability(VALUES, TERMS)
+        b = desirability(with_extra, TERMS)
         assert a == b
 
     def test_unknown_weighted_criterion_raises(self):
-        profile = WeightProfile(weights={"NOPE": 1.0})
+        terms = weighted_terms(WeightProfile(weights={"NOPE": 1.0}), CATALOG)
+        assert terms == (("NOPE", 2.0, None, False),)
         with pytest.raises(UnknownCriterionError):
-            desirability({"NOPE": 1.0}, profile, CATALOG)
+            desirability({"NOPE": 1.0}, terms)
 
     def test_missing_weighted_criterion_raises(self):
         with pytest.raises(MissingCriterionError):
-            desirability({"SNR": 10.0}, PROFILE, CATALOG)
+            desirability({"SNR": 10.0}, TERMS)
 
     def test_each_catalog_scores_with_its_own_floors_and_polarities(self):
-        """A profile keeps the plan of the tuple catalog it last scored
-        against; another catalog, even of the same ids, gets its own."""
+        """A profile resolved against a catalog scores with that catalog's
+        floors and polarities; another catalog, even of the same ids, gives
+        other terms.  Each catalog is resolved twice, to the same score."""
         profile = WeightProfile(weights={"SNR": 1.0, "BER": 1.0}, k=0.0)
         values = {"SNR": 10.0, "BER": 100.0}
         plain = tuple(CATALOG)
@@ -108,21 +112,21 @@ class TestScore:
                         for c in CATALOG)
         for catalog, want in [(plain, -1.0), (floored, 1.0), (plain, -1.0), (flipped, 3.0),
                               (CATALOG, -1.0), (flipped, 3.0)]:
-            assert desirability(values, profile, catalog) == want
-            assert desirability(values, profile, catalog) == want
+            assert desirability(values, weighted_terms(profile, catalog)) == want
+            assert desirability(values, weighted_terms(profile, catalog)) == want
 
     def test_non_finite_raises(self):
         bad = dict(VALUES, SNR=float("nan"))
         with pytest.raises(NonFiniteValueError):
-            desirability(bad, PROFILE, CATALOG)
+            desirability(bad, TERMS)
 
     @given(
         snr=st.floats(min_value=1e-3, max_value=1e9),
         snr_boost=st.floats(min_value=0.0, max_value=1e9),
     )
     def test_beneficial_monotone(self, snr, snr_boost):
-        lo = desirability(dict(VALUES, SNR=snr), PROFILE, CATALOG)
-        hi = desirability(dict(VALUES, SNR=snr + snr_boost), PROFILE, CATALOG)
+        lo = desirability(dict(VALUES, SNR=snr), TERMS)
+        hi = desirability(dict(VALUES, SNR=snr + snr_boost), TERMS)
         assert hi >= lo
 
     @given(
@@ -130,8 +134,8 @@ class TestScore:
         bump=st.floats(min_value=0.0, max_value=1e9),
     )
     def test_detrimental_antitone(self, ber, bump):
-        lo = desirability(dict(VALUES, BER=ber + bump), PROFILE, CATALOG)
-        hi = desirability(dict(VALUES, BER=ber), PROFILE, CATALOG)
+        lo = desirability(dict(VALUES, BER=ber + bump), TERMS)
+        hi = desirability(dict(VALUES, BER=ber), TERMS)
         assert hi >= lo
 
 

@@ -6,7 +6,9 @@ machine beyond the event vocabulary).  Exhaustive exploration then
 drives both machines through every event sequence up to depth six over
 a fixed alphabet and requires identical phases, attachments, actions,
 and illegal-event verdicts at every edge.  The walk runs once per trigger
-strategy: reactive, and proactive with its linear crossing prediction.
+strategy (reactive, and proactive with its linear crossing prediction)
+and dwell period: one step, and zero, at which one list can take the
+machine from Initiation through Preparation to Execution.
 
 States are memoized relative to the current time (all rule arithmetic
 uses time differences only), so converging histories are explored once
@@ -83,9 +85,10 @@ class RefIllegal(Exception):
     pass
 
 
-def ref_initial(strategy="reactive"):
+def ref_initial(strategy="reactive", sp=SP):
     return {
         "strategy": strategy,
+        "sp": sp,  # the dwell period
         "phase": "disconnection",
         "current": None,
         "target": None,
@@ -140,7 +143,7 @@ def _ref_prep_update(s, scores, now):
         return s, []
     since = s["dwell_since"] if s["dwell_since"] is not None else now
     s["dwell_since"] = since
-    if now - since < SP:
+    if now - since < s["sp"]:
         return s, []
     if d_curr < TH_INF:
         why = "imperative"
@@ -376,21 +379,22 @@ def _ref_key(s, now: int):
     )
 
 
-def _explore(strategy=Strategy.REACTIVE):
-    """Walk both machines in lockstep.  Returns the memo; the transitions,
+def _explore(strategy=Strategy.REACTIVE, sp=SP):
+    """Walk both machines in lockstep at dwell period ``sp``.  Returns the
+    memo; the transitions,
     a map from each (phase, letter kind, phase) seen to the set of action
     kind sequences its edges emitted; the edge and handoff-record counts;
     how many edges opened Preparation on a prediction alone (the
     candidate's latest score was not above the serving network's); and the
     (phase, letter kind) pairs on which both machines raised."""
-    cfg = CFG._replace(strategy=strategy)
+    cfg = CFG._replace(strategy=strategy, dwell_sp=sp)
     memo: dict = {}
     transitions: dict = {}
     illegal = set()
     edge_count = 0
     record_count = 0
     predicted = 0
-    stack = [(ctl.initial_state("mt1"), ref_initial(strategy.value), 0, 0)]
+    stack = [(ctl.initial_state("mt1"), ref_initial(strategy.value, sp), 0, 0)]
     while stack:
         impl, ref, now, depth = stack.pop()
         key = (_impl_key(impl, now), _ref_key(ref, now))
@@ -448,6 +452,11 @@ def exploration(fsm_exploration):
 @pytest.fixture(scope="module")
 def proactive_exploration():
     return _explore(Strategy.PROACTIVE)
+
+
+@pytest.fixture(scope="module")
+def zero_dwell_explorations():
+    return [_explore(strategy, sp=0) for strategy in Strategy]
 
 
 def test_machines_agree_on_every_sequence(exploration):
@@ -510,6 +519,17 @@ def test_proactive_walk_enters_preparation_on_predictions(proactive_exploration)
     assert proactive_exploration[4] > 0
 
 
+def test_zero_dwell_machines_agree_on_every_sequence(zero_dwell_explorations):
+    """With no dwell period the list that opens Preparation can also start
+    the switch, so each walk takes Initiation to Execution in one step, and
+    the machines agree on that path as on every other."""
+    for memo, transitions, edges, records, *_ in zero_dwell_explorations:
+        assert len(memo) > 50
+        assert edges > 1_000
+        assert records > 0
+        assert ("initiation", "anl", "execution") in transitions
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # A walk letter as a transition record names its event, and an action as
@@ -541,16 +561,8 @@ def _readme_tables():
     return [rows[2:] for rows in tables]
 
 
-def _zero_dwell_edge():
-    """One list takes Initiation to Execution only when ``dwell_sp`` is 0,
-    and the walks' dwell period is one step: the edge, from a direct step."""
-    cfg = CFG._replace(dwell_sp=0)
-    st1, _ = ctl.step(ctl.initial_state("mt1"), _impl_event(("anl", "E_stable"), 0), cfg, 0)
-    st2, actions = ctl.step(st1, _impl_event(("anl", "E_imperative"), STEP_MS), cfg, STEP_MS)
-    return (st1.phase.value, "anl", st2.phase.value), {tuple(a[0] for a in _fmt_actions(actions))}
-
-
-def test_readme_phase_table_is_the_walked_machine(exploration, proactive_exploration):
+def test_readme_phase_table_is_the_walked_machine(exploration, proactive_exploration,
+                                                 zero_dwell_explorations):
     legal, illegal = _readme_tables()
     table = {}
     for frm, event, leads_to, actions, _condition in legal:
@@ -562,9 +574,8 @@ def test_readme_phase_table_is_the_walked_machine(exploration, proactive_explora
         assert (frm, event) not in table, (frm, event)
         table[frm, event] = {to.strip(): emitted.get(to.strip(), ()) for to in leads_to.split(",")}
 
-    edges = [_zero_dwell_edge()]
-    for walk in (exploration, proactive_exploration):
-        edges.extend(walk[1].items())
+    walks = (exploration, proactive_exploration, *zero_dwell_explorations)
+    edges = [edge for walk in walks for edge in walk[1].items()]
     by_edge = {}
     for (frm, letter, to), seqs in edges:
         by_edge.setdefault((frm, EVENT_NAMES[letter], to), set()).update(seqs)
@@ -578,8 +589,7 @@ def test_readme_phase_table_is_the_walked_machine(exploration, proactive_explora
     }
     assert not differ, f"(phase, event): (README, walk): {differ}"
 
-    raised = {(frm, EVENT_NAMES[letter]) for walk in (exploration, proactive_exploration)
-              for frm, letter in walk[5]}
+    raised = {(frm, EVENT_NAMES[letter]) for walk in walks for frm, letter in walk[5]}
     assert len({tuple(row) for row in illegal}) == len(illegal)
     assert {tuple(row) for row in illegal} == raised
 

@@ -161,3 +161,22 @@ def test_a_serial_sweep_calls_every_engine_layer_inside_engine_run(tracer, monke
     children = [(name, inside) for name, inside in calls if name in ENGINE_CHILDREN]
     assert {"topology.coverage", "controller.step"} <= {name for name, _ in children}
     assert all(inside for _, inside in children)
+
+
+def test_every_probe_observes_a_run_and_a_serial_sweep(tracer, tmp_path, capsys):
+    """With every probe and its observer installed, as the benchmark's
+    traced pass has them, a ``run`` and a serial ``sweep`` finish and the
+    observers read what the engine hands the probed names: the coverage
+    observer the stations of the index it is asked, the step observer the
+    states and actions of each controller step."""
+    from handoffsim import cli
+
+    grid = "delta=0,0.5;strategy=reactive,proactive"
+    with tracer.Tracer() as traced:
+        assert cli.main(["run", str(SCENARIO), "--out", str(tmp_path)]) == 0
+        assert cli.main(["sweep", str(SCENARIO), "--grid", grid, "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert traced.counts["stations_scanned"] > 0
+    times = traced.layer_times()
+    assert times["controller.step"]["calls"] > 0
+    assert times["sweep.point"]["calls"] == 4

@@ -39,7 +39,7 @@ def test_every_sample_matches_the_reference(doc):
     ``anl`` record, so only this sees one added to or dropped from a
     sample."""
     sc = from_dict(doc)
-    state = SynthesisState(sc.synthesis)
+    state = SynthesisState(sc.synthesis, sc.seed)
     for t, want in samples(sc):
         state.advance_to(t, sc.tick_ms)
         got = {net: sample_context(net, t, sc.synthesis, state) for net in want}

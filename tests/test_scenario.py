@@ -1031,7 +1031,6 @@ class TestPickledScenarios:
     @pytest.mark.parametrize("name", ["crossing.json", "noisy.json"])
     def test_bundled_scenario_round_trips(self, name):
         sc = load_scenario(SCENARIO_DIR / name)
-        sc.topology.coverage_index  # a cached index travels with its topology
         assert pickle.loads(pickle.dumps(sc)) == sc
 
     @pytest.mark.parametrize("name", sorted(_inputs()))

@@ -23,6 +23,7 @@ from handoffsim.synthesis import (
 from handoffsim.topology import (
     TIER_DEFAULTS,
     BaseStation,
+    CoverageIndex,
     PathLossParams,
     Topology,
     coverage,
@@ -98,34 +99,34 @@ def _topo(stations):
 
 class TestCoverage:
     def test_only_stations_in_range(self):
-        topo = _topo([
+        index = CoverageIndex(_topo([
             _bs("wide", pos=(0.0, 0.0)),                      # macro, 1000 m
             _bs("tight", net="net2", pos=(500.0, 0.0), tier="pico"),  # 100 m
-        ])
-        got = [bs.id for bs, _ in coverage((0.0, 0.0), topo)]
+        ]))
+        got = [bs.id for bs, _ in coverage((0.0, 0.0), index)]
         assert got == ["wide"]
-        got = [bs.id for bs, _ in coverage((450.0, 0.0), topo)]
+        got = [bs.id for bs, _ in coverage((450.0, 0.0), index)]
         assert got == ["tight", "wide"]
 
     def test_sorted_by_station_id(self):
-        topo = _topo([_bs("z_bs"), _bs("a_bs", net="net2", pos=(1.0, 0.0))])
-        got = [bs.id for bs, _ in coverage((0.0, 0.0), topo)]
+        index = CoverageIndex(_topo([_bs("z_bs"), _bs("a_bs", net="net2", pos=(1.0, 0.0))]))
+        got = [bs.id for bs, _ in coverage((0.0, 0.0), index)]
         assert got == ["a_bs", "z_bs"]
 
     def test_boundary_is_inclusive(self):
-        topo = _topo([_bs("edge", radius=100.0)])
-        assert [bs.id for bs, _ in coverage((100.0, 0.0), topo)] == ["edge"]
-        assert coverage((100.0 + 1e-9, 0.0), topo) == []
+        index = CoverageIndex(_topo([_bs("edge", radius=100.0)]))
+        assert [bs.id for bs, _ in coverage((100.0, 0.0), index)] == ["edge"]
+        assert coverage((100.0 + 1e-9, 0.0), index) == []
 
     def test_radius_defaults_follow_tier(self):
-        topo = _topo([_bs("small", tier="femto")])
+        index = CoverageIndex(_topo([_bs("small", tier="femto")]))
         assert TIER_DEFAULTS["femto"]["radius"] == 30.0
-        assert coverage((29.0, 0.0), topo) != []
-        assert coverage((31.0, 0.0), topo) == []
+        assert coverage((29.0, 0.0), index) != []
+        assert coverage((31.0, 0.0), index) == []
 
     def test_explicit_radius_wins_over_tier(self):
-        topo = _topo([_bs("boosted", tier="femto", radius=500.0)])
-        assert coverage((400.0, 0.0), topo) != []
+        index = CoverageIndex(_topo([_bs("boosted", tier="femto", radius=500.0)]))
+        assert coverage((400.0, 0.0), index) != []
 
     def test_rss_uses_topology_overrides(self):
         stations = [_bs("s1")]
@@ -133,8 +134,8 @@ class TestCoverage:
         boosted = Topology(
             stations=plain.stations, path_loss_overrides={"macro": {"tx_power_dbm": -30.0}},
         )
-        (_, rss_plain), = coverage((10.0, 0.0), plain)
-        (_, rss_boosted), = coverage((10.0, 0.0), boosted)
+        (_, rss_plain), = coverage((10.0, 0.0), CoverageIndex(plain))
+        (_, rss_boosted), = coverage((10.0, 0.0), CoverageIndex(boosted))
         assert rss_boosted == pytest.approx(rss_plain + 10.0, abs=1e-12)
 
 
@@ -149,8 +150,10 @@ def _coverage_by_full_scan(pos, topo):
     return out
 
 
-def _assert_matches_full_scan(pos, topo, unmeasured=None):
-    got = coverage(pos, topo)
+def _assert_matches_full_scan(pos, topo, index, unmeasured=None):
+    """``index`` and ``unmeasured``, when given, are indexes of ``topo``,
+    the second one without RSS."""
+    got = coverage(pos, index)
     want = _coverage_by_full_scan(pos, topo)
     assert [bs.id for bs, _ in got] == [bs.id for bs, _ in want], pos
     assert [rss for _, rss in got] == [rss for _, rss in want], pos  # bit-equal, no approx
@@ -236,15 +239,16 @@ class TestCoverageIndex:
     @given(_coverage_cases())
     def test_matches_the_full_scan(self, case):
         topo, queries = case
-        unmeasured = topo._replace(measure_rss=False)
+        index, unmeasured = CoverageIndex(topo), CoverageIndex(topo, measure_rss=False)
         for pos in queries:
-            _assert_matches_full_scan(pos, topo, unmeasured)
+            _assert_matches_full_scan(pos, topo, index, unmeasured)
 
     def test_single_station_on_its_radius_and_just_past_its_box(self):
         topo = _topo([_bs("only", pos=(0.1, -0.7), tier="femto", radius=0.3)])
+        index = CoverageIndex(topo)
         points = [(0.4, -0.7), (0.1, -0.4), (0.1, -0.4 - 1e-9)]
         for pos in points + _beyond_box_edges(topo.stations[0]):
-            _assert_matches_full_scan(pos, topo)
+            _assert_matches_full_scan(pos, topo, index)
 
     def test_far_from_the_origin_on_its_radius_and_just_past_its_box(self):
         stations = [
@@ -256,16 +260,16 @@ class TestCoverageIndex:
         points = [(1e9 + 0.4, -1e9 - 0.7), (1e9 - 60.0, -1e9), (1e9, -1e9)]
         for bs in stations:
             points += _beyond_box_edges(bs, steps=(1, 2, 3, 8))
-        unmeasured = topo._replace(measure_rss=False)
+        index, unmeasured = CoverageIndex(topo), CoverageIndex(topo, measure_rss=False)
         for pos in points:
-            _assert_matches_full_scan(pos, topo, unmeasured)
+            _assert_matches_full_scan(pos, topo, index, unmeasured)
 
     def test_cells_list_a_station_only_near_its_box(self):
         # The pad is a few float steps, not a cell: a small station sits
         # only in the cells its own disk's box overlaps.
         stations = [_bs(f"s{i:02d}", net=f"n{i}", pos=(i * 97.0, (i * 61) % 400 * 1.0),
                         tier=("macro", "pico", "femto")[i % 3]) for i in range(30)]
-        index = _topo(stations).coverage_index
+        index = CoverageIndex(_topo(stations))
         for i, cell_list in enumerate(index.cells):
             col, row = i % index.cols, i // index.cols
             cx0, cy0 = index.x0 + col * index.cell, index.y0 + row * index.cell
@@ -276,34 +280,33 @@ class TestCoverageIndex:
 
     def test_coincident_stations_keep_id_order(self):
         topo = _topo([_bs(sid, net=f"n{sid}", pos=(7.0, 7.0), tier="pico") for sid in "cab"])
-        assert [bs.id for bs, _ in coverage((50.0, 50.0), topo)] == ["a", "b", "c"]
-        _assert_matches_full_scan((50.0, 50.0), topo)
+        index = CoverageIndex(topo)
+        assert [bs.id for bs, _ in coverage((50.0, 50.0), index)] == ["a", "b", "c"]
+        _assert_matches_full_scan((50.0, 50.0), topo, index)
 
     def test_outside_the_extent_is_covered_by_nothing(self):
-        topo = _topo([_bs("a", pos=(0.0, 0.0), tier="micro"), _bs("b", net="n2", pos=(100.0, 0.0))])
+        index = CoverageIndex(
+            _topo([_bs("a", pos=(0.0, 0.0), tier="micro"), _bs("b", net="n2", pos=(100.0, 0.0))])
+        )
         for pos in [(1e6, 0.0), (0.0, -1e6), (-2000.0, -2000.0)]:
-            assert coverage(pos, topo) == []
+            assert coverage(pos, index) == []
 
     def test_non_finite_inputs_agree_with_the_full_scan(self):
         topo = _topo(NON_FINITE_STATIONS)
+        index = CoverageIndex(topo)
         for pos in NON_FINITE_QUERIES:
-            _assert_matches_full_scan(pos, topo)
-        assert coverage((math.nan, 1.0), _topo([_bs("a")])) == []
+            _assert_matches_full_scan(pos, topo, index)
+        assert coverage((math.nan, 1.0), CoverageIndex(_topo([_bs("a")]))) == []
 
     def test_grid_stays_near_one_cell_per_station(self):
         # A long thin row of small stations must not become a huge grid.
         stations = [_bs(f"s{i:03d}", net=f"n{i}", pos=(i * 1e4, 0.0), tier="femto")
                     for i in range(50)]
         topo = _topo(stations)
-        assert len(topo.coverage_index.cells) <= 4 * len(stations) + 9
+        index = CoverageIndex(topo)
+        assert len(index.cells) <= 4 * len(stations) + 9
         for pos in [(0.0, 0.0), (1e4 + 29.0, 0.0), (5e4, 1.0)]:
-            _assert_matches_full_scan(pos, topo)
-
-    def test_parsing_does_not_build_the_index(self):
-        sc = load_scenario(SCENARIO_DIR / "crossing.json")
-        assert "coverage_index" not in vars(sc.topology)
-        coverage((0.0, 0.0), sc.topology)
-        assert "coverage_index" in vars(sc.topology)
+            _assert_matches_full_scan(pos, topo, index)
 
 
 # Stations with a non-finite field, whose distance or radius is infinite or
@@ -355,9 +358,9 @@ class TestCoverageReach:
            st.floats(0.0, 1.0, exclude_max=True))
     def test_a_move_shorter_than_the_reach_keeps_the_stations(self, case, angle, fraction):
         topo, queries = case
-        unmeasured = topo._replace(measure_rss=False)
+        index, unmeasured = CoverageIndex(topo), CoverageIndex(topo, measure_rss=False)
         for pos in queries:
-            here = coverage(pos, topo)
+            here = coverage(pos, index)
             ids = [bs.id for bs, _ in here]
             assert here.reach == coverage(pos, unmeasured).reach
             assert 0.0 <= here.reach < math.inf
@@ -369,27 +372,27 @@ class TestCoverageReach:
                     if not math.hypot(dx, dy) < here.reach:
                         continue
                     moved = (pos[0] + dx, pos[1] + dy)
-                    assert [bs.id for bs, _ in coverage(moved, topo)] == ids, (pos, moved)
+                    assert [bs.id for bs, _ in coverage(moved, index)] == ids, (pos, moved)
                     assert [bs.id for bs, _ in coverage(moved, unmeasured)] == ids, (pos, moved)
 
     def test_a_position_on_a_radius_or_not_finite_has_no_reach(self):
-        topo = _topo([_bs("a", radius=50.0), _bs("b", net="n2", pos=(500.0, 0.0))])
-        assert coverage((30.0, 40.0), topo).reach == 0.0
+        index = CoverageIndex(_topo([_bs("a", radius=50.0), _bs("b", net="n2", pos=(500.0, 0.0))]))
+        assert coverage((30.0, 40.0), index).reach == 0.0
         for pos in [(math.inf, 0.0), (0.0, math.nan)]:
-            assert coverage(pos, topo).reach == 0.0
-        assert coverage((0.0, 0.0), _topo(NON_FINITE_STATIONS)).reach == 0.0  # the guard overflows
+            assert coverage(pos, index).reach == 0.0
+        # the guard overflows
+        assert coverage((0.0, 0.0), CoverageIndex(_topo(NON_FINITE_STATIONS))).reach == 0.0
 
     def test_the_reach_is_the_nearest_circle_or_cell_edge(self):
         # One station, so one cell: its padded box, and the grid's extent.
-        topo = _topo([_bs("a", radius=50.0)])
-        index = topo.coverage_index
+        index = CoverageIndex(_topo([_bs("a", radius=50.0)]))
         assert index.cells is not None and len(index.cells) == 1
-        got = coverage((0.0, 10.0), topo)
+        got = coverage((0.0, 10.0), index)
         assert [bs.id for bs, _ in got] == ["a"]
         assert got.reach == pytest.approx(40.0, abs=1e-6)  # to the top edge, 40 m up
-        got = coverage((-20.0, 0.0), topo)
+        got = coverage((-20.0, 0.0), index)
         assert got.reach == pytest.approx(30.0, abs=1e-6)  # to the circle, 30 m left
-        got = coverage((0.0, 80.0), topo)
+        got = coverage((0.0, 80.0), index)
         assert got == [] and got.reach == pytest.approx(30.0, abs=1e-6)  # to the extent
 
 
@@ -482,7 +485,7 @@ class TestGeometricSynthesis:
             mode="geometric",
             networks={"n1": NetworkSignals(base={"Q": 100.0}, ramps={"Q": 2.0})},
         )
-        state = SynthesisState(spec)
+        state = SynthesisState(spec, 0)
         state.advance_to(0, 100)
         assert sample_context("n1", 0, spec, state)["Q"] == 100.0
         state.advance_to(500, 100)
@@ -494,7 +497,7 @@ class TestGeometricSynthesis:
             networks={"n1": NetworkSignals(
                 waypoints={"Q": ((0, 1.0), (100, 5.0), (200, 1.0))})},
         )
-        state = SynthesisState(spec)
+        state = SynthesisState(spec, 0)
         samples = {t: sample_context("n1", t, spec, state)["Q"]
                    for t in (-50, 0, 50, 100, 150, 200, 400)}
         assert samples[-50] == 1.0
@@ -513,14 +516,14 @@ class TestGeometricSynthesis:
                 ramps={"Q": 1.0},
                 waypoints={"Q": ((0, 7.0), (100, 7.0))})},
         )
-        state = SynthesisState(spec)
+        state = SynthesisState(spec, 0)
         values = sample_context("n1", 50, spec, state)
         assert values["Q"] == 7.0
         assert values["P"] == 1.0
 
     def test_unknown_network_reports_nothing(self):
         spec = ContextSynthesisSpec(mode="geometric", networks={})
-        state = SynthesisState(spec)
+        state = SynthesisState(spec, 0)
         assert sample_context("ghost", 0, spec, state) == {}
 
 
@@ -531,9 +534,8 @@ class TestStochasticSynthesis:
             networks={"n1": NetworkSignals(base={"Q": 0.0}, start={"Q": 10.0})},
             ar1_rho=0.5,
             noise_sigma=0.0,
-            seed=1,
         )
-        state = SynthesisState(spec)
+        state = SynthesisState(spec, 1)
         state.advance_to(0, 100)
         assert sample_context("n1", 0, spec, state)["Q"] == 10.0
         state.advance_to(100, 100)
@@ -547,11 +549,10 @@ class TestStochasticSynthesis:
             networks={"n1": NetworkSignals(base={"Q": 50.0})},
             ar1_rho=0.9,
             noise_sigma=5.0,
-            seed=99,
         )
         runs = []
         for _ in range(2):
-            state = SynthesisState(spec)
+            state = SynthesisState(spec, 99)
             seq = []
             for t in range(0, 1000, 100):
                 state.advance_to(t, 100)
@@ -564,9 +565,9 @@ class TestStochasticSynthesis:
             spec = ContextSynthesisSpec(
                 mode="stochastic",
                 networks={"n1": NetworkSignals(base={"Q": 50.0})},
-                ar1_rho=0.9, noise_sigma=5.0, seed=seed,
+                ar1_rho=0.9, noise_sigma=5.0,
             )
-            state = SynthesisState(spec)
+            state = SynthesisState(spec, seed)
             out = []
             for t in range(0, 1000, 100):
                 state.advance_to(t, 100)
@@ -588,9 +589,8 @@ class TestStochasticSynthesis:
             networks={net: NetworkSignals(base=b) for net, b in bases.items()},
             ar1_rho=rho,
             noise_sigma=1.0,
-            seed=seed,
         )
-        return spec, SynthesisState(spec)
+        return spec, SynthesisState(spec, seed)
 
     def test_noise_consumed_in_sorted_network_criterion_order(self):
         """The walk draws what ``random.gauss(0.0, 1.0)`` draws, draw for draw,
@@ -602,7 +602,7 @@ class TestStochasticSynthesis:
         a zero counts."""
         for seed, count in itertools.product((0, 7, 41, 2**70), range(1, 5)):
             spec, state = self._walk(self.SLOTS[:count], seed)
-            expect = list(_gauss_walk(spec, 5))
+            expect = list(_gauss_walk(spec, seed, 5))
             for tick in range(1, 6):
                 state.advance_to(100 * tick, 100)
                 assert _hexed(state.values) == expect[tick - 1], (seed, count, tick)
@@ -617,7 +617,7 @@ class TestStochasticSynthesis:
         each value keeps the sign of its draw."""
         monkeypatch.setattr(random.Random, "random", lambda self: 0.0)
         spec, state = self._walk(self.SLOTS[:3], 7, base=-0.0, rho=-0.0)
-        expect = list(_gauss_walk(spec, 2))
+        expect = list(_gauss_walk(spec, 7, 2))
         for tick in (1, 2):
             state.advance_to(100 * tick, 100)
             assert _hexed(state.values) == expect[tick - 1]
@@ -628,10 +628,10 @@ def _hexed(values):
     return {net: {cid: v.hex() for cid, v in vals.items()} for net, vals in values.items()}
 
 
-def _gauss_walk(spec, ticks):
+def _gauss_walk(spec, seed, ticks):
     """Each tick's walk values, by ``float.hex``, drawn with ``random.gauss``
     from a walk that starts at its bases."""
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     values = {net: dict(spec.networks[net].base) for net in sorted(spec.networks)}
     for _ in range(ticks):
         for net, vals in values.items():
@@ -760,6 +760,16 @@ class TestEngine:
         doc["seed"] = doc["seed"] + 1
         assert ndjson(run(from_dict(doc))) != base
 
+    def test_replacing_a_parsed_seed_reseeds_the_signals(self):
+        """The seed is held once, by the scenario: a run of a parsed
+        scenario with its seed replaced draws its signals from the new
+        seed, as a run of the document with that seed does."""
+        sc = load_scenario(SCENARIO_DIR / "noisy.json")
+        assert sc.seed != 9
+        replaced = ndjson(run(sc._replace(seed=9)))
+        assert replaced == ndjson(run(from_dict({**sc.raw, "seed": 9})))
+        assert replaced != ndjson(run(sc))
+
     def test_seed_is_irrelevant_for_geometric_mode(self):
         a = ndjson(run(from_dict(_crossing_doc(seed=1))))
         b = ndjson(run(from_dict(_crossing_doc(seed=2))))
@@ -813,9 +823,9 @@ def _run_counting(sc, every_tick=False):
     ``every_tick``, each answer's reach is cut to 0, so none is reused."""
     real, asked = engine.coverage, []
 
-    def counting(pos, topo):
+    def counting(pos, index):
         asked.append(pos)
-        got = real(pos, topo)
+        got = real(pos, index)
         if every_tick:
             got.reach = 0.0
         return got
@@ -875,7 +885,7 @@ class TestCoverageReuse:
     def _with_cell_edge(self, doc):
         """``doc`` and a terminal that crosses one of its grid's column
         edges at t = 150, between two ticks."""
-        index = from_dict(doc).topology.coverage_index
+        index = CoverageIndex(from_dict(doc).topology)
         assert index.cols > 1
         x, y = index.x0 + index.cell, index.y0 + 0.5 * index.cell
         doc["terminals"].append({"id": "edge", "path": [[0, [x - 1.5, y]], [200, [x + 0.5, y]]]})
