@@ -30,19 +30,21 @@ the queue pops in time order and synthesis advances only when time does,
 so a sample is dropped when the tick moves on.  A sample is a
 plain dict of criterion values and a score a float, listed as a
 (station, score) pair.  When RSS carries no weight a station's score does
-not depend on the terminal either, so it too is computed once per
-(station, tick) and shared; when RSS is weighted each terminal scores a
-copy of the sample with its own RSS.
+not depend on the terminal either, so its entry is built once per
+(station, tick): one (station, score) pair, which every terminal's ranked
+list of that tick holds, and one ``[station, score]`` list, which every
+``anl`` payload of that tick holds.  When RSS is weighted each terminal
+scores a copy of the sample with its own RSS, and gets entries of its own.
 
 When no score reads RSS, the run's coverage index does not measure it
 (``measure_rss=False``), so coverage takes no per-station ``log10``.  Then
 the stations covering a terminal are all its context takes from its
 position, so coverage is asked only when the terminal may have left the
 answer's reach: each answer says how far the position can move before it
-may change, and the engine keeps it for as long as the terminal, at its
-path's top speed, needs to move that far, skipping both interpolation and
-coverage until then.  When RSS is weighted, every tick's RSS differs, so
-coverage is asked every tick.
+may change, and the engine keeps the answer's station ids for as long as
+the terminal, at its path's top speed, needs to move that far, skipping
+both interpolation and coverage until then.  When RSS is weighted, every
+tick's RSS differs, so coverage is asked every tick.
 
 The values built per event or record are immutable named tuples, which
 cost no ``__setattr__`` per field to build: the ranked
@@ -61,7 +63,11 @@ as a library leaves the collector as its caller set it.
 Records go to a sink: anything with ``append(t, terminal, kind, payload)``,
 called once per record in trace order.  The default is a ``Trace``, which
 keeps them; a ``metrics.MetricFolder`` folds them into metrics as they come
-and keeps none, as the points of a ``sweep`` do.
+and keeps only the parts its metrics read, as the points of a ``sweep``
+do.  A sink may keep a payload it is handed, and nothing mutates a payload
+once it is appended: the same payload goes to every point's sink, and an
+``anl`` entry list is shared by every record that lists that station at
+that tick.
 
 Nothing in a terminal-tick's context reads the controller: the link-loss
 check, the record and the controller step come after it.  So one pass can
@@ -86,6 +92,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import Optional
 
 from . import controller as ctl
@@ -94,7 +101,7 @@ from .errors import HandoffSimError
 from .scenario import CONTROLLER_NUMBERS, ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import StationTypes
-from .topology import Coverage, CoverageIndex, coverage
+from .topology import CoverageIndex, coverage
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 Position = tuple[float, float]
@@ -155,6 +162,29 @@ def _record_payload(rec: ctl.HandoffRecord) -> dict:
     }
 
 
+_net = itemgetter(0)
+
+
+class _TickEntries(dict):
+    """One tick's entries when no score reads RSS: station id -> the
+    station's (id, score) pair, sampled and scored on the first ask, and in
+    ``lists`` its ``[id, score]`` list for the tick's ``anl`` payloads.  It
+    holds the spec, the state and the terms, not the ``_Context`` that
+    holds it, so it makes no reference cycle."""
+
+    __slots__ = ("spec", "synth", "terms", "now", "lists")
+
+    def __init__(self, spec, synth: SynthesisState, terms, now: int):
+        self.spec, self.synth, self.terms, self.now = spec, synth, terms, now
+        self.lists: dict[str, list] = {}
+
+    def __missing__(self, sid: str) -> tuple[str, float]:
+        score = desirability(sample_context(sid, self.now, self.spec, self.synth), self.terms)
+        self.lists[sid] = [sid, score]
+        pair = self[sid] = (sid, score)
+        return pair
+
+
 class _Context:
     """Computes the context of each (terminal, t), asked in time order."""
 
@@ -162,22 +192,23 @@ class _Context:
         self.sc = scenario
         self.synth = SynthesisState(scenario.synthesis, scenario.seed)
         self.synth_t: Optional[int] = None
-        # station -> (values, score) at synth_t; the score is None when it
-        # depends on the terminal's RSS.
-        self.scored: dict[str, tuple[dict[str, float], Optional[float]]] = {}
         self.shared_scores = "RSS" not in scenario.weights.weights
         self.terms = weighted_terms(scenario.weights, scenario.catalog)
+        # The tick's shared entries, or with RSS weighted its samples.
+        self.entries: Optional[_TickEntries] = None
+        self.samples: dict[str, dict[str, float]] = {}
         # When no score reads RSS, coverage queries leave it out.
         self.index = CoverageIndex(scenario.topology, measure_rss=not self.shared_scores)
         self.paths = {term.id: term.path for term in scenario.terminals}
-        # When no score reads RSS, a terminal's coverage answer is all its
-        # context takes from its position, so it is kept, with (since,
-        # window), until the terminal may have moved as far as its reach.
+        # When no score reads RSS, a terminal's covering station ids are all
+        # its context takes from its position, so they are kept, with
+        # (since, window), until the terminal may have moved as far as the
+        # coverage answer's reach.
         self.moves = (
             {term.id: _moves(term.path) for term in scenario.terminals}
             if self.shared_scores else None
         )
-        self.held: dict[str, tuple[int, float, Coverage]] = {}
+        self.held: dict[str, tuple[int, float, list[str]]] = {}
 
     def at(self, terminal: str, now: int) -> tuple[AvailableNetworkList, dict]:
         """The controller-independent context of (terminal, now): the ranked
@@ -187,26 +218,28 @@ class _Context:
         if self.synth_t != now:
             self.synth.advance_to(now, sc.tick_ms)
             self.synth_t = now
-            self.scored.clear()
-        held = self.held.get(terminal)
-        if held is not None and now - held[0] < held[1]:
-            covered = held[2]
-        else:
-            covered = coverage(advance_position(self.paths[terminal], now), self.index)
-            if self.moves is not None:
+            if self.shared_scores:
+                self.entries = _TickEntries(sc.synthesis, self.synth, self.terms, now)
+            else:
+                self.samples.clear()
+        if self.shared_scores:
+            held = self.held.get(terminal)
+            if held is not None and now - held[0] < held[1]:
+                ids = held[2]
+            else:
+                covered = coverage(advance_position(self.paths[terminal], now), self.index)
+                ids = [bs.id for bs, _ in covered]
                 slack, pace = self.moves[terminal]
-                self.held[terminal] = (now, (covered.reach - slack) * pace, covered)
+                self.held[terminal] = (now, (covered.reach - slack) * pace, ids)
+            entries = self.entries
+            anl = rank(list(map(entries.__getitem__, ids)))
+            return anl, {"entries": list(map(entries.lists.__getitem__, map(_net, anl.entries)))}
         scores: list[tuple[str, float]] = []
-        for bs, rss in covered:
-            memo = self.scored.get(bs.id)
-            if memo is None:
-                values = sample_context(bs.id, now, sc.synthesis, self.synth)
-                score = desirability(values, self.terms) if self.shared_scores else None
-                memo = self.scored[bs.id] = (values, score)
-            values, score = memo
-            if score is None:
-                score = desirability({**values, "RSS": rss}, self.terms)
-            scores.append((bs.id, score))
+        for bs, rss in coverage(advance_position(self.paths[terminal], now), self.index):
+            values = self.samples.get(bs.id)
+            if values is None:
+                values = self.samples[bs.id] = sample_context(bs.id, now, sc.synthesis, self.synth)
+            scores.append((bs.id, desirability({**values, "RSS": rss}, self.terms)))
         anl = rank(scores)
         return anl, {"entries": list(map(list, anl.entries))}
 

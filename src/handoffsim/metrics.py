@@ -11,6 +11,14 @@ worked out once and read by both.  ``MetricFolder.facts`` hands out those
 per-terminal results, and ``pool`` turns the results of several folders,
 each over some of a run's terminals, into the run's pooled snapshot.
 
+A folder keeps the payloads it is handed, and copies none of them: an
+``anl`` record's own ``entries`` list is what its time's list is, and a
+network's value is read from it as ``dict(entries).get(net)`` reads it, so
+of a network listed twice the last listing counts.  A sink may keep a
+payload, and nothing mutates a payload once it is appended; when no score
+reads RSS, the engine hands every ``anl`` record of a tick the same
+``[station, score]`` list for a station.
+
 A snapshot is the published row: its fields are the ``METRICS`` columns,
 in table order, so a CSV or JSON row is the snapshot's own values.
 
@@ -31,7 +39,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from copy import copy
 from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -87,7 +94,7 @@ class _TerminalStats:
     """Single-pass accumulation of one terminal's trace records.
 
     Records arrive in time order, and what holds at a time is what its last
-    record left: the attached network, the list head, the list's map.  So a
+    record left: the attached network, the list head, the list.  So a
     time is settled once a record with a later time arrives, and the last
     one in ``facts``, up to the horizon.  The span to the next time, both
     clipped to [0, horizon], adds to the attached time, and to the on-head
@@ -111,7 +118,7 @@ class _TerminalStats:
         self.moves = moves  # (event, from, to) -> the counters that transition bumps
         self.records: list[dict] = []
         self.counts = self.COUNTS.copy()
-        self.anl_by_t: dict[int, dict[str, float]] = {}  # each list time's network -> score
+        self.anl_by_t: dict[int, list] = {}  # each list time's record entries, as handed
         # The time of the last record, not yet settled, and what holds there.
         self.t = float("-inf")
         self.attached: Optional[str] = None
@@ -126,17 +133,21 @@ class _TerminalStats:
 
     def feed(self, t: int, kind: str, payload: dict) -> None:
         if t != self.t:
-            self.settle(t)
+            if self.attached is None:
+                self.t = t  # nothing attached: settling would change nothing else
+            else:
+                self.settle(t)
         if kind == ANL:
             entries = payload["entries"]
             self.head = entries[0][0] if entries else None
-            self.anl_by_t[t] = dict(entries)
+            self.anl_by_t[t] = entries
         elif kind == TRANSITION:
             self.attached = payload["attached"]
-            counts = self.counts
-            for action in payload["actions"]:
-                if "connect" in action:
-                    counts["connects"] += 1
+            actions = payload["actions"]
+            if actions:
+                for action in actions:
+                    if "connect" in action:
+                        self.counts["connects"] += 1
             move = payload["event"], payload["from"], payload["to"]
             try:
                 bumped = self.moves[move]
@@ -144,8 +155,10 @@ class _TerminalStats:
                 bumped = self.moves[move] = _bumped_by(*move)
             except TypeError:  # an unhashable value, in a hand-made trace
                 bumped = _bumped_by(*move)
-            for key in bumped:
-                counts[key] += 1
+            if bumped:
+                counts = self.counts
+                for key in bumped:
+                    counts[key] += 1
         elif kind == HANDOFF:
             self.records.append(payload)
 
@@ -161,10 +174,10 @@ class _TerminalStats:
             self.attached_ms += hi - lo
             if net == self.head:
                 self.on_head += hi - lo
-        anl = self.anl_by_t.get(t0)
-        if anl is None or not 0 <= t0 < horizon:
+        entries = self.anl_by_t.get(t0)
+        if entries is None or not 0 <= t0 < horizon:
             return
-        value = anl.get(net)
+        value = _listed(entries, net)
         if value is None:
             return
         end = t0 + self.tick
@@ -186,9 +199,10 @@ class _TerminalStats:
         return sorted(self.anl_by_t)
 
     def facts(self, tolerance_ms: int) -> _Facts:
-        # Settle the last time, and grade, on a copy, so the fold can go on
-        # or be asked again: the copy's sorted list times die with it.
-        end = copy(self)
+        # Settle the last time, and grade, on a shallow copy, so the fold can
+        # go on or be asked again: the copy's sorted list times die with it.
+        end = object.__new__(_TerminalStats)
+        end.__dict__.update(self.__dict__)
         end.runs = self.runs.copy()
         end.settle(self.horizon)
         runs = [(ms, deficit / ms) for ms, deficit in end.runs if ms]  # (ms, mean deficit)
@@ -202,7 +216,7 @@ class _TerminalStats:
         times = self.anl_times
         for k in range(bisect_right(times, t_trigger) - 1, -1, -1):
             t = times[k]
-            value = self.anl_by_t[t].get(from_net)
+            value = _listed(self.anl_by_t[t], from_net)
             if value is None or value >= self.th_inf:
                 break
             span = t_trigger - t
@@ -219,6 +233,9 @@ class MetricFolder:
     first record.  Each terminal's records feed its own ``_TerminalStats``,
     and other run-level records are dropped.  Without
     an init record the folder takes a tick of 1 ms and no threshold.
+
+    The folder keeps each ``anl`` record's entries list as it is handed, so
+    whoever appends a payload must not mutate it afterwards.
     """
 
     def __init__(self, horizon_ms: int):
@@ -284,6 +301,15 @@ class MetricFolder:
         facts = self.facts()
         by_terminal = {f.terminal: pool([f], self.horizon, constants) for f in facts}
         return pool(facts, self.horizon, constants, by_terminal)
+
+
+def _listed(entries: list, net) -> Optional[float]:
+    """``net``'s value in a record's entries, read as ``dict(entries).get(net)``
+    reads it: the last listing of a network wins."""
+    for entry in reversed(entries):
+        if entry[0] == net:
+            return entry[1]
+    return None
 
 
 def _bumped_by(event, source, target) -> tuple[str, ...]:

@@ -138,6 +138,10 @@ class Trace:
         self.records = [] if records is None else records
 
     def append(self, t: int, terminal: Optional[str], kind: str, payload: dict) -> None:
+        """Keep the record, with the payload itself, not a copy: nothing may
+        mutate a payload once it is appended.  Records may share parts of
+        their payloads, as a run's ``anl`` records share each station's
+        ``[id, score]`` entry of a tick."""
         # tuple.__new__ skips the named tuple's generated __new__ frame.
         self.records.append(tuple.__new__(TraceRecord, (t, terminal, kind, payload)))
 

@@ -19,6 +19,7 @@ import pytest
 
 from handoffsim.cli import main
 from handoffsim.engine import run
+from handoffsim.metrics import compute_metrics
 from handoffsim.scenario import from_dict, parse_controller
 from handoffsim.trace import Trace
 from trace_text import ndjson
@@ -263,3 +264,44 @@ def test_shared_context_keeps_every_controller_variant_byte_identical(inputs, na
     # The variants behave differently, so the pass is tested on distinct runs.
     behaviours = {tuple(json.dumps(r) for r in t.records if r.kind != "init") for t in alone}
     assert len(behaviours) > 1
+
+
+def _entries_by_station_tick(trace):
+    """(t, station) -> each ``anl`` entry list that names it, in record order."""
+    found = defaultdict(list)
+    for r in trace.records:
+        if r.kind == "anl":
+            for entry in r.payload["entries"]:
+                found[(r.t, entry[0])].append(entry)
+    return found
+
+
+@pytest.mark.parametrize("name", ["crossing", "dense_geometric"])
+def test_records_share_one_entry_per_station_tick_and_nothing_changes_them(
+    inputs, name, tmp_path
+):
+    """With no RSS weight a station's entry at a tick is one list, held by
+    every ``anl`` record that lists it; folding the trace and writing it
+    leave every payload as it was."""
+    doc = copy.deepcopy(inputs[name])
+    if name == "crossing":
+        doc["terminals"].append({**doc["terminals"][0], "id": "mt2"})
+    trace = run(from_dict(doc))
+    found = _entries_by_station_tick(trace)
+    assert any(len(entries) > 1 for entries in found.values())
+    for key, entries in found.items():
+        assert all(entry is entries[0] for entry in entries), key
+    before = copy.deepcopy([r.payload for r in trace.records])
+    compute_metrics(trace)
+    trace.write(tmp_path / "trace.ndjson")
+    assert [r.payload for r in trace.records] == before
+
+
+def test_rss_weighted_records_hold_entries_of_their_own(inputs):
+    """Each terminal scores a station by its own RSS, so no two records
+    share an entry list."""
+    trace = run(from_dict(copy.deepcopy(inputs["dense_rss"])))
+    found = _entries_by_station_tick(trace)
+    assert any(len(entries) > 1 for entries in found.values())
+    for key, entries in found.items():
+        assert len({id(entry) for entry in entries}) == len(entries), key

@@ -288,6 +288,49 @@ class TestTimeliness:
         assert snap.thor == pytest.approx(1.0)
 
 
+class TestRepeatedNetwork:
+    """A hand-made ``anl`` record may list a network twice.  The fold reads
+    it as ``dict(entries)`` does: the last listing counts."""
+
+    @staticmethod
+    def _trace(first, last):
+        """n1 attached throughout and listed twice at every tick, as
+        ``first`` then ``last`` from 200 ms through 500 ms, and a handoff
+        triggered at 500 ms."""
+        tr = _base_trace(duration=1000, th_inf=2.0)
+        for t in range(0, 1000, 100):
+            dip = 200 <= t <= 500
+            _anl(tr, t, [("n1", first if dip else 5.0), ("n2", 10.0),
+                         ("n1", last if dip else 5.0)])
+            if t == 0:
+                _attach(tr, 0, "n1")
+            elif t == 500:
+                tr.append(500, "mt1", HANDOFF,
+                          _record(t_prep=500, t_trigger=500, t_switch=500, t_eval=500))
+        return tr
+
+    @staticmethod
+    def _snapshots(tr):
+        """The snapshot of the finished trace and of the same records
+        appended one at a time."""
+        folder = MetricFolder(1000)
+        for rec in tr.records:
+            folder.append(*rec)
+        return compute_metrics(tr), folder.snapshot()
+
+    def test_a_last_listing_below_the_threshold_counts(self):
+        for snap in self._snapshots(self._trace(first=5.0, last=1.0)):
+            # One run from 200 ms to 600 ms, 1.0 below the threshold.
+            assert (snap.dr, snap.dl_ms, snap.di) == (1.0, 400.0, 1.0)
+            # 300 ms below before the trigger, past the 100 ms tolerance.
+            assert (snap.tardy, snap.timely) == (1, 0)
+
+    def test_a_last_listing_above_the_threshold_counts(self):
+        for snap in self._snapshots(self._trace(first=1.0, last=5.0)):
+            assert (snap.dr, snap.dl_ms, snap.di) == (0.0, None, None)
+            assert (snap.tardy, snap.timely) == (0, 1)
+
+
 # --- reference fold -----------------------------------------------------------
 # A plain fold that reads only the records: each terminal's attachment and
 # list head are looked up at every millisecond of the horizon, each list time's
