@@ -16,12 +16,13 @@ the controller.
 
 The parsed scenario holds only data.  A run resolves what stays fixed for
 it once, in ``_Context.__init__``: the weight terms (``weighted_terms``),
-the topology's ``CoverageIndex``, and a ``SynthesisState`` seeded with the
-scenario's seed, which holds each geometric network's sorted criteria and
-the stochastic walk's network and criterion order.  Sampling, scoring and
-ranking are still called through this module's names, once per unit, and
-coverage through its name whenever it is asked; the benchmark's layer
-probes wrap these names.  A run keeps one ``StationTypes``, which every
+the topology's ``CoverageIndex``, each station's path-loss parameters when
+RSS is weighted, and a ``SynthesisState`` seeded with the scenario's seed,
+which holds each geometric network's sorted criteria and the stochastic
+walk's network and criterion order.  Sampling, scoring and ranking are
+still called through this module's names, once per unit, and coverage
+through its name whenever it is asked; the benchmark's layer probes wrap
+these names.  A run keeps one ``StationTypes``, which every
 terminal and point shares: the type of a handoff between two stations is
 classified the first time the controller reads it, which happens only
 when a handoff triggers.  A station's synthesized sample depends only on
@@ -36,15 +37,13 @@ list of that tick holds, and one ``[station, score]`` list, which every
 ``anl`` payload of that tick holds.  When RSS is weighted each terminal
 scores a copy of the sample with its own RSS, and gets entries of its own.
 
-When no score reads RSS, the run's coverage index does not measure it
-(``measure_rss=False``), so coverage takes no per-station ``log10``.  Then
-the stations covering a terminal are all its context takes from its
-position, so coverage is asked only when the terminal may have left the
-answer's reach: each answer says how far the position can move before it
-may change, and the engine keeps the answer's station ids for as long as
-the terminal, at its path's top speed, needs to move that far, skipping
-both interpolation and coverage until then.  When RSS is weighted, every
-tick's RSS differs, so coverage is asked every tick.
+Coverage answers only which stations cover a position, by id, and the
+answer's reach: how far the position can move before it may change.  Every
+run keeps a terminal's answer for as long as the terminal, at its path's
+top speed, needs to move that far, and asks coverage again only after
+that.  A run that weights RSS computes it with ``rss_at`` each tick, for
+each station the terminal's answer holds, at the terminal's position then;
+one that does not skips interpolation too while the answer holds.
 
 The values built per event or record are immutable named tuples, which
 cost no ``__setattr__`` per field to build: the ranked
@@ -101,7 +100,7 @@ from .errors import HandoffSimError
 from .scenario import CONTROLLER_NUMBERS, ControllerConfig, Scenario
 from .synthesis import SynthesisState, sample_context
 from .taxonomy import StationTypes
-from .topology import CoverageIndex, coverage
+from .topology import CoverageIndex, coverage, rss_at, tier_path_loss
 from .trace import ANL, HANDOFF, INIT, TRANSITION, Trace
 
 Position = tuple[float, float]
@@ -192,22 +191,21 @@ class _Context:
         self.sc = scenario
         self.synth = SynthesisState(scenario.synthesis, scenario.seed)
         self.synth_t: Optional[int] = None
-        self.shared_scores = "RSS" not in scenario.weights.weights
         self.terms = weighted_terms(scenario.weights, scenario.catalog)
+        # With RSS weighted, station id -> (station, path-loss parameters).
+        topo = scenario.topology
+        self.radio = {
+            bs.id: (bs, tier_path_loss(bs.tier, topo.path_loss_overrides))
+            for bs in topo.stations
+        } if "RSS" in scenario.weights.weights else None
         # The tick's shared entries, or with RSS weighted its samples.
         self.entries: Optional[_TickEntries] = None
         self.samples: dict[str, dict[str, float]] = {}
-        # When no score reads RSS, coverage queries leave it out.
-        self.index = CoverageIndex(scenario.topology, measure_rss=not self.shared_scores)
+        self.index = CoverageIndex(topo)
         self.paths = {term.id: term.path for term in scenario.terminals}
-        # When no score reads RSS, a terminal's covering station ids are all
-        # its context takes from its position, so they are kept, with
-        # (since, window), until the terminal may have moved as far as the
-        # coverage answer's reach.
-        self.moves = (
-            {term.id: _moves(term.path) for term in scenario.terminals}
-            if self.shared_scores else None
-        )
+        # A terminal's covering station ids are kept, with (since, window),
+        # until the terminal may have moved as far as the answer's reach.
+        self.moves = {term.id: _moves(term.path) for term in scenario.terminals}
         self.held: dict[str, tuple[int, float, list[str]]] = {}
 
     def at(self, terminal: str, now: int) -> tuple[AvailableNetworkList, dict]:
@@ -218,28 +216,35 @@ class _Context:
         if self.synth_t != now:
             self.synth.advance_to(now, sc.tick_ms)
             self.synth_t = now
-            if self.shared_scores:
+            if self.radio is None:
                 self.entries = _TickEntries(sc.synthesis, self.synth, self.terms, now)
             else:
                 self.samples.clear()
-        if self.shared_scores:
-            held = self.held.get(terminal)
-            if held is not None and now - held[0] < held[1]:
-                ids = held[2]
-            else:
-                covered = coverage(advance_position(self.paths[terminal], now), self.index)
-                ids = [bs.id for bs, _ in covered]
-                slack, pace = self.moves[terminal]
-                self.held[terminal] = (now, (covered.reach - slack) * pace, ids)
+        held = self.held.get(terminal)
+        if held is not None and now - held[0] < held[1]:
+            ids = held[2]
+            pos = None
+        else:
+            pos = advance_position(self.paths[terminal], now)
+            ids = coverage(pos, self.index)
+            slack, pace = self.moves[terminal]
+            self.held[terminal] = (now, (ids.reach - slack) * pace, ids)
+        radio = self.radio
+        if radio is None:
             entries = self.entries
             anl = rank(list(map(entries.__getitem__, ids)))
             return anl, {"entries": list(map(entries.lists.__getitem__, map(_net, anl.entries)))}
+        if pos is None:
+            pos = advance_position(self.paths[terminal], now)
+        samples = self.samples
         scores: list[tuple[str, float]] = []
-        for bs, rss in coverage(advance_position(self.paths[terminal], now), self.index):
-            values = self.samples.get(bs.id)
+        for sid in ids:
+            values = samples.get(sid)
             if values is None:
-                values = self.samples[bs.id] = sample_context(bs.id, now, sc.synthesis, self.synth)
-            scores.append((bs.id, desirability({**values, "RSS": rss}, self.terms)))
+                values = samples[sid] = sample_context(sid, now, sc.synthesis, self.synth)
+            station, params = radio[sid]
+            scores.append((sid, desirability({**values, "RSS": rss_at(pos, station, params)},
+                                             self.terms)))
         anl = rank(scores)
         return anl, {"entries": list(map(list, anl.entries))}
 

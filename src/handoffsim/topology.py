@@ -14,13 +14,14 @@ Received signal strength follows a log-distance path loss law:
 with per-tier defaults for the transmit power and the exponent n, and a
 reference distance d0 of one meter.
 
-Coverage queries go through a ``CoverageIndex`` of a topology, which a
-run builds once: the stations sorted by id with their radius and path-loss
-parameters, plus a uniform grid over their coverage disks' bounding boxes
-that narrows each query to the stations near the position.  An index
-built with ``measure_rss=False`` answers the same stations with no RSS.
-Each answer also carries its reach: how far the position can move before
-the answer may change.
+Coverage is geometry only: which stations' radii reach a position.
+Queries go through a ``CoverageIndex`` of a topology, which a run builds
+once: the station ids in order with their position and radius, plus a
+uniform grid over their coverage disks' bounding boxes that narrows each
+query to the stations near the position.  Each answer is the covering
+station ids with its reach: how far the position can move before the
+answer may change.  RSS is the radio model's, ``rss_at``, asked by a run
+only for the stations that cover a terminal and only when a score reads it.
 """
 
 from __future__ import annotations
@@ -78,23 +79,20 @@ Topology.__doc__ = """The stations, a tuple; ``path_loss_overrides`` maps a tier
 overridden path-loss parameters."""
 
 
-def _rss(d: float, params: PathLossParams) -> float:
-    effective = max(d, params.d0)
-    return params.tx_power_dbm - 10.0 * params.exponent * math.log10(effective / params.d0)
-
-
 def rss_at(pos: Position, station: BaseStation, params: Optional[PathLossParams] = None) -> float:
     """Received signal strength in dBm at a position, log-distance model."""
     if params is None:
         params = tier_path_loss(station.tier)
     dx = pos[0] - station.position[0]
     dy = pos[1] - station.position[1]
-    return _rss(math.hypot(dx, dy), params)
+    d0 = params.d0
+    effective = max(math.hypot(dx, dy), d0)
+    return params.tx_power_dbm - 10.0 * params.exponent * math.log10(effective / d0)
 
 
 class Coverage(list):
-    """The (station, RSS) pairs that cover a position, in station id order,
-    and ``reach``: a distance in meters that the position can move, in any
+    """The ids of the stations that cover a position, in id order, and
+    ``reach``: a distance in meters that the position can move, in any
     direction, without changing which stations cover it.  A reach of 0
     promises nothing."""
 
@@ -103,17 +101,15 @@ class Coverage(list):
 
 class CoverageIndex:
     """Per-run coverage facts of one topology, whose ``stations`` it keeps.
-    With ``measure_rss`` False, queries report None for RSS and skip its
-    log10, for runs whose scores do not read it.
 
-    ``entries`` holds (station, x, y, radius, path-loss parameters) in
-    station id order, leaving out stations whose radius can reach nothing
-    (negative or NaN).  The grid splits the stations' padded bounding boxes
-    into about one square cell per station, and each cell lists, in id
-    order, every station whose padded box overlaps it.  The grid only
-    prefilters: the covered/not-covered verdict is the exact distance test.
-    When some box is not finite (an infinite radius, a non-finite position)
-    there is no grid and every query tests every entry.
+    ``entries`` holds (station id, x, y, radius) in id order, leaving out
+    stations whose radius can reach nothing (negative or NaN).  The grid
+    splits the stations' padded bounding boxes into about one square cell
+    per station, and each cell lists, in id order, every station whose
+    padded box overlaps it.  The grid only prefilters: the covered/not-covered
+    verdict is the exact distance test.  When some box is not finite (an
+    infinite radius, a non-finite position) there is no grid and every
+    query tests every entry.
 
     The pad is a few ulps of the largest box coordinate.  A covered point
     has ``|fl(x - sx)| <= hypot(...) <= radius``, so rounding in that
@@ -135,24 +131,22 @@ class CoverageIndex:
     so their verdict cannot change.
     """
 
-    def __init__(self, topo: Topology, measure_rss: bool = True):
+    def __init__(self, topo: Topology):
         self.stations = topo.stations
-        self.measure_rss = measure_rss
         self.entries = []
         for bs in sorted(topo.stations, key=lambda s: s.id):
             radius = bs.coverage_radius
             if radius >= 0:
-                params = tier_path_loss(bs.tier, topo.path_loss_overrides)
-                self.entries.append((bs, bs.position[0], bs.position[1], radius, params))
+                self.entries.append((bs.id, bs.position[0], bs.position[1], radius))
         # Overflows to inf, and so zeroes every reach, when the coordinates
         # are too large for the guard to be summed.
         self.extent = max(
-            (abs(x) + abs(y) + r for _, x, y, r, _ in self.entries
+            (abs(x) + abs(y) + r for _, x, y, r in self.entries
              if math.isfinite(x) and math.isfinite(y) and math.isfinite(r)),
             default=0.0,
         )
         self.cells: Optional[list[list]] = None
-        boxes = [(x - r, y - r, x + r, y + r) for _, x, y, r, _ in self.entries]
+        boxes = [(x - r, y - r, x + r, y + r) for _, x, y, r in self.entries]
         if not boxes or not all(math.isfinite(v) for box in boxes for v in box):
             return
         pad = 4 * math.ulp(max(abs(v) for box in boxes for v in box))
@@ -205,11 +199,10 @@ class CoverageIndex:
             candidates = ()
             reach = math.hypot(max(self.x0 - x, x - self.x1, 0.0),
                                max(self.y0 - y, y - self.y1, 0.0))
-        measure_rss = self.measure_rss
-        for bs, sx, sy, radius, params in candidates:
+        for sid, sx, sy, radius in candidates:
             d = math.hypot(x - sx, y - sy)
             if d <= radius:
-                out.append((bs, _rss(d, params) if measure_rss else None))
+                out.append(sid)
                 gap = radius - d
             else:
                 gap = d - radius
@@ -221,9 +214,6 @@ class CoverageIndex:
 
 
 def coverage(pos: Position, index: CoverageIndex) -> Coverage:
-    """Stations whose radius reaches the position, with their RSS there
-    (None when the index does not measure it), and the answer's reach.
-
-    Ordered by station id so downstream iteration is deterministic.
-    """
+    """The ids of the stations whose radius reaches the position, in id
+    order so downstream iteration is deterministic, and the answer's reach."""
     return index.covering(pos)

@@ -198,9 +198,7 @@ def test_only_the_taxonomy_classifies(module):
 
 # The names of the package with no caller in it or in the benchmark, and
 # why each is kept.
-UNCALLED = {
-    "rss_at": "the plain per-station RSS that a reference engine is to build on",
-}
+UNCALLED: dict[str, str] = {}
 CALLERS = [PACKAGE, PACKAGE.parent.parent / "perfbench"]
 
 

@@ -7,6 +7,7 @@ file, without changing it, so such a rename fails here instead.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -107,20 +108,35 @@ ENGINE_CHILDREN = ("topology.coverage", "synthesis.advance_to", "synthesis.sampl
                    "trace.append")
 
 
+def _assert_a_run_calls_every_engine_layer(tracer, monkeypatch, scenario, out, capsys):
+    from handoffsim import cli
+
+    targets = tracer._targets()
+    calls = _count_calls(monkeypatch, [pair for name in ENGINE_CHILDREN for pair in targets[name]])
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
+    capsys.readouterr()
+    probed = {f"{owner.__name__}.{attr}" for name in ENGINE_CHILDREN
+              for owner, attr in targets[name]}
+    assert probed - set(calls) == set()
+
+
 def test_a_run_calls_every_engine_layer_the_benchmark_probes(tracer, monkeypatch, tmp_path,
                                                                capsys):
     """Each layer of the benchmark's per-layer breakdown is timed by a probe
     on the name the engine calls it by; a fast path that stopped calling one
     would read zero calls and zero time there, not a faster layer."""
-    from handoffsim import cli
+    _assert_a_run_calls_every_engine_layer(tracer, monkeypatch, SCENARIO, tmp_path, capsys)
 
-    targets = tracer._targets()
-    calls = _count_calls(monkeypatch, [pair for name in ENGINE_CHILDREN for pair in targets[name]])
-    assert cli.main(["run", str(SCENARIO), "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    probed = {f"{owner.__name__}.{attr}" for name in ENGINE_CHILDREN
-              for owner, attr in targets[name]}
-    assert probed - set(calls) == set()
+
+def test_an_rss_weighted_run_calls_every_engine_layer_the_benchmark_probes(
+        tracer, monkeypatch, tmp_path, capsys):
+    """A run whose scores read RSS takes its own path from coverage to the
+    ranked list, and calls the probed names on it too."""
+    doc = json.loads(SCENARIO.read_text())
+    doc["weights"] = {"k": 0.0, "weights": {"RSS": 0.5, "Q": 0.5}}
+    scenario = tmp_path / "crossing_rss.json"
+    scenario.write_text(json.dumps(doc))
+    _assert_a_run_calls_every_engine_layer(tracer, monkeypatch, scenario, tmp_path, capsys)
 
 
 def test_a_serial_sweep_calls_every_engine_layer_inside_engine_run(tracer, monkeypatch,

@@ -103,63 +103,40 @@ class TestCoverage:
             _bs("wide", pos=(0.0, 0.0)),                      # macro, 1000 m
             _bs("tight", net="net2", pos=(500.0, 0.0), tier="pico"),  # 100 m
         ]))
-        got = [bs.id for bs, _ in coverage((0.0, 0.0), index)]
-        assert got == ["wide"]
-        got = [bs.id for bs, _ in coverage((450.0, 0.0), index)]
-        assert got == ["tight", "wide"]
+        assert coverage((0.0, 0.0), index) == ["wide"]
+        assert coverage((450.0, 0.0), index) == ["tight", "wide"]
 
     def test_sorted_by_station_id(self):
         index = CoverageIndex(_topo([_bs("z_bs"), _bs("a_bs", net="net2", pos=(1.0, 0.0))]))
-        got = [bs.id for bs, _ in coverage((0.0, 0.0), index)]
-        assert got == ["a_bs", "z_bs"]
+        assert coverage((0.0, 0.0), index) == ["a_bs", "z_bs"]
 
     def test_boundary_is_inclusive(self):
         index = CoverageIndex(_topo([_bs("edge", radius=100.0)]))
-        assert [bs.id for bs, _ in coverage((100.0, 0.0), index)] == ["edge"]
+        assert coverage((100.0, 0.0), index) == ["edge"]
         assert coverage((100.0 + 1e-9, 0.0), index) == []
 
     def test_radius_defaults_follow_tier(self):
         index = CoverageIndex(_topo([_bs("small", tier="femto")]))
         assert TIER_DEFAULTS["femto"]["radius"] == 30.0
-        assert coverage((29.0, 0.0), index) != []
+        assert coverage((29.0, 0.0), index) == ["small"]
         assert coverage((31.0, 0.0), index) == []
 
     def test_explicit_radius_wins_over_tier(self):
         index = CoverageIndex(_topo([_bs("boosted", tier="femto", radius=500.0)]))
-        assert coverage((400.0, 0.0), index) != []
-
-    def test_rss_uses_topology_overrides(self):
-        stations = [_bs("s1")]
-        plain = _topo(stations)
-        boosted = Topology(
-            stations=plain.stations, path_loss_overrides={"macro": {"tx_power_dbm": -30.0}},
-        )
-        (_, rss_plain), = coverage((10.0, 0.0), CoverageIndex(plain))
-        (_, rss_boosted), = coverage((10.0, 0.0), CoverageIndex(boosted))
-        assert rss_boosted == pytest.approx(rss_plain + 10.0, abs=1e-12)
+        assert coverage((400.0, 0.0), index) == ["boosted"]
 
 
 def _coverage_by_full_scan(pos, topo):
     """Reference for the indexed coverage: every station tested in id order."""
-    out = []
-    for bs in sorted(topo.stations, key=lambda s: s.id):
-        dx = pos[0] - bs.position[0]
-        dy = pos[1] - bs.position[1]
-        if math.hypot(dx, dy) <= bs.coverage_radius:
-            out.append((bs, rss_at(pos, bs, tier_path_loss(bs.tier, topo.path_loss_overrides))))
-    return out
+    return [
+        bs.id for bs in sorted(topo.stations, key=lambda s: s.id)
+        if math.hypot(pos[0] - bs.position[0], pos[1] - bs.position[1]) <= bs.coverage_radius
+    ]
 
 
-def _assert_matches_full_scan(pos, topo, index, unmeasured=None):
-    """``index`` and ``unmeasured``, when given, are indexes of ``topo``,
-    the second one without RSS."""
-    got = coverage(pos, index)
-    want = _coverage_by_full_scan(pos, topo)
-    assert [bs.id for bs, _ in got] == [bs.id for bs, _ in want], pos
-    assert [rss for _, rss in got] == [rss for _, rss in want], pos  # bit-equal, no approx
-    if unmeasured is not None:
-        # The same topology without RSS covers the same stations.
-        assert coverage(pos, unmeasured) == [(bs, None) for bs, _ in want], pos
+def _assert_matches_full_scan(pos, topo, index):
+    """``index`` is an index of ``topo``."""
+    assert coverage(pos, index) == _coverage_by_full_scan(pos, topo), pos
 
 
 _coord = st.floats(min_value=-3000.0, max_value=3000.0, allow_nan=False)
@@ -239,9 +216,9 @@ class TestCoverageIndex:
     @given(_coverage_cases())
     def test_matches_the_full_scan(self, case):
         topo, queries = case
-        index, unmeasured = CoverageIndex(topo), CoverageIndex(topo, measure_rss=False)
+        index = CoverageIndex(topo)
         for pos in queries:
-            _assert_matches_full_scan(pos, topo, index, unmeasured)
+            _assert_matches_full_scan(pos, topo, index)
 
     def test_single_station_on_its_radius_and_just_past_its_box(self):
         topo = _topo([_bs("only", pos=(0.1, -0.7), tier="femto", radius=0.3)])
@@ -260,9 +237,9 @@ class TestCoverageIndex:
         points = [(1e9 + 0.4, -1e9 - 0.7), (1e9 - 60.0, -1e9), (1e9, -1e9)]
         for bs in stations:
             points += _beyond_box_edges(bs, steps=(1, 2, 3, 8))
-        index, unmeasured = CoverageIndex(topo), CoverageIndex(topo, measure_rss=False)
+        index = CoverageIndex(topo)
         for pos in points:
-            _assert_matches_full_scan(pos, topo, index, unmeasured)
+            _assert_matches_full_scan(pos, topo, index)
 
     def test_cells_list_a_station_only_near_its_box(self):
         # The pad is a few float steps, not a cell: a small station sits
@@ -273,15 +250,15 @@ class TestCoverageIndex:
         for i, cell_list in enumerate(index.cells):
             col, row = i % index.cols, i // index.cols
             cx0, cy0 = index.x0 + col * index.cell, index.y0 + row * index.cell
-            for bs, x, y, r, _ in cell_list:
+            for sid, x, y, r in cell_list:
                 slack = 1e-6 + r
-                assert cx0 - slack <= x <= cx0 + index.cell + slack, (bs.id, col)
-                assert cy0 - slack <= y <= cy0 + index.cell + slack, (bs.id, row)
+                assert cx0 - slack <= x <= cx0 + index.cell + slack, (sid, col)
+                assert cy0 - slack <= y <= cy0 + index.cell + slack, (sid, row)
 
     def test_coincident_stations_keep_id_order(self):
         topo = _topo([_bs(sid, net=f"n{sid}", pos=(7.0, 7.0), tier="pico") for sid in "cab"])
         index = CoverageIndex(topo)
-        assert [bs.id for bs, _ in coverage((50.0, 50.0), index)] == ["a", "b", "c"]
+        assert coverage((50.0, 50.0), index) == ["a", "b", "c"]
         _assert_matches_full_scan((50.0, 50.0), topo, index)
 
     def test_outside_the_extent_is_covered_by_nothing(self):
@@ -358,11 +335,9 @@ class TestCoverageReach:
            st.floats(0.0, 1.0, exclude_max=True))
     def test_a_move_shorter_than_the_reach_keeps_the_stations(self, case, angle, fraction):
         topo, queries = case
-        index, unmeasured = CoverageIndex(topo), CoverageIndex(topo, measure_rss=False)
+        index = CoverageIndex(topo)
         for pos in queries:
             here = coverage(pos, index)
-            ids = [bs.id for bs, _ in here]
-            assert here.reach == coverage(pos, unmeasured).reach
             assert 0.0 <= here.reach < math.inf
             if here.reach == 0.0:
                 continue
@@ -372,8 +347,7 @@ class TestCoverageReach:
                     if not math.hypot(dx, dy) < here.reach:
                         continue
                     moved = (pos[0] + dx, pos[1] + dy)
-                    assert [bs.id for bs, _ in coverage(moved, index)] == ids, (pos, moved)
-                    assert [bs.id for bs, _ in coverage(moved, unmeasured)] == ids, (pos, moved)
+                    assert coverage(moved, index) == here, (pos, moved)
 
     def test_a_position_on_a_radius_or_not_finite_has_no_reach(self):
         index = CoverageIndex(_topo([_bs("a", radius=50.0), _bs("b", net="n2", pos=(500.0, 0.0))]))
@@ -388,7 +362,7 @@ class TestCoverageReach:
         index = CoverageIndex(_topo([_bs("a", radius=50.0)]))
         assert index.cells is not None and len(index.cells) == 1
         got = coverage((0.0, 10.0), index)
-        assert [bs.id for bs, _ in got] == ["a"]
+        assert got == ["a"]
         assert got.reach == pytest.approx(40.0, abs=1e-6)  # to the top edge, 40 m up
         got = coverage((-20.0, 0.0), index)
         assert got.reach == pytest.approx(30.0, abs=1e-6)  # to the circle, 30 m left
@@ -805,17 +779,18 @@ class TestEngine:
 
 @pytest.mark.parametrize("weights, rss_read", [({"Q": 1.0}, False),
                                                 ({"RSS": 0.5, "Q": 0.5}, True)])
-def test_coverage_computes_rss_only_when_a_score_reads_it(monkeypatch, weights, rss_read):
-    import handoffsim.topology as topology
-
+def test_a_run_computes_rss_once_per_listed_entry(monkeypatch, weights, rss_read):
+    """RSS is computed for each station an ``anl`` record lists, and only
+    when a score reads it."""
     calls = []
-    real = topology._rss
-    monkeypatch.setattr(topology, "_rss", lambda d, params: calls.append(d) or real(d, params))
+    real = engine.rss_at
+    monkeypatch.setattr(engine, "rss_at", lambda *args: calls.append(args) or real(*args))
     doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
     doc["weights"] = {"k": 0.0, "weights": weights}
     trace = run(from_dict(doc))
-    assert any(r.payload["entries"] for r in trace.records if r.kind == ANL)
-    assert bool(calls) == rss_read
+    listed = sum(len(r.payload["entries"]) for r in trace.records if r.kind == ANL)
+    assert listed > 0
+    assert len(calls) == (listed if rss_read else 0)
 
 
 def _run_counting(sc, every_tick=False):
@@ -899,10 +874,12 @@ class TestCoverageReuse:
         handoffs = [r for r in run(sc).records if r.kind == HANDOFF]
         assert handoffs  # the hand-made terminals do hand off
 
-    def test_rss_weighted_runs_ask_every_tick(self):
+    def test_rss_weighted_runs_ask_coverage_where_unweighted_runs_do(self):
+        _, asked = _run_counting(from_dict(self._with_cell_edge(_moves_doc(self.PATHS))))
         doc = self._with_cell_edge(_moves_doc(self.PATHS, {"RSS": 0.5, "Q": 0.5}))
         sc = from_dict(doc)
-        assert len(_assert_reuse_changes_nothing(sc)) == len(sc.terminals) * 40
+        assert _assert_reuse_changes_nothing(sc) == asked
+        assert len(asked) < len(sc.terminals) * 40
 
     @pytest.mark.parametrize("tid, calls", [("single", 1), ("on_circle", 40)])
     def test_a_parked_terminal_is_asked_once_unless_it_sits_on_a_radius(self, tid, calls):
