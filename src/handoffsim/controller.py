@@ -23,13 +23,15 @@ Each gate answers only what ``step`` asks of it, so each rule is written once:
 * ``evaluate``: a finished handoff's rejection reasons; none means accepted.
 
 ``step`` is a pure function: the returned state and actions depend only on
-the inputs.  All mutable memory lives inside ControllerState: the last
-seen network list and, from trigger to evaluation, the handoff under way
-as the HandoffRecord it will emit, filled in phase by phase.  Every value
-here (the state, events, actions, plans and records) is a NamedTuple:
-immutable, and built without a ``__setattr__`` per field; so is the
-configuration, which the scenario schema defines
-(``scenario.ControllerConfig``).  A NamedTuple equals any tuple of equal
+the inputs.  All per-terminal memory lives inside ControllerState: the
+terminal's application type, which keys its policy lookup, the last seen
+network list and, from trigger to evaluation, the handoff under way as the
+HandoffRecord it will emit, filled in phase by phase; the trigger's
+``StartSwitch`` carries that record as it stands then.  Every value here
+(the state, events, actions and records) is a NamedTuple: immutable, and
+built without a ``__setattr__`` per field; so is the configuration, which
+the scenario schema defines (``scenario.ControllerConfig``) and every
+terminal of a run shares.  A NamedTuple equals any tuple of equal
 fields whatever its type (``CurrentLinkLost()`` equals ``SwitchComplete()``,
 and ``ScheduleTimer("eval", t)`` equals ``("eval", t)``), so ``step`` and
 its callers tell events and actions apart with ``isinstance``.
@@ -128,16 +130,6 @@ def _slope(p0: Sample, p1: Sample) -> float:
     return (v1 - v0) / (t1 - t0)
 
 
-class TriggerPlan(NamedTuple):
-    """A fully decided handoff: why, where, how, who, and when."""
-
-    why: Reason
-    where: str
-    how: str
-    who: str
-    when: int
-
-
 def evaluate(
     network: str,
     measured: Mapping[str, float],
@@ -166,10 +158,11 @@ def evaluate(
 class HandoffRecord(NamedTuple):
     """One handoff attempt, from its trigger to its evaluation.
 
-    The controller builds it at the trigger and carries it as
-    ``ControllerState.flight``: ``t_switch_done`` is None until the switch
-    completes, and ``t_eval_done``, ``uf_new`` and ``accepted`` are None
-    until the evaluation ends it.  An emitted record has every field set.
+    The controller builds it at the trigger, hands it out in the
+    ``StartSwitch`` action, and carries it as ``ControllerState.flight``:
+    ``t_switch_done`` is None until the switch completes, and
+    ``t_eval_done``, ``uf_new`` and ``accepted`` are None until the
+    evaluation ends it.  An emitted record has every field set.
     """
 
     terminal: str
@@ -230,7 +223,7 @@ class Connect(NamedTuple):
 
 
 class StartSwitch(NamedTuple):
-    plan: TriggerPlan
+    flight: HandoffRecord  # the record as built at the trigger
 
 
 class ScheduleTimer(NamedTuple):
@@ -266,10 +259,13 @@ class ControllerState(NamedTuple):
     # (network, (t, score)): the serving network's last sample while
     # last_anl leaves it out.
     held: Optional[tuple[str, Sample]] = None
+    app_type: str = "*"  # the terminal's application type: its policy key
 
 
-def initial_state(terminal: str) -> ControllerState:
-    return ControllerState(terminal=terminal)
+def initial_state(terminal: str, app_type: str = "*") -> ControllerState:
+    """A terminal's machine before its first event: disconnected, with the
+    application type its handoffs look their method up under."""
+    return ControllerState(terminal=terminal, app_type=app_type)
 
 
 def latest_sample(state: ControllerState, net: Optional[str]) -> Optional[Sample]:
@@ -366,21 +362,18 @@ def _on_anl(state, event, cfg, now):
                 # All gates passed: start switching, and carry the record
                 # this handoff will emit.
                 ho_type = event.types[current, cand]
-                method = cfg.policy.lookup(ho_type.layer, cfg.app_type)
                 flight = HandoffRecord(
                     terminal=state.terminal, from_net=current, to_net=cand, reason=reason,
-                    ho_type=ho_type.code, method=method, t_prep=prep.entered_at,
-                    t_trigger=now, t_switch_done=None, t_eval_done=None,
-                    uf_old=d_curr, uf_new=None, accepted=None,
-                )
-                plan = TriggerPlan(
-                    why=reason, where=cand, how=method, who=f"hce:{state.terminal}", when=now,
+                    ho_type=ho_type.code,
+                    method=cfg.policy.lookup(ho_type.layer, state.app_type),
+                    t_prep=prep.entered_at, t_trigger=now, t_switch_done=None,
+                    t_eval_done=None, uf_old=d_curr, uf_new=None, accepted=None,
                 )
                 phase, current, prep = Phase.EXECUTION, None, None
-                actions = (StartSwitch(plan), ScheduleTimer("switch", now + cfg.exec_latency))
+                actions = (StartSwitch(flight), ScheduleTimer("switch", now + cfg.exec_latency))
 
     # tuple.__new__ skips the generated __new__ frame: every field is given.
-    fields = (state.terminal, phase, current, prep, flight, anl, now, held)
+    fields = (state.terminal, phase, current, prep, flight, anl, now, held, state.app_type)
     return tuple.__new__(ControllerState, fields), actions
 
 

@@ -71,12 +71,13 @@ that tick.
 Nothing in a terminal-tick's context reads the controller: the link-loss
 check, the record and the controller step come after it.  So one pass can
 run a scenario under several controllers, as the points of a ``sweep``
-worker do: each point keeps its own controller states and sink, each
-(terminal, t) context is computed once and handed to every point still
-running, in point order, and each point's timers are queued with the
-point under the key a run alone gives them.  Each point's records equal
-those of its run alone.  A controller error stops only its point; an
-error in the context stops every running point at that event.
+worker do: each point keeps its one configuration, which steps every
+terminal, and its own controller states and sink; each (terminal, t)
+context is computed once and handed to every point still running, in
+point order, and each point's timers are queued with the point under the
+key a run alone gives them.  Each point's records equal those of its run
+alone.  A controller error stops only its point; an error in the context
+stops every running point at that event.
 
 Nor does a terminal's context or controller read another terminal: each
 tick advances synthesis for every station whichever terminals ask, so a
@@ -136,15 +137,13 @@ def _moves(path: tuple[tuple[int, Position], ...]) -> tuple[float, float]:
     return slack, 1.0 / top if top > 0.0 else math.inf
 
 
-def _plan_payload(plan: ctl.TriggerPlan) -> dict:
-    return {**plan._asdict(), "why": plan.why.value}
-
-
 def _action_payload(action: ctl.Action) -> dict:
     if isinstance(action, ctl.Connect):
         return {"connect": action.network}
     if isinstance(action, ctl.StartSwitch):
-        return {"start_switch": _plan_payload(action.plan)}
+        rec = action.flight
+        return {"start_switch": {"why": rec.reason.value, "where": rec.to_net, "how": rec.method,
+                                 "who": f"hce:{rec.terminal}", "when": rec.t_trigger}}
     if isinstance(action, ctl.ScheduleTimer):
         return {"schedule_timer": {"kind": action.kind, "at": action.at}}
     if isinstance(action, ctl.RecordHandoff):
@@ -250,18 +249,16 @@ class _Context:
 
 
 class _Point:
-    """One controller's side of a run: each terminal's controller state and
-    configuration, the sink its records go to, and the error that stopped
-    it, if any."""
+    """One controller's side of a run: its configuration, which steps every
+    terminal, each terminal's controller state, the sink its records go to,
+    and the error that stopped it, if any."""
 
     def __init__(self, scenario: Scenario, controller: ControllerConfig, sink):
         self.controller = controller
         self.sink = sink
         self.record = sink.append
-        self.states = {term.id: ctl.initial_state(term.id) for term in scenario.terminals}
-        # Policy lookup keys on the terminal's application type.
-        self.configs = {
-            term.id: controller._replace(app_type=term.app_type) for term in scenario.terminals
+        self.states = {
+            term.id: ctl.initial_state(term.id, term.app_type) for term in scenario.terminals
         }
         self.error: Optional[HandoffSimError] = None
 
@@ -291,7 +288,7 @@ class _Run:
     def deliver(self, point: _Point, terminal: str, event: ctl.Event, now: int,
                 event_name: str) -> None:
         state = point.states[terminal]
-        new_state, actions = ctl.step(state, event, point.configs[terminal], now)
+        new_state, actions = ctl.step(state, event, point.controller, now)
         point.states[terminal] = new_state
         # _value_ skips the Enum ``value`` descriptor, twice per event.
         point.record(

@@ -87,7 +87,6 @@ class ControllerConfig(NamedTuple):
     exec_latency: int = 100
     eval_latency: int = 100
     strategy: Strategy = Strategy.REACTIVE
-    app_type: str = "*"
     # Alternative opportunist reading: judge the candidate's utility against
     # th_sup instead of the serving network's.  Off by default.
     opportunist_on_target: bool = False

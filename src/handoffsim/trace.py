@@ -152,20 +152,28 @@ class Trace:
             fh.writelines(starmap(LineEncoder().line, self.records))
 
 
-def parse_ndjson(lines: Iterable[str]) -> Trace:
+def parse_ndjson(lines: Iterable[str | bytes]) -> Trace:
+    """The trace in NDJSON lines, each a str or UTF-8 bytes.  A line that is
+    not UTF-8 text holding one record's JSON within the parser's limits
+    raises MalformedTraceError naming it."""
     trace = Trace()
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            line = line.strip()
+            if not line:
+                continue
             doc = json.loads(line)
             trace.append(doc["t"], doc["terminal"], doc["kind"], doc["payload"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # longer than the interpreter converts.
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedTraceError(f"line {lineno}: {exc}") from exc
     return trace
 
 
 def read_trace(path: str | Path) -> Trace:
-    with open(path) as fh:
+    """The trace in an NDJSON file, read as UTF-8 line by line."""
+    with open(path, "rb") as fh:
         return parse_ndjson(fh)

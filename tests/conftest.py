@@ -33,7 +33,7 @@ def handoffs_hit_a_policy_gap(monkeypatch):
     def step(state, event, cfg, now):
         new_state, actions = real(state, event, cfg, now)
         if any(isinstance(action, controller.StartSwitch) for action in actions):
-            raise PolicyGapError(("L3", cfg.app_type))
+            raise PolicyGapError(("L3", state.app_type))
         return new_state, actions
 
     monkeypatch.setattr(controller, "step", step)

@@ -22,7 +22,6 @@ from handoffsim.controller import (
     StartSwitch,
     SwitchComplete,
     TimerFired,
-    TriggerPlan,
     consistently_better,
     crossing_predicted,
     evaluate,
@@ -107,7 +106,7 @@ class TestHandoffReason:
         assert st3.phase is Phase.PREPARATION and actions == ()
         st4, actions = _feed_anl(st3, 400, ("n2", 10.0), ("n1", 9.0), cfg=cfg)
         assert st4.phase is Phase.EXECUTION
-        assert actions[0].plan.why is Reason.OPPORTUNIST
+        assert actions[0].flight.reason is Reason.OPPORTUNIST
 
     def test_imperative_below_lower_threshold(self):
         assert handoff_reason(1.9, 3.0, self.CFG) is Reason.IMPERATIVE
@@ -359,9 +358,10 @@ class TestPhaseMachine:
         assert st2.current is None
         kinds = [type(a) for a in actions]
         assert kinds == [StartSwitch, ScheduleTimer]
-        plan = actions[0].plan
-        assert plan == TriggerPlan(
-            why=Reason.OPPORTUNIST, where="n2", how="MIP", who="hce:mt1", when=100
+        flight = actions[0].flight
+        assert flight is st2.flight
+        assert (flight.reason, flight.to_net, flight.method, flight.terminal, flight.t_trigger) == (
+            Reason.OPPORTUNIST, "n2", "MIP", "mt1", 100
         )
         _assert_actions(actions[1:], ScheduleTimer("switch", 200))
 
@@ -650,7 +650,7 @@ class TestPhaseMachine:
 
 # The values built once per event, terminal-tick or record.
 _PER_EVENT_VALUES = [
-    ControllerState("mt1", Phase.INITIATION, "n1"),
+    ControllerState(terminal="mt1", phase=Phase.INITIATION, current="n1"),
     AnlUpdated(_anl(0, ("n1", 5.0)), _types("n1")),
     PrepData("n2", 100, since=100),
     _anl(0, ("n1", 5.0), ("n2", 4.0)),
@@ -681,5 +681,8 @@ def test_events_and_actions_equal_as_tuples_are_told_apart_by_type():
     assert engine._action_payload(ScheduleTimer("eval", 250)) == {
         "schedule_timer": {"kind": "eval", "at": 250}
     }
+    assert StartSwitch(st2.flight) == RecordHandoff(st2.flight)
+    assert list(engine._action_payload(StartSwitch(st2.flight))) == ["start_switch"]
+    assert list(engine._action_payload(RecordHandoff(st2.flight))) == ["record_handoff"]
     with pytest.raises(TypeError):
         engine._action_payload(TimerFired(250))

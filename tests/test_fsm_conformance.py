@@ -321,8 +321,11 @@ def _fmt_actions(actions):
         if isinstance(a, ctl.Connect):
             out.append(("connect", a.network))
         elif isinstance(a, ctl.StartSwitch):
-            p = a.plan
-            out.append(("start_switch", p.why.value, p.where, p.how, p.who, p.when))
+            f = a.flight
+            out.append((
+                "start_switch", f.reason.value, f.to_net, f.method, f"hce:{f.terminal}",
+                f.t_trigger,
+            ))
         elif isinstance(a, ctl.ScheduleTimer):
             out.append(("timer", a.kind, a.at))
         elif isinstance(a, ctl.RecordHandoff):

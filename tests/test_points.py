@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handoffsim import engine
+from handoffsim import controller, engine
 from handoffsim.errors import HandoffSimError
 from handoffsim.scenario import from_dict, parse_controller
-from handoffsim.trace import Trace
+from handoffsim.trace import HANDOFF, Trace
 from test_reference_context import scenarios
 from trace_text import ndjson
 
@@ -130,3 +130,28 @@ def test_points_take_their_own_sinks():
     with pytest.raises(TypeError):
         engine.run(sc, Trace(), [(sc.controller, Trace())])
     assert engine.run(sc, points=[]) == []
+
+
+def test_each_point_steps_every_terminal_with_its_one_configuration(monkeypatch):
+    """A terminal's application type is its own controller state, and each
+    point hands every step the one configuration it was given."""
+    doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+    doc["terminals"] = [{"id": "mt1", "path": [[0, [0.0, 0.0]]], "app_type": "video"},
+                        {"id": "mt2", "path": [[0, [0.0, 0.0]]], "app_type": "voice"}]
+    doc["policy"] = {"entries": [{"layer": layer, "app_type": "video", "method": "VIDEO_HO"}
+                                 for layer in ("L2", "L3", "L4-7")]}
+    sc = from_dict(doc)
+    controllers = [sc.controller, sc.controller._replace(dwell_sp=200)]
+    real, seen = controller.step, []
+
+    def step(state, event, cfg, now):
+        seen.append((state.terminal, state.app_type, cfg))
+        return real(state, event, cfg, now)
+
+    monkeypatch.setattr(controller, "step", step)
+    traces = engine.run(sc, points=[(c, Trace()) for c in controllers])
+    assert {(terminal, app) for terminal, app, _ in seen} == {("mt1", "video"), ("mt2", "voice")}
+    assert {id(cfg) for *_, cfg in seen} == {id(c) for c in controllers}
+    for trace in traces:
+        methods = {(r.terminal, r.payload["method"]) for r in trace.records if r.kind == HANDOFF}
+        assert methods == {("mt1", "VIDEO_HO"), ("mt2", "MIP")}

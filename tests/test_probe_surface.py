@@ -184,14 +184,23 @@ def test_every_probe_observes_a_run_and_a_serial_sweep(tracer, tmp_path, capsys)
     traced pass has them, a ``run`` and a serial ``sweep`` finish and the
     observers read what the engine hands the probed names: the coverage
     observer the stations of the index it is asked, the step observer the
-    states and actions of each controller step."""
+    states and actions of each controller step.  The step observer counts
+    each action with a ``record`` as a finished handoff, so its counts
+    equal the run's and the sweep points' ``completed`` and ``accepted``."""
+    import csv
+
     from handoffsim import cli
 
     grid = "delta=0,0.5;strategy=reactive,proactive"
     with tracer.Tracer() as traced:
         assert cli.main(["run", str(SCENARIO), "--out", str(tmp_path)]) == 0
+        run_rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert cli.main(["sweep", str(SCENARIO), "--grid", grid, "--workers", "1"]) == 0
-    capsys.readouterr()
+        sweep_rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    (pooled,) = [row for row in run_rows if row["terminal"] == "all"]
+    for column in ("completed", "accepted"):
+        want = int(pooled[column]) + sum(int(row[column]) for row in sweep_rows)
+        assert traced.counts[column] == want, column
     assert traced.counts["stations_scanned"] > 0
     times = traced.layer_times()
     assert times["controller.step"]["calls"] > 0

@@ -18,7 +18,8 @@ from handoffsim.context import GoalDirection, GoalSpec
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
 from handoffsim.scenario import (
-    _GAUSS_MAX, MEASURED, Strategy, from_dict, load_scenario, parse_controller,
+    _CONTROLLER_KEYS, _GAUSS_MAX, MEASURED, ControllerConfig, Strategy, from_dict,
+    load_scenario, parse_controller,
 )
 from handoffsim.synthesis import NetworkSignals
 from handoffsim.taxonomy import Attachment, Layer, StationTypes, classify, delta
@@ -253,6 +254,10 @@ class TestControllerValidation:
         doc = _doc()
         doc["controller"].update(tweaks)
         return doc
+
+    def test_config_fields_are_the_document_keys_that_set_them(self):
+        # A field no document sets is not configuration.
+        assert set(ControllerConfig._fields) == _CONTROLLER_KEYS | {"success_regions", "policy"}
 
     def test_unknown_strategy(self):
         _assert_problem(self._ctl(strategy="psychic"),
@@ -982,12 +987,11 @@ class TestFileLoading:
 
 def _values():
     """One value of each type a scenario is made of, or that a controller
-    step builds: 24 types, all named tuples."""
+    step builds: 23 types, all named tuples."""
     sc = load_scenario(SCENARIO_DIR / "crossing.json")
     topo = sc.topology
     old = Attachment("mt1", "p1", "net1", "c1", "ch1", "lte")
     new = Attachment("mt1", "p1", "net1", "c2", "ch2", "lte")
-    plan = ctl.TriggerPlan(ctl.Reason.OPPORTUNIST, "c2", "MAHO", "hce:mt1", 100)
     record = ctl.HandoffRecord(
         "mt1", "c1", "c2", ctl.Reason.OPPORTUNIST, "cell_horizontal", "MAHO",
         0, 100, 200, 300, 5.0, 6.0, True,
@@ -998,16 +1002,16 @@ def _values():
         NetworkSignals({"Q": 1.0}), sc.catalog[0],
         GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
         old, delta(old, new), classify(old, new),
-        plan, record,
+        record,
         ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired(300),
-        ctl.Connect("c2"), ctl.StartSwitch(plan), ctl.ScheduleTimer("eval", 300),
+        ctl.Connect("c2"), ctl.StartSwitch(record), ctl.ScheduleTimer("eval", 300),
         ctl.RecordHandoff(record),
     ]
 
 
 def test_the_value_list_names_each_type_once():
     types = [type(v) for v in _values()]
-    assert len(types) == len(set(types)) == 24
+    assert len(types) == len(set(types)) == 23
     assert all(issubclass(t, tuple) for t in types)
 
 

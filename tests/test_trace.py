@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from handoffsim import controller, engine, trace as trace_module
 from handoffsim.desirability import AvailableNetworkList
+from handoffsim.errors import MalformedTraceError
 from handoffsim.scenario import from_dict, load_scenario
 from handoffsim.trace import (
     ANL, HANDOFF, INIT, TRANSITION, LineEncoder, Trace, parse_ndjson, read_trace,
@@ -80,6 +81,22 @@ def test_write_streams_to_ndjson_and_reads_back_to_the_same_bytes(records, out_d
     trace.write(path)
     assert path.read_bytes() == text.encode()
     assert ndjson(read_trace(path)) == text
+
+
+_GOOD_LINE = b'{"kind":"init","payload":{},"t":0,"terminal":null}\n'
+
+
+@pytest.mark.parametrize("bad", [
+    b'{"kind":"init","payload":{},"t":' + b"9" * 5000 + b',"terminal":null}\n',
+    b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    b'{"kind":"init","payload":{"x":"\xff"},"t":0,"terminal":null}\n',
+    b'{"kind":"init","payload":{},"t":0}\n',
+], ids=["integer-too-long", "nested-too-deeply", "not-utf-8", "missing-key"])
+def test_a_malformed_line_raises_malformed_trace_error_naming_it(bad, out_dir):
+    path = out_dir / "malformed.ndjson"
+    path.write_bytes(_GOOD_LINE + bad + _GOOD_LINE)
+    with pytest.raises(MalformedTraceError, match=r"^line 2: "):
+        read_trace(path)
 
 
 def test_a_run_writes_its_ndjson(out_dir):
