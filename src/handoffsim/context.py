@@ -8,7 +8,8 @@ help a network's standing, detrimental values hurt it.
 
 Goals attach numeric acceptance regions to measured quantities; a
 controller's success regions are goals on what it measures of a completed
-handoff.  The metrics a run publishes are one table.
+handoff, each ``GoalSpec`` keyed by its metric id where it is held.  The
+metrics a run publishes are one table.
 """
 
 from __future__ import annotations
@@ -158,15 +159,15 @@ class GoalDirection(Enum):
 
 
 class GoalSpec(NamedTuple):
-    """Acceptance region for one metric: ``metric_id``, a ``GoalDirection``,
-    and a ``bound``, or ``lower`` and ``upper`` for keep-within.
+    """Acceptance region for one metric, whose id keys it: a
+    ``GoalDirection``, and a ``bound``, or ``lower`` and ``upper`` for
+    keep-within.
 
     Minimize and Maximize are open-ended wishes; to make them checkable
     every goal carries a configured numeric bound, so they behave as
     maintain-below and maintain-above respectively.
     """
 
-    metric_id: str
     direction: GoalDirection
     bound: Optional[float] = None
     lower: Optional[float] = None

@@ -385,7 +385,8 @@ def _on_link_lost(state, cfg, now):
         )
     if state.phase is Phase.EVALUATION:
         # The new link died under evaluation: record the failure at once.
-        record = _build_record(state, now, ("LinkLost",))
+        record = state.flight._replace(t_eval_done=now, uf_new=_uf_new(state), accepted=False,
+                                       reject_reasons=("LinkLost",))
         st = state._replace(phase=Phase.DISCONNECTION, current=None, flight=None)
         return st, (RecordHandoff(record),)
     raise IllegalEventError(state.phase, CurrentLinkLost())
@@ -422,16 +423,11 @@ def _on_timer(state, event, cfg, now):
     )
     measured = {mid: v for mid, v in zip(MEASURED, values, strict=True) if v is not None}
     reasons = evaluate(state.current, measured, state.last_anl, cfg.success_regions)
-    record = _build_record(state, now, reasons)
+    record = flight._replace(t_eval_done=now, uf_new=uf_new, accepted=not reasons,
+                             reject_reasons=reasons)
     return state._replace(phase=Phase.INITIATION, flight=None), (RecordHandoff(record),)
 
 
 def _uf_new(state) -> float:
     sample = latest_sample(state, state.current)
     return state.flight.uf_old if sample is None else sample[1]
-
-
-def _build_record(state, now, reasons: tuple[str, ...]) -> HandoffRecord:
-    return state.flight._replace(
-        t_eval_done=now, uf_new=_uf_new(state), accepted=not reasons, reject_reasons=reasons,
-    )

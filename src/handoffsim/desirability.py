@@ -56,10 +56,6 @@ def weighted_terms(
     return tuple(terms)
 
 
-def _clamped_log10(value: float, floor: float) -> float:
-    return math.log10(max(value, floor))
-
-
 def desirability(
     values: Mapping[str, float],
     terms: Sequence[tuple[str, float, Optional[float], bool]],
@@ -79,7 +75,7 @@ def desirability(
         raw = values[cid]
         if not math.isfinite(raw):
             raise NonFiniteValueError(cid, raw)
-        term = coefficient * _clamped_log10(raw, floor)
+        term = coefficient * math.log10(max(raw, floor))
         if beneficial:
             total += term
         else:

@@ -167,17 +167,17 @@ class _TickEntries(dict):
     """One tick's entries when no score reads RSS: station id -> the
     station's (id, score) pair, sampled and scored on the first ask, and in
     ``lists`` its ``[id, score]`` list for the tick's ``anl`` payloads.  It
-    holds the spec, the state and the terms, not the ``_Context`` that
-    holds it, so it makes no reference cycle."""
+    holds the state and the terms, not the ``_Context`` that holds it, so
+    it makes no reference cycle."""
 
-    __slots__ = ("spec", "synth", "terms", "now", "lists")
+    __slots__ = ("synth", "terms", "now", "lists")
 
-    def __init__(self, spec, synth: SynthesisState, terms, now: int):
-        self.spec, self.synth, self.terms, self.now = spec, synth, terms, now
+    def __init__(self, synth: SynthesisState, terms, now: int):
+        self.synth, self.terms, self.now = synth, terms, now
         self.lists: dict[str, list] = {}
 
     def __missing__(self, sid: str) -> tuple[str, float]:
-        score = desirability(sample_context(sid, self.now, self.spec, self.synth), self.terms)
+        score = desirability(sample_context(sid, self.now, self.synth), self.terms)
         self.lists[sid] = [sid, score]
         pair = self[sid] = (sid, score)
         return pair
@@ -189,7 +189,6 @@ class _Context:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.synth = SynthesisState(scenario.synthesis, scenario.seed)
-        self.synth_t: Optional[int] = None
         self.terms = weighted_terms(scenario.weights, scenario.catalog)
         # With RSS weighted, station id -> (station, path-loss parameters).
         topo = scenario.topology
@@ -201,10 +200,10 @@ class _Context:
         self.entries: Optional[_TickEntries] = None
         self.samples: dict[str, dict[str, float]] = {}
         self.index = CoverageIndex(topo)
-        self.paths = {term.id: term.path for term in scenario.terminals}
-        # A terminal's covering station ids are kept, with (since, window),
-        # until the terminal may have moved as far as the answer's reach.
-        self.moves = {term.id: _moves(term.path) for term in scenario.terminals}
+        # Terminal id -> (path, slack, pace).  A terminal's covering station
+        # ids are kept, with (since, window), until the terminal may have
+        # moved as far as the answer's reach.
+        self.paths = {term.id: (term.path, *_moves(term.path)) for term in scenario.terminals}
         self.held: dict[str, tuple[int, float, list[str]]] = {}
 
     def at(self, terminal: str, now: int) -> tuple[AvailableNetworkList, dict]:
@@ -212,11 +211,10 @@ class _Context:
         list of exactly the stations that cover the terminal, and the ANL
         record's payload."""
         sc = self.sc
-        if self.synth_t != now:
+        if self.synth.t != now:
             self.synth.advance_to(now, sc.tick_ms)
-            self.synth_t = now
             if self.radio is None:
-                self.entries = _TickEntries(sc.synthesis, self.synth, self.terms, now)
+                self.entries = _TickEntries(self.synth, self.terms, now)
             else:
                 self.samples.clear()
         held = self.held.get(terminal)
@@ -224,9 +222,9 @@ class _Context:
             ids = held[2]
             pos = None
         else:
-            pos = advance_position(self.paths[terminal], now)
+            path, slack, pace = self.paths[terminal]
+            pos = advance_position(path, now)
             ids = coverage(pos, self.index)
-            slack, pace = self.moves[terminal]
             self.held[terminal] = (now, (ids.reach - slack) * pace, ids)
         radio = self.radio
         if radio is None:
@@ -234,13 +232,13 @@ class _Context:
             anl = rank(list(map(entries.__getitem__, ids)))
             return anl, {"entries": list(map(entries.lists.__getitem__, map(_net, anl.entries)))}
         if pos is None:
-            pos = advance_position(self.paths[terminal], now)
+            pos = advance_position(self.paths[terminal][0], now)
         samples = self.samples
         scores: list[tuple[str, float]] = []
         for sid in ids:
             values = samples.get(sid)
             if values is None:
-                values = samples[sid] = sample_context(sid, now, sc.synthesis, self.synth)
+                values = samples[sid] = sample_context(sid, now, self.synth)
             station, params = radio[sid]
             scores.append((sid, desirability({**values, "RSS": rss_at(pos, station, params)},
                                              self.terms)))

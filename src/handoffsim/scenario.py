@@ -516,7 +516,7 @@ def _parse_regions(doc, problems) -> dict:
                         problems.append(f"{rpath}.{name}: not read for direction {direction.value}")
         if len(problems) > before:
             continue
-        goal = GoalSpec(mid, direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper"))
+        goal = GoalSpec(direction, gdoc.get("bound"), gdoc.get("lower"), gdoc.get("upper"))
         if direction is GoalDirection.KEEP_WITHIN and goal.lower > goal.upper:
             # No value lies in an empty range, so every handoff would be rejected.
             problems.append(f"{rpath}: lower above upper")

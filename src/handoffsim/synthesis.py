@@ -11,8 +11,10 @@ Two modes drive the criterion values a network reports over time:
   its own formula, computed inline.  Sigma zero degenerates to a
   deterministic geometric decay of the starting offset toward the base.
 
-All evolution is advanced one simulator tick at a time in sorted network
-and criterion order, so a given seed always yields the same byte stream.
+A run's ``SynthesisState`` holds the spec, and ``sample_context`` reads a
+network's values from it.  All evolution is advanced one simulator tick at
+a time in sorted network and criterion order, so a given seed always
+yields the same byte stream.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class SynthesisState:
     """Mutable evolution state of one run, advanced tick by tick, with the
     spec's constants resolved once: each geometric network's criteria in
     sorted order, and the sorted network and criterion order of the
-    stochastic walk with each criterion's base.
+    stochastic walk with each criterion's base.  ``t`` is the time its
+    values stand for: None at first, then the last ``advance_to``'s t.
 
     The walk's noise is the stream ``random.Random(seed).gauss(0.0, 1.0)``
     would give, for the run's seed, drawn by that method's own formula in
@@ -121,18 +124,17 @@ class SynthesisState:
         self.spare = spare
 
 
-def sample_context(
-    network_id: str, t: int, spec: ContextSynthesisSpec, state: SynthesisState
-) -> dict[str, float]:
+def sample_context(network_id: str, t: int, state: SynthesisState) -> dict[str, float]:
     """Criterion values a network reports at time t, a new dict by
-    criterion id.
+    criterion id, under the state's spec.
 
-    The state must be the spec's, already advanced to t (the engine
-    advances all networks together once per tick).  A stochastic sample is
-    a copy, because advancing the walk changes its values in place.  The
+    The state must already be advanced to t (the engine advances all
+    networks together once per tick).  A stochastic sample is a copy,
+    because advancing the walk changes its values in place.  The
     RSS entry, if any, is a placeholder: the engine overwrites it per
     terminal from the radio model.
     """
+    spec = state.spec
     signals = spec.networks.get(network_id)
     if signals is None:
         return {}

@@ -10,7 +10,8 @@ Two binary facts span the space: terminal changed or not, and one of eight
 infrastructure outcomes (no change, channel, cell, network, or provider,
 the last three split into homogeneous and heterogeneous by technology).
 That grid holds 16 combinations; the one where nothing changes at all is
-not a handoff, leaving 15 feasible handoff types.
+not a handoff, leaving 15 feasible handoff types, and ``classify`` returns
+None for it.
 
 Verticality is only meaningful where distinct radio technologies can meet:
 cell, network, and provider level changes are vertical when the technology
@@ -79,9 +80,6 @@ class HandoffType(NamedTuple):
     layer: Layer
 
 
-NOT_A_HANDOFF = None  # classify() returns None for the identity transition
-
-
 def delta(before: Attachment, after: Attachment) -> TransitionDelta:
     return TransitionDelta(
         terminal_changed=before.terminal_id != after.terminal_id,
@@ -134,8 +132,7 @@ def _code(terminal_changed: bool, level: InfraLevel, vert: Verticality) -> str:
     elif level is InfraLevel.CHANNEL:
         parts.append("channel")
     else:
-        suffix = {Verticality.HORIZONTAL: "horizontal", Verticality.VERTICAL: "vertical"}[vert]
-        parts.append(f"{level.value}_{suffix}")
+        parts.append(f"{level.value}_{vert.value}")
     return "+".join(parts)
 
 
@@ -187,9 +184,8 @@ def classify(before: Attachment, after: Attachment) -> Optional[HandoffType]:
     d = delta(before, after)
     level = _infra_level(d)
     if not d.terminal_changed and level is InfraLevel.NONE:
-        return NOT_A_HANDOFF
-    tech = d.tech_changed if level in (InfraLevel.CELL, InfraLevel.NET, InfraLevel.PROVIDER) else False
-    return _make_type(d.terminal_changed, level, tech)
+        return None
+    return _make_type(d.terminal_changed, level, d.tech_changed)
 
 
 class StationTypes(dict):

@@ -11,8 +11,9 @@ Received signal strength follows a log-distance path loss law:
 
     rss(d) = tx_power - 10 * n * log10(max(d, d0) / d0)
 
-with per-tier defaults for the transmit power and the exponent n, and a
-reference distance d0 of one meter.
+with per-tier defaults for the transmit power and the exponent n, which
+``tier_path_loss`` resolves with a topology's overrides and ``rss_at``
+takes, and a reference distance d0 of one meter.
 
 Coverage is geometry only: which stations' radii reach a position.
 Queries go through a ``CoverageIndex`` of a topology, which a run builds
@@ -79,10 +80,9 @@ Topology.__doc__ = """The stations, a tuple; ``path_loss_overrides`` maps a tier
 overridden path-loss parameters."""
 
 
-def rss_at(pos: Position, station: BaseStation, params: Optional[PathLossParams] = None) -> float:
-    """Received signal strength in dBm at a position, log-distance model."""
-    if params is None:
-        params = tier_path_loss(station.tier)
+def rss_at(pos: Position, station: BaseStation, params: PathLossParams) -> float:
+    """Received signal strength in dBm at a position, log-distance model,
+    under the station's ``tier_path_loss`` parameters."""
     dx = pos[0] - station.position[0]
     dy = pos[1] - station.position[1]
     d0 = params.d0

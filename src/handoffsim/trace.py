@@ -71,7 +71,6 @@ class LineEncoder:
         self.t = None  # the tick of the fragments held
         self.fragments: dict[tuple, str] = {}
         self.transitions: dict[tuple, str] = {}
-        self.fragments_formatted = 0  # anl entries formatted, not reused
 
     def line(self, t, terminal, kind, payload) -> str:
         """The record's canonical line, with its newline."""
@@ -100,7 +99,6 @@ class LineEncoder:
             key = (net, value) if value else (net, _float_repr(value))
             text = memo.get(key)
             if text is None:
-                self.fragments_formatted += 1
                 text = memo[key] = "[%s,%s]" % (
                     encode_basestring_ascii(net),
                     _float_repr(value) if -_INF < value < _INF else _encode(value),

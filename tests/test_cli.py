@@ -998,10 +998,10 @@ class TestSweepFailureIsolation:
     def test_a_context_error_stops_every_live_point(self, crossing, monkeypatch, capsys):
         real = engine.sample_context
 
-        def failing(net, t, spec, state):
+        def failing(net, t, *args):
             if t == 10000:
                 raise HandoffSimError("no context at 10000 ms")
-            return real(net, t, spec, state)
+            return real(net, t, *args)
 
         monkeypatch.setattr(engine, "sample_context", failing)
         doc, path = crossing

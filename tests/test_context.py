@@ -76,23 +76,23 @@ class TestCatalog:
 
 class TestGoals:
     def test_minimize_is_strict_below(self):
-        goal = GoalSpec("IL", GoalDirection.MINIMIZE, bound=500.0)
+        goal = GoalSpec(GoalDirection.MINIMIZE, bound=500.0)
         assert goal_holds(499.9, goal)
         assert not goal_holds(500.0, goal)
 
     def test_maximize_is_strict_above(self):
-        goal = GoalSpec("DTIB", GoalDirection.MAXIMIZE, bound=0.5)
+        goal = GoalSpec(GoalDirection.MAXIMIZE, bound=0.5)
         assert goal_holds(0.6, goal)
         assert not goal_holds(0.5, goal)
 
     def test_maintain_below_behaves_like_minimize(self):
-        g1 = GoalSpec("IL", GoalDirection.MINIMIZE, bound=10.0)
-        g2 = GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=10.0)
+        g1 = GoalSpec(GoalDirection.MINIMIZE, bound=10.0)
+        g2 = GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=10.0)
         for value in (-1.0, 9.999, 10.0, 11.0):
             assert goal_holds(value, g1) == goal_holds(value, g2)
 
     def test_keep_within_inclusive(self):
-        goal = GoalSpec("ImpR", GoalDirection.KEEP_WITHIN, lower=1.0, upper=2.0)
+        goal = GoalSpec(GoalDirection.KEEP_WITHIN, lower=1.0, upper=2.0)
         assert goal_holds(1.0, goal)
         assert goal_holds(2.0, goal)
         assert not goal_holds(0.999, goal)
@@ -120,8 +120,8 @@ class TestGoals:
 def test_below_and_above_partition_excludes_boundary(value, bound):
     # For any bound, a value satisfies at most one of the two open regions,
     # and the boundary itself satisfies neither.
-    below = goal_holds(value, GoalSpec("X", GoalDirection.MAINTAIN_BELOW, bound=bound))
-    above = goal_holds(value, GoalSpec("X", GoalDirection.MAINTAIN_ABOVE, bound=bound))
+    below = goal_holds(value, GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=bound))
+    above = goal_holds(value, GoalSpec(GoalDirection.MAINTAIN_ABOVE, bound=bound))
     assert not (below and above)
     if math.isclose(value, bound, rel_tol=0.0, abs_tol=0.0):
         assert not below and not above

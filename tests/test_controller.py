@@ -281,19 +281,19 @@ class TestEvaluate:
 
     def test_region_violation_named(self):
         anl = _anl(0, ("n2", 6.0))
-        regions = {"IL": GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0)}
+        regions = {"IL": GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=50.0)}
         assert evaluate("n2", {"UF": 6.0, "IL": 120.0}, anl, regions) == ("IL",)
 
     def test_missing_configured_measure_is_a_violation(self):
         anl = _anl(0, ("n2", 6.0))
-        regions = {"PJ": GoalSpec("PJ", GoalDirection.MAINTAIN_BELOW, bound=10.0)}
+        regions = {"PJ": GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=10.0)}
         assert evaluate("n2", {}, anl, regions) == ("PJ",)
 
     def test_reasons_accumulate_in_stable_order(self):
         anl = _anl(0, ("n3", 9.0), ("n2", 6.0))
         regions = {
-            "IL": GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
-            "EvLat": GoalSpec("EvLat", GoalDirection.MAINTAIN_BELOW, bound=10.0),
+            "IL": GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=50.0),
+            "EvLat": GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=10.0),
         }
         reasons = evaluate("n2", {"IL": 120.0, "EvLat": 100.0}, anl, regions)
         assert reasons == ("NotBest", "EvLat", "IL")
@@ -565,7 +565,7 @@ class TestPhaseMachine:
         cfg = ControllerConfig(
             hysteresis_delta=0.5, th_sup=4.0, th_inf=2.0, dwell_sp=0,
             exec_latency=100, eval_latency=50,
-            success_regions={"ExLat": GoalSpec("ExLat", GoalDirection.MAINTAIN_BELOW, bound=50.0)},
+            success_regions={"ExLat": GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=50.0)},
         )
         st0 = initial_state("mt1")
         st1, _ = _feed_anl(st0, 0, ("n1", 5.0), ("n2", 3.0), cfg=cfg)

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-name it defines has a caller outside the tests, loading a scenario imports
+name it defines has a caller outside the tests, every field a named tuple
+of it declares is read there or in the benchmark, loading a scenario imports
 none of the modules that run or report it, nor ``dataclasses`` or a package
 data reader, the metric fold imports no engine code, the CLI imports no
 ``dataclasses`` and no process pool, even when a sweep forks its workers,
@@ -269,11 +270,87 @@ def test_the_check_finds_a_name_only_its_definition_uses():
     assert uncalled(sources) == ["a: f", "a: unused"]
 
 
-def test_every_public_name_has_a_caller():
-    sources = {
+def caller_sources() -> dict:
+    """Module path -> text of every module of the package and the benchmark."""
+    return {
         str(path.relative_to(PACKAGE.parent.parent)): path.read_text()
         for root in CALLERS for path in sorted(root.glob("*.py"))
     }
+
+
+def test_every_public_name_has_a_caller():
+    sources = caller_sources()
     # An allowlisted name that gains a caller leaves the list.
     found = [entry for entry in uncalled(sources) if entry.startswith("src/")]
     assert sorted(entry.rpartition(": ")[2] for entry in found) == sorted(UNCALLED), found
+
+
+# Named-tuple fields that no code reads by name, and why each is kept.
+_WHOLE = "engine._record_payload writes the record whole through _asdict"
+_CHECKED = "checked, but changes no run outcome (README)"
+UNREAD_FIELDS: dict[str, str] = {
+    "HandoffRecord.from_net": _WHOLE,
+    "HandoffRecord.ho_type": _WHOLE,
+    "HandoffRecord.uf_new": _WHOLE,
+    "CriterionDef.source": _CHECKED,
+    "CriterionDef.unit": _CHECKED,
+    "BaseStation.channels": "ROADMAP item 23: deleted with the change to perfbench/",
+}
+
+
+def _called(node: ast.Call) -> str:
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def declared_fields(tree: ast.Module):
+    """(type, field) for each field a named tuple declares literally: each
+    annotated name in the body of a ``NamedTuple`` class, and each str of
+    ``namedtuple(<str>, (<str>, ...))``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            (getattr(base, "id", None) or getattr(base, "attr", None)) == "NamedTuple"
+            for base in node.bases
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+        elif isinstance(node, ast.Call) and _called(node) == "namedtuple" and len(node.args) > 1:
+            name, fields = node.args[:2]
+            if isinstance(name, ast.Constant) and isinstance(fields, (ast.Tuple, ast.List)):
+                for elt in fields.elts:
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                        yield name.value, elt.value
+
+
+def reads(tree: ast.Module):
+    """Each name read as an attribute, or through ``getattr`` with a
+    constant name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and _called(node) == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def unread_fields(sources: dict) -> list[str]:
+    """Each ``type.field`` declared in ``sources`` (module name -> text) that
+    no place in them reads.  Names are matched alone, so a field counts as
+    read wherever any attribute of its name is."""
+    trees = [ast.parse(text) for text in sources.values()]
+    read = {name for tree in trees for name in reads(tree)}
+    return [f"{owner}.{field}" for tree in trees
+            for owner, field in declared_fields(tree) if field not in read]
+
+
+def test_the_check_finds_a_field_nothing_reads():
+    source = ("from typing import NamedTuple\nfrom collections import namedtuple\n"
+              "class P(NamedTuple):\n    x: int\n    y: int = 0\n"
+              "Q = namedtuple('Q', ('a', 'b'))\nclass R(namedtuple('R', ['c'])):\n    pass\n"
+              "def f(p, q, r):\n    q.b = 1\n    return p.x, getattr(q, 'a'), r._replace(c=2)\n")
+    assert unread_fields({"m": source}) == ["P.y", "Q.b", "R.c"]
+
+
+def test_every_named_tuple_field_is_read():
+    # An allowlisted field that gains a reader leaves the list.
+    assert sorted(unread_fields(caller_sources())) == sorted(UNREAD_FIELDS)

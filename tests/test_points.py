@@ -100,11 +100,11 @@ def test_a_context_error_stops_every_live_point(gapped, monkeypatch):
     real = engine.sample_context
     asked = []
 
-    def failing(net, t, spec, state):
+    def failing(net, t, *args):
         asked.append(t)
         if t == 10000:
             raise HandoffSimError("no context at 10000 ms")
-        return real(net, t, spec, state)
+        return real(net, t, *args)
 
     monkeypatch.setattr(engine, "sample_context", failing)
     early, stopped = ("failed", (9100, "mt1")), ("failed", (10000, "mt1"))

@@ -42,5 +42,5 @@ def test_every_sample_matches_the_reference(doc):
     state = SynthesisState(sc.synthesis, sc.seed)
     for t, want in samples(sc):
         state.advance_to(t, sc.tick_ms)
-        got = {net: sample_context(net, t, sc.synthesis, state) for net in want}
+        got = {net: sample_context(net, t, state) for net in want}
         assert json.dumps(got) == json.dumps(want), t

@@ -317,7 +317,7 @@ class TestControllerValidation:
     def test_region_with_the_keys_its_direction_reads(self, region):
         goal = from_dict(_doc(success_regions={"ExLat": region})).controller.success_regions
         assert goal["ExLat"] == GoalSpec(
-            "ExLat", GoalDirection(region["direction"]),
+            GoalDirection(region["direction"]),
             region.get("bound"), region.get("lower"), region.get("upper"),
         )
 
@@ -1000,7 +1000,7 @@ def _values():
         sc, topo, topo.stations[0], tier_path_loss("macro"),
         sc.terminals[0], sc.weights, sc.controller, sc.controller.policy, sc.synthesis,
         NetworkSignals({"Q": 1.0}), sc.catalog[0],
-        GoalSpec("IL", GoalDirection.MAINTAIN_BELOW, bound=50.0),
+        GoalSpec(GoalDirection.MAINTAIN_BELOW, bound=50.0),
         old, delta(old, new), classify(old, new),
         record,
         ctl.CurrentLinkLost(), ctl.SwitchComplete(), ctl.TimerFired(300),

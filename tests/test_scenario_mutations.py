@@ -1,5 +1,6 @@
-"""Every single-point mutation of a bundled scenario is rejected with field
-paths, or parses to a scenario that runs to completion.
+"""Every single-point mutation of a bundled scenario, or of ``crossing.json``
+with every key set, is rejected with field paths, or parses to a scenario
+that runs to completion.
 
 The mutations are enumerated, not sampled: every value set to each JSON type
 it is not, every key deleted, and an unknown key added to every object; and
@@ -150,9 +151,58 @@ def _outcome(doc, finite=False):
     return "ran", None
 
 
-@pytest.mark.parametrize("name", ["crossing.json", "noisy.json"])
+def _load(name):
+    return lambda: json.loads((SCENARIO_DIR / name).read_text())
+
+
+def _every_key(mode):
+    """crossing.json with every key the bundled scenarios leave out set: a
+    detrimental criterion ``Z`` with its floor, RSS weighted under a macro
+    path-loss override, a station radius, ``dwell_sp`` 200 and
+    ``hysteresis_delta`` 0.05, success regions, a strict policy, a moving
+    terminal and all four metrics constants.  Geometric, ``bs_a``'s ``Q``
+    follows waypoints; stochastic, the walk starts from ``start`` values."""
+    doc = json.loads((SCENARIO_DIR / "crossing.json").read_text())
+    doc["topology"]["providers"][0]["nets"][0]["stations"][0]["radius"] = 900.0
+    doc["path_loss"] = {"macro": {"tx_power_dbm": 60.0, "exponent": 2.2}}
+    doc["terminals"][0]["path"] = [[0, [0.0, 0.0]], [12000, [60.0, 0.0]]]
+    doc["criteria"].append(
+        {"id": "Z", "source": "network", "polarity": "detrimental", "unit": "ms", "floor": 1.0})
+    doc["weights"] = {"k": 0.0, "weights": {"Q": 0.6, "RSS": 0.4, "Z": 1.0}}
+    doc["controller"].update(dwell_sp=200, hysteresis_delta=0.05, th_sup=2.0,
+                             opportunist_on_target=True)
+    doc["success_regions"] = {"ImpR": {"direction": "maximize", "bound": 1.0},
+                              "IL": {"direction": "keep_within", "lower": 0.0, "upper": 500.0}}
+    doc["policy"] = {"strict": True, "entries": [
+        {"layer": "L3", "app_type": "video", "method": "MIP"},
+        {"layer": "L3", "app_type": "*", "method": "SIP"},
+    ]}
+    doc["metrics_constants"] = {"AL": 1.0, "SO": 0.5, "SSO": 0.25, "DAR": 1.0}
+    if mode == "geometric":
+        doc["synthesis"]["networks"] = {
+            "bs_a": {"base": {"Z": 20.0}, "waypoints": {"Q": [[0, 100000.0], [12000, 5000.0]]}},
+            "bs_b": {"base": {"Q": 10000.0, "Z": 30.0}, "ramps": {"Q": 10.0}},
+        }
+    else:
+        doc["synthesis"] = {"mode": "stochastic", "ar1_rho": 0.9, "noise_sigma": 2000.0,
+                            "networks": {
+            "bs_a": {"base": {"Q": 60000.0, "Z": 20.0}, "start": {"Q": 90000.0}},
+            "bs_b": {"base": {"Q": 50000.0, "Z": 30.0}, "start": {"Z": 10.0}},
+        }}
+    return doc
+
+
+EVERY_KEY = {
+    "every-key": lambda: _every_key("geometric"),
+    "every-key-stochastic": lambda: _every_key("stochastic"),
+}
+DOCUMENTS = {"crossing.json": _load("crossing.json"), "noisy.json": _load("noisy.json"),
+             **EVERY_KEY}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_every_mutation_is_rejected_with_paths_or_runs(name):
-    doc = json.loads((SCENARIO_DIR / name).read_text())
+    doc = DOCUMENTS[name]()
     total, counts, failures = 0, {"rejected": 0, "ran": 0}, []
     for what, mutated in mutations(doc):
         total += 1
@@ -188,9 +238,10 @@ def _rss_weighted_crossing():
 
 
 _EXTREME_DOCUMENTS = {
-    "crossing": lambda: json.loads((SCENARIO_DIR / "crossing.json").read_text()),
-    "noisy": lambda: json.loads((SCENARIO_DIR / "noisy.json").read_text()),
+    "crossing": _load("crossing.json"),
+    "noisy": _load("noisy.json"),
     "crossing-rss": _rss_weighted_crossing,
+    **EVERY_KEY,
 }
 
 

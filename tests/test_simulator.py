@@ -43,32 +43,38 @@ def _bs(sid="bs1", net="net1", prov="prov1", pos=(0.0, 0.0), tier="macro",
                        technology=tech, tier=tier, radius=radius, channels=channels)
 
 
+_MACRO = tier_path_loss("macro")
+
+
 class TestPathLoss:
     def test_reference_distance_gives_tx_power(self):
-        assert rss_at((1.0, 0.0), _bs()) == -40.0
+        assert rss_at((1.0, 0.0), _bs(), _MACRO) == -40.0
 
     def test_macro_at_ten_meters(self):
         # -40 - 10 * 3.0 * log10(10) = -70
-        assert rss_at((10.0, 0.0), _bs()) == pytest.approx(-70.0, abs=1e-12)
+        assert rss_at((10.0, 0.0), _bs(), _MACRO) == pytest.approx(-70.0, abs=1e-12)
 
     def test_micro_at_ten_meters(self):
-        assert rss_at((10.0, 0.0), _bs(tier="micro")) == pytest.approx(-72.0, abs=1e-12)
+        rss = rss_at((10.0, 0.0), _bs(tier="micro"), tier_path_loss("micro"))
+        assert rss == pytest.approx(-72.0, abs=1e-12)
 
     def test_pico_at_hundred_meters(self):
         # -50 - 10 * 2.3 * log10(100) = -96
-        assert rss_at((100.0, 0.0), _bs(tier="pico")) == pytest.approx(-96.0, abs=1e-12)
+        rss = rss_at((100.0, 0.0), _bs(tier="pico"), tier_path_loss("pico"))
+        assert rss == pytest.approx(-96.0, abs=1e-12)
 
     def test_femto_at_ten_meters(self):
-        assert rss_at((10.0, 0.0), _bs(tier="femto")) == pytest.approx(-75.0, abs=1e-12)
+        rss = rss_at((10.0, 0.0), _bs(tier="femto"), tier_path_loss("femto"))
+        assert rss == pytest.approx(-75.0, abs=1e-12)
 
     def test_distances_inside_reference_clamp(self):
-        near = rss_at((0.25, 0.0), _bs())
-        assert near == rss_at((1.0, 0.0), _bs())
+        near = rss_at((0.25, 0.0), _bs(), _MACRO)
+        assert near == rss_at((1.0, 0.0), _bs(), _MACRO)
 
     def test_euclidean_distance_both_axes(self):
         # 3-4-5 triangle puts the terminal at 5 m
         expected = -40.0 - 30.0 * math.log10(5.0)
-        assert rss_at((3.0, 4.0), _bs()) == pytest.approx(expected, abs=1e-12)
+        assert rss_at((3.0, 4.0), _bs(), _MACRO) == pytest.approx(expected, abs=1e-12)
 
     def test_explicit_params_override_tier(self):
         params = PathLossParams(tx_power_dbm=0.0, exponent=2.0)
@@ -77,7 +83,7 @@ class TestPathLoss:
     def test_tier_override_shifts_power(self):
         overrides = {"macro": {"tx_power_dbm": -30.0}}
         params = tier_path_loss("macro", overrides)
-        base = rss_at((10.0, 0.0), _bs())
+        base = rss_at((10.0, 0.0), _bs(), _MACRO)
         assert rss_at((10.0, 0.0), _bs(), params) == pytest.approx(base + 10.0, abs=1e-12)
 
     def test_unknown_tier_rejected(self):
@@ -90,7 +96,7 @@ class TestPathLoss:
     )
     def test_farther_is_never_stronger(self, d1, d2):
         lo, hi = sorted((d1, d2))
-        assert rss_at((hi, 0.0), _bs()) <= rss_at((lo, 0.0), _bs())
+        assert rss_at((hi, 0.0), _bs(), _MACRO) <= rss_at((lo, 0.0), _bs(), _MACRO)
 
 
 def _topo(stations):
@@ -461,9 +467,9 @@ class TestGeometricSynthesis:
         )
         state = SynthesisState(spec, 0)
         state.advance_to(0, 100)
-        assert sample_context("n1", 0, spec, state)["Q"] == 100.0
+        assert sample_context("n1", 0, state)["Q"] == 100.0
         state.advance_to(500, 100)
-        assert sample_context("n1", 500, spec, state)["Q"] == 1100.0
+        assert sample_context("n1", 500, state)["Q"] == 1100.0
 
     def test_waypoints_interpolate_and_clamp(self):
         spec = ContextSynthesisSpec(
@@ -472,7 +478,7 @@ class TestGeometricSynthesis:
                 waypoints={"Q": ((0, 1.0), (100, 5.0), (200, 1.0))})},
         )
         state = SynthesisState(spec, 0)
-        samples = {t: sample_context("n1", t, spec, state)["Q"]
+        samples = {t: sample_context("n1", t, state)["Q"]
                    for t in (-50, 0, 50, 100, 150, 200, 400)}
         assert samples[-50] == 1.0
         assert samples[0] == 1.0
@@ -491,14 +497,14 @@ class TestGeometricSynthesis:
                 waypoints={"Q": ((0, 7.0), (100, 7.0))})},
         )
         state = SynthesisState(spec, 0)
-        values = sample_context("n1", 50, spec, state)
+        values = sample_context("n1", 50, state)
         assert values["Q"] == 7.0
         assert values["P"] == 1.0
 
     def test_unknown_network_reports_nothing(self):
         spec = ContextSynthesisSpec(mode="geometric", networks={})
         state = SynthesisState(spec, 0)
-        assert sample_context("ghost", 0, spec, state) == {}
+        assert sample_context("ghost", 0, state) == {}
 
 
 class TestStochasticSynthesis:
@@ -511,11 +517,11 @@ class TestStochasticSynthesis:
         )
         state = SynthesisState(spec, 1)
         state.advance_to(0, 100)
-        assert sample_context("n1", 0, spec, state)["Q"] == 10.0
+        assert sample_context("n1", 0, state)["Q"] == 10.0
         state.advance_to(100, 100)
-        assert sample_context("n1", 100, spec, state)["Q"] == pytest.approx(5.0)
+        assert sample_context("n1", 100, state)["Q"] == pytest.approx(5.0)
         state.advance_to(200, 100)
-        assert sample_context("n1", 200, spec, state)["Q"] == pytest.approx(2.5)
+        assert sample_context("n1", 200, state)["Q"] == pytest.approx(2.5)
 
     def test_same_seed_same_sequence(self):
         spec = ContextSynthesisSpec(
@@ -530,7 +536,7 @@ class TestStochasticSynthesis:
             seq = []
             for t in range(0, 1000, 100):
                 state.advance_to(t, 100)
-                seq.append(sample_context("n1", t, spec, state)["Q"])
+                seq.append(sample_context("n1", t, state)["Q"])
             runs.append(seq)
         assert runs[0] == runs[1]
 
@@ -545,7 +551,7 @@ class TestStochasticSynthesis:
             out = []
             for t in range(0, 1000, 100):
                 state.advance_to(t, 100)
-                out.append(sample_context("n1", t, spec, state)["Q"])
+                out.append(sample_context("n1", t, state)["Q"])
             return out
 
         assert sequence(1) != sequence(2)
