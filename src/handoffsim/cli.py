@@ -11,6 +11,11 @@ Each command runs with the cycle collector paused: a run makes no
 reference cycle, so reference counting frees all it makes, and
 ``tests/test_cli.py`` pins that.
 
+Each command that takes a scenario reads its file once and parses it
+once; ``run --seed`` replaces the parsed seed.  ``run`` and ``sweep``
+import the engine where they start, so ``validate`` and
+``enumerate-taxonomy`` load none of it.
+
 A sweep parses the scenario once and each grid point only in its
 controller part.  ``--workers N`` means N processes, this one included,
 and they split the sorted terminals, not the points: each runs every
@@ -33,7 +38,6 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import engine
 from .errors import HandoffSimError, ScenarioError
 from .metrics import (
     MetricFolder,
@@ -43,7 +47,7 @@ from .metrics import (
     snapshots_to_csv,
     snapshots_to_json,
 )
-from .scenario import CONTROLLER_NUMBERS, Scenario, Strategy, from_dict, load_scenario, parse_controller
+from .scenario import CONTROLLER_NUMBERS, Scenario, Strategy, from_dict, parse_controller, read_document
 from .taxonomy import enumerate_types
 
 EXIT_OK = 0
@@ -99,14 +103,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str, seed: Optional[int] = None) -> Scenario | int:
-    """The scenario in the file at ``path``, with its seed replaced when
-    ``seed`` is given; or, when it cannot be loaded, the exit code, after
-    saying why on stderr."""
+def _load(path: str, seed: Optional[int] = None) -> tuple[dict, Scenario] | int:
+    """The document in the file at ``path`` and the scenario parsed once
+    from it, with the parsed seed replaced when ``seed`` is given; or, when
+    it cannot be loaded, the exit code, after saying why on stderr."""
     try:
-        scenario = load_scenario(path)
-        if seed is not None:
-            scenario = from_dict({**scenario.raw, "seed": seed})
+        doc = read_document(path)
+        scenario = from_dict(doc)
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"{path}: {problem}", file=sys.stderr)
@@ -114,7 +117,7 @@ def _load(path: str, seed: Optional[int] = None) -> Scenario | int:
     except OSError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return scenario
+    return doc, (scenario if seed is None else scenario._replace(seed=seed))
 
 
 def _cmd_validate(args) -> int:
@@ -173,9 +176,13 @@ def _metric_rows(scenario, pooled):
 
 
 def _cmd_run(args) -> int:
-    scenario = _load(args.scenario, args.seed)
-    if isinstance(scenario, int):
-        return scenario
+    from . import engine  # imported here: validate and enumerate-taxonomy run no engine code
+
+    loaded = _load(args.scenario, args.seed)
+    if isinstance(loaded, int):
+        return loaded
+    scenario = loaded[1]
+    del loaded  # the run holds no document
 
     try:
         if args.no_trace:
@@ -284,6 +291,8 @@ def _sweep_batch(base: Scenario, terminals: list[str], controllers: list) -> lis
     only controller fields, so each terminal-tick's context is computed once
     and every point steps its own controller over it, folding its records
     as they are made, with no trace."""
+    from . import engine
+
     ids = set(terminals)
     group = base._replace(terminals=tuple(term for term in base.terminals if term.id in ids))
     points = [(controller, MetricFolder(base.duration_ms)) for controller in controllers]
@@ -303,18 +312,18 @@ def _batches(items: list, workers: int) -> list[list]:
     return batches
 
 
-def _point_controllers(scenario: Scenario, points: list[dict]) -> list:
+def _point_controllers(doc: dict, points: list[dict]) -> list:
     """Each grid point's controller configuration, or its validation message.
 
-    Only the controller part of the document is parsed again: the rest is
-    the base scenario's, already valid, and no axis reaches it."""
+    Only the controller part of the base scenario's document is parsed
+    again: the rest is already valid, and no axis reaches it."""
     out = []
     for point in points:
-        controller = dict(scenario.raw.get("controller", {}))
+        controller = dict(doc.get("controller", {}))
         for axis, value in point.items():
             controller[_GRID_AXES[axis]] = value
         try:
-            out.append(parse_controller({**scenario.raw, "controller": controller}))
+            out.append(parse_controller({**doc, "controller": controller}))
         except ScenarioError as exc:
             out.append("; ".join(exc.problems))
     return out
@@ -456,13 +465,14 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    scenario = _load(args.scenario)
-    if isinstance(scenario, int):
-        return scenario
+    loaded = _load(args.scenario)
+    if isinstance(loaded, int):
+        return loaded
+    doc, scenario = loaded
 
     names = [name for name, _ in axes]
     points = [dict(zip(names, combo)) for combo in product(*(vs for _, vs in axes))]
-    results = _point_controllers(scenario, points)
+    results = _point_controllers(doc, points)
     valid = [r for r in results if not isinstance(r, str)]
     if valid:
         try:

@@ -3,11 +3,12 @@
 A scenario bundles everything one simulation run needs: the topology, the
 terminals and their movement paths, the scoring weights, the controller
 configuration, the context synthesis spec, and the run horizon.  Documents
-are plain JSON; ``load_scenario`` parses and validates in one pass and
-raises ScenarioError carrying every diagnostic it found, each anchored to
-the offending field path (or input line for parse errors).  Each object of
-a document accepts a fixed set of keys and each value one JSON type, so a
-key either changes the run or is rejected.
+are plain JSON; ``load_scenario`` is ``from_dict(read_document(path))``:
+it parses and validates in one pass and raises ScenarioError carrying every
+diagnostic it found, each anchored to the offending field path (or input
+line for parse errors).  Each object of a document accepts a fixed set of
+keys and each value one JSON type, so a key either changes the run or is
+rejected.  A Scenario holds only the parsed values, not the document.
 
 The controller's configuration types live here too, beside the rest of
 what a parsed document holds, so loading a scenario does not import the
@@ -116,7 +117,6 @@ class Scenario(NamedTuple):
     synthesis: ContextSynthesisSpec
     catalog: tuple[CriterionDef, ...]
     metrics_constants: Mapping[str, float] = {}
-    raw: Mapping = {}
 
 
 # The keys each object of a document accepts.  Objects keyed by ids (tiers,
@@ -717,7 +717,8 @@ def _check_geometric_range(
 
 
 def from_dict(doc: Mapping) -> Scenario:
-    """Build a validated Scenario from a parsed JSON document."""
+    """Build a validated Scenario from a parsed JSON document, keeping no
+    reference to the document."""
     problems: list[str] = []
     if type(doc) is not dict:
         raise ScenarioError(["document: expected a JSON object"])
@@ -780,7 +781,6 @@ def from_dict(doc: Mapping) -> Scenario:
         seed=seed, duration_ms=duration, tick_ms=tick, topology=topo,
         terminals=tuple(terminals), weights=weights, controller=controller,
         synthesis=synthesis, catalog=tuple(catalog), metrics_constants=constants,
-        raw=dict(doc),
     )
 
 
@@ -800,12 +800,12 @@ def parse_controller(doc: Mapping) -> ControllerConfig:
     return controller
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read, parse, and validate a scenario file.  A file that is not UTF-8
-    JSON within the parser's limits raises ScenarioError, as an invalid
-    document does; one that cannot be read raises OSError."""
+def read_document(path: str | Path):
+    """The JSON document in a scenario file, unparsed as a scenario.  A file
+    that is not UTF-8 JSON within the parser's limits raises ScenarioError,
+    as an invalid document does; one that cannot be read raises OSError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ScenarioError([f"byte {exc.start}: not UTF-8 text ({exc.reason})"]) from exc
     except json.JSONDecodeError as exc:
@@ -814,4 +814,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError([f"not parseable as JSON: {exc}"]) from exc
     except RecursionError as exc:
         raise ScenarioError(["not parseable as JSON: nested too deeply"]) from exc
-    return from_dict(doc)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Read, parse, and validate a scenario file: ``from_dict`` of its
+    ``read_document``."""
+    return from_dict(read_document(path))

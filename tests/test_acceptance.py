@@ -362,7 +362,7 @@ def test_c10_reproducibility(tmp_path, capsys):
     second = (tmp_path / "two" / "noisy.trace.ndjson").read_bytes()
     assert first == second
 
-    quick = dict(load_scenario(SCENARIO_DIR / "crossing.json").raw)
+    quick = json.loads((SCENARIO_DIR / "crossing.json").read_text())
     quick["duration_ms"] = 2000
     qpath = tmp_path / "quick.json"
     qpath.write_text(json.dumps(quick))

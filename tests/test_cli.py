@@ -20,7 +20,7 @@ from handoffsim import scenario as scenario_module
 from handoffsim.cli import main, parse_grid
 from handoffsim.errors import HandoffSimError, PolicyGapError
 from handoffsim.metrics import CSV_COLUMNS, compute_metrics, metric_cells
-from handoffsim.scenario import from_dict, load_scenario
+from handoffsim.scenario import from_dict
 from handoffsim.trace import HANDOFF, INIT, read_trace
 from test_golden import _inputs
 
@@ -251,6 +251,37 @@ class TestRun:
         trace = read_trace(out / "quick.trace.ndjson")
         run_init = [r for r in trace.records if r.kind == INIT and r.terminal is None][0]
         assert run_init.payload["seed"] == 99
+
+    def test_a_seed_override_parses_once_and_runs_as_the_seeded_document(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # noisy.json draws its signals from the seed, so a seed not taken shows.
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        assert doc["seed"] != 9
+        seeded = tmp_path / "seeded" / "noisy.json"
+        seeded.parent.mkdir()
+        seeded.write_text(json.dumps({**doc, "seed": 9}))
+        assert main(["run", str(seeded), "--out", str(tmp_path / "want")]) == 0
+        calls = []
+        real = scenario_module.from_dict
+
+        def counted(doc):
+            calls.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(scenario_module, "from_dict", counted)
+        monkeypatch.setattr(cli, "from_dict", counted)
+        argv = ["run", str(SCENARIO_DIR / "noisy.json"), "--out", str(tmp_path / "got")]
+        assert main(argv + ["--seed", "9"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        for name in ("noisy.trace.ndjson", "noisy.metrics.csv"):
+            got, want = tmp_path / "got" / name, tmp_path / "want" / name
+            assert got.read_bytes() == want.read_bytes(), name
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (tmp_path / "got" / "noisy.trace.ndjson").read_bytes() != (
+            tmp_path / "want" / "noisy.trace.ndjson").read_bytes()
 
     def test_invalid_scenario(self, broken_scenario, tmp_path, capsys):
         assert main(["run", str(broken_scenario), "--out", str(tmp_path)]) == 2
@@ -731,11 +762,12 @@ class TestSweepBatches:
         assert cli._batches(points, 0) == [points]
 
     def test_a_batch_computes_each_terminal_tick_once(self, monkeypatch):
-        sc = load_scenario(SCENARIO_DIR / "noisy.json")
+        doc = json.loads((SCENARIO_DIR / "noisy.json").read_text())
+        sc = from_dict(doc)
         ticks = len(sc.terminals) * sc.duration_ms // sc.tick_ms
         points = [{"delta": 0.0}, {"delta": 0.3, "strategy": "reactive"}, {"th_inf": 4.0},
                   {"sp": 0}]
-        checked = cli._point_controllers(sc, points)
+        checked = cli._point_controllers(doc, points)
         assert [type(c) is str for c in checked] == [False, False, True, False]
         assert "th_inf" in checked[2]
         controllers = [c for c in checked if type(c) is not str]

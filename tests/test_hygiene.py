@@ -3,9 +3,10 @@ name it defines has a caller outside the tests, every field a named tuple
 of it declares is read there or in the benchmark, loading a scenario imports
 none of the modules that run or report it, nor ``dataclasses`` or a package
 data reader, the metric fold imports no engine code, the CLI imports no
-``dataclasses`` and no process pool, even when a sweep forks its workers,
-only the scenario parser decides what a valid scenario is, and only the
-taxonomy classifies a handoff."""
+engine code until a run or sweep starts and no ``dataclasses`` or process
+pool, even when a sweep forks its workers, only the scenario parser
+decides what a valid scenario is, and only the taxonomy classifies a
+handoff."""
 
 import ast
 import json
@@ -72,6 +73,16 @@ def test_loading_a_scenario_imports_no_run_or_report_module():
     modules = imported_by("import handoffsim.scenario")
     assert "handoffsim.scenario" in modules
     for name in ("controller", "trace", "engine", "metrics", "cli"):
+        assert f"handoffsim.{name}" not in modules
+
+
+def test_loading_the_cli_imports_no_engine_code():
+    """``validate`` and ``enumerate-taxonomy`` step no handoff, so the CLI
+    imports the engine, and the state machine with it, only where a run or
+    sweep starts."""
+    modules = imported_by("import handoffsim.cli")
+    assert "handoffsim.cli" in modules
+    for name in ("engine", "controller"):
         assert f"handoffsim.{name}" not in modules
 
 

@@ -68,11 +68,6 @@ class TestValidDocuments:
         assert [t.id for t in sc.terminals] == ["mt1"]
         assert sc.metrics_constants == {"AL": 1.0, "DAR": 1.0}
 
-    def test_raw_document_preserved(self):
-        doc = _doc()
-        sc = from_dict(doc)
-        assert sc.raw == doc
-
     def test_catalog_extends_defaults(self):
         sc = from_dict(_doc())
         ids = [c.id for c in sc.catalog]
