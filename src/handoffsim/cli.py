@@ -65,7 +65,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="handoffsim", description=__doc__)
+    parser = _Parser(prog="handoffsim", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     description="Simulate vertical handoffs between overlay networks.\n\n"
+                     "subcommands: validate, enumerate-taxonomy, run, sweep\n"
+                     "exit codes:  0 success, 1 usage error, 2 invalid scenario, 3 runtime failure")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_val = sub.add_parser("validate", help="check a scenario file")

@@ -124,16 +124,17 @@ def advance_position(path: tuple[tuple[int, Position], ...], t: int) -> Position
 def _moves(path: tuple[tuple[int, Position], ...]) -> tuple[float, float]:
     """(slack, pace) of a path: how far, in meters, rounding can put an
     interpolated position off the exact line, and the milliseconds per
-    meter at its top segment speed, rounded up.  A terminal that moved for
+    meter at its top segment speed.  A terminal that moved for
     ``(reach - slack) * pace`` ms or less has moved less than ``reach``.
-    A parked path has an infinite pace; a non-finite one gives a NaN or
-    non-positive window, so its coverage is asked every tick."""
+    Rounding in the speed, the pace and that product moves it only a few
+    ulps of the reach further, and the reach is bounded by the
+    coordinates' scale, of which the slack and coverage's guard each take
+    1e-9 off, so the pace needs no rounding up.  A parked path has an
+    infinite pace; a non-finite one gives a NaN or non-positive window, so
+    its coverage is asked every tick."""
     slack = 1e-9 * (1.0 + sum(abs(x) + abs(y) for _, (x, y) in path))
-    top = max(
-        (math.hypot(p1[0] - p0[0], p1[1] - p0[1]) / (t1 - t0)
-         for (t0, p0), (t1, p1) in zip(path, path[1:])),
-        default=0.0,
-    ) * (1.0 + 1e-9)
+    top = max((math.hypot(p1[0] - p0[0], p1[1] - p0[1]) / (t1 - t0)
+               for (t0, p0), (t1, p1) in zip(path, path[1:])), default=0.0)
     return slack, 1.0 / top if top > 0.0 else math.inf
 
 

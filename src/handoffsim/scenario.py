@@ -33,11 +33,11 @@ from .context import (
     Polarity,
     default_catalog,
 )
-from .desirability import WeightProfile, weighted_terms
+from .desirability import WeightProfile, desirability, weighted_terms
 from .errors import PolicyGapError, ScenarioError
 from .synthesis import ContextSynthesisSpec, NetworkSignals
 from .taxonomy import Layer, StationTypes
-from .topology import TIER_DEFAULTS, BaseStation, Topology, tier_path_loss
+from .topology import TIER_DEFAULTS, BaseStation, Topology, rss_at, tier_path_loss
 
 Position = tuple[float, float]
 
@@ -148,7 +148,6 @@ _LAYERS = tuple(layer.value for layer in Layer)
 _DEFAULT_CONTROLLER = ControllerConfig()
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
 _FLOAT_MAX = sys.float_info.max
-_LOG10_MAX = math.log10(_FLOAT_MAX)
 # Times are integers, but movement and synthesis divide and scale them as
 # floats.
 _NO_FLOAT = "too large for a float"
@@ -412,12 +411,15 @@ def _parse_catalog(doc, problems) -> list[CriterionDef]:
 def _parse_weights(doc, catalog, problems) -> WeightProfile:
     """The weights: each in [0, 1] and naming a criterion of ``catalog``,
     each polarity side that has any summing to 1, and K >= 0 and small
-    enough that no score can overflow.
+    enough that no score of finite values can overflow.
 
-    A weighted term is ``(K + W) * log10(max(value, floor))`` of a finite
-    value, whose log lies between ``log10 floor`` and ``_LOG10_MAX``; so
-    the sum over the terms of ``(K + W) * max(|log10 floor|, _LOG10_MAX)``
-    bounds every score, and 1e-9 of it covers rounding."""
+    ``desirability`` adds or subtracts ``(K + W) * log10(max(value, floor))``
+    per weighted term.  Each rounded product, sum and difference is
+    monotone in each operand, so wherever ``math.log10`` is non-decreasing
+    every score lies between the scores of two extreme assignments:
+    beneficial values at ``_FLOAT_MAX`` and detrimental ones at their floor,
+    then the reverse.  A partial sum that overflows stays infinite or turns
+    NaN, so the check, that both extremes score finitely, is exact."""
     wdoc = _object(doc.get("weights", {}), "weights", frozenset(("weights", "k")), problems) or {}
     before = len(problems)
     weights = _numbers(wdoc, "weights", "weights", problems)
@@ -443,11 +445,10 @@ def _parse_weights(doc, catalog, problems) -> WeightProfile:
                 problems.append(
                     f"weights.weights: {side.value} weights sum to {sums[side]!r}, expected 1.0"
                 )
-        bound = sum(
-            coefficient * max(abs(math.log10(floor)), _LOG10_MAX)
-            for _, coefficient, floor, _ in weighted_terms(profile, catalog)
-        )
-        if k >= 0 and not math.isfinite(bound * (1.0 + 1e-9)):
+        terms = weighted_terms(profile, catalog)
+        extremes = ({cid: _FLOAT_MAX if beneficial is high else floor
+                     for cid, _, floor, beneficial in terms} for high in (True, False))
+        if k >= 0 and not all(math.isfinite(desirability(v, terms)) for v in extremes):
             problems.append(f"weights.k: scores may not stay finite with K = {profile.k!r}")
     return profile
 
@@ -655,7 +656,11 @@ def _check_walk_range(networks, weighted, rho: float, sigma: float, problems) ->
     """Report each weighted stochastic signal whose walk can leave the
     finite range.  With rho in [0, 1), ``|x - base|`` never exceeds ``M``,
     the larger of the starting offset and ``sigma * _GAUSS_MAX / (1 - rho)``,
-    so the walk stays within ``|base| + M``; 1e-9 covers rounding."""
+    so the walk stays within ``|base| + M``; 1e-9 of it covers rounding.
+    Only a gauss draw within a few ulps of ``_GAUSS_MAX`` brings the walk
+    within rounding of that bound, so an overflow without the margin needs
+    such a draw.  No test input can make one; the margin stays, argued
+    rather than pinned by a test."""
     for net_id, signals in networks.items():
         for cid in weighted:
             base = signals.base.get(cid)
@@ -668,21 +673,21 @@ def _check_walk_range(networks, weighted, rho: float, sigma: float, problems) ->
 
 def _check_rss_range(topo: Topology, problems) -> None:
     """Report each overridden tier whose RSS may not stay finite at one of
-    its stations.  A covered position lies within the station's radius, so
-    ``|RSS| <= |tx_power| + |10 n| * log10(max(radius, d0) / d0)`` there;
-    1e-9 covers rounding."""
+    its stations.  A covered position's ``hypot(dx, dy)`` is the one that
+    coverage compared with the radius, so ``rss_at`` computes it at most at
+    the radius, and wherever ``math.log10`` is non-decreasing ``rss_at``
+    is monotone in that distance: every RSS of the station lies between
+    ``rss_at`` at ``d0`` and at the radius.  At ``d0`` it is the transmit
+    power, finite, unless ``10 n`` is not finite, and then it is not finite
+    at the radius either; so the check, at the radius alone, is exact.  A
+    tier with no station reaches no RSS and is not checked."""
+    origin = (0.0, 0.0)
     for tier in topo.path_loss_overrides:
         params = tier_path_loss(tier, topo.path_loss_overrides)
-        slope = abs(10.0 * params.exponent)
-        finite = math.isfinite(slope) and all(
-            math.isfinite(
-                (abs(params.tx_power_dbm)
-                 + slope * math.log10(max(bs.coverage_radius, params.d0) / params.d0))
-                * (1.0 + 1e-9)
-            )
+        if not all(
+            math.isfinite(rss_at((bs.coverage_radius, 0.0), bs._replace(position=origin), params))
             for bs in topo.stations if bs.tier == tier
-        )
-        if not finite:
+        ):
             problems.append(f"path_loss.{tier}.exponent: RSS may not stay finite")
 
 

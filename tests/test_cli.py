@@ -1222,6 +1222,14 @@ class TestUsage:
         assert main(["validate"]) == 1
         capsys.readouterr()
 
+    def test_help_names_the_subcommands_and_exit_codes_only(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for word in ("validate", "enumerate-taxonomy", "run", "sweep", "0 success",
+                     "1 usage error", "2 invalid scenario", "3 runtime failure"):
+            assert word in out
+        assert "``" not in out and "tests/" not in out
+
     def test_module_entry_point(self):
         # The child imports the package from this checkout, as the suite does.
         src = str(Path(cli.__file__).resolve().parent.parent)

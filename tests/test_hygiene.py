@@ -5,8 +5,8 @@ none of the modules that run or report it, nor ``dataclasses`` or a package
 data reader, the metric fold imports no engine code, the CLI imports no
 engine code until a run or sweep starts and no ``dataclasses`` or process
 pool, even when a sweep forks its workers, only the scenario parser
-decides what a valid scenario is, and only the taxonomy classifies a
-handoff."""
+decides what a valid scenario is, only the taxonomy classifies a
+handoff, and every rounding margin names the test that needs it."""
 
 import ast
 import json
@@ -365,3 +365,65 @@ def test_the_check_finds_a_field_nothing_reads():
 def test_every_named_tuple_field_is_read():
     # An allowlisted field that gains a reader leaves the list.
     assert sorted(unread_fields(caller_sources())) == sorted(UNREAD_FIELDS)
+
+
+# Each rounding margin of the package, by the function or module-level
+# name it sits in: the Tier-1 test that fails without it, or ``argued:``
+# and why it stays though no test can need it.
+MARGINS: dict[str, str] = {
+    "engine._moves": "tests/test_simulator.py::TestCoverageReuse::"
+                     "test_a_position_that_rounding_puts_across_a_radius",
+    "topology.CoverageIndex.__init__": "tests/test_simulator.py::TestCoverageIndex::"
+                                       "test_a_point_that_rounding_puts_past_the_unpadded_box",
+    "topology.CoverageIndex.covering": "tests/test_simulator.py::TestCoverageReach::"
+                                       "test_a_move_shorter_than_the_reach_keeps_the_stations",
+    "scenario._SIDE_SUM_TOLERANCE": "tests/test_desirability.py::TestWeightProfile::"
+                                    "test_side_sum_tolerates_float_dust",
+    "scenario._check_walk_range": "argued: the walk passes its unmargined bound only after a "
+                                  "gauss draw within a few ulps of _GAUSS_MAX",
+}
+
+
+def margins(source: str) -> list[str]:
+    """The enclosing name of each float literal in (0, 1e-6) and each
+    ``ulp`` call of a module, once per occurrence: its function or class
+    path, or the module-level name it is assigned to."""
+    found = []
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Constant) and type(node.value) is float
+                and 0.0 < node.value < 1e-6
+                or isinstance(node, ast.Call) and _called(node) == "ulp"):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*scope, child.name]
+            elif not scope and isinstance(child, ast.Assign):
+                inner = [t.id for t in child.targets if isinstance(t, ast.Name)][:1]
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_the_check_finds_each_margin_by_its_enclosing_name():
+    source = ("import math\nTOL = 1e-9\nFLOOR = 1e-6\n"
+              "class C:\n    def f(self, x):\n        return x * (1 - 1e-12) + math.ulp(x)\n"
+              "def g(x):\n    return x + 0.0 + 5e-324\n")
+    assert margins(source) == ["TOL", "C.f", "C.f", "g"]
+
+
+def test_every_margin_names_the_test_that_needs_it():
+    found = {f"{Path(module).stem}.{name}"
+             for module in MODULES for name in margins((PACKAGE / module).read_text())}
+    # A margin that goes leaves the table.
+    assert found == set(MARGINS)
+    tests_dir = Path(__file__).resolve().parent
+    for key, need in MARGINS.items():
+        if need.startswith("argued: "):
+            continue
+        path, *names = need.split("::")
+        text = (tests_dir.parent / path).read_text()
+        assert f"def {names[-1]}(" in text, (key, need)
+        assert all(f"class {name}" in text for name in names[:-1]), (key, need)

@@ -5,7 +5,9 @@ import json
 import math
 import pickle
 import random
+import struct
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from handoffsim import controller as ctl
 from handoffsim import engine
 from handoffsim.context import GoalDirection, GoalSpec
+from handoffsim.desirability import desirability, weighted_terms
 from handoffsim.metrics import compute_metrics
 from handoffsim.errors import ScenarioError
 from handoffsim.scenario import (
@@ -23,7 +26,7 @@ from handoffsim.scenario import (
 )
 from handoffsim.synthesis import NetworkSignals
 from handoffsim.taxonomy import Attachment, Layer, StationTypes, classify, delta
-from handoffsim.topology import BaseStation, tier_path_loss
+from handoffsim.topology import BaseStation, rss_at, tier_path_loss
 from handoffsim.trace import Trace
 from test_golden import _inputs
 from trace_text import ndjson
@@ -670,13 +673,55 @@ def _scores(trace):
             for _, value in rec.payload["entries"]]
 
 
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _floats(bits):
+    return array("d", array("q", bits).tobytes())
+
+
+def _largest_accepted(accepts, lo, hi):
+    """The largest float in [lo, hi) that ``accepts``, for positive ``lo``
+    and ``hi`` with ``lo`` accepted and ``hi`` not, by bisection over the
+    floats between them."""
+    a, b = _bits(lo), _bits(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if accepts(_floats([mid])[0]):
+            a = mid
+        else:
+            b = mid
+    return _floats([a])[0]
+
+
+def _parses(doc):
+    try:
+        from_dict(doc)
+    except ScenarioError:
+        return False
+    return True
+
+
+def test_log10_is_non_decreasing_where_the_bounds_read_it():
+    """The K and RSS bounds are exact wherever ``math.log10`` is
+    non-decreasing: here over the 2**16 floats below the largest, on each
+    side of the default floor, 1e-6, and above the least positive float."""
+    n = 2 ** 16
+    top, floor, least = _bits(_MAX), _bits(1e-6), _bits(5e-324)
+    for start in (top - n + 1, floor - n, floor, least):
+        logs = list(map(math.log10, _floats(range(start, start + n))))
+        assert all(a <= b for a, b in zip(logs, logs[1:])), start
+
+
 class TestScoreOverflow:
-    """Each weighted term is ``(K + W) * log10(max(value, floor))`` of a
-    finite value, so ``sum (K + W) * max(|log10 floor|, log10 MAX)`` bounds
-    every score; the parser rejects a K whose bound is not finite."""
+    """Every score of finite values lies between the scores of the two
+    extreme assignments, beneficial values at the float maximum and
+    detrimental ones at their floor, and the reverse; the parser rejects a
+    K with which either is not finite."""
 
     # crossing.json weights Q alone, with W = 1 and the default floor, 1e-6.
-    EDGE = _MAX / (1.0 + 1e-9) / math.log10(_MAX) - 1.0
+    EDGE = _MAX / math.log10(_MAX) - 1.0
 
     def test_a_k_that_overflows(self):
         assert _problems(_doc(weights={"k": 1e308, "weights": {"Q": 1.0}})) == [
@@ -706,15 +751,63 @@ class TestScoreOverflow:
         assert scores and all(math.isfinite(v) for v in scores)
         assert max(scores) > _MAX / 2
 
+    @staticmethod
+    def _with_detrimental(k):
+        """crossing.json scored on ``Q`` and a detrimental ``Z``, weight 1.0
+        each, with every ``Q`` at the float maximum and ``Z`` below its
+        floor."""
+        doc = _doc(weights={"k": k, "weights": {"Q": 1.0, "Z": 1.0}})
+        doc["criteria"].append({"id": "Z", "source": "network", "polarity": "detrimental"})
+        for signals in doc["synthesis"]["networks"].values():
+            signals["base"] = {"Q": _MAX, "Z": 1e-9}
+            signals.pop("ramps", None)
+        return doc
+
+    def test_a_detrimental_term_is_bounded_by_its_own_extreme(self):
+        # Beneficial Q at the maximum adds (K + 1) * 308.25, detrimental Z
+        # at its floor 1e-6 adds (K + 1) * 6: finite for K up to about
+        # MAX / 314.25, past a bound that takes every term at the larger
+        # magnitude, MAX / 616.5.
+        k = _MAX / 400
+        scores = _scores(engine.run(from_dict(self._with_detrimental(k))))
+        assert scores and all(math.isfinite(v) for v in scores)
+        assert max(scores) == pytest.approx((k + 1.0) * (math.log10(_MAX) + 6.0))
+        assert f"{max(scores):.3g}" == "1.41e+308"
+
+    @pytest.mark.parametrize("weights", [{"Q": 1.0}, {"Q": 1.0, "Z": 1.0}],
+                             ids=["beneficial", "with-detrimental"])
+    def test_the_largest_accepted_k_scores_its_extremes_finitely(self, weights):
+        def doc(k):
+            out = self._with_detrimental(k)
+            out["weights"]["weights"] = weights
+            return out
+
+        def extremes_are_finite(profile):
+            terms = weighted_terms(profile, sc.catalog)
+            return all(
+                math.isfinite(desirability({cid: _MAX if beneficial is high else floor
+                                            for cid, _, floor, beneficial in terms}, terms))
+                for high in (True, False)
+            )
+
+        edge = _largest_accepted(lambda k: _parses(doc(k)), 1.0, _MAX)
+        sc = from_dict(doc(edge))
+        assert extremes_are_finite(sc.weights)
+        scores = _scores(engine.run(sc))
+        assert scores and all(math.isfinite(v) for v in scores)
+        k = math.nextafter(edge, math.inf)
+        assert not extremes_are_finite(sc.weights._replace(k=k))
+        assert _problems(doc(k)) == [f"weights.k: scores may not stay finite with K = {k!r}"]
+
 
 class TestRssOverflow:
     """When RSS is weighted, a covered position lies within its station's
-    radius, so ``|tx_power| + |10 n| * log10(max(radius, 1))`` bounds its
-    RSS; the parser rejects an exponent whose bound is not finite, and one
-    whose ``10 n`` is not, whatever the tier's stations."""
+    radius, and ``rss_at`` is monotone in the distance, so the parser
+    rejects an exponent with which ``rss_at`` at some station's radius is
+    not finite."""
 
     # crossing.json's stations are macro cells of the default radius, 1000 m.
-    EDGE = (_MAX / (1.0 + 1e-9) - 40.0) / (10.0 * 3.0)
+    EDGE = (_MAX - 40.0) / (10.0 * 3.0)
 
     @pytest.mark.parametrize("exponent", [1e308, -1e308])
     def test_an_exponent_that_overflows(self, exponent):
@@ -731,11 +824,34 @@ class TestRssOverflow:
             "path_loss.macro.exponent: RSS may not stay finite"
         ]
 
-    def test_a_tier_without_stations_is_checked_only_for_its_slope(self):
-        from_dict(_rss_weighted({"femto": {"exponent": 1e307}}))
-        assert _problems(_rss_weighted({"femto": {"exponent": 1e308}})) == [
-            "path_loss.femto.exponent: RSS may not stay finite"
-        ]
+    def test_a_tier_without_stations_is_accepted_and_runs(self):
+        # crossing.json has no femto station, so no RSS reads the override,
+        # whose 10 n is not finite.
+        doc = _rss_weighted({"femto": {"exponent": 1e308}})
+        scores = _scores(engine.run(from_dict(doc)))
+        assert scores and all(math.isfinite(v) for v in scores)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_largest_accepted_exponent_keeps_rss_finite(self, sign):
+        def doc(n):
+            return _rss_weighted({"macro": {"exponent": sign * n}})
+
+        def rss_is_finite(exponent):
+            params = tier_path_loss("macro", {"macro": {"exponent": exponent}})
+            return all(
+                math.isfinite(rss_at((bs.coverage_radius, 0.0),
+                                     bs._replace(position=(0.0, 0.0)), params))
+                for bs in sc.topology.stations
+            )
+
+        edge = _largest_accepted(lambda n: _parses(doc(n)), 1.0, _MAX)
+        sc = from_dict(doc(edge))
+        assert rss_is_finite(sign * edge)
+        scores = _scores(engine.run(sc))
+        assert scores and all(math.isfinite(v) for v in scores)
+        n = math.nextafter(edge, math.inf)
+        assert not rss_is_finite(sign * n)
+        assert _problems(doc(n)) == ["path_loss.macro.exponent: RSS may not stay finite"]
 
     def test_an_unweighted_rss_is_not_checked(self):
         engine.run(from_dict(_doc(path_loss={"macro": {"exponent": 1e308}})))

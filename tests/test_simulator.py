@@ -281,6 +281,16 @@ class TestCoverageIndex:
             _assert_matches_full_scan(pos, topo, index)
         assert coverage((math.nan, 1.0), CoverageIndex(_topo([_bs("a")]))) == []
 
+    def test_a_point_that_rounding_puts_past_the_unpadded_box(self):
+        # The box ends at fl(-0.75 + 2**53) = 2**53 - 1, yet the point at
+        # 2**53 is covered: hypot rounds its distance, 2**53 + 0.75, to
+        # 2**53, the radius.  Only the grid's pad keeps it in a cell.
+        topo = _topo([_bs("s", pos=(-0.75, 0.0), radius=2.0 ** 53)])
+        index = CoverageIndex(topo)
+        assert -0.75 + 2.0 ** 53 == 2.0 ** 53 - 1
+        assert coverage((2.0 ** 53, 0.0), index) == ["s"]
+        _assert_matches_full_scan((2.0 ** 53, 0.0), topo, index)
+
     def test_grid_stays_near_one_cell_per_station(self):
         # A long thin row of small stations must not become a huge grid.
         stations = [_bs(f"s{i:03d}", net=f"n{i}", pos=(i * 1e4, 0.0), tier="femto")
@@ -892,6 +902,25 @@ class TestCoverageReuse:
     def test_a_parked_terminal_is_asked_once_unless_it_sits_on_a_radius(self, tid, calls):
         sc = from_dict(_moves_doc({tid: self.PATHS[tid]}))
         assert len(_assert_reuse_changes_nothing(sc)) == calls
+
+    def test_a_position_that_rounding_puts_across_a_radius(self):
+        """At 1 m/s from x = -1e12, the terminal's x at 1000 ms computes as
+        1.0001220703125 where the exact line gives 1.0, and ``s``'s edge
+        lies between the two.  The answer held from 0 ms reaches only to
+        that edge, so without the path's slack the window would keep "no
+        station" at 1000 ms, where coverage lists ``s``."""
+        edge = 1.00006103515625
+        doc = _moves_doc({"far": [[-10**15, [-1e12, 0.0]], [10**15, [1e12, 0.0]]]})
+        doc["duration_ms"] = 10000
+        doc["topology"]["providers"][0]["nets"] = [{"id": "ns", "stations": [
+            {"id": "s", "position": [edge + 3.0, 0.0], "radius": 3.0, "technology": "lte",
+             "channels": ["sc"]}]}]
+        doc["synthesis"]["networks"] = {"s": {"base": {"Q": 1e4}}}
+        sc = from_dict(doc)
+        pos = advance_position(sc.terminals[0].path, 1000)
+        assert pos == (1.0001220703125, 0.0)
+        assert coverage(pos, CoverageIndex(sc.topology)) == ["s"]
+        _assert_reuse_changes_nothing(sc)
 
     @settings(max_examples=100, deadline=None)
     @given(doc=st.one_of(scenarios(), scenarios(crossing=True)))
