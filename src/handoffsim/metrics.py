@@ -103,9 +103,9 @@ class _TerminalStats:
     extends or closes the open degradation run.
     """
 
-    # Every transition counter at zero, keyed by its column; each terminal,
-    # and each pooled snapshot, starts from a copy (a dict copy is faster to
-    # build than a dict display).
+    # Every transition counter at zero, keyed by its column; each terminal
+    # starts from a copy, and ``pool`` from one of ``_TALLIES`` (a dict copy
+    # is faster to build than a dict display).
     COUNTS = dict.fromkeys(
         ("connects", "link_losses", "prep_entries", "rollbacks", "executions"), 0
     )
@@ -351,12 +351,6 @@ def _trace_horizon(trace: Trace) -> int:
     return max((r.t for r in trace.records), default=0)
 
 
-def _mean(values: list[float]) -> Optional[float]:
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
 def compute_metrics(
     trace: Trace,
     horizon_ms: Optional[int] = None,
@@ -372,6 +366,10 @@ def compute_metrics(
     return MetricFolder(horizon_ms).feed_trace(trace).snapshot(terminal)
 
 
+# A pooled snapshot's last columns: the transition counters, then the grades.
+_TALLIES = dict.fromkeys((*_TerminalStats.COUNTS, "timely", "tardy", "premature"), 0)
+
+
 def pool(
     facts: Sequence[_Facts], horizon_ms: int, constants: Mapping[str, float],
     by_terminal: Optional[dict] = None,
@@ -379,69 +377,71 @@ def pool(
     """The snapshot pooled over terminals' fold results (``MetricFolder.facts``)
     for a run of ``horizon_ms`` with pass-through ``constants`` (metric id ->
     value).  Given in the order one folder over all of them folds, the
-    terminals pool to that folder's snapshot, float for float."""
+    terminals pool to that folder's snapshot, float for float: each mean
+    adds its terms with ``+`` from 0.0, the runs' in fold order and the
+    handoffs' in their payloads' ``(t_eval_done, terminal)`` order, so it
+    is the same float whatever an interpreter's ``sum()`` does."""
     records: list[tuple[dict, str]] = []  # (handoff record, timeliness grade)
-    counts = _TerminalStats.COUNTS.copy()
-    on_head = 0
-    attached = 0
-    runs: list[tuple[int, float]] = []
+    tallies = _TALLIES.copy()
+    on_head = attached = n_runs = 0
+    dl = di = 0.0
     for f in facts:
-        records.extend(f.graded)
-        for key in counts:
-            counts[key] += f.counts[key]
+        records += f.graded
+        for key in _TerminalStats.COUNTS:
+            tallies[key] += f.counts[key]
         on_head += f.on_head
         attached += f.attached
-        runs.extend(f.runs)
+        n_runs += len(f.runs)
+        for length, deficit in f.runs:
+            dl += length
+            di += deficit
     records.sort(key=lambda pair: (pair[0]["t_eval_done"], pair[0]["terminal"]))
 
+    accepted = imperative = improved = 0
+    hol = dlat = exlat = evlat = impr = 0.0
+    for r, grade in records:
+        hol += r["t_eval_done"] - r["t_prep"]
+        dlat += r["t_trigger"] - r["t_prep"]
+        exlat += r["t_switch_done"] - r["t_trigger"]
+        evlat += r["t_eval_done"] - r["t_switch_done"]
+        if r["accepted"]:
+            accepted += 1
+            if r["uf_old"] != 0.0:
+                improved += 1
+                impr += r["uf_new"] / r["uf_old"]
+        if r["reason"] == "imperative":
+            imperative += 1
+        tallies[grade] += 1
+
     completed = len(records)
-    accepted = sum(1 for r, _ in records if r["accepted"])
-    imperative = sum(1 for r, _ in records if r["reason"] == "imperative")
-    grades = [grade for _, grade in records]
-    tardy = grades.count("tardy")
-    premature = grades.count("premature")
-
     horizon_s = horizon_ms / 1000.0
-    def rate(count: int) -> float:
-        return count / horizon_s if horizon_s > 0 else 0.0
-
-    ihor = rate(imperative)
-    ohor = rate(completed - imperative)
-    impr_terms = [
-        r["uf_new"] / r["uf_old"] for r, _ in records if r["accepted"] and r["uf_old"] != 0.0
-    ]
-    exlat = _mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records])
-
-    snapshot = MetricSnapshot(
-        completed=completed,
-        accepted=accepted,
-        rejected=completed - accepted,
-        hor=ihor + ohor,
-        shor=(accepted / completed) if completed else None,
-        ihor=ihor,
-        ohor=ohor,
-        thor=rate(tardy),
-        phor=rate(premature),
-        dtib=(on_head / attached) if attached else None,
-        il_ms=exlat,
-        ir=rate(counts["executions"] + counts["link_losses"]),
-        hol_ms=_mean([float(r["t_eval_done"] - r["t_prep"]) for r, _ in records]),
-        dlat_ms=_mean([float(r["t_trigger"] - r["t_prep"]) for r, _ in records]),
-        exlat_ms=exlat,
-        evlat_ms=_mean([float(r["t_eval_done"] - r["t_switch_done"]) for r, _ in records]),
-        impr=_mean(impr_terms),
-        dr=rate(len(runs)),
-        dl_ms=_mean([float(length) for length, _ in runs]),
-        di=_mean([deficit for _, deficit in runs]),
-        timely=grades.count("timely"),
-        tardy=tardy,
-        premature=premature,
-        **counts,
-        **{column: constants.get(mid) for mid, column in PASS_THROUGH.items()},
-    )
+    horizon_s = horizon_s if horizon_s > 0 else float("inf")  # no time: every rate is 0.0
+    ihor = imperative / horizon_s
+    ohor = (completed - imperative) / horizon_s
+    exlat = exlat / completed if completed else None
+    snapshot = tuple.__new__(MetricSnapshot, (
+        completed, accepted, completed - accepted, ihor + ohor,
+        accepted / completed if completed else None, ihor, ohor,
+        tallies["tardy"] / horizon_s, tallies["premature"] / horizon_s,
+        on_head / attached if attached else None, exlat,
+        (tallies["executions"] + tallies["link_losses"]) / horizon_s,
+        hol / completed if completed else None, dlat / completed if completed else None,
+        exlat, evlat / completed if completed else None, impr / improved if improved else None,
+        n_runs / horizon_s, dl / n_runs if n_runs else None, di / n_runs if n_runs else None,
+        *map(constants.get, PASS_THROUGH), *tallies.values(),
+    ))
     if by_terminal:
         snapshot.by_terminal = by_terminal
     return snapshot
+
+
+# ``pool`` builds a snapshot in this order; import fails if the table's differs.
+if _MetricValues._fields != (
+    "completed", "accepted", "rejected", "hor", "shor", "ihor", "ohor", "thor", "phor", "dtib",
+    "il_ms", "ir", "hol_ms", "dlat_ms", "exlat_ms", "evlat_ms", "impr", "dr", "dl_ms", "di",
+    *PASS_THROUGH.values(), *_TALLIES,
+):
+    raise ImportError("metrics.pool builds a snapshot out of the METRICS table's order")
 
 
 def _cells(values) -> list[str]:

@@ -6,19 +6,24 @@ Both must give equal snapshots on the golden inputs, which include the
 bundled scenarios, pooled and per terminal, run alone and as points of one
 engine pass; and a pooled snapshot's ``by_terminal`` holds exactly the
 snapshot each terminal gets when asked for alone.  Runs over groups of a
-scenario's terminals pool to the snapshot of the run over all of them.
+scenario's terminals pool to the snapshot of the run over all of them, and
+so does a sweep's every point, however many workers split it.
 """
 
 import copy
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from handoffsim import engine
+from handoffsim import cli, engine
 from handoffsim.metrics import MetricFolder, compute_metrics, pool
 from handoffsim.scenario import from_dict, parse_controller
+from test_cli import _InProcessChild
 from test_golden import GOLDEN, VARIANTS, _inputs
-from test_metrics import ref_facts
+from test_metrics import ref_facts, ref_pool
+from test_points import _with_controller, overrides
 from test_reference_context import scenarios
 
 
@@ -100,9 +105,24 @@ def test_folds_of_a_run_that_hands_off_match_the_reference(doc):
     sc = from_dict(doc)
     trace = engine.run(sc)
     online = engine.run(sc, sink=MetricFolder(sc.duration_ms)).snapshot()
-    want = pool(ref_facts(trace, sc.duration_ms), sc.duration_ms, sc.metrics_constants)
+    want = ref_pool(ref_facts(trace, sc.duration_ms), sc.duration_ms, sc.metrics_constants)
     assert repr(online) == repr(compute_metrics(trace)) == repr(want)
     assert online.by_terminal == compute_metrics(trace).by_terminal
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=scenarios(ticks=10, crossing=True), variants=st.lists(overrides, min_size=1, max_size=3))
+def test_every_sweep_point_pools_to_its_run_alone(doc, variants):
+    # Workers split the sorted terminals into groups, and each group's
+    # facts pool, in terminal order, to the snapshot of one plain run.
+    sc = from_dict(doc)
+    controllers = [parse_controller(_with_controller(doc, v)) for v in variants]
+    want = [repr(compute_metrics(engine.run(sc._replace(controller=c)), sc.duration_ms))
+            for c in controllers]
+    with mock.patch.object(cli, "_Child", _InProcessChild):
+        for workers in (1, 2, 3):
+            got = [repr(r) for r in cli._run_points(sc, controllers, workers)]
+            assert got == want, workers
 
 
 def test_asking_part_way_leaves_the_fold_unchanged(inputs):

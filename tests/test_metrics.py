@@ -1,7 +1,9 @@
 """Metric snapshot computation from traces, plus CSV/JSON serialization."""
 
+import functools
 import json
 import math
+import operator
 from pathlib import Path
 
 import pytest
@@ -421,12 +423,77 @@ def ref_facts(trace, horizon):
     return facts
 
 
+_COUNTS = ("connects", "link_losses", "prep_entries", "rollbacks", "executions")
+
+
+def _ref_mean(values):
+    """The mean as 3.10 and 3.11's ``sum()`` adds: from 0, left to right."""
+    return functools.reduce(operator.add, values, 0.0) / len(values) if values else None
+
+
+def ref_pool(facts, horizon_ms, constants):
+    """The snapshot pooled over ``facts``, one comprehension per quantity:
+    records sorted by their payloads' ``(t_eval_done, terminal)``, the runs
+    in fold order."""
+    records, counts, on_head, attached, runs = [], dict.fromkeys(_COUNTS, 0), 0, 0, []
+    for f in facts:
+        records.extend(f.graded)
+        for key in counts:
+            counts[key] += f.counts[key]
+        on_head += f.on_head
+        attached += f.attached
+        runs.extend(f.runs)
+    records.sort(key=lambda pair: (pair[0]["t_eval_done"], pair[0]["terminal"]))
+
+    completed = len(records)
+    accepted = sum(1 for r, _ in records if r["accepted"])
+    imperative = sum(1 for r, _ in records if r["reason"] == "imperative")
+    grades = [grade for _, grade in records]
+    horizon_s = horizon_ms / 1000.0
+
+    def rate(count):
+        return count / horizon_s if horizon_s > 0 else 0.0
+
+    ihor, ohor = rate(imperative), rate(completed - imperative)
+    exlat = _ref_mean([float(r["t_switch_done"] - r["t_trigger"]) for r, _ in records])
+    return MetricSnapshot(
+        completed=completed,
+        accepted=accepted,
+        rejected=completed - accepted,
+        hor=ihor + ohor,
+        shor=(accepted / completed) if completed else None,
+        ihor=ihor,
+        ohor=ohor,
+        thor=rate(grades.count("tardy")),
+        phor=rate(grades.count("premature")),
+        dtib=(on_head / attached) if attached else None,
+        il_ms=exlat,
+        ir=rate(counts["executions"] + counts["link_losses"]),
+        hol_ms=_ref_mean([float(r["t_eval_done"] - r["t_prep"]) for r, _ in records]),
+        dlat_ms=_ref_mean([float(r["t_trigger"] - r["t_prep"]) for r, _ in records]),
+        exlat_ms=exlat,
+        evlat_ms=_ref_mean([float(r["t_eval_done"] - r["t_switch_done"]) for r, _ in records]),
+        impr=_ref_mean([r["uf_new"] / r["uf_old"] for r, _ in records
+                        if r["accepted"] and r["uf_old"] != 0.0]),
+        dr=rate(len(runs)),
+        dl_ms=_ref_mean([float(length) for length, _ in runs]),
+        di=_ref_mean([deficit for _, deficit in runs]),
+        timely=grades.count("timely"),
+        tardy=grades.count("tardy"),
+        premature=grades.count("premature"),
+        **counts,
+        **{column: constants.get(mid) for mid, column in PASS_THROUGH.items()},
+    )
+
+
 # Two terminals that the init record lists and one it does not.  Attachments
 # and list heads come from few networks, so equal neighbours are common;
 # phases and events include strings outside the five phases; list entries may
 # repeat a network; times on the tick grid repeat often and reach from before
-# the start to past the horizon.  Each record is decoded from one integer,
-# which hypothesis draws far faster than nested strategies.
+# the start to past the horizon.  A handoff payload may name another terminal
+# than the one whose records hold it, and its ratio of utilities is one of
+# several whose sums round differently by order.  Each record is decoded from
+# one integer, which hypothesis draws far faster than nested strategies.
 _PHASES = ["disconnection", "initiation", "preparation", "execution", "evaluation", "limbo"]
 _EVENTS = ["anl_updated", "link_lost", "timer_eval"]
 _ATTACHED = ["n1", "n2", None]
@@ -454,9 +521,11 @@ def _decode(code):
     else:
         back = pick([0, 50, 150, 400])
         payload = _record(
-            terminal=terminal, from_net=pick(_NETS), reason=pick(["imperative", "opportunist"]),
+            terminal=pick([terminal, terminal, "mt1", "mt2"]), from_net=pick(_NETS),
+            reason=pick(["imperative", "opportunist"]),
             t_prep=t - back - 50, t_trigger=t - back, t_switch=t - back // 2, t_eval=t,
-            uf_old=pick([0.0, 1.0, 2.5]), accepted=pick([True, False]),
+            uf_old=pick([0.0, 1.0, 2.5]), uf_new=pick([3.0, 0.1, 0.7]),
+            accepted=pick([True, False]),
             reject=pick([(), ("NotBest",), ("IL",)]),
         )
     return t, terminal, kind, payload
@@ -476,24 +545,26 @@ class TestFoldMatchesReference:
         horizon=st.integers(min_value=0, max_value=1100),
     )
     def test_fold_matches_a_reference_over_the_raw_records(self, codes, horizon):
+        # A row holds the handoffs its terminal's records hold, whatever
+        # terminal a payload names; the payload's name orders the means' terms.
         trace = _trace_of(codes, horizon)
         expected = ref_facts(trace, horizon)
         constants = {"AL": 0.5}
-        want = pool(expected, horizon, constants)
+        want = ref_pool(expected, horizon, constants)
 
         online = MetricFolder(horizon)
         for rec in trace.records:
             online.append(*rec)
         assert online.facts() == expected
-        assert online.snapshot() == want
+        assert repr(online.snapshot()) == repr(want)  # floats keep their bits
 
         pooled = compute_metrics(trace)
-        assert pooled == want
-        assert repr(pooled) == repr(want)  # floats keep their bits
+        assert repr(pooled) == repr(want)
+        assert list(pooled.by_terminal) == [f.terminal for f in expected]
         for f in expected:
-            alone = pool([f], horizon, constants)
-            assert compute_metrics(trace, horizon, f.terminal) == alone, f.terminal
-            assert pooled.by_terminal[f.terminal] == alone, f.terminal
+            alone = repr(ref_pool([f], horizon, constants))
+            assert repr(compute_metrics(trace, horizon, f.terminal)) == alone, f.terminal
+            assert repr(pooled.by_terminal[f.terminal]) == alone, f.terminal
 
     def test_a_phase_that_is_no_str_is_counted_like_any_other_value(self):
         # A hand-made trace may carry a list where a phase belongs; it matches
@@ -555,6 +626,51 @@ class TestRatesAndMeans:
         assert snap.hor == 0.0
         assert snap.ir == 0.0
         assert snap.dr == 0.0
+
+
+class TestSummationOrder:
+    """Each mean adds its terms with ``+`` from 0.0, left to right: the
+    handoffs' in their payloads' ``(t_eval_done, terminal)`` order, the
+    runs' in fold order.  So did ``sum()`` before Python 3.12 made it
+    compensated, and every interpreter writes the same bytes."""
+
+    STEPS = [0.1, 0.7, 1e16, 0.2, 1.0, -1e16, 0.3, 0.6]
+
+    def test_each_mean_adds_its_terms_left_to_right(self):
+        steps = self.STEPS
+        held = {"mt1": [], "mt2": []}
+        for i, step in enumerate(steps):
+            # Pairs of handoffs end at one time, latest pair first, each held
+            # by one terminal and naming the other: the name orders a pair.
+            t_eval = 10.0 * (4 - i // 2)
+            t_switch = t_eval - step
+            t_trigger = t_switch - steps[(i + 3) % 8]
+            holder, named = ("mt2", "mt1") if i % 2 else ("mt1", "mt2")
+            held[holder].append((_record(
+                terminal=named, t_prep=t_trigger - steps[(i + 5) % 8], t_trigger=t_trigger,
+                t_switch=t_switch, t_eval=t_eval, uf_old=1.0, uf_new=steps[(i + 1) % 8],
+            ), "timely"))
+        counts = dict.fromkeys(_COUNTS, 0)
+        facts = [_Facts("mt1", counts, 0, 0, [(100, d) for d in steps[:5]], held["mt1"]),
+                 _Facts("mt2", counts, 0, 0, [(200, d) for d in steps[5:]], held["mt2"])]
+        snap = pool(facts, 1000, {})
+
+        records = sorted((r for f in facts for r, _ in f.graded),
+                         key=lambda r: (r["t_eval_done"], r["terminal"]))
+        terms = {
+            "hol_ms": [r["t_eval_done"] - r["t_prep"] for r in records],
+            "dlat_ms": [r["t_trigger"] - r["t_prep"] for r in records],
+            "exlat_ms": [r["t_switch_done"] - r["t_trigger"] for r in records],
+            "evlat_ms": [r["t_eval_done"] - r["t_switch_done"] for r in records],
+            "impr": [r["uf_new"] / r["uf_old"] for r in records],
+            "di": steps,
+        }
+        for column, values in terms.items():
+            left_to_right = functools.reduce(operator.add, values, 0.0)
+            assert left_to_right != math.fsum(values), column  # the order shows
+            assert repr(getattr(snap, column)) == repr(left_to_right / len(values)), column
+        assert snap.il_ms == snap.exlat_ms
+        assert snap.dl_ms == 137.5  # (5 * 100 + 3 * 200) / 8: whole ms add exactly
 
 
 class TestSnapshotAccess:
@@ -638,7 +754,7 @@ class TestRecordOrder:
         queues = {t: iter(recs) for t, recs in by_t.items()}
         shuffled = Trace([next(queues[t]) for t in slots])
 
-        want = pool(ref_facts(trace, horizon), horizon, {"AL": 0.5})
+        want = ref_pool(ref_facts(trace, horizon), horizon, {"AL": 0.5})
         got = compute_metrics(shuffled)
         assert repr(got) == repr(compute_metrics(trace)) == repr(want)
         assert got.by_terminal == compute_metrics(trace).by_terminal
